@@ -388,6 +388,7 @@ let rec drain_buffered c pipe_id fp =
         ~src:b.b_src ~install:true;
       drain_buffered c pipe_id fp
     | None -> ())
+  | Sequenced when Hashtbl.length fp.buffered = 0 -> ()
   | Sequenced ->
     (* Sequenced: a sparse mark can unblock any buffered slot whose
        predecessor just became handled, not only the contiguous next one.

@@ -105,7 +105,13 @@ let default =
 (** The first [dir_replicas] nodes host the (replicated) ownership
     directory (§4: a single replicated directory; §6.2 discusses
     distributing it at larger scales). *)
-let dir_nodes t = List.init (min t.dir_replicas t.nodes) (fun i -> i)
+let dir_nodes =
+  (* The ownership core looks the directory up several times per input:
+     shared [0; ...; k-1] lists keep the fixed directory allocation-free. *)
+  let prefixes = Array.init 65 (fun k -> List.init k Fun.id) in
+  fun t ->
+    let k = min t.dir_replicas t.nodes in
+    if k < Array.length prefixes then prefixes.(k) else List.init k Fun.id
 
 (* Knuth multiplicative hash: spreads contiguous keys across nodes. *)
 let key_hash key = key * 2654435761 land max_int

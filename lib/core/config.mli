@@ -103,7 +103,8 @@ val default : t
 val dir_nodes : t -> Zeus_store.Types.node_id list
 (** The first [dir_replicas] nodes host the (replicated) ownership
     directory (§4: a single replicated directory; §6.2 discusses
-    distributing it at larger scales). *)
+    distributing it at larger scales).  Up to 64 directory replicas, every
+    call returns the same shared list. *)
 
 val dir_nodes_for : t -> key:Zeus_store.Types.key -> Zeus_store.Types.node_id list
 (** Directory replicas responsible for [key]: the fixed set, or — with the

@@ -453,7 +453,6 @@ let start_reliable_commit t ~thread ~parent ~lc_done ~txn_start
        +. (float_of_int bytes *. t.config.Config.byte_proc_us))
   in
   t.outstanding_rc.(thread) <- t.outstanding_rc.(thread) + 1;
-  let write_versions = List.map (fun (u : Txn.update) -> (u.Txn.key, u.Txn.version)) updates in
   (* Broadcasting the R-INVs consumes datastore-worker CPU at the
      coordinator; the app thread does NOT wait (§5.2). *)
   Resource.submit t.ds ~service:send_cost (fun () ->
@@ -471,7 +470,10 @@ let start_reliable_commit t ~thread ~parent ~lc_done ~txn_start
             parent;
           (match t.history with
           | Some h ->
-            History.record_durable h ~writes:write_versions ~time:(Engine.now t.engine)
+            let writes =
+              List.map (fun (u : Txn.update) -> (u.Txn.key, u.Txn.version)) updates
+            in
+            History.record_durable h ~writes ~time:(Engine.now t.engine)
           | None -> ());
           release_pipeline_slot t thread)
         ())

@@ -10,9 +10,10 @@
       a fixed virtual duration; reported as simulator events dispatched
       per wall-clock second plus GC allocation per event.  Repeated a few
       times on fresh clusters, best repetition kept (wall-clock noise is
-      one-sided).  Compared against the checked-in pre-overhaul baseline
+      one-sided).  Compared against the checked-in baseline
       ([bench/perf_baseline.json]) — the perf-smoke CI gate fails on a
-      > 25 % events/sec regression;
+      > 25 % events/sec regression or on words/event more than 5 % above
+      the baseline's;
     - {e sweep scaling}: a fig7-style handover sweep run twice through
       {!Sweep.map} — [-j 1] and [-j 4] — reporting the wall-clock ratio
       and checking the per-point results are bit-identical (committed
@@ -32,7 +33,7 @@ type run_stats = {
   events_per_sec : float;
   committed : int;
   sim_us : float;  (** virtual time simulated in the measured window *)
-  minor_words : float;  (** GC words allocated during the run *)
+  minor_words : float;  (** GC words allocated during the run ([Gc.minor_words]) *)
   major_words : float;
   words_per_event : float;
 }
@@ -43,9 +44,13 @@ type results = {
   cores : int;  (** [Domain.recommended_domain_count] on this machine *)
   smallbank : run_stats;
   baseline_events_per_sec : float option;
-      (** pre-overhaul events/sec from [bench/perf_baseline.json] *)
+      (** events/sec recorded in [bench/perf_baseline.json] *)
   speedup : float option;  (** smallbank events/sec vs that baseline *)
   regression_ok : bool;  (** speedup >= 0.75 (or no baseline to compare) *)
+  baseline_words_per_event : float option;
+      (** words/event recorded in [bench/perf_baseline.json] *)
+  words_ok : bool;
+      (** words/event <= 1.05 x the baseline's (or no baseline to compare) *)
   sweep_points : int;
   sweep_jobs : int;
   sweep_j1_wall_s : float;
@@ -75,6 +80,9 @@ let smallbank_run ~duration_us =
       (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed))
   in
   let eng = Cluster.engine cluster in
+  (* [Gc.minor_words ()] reads the allocation pointer; on OCaml 5 the
+     [quick_stat] counter only advances at minor collections. *)
+  let m0 = Gc.minor_words () in
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let r =
@@ -82,9 +90,9 @@ let smallbank_run ~duration_us =
   in
   let t1 = Unix.gettimeofday () in
   let g1 = Gc.quick_stat () in
+  let minor = Gc.minor_words () -. m0 in
   let wall_s = Float.max (t1 -. t0) 1e-9 in
   let events = Engine.events_dispatched eng in
-  let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
   let major = g1.Gc.major_words -. g0.Gc.major_words in
   {
     wall_s;
@@ -110,16 +118,18 @@ let best_smallbank ~repeats ~duration_us =
 
 let baseline_path = "bench/perf_baseline.json"
 
+(* [(events_per_sec, words_per_event)], each [None] when not recorded. *)
 let read_baseline () =
-  if not (Sys.file_exists baseline_path) then None
+  if not (Sys.file_exists baseline_path) then (None, None)
   else
     let ic = open_in_bin baseline_path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     match Jsonv.parse s with
-    | Error _ -> None
+    | Error _ -> (None, None)
     | Ok v ->
-      Option.bind (Jsonv.member "events_per_sec" v) Jsonv.to_float
+      let num key = Option.bind (Jsonv.member key v) Jsonv.to_float in
+      (num "events_per_sec", num "words_per_event")
 
 (* ---- sweep scaling ---- *)
 
@@ -146,11 +156,16 @@ let compute ~quick =
   let repeats = if quick then 5 else 7 in
   let duration_us = if quick then 10_000.0 else 50_000.0 in
   let smallbank = best_smallbank ~repeats ~duration_us in
-  let baseline = read_baseline () in
+  let baseline, baseline_words = read_baseline () in
   let speedup =
     Option.map (fun b -> smallbank.events_per_sec /. b) baseline
   in
   let regression_ok = match speedup with None -> true | Some s -> s >= 0.75 in
+  let words_ok =
+    match baseline_words with
+    | None -> true
+    | Some w -> smallbank.words_per_event <= 1.05 *. w
+  in
   let sweep_jobs = 4 in
   let j1_wall, j1_points = sweep_once ~quick ~jobs:1 in
   let jn_wall, jn_points = sweep_once ~quick ~jobs:sweep_jobs in
@@ -162,6 +177,8 @@ let compute ~quick =
     baseline_events_per_sec = baseline;
     speedup;
     regression_ok;
+    baseline_words_per_event = baseline_words;
+    words_ok;
     sweep_points = List.length sweep_specs;
     sweep_jobs;
     sweep_j1_wall_s = j1_wall;
@@ -190,6 +207,10 @@ let run ~quick =
       ( "GC minor words/event",
         f "%.1f (%.2e minor, %.2e major)" r.smallbank.words_per_event
           r.smallbank.minor_words r.smallbank.major_words );
+      ( "vs checked-in baseline",
+        match r.baseline_words_per_event with
+        | Some b -> f "%.1f words/event -> %s" b (if r.words_ok then "ok" else "ABOVE +5%")
+        | None -> "no baseline recorded" );
       ( "sweep wall-clock",
         f "-j 1 %.3f s -> -j %d %.3f s (%.2fx, %d cores)" r.sweep_j1_wall_s
           r.sweep_jobs r.sweep_jn_wall_s r.sweep_speedup r.cores );

@@ -83,7 +83,6 @@ type t = {
   mutable io_tap : (Core.input -> Core.eff list -> unit) option;
 }
 
-let trace = Core.trace
 let node t = t.node
 let directory t = Core.directory t.core
 let set_observer t obs = t.observer <- Some obs

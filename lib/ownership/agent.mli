@@ -72,9 +72,6 @@ type observer = {
 
 type t
 
-val trace : (string -> unit) option ref
-(** Debug hook: protocol-event trace lines (tests and debugging). *)
-
 val create :
   ?config:config ->
   ?telemetry:Zeus_telemetry.Hub.t ->

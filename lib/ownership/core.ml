@@ -204,13 +204,6 @@ let handles_payload = function
     true
   | _ -> false
 
-let trace : (string -> unit) option ref = ref None
-
-let tracef fmt =
-  match !trace with
-  | Some f -> Format.kasprintf f fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 (* ---------- per-input context -------------------------------------------- *)
 
 type ctx = {
@@ -222,8 +215,10 @@ type ctx = {
 
 let live c n = c.env.live.(n)
 
+(* First occurrence of each node, in order. *)
 let dedup nodes =
-  List.fold_left (fun acc n -> if List.mem n acc then acc else acc @ [ n ]) [] nodes
+  List.rev
+    (List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [] nodes)
 
 let is_dir_for c key = List.mem c.st.self (c.dir key)
 
@@ -247,9 +242,6 @@ let fresh_token st =
 
 let apply_pending_here c key (p : Directory.pending) =
   let st = c.st in
-  tracef "n%d applies arbitration key=%d ts=%s req=n%d" st.self key
-    (Format.asprintf "%a" Ots.pp p.Directory.o_ts)
-    p.Directory.requester;
   let replicas = Replicas.drop_dead p.Directory.new_replicas ~live:(live c) in
   (match dir_entry c key with
   | Some e ->
@@ -305,8 +297,6 @@ let replay_check_complete c ~snap r =
   let needed = List.filter (fun a -> live c a) p.Directory.arbiters in
   if List.for_all (fun a -> List.mem a r.r_acks) needed then begin
     if r.r_data = None then r.r_data <- snap;
-    tracef "n%d replay-complete key=%d req=n%d data=%b" c.st.self r.r_key
-      p.Directory.requester (r.r_data <> None);
     if live c p.Directory.requester then
       c.emit
         (Send
@@ -332,9 +322,6 @@ let replay_check_complete c ~snap r =
 let start_replay c ~snap key (p : Directory.pending) =
   let st = c.st in
   if not (Hashtbl.mem st.replays key) then begin
-    tracef "n%d replays key=%d ts=%s req=n%d" st.self key
-      (Format.asprintf "%a" Ots.pp p.Directory.o_ts)
-      p.Directory.requester;
     c.emit (Telemetry (Count C_replays));
     let p =
       match p.Directory.data_from with
@@ -354,9 +341,6 @@ let start_replay c ~snap key (p : Directory.pending) =
     in
     let r = { r_pending = p; r_key = key; r_acks = [ st.self ]; r_data = None } in
     if p.Directory.data_from = Some st.self then r.r_data <- snap;
-    tracef "n%d replay key=%d arbiters=[%s] data_from=%s" st.self key
-      (String.concat ";" (List.map string_of_int p.Directory.arbiters))
-      (match p.Directory.data_from with Some n -> string_of_int n | None -> "-");
     Hashtbl.replace st.replays key r;
     let e = c.env.epoch in
     List.iter
@@ -426,20 +410,12 @@ let missing_data ~kind ~data ~f_exists =
   && data = None
   && not f_exists
 
-let requester_apply_and_val c ~req_id ~key ~kind ~o_ts ~replicas ~arbiters ~data =
+let requester_apply_and_val c ~key ~kind ~o_ts ~replicas ~arbiters ~data =
   let st = c.st in
-  tracef "n%d applies own win key=%d ts=%s" st.self key
-    (Format.asprintf "%a" Ots.pp o_ts);
-  ignore req_id;
   let replicas = Replicas.drop_dead replicas ~live:(live c) in
   c.emit (Apply_requester { key; kind; o_ts; replicas; data });
   (match dir_entry c key with
   | Some e ->
-    (match e.Directory.pending with
-    | Some p ->
-      tracef "n%d own-win drops pending key=%d ts=%s" st.self key
-        (Format.asprintf "%a" Ots.pp p.Directory.o_ts)
-    | None -> ());
     e.Directory.o_ts <- o_ts;
     e.Directory.replicas <- replicas;
     Directory.clear_pending e
@@ -465,8 +441,8 @@ let check_complete c o ~f_exists =
       (if missing_data ~kind:o.o_kind ~data:o.data ~f_exists then
          finish_outstanding c o (Error Unavailable)
        else begin
-         requester_apply_and_val c ~req_id:o.o_req_id ~key:o.o_key ~kind:o.o_kind
-           ~o_ts ~replicas ~arbiters ~data:o.data;
+         requester_apply_and_val c ~key:o.o_key ~kind:o.o_kind ~o_ts ~replicas
+           ~arbiters ~data:o.data;
          c.emit (Telemetry (Count C_won));
          c.emit (Telemetry (Arb_latency (c.env.now -. o.started)));
          finish_outstanding c o (Ok ())
@@ -476,9 +452,6 @@ let check_complete c o ~f_exists =
 
 let api_request c ~key ~kind ~facts =
   let st = c.st in
-  tracef "n%d requests %s for key %d" st.self
-    (Format.asprintf "%a" Messages.pp_kind kind)
-    key;
   c.emit (Telemetry (Count C_started));
   let seq = st.req_seq in
   st.req_seq <- seq + 1;
@@ -776,16 +749,8 @@ let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
         && ((!f_exists && !f_is_owner)
            || match kind with Remove_reader r -> r = st.self | _ -> false)
       in
-      if busy_here then begin
-        tracef "n%d busy-nacks INV key=%d ts=%s req=n%d rec=%b" st.self key
-          (Format.asprintf "%a" Ots.pp o_ts)
-          requester recovery;
-        nack c ~dst:requester ~req_id ~key Busy
-      end
+      if busy_here then nack c ~dst:requester ~req_id ~key Busy
       else begin
-        tracef "n%d buffers INV key=%d ts=%s req=n%d rec=%b" st.self key
-          (Format.asprintf "%a" Ots.pp o_ts)
-          requester recovery;
         set_pending c key
           {
             Directory.req_id;
@@ -802,15 +767,6 @@ let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
         ack ()
       end
     end
-    else
-      tracef "n%d ignores stale INV key=%d ts=%s applied=%s pend=%s rec=%b" st.self
-        key
-        (Format.asprintf "%a" Ots.pp o_ts)
-        (Format.asprintf "%a" Ots.pp applied)
-        (match pend with
-        | Some p -> Format.asprintf "%a" Ots.pp p.Directory.o_ts
-        | None -> "-")
-        recovery
   end
 
 let handle_val c ~key ~o_ts =
@@ -859,17 +815,15 @@ let handle_nack c ~req_id ~key ~o_ts ~reason =
 
 let handle_resp c ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
   let st = c.st in
-  if missing_data ~kind:Acquire ~data ~f_exists:facts.f_exists then
-    tracef "n%d drops RESP key=%d ts=%s (no data anywhere)" st.self key
-      (Format.asprintf "%a" Ots.pp o_ts)
-  else
+  (* A RESP with no data anywhere (no snapshot, no local copy) is dropped. *)
+  if not (missing_data ~kind:Acquire ~data ~f_exists:facts.f_exists) then
     match Hashtbl.find_opt st.outstanding req_id.seq with
     | Some o ->
       Hashtbl.remove st.outstanding req_id.seq;
       c.emit (Telemetry (Count C_won));
       c.emit (Telemetry (Arb_latency (c.env.now -. o.started)));
-      requester_apply_and_val c ~req_id ~key ~kind:o.o_kind ~o_ts
-        ~replicas:new_replicas ~arbiters ~data;
+      requester_apply_and_val c ~key ~kind:o.o_kind ~o_ts ~replicas:new_replicas
+        ~arbiters ~data;
       finish_outstanding c o (Ok ());
       if o.o_span >= 0 then c.emit (Telemetry (Span_forget o.o_span))
     | None ->
@@ -880,8 +834,8 @@ let handle_resp c ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
         | None -> false
       in
       if Ots.(o_ts > applied) || pend_matches then
-        requester_apply_and_val c ~req_id ~key ~kind:Acquire ~o_ts
-          ~replicas:new_replicas ~arbiters ~data
+        requester_apply_and_val c ~key ~kind:Acquire ~o_ts ~replicas:new_replicas
+          ~arbiters ~data
       else
         let e = c.env.epoch in
         List.iter
@@ -951,11 +905,7 @@ let timer_fire c ~facts kind =
         start_replay c ~snap:facts.f_snapshot key p;
         c.emit Flush;
         arm_replay_check c key o_ts
-      | Some p ->
-        tracef "n%d replay-check key=%d ts mismatch (pend=%s, armed=%s)" st.self key
-          (Format.asprintf "%a" Ots.pp p.Directory.o_ts)
-          (Format.asprintf "%a" Ots.pp o_ts)
-      | None -> tracef "n%d replay-check key=%d no pending" st.self key
+      | Some _ | None -> ()
     end
   | T_timeout { seq; key; span } -> begin
     match Hashtbl.find_opt st.outstanding seq with

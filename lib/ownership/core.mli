@@ -146,10 +146,6 @@ val pending_ts : state -> Types.key -> Ots.t option
 
 val handles_payload : Zeus_net.Msg.payload -> bool
 
-val trace : (string -> unit) option ref
-(** Debug hook: protocol-event trace lines (tests and debugging).  Purely
-    observational — never affects state or effects. *)
-
 val copy : state -> state
 (** Deep copy, for branching exploration. *)
 

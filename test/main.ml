@@ -26,4 +26,5 @@ let () =
       ("replay", Test_replay.suite);
       ("transport-props", Test_transport_props.suite);
       ("chaos", Test_chaos.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -32,6 +32,29 @@ let placement_properties () =
   check Alcotest.(list int) "stable" (Config.dir_nodes_for config ~key:77)
     (Config.dir_nodes_for config ~key:77)
 
+(* [dir_nodes_for] keeps the values of the plain [List.init] formulas, and
+   the fixed directory hands out one shared list instead of a fresh one. *)
+let placement_formula () =
+  for nodes = 1 to 8 do
+    for dir_replicas = 1 to 5 do
+      let k = min dir_replicas nodes in
+      let fixed = { Config.default with Config.nodes; dir_replicas } in
+      let dist = { fixed with Config.distributed_directory = true } in
+      for key = 0 to 99 do
+        let label = Printf.sprintf "nodes=%d dir_replicas=%d key=%d" nodes dir_replicas key in
+        check Alcotest.(list int) ("fixed " ^ label) (List.init k Fun.id)
+          (Config.dir_nodes_for fixed ~key);
+        let h = (key * 2654435761 land max_int) mod nodes in
+        check Alcotest.(list int) ("distributed " ^ label)
+          (List.init k (fun i -> (h + i) mod nodes))
+          (Config.dir_nodes_for dist ~key)
+      done;
+      if Config.dir_nodes_for fixed ~key:0 != Config.dir_nodes_for fixed ~key:1 then
+        Alcotest.failf "nodes=%d dir_replicas=%d: fixed directory list is rebuilt per call"
+          nodes dir_replicas
+    done
+  done
+
 let acquire_works () =
   let c = Cluster.create ~config:{ (dist_config ()) with Config.record_history = true } () in
   for k = 0 to 49 do
@@ -127,6 +150,7 @@ let rejoin_with_distributed_directory () =
 let suite =
   [
     tc "placement: hashed, balanced, deterministic" placement_properties;
+    tc "placement: values match the formula, fixed list shared" placement_formula;
     tc "ownership works across hashed directories" acquire_works;
     tc "mixed load + crash under distributed directory" mixed_load_with_crash;
     tc "directory driver load spreads (§6.2)" directory_load_spreads;
