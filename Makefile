@@ -80,19 +80,21 @@ trace-smoke: build
 # Quick wall-clock perf run (simulator events/sec + -j sweep scaling) +
 # sanity-check of BENCH_perf.json: all expected keys present, events/sec no
 # worse than 25% below the checked-in baseline (bench/perf_baseline.json),
-# GC minor words/event no more than 5% above it, and the -j1 vs -jN sweep
-# bit-identical.
+# GC minor words/event no more than 5% above it, GC promoted words/event no
+# more than 10% above it, and the -j1 vs -jN sweep bit-identical.
 perf-smoke: build
 	rm -f BENCH_perf.json
 	dune exec bench/main.exe -- --quick perf
 	@test -s BENCH_perf.json || { echo "perf-smoke: BENCH_perf.json missing or empty" >&2; exit 1; }
-	@for key in events_per_sec words_per_event speedup regression_ok words_ok sweep identical cores; do \
+	@for key in events_per_sec words_per_event promoted_per_event speedup regression_ok words_ok promoted_ok sweep identical cores; do \
 	  grep -q "\"$$key\"" BENCH_perf.json || { echo "perf-smoke: key \"$$key\" missing from BENCH_perf.json" >&2; exit 1; }; \
 	done
 	@if grep -q '"regression_ok": false' BENCH_perf.json; then \
 	  echo "perf-smoke: events/sec regressed >25% vs bench/perf_baseline.json" >&2; exit 1; fi
 	@if grep -q '"words_ok": false' BENCH_perf.json; then \
 	  echo "perf-smoke: words/event rose >5% above bench/perf_baseline.json" >&2; exit 1; fi
+	@if grep -q '"promoted_ok": false' BENCH_perf.json; then \
+	  echo "perf-smoke: promoted words/event rose >10% above bench/perf_baseline.json" >&2; exit 1; fi
 	@if grep -q '"identical": false' BENCH_perf.json; then \
 	  echo "perf-smoke: -j1 and -jN sweeps diverged (parallelism leaked into results)" >&2; exit 1; fi
 	@echo "perf-smoke: BENCH_perf.json OK"
@@ -112,19 +114,21 @@ model-smoke: build
 	@echo "model-smoke: real-core exploration OK"
 
 # Re-capture the reference on this machine: run the perf harness and copy
-# its best smallbank events/sec and its words/event into
+# its best smallbank events/sec, words/event and promoted words/event into
 # bench/perf_baseline.json.  Use when the reference hardware or compiler
-# changes — events/sec is machine-bound, words/event compiler-bound.
+# changes — events/sec is machine-bound, the GC figures compiler-bound.
 perf-baseline: build
 	dune exec bench/main.exe -- --quick perf
 	@test -s BENCH_perf.json || { echo "perf-baseline: BENCH_perf.json missing" >&2; exit 1; }
 	@eps=$$(sed -n 's/.*"smallbank": {"events_per_sec": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  wpe=$$(sed -n 's/.*"words_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
+	  ppe=$$(sed -n 's/.*"promoted_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  test -n "$$eps" || { echo "perf-baseline: could not parse events_per_sec" >&2; exit 1; }; \
 	  test -n "$$wpe" || { echo "perf-baseline: could not parse words_per_event" >&2; exit 1; }; \
-	  printf '{"events_per_sec": %s,\n "words_per_event": %s,\n "captured": "%s",\n "state": "%s",\n "note": "Smallbank quick run, 3 nodes, 10 ms virtual, best of 5; events/sec is machine-dependent and words/event compiler-dependent — regenerate with '"'"'make perf-baseline'"'"' when either changes."}\n' \
-	    "$$eps" "$$wpe" "$$(date +%F)" "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" > bench/perf_baseline.json; \
-	  echo "perf-baseline: recorded $$eps events/sec and $$wpe words/event in bench/perf_baseline.json"
+	  test -n "$$ppe" || { echo "perf-baseline: could not parse promoted_per_event" >&2; exit 1; }; \
+	  printf '{"events_per_sec": %s,\n "words_per_event": %s,\n "promoted_per_event": %s,\n "captured": "%s",\n "state": "%s",\n "note": "Smallbank quick run, 3 nodes, 10 ms virtual, best of 5; events/sec is machine-dependent and the GC figures compiler-dependent — regenerate with '"'"'make perf-baseline'"'"' when either changes."}\n' \
+	    "$$eps" "$$wpe" "$$ppe" "$$(date +%F)" "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" > bench/perf_baseline.json; \
+	  echo "perf-baseline: recorded $$eps events/sec, $$wpe words/event and $$ppe promoted words/event in bench/perf_baseline.json"
 
 clean:
 	dune clean

@@ -251,8 +251,8 @@ let emit_detection_json path =
     Printf.printf "wrote %s\n%!" path
 
 (* Machine-readable results for the perf harness (consumed by the
-   perf-smoke CI check: events/sec and words/event against the baseline,
-   -j sweep scaling). *)
+   perf-smoke CI check: events/sec, words/event and promoted words/event
+   against the baseline, -j sweep scaling). *)
 let emit_perf_json path =
   match Zeus_experiments.Perf.last_results () with
   | None -> ()
@@ -266,19 +266,22 @@ let emit_perf_json path =
       "{\"quick\": %b,\n \"repeats\": %d,\n \"cores\": %d,\n \
        \"smallbank\": {\"events_per_sec\": %s, \"events\": %d, \"wall_s\": %s, \
        \"committed\": %d, \"sim_us\": %s, \"minor_words\": %s, \
-       \"major_words\": %s, \"words_per_event\": %s},\n \
+       \"major_words\": %s, \"words_per_event\": %s, \
+       \"promoted_words\": %s, \"promoted_per_event\": %s},\n \
        \"baseline_events_per_sec\": %s,\n \"speedup\": %s,\n \
        \"regression_ok\": %b,\n \
        \"baseline_words_per_event\": %s,\n \"words_ok\": %b,\n \
+       \"baseline_promoted_per_event\": %s,\n \"promoted_ok\": %b,\n \
        \"sweep\": {\"points\": %d, \"jobs\": %d, \"j1_wall_s\": %s, \
        \"jn_wall_s\": %s, \"speedup\": %s, \"identical\": %b}}\n"
       r.P.quick r.P.repeats r.P.cores
       (num s.P.events_per_sec) s.P.events (num s.P.wall_s) s.P.committed
       (num s.P.sim_us) (num s.P.minor_words) (num s.P.major_words)
-      (num s.P.words_per_event)
+      (num s.P.words_per_event) (num s.P.promoted_words) (num s.P.promoted_per_event)
       (opt_num r.P.baseline_events_per_sec)
       (opt_num r.P.speedup) r.P.regression_ok
       (opt_num r.P.baseline_words_per_event) r.P.words_ok
+      (opt_num r.P.baseline_promoted_per_event) r.P.promoted_ok
       r.P.sweep_points r.P.sweep_jobs
       (num r.P.sweep_j1_wall_s) (num r.P.sweep_jn_wall_s)
       (num r.P.sweep_speedup) r.P.sweep_identical;

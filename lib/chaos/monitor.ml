@@ -25,6 +25,20 @@ let default_config =
     baseline_windows = 8;
   }
 
+module Itbl = Hashtbl.Make (Int)
+
+(* Everything the invariant checks keep about one key, mutated in place
+   with immediates: a steady-state sample allocates nothing, and no young
+   block ever hangs off the (major-heap) key table. *)
+type key_state = {
+  mutable owners : int;  (* usable owners seen by the latest scan *)
+  mutable vmax : int;  (* highest version over live copies; -1 when none *)
+  mutable vvalid : int;  (* highest version over valid copies; -1 when none *)
+  mutable watermark : int;  (* highest [vmax] seen while steady; -1 when none *)
+  mutable suspect : int;  (* consecutive samples with more than one usable owner *)
+  mutable stamp : int;  (* the scan that last saw the key *)
+}
+
 type t = {
   cluster : Cluster.t;
   config : config;
@@ -34,8 +48,11 @@ type t = {
   mutable last_committed : int;
   mutable last_fault_at : float;
   mutable violations : string list;  (* newest first *)
-  watermarks : (int, int) Hashtbl.t;  (* key -> highest valid version seen *)
-  owner_suspect : (int, int) Hashtbl.t;  (* key -> consecutive multi-owner samples *)
+  keys : key_state Itbl.t;
+  mutable scan_no : int;
+  mutable unseen : int;  (* records the latest sample found freed and unsuspected *)
+  mutable visit : Obj.t -> unit;  (* [visit_obj t], allocated once *)
+  mutable check : int -> key_state -> unit;  (* [check_key t], allocated once *)
   mutable stopped : bool;
   mutable sample_ev : Engine.event_id option;
   mutable window_ev : Engine.event_id option;
@@ -61,79 +78,104 @@ let violate t fmt =
 
 (* ---------- steady-state detection ---------------------------------------- *)
 
+let rec all_live fabric svc i =
+  i < 0 || (Fabric.is_alive fabric i && Service.is_live svc i && all_live fabric svc (i - 1))
+
 let steady t =
   let c = t.cluster in
-  let n = Cluster.nodes c in
-  List.length (Cluster.live_nodes c) = n
-  && Service.stable (Cluster.membership c)
-  && List.for_all (fun i -> Service.is_live (Cluster.membership c) i) (List.init n Fun.id)
+  let svc = Cluster.membership c in
+  all_live (Cluster.fabric c) svc (Cluster.nodes c - 1)
+  && Service.stable svc
   && Engine.now (engine t) >= t.last_fault_at +. t.config.grace_us
 
 (* ---------- invariant sampling --------------------------------------------- *)
 
-(* One pass over the live tables: per key, the number of live owners, the
-   highest version held by any live copy, and the highest version held by
-   a valid copy (-1 when no valid copy).  The watermark tracks the former:
-   an invalidated follower already carries the in-flight version (the
-   commit agent bumps [t_version] at R-INV), so max-over-valid-copies dips
-   transiently under pipelined writes while max-over-all-copies is
-   monotone in steady state. *)
+(* One pass over the live tables fills, per key, the number of live
+   owners, the highest version held by any live copy, and the highest
+   version held by a valid copy (-1 when no valid copy).  The watermark
+   tracks the former: an invalidated follower already carries the
+   in-flight version (the commit agent bumps [t_version] at R-INV), so
+   max-over-valid-copies dips transiently under pipelined writes while
+   max-over-all-copies is monotone in steady state. *)
+let visit_obj t (obj : Obj.t) =
+  let r =
+    match Itbl.find t.keys obj.key with
+    | r -> r
+    | exception Not_found ->
+      let r =
+        { owners = 0; vmax = -1; vvalid = -1; watermark = -1; suspect = 0; stamp = -1 }
+      in
+      Itbl.add t.keys obj.key r;
+      r
+  in
+  if r.stamp <> t.scan_no then begin
+    r.stamp <- t.scan_no;
+    r.owners <- 0;
+    r.vmax <- -1;
+    r.vvalid <- -1
+  end;
+  (* A stale owner mid-handover keeps role=Owner until its O-VAL drains
+     through the in-order flow, but sits at o_state O_invalid and cannot
+     commit; only a usable owner (role + O_valid) counts for the online
+     single-owner check. *)
+  if Obj.is_owner obj && obj.o_state = Types.O_valid then r.owners <- r.owners + 1;
+  if obj.t_version > r.vmax then r.vmax <- obj.t_version;
+  if obj.t_state = Types.T_valid && obj.t_version > r.vvalid then r.vvalid <- obj.t_version
+
 let scan t =
-  let acc : (int, int * int * int) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun i ->
-      Table.iter (Node.table (Cluster.node t.cluster i)) (fun obj ->
-          let owners, vmax, vvalid =
-            Option.value ~default:(0, -1, -1) (Hashtbl.find_opt acc obj.Obj.key)
-          in
-          (* A stale owner mid-handover keeps role=Owner until its O-VAL
-             drains through the in-order flow, but sits at o_state
-             O_invalid and cannot commit; only a usable owner (role +
-             O_valid) counts for the online single-owner check. *)
-          let usable = Obj.is_owner obj && obj.Obj.o_state = Types.O_valid in
-          let owners = owners + if usable then 1 else 0 in
-          let vmax = max vmax obj.Obj.t_version in
-          let vvalid =
-            if obj.Obj.t_state = Types.T_valid then max vvalid obj.Obj.t_version
-            else vvalid
-          in
-          Hashtbl.replace acc obj.Obj.key (owners, vmax, vvalid)))
-    (Cluster.live_nodes t.cluster);
-  acc
+  t.scan_no <- t.scan_no + 1;
+  let c = t.cluster in
+  let fabric = Cluster.fabric c in
+  for i = 0 to Cluster.nodes c - 1 do
+    if Fabric.is_alive fabric i then Table.iter (Node.table (Cluster.node c i)) t.visit
+  done
+
+let check_key t key r =
+  if r.stamp <> t.scan_no then begin
+    (* A freed key's watermark must not outlive it. *)
+    r.watermark <- -1;
+    if r.suspect = 0 then t.unseen <- t.unseen + 1
+  end
+  else begin
+    (* Single owner: flag only when the same key shows more than one live
+       owner in two consecutive samples — a handover caught
+       mid-arbitration resolves within microseconds, a real violation
+       persists. *)
+    if r.owners > 1 then begin
+      r.suspect <- r.suspect + 1;
+      if r.suspect = 2 then violate t "key %d: %d live owners (persisted)" key r.owners
+    end
+    else r.suspect <- 0;
+    (* Version monotonicity: the highest version held by any live copy
+       must never regress while the cluster is steady — a regression
+       means a committed (or reliably in-flight) write vanished. *)
+    if r.vmax >= 0 then begin
+      if r.vmax < r.watermark then
+        violate t "key %d: valid-version watermark regressed %d -> %d" key r.watermark
+          r.vmax;
+      if r.vmax > r.watermark then r.watermark <- r.vmax
+    end
+  end
+
+(* A record for a key that is gone and not under suspicion says nothing a
+   missing record would not; drop such records once keys are freed. *)
+let prune t =
+  let gone =
+    Itbl.fold
+      (fun key r acc -> if r.stamp <> t.scan_no && r.suspect = 0 then key :: acc else acc)
+      t.keys []
+  in
+  List.iter (Itbl.remove t.keys) gone
 
 let sample_invariants t =
   Metrics.Counter.incr t.c_samples;
-  let acc = scan t in
-  (* Single owner: flag only when the same key shows more than one live
-     owner in two consecutive samples — a handover caught mid-arbitration
-     resolves within microseconds, a real violation persists. *)
-  Hashtbl.iter
-    (fun key (owners, _, _) ->
-      if owners > 1 then begin
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.owner_suspect key) in
-        Hashtbl.replace t.owner_suspect key n;
-        if n = 2 then violate t "key %d: %d live owners (persisted)" key owners
-      end
-      else Hashtbl.remove t.owner_suspect key)
-    acc;
-  (* Version monotonicity: the highest version held by any live copy must
-     never regress while the cluster is steady — a regression means a
-     committed (or reliably in-flight) write vanished. *)
-  Hashtbl.iter
-    (fun key (_, vmax, _) ->
-      if vmax >= 0 then begin
-        (match Hashtbl.find_opt t.watermarks key with
-        | Some w when vmax < w ->
-          violate t "key %d: valid-version watermark regressed %d -> %d" key w vmax
-        | _ -> ());
-        Hashtbl.replace t.watermarks key
-          (max vmax (Option.value ~default:(-1) (Hashtbl.find_opt t.watermarks key)))
-      end)
-    acc;
-  (* A freed key's watermark must not outlive it. *)
-  Hashtbl.iter
-    (fun key _ -> if not (Hashtbl.mem acc key) then Hashtbl.remove t.watermarks key)
-    (Hashtbl.copy t.watermarks)
+  scan t;
+  t.unseen <- 0;
+  Itbl.iter t.check t.keys;
+  if t.unseen > 0 then prune t
+
+(* Leaving steady state forgets every multi-owner suspicion. *)
+let reset_suspects t = Itbl.iter (fun _ r -> r.suspect <- 0) t.keys
 
 (* ---------- sampling loops ------------------------------------------------- *)
 
@@ -144,7 +186,7 @@ let rec arm_sample t =
            t.sample_ev <- None;
            if not t.stopped then begin
              if steady t then sample_invariants t
-             else Hashtbl.reset t.owner_suspect;
+             else reset_suspects t;
              arm_sample t
            end))
 
@@ -177,8 +219,11 @@ let attach ?(config = default_config) ?observed cluster =
       last_committed = 0;
       last_fault_at = Float.neg_infinity;
       violations = [];
-      watermarks = Hashtbl.create 256;
-      owner_suspect = Hashtbl.create 16;
+      keys = Itbl.create 256;
+      scan_no = 0;
+      unseen = 0;
+      visit = ignore;
+      check = (fun _ _ -> ());
       stopped = false;
       sample_ev = None;
       window_ev = None;
@@ -186,6 +231,8 @@ let attach ?(config = default_config) ?observed cluster =
       c_violations = Metrics.Counter.v m "chaos.monitor.violations";
     }
   in
+  t.visit <- visit_obj t;
+  t.check <- check_key t;
   t.last_committed <- observed_committed t;
   arm_sample t;
   arm_window t;
@@ -265,11 +312,12 @@ let check_final t =
          each surviving key must retain at least one valid copy — a key
          whose copies are all stuck invalid lost its validation and will
          wedge every future transaction that touches it. *)
-      let acc = scan t in
+      scan t;
       let stuck = ref None in
-      Hashtbl.iter
-        (fun key (_, _, vvalid) -> if vvalid < 0 && !stuck = None then stuck := Some key)
-        acc;
+      Itbl.iter
+        (fun key r ->
+          if r.stamp = t.scan_no && r.vvalid < 0 && !stuck = None then stuck := Some key)
+        t.keys;
       (match !stuck with
       | Some key -> Error (Printf.sprintf "key %d: no valid copy after quiesce" key)
       | None -> Ok ()))

@@ -15,7 +15,8 @@
       regression of the version watermark is a lost update; invalidated
       followers already carry the in-flight version, so the max over all
       copies — unlike the max over valid copies — is monotone even under
-      pipelined writes);
+      pipelined writes).  The checks keep one persistent record per key,
+      updated in place, so a steady-state sample allocates nothing;
 
     - the {e goodput timeline}, every [window_us]: committed transactions
       of the observed nodes per window.  {!recovery_us} extracts the

@@ -1,4 +1,5 @@
 module Engine = Zeus_sim.Engine
+module Fifo = Zeus_sim.Fifo
 module Resource = Zeus_sim.Resource
 module Rng = Zeus_sim.Rng
 module Stats = Zeus_sim.Stats
@@ -27,7 +28,7 @@ type t = {
   rng : Rng.t;
   history : History.t option;
   outstanding_rc : int array;  (* per app thread: in-flight reliable commits *)
-  waiters : (unit -> unit) Queue.t array;
+  waiters : (unit -> unit) Fifo.t array;
   txn_free : Txn.t option array;
       (* per app thread: one recycled transaction, reinitialized on reuse so
          the steady-state attempt allocates no copies table *)
@@ -174,7 +175,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       rng = Engine.fork_rng engine;
       history;
       outstanding_rc = Array.make config.Config.app_threads 0;
-      waiters = Array.init config.Config.app_threads (fun _ -> Queue.create ());
+      waiters = Array.init config.Config.app_threads (fun _ -> Fifo.create ~dummy:ignore);
       txn_free = Array.make config.Config.app_threads None;
       app_handler = None;
       tspans = Hub.trace hub;
@@ -264,7 +265,7 @@ let reset t =
   Own.Agent.reset (ownership_agent t);
   Com.Agent.reset (commit_agent t);
   Array.fill t.outstanding_rc 0 (Array.length t.outstanding_rc) 0;
-  Array.iter Queue.clear t.waiters
+  Array.iter Fifo.clear t.waiters
 
 (* ------ sharding control -------------------------------------------------- *)
 
@@ -428,7 +429,7 @@ let delete ctx key k =
 
 let release_pipeline_slot t thread =
   t.outstanding_rc.(thread) <- t.outstanding_rc.(thread) - 1;
-  if not (Queue.is_empty t.waiters.(thread)) then (Queue.pop t.waiters.(thread)) ()
+  if not (Fifo.is_empty t.waiters.(thread)) then (Fifo.pop t.waiters.(thread)) ()
 
 (* Created objects need their replica set assigned (and the directory told)
    before the reliable commit picks followers. *)
@@ -628,11 +629,9 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
                      if t.outstanding_rc.(thread) >= t.config.Config.pipeline_depth
                      then begin
                        (* Pipeline full: flow-control the thread. *)
-                       Queue.push
-                         (fun () ->
+                       Fifo.push t.waiters.(thread) (fun () ->
                            proceed ();
                            k Txn.Committed)
-                         t.waiters.(thread)
                      end
                      else begin
                        proceed ();

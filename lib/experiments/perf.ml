@@ -10,10 +10,14 @@
       a fixed virtual duration; reported as simulator events dispatched
       per wall-clock second plus GC allocation per event.  Repeated a few
       times on fresh clusters, best repetition kept (wall-clock noise is
-      one-sided).  Compared against the checked-in baseline
-      ([bench/perf_baseline.json]) — the perf-smoke CI gate fails on a
-      > 25 % events/sec regression or on words/event more than 5 % above
-      the baseline's;
+      one-sided).  Each repetition is bracketed by [Gc.minor ()], so the
+      words promoted to the major heap per event repeat from run to run
+      and measure how much short-lived work old blocks keep alive
+      (DESIGN.md §12, "no promotion cascades").  Compared against the checked-in
+      baseline ([bench/perf_baseline.json]) — the perf-smoke CI gate fails
+      on a > 25 % events/sec regression, on words/event more than 5 %
+      above the baseline's, or on promoted words/event more than 10 %
+      above it;
     - {e sweep scaling}: a fig7-style handover sweep run twice through
       {!Sweep.map} — [-j 1] and [-j 4] — reporting the wall-clock ratio
       and checking the per-point results are bit-identical (committed
@@ -36,6 +40,8 @@ type run_stats = {
   minor_words : float;  (** GC words allocated during the run ([Gc.minor_words]) *)
   major_words : float;
   words_per_event : float;
+  promoted_words : float;  (** words promoted by the minor GC during the run *)
+  promoted_per_event : float;
 }
 
 type results = {
@@ -51,6 +57,10 @@ type results = {
       (** words/event recorded in [bench/perf_baseline.json] *)
   words_ok : bool;
       (** words/event <= 1.05 x the baseline's (or no baseline to compare) *)
+  baseline_promoted_per_event : float option;
+      (** promoted words/event recorded in [bench/perf_baseline.json] *)
+  promoted_ok : bool;
+      (** promoted words/event <= 1.10 x the baseline's (or no baseline) *)
   sweep_points : int;
   sweep_jobs : int;
   sweep_j1_wall_s : float;
@@ -80,6 +90,9 @@ let smallbank_run ~duration_us =
       (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed))
   in
   let eng = Cluster.engine cluster in
+  (* Start and end on an empty minor heap, so [promoted_words] counts
+     exactly what this run's collections copied. *)
+  Gc.minor ();
   (* [Gc.minor_words ()] reads the allocation pointer; on OCaml 5 the
      [quick_stat] counter only advances at minor collections. *)
   let m0 = Gc.minor_words () in
@@ -89,11 +102,14 @@ let smallbank_run ~duration_us =
     W.Driver.run cluster ~warmup_us:s.Exp.warmup_us ~duration_us ~issue ()
   in
   let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
   let minor = Gc.minor_words () -. m0 in
+  Gc.minor ();
+  let g1 = Gc.quick_stat () in
   let wall_s = Float.max (t1 -. t0) 1e-9 in
   let events = Engine.events_dispatched eng in
   let major = g1.Gc.major_words -. g0.Gc.major_words in
+  let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+  let per_event x = if events = 0 then 0.0 else x /. float_of_int events in
   {
     wall_s;
     events;
@@ -102,8 +118,9 @@ let smallbank_run ~duration_us =
     sim_us = Engine.now eng;
     minor_words = minor;
     major_words = major;
-    words_per_event =
-      (if events = 0 then 0.0 else minor /. float_of_int events);
+    words_per_event = per_event minor;
+    promoted_words = promoted;
+    promoted_per_event = per_event promoted;
   }
 
 let best_smallbank ~repeats ~duration_us =
@@ -118,18 +135,19 @@ let best_smallbank ~repeats ~duration_us =
 
 let baseline_path = "bench/perf_baseline.json"
 
-(* [(events_per_sec, words_per_event)], each [None] when not recorded. *)
+(* [(events_per_sec, words_per_event, promoted_per_event)], each [None]
+   when not recorded. *)
 let read_baseline () =
-  if not (Sys.file_exists baseline_path) then (None, None)
+  if not (Sys.file_exists baseline_path) then (None, None, None)
   else
     let ic = open_in_bin baseline_path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     match Jsonv.parse s with
-    | Error _ -> (None, None)
+    | Error _ -> (None, None, None)
     | Ok v ->
       let num key = Option.bind (Jsonv.member key v) Jsonv.to_float in
-      (num "events_per_sec", num "words_per_event")
+      (num "events_per_sec", num "words_per_event", num "promoted_per_event")
 
 (* ---- sweep scaling ---- *)
 
@@ -156,7 +174,7 @@ let compute ~quick =
   let repeats = if quick then 5 else 7 in
   let duration_us = if quick then 10_000.0 else 50_000.0 in
   let smallbank = best_smallbank ~repeats ~duration_us in
-  let baseline, baseline_words = read_baseline () in
+  let baseline, baseline_words, baseline_promoted = read_baseline () in
   let speedup =
     Option.map (fun b -> smallbank.events_per_sec /. b) baseline
   in
@@ -165,6 +183,11 @@ let compute ~quick =
     match baseline_words with
     | None -> true
     | Some w -> smallbank.words_per_event <= 1.05 *. w
+  in
+  let promoted_ok =
+    match baseline_promoted with
+    | None -> true
+    | Some p -> smallbank.promoted_per_event <= 1.10 *. p
   in
   let sweep_jobs = 4 in
   let j1_wall, j1_points = sweep_once ~quick ~jobs:1 in
@@ -179,6 +202,8 @@ let compute ~quick =
     regression_ok;
     baseline_words_per_event = baseline_words;
     words_ok;
+    baseline_promoted_per_event = baseline_promoted;
+    promoted_ok;
     sweep_points = List.length sweep_specs;
     sweep_jobs;
     sweep_j1_wall_s = j1_wall;
@@ -210,6 +235,13 @@ let run ~quick =
       ( "vs checked-in baseline",
         match r.baseline_words_per_event with
         | Some b -> f "%.1f words/event -> %s" b (if r.words_ok then "ok" else "ABOVE +5%")
+        | None -> "no baseline recorded" );
+      ( "GC promoted words/event",
+        f "%.2f (%.2e promoted)" r.smallbank.promoted_per_event r.smallbank.promoted_words );
+      ( "vs checked-in baseline",
+        match r.baseline_promoted_per_event with
+        | Some b ->
+          f "%.2f promoted/event -> %s" b (if r.promoted_ok then "ok" else "ABOVE +10%")
         | None -> "no baseline recorded" );
       ( "sweep wall-clock",
         f "-j 1 %.3f s -> -j %d %.3f s (%.2fx, %d cores)" r.sweep_j1_wall_s

@@ -1,21 +1,30 @@
 type job = { service : float; k : unit -> unit }
 
+let no_job = { service = 0.0; k = (fun () -> ()) }
+
 type t = {
   engine : Engine.t;
   servers : int;
   mutable busy : int;
   mutable busy_time : float;
   mutable completed : int;
-  waiting : job Queue.t;
+  waiting : job Fifo.t;
 }
 
 let create engine ~servers =
   assert (servers > 0);
-  { engine; servers; busy = 0; busy_time = 0.0; completed = 0; waiting = Queue.create () }
+  {
+    engine;
+    servers;
+    busy = 0;
+    busy_time = 0.0;
+    completed = 0;
+    waiting = Fifo.create ~dummy:no_job;
+  }
 
 let servers t = t.servers
 let busy t = t.busy
-let queue_length t = Queue.length t.waiting
+let queue_length t = Fifo.length t.waiting
 let busy_time t = t.busy_time
 let completed t = t.completed
 
@@ -28,9 +37,9 @@ let rec start t job =
          t.completed <- t.completed + 1;
          job.k ();
          (* The completion may have enqueued more work; drain if idle capacity. *)
-         if t.busy < t.servers && not (Queue.is_empty t.waiting) then
-           start t (Queue.pop t.waiting)))
+         if t.busy < t.servers && not (Fifo.is_empty t.waiting) then
+           start t (Fifo.pop t.waiting)))
 
 let submit t ~service k =
   let job = { service = (if service < 0.0 then 0.0 else service); k } in
-  if t.busy < t.servers then start t job else Queue.push job t.waiting
+  if t.busy < t.servers then start t job else Fifo.push t.waiting job

@@ -70,9 +70,14 @@ let remove t key =
 
 let size t = t.count
 
+(* Allocates no closure while the sparse part is empty, so a periodic scan
+   with a preallocated [fn] costs no minor-heap words. *)
 let iter t fn =
-  Array.iter (function Some o -> fn o | None -> ()) t.dense;
-  Hashtbl.iter (fun _ o -> fn o) t.sparse
+  let dense = t.dense in
+  for k = 0 to Array.length dense - 1 do
+    match dense.(k) with Some o -> fn o | None -> ()
+  done;
+  if Hashtbl.length t.sparse > 0 then Hashtbl.iter (fun _ o -> fn o) t.sparse
 
 let keys t =
   let acc = Hashtbl.fold (fun k _ acc -> k :: acc) t.sparse [] in

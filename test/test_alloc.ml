@@ -6,7 +6,11 @@
    bounds the minor words allocated per input.  The bounds sit about 25 %
    above the measured figures: a core that starts formatting debug strings
    or rebuilding constant lists on every input fails here before it shows
-   up as a benchmark regression. *)
+   up as a benchmark regression.
+
+   The last two tests pin the simulator's long-lived structures against
+   promotion cascades (DESIGN.md §12): a wait queue must not drag served
+   jobs into the major heap, and a chaos-monitor sample must not allocate. *)
 
 module OwnC = Zeus_ownership.Core
 module OwnM = Zeus_ownership.Messages
@@ -15,6 +19,10 @@ module Config = Zeus_core.Config
 module Replicas = Zeus_store.Replicas
 module Txn = Zeus_store.Txn
 module Value = Zeus_store.Value
+module Engine = Zeus_sim.Engine
+module Resource = Zeus_sim.Resource
+module Cluster = Zeus_core.Cluster
+module Monitor = Zeus_chaos.Monitor
 
 let tc = Helpers.tc
 let nodes = 3
@@ -127,8 +135,76 @@ let commit_round_budget () =
     (Array.fold_left (fun a c -> a + ComC.stored_invs c) 0 cores);
   check_budget "commit round" ~inputs:!inputs ~words:!acc ~bound:69.0
 
+(* ---------- resource wait queue: served jobs die young ------------------ *)
+
+let queued = 16
+let payload_words = 64
+
+(* A one-server resource with [queued] jobs always waiting: each job, when
+   served, schedules the submission of its successor, so ~10k jobs — each
+   capturing a fresh 64-word payload — pass through the queue while it
+   never drains.  Every minor collection may promote the jobs still queued
+   (and the one in service), not the ones already served: a linked queue
+   whose popped cells stay chained to the promoted tail copies every job
+   pushed since the previous collection. *)
+let resource_queue_promotion () =
+  let engine = Engine.create () in
+  let res = Resource.create engine ~servers:1 in
+  let served = ref 0 in
+  let rec job i () =
+    let payload = Array.make payload_words i in
+    Resource.submit res ~service:1.0 (fun () ->
+        if payload.(0) = i then incr served;
+        ignore (Engine.schedule engine ~after:0.0 (job (i + 1))))
+  in
+  for i = 0 to queued do
+    job (-i - 1) ()
+  done;
+  Engine.run ~until:10.0 engine;
+  Gc.minor ();
+  let g0 = Gc.quick_stat () in
+  Engine.run ~until:10_000.0 engine;
+  Gc.minor ();
+  let g1 = Gc.quick_stat () in
+  Alcotest.(check int) "queue never drained" queued (Resource.queue_length res);
+  Alcotest.(check bool) "about 10k jobs served" true (!served >= 9_990);
+  let collections = g1.Gc.minor_collections - g0.Gc.minor_collections in
+  let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+  let per_collection = promoted /. float_of_int (max 1 collections) in
+  (* A live job (record, closures, payload) is under 2 x the payload;
+     allow 4 x that for each job queued or in service. *)
+  let bound = float_of_int (4 * (queued + 1) * 2 * payload_words) in
+  if per_collection > bound then
+    Alcotest.failf "%.0f words promoted per minor collection over %d collections (bound %.0f)"
+      per_collection collections bound
+
+(* ---------- chaos monitor: a steady sample allocates nothing ------------- *)
+
+(* An idle, populated 3-node cluster: the only events are the monitor's
+   own sampling and goodput-window ticks.  The budget covers rescheduling
+   those ticks, not the per-key scan. *)
+let monitor_sample_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  Cluster.populate_n c ~n:600 ~owner_of:(fun k -> k mod nodes) (fun k -> Value.of_int k);
+  let mon = Monitor.attach c in
+  let sample_us = (Monitor.config mon).Monitor.sample_us in
+  Cluster.run c ~until_us:(10.0 *. sample_us);
+  let s0 = Monitor.samples mon in
+  let before = Gc.minor_words () in
+  Cluster.run c ~until_us:(110.0 *. sample_us);
+  let words = Gc.minor_words () -. before in
+  let samples = Monitor.samples mon - s0 in
+  Monitor.stop mon;
+  Alcotest.(check int) "one sample per period" 100 samples;
+  Alcotest.(check (list string)) "no violations" [] (Monitor.violations mon);
+  let per_sample = words /. float_of_int samples in
+  if per_sample > 48.0 then
+    Alcotest.failf "%.1f minor words per monitor sample (budget 48)" per_sample
+
 let suite =
   [
     tc "ownership core: remote Acquire allocation budget" ownership_acquire_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;
+    tc "resource: queued jobs alone are promoted" resource_queue_promotion;
+    tc "chaos monitor: steady sample allocation budget" monitor_sample_budget;
   ]

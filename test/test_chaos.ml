@@ -219,6 +219,74 @@ let monitor_stop_is_idempotent_and_quiesces () =
   Cluster.run_quiesce c ~max_us:50_000.0 ();
   check Alcotest.int "engine drained" 0 (Engine.pending (Cluster.engine c))
 
+(* ---------- monitor negative controls ---------- *)
+
+(* Each test seeds one fault into the tables of an idle, steady cluster and
+   asserts the message the monitor reports for it: without these, a
+   monitor that never fires would pass every other test here. *)
+
+let copies c key =
+  List.filter_map
+    (fun i -> Zeus_store.Table.find (Node.table (Cluster.node c i)) key)
+    (Cluster.live_nodes c)
+
+let idle_monitored () =
+  let c = chaos_cluster () in
+  let mon = Monitor.attach c in
+  let sample_us = (Monitor.config mon).Monitor.sample_us in
+  (* [n] more sampling periods *)
+  let samples n =
+    Cluster.run c ~until_us:(Engine.now (Cluster.engine c) +. (float_of_int n *. sample_us))
+  in
+  samples 3;
+  check Alcotest.int "three clean samples" 3 (Monitor.samples mon);
+  check Alcotest.(list string) "clean before the fault" [] (Monitor.violations mon);
+  (c, mon, samples)
+
+let check_one_violation mon suffix =
+  match Monitor.violations mon with
+  | [ v ] ->
+    if not (String.ends_with ~suffix v) then
+      Alcotest.failf "expected a violation ending in %S, got %S" suffix v
+  | vs ->
+    Alcotest.failf "expected exactly one violation, got [%s]" (String.concat "; " vs)
+
+let monitor_flags_version_regression () =
+  let c, mon, samples = idle_monitored () in
+  check Alcotest.int "every node holds key 5" 3 (List.length (copies c 5));
+  List.iter (fun (o : Zeus_store.Obj.t) -> o.t_version <- o.t_version - 1) (copies c 5);
+  samples 1;
+  check_one_violation mon "key 5: valid-version watermark regressed 1 -> 0"
+
+let monitor_flags_persistent_double_owner () =
+  let c, mon, samples = idle_monitored () in
+  let reader =
+    List.find (fun (o : Zeus_store.Obj.t) -> not (Zeus_store.Obj.is_owner o)) (copies c 4)
+  in
+  (* one sample with two usable owners is a handover in flight *)
+  reader.role <- Zeus_store.Types.Owner;
+  samples 1;
+  reader.role <- Zeus_store.Types.Reader;
+  samples 2;
+  check Alcotest.(list string) "a one-sample double owner is tolerated" []
+    (Monitor.violations mon);
+  (* two consecutive samples are a violation, reported once *)
+  reader.role <- Zeus_store.Types.Owner;
+  samples 4;
+  check_one_violation mon "key 4: 2 live owners (persisted)"
+
+let monitor_final_flags_key_without_valid_copy () =
+  let c, mon, samples = idle_monitored () in
+  List.iter
+    (fun (o : Zeus_store.Obj.t) -> o.t_state <- Zeus_store.Types.T_invalid)
+    (copies c 7);
+  samples 2;
+  Monitor.stop mon;
+  check Alcotest.(list string) "online checks see no fault" [] (Monitor.violations mon);
+  match Monitor.check_final mon with
+  | Error e -> check Alcotest.string "final check" "key 7: no valid copy after quiesce" e
+  | Ok () -> Alcotest.fail "check_final accepted a key with no valid copy"
+
 (* ---------- scrambled delivery order ---------- *)
 
 (* A cluster on the unordered transport with the nemesis scrambling
@@ -401,6 +469,11 @@ let suite =
     tc "nemesis: empty schedule is zero overhead" empty_schedule_is_zero_overhead;
     tc "monitor: clean on a healthy run" monitor_clean_on_healthy_run;
     tc "monitor: stop is idempotent and lets the engine drain" monitor_stop_is_idempotent_and_quiesces;
+    tc "monitor: flags a version regression on every copy" monitor_flags_version_regression;
+    tc "monitor: flags a double owner that persists two samples"
+      monitor_flags_persistent_double_owner;
+    tc "monitor: final check flags a key with no valid copy"
+      monitor_final_flags_key_without_valid_copy;
     tc "scramble: reordered delivery stays safe on unordered transport"
       scrambled_delivery_stays_safe;
     tc "detected: follower crash detected, fenced, recovered within bound"

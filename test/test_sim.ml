@@ -4,6 +4,7 @@ module Rng = Zeus_sim.Rng
 module Heap = Zeus_sim.Heap
 module Engine = Zeus_sim.Engine
 module Resource = Zeus_sim.Resource
+module Fifo = Zeus_sim.Fifo
 module Stats = Zeus_sim.Stats
 
 let tc = Helpers.tc
@@ -257,6 +258,30 @@ let engine_max_events () =
   Engine.run ~max_events:100 e;
   check Alcotest.int "bounded" 100 (Engine.events_dispatched e)
 
+(* ---------- fifo ring ---------- *)
+
+(* Random pushes ([Some x]) and pops ([None]) against [Stdlib.Queue]: the
+   ring wraps and doubles many times over 200 cases, then a [clear] must
+   leave it empty and reusable. *)
+let fifo_qcheck =
+  QCheck.Test.make ~name:"fifo matches Stdlib.Queue under push/pop/clear" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 300) (option small_int))
+    (fun ops ->
+      let f = Fifo.create ~dummy:(-1) and q = Queue.create () in
+      let same () = Fifo.length f = Queue.length q && Fifo.is_empty f = Queue.is_empty q in
+      let step_ok = function
+        | Some x ->
+          Fifo.push f x;
+          Queue.push x q;
+          same ()
+        | None -> Queue.is_empty q || (Fifo.pop f = Queue.pop q && same ())
+      in
+      List.for_all step_ok ops
+      &&
+      (Fifo.clear f;
+       Fifo.push f 7;
+       Fifo.length f = 1 && Fifo.pop f = 7 && Fifo.is_empty f))
+
 (* ---------- resource ---------- *)
 
 let resource_serializes () =
@@ -375,6 +400,7 @@ let suite =
     tc "engine: run until bound" engine_until;
     tc "engine: nested scheduling" engine_nested_schedule;
     tc "engine: max_events bound" engine_max_events;
+    QCheck_alcotest.to_alcotest fifo_qcheck;
     tc "resource: single server serializes" resource_serializes;
     tc "resource: two servers in parallel" resource_parallel;
     tc "resource: accounting" resource_stats;
