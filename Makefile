@@ -81,12 +81,13 @@ trace-smoke: build
 # sanity-check of BENCH_perf.json: all expected keys present, events/sec no
 # worse than 25% below the checked-in baseline (bench/perf_baseline.json),
 # GC minor words/event no more than 5% above it, GC promoted words/event no
-# more than 10% above it, and the -j1 vs -jN sweep bit-identical.
+# more than 10% above it, live words per key of a populated TATP-shaped
+# store no more than 5% above it, and the -j1 vs -jN sweep bit-identical.
 perf-smoke: build
 	rm -f BENCH_perf.json
 	dune exec bench/main.exe -- --quick perf
 	@test -s BENCH_perf.json || { echo "perf-smoke: BENCH_perf.json missing or empty" >&2; exit 1; }
-	@for key in events_per_sec words_per_event promoted_per_event speedup regression_ok words_ok promoted_ok sweep identical cores; do \
+	@for key in events_per_sec words_per_event promoted_per_event speedup regression_ok words_ok promoted_ok populate live_words_per_key live_words_ok sweep identical cores; do \
 	  grep -q "\"$$key\"" BENCH_perf.json || { echo "perf-smoke: key \"$$key\" missing from BENCH_perf.json" >&2; exit 1; }; \
 	done
 	@if grep -q '"regression_ok": false' BENCH_perf.json; then \
@@ -95,6 +96,8 @@ perf-smoke: build
 	  echo "perf-smoke: words/event rose >5% above bench/perf_baseline.json" >&2; exit 1; fi
 	@if grep -q '"promoted_ok": false' BENCH_perf.json; then \
 	  echo "perf-smoke: promoted words/event rose >10% above bench/perf_baseline.json" >&2; exit 1; fi
+	@if grep -q '"live_words_ok": false' BENCH_perf.json; then \
+	  echo "perf-smoke: populate live words/key rose >5% above bench/perf_baseline.json" >&2; exit 1; fi
 	@if grep -q '"identical": false' BENCH_perf.json; then \
 	  echo "perf-smoke: -j1 and -jN sweeps diverged (parallelism leaked into results)" >&2; exit 1; fi
 	@echo "perf-smoke: BENCH_perf.json OK"
@@ -114,21 +117,24 @@ model-smoke: build
 	@echo "model-smoke: real-core exploration OK"
 
 # Re-capture the reference on this machine: run the perf harness and copy
-# its best smallbank events/sec, words/event and promoted words/event into
-# bench/perf_baseline.json.  Use when the reference hardware or compiler
-# changes — events/sec is machine-bound, the GC figures compiler-bound.
+# its best smallbank events/sec, words/event and promoted words/event, and
+# the populate row's live words/key, into bench/perf_baseline.json.  Use
+# when the reference hardware or compiler changes — events/sec is
+# machine-bound, the GC figures compiler-bound.
 perf-baseline: build
 	dune exec bench/main.exe -- --quick perf
 	@test -s BENCH_perf.json || { echo "perf-baseline: BENCH_perf.json missing" >&2; exit 1; }
 	@eps=$$(sed -n 's/.*"smallbank": {"events_per_sec": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  wpe=$$(sed -n 's/.*"words_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  ppe=$$(sed -n 's/.*"promoted_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
+	  lwk=$$(sed -n 's/.*"live_words_per_key": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  test -n "$$eps" || { echo "perf-baseline: could not parse events_per_sec" >&2; exit 1; }; \
 	  test -n "$$wpe" || { echo "perf-baseline: could not parse words_per_event" >&2; exit 1; }; \
 	  test -n "$$ppe" || { echo "perf-baseline: could not parse promoted_per_event" >&2; exit 1; }; \
-	  printf '{"events_per_sec": %s,\n "words_per_event": %s,\n "promoted_per_event": %s,\n "captured": "%s",\n "state": "%s",\n "note": "Smallbank quick run, 3 nodes, 10 ms virtual, best of 5; events/sec is machine-dependent and the GC figures compiler-dependent — regenerate with '"'"'make perf-baseline'"'"' when either changes."}\n' \
-	    "$$eps" "$$wpe" "$$ppe" "$$(date +%F)" "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" > bench/perf_baseline.json; \
-	  echo "perf-baseline: recorded $$eps events/sec, $$wpe words/event and $$ppe promoted words/event in bench/perf_baseline.json"
+	  test -n "$$lwk" || { echo "perf-baseline: could not parse live_words_per_key" >&2; exit 1; }; \
+	  printf '{"events_per_sec": %s,\n "words_per_event": %s,\n "promoted_per_event": %s,\n "live_words_per_key": %s,\n "captured": "%s",\n "state": "%s",\n "note": "Smallbank quick run, 3 nodes, 10 ms virtual, best of 5; live words/key of a TATP-shaped quick-scale populate (3 nodes, 18000 keys); events/sec is machine-dependent and the GC figures compiler-dependent — regenerate with '"'"'make perf-baseline'"'"' when either changes."}\n' \
+	    "$$eps" "$$wpe" "$$ppe" "$$lwk" "$$(date +%F)" "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" > bench/perf_baseline.json; \
+	  echo "perf-baseline: recorded $$eps events/sec, $$wpe words/event, $$ppe promoted words/event and $$lwk live words/key in bench/perf_baseline.json"
 
 clean:
 	dune clean

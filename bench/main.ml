@@ -251,8 +251,8 @@ let emit_detection_json path =
     Printf.printf "wrote %s\n%!" path
 
 (* Machine-readable results for the perf harness (consumed by the
-   perf-smoke CI check: events/sec, words/event and promoted words/event
-   against the baseline, -j sweep scaling). *)
+   perf-smoke CI check: events/sec, words/event, promoted words/event and
+   populate live words/key against the baseline, -j sweep scaling). *)
 let emit_perf_json path =
   match Zeus_experiments.Perf.last_results () with
   | None -> ()
@@ -261,6 +261,7 @@ let emit_perf_json path =
     let num x = if Float.is_finite x then Printf.sprintf "%.3f" x else "null" in
     let opt_num = function Some x -> num x | None -> "null" in
     let s = r.P.smallbank in
+    let p = r.P.populate in
     let oc = open_out path in
     Printf.fprintf oc
       "{\"quick\": %b,\n \"repeats\": %d,\n \"cores\": %d,\n \
@@ -272,6 +273,8 @@ let emit_perf_json path =
        \"regression_ok\": %b,\n \
        \"baseline_words_per_event\": %s,\n \"words_ok\": %b,\n \
        \"baseline_promoted_per_event\": %s,\n \"promoted_ok\": %b,\n \
+       \"populate\": {\"keys\": %d, \"setup_s\": %s, \"live_words_per_key\": %s},\n \
+       \"baseline_live_words_per_key\": %s,\n \"live_words_ok\": %b,\n \
        \"sweep\": {\"points\": %d, \"jobs\": %d, \"j1_wall_s\": %s, \
        \"jn_wall_s\": %s, \"speedup\": %s, \"identical\": %b}}\n"
       r.P.quick r.P.repeats r.P.cores
@@ -282,6 +285,8 @@ let emit_perf_json path =
       (opt_num r.P.speedup) r.P.regression_ok
       (opt_num r.P.baseline_words_per_event) r.P.words_ok
       (opt_num r.P.baseline_promoted_per_event) r.P.promoted_ok
+      p.P.keys (num p.P.setup_s) (num p.P.live_words_per_key)
+      (opt_num r.P.baseline_live_words_per_key) r.P.live_words_ok
       r.P.sweep_points r.P.sweep_jobs
       (num r.P.sweep_j1_wall_s) (num r.P.sweep_jn_wall_s)
       (num r.P.sweep_speedup) r.P.sweep_identical;

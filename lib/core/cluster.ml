@@ -59,12 +59,17 @@ let trace t = Zeus_telemetry.Hub.trace t.telemetry
 let nodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
 
+(* Per-key state is what a large store's set-up time and memory pay for,
+   so the replicas share one copy of the initial value and the owner's
+   replica set.  Sharing is safe: a committed write replaces [Obj.data]
+   rather than mutating it, and [Txn.open_write] copies before writing. *)
 let populate t ~key ~owner value =
-  let replicas = Config.default_replicas t.config ~owner in
+  let replicas = Node.home_replicas t.nodes.(owner) in
+  let value = Bytes.copy value in
   List.iter
     (fun n ->
       let role = if n = owner then Types.Owner else Types.Reader in
-      let obj = Obj.create ~key ~role ~version:1 (Bytes.copy value) in
+      let obj = Obj.create ~key ~role ~version:1 value in
       if role = Types.Owner then obj.Obj.o_replicas <- Some replicas;
       Table.install (Node.table t.nodes.(n)) obj)
     (Replicas.all replicas);

@@ -31,7 +31,8 @@ val node : t -> int -> Node.t
 
 val populate : t -> key:Types.key -> owner:int -> Value.t -> unit
 (** Install one object (owner + readers per the replication degree, plus
-    directory metadata), bypassing the protocols. *)
+    directory metadata), bypassing the protocols.  [value] is copied once;
+    the replicas share that copy and the owner's {!Node.home_replicas}. *)
 
 val populate_n : t -> n:int -> ?base:int -> owner_of:(int -> int) -> (int -> Value.t) -> unit
 (** [populate_n ~n ~owner_of value_of] installs keys [base..base+n-1]. *)

@@ -21,6 +21,9 @@ type t = {
   transport : Transport.t;
   membership : Service.t;
   table : Table.t;
+  home_replicas : Replicas.t;
+      (* default placement of the objects this node owns at bootstrap or
+         creates; immutable, so every such object shares it *)
   mutable ownership : Own.Agent.t option;  (* set right after create *)
   mutable commit : Com.Agent.t option;
   mutable locality : Loc.Engine.t option;  (* predictive placement, opt-in *)
@@ -52,6 +55,7 @@ type t = {
 
 let id t = t.id
 let table t = t.table
+let home_replicas t = t.home_replicas
 let engine t = t.engine
 let config t = t.config
 let ds t = t.ds
@@ -168,6 +172,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       transport;
       membership;
       table = Table.create ~node:id;
+      home_replicas = Config.default_replicas config ~owner:id;
       ownership = None;
       commit = None;
       locality = None;
@@ -261,7 +266,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
 (* A rejoining node comes back as a fresh incarnation (§3.1 crash-stop):
    no objects, no protocol state, empty pipelines. *)
 let reset t =
-  List.iter (Table.remove t.table) (Table.keys t.table);
+  Table.clear t.table;
   Own.Agent.reset (ownership_agent t);
   Com.Agent.reset (commit_agent t);
   Array.fill t.outstanding_rc 0 (Array.length t.outstanding_rc) 0;
@@ -438,9 +443,8 @@ let prepare_created t (updates : Txn.update list) =
     (fun (u : Txn.update) ->
       match Table.find t.table u.key with
       | Some obj when Obj.is_owner obj && obj.Obj.o_replicas = None ->
-        let replicas = Config.default_replicas t.config ~owner:t.id in
-        obj.Obj.o_replicas <- Some replicas;
-        Own.Agent.register_object (ownership_agent t) u.key replicas
+        obj.Obj.o_replicas <- Some t.home_replicas;
+        Own.Agent.register_object (ownership_agent t) u.key t.home_replicas
       | Some _ | None -> ())
     updates
 

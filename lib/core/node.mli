@@ -44,6 +44,12 @@ val create :
 
 val id : t -> Types.node_id
 val table : t -> Table.t
+
+val home_replicas : t -> Replicas.t
+(** {!Config.default_replicas} with this node as owner, computed once: every
+    object the node owns at bootstrap ({!Cluster.populate}) or creates
+    shares this one immutable set. *)
+
 val engine : t -> Zeus_sim.Engine.t
 val config : t -> Config.t
 val ownership_agent : t -> Zeus_ownership.Agent.t

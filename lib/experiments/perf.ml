@@ -18,6 +18,12 @@
       on a > 25 % events/sec regression, on words/event more than 5 %
       above the baseline's, or on promoted words/event more than 10 %
       above it;
+    - {e populate}: a TATP-shaped store (3 nodes, quick-scale population)
+      seeded through [Cluster.populate_n]; reported as set-up seconds
+      (best of the repeats) and live heap words per key after
+      [Gc.full_major], the per-key memory budget of DESIGN.md §12.  The
+      perf-smoke gate fails on live words/key more than 5 % above the
+      baseline's;
     - {e sweep scaling}: a fig7-style handover sweep run twice through
       {!Sweep.map} — [-j 1] and [-j 4] — reporting the wall-clock ratio
       and checking the per-point results are bit-identical (committed
@@ -44,6 +50,13 @@ type run_stats = {
   promoted_per_event : float;
 }
 
+type populate_stats = {
+  keys : int;
+  setup_s : float;  (** wall-clock seconds of [Cluster.populate_n], best repeat *)
+  live_words_per_key : float;
+      (** live major-heap words the populated store adds, per key *)
+}
+
 type results = {
   quick : bool;
   repeats : int;
@@ -61,6 +74,11 @@ type results = {
       (** promoted words/event recorded in [bench/perf_baseline.json] *)
   promoted_ok : bool;
       (** promoted words/event <= 1.10 x the baseline's (or no baseline) *)
+  populate : populate_stats;
+  baseline_live_words_per_key : float option;
+      (** live words/key recorded in [bench/perf_baseline.json] *)
+  live_words_ok : bool;
+      (** live words/key <= 1.05 x the baseline's (or no baseline) *)
   sweep_points : int;
   sweep_jobs : int;
   sweep_j1_wall_s : float;
@@ -131,23 +149,56 @@ let best_smallbank ~repeats ~duration_us =
   done;
   !best
 
+(* ---- populate: per-key set-up time and memory ---- *)
+
+let populate_run () =
+  let s = Exp.scale_of ~quick:true in
+  let config = { Config.default with Config.nodes = 3 } in
+  let cluster = Cluster.create ~config () in
+  let w =
+    W.Tatp.create ~subscribers_per_node:s.Exp.objects_per_node ~nodes:config.Config.nodes
+      (Engine.fork_rng (Cluster.engine cluster))
+  in
+  let keys = W.Tatp.total_keys w in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let t0 = Unix.gettimeofday () in
+  Cluster.populate_n cluster ~n:keys ~owner_of:(W.Tatp.home_of_key w) (fun _ ->
+      Bytes.copy W.Tatp.initial_value);
+  let setup_s = Unix.gettimeofday () -. t0 in
+  Gc.full_major ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity cluster);
+  { keys; setup_s; live_words_per_key = float_of_int (live1 - live0) /. float_of_int keys }
+
+let best_populate ~repeats =
+  let best = ref (populate_run ()) in
+  for _ = 2 to repeats do
+    let r = populate_run () in
+    if r.setup_s < !best.setup_s then best := r
+  done;
+  !best
+
 (* ---- checked-in baseline ---- *)
 
 let baseline_path = "bench/perf_baseline.json"
 
-(* [(events_per_sec, words_per_event, promoted_per_event)], each [None]
-   when not recorded. *)
+(* [(events_per_sec, words_per_event, promoted_per_event,
+   live_words_per_key)], each [None] when not recorded. *)
 let read_baseline () =
-  if not (Sys.file_exists baseline_path) then (None, None, None)
+  if not (Sys.file_exists baseline_path) then (None, None, None, None)
   else
     let ic = open_in_bin baseline_path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     match Jsonv.parse s with
-    | Error _ -> (None, None, None)
+    | Error _ -> (None, None, None, None)
     | Ok v ->
       let num key = Option.bind (Jsonv.member key v) Jsonv.to_float in
-      (num "events_per_sec", num "words_per_event", num "promoted_per_event")
+      ( num "events_per_sec",
+        num "words_per_event",
+        num "promoted_per_event",
+        num "live_words_per_key" )
 
 (* ---- sweep scaling ---- *)
 
@@ -174,7 +225,8 @@ let compute ~quick =
   let repeats = if quick then 5 else 7 in
   let duration_us = if quick then 10_000.0 else 50_000.0 in
   let smallbank = best_smallbank ~repeats ~duration_us in
-  let baseline, baseline_words, baseline_promoted = read_baseline () in
+  let populate = best_populate ~repeats in
+  let baseline, baseline_words, baseline_promoted, baseline_live = read_baseline () in
   let speedup =
     Option.map (fun b -> smallbank.events_per_sec /. b) baseline
   in
@@ -188,6 +240,11 @@ let compute ~quick =
     match baseline_promoted with
     | None -> true
     | Some p -> smallbank.promoted_per_event <= 1.10 *. p
+  in
+  let live_words_ok =
+    match baseline_live with
+    | None -> true
+    | Some l -> populate.live_words_per_key <= 1.05 *. l
   in
   let sweep_jobs = 4 in
   let j1_wall, j1_points = sweep_once ~quick ~jobs:1 in
@@ -204,6 +261,9 @@ let compute ~quick =
     words_ok;
     baseline_promoted_per_event = baseline_promoted;
     promoted_ok;
+    populate;
+    baseline_live_words_per_key = baseline_live;
+    live_words_ok;
     sweep_points = List.length sweep_specs;
     sweep_jobs;
     sweep_j1_wall_s = j1_wall;
@@ -242,6 +302,14 @@ let run ~quick =
         match r.baseline_promoted_per_event with
         | Some b ->
           f "%.2f promoted/event -> %s" b (if r.promoted_ok then "ok" else "ABOVE +10%")
+        | None -> "no baseline recorded" );
+      ( "TATP populate",
+        f "%d keys in %.3f s (best of %d), %.1f live words/key" r.populate.keys
+          r.populate.setup_s r.repeats r.populate.live_words_per_key );
+      ( "vs checked-in baseline",
+        match r.baseline_live_words_per_key with
+        | Some b ->
+          f "%.1f live words/key -> %s" b (if r.live_words_ok then "ok" else "ABOVE +5%")
         | None -> "no baseline recorded" );
       ( "sweep wall-clock",
         f "-j 1 %.3f s -> -j %d %.3f s (%.2fx, %d cores)" r.sweep_j1_wall_s

@@ -241,7 +241,8 @@ let rec exec_eff t (e : Core.eff) =
         if Obj.is_owner obj then
           match obj.Obj.o_replicas with
           | Some r ->
-            obj.Obj.o_replicas <- Some (Replicas.drop_dead r ~live:(fun n -> live.(n)))
+            let r' = Replicas.drop_dead r ~live:(fun n -> live.(n)) in
+            if r' != r then obj.Obj.o_replicas <- Some r'
           | None -> ())
   | Core.Notify_request { key; kind; requester } -> (
     match t.observer with

@@ -1016,6 +1016,9 @@ let view_change c ~view_epoch ~(vlive : bool array) =
     Hashtbl.reset st.gate_waiting;
     Array.iteri (fun n l -> if l then Hashtbl.replace st.gate_waiting n ()) vlive
   end;
+  (* Replay checks are armed in ascending key order, so timer tokens and
+     same-instant timer order depend on the pending set alone, not on
+     table layout. *)
   let pendings = ref [] in
   Directory.iter st.directory (fun e ->
       match e.Directory.pending with
@@ -1024,7 +1027,7 @@ let view_change c ~view_epoch ~(vlive : bool array) =
   Hashtbl.iter (fun key p -> pendings := (key, p) :: !pendings) st.side_pending;
   List.iter
     (fun (key, (p : Directory.pending)) -> arm_replay_check c key p.Directory.o_ts)
-    !pendings
+    (List.sort (fun (a, _) (b, _) -> compare (a : Types.key) b) !pendings)
 
 let reset st =
   Hashtbl.reset st.side_pending;
@@ -1032,9 +1035,7 @@ let reset st =
   Hashtbl.reset st.replays;
   Hashtbl.reset st.gate_waiting;
   st.gate_epoch <- -1;
-  let keys = ref [] in
-  Directory.iter st.directory (fun e -> keys := e.Directory.key :: !keys);
-  List.iter (Directory.forget st.directory) !keys
+  Directory.clear st.directory
 
 (* ---------- the one entry point ------------------------------------------ *)
 

@@ -21,20 +21,21 @@ type entry = {
   mutable pending : pending option;
 }
 
-type t = { node : Types.node_id; entries : (Types.key, entry) Hashtbl.t }
+type t = { node : Types.node_id; entries : entry Dense_map.t }
 
-let create ~node = { node; entries = Hashtbl.create 1024 }
+let create ~node = { node; entries = Dense_map.create () }
 let node t = t.node
 
 let register t key replicas =
-  if not (Hashtbl.mem t.entries key) then
-    Hashtbl.replace t.entries key
+  if not (Dense_map.mem t.entries key) then
+    Dense_map.replace t.entries key
       { key; o_state = Types.O_valid; o_ts = Ots.zero; replicas; pending = None }
 
-let forget t key = Hashtbl.remove t.entries key
-let find t key = Hashtbl.find_opt t.entries key
-let size t = Hashtbl.length t.entries
-let iter t fn = Hashtbl.iter (fun _ e -> fn e) t.entries
+let forget t key = Dense_map.remove t.entries key
+let find t key = Dense_map.find t.entries key
+let size t = Dense_map.size t.entries
+let iter t fn = Dense_map.iter t.entries fn
+let clear t = Dense_map.clear t.entries
 
 let effective_ts entry =
   match entry.pending with
@@ -59,6 +60,4 @@ let apply_pending entry =
     entry.o_state <- Types.O_valid
 
 let drop_dead t ~live =
-  Hashtbl.iter
-    (fun _ entry -> entry.replicas <- Replicas.drop_dead entry.replicas ~live)
-    t.entries
+  iter t (fun entry -> entry.replicas <- Replicas.drop_dead entry.replicas ~live)

@@ -4,7 +4,10 @@
     It is replicated on a fixed set of nodes (three in the paper) which act
     as arbiters for every ownership request.  A pending arbitration is
     buffered next to the last-applied state; it is applied on VAL and simply
-    dropped on NACK, which keeps rollback trivial. *)
+    dropped on NACK, which keeps rollback trivial.
+
+    Entries live in a {!Zeus_store.Dense_map}: a seeded store's keys are
+    array slots, looked up without hashing. *)
 
 open Zeus_store
 
@@ -40,7 +43,11 @@ val register : t -> Types.key -> Replicas.t -> unit
 val forget : t -> Types.key -> unit
 val find : t -> Types.key -> entry option
 val size : t -> int
+
 val iter : t -> (entry -> unit) -> unit
+(** Every entry once, in the order of {!Zeus_store.Dense_map.iter}. *)
+
+val clear : t -> unit
 
 val effective_ts : entry -> Ots.t
 (** The timestamp new INVs must beat: max of applied and pending. *)

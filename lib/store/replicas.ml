@@ -26,10 +26,13 @@ let add_reader t n =
 let remove_reader t n = { t with readers = List.filter (fun r -> r <> n) t.readers }
 
 let drop_dead t ~live =
-  {
-    owner = (match t.owner with Some o when live o -> Some o | _ -> None);
-    readers = List.filter live t.readers;
-  }
+  let owner_live = match t.owner with Some o -> live o | None -> true in
+  if owner_live && List.for_all live t.readers then t
+  else
+    {
+      owner = (if owner_live then t.owner else None);
+      readers = List.filter live t.readers;
+    }
 
 let pp ppf t =
   Format.fprintf ppf "{owner=%s; readers=[%a]}"

@@ -1,5 +1,8 @@
 (** The [o_replicas] metadata: which node owns an object and which nodes
-    hold reader replicas (§4).  Stored at the directory and at the owner. *)
+    hold reader replicas (§4).  Stored at the directory and at the owner.
+
+    Values are immutable, so one set is shared by every object placed the
+    same way (e.g. all objects a node seeds or creates). *)
 
 type t = { owner : Types.node_id option; readers : Types.node_id list }
 
@@ -23,6 +26,7 @@ val add_reader : t -> Types.node_id -> t
 val remove_reader : t -> Types.node_id -> t
 
 val drop_dead : t -> live:(Types.node_id -> bool) -> t
-(** Remove non-live nodes (membership reconfiguration, §4.1). *)
+(** Remove non-live nodes (membership reconfiguration, §4.1).  Returns [t]
+    itself when every member is live, keeping shared sets shared. *)
 
 val pp : Format.formatter -> t -> unit

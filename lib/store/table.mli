@@ -16,4 +16,6 @@ val install : t -> Obj.t -> unit
 val remove : t -> Types.key -> unit
 val size : t -> int
 val iter : t -> (Obj.t -> unit) -> unit
-val keys : t -> Types.key list
+
+val clear : t -> unit
+(** Drop every object (a fresh incarnation's empty table). *)

@@ -201,10 +201,93 @@ let monitor_sample_budget () =
   if per_sample > 48.0 then
     Alcotest.failf "%.1f minor words per monitor sample (budget 48)" per_sample
 
+(* ---------- populate: per-key memory ------------------------------------ *)
+
+module Node = Zeus_core.Node
+module Table = Zeus_store.Table
+module Tatp = Zeus_workload.Tatp
+
+(* A TATP-shaped store (three rows per subscriber, 48-byte values, three
+   nodes, replication degree 3, three directory replicas): per key, one
+   object per replica, one entry per directory replica, and whatever the
+   key shares.  It measures 84.7 live words per key; with a [Hashtbl]
+   directory and a fresh replica set and value copy per replica it was
+   115.5.  DESIGN.md §12 itemises the budget. *)
+let tatp_subscribers = 10_000
+
+let populate_live_words () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let w = Tatp.create ~subscribers_per_node:tatp_subscribers ~nodes (Zeus_sim.Rng.create 1L) in
+  let keys = Tatp.total_keys w in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  Cluster.populate_n c ~n:keys ~owner_of:(Tatp.home_of_key w) (fun _ ->
+      Bytes.copy Tatp.initial_value);
+  Gc.full_major ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  let objects = ref 0 in
+  for n = 0 to nodes - 1 do
+    objects := !objects + Table.size (Node.table (Cluster.node c n))
+  done;
+  Alcotest.(check int) "one object per replica" (3 * keys) !objects;
+  let per_key = float_of_int (live1 - live0) /. float_of_int keys in
+  if per_key > 98.0 then
+    Alcotest.failf "%.1f live words per key after populate (budget 98)" per_key
+
+(* One replica set per owner, shared by every object it seeds or creates,
+   with the values of the plain ring-order formula. *)
+let home_replica_sets () =
+  for nodes = 1 to 8 do
+    for replication_degree = 1 to 5 do
+      let config =
+        { Config.default with Config.nodes; replication_degree; record_history = false }
+      in
+      let label = Printf.sprintf "nodes=%d degree=%d" nodes replication_degree in
+      let c = Cluster.create ~config () in
+      let home owner = Node.home_replicas (Cluster.node c owner) in
+      let shared what owner (r : Replicas.t option) =
+        match r with
+        | Some r when r == home owner -> ()
+        | Some _ | None -> Alcotest.failf "%s owner=%d: %s has its own replica set" label owner what
+      in
+      for owner = 0 to nodes - 1 do
+        Alcotest.(check (option int)) (label ^ " owner") (Some owner) (home owner).Replicas.owner;
+        Alcotest.(check (list int)) (label ^ " readers")
+          (List.init (min (replication_degree - 1) (nodes - 1)) (fun i -> (owner + i + 1) mod nodes))
+          (home owner).Replicas.readers;
+        for key = 2 * owner to (2 * owner) + 1 do
+          Cluster.populate c ~key ~owner (Value.of_int key);
+          let table n = Node.table (Cluster.node c n) in
+          shared "a seeded object" owner (Table.get (table owner) key).Zeus_store.Obj.o_replicas;
+          List.iter
+            (fun d ->
+              let dir = Zeus_ownership.Agent.directory (Node.ownership_agent (Cluster.node c d)) in
+              shared "a directory entry" owner
+                (Option.map (fun e -> e.Zeus_ownership.Directory.replicas)
+                   (Zeus_ownership.Directory.find dir key)))
+            (Config.dir_nodes_for config ~key)
+        done
+      done;
+      (* An object created by a transaction takes its creator's set. *)
+      let key = 1000 in
+      let result = ref None in
+      Node.run_write (Cluster.node c 0) ~thread:0
+        ~body:(fun ctx commit ->
+          Node.insert ctx key (Value.of_int 0);
+          commit ())
+        (fun o -> result := Some o);
+      Helpers.drain c;
+      if !result <> Some Txn.Committed then Alcotest.failf "%s: insert did not commit" label;
+      shared "a created object" 0 (Table.get (Node.table (Cluster.node c 0)) key).Zeus_store.Obj.o_replicas
+    done
+  done
+
 let suite =
   [
     tc "ownership core: remote Acquire allocation budget" ownership_acquire_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;
     tc "resource: queued jobs alone are promoted" resource_queue_promotion;
     tc "chaos monitor: steady sample allocation budget" monitor_sample_budget;
+    tc "populate: live words per TATP-shaped key" populate_live_words;
+    tc "populate: one shared replica set per owner" home_replica_sets;
   ]

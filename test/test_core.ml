@@ -210,9 +210,64 @@ let end_to_end_history_checked () =
   | None -> Alcotest.fail "history missing");
   Helpers.expect_invariants c
 
+(* ---------- shared initial value ---------- *)
+
+(* [populate] gives a key's replicas one shared copy of the initial value.
+   That is safe only because nothing writes into [Obj.data] in place: the
+   buffer [Txn.open_write] hands out must be a private copy, and a
+   committed write must leave each reader's data as it was until that
+   reader applies the R-INV. *)
+let shared_initial_value () =
+  let c = Helpers.default_cluster () in
+  let key = 1 in
+  Cluster.populate c ~key ~owner:0 (Value.of_int 10);
+  let obj n = Zeus_store.Table.get (Node.table (Cluster.node c n)) key in
+  let data n = (obj n).Zeus_store.Obj.data in
+  let initial = Bytes.to_string (data 0) in
+  check Alcotest.bool "one copy shared by the replicas" true
+    (data 1 == data 0 && data 2 == data 0);
+  let untouched what n =
+    check Alcotest.string (Printf.sprintf "%s: replica %d" what n) initial
+      (Bytes.to_string (data n))
+  in
+  (* Scribbling over an aborted transaction's write buffer. *)
+  let txn = Txn.create_write (Node.table (Cluster.node c 0)) ~thread:0 in
+  (match Txn.open_write txn key with
+  | Ok buf -> Bytes.fill buf 0 (Bytes.length buf) 'x'
+  | Error _ -> Alcotest.fail "open_write");
+  Txn.abort txn;
+  List.iter (untouched "aborted write buffer") [ 0; 1; 2 ];
+  (* A committed write that mutates its open_write buffer in place. *)
+  let result = ref None in
+  Node.run_write (Cluster.node c 0) ~thread:0
+    ~body:(fun ctx commit ->
+      Node.read_write ctx key
+        (fun v ->
+          Bytes.fill v 0 (Bytes.length v) 'y';
+          v)
+        (fun _ -> commit ()))
+    (fun o -> result := Some o);
+  let eng = Cluster.engine c in
+  let steps = ref 0 in
+  while Engine.pending eng > 0 && !steps < 100_000 do
+    Engine.run ~max_events:1 eng;
+    incr steps;
+    List.iter
+      (fun n -> if (obj n).Zeus_store.Obj.t_version = 1 then untouched "before its R-INV" n)
+      [ 0; 1; 2 ]
+  done;
+  check Alcotest.bool "committed" true (!result = Some Txn.Committed);
+  List.iter
+    (fun n ->
+      check Alcotest.string (Printf.sprintf "replica %d after commit" n)
+        (String.make (String.length initial) 'y')
+        (Bytes.to_string (data n)))
+    [ 0; 1; 2 ]
+
 let suite =
   [
     tc "write then read" read_write_roundtrip;
+    tc "populate: shared initial value is never written in place" shared_initial_value;
     tc "read-only on every replica (§5.3)" read_only_on_any_replica;
     tc "read-only transactions cost no messages" ro_txn_costs_no_messages;
     tc "local conflicts retry without lost updates" local_conflict_retries;

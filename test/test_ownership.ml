@@ -258,6 +258,54 @@ let epoch_filtering () =
   (match acquire c 1 1 with Some (Ok ()) -> () | _ -> Alcotest.fail "new-epoch acquire");
   Helpers.expect_invariants c
 
+(* ---------- view change: replay checks in key order ---------- *)
+
+(* A view change arms one replay check per pending arbitration.  Pendings
+   registered in shuffled key order — dense, negative and spilled keys
+   alike — must be armed in ascending key order, so timer tokens and the
+   order of same-instant timers never depend on the directory's layout. *)
+let view_change_arms_in_key_order () =
+  let module C = Own.Core in
+  let module D = Own.Directory in
+  let max_dense = Zeus_store.Dense_map.max_dense in
+  let config = { Config.default with Config.nodes = 3 } in
+  let dir key = Config.dir_nodes_for config ~key in
+  let st = C.create ~self:0 ~nodes:3 () in
+  let keys = [| 0; 1; 2; 7; 40; 1023; 5000; -3; -1; max_dense; max_dense + 17 |] in
+  Zeus_sim.Rng.shuffle (Zeus_sim.Rng.create 7L) keys;
+  let replicas = Zeus_store.Replicas.v ~owner:1 ~readers:[ 2 ] in
+  Array.iter
+    (fun key ->
+      ignore (C.handle ~dir st (C.Api_seed { key; replicas }));
+      match D.find (C.directory st) key with
+      | Some e ->
+        D.set_pending e
+          {
+            D.req_id = { Own.Messages.origin = 1; seq = key };
+            o_ts = Zeus_store.Ots.next Zeus_store.Ots.zero ~node:1;
+            base_ts = Zeus_store.Ots.zero;
+            new_replicas = replicas;
+            kind = Own.Messages.Acquire;
+            requester = 1;
+            arbiters = [ 0; 1; 2 ];
+            data_from = None;
+            driving = false;
+            born = 0.0;
+          }
+      | None -> Alcotest.failf "key %d not seeded" key)
+    keys;
+  let live = [| true; true; false |] in
+  let env = { C.now = 0.0; epoch = 1; live; self_alive = true; trace_on = false } in
+  let _, effs = C.handle ~dir st (C.View_change { view_epoch = 1; live; env }) in
+  let armed =
+    List.filter_map
+      (function C.Set_timer { kind = C.T_replay { key; _ }; _ } -> Some key | _ -> None)
+      effs
+  in
+  check Alcotest.(list int) "replay checks in ascending key order"
+    (List.sort compare (Array.to_list keys))
+    armed
+
 let suite =
   [
     tc "reader acquires ownership (1.5 RTT path)" reader_acquires;
@@ -277,4 +325,5 @@ let suite =
     tc "directory replica dies" directory_node_dies;
     tc "node dies mid-arbitration" driver_dies_mid_arbitration;
     tc "epoch change filters stale requests" epoch_filtering;
+    tc "view change arms replay checks in key order" view_change_arms_in_key_order;
   ]

@@ -69,7 +69,10 @@ let replicas_drop_dead () =
   let r = Replicas.v ~owner:0 ~readers:[ 1; 2 ] in
   let r = Replicas.drop_dead r ~live:(fun n -> n <> 0 && n <> 2) in
   check Alcotest.bool "owner dropped" true (r.Replicas.owner = None);
-  check Alcotest.(list int) "reader kept" [ 1 ] r.Replicas.readers
+  check Alcotest.(list int) "reader kept" [ 1 ] r.Replicas.readers;
+  (* Sets are shared between objects: an all-live set comes back as is. *)
+  let r = Replicas.v ~owner:0 ~readers:[ 1; 2 ] in
+  check Alcotest.bool "all live: same set" true (Replicas.drop_dead r ~live:(fun _ -> true) == r)
 
 (* ---------- object local-ownership rules ---------- *)
 
@@ -106,6 +109,130 @@ let table_basics () =
   check Alcotest.int "value" 5 (Value.to_int (Table.get t 1).Obj.data);
   Table.remove t 1;
   check Alcotest.bool "removed" false (Table.mem t 1)
+
+(* ---------- dense map: model test against a Hashtbl ---------- *)
+
+(* Both per-key structures built on [Dense_map] — the object table and the
+   ownership directory — are driven through their own interfaces by one
+   random operation sequence and compared with a [Hashtbl] after every
+   step.  Keys come from every region of the map: small keys, keys that
+   force the dense array to grow (up to just below [max_dense]), negative
+   keys, and keys at or above [max_dense], which spill to the sparse
+   part. *)
+
+type map_op = Put of int * int | Del of int | Clear
+
+let map_key =
+  let open QCheck.Gen in
+  frequency
+    [
+      (60, int_range 0 40);
+      (20, int_range 0 5000);
+      (1, map (fun d -> Dense_map.max_dense - d) (int_range 1 3));
+      (20, int_range (-40) (-1));
+      (20, map (fun d -> Dense_map.max_dense + d) (int_range 0 40));
+    ]
+
+let map_ops =
+  let open QCheck.Gen in
+  list_size (int_range 0 120)
+    (frequency
+       [
+         (6, map2 (fun k v -> Put (k, v)) map_key (int_range 0 1000));
+         (3, map (fun k -> Del k) map_key);
+         (1, return Clear);
+       ])
+
+let print_map_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Del k -> Printf.sprintf "del %d" k
+  | Clear -> "clear"
+
+(* One structure seen through its interface; [find] returns the bound
+   value and [iter] the key of every binding visited, in visit order.
+   [replaces] says whether [put] on a bound key overwrites it. *)
+type 'm map_impl = {
+  create : unit -> 'm;
+  put : 'm -> int -> int -> unit;
+  del : 'm -> int -> unit;
+  find : 'm -> int -> int option;
+  mem : 'm -> int -> bool;
+  size : 'm -> int;
+  keys : 'm -> int list;
+  clear : 'm -> unit;
+  replaces : bool;
+}
+
+let table_impl =
+  {
+    create = (fun () -> Table.create ~node:0);
+    put = (fun t k v -> Table.install t (Obj.create ~key:k ~role:Types.Owner (Value.of_int v)));
+    del = Table.remove;
+    find = (fun t k -> Option.map (fun o -> Value.to_int o.Obj.data) (Table.find t k));
+    mem = Table.mem;
+    size = Table.size;
+    keys =
+      (fun t ->
+        let acc = ref [] in
+        Table.iter t (fun o -> acc := o.Obj.key :: !acc);
+        List.rev !acc);
+    clear = Table.clear;
+    replaces = true;
+  }
+
+let directory_impl =
+  let module D = Zeus_ownership.Directory in
+  {
+    create = (fun () -> D.create ~node:0);
+    put = (fun t k v -> D.register t k (Replicas.v ~owner:v ~readers:[]));
+    del = D.forget;
+    find =
+      (fun t k -> Option.map (fun e -> Option.get e.D.replicas.Replicas.owner) (D.find t k));
+    mem = (fun t k -> D.find t k <> None);
+    size = D.size;
+    keys =
+      (fun t ->
+        let acc = ref [] in
+        D.iter t (fun e -> acc := e.D.key :: !acc);
+        List.rev !acc);
+    clear = D.clear;
+    replaces = false (* [register] is idempotent *);
+  }
+
+let dense_map_model impl ops =
+  let m = impl.create () and model = Hashtbl.create 64 in
+  let agree k = impl.find m k = Hashtbl.find_opt model k && impl.mem m k = Hashtbl.mem model k in
+  let steps_agree =
+    List.for_all
+      (fun op ->
+        (match op with
+        | Put (k, v) ->
+          impl.put m k v;
+          if impl.replaces || not (Hashtbl.mem model k) then Hashtbl.replace model k v
+        | Del k ->
+          impl.del m k;
+          Hashtbl.remove model k
+        | Clear ->
+          impl.clear m;
+          Hashtbl.reset model);
+        (match op with Put (k, _) | Del k -> agree k | Clear -> true)
+        && impl.size m = Hashtbl.length model)
+      ops
+  in
+  (* Iteration visits every binding exactly once, dense keys ascending. *)
+  let keys = impl.keys m in
+  let dense = List.filter (fun k -> k >= 0 && k < Dense_map.max_dense) keys in
+  steps_agree
+  && List.length keys = Hashtbl.length model
+  && List.for_all (Hashtbl.mem model) keys
+  && List.sort_uniq compare keys = List.sort compare keys
+  && dense = List.sort compare dense
+  && Hashtbl.fold (fun k _ ok -> ok && agree k) model true
+
+let dense_map_qcheck name impl =
+  QCheck.Test.make ~name ~count:150
+    (QCheck.make ~print:QCheck.Print.(list print_map_op) map_ops)
+    (dense_map_model impl)
 
 (* ---------- transactions (local layer) ---------- *)
 
@@ -239,6 +366,10 @@ let suite =
     tc "obj: thread locking rules" obj_lock_rules;
     tc "obj: pipeline switching guard (§5.2)" obj_pipeline_guard;
     tc "table: basics" table_basics;
+    QCheck_alcotest.to_alcotest
+      (dense_map_qcheck "dense map: Table agrees with a Hashtbl" table_impl);
+    QCheck_alcotest.to_alcotest
+      (dense_map_qcheck "dense map: Directory agrees with a Hashtbl" directory_impl);
     tc "txn: commit publishes atomically" txn_commit_publishes;
     tc "txn: private copies give opacity" txn_private_copies_isolated;
     tc "txn: lock conflicts abort" txn_lock_conflict;
