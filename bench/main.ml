@@ -31,14 +31,6 @@ let micro_tests () =
     Test.make ~name:"rng/zipf-sample"
       (Staged.stage (fun () -> ignore (Zeus_sim.Rng.Zipf.sample zipf rng)))
   in
-  (* heap *)
-  let heap = Zeus_sim.Heap.create ~leq:(fun (a : int) b -> a <= b) in
-  let t_heap =
-    Test.make ~name:"sim/heap-push-pop"
-      (Staged.stage (fun () ->
-           Zeus_sim.Heap.push heap 42;
-           ignore (Zeus_sim.Heap.pop heap)))
-  in
   (* fabric round trip *)
   let engine = Zeus_sim.Engine.create () in
   let fabric = Zeus_net.Fabric.create engine ~nodes:2 Zeus_net.Fabric.default_config in
@@ -132,7 +124,7 @@ let micro_tests () =
              (fun _ -> ());
            Zeus_sim.Engine.run (Zeus_baseline.Engine.engine be)))
   in
-  [ t_rng; t_heap; t_fabric; t_local; t_commit; t_own; t_ro; t_hermes; t_base ]
+  [ t_rng; t_fabric; t_local; t_commit; t_own; t_ro; t_hermes; t_base ]
 
 let run_micro () =
   let open Bechamel in

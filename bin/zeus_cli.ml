@@ -271,8 +271,10 @@ let chaos_cmd =
 let model_cmd =
   let max_states =
     Arg.(
-      value & opt int 200_000
-      & info [ "max-states" ] ~docv:"N" ~doc:"Exploration cap per scenario.")
+      value
+      & opt (some int) None
+      & info [ "max-states" ] ~docv:"N"
+          ~doc:"Exploration cap per scenario (default: each scenario's own cap).")
   in
   let show_trace =
     Arg.(
@@ -281,92 +283,44 @@ let model_cmd =
   in
   let run quick max_states show_trace =
     let module E = Zeus_model.Explorer in
-    let module O = Zeus_model.Core_harness.Ownership in
-    let module C = Zeus_model.Core_harness.Commit in
-    let cap = if quick then min max_states 30_000 else max_states in
+    let module H = Zeus_model.Core_harness in
     let total = ref 0 in
     let failed = ref false in
-    let report name pp (stats : _ E.stats) =
-      total := !total + stats.E.explored;
-      match stats.E.violation with
-      | None ->
-        Tel.Tlog.infof "%-48s %7d states, %8d transitions, depth %3d, %5d quiescent"
-          name stats.E.explored stats.E.transitions stats.E.max_depth
-          stats.E.quiescent
-      | Some (bad, msg) ->
-        failed := true;
-        Tel.Tlog.infof "%-48s VIOLATION after %d states (trace length %d): %s" name
-          stats.E.explored (List.length stats.E.trace) msg;
-        if show_trace then
-          List.iteri (fun i s -> Format.eprintf "--- step %d ---@.%a@." i pp s) stats.E.trace
-        else Format.eprintf "%a@." pp bad
+    let width =
+      List.fold_left
+        (fun w (sc : H.scenario) -> max w (String.length sc.H.name))
+        0 H.scenarios
     in
-    report "ownership core: contention, no faults" O.pp_state
-      (O.explore
-         ~config:{ O.default_config with O.crashable = []; dup_budget = 0 }
-         ~max_states:cap ());
-    report "ownership core: contention + duplication" O.pp_state
-      (O.explore
-         ~config:{ O.default_config with O.crashable = []; dup_budget = 1 }
-         ~max_states:cap ());
-    report "ownership core: owner/driver crash, 1 requester" O.pp_state
-      (O.explore ~config:{ O.default_config with O.requesters = [ 3 ] } ~max_states:cap ());
-    report "ownership core: contention + crash" O.pp_state (O.explore ~max_states:cap ());
-    (* The ownership scenarios above all run with [fifo = false] — the net
-       is an arbitrarily reordered multiset, pinning that the ownership
-       protocol never leans on link order.  The FIFO run below is the
-       strict-subset sanity check (ordered transport). *)
-    report "ownership core: contention + crash, FIFO links" O.pp_state
-      (O.explore ~config:{ O.default_config with O.fifo = true } ~max_states:cap ());
-    report "commit core: pipelined, partial streams" C.pp_state
-      (C.explore ~config:{ C.default_config with C.crash = false } ~max_states:cap ());
-    report "commit core: duplication" C.pp_state
-      (C.explore
-         ~config:{ C.default_config with C.crash = false; dup_budget = 1 }
-         ~max_states:cap ());
-    report "commit core: coordinator crash + replay" C.pp_state
-      (C.explore ~max_states:cap ());
-    (* Reordering runs: with the sequence-aware clear marks (the default)
-       the commit protocol must stay safe AND live on links that permute
-       delivery — the historical VAL-overtakes-first-INV deadlock is
-       closed by protocol, not by leaning on the transport. *)
-    report "commit core: reordered links" C.pp_state
-      (C.explore
-         ~config:{ C.default_config with C.crash = false; fifo = false }
-         ~max_states:cap ());
-    report "commit core: reordered links + crash/replay" C.pp_state
-      (C.explore ~config:{ C.default_config with C.fifo = false } ~max_states:cap ());
-    (* Negative control: the historical arrival-order clearing
-       ([clear_marks = Legacy]) HAS the liveness hole under reordering (an
-       R-VAL overtaking a pipe's first R-INV leaves that INV buffered
-       forever).  The checker must still find that seeded counterexample —
-       losing it would mean the harness lost its nondeterminism. *)
-    (let stats =
-       C.explore
-         ~config:
-           {
-             C.default_config with
-             C.crash = false;
-             fifo = false;
-             clear_marks = Zeus_commit.Core.Legacy;
-           }
-         ~max_states:(min cap 20_000) ()
-     in
-     total := !total + stats.E.explored;
-     match stats.E.violation with
-     | Some (_, msg) ->
-       Tel.Tlog.infof "%-48s deadlock reproduced after %d states (expected): %s"
-         "commit core: reordered links, legacy clear marks" stats.E.explored msg;
-       (* the pinned counterexample is the artifact model-smoke archives *)
-       if show_trace then
-         List.iteri
-           (fun i s -> Format.eprintf "--- step %d ---@.%a@." i C.pp_state s)
-           stats.E.trace
-     | None ->
-       failed := true;
-       Tel.Tlog.infof "%-48s FAILED to reproduce the seeded reordering deadlock"
-         "commit core: reordered links, legacy clear marks");
-    Tel.Tlog.infof "total: %d states explored across 11 scenarios" !total;
+    let print_trace (stats : _ E.stats) =
+      List.iteri (fun i pp -> Format.eprintf "--- step %d ---@.%t@." i pp) stats.E.trace
+    in
+    List.iter
+      (fun (sc : H.scenario) ->
+        let cap = Option.fold ~none:sc.H.cap ~some:(min sc.H.cap) max_states in
+        let cap = if quick then min cap 30_000 else cap in
+        let stats = sc.H.explore ~max_states:cap in
+        total := !total + stats.E.explored;
+        match (H.verdict sc ~max_states:cap stats, stats.E.violation) with
+        | Ok (), None ->
+          Tel.Tlog.infof "%-*s %7d states, %8d transitions, depth %3d, %5d quiescent"
+            width sc.H.name stats.E.explored stats.E.transitions stats.E.max_depth
+            stats.E.quiescent
+        | Ok (), Some (_, msg) ->
+          Tel.Tlog.infof "%-*s counterexample reproduced after %d states (expected): %s"
+            width sc.H.name stats.E.explored msg;
+          (* the pinned counterexample is the artifact model-smoke archives *)
+          if show_trace then print_trace stats
+        | Error msg, violation ->
+          failed := true;
+          Tel.Tlog.infof "%-*s FAILED after %d states (trace length %d): %s" width
+            sc.H.name stats.E.explored (List.length stats.E.trace) msg;
+          Option.iter
+            (fun (bad, _) ->
+              if show_trace then print_trace stats else Format.eprintf "%t@." bad)
+            violation)
+      H.scenarios;
+    Tel.Tlog.infof "total: %d states explored across %d scenarios" !total
+      (List.length H.scenarios);
     if !failed then `Error (false, "model checking found a violation")
     else if !total < 10_000 then
       `Error
@@ -381,8 +335,9 @@ let model_cmd =
     (Cmd.info "model"
        ~doc:
          "Bounded model checking of the real sans-I/O protocol cores \
-          (interleavings, duplication, crash + replay/recovery); non-zero \
-          exit on any invariant violation.")
+          (interleavings, duplication, crash + replay/recovery) over the \
+          scenario table; non-zero exit when a scenario misses its expected \
+          outcome.")
     Term.(ret (const run $ quick $ max_states $ show_trace))
 
 (* ---- trace ---- *)

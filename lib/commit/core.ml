@@ -137,7 +137,6 @@ let buffered_invs st =
 
 let replaying_count st = Hashtbl.length st.replaying
 let recovering_epoch st = st.recovering_epoch
-let clear_marks_mode st = st.mode
 
 let peek_slot st ~thread =
   match Hashtbl.find_opt st.pipelines thread with

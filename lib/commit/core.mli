@@ -86,8 +86,6 @@ type clear_marks = Legacy | Sequenced
 val create : ?clear_marks:clear_marks -> self:Types.node_id -> nodes:int -> unit -> state
 val handle : state -> input -> state * eff list
 
-val clear_marks_mode : state -> clear_marks
-
 val peek_slot : state -> thread:int -> int
 (** The slot the next {!Api_commit} on [thread] will occupy — interpreters
     register the caller's [on_durable] continuation under

@@ -1,40 +1,28 @@
 (** The "formal verification" row of the evaluation (§8): exhaustive
-    exploration of the protocol models (the TLA+ stand-in, `lib/model`). *)
+    exploration of the real protocol cores (the TLA+ stand-in,
+    [Zeus_model.Core_harness]) over its scenario table. *)
 
 module E = Zeus_model.Explorer
-module O = Zeus_model.Ownership_spec
-module C = Zeus_model.Commit_spec
-
-let describe name (stats : _ E.stats) =
-  ( name,
-    match stats.E.violation with
-    | Some (_, msg) -> Printf.sprintf "VIOLATION: %s" msg
-    | None ->
-      Printf.sprintf "ok — %d states, %d transitions, depth %d, %d quiescent"
-        stats.E.explored stats.E.transitions stats.E.max_depth stats.E.quiescent )
+module H = Zeus_model.Core_harness
 
 let run ~quick =
-  let cap = if quick then 60_000 else 600_000 in
   let rows =
-    [
-      describe "ownership: contention, no faults"
-        (O.explore ~config:{ O.default_config with O.crashable = []; dup_budget = 0 }
-           ~max_states:cap ());
-      describe "ownership: contention + duplication"
-        (O.explore ~config:{ O.default_config with O.crashable = []; dup_budget = 1 }
-           ~max_states:cap ());
-      describe "ownership: crash of owner/driver, single requester"
-        (O.explore ~config:{ O.default_config with O.requesters = [ 3 ] } ~max_states:cap ());
-      describe "ownership: contention + crash"
-        (O.explore ~max_states:cap ());
-      describe "commit: pipelined, partial streams"
-        (C.explore ~config:{ C.default_config with C.crash = false } ~max_states:cap ());
-      describe "commit: duplication"
-        (C.explore
-           ~config:{ C.default_config with C.crash = false; dup_budget = 1 }
-           ~max_states:cap ());
-      describe "commit: coordinator crash + replay" (C.explore ~max_states:cap ());
-    ]
+    List.map
+      (fun (sc : H.scenario) ->
+        let max_states = if quick then min sc.H.cap 60_000 else sc.H.cap in
+        let stats = sc.H.explore ~max_states in
+        ( sc.H.name,
+          match H.verdict sc ~max_states stats with
+          | Error msg -> "FAILED: " ^ msg
+          | Ok () ->
+            Printf.sprintf "ok — %d states%s, %d transitions, depth %d, %d quiescent"
+              stats.E.explored
+              (if stats.E.exhausted then " (exhaustive)"
+               else if Option.is_some stats.E.violation then " (counterexample)"
+               else " (capped)")
+              stats.E.transitions stats.E.max_depth stats.E.quiescent ))
+      H.scenarios
   in
   Exp.print_kv
-    "verify: exhaustive model checking of both protocols (TLA+ stand-in, §8)" rows
+    "verify: exhaustive model checking of the real protocol cores (TLA+ stand-in, §8)"
+    rows

@@ -1,15 +1,15 @@
-(* Bounded exploration of the REAL sans-I/O protocol cores.
+(* Bounded exploration of the REAL sans-I/O protocol cores — the repo's
+   one model checker, the executable analogue of the paper's TLA+ (§8).
 
-   Where {!Ownership_spec} and {!Commit_spec} re-state the protocols as
-   independent pure models (a cross-check, like the paper's TLA+), this
-   harness drives the production state machines — {!Zeus_ownership.Core}
-   and {!Zeus_commit.Core} — through {!Explorer.bfs}.  A world holds one
-   core per node plus a model-level interpreter around each: a tiny
-   replica store, a message multiset, armed timers, and the membership
-   epoch.  Transitions feed real inputs (deliveries, API calls, timer
-   fires, view changes) and execute the returned effects exactly as the
-   simulator interpreters do, so every interleaving the checker visits is
-   a behaviour the deployed code can exhibit.
+   The harness drives the production state machines —
+   {!Zeus_ownership.Core} and {!Zeus_commit.Core} — through
+   {!Explorer.bfs}.  A world holds one core per node plus a model-level
+   interpreter around each: a tiny replica store, a message multiset,
+   armed timers, and the membership epoch.  Transitions feed real inputs
+   (deliveries, API calls, timer fires, view changes) and execute the
+   returned effects exactly as the simulator interpreters do, so every
+   interleaving the checker visits is a behaviour the deployed code can
+   exhibit.
 
    Worlds are deduplicated on {!OC.fingerprint}/{!CC.fingerprint}-based
    keys rather than their marshalled bytes: the cores' token allocators
@@ -122,15 +122,82 @@ let pp_net ppf net =
   let lines = List.sort compare (List.map (Format.asprintf "  %a" pp_msg) net) in
   List.iter (fun l -> Format.fprintf ppf "%s@," l) lines
 
+(* The net's part of a world key.  A reordering net is an order-free
+   multiset, so it is keyed sorted; under FIFO links the per-link order is
+   behaviour, and a stable sort by link keeps it.  [No_sharing] makes the
+   bytes depend on the messages' values only, not on which of them happen
+   to share physical payloads. *)
+let net_key ~fifo net =
+  let net =
+    if fifo then
+      List.stable_sort (fun a b -> compare (a.m_src, a.m_dst) (b.m_src, b.m_dst)) net
+    else List.sort compare net
+  in
+  Marshal.to_string net [ Marshal.No_sharing ]
+
+(* ---------- shared: copy-on-write cores --------------------------------- *)
+
+(* A world's cores, copied on write: a successor shares its parent's cores
+   until it feeds one, and a shared core is never mutated again, so its
+   fingerprint is computed once.  Most transitions feed one core, so this
+   saves most of the copying, of the frontier's memory and of the key
+   building. *)
+module Cow (C : sig
+  type t
+
+  val copy : t -> t
+  val fingerprint : t -> string
+end) =
+struct
+  type t = { cs : C.t array; owned : bool array; fps : string option array }
+
+  let create cs =
+    let n = Array.length cs in
+    { cs; owned = Array.make n true; fps = Array.make n None }
+
+  (* After a copy both sides share every core, so neither may write one in
+     place. *)
+  let copy t =
+    let n = Array.length t.cs in
+    Array.fill t.owned 0 n false;
+    { cs = Array.copy t.cs; owned = Array.make n false; fps = Array.copy t.fps }
+
+  let get t i = t.cs.(i)
+
+  (* The core to feed: this world's own copy, its cached fingerprint dropped. *)
+  let mut t i =
+    if not t.owned.(i) then begin
+      t.cs.(i) <- C.copy t.cs.(i);
+      t.owned.(i) <- true
+    end;
+    t.fps.(i) <- None;
+    t.cs.(i)
+
+  let fingerprint t i =
+    match t.fps.(i) with
+    | Some f -> f
+    | None ->
+      let f = C.fingerprint t.cs.(i) in
+      t.fps.(i) <- Some f;
+      f
+end
+
 (* ========================================================================== *)
 (* Ownership                                                                  *)
 (* ========================================================================== *)
 
 module Ownership = struct
-  (* Same scenario as {!Ownership_spec}: nodes 0-2 are directory replicas,
-     node 0 initially owns key 0 with readers {1, 2}, node 3 is a
-     non-replica.  Acquire intents race through real drivers; one
-     crash-stop failure triggers a view change and arb-replay. *)
+  module Cores = Cow (struct
+    type t = OC.state
+
+    let copy = OC.copy
+    let fingerprint = OC.fingerprint
+  end)
+
+  (* The scenario: nodes 0-2 are directory replicas, node 0 initially owns
+     key 0 with readers {1, 2}, node 3 is a non-replica.  Acquire intents
+     race through real drivers; one crash-stop failure triggers a view
+     change and arb-replay. *)
 
   let nnodes = 4
   let key0 = 0
@@ -169,7 +236,7 @@ module Ownership = struct
   }
 
   type state = {
-    cores : OC.state array;
+    cores : Cores.t;
     stores : mobj array;
     mutable net : msg list;
     mutable timers : (Types.node_id * int * OC.timer_kind) list;
@@ -268,7 +335,7 @@ module Ownership = struct
     | OC.Telemetry _ -> ()
 
   let feed w i input =
-    let _, effs = OC.handle ~dir w.cores.(i) input in
+    let _, effs = OC.handle ~dir (Cores.mut w.cores i) input in
     List.iter (exec_eff w i) effs
 
   (* Store facts sampled exactly as the simulator interpreter samples them;
@@ -288,7 +355,8 @@ module Ownership = struct
         OC.no_facts with
         OC.f_exists = m.exists;
         f_snapshot =
-          (if req_id.OM.origin <> i && OC.has_replay w.cores.(i) key then snapshot m
+          (if req_id.OM.origin <> i && OC.has_replay (Cores.get w.cores i) key then
+             snapshot m
            else None);
       }
     | OM.O_resp _ ->
@@ -318,7 +386,7 @@ module Ownership = struct
   let issue w r =
     w.to_issue <- List.filter (fun x -> x <> r) w.to_issue;
     if fab_live w r then begin
-      let seq = OC.next_seq w.cores.(r) in
+      let seq = OC.next_seq (Cores.get w.cores r) in
       w.waiting <- (r, seq) :: w.waiting;
       feed w r
         (OC.Api_request
@@ -359,9 +427,16 @@ module Ownership = struct
     feed w i (OC.Timer_fire { token; kind; facts; env = env w i })
 
   (* Drop state that can no longer influence behaviour, keeping the world
-     representation canonical: messages to / timers of the dead, and
-     replay timers whose pending arbitration moved on (the zombie timers
-     the simulator lets fire harmlessly). *)
+     representation canonical: messages to / timers of the dead, replay
+     timers whose pending arbitration moved on (the zombie timers the
+     simulator lets fire harmlessly), and NACKs that are no-ops.
+     [handle_nack] ignores a seq that is no longer outstanding, seqs never
+     repeat, and deliveries from an older epoch are fenced off; so a NACK
+     whose request already reached its verdict ((origin, seq) left
+     [waiting]) or whose epoch is stale does nothing, and of two identical
+     NACKs the second does nothing once the first is delivered.  Without
+     the NACK rules the space is infinite: every replay re-sends INV to an
+     owner the checker may call busy, and identical NACKs pile up. *)
   let normalize w =
     (match w.crashed with
     | Some v ->
@@ -370,12 +445,25 @@ module Ownership = struct
       w.waiting <- List.filter (fun (n, _) -> n <> v) w.waiting;
       w.to_issue <- List.filter (fun r -> r <> v) w.to_issue
     | None -> ());
+    let kept = ref [] in
+    w.net <-
+      List.filter
+        (fun m ->
+          match m.payload with
+          | OM.O_nack { req_id = { origin; seq }; epoch; _ } ->
+            epoch = w.epoch
+            && List.mem (origin, seq) w.waiting
+            && (not (List.mem m !kept))
+            && (kept := m :: !kept;
+                true)
+          | _ -> true)
+        w.net;
     w.timers <-
       List.filter
         (fun (i, _, k) ->
           match k with
           | OC.T_replay { key; o_ts } -> (
-            match OC.pending_ts w.cores.(i) key with
+            match OC.pending_ts (Cores.get w.cores i) key with
             | Some ts -> Ots.equal ts o_ts
             | None -> false)
           | _ -> false)
@@ -383,7 +471,7 @@ module Ownership = struct
 
   let copy w =
     {
-      cores = Array.map OC.copy w.cores;
+      cores = Cores.copy w.cores;
       stores = Array.map (fun m -> { m with exists = m.exists }) w.stores;
       net = w.net;
       timers = w.timers;
@@ -399,8 +487,9 @@ module Ownership = struct
     let w =
       {
         cores =
-          Array.init nnodes (fun i ->
-              OC.create ~config:model_config ~self:i ~nodes:nnodes ());
+          Cores.create
+            (Array.init nnodes (fun i ->
+                 OC.create ~config:model_config ~self:i ~nodes:nnodes ()));
         stores =
           Array.init nnodes (fun i ->
               if i < 3 then
@@ -516,7 +605,7 @@ module Ownership = struct
     List.filter_map
       (fun d ->
         if fab_live w d then
-          match ODir.find (OC.directory w.cores.(d)) key0 with
+          match ODir.find (OC.directory (Cores.get w.cores d)) key0 with
           | Some e when e.ODir.pending = None && e.ODir.o_state = Types.O_valid ->
             Some (d, e)
           | _ -> None
@@ -555,7 +644,7 @@ module Ownership = struct
   let at_quiescence w =
     let live_nodes = List.filter (fab_live w) all_nodes in
     match
-      List.find_opt (fun i -> OC.pending_ts w.cores.(i) key0 <> None) live_nodes
+      List.find_opt (fun i -> OC.pending_ts (Cores.get w.cores i) key0 <> None) live_nodes
     with
     | Some i -> Error (Format.asprintf "n%d: pending arbitration never resolved" i)
     | None -> (
@@ -635,31 +724,10 @@ module Ownership = struct
     Array.iteri
       (fun i m ->
         if fab_live w i then
-          add "n%d[%a | %s];" i pp_mobj m (OC.fingerprint w.cores.(i))
+          add "n%d[%a | %s];" i pp_mobj m (Cores.fingerprint w.cores i)
         else add "n%d[dead];" i)
       w.stores;
-    (* Under FIFO links the per-link order is behaviour — fold it into the
-       key link by link; a reordering net is an order-free multiset. *)
-    let net =
-      if config.fifo then
-        let links =
-          List.sort_uniq compare (List.map (fun m -> (m.m_src, m.m_dst)) w.net)
-        in
-        List.map
-          (fun (s, d) ->
-            let ps =
-              List.filter_map
-                (fun m ->
-                  if m.m_src = s && m.m_dst = d then
-                    Some (Format.asprintf "%a" pp_payload m.payload)
-                  else None)
-                w.net
-            in
-            Format.asprintf "n%d->n%d:[%s]" s d (String.concat "|" ps))
-          links
-      else List.sort compare (List.map (Format.asprintf "%a" pp_msg) w.net)
-    in
-    add "net{%s};" (String.concat " " net);
+    add "net{%s};" (net_key ~fifo:config.fifo w.net);
     let timers =
       List.sort_uniq compare
         (List.map (fun (i, _, k) -> Format.asprintf "n%d:%a" i pp_timer k) w.timers)
@@ -681,7 +749,7 @@ module Ownership = struct
       (fun i m ->
         if fab_live w i then
           Format.fprintf ppf "n%d: %a  dir %s@," i pp_mobj m
-            (match ODir.find (OC.directory w.cores.(i)) key0 with
+            (match ODir.find (OC.directory (Cores.get w.cores i)) key0 with
             | Some e ->
               Format.asprintf "%a %a %a%s" Types.pp_o_state e.ODir.o_state Ots.pp
                 e.ODir.o_ts Replicas.pp e.ODir.replicas
@@ -703,6 +771,19 @@ module Ownership = struct
       ~init:[ init_world config ]
       ~next:(transitions config) ~key:(fingerprint config) ~invariant
       ~at_quiescence ?max_states ()
+
+  (* ---------- scripting (tests) ------------------------------------------- *)
+
+  let post w m = w.net <- w.net @ [ m ]
+
+  let take w m =
+    w.net <- remove_one m w.net;
+    deliver w m ~busy:false
+
+  let key = fingerprint
+  let net w = w.net
+  let epoch w = w.epoch
+  let core w i = (Cores.get w.cores i)
 end
 
 (* ========================================================================== *)
@@ -710,10 +791,17 @@ end
 (* ========================================================================== *)
 
 module Commit = struct
-  (* Same scenario as {!Commit_spec}: coordinator node 0 pipelines a fixed
-     transaction schedule over object X (on followers 1 and 2) and object Y
-     (on follower 1 only — a partial stream), with optional duplication and
-     a coordinator crash followed by follower replay. *)
+  module Cores = Cow (struct
+    type t = CC.state
+
+    let copy = CC.copy
+    let fingerprint = CC.fingerprint
+  end)
+
+  (* The scenario: coordinator node 0 pipelines a fixed transaction
+     schedule over object X (on followers 1 and 2) and object Y (on
+     follower 1 only — a partial stream), with optional duplication and a
+     coordinator crash followed by follower replay. *)
 
   let coord = 0
   let nnodes = 3
@@ -744,7 +832,7 @@ module Commit = struct
   type cobj = { mutable ver : int; mutable valid : bool }
 
   type state = {
-    cores : CC.state array;
+    cores : Cores.t;
     stores : cobj array array;  (** [node].(object) — meaningful where [has] *)
     mutable net : msg list;
     mutable issued : int;
@@ -752,6 +840,9 @@ module Commit = struct
     mutable epoch : int;
     mutable epoch_pending : bool;
     mutable dups_left : int;
+    mutable skipped : string option;
+        (** a non-replay apply that raised a held object by more than one
+            version — a slot applied out of pipeline order *)
   }
 
   let fab_live w j = not (w.crashed && j = coord)
@@ -776,11 +867,17 @@ module Commit = struct
           let m = w.stores.(i).(u.key) in
           if m.ver = u.version then m.valid <- true)
         writes
-    | CC.Apply_writes { writes; _ } ->
+    | CC.Apply_writes { install; writes } ->
       List.iter
         (fun (u : Txn.update) ->
           if has i u.key then begin
             let m = w.stores.(i).(u.key) in
+            if install && u.version > m.ver + 1 && w.skipped = None then
+              w.skipped <-
+                Some
+                  (Format.asprintf
+                     "n%d applied object %d v%d over v%d (out of pipeline order)" i u.key
+                     u.version m.ver);
             if u.version > m.ver then begin
               m.ver <- u.version;
               m.valid <- false
@@ -800,7 +897,7 @@ module Commit = struct
     | CC.Telemetry _ -> ()
 
   let feed w i input =
-    let _, effs = CC.handle w.cores.(i) input in
+    let _, effs = CC.handle (Cores.mut w.cores i) input in
     List.iter (exec_eff w i) effs
 
   let objs_of = function `X -> [ obj_x ] | `Y -> [ obj_y ] | `XY -> [ obj_x; obj_y ]
@@ -846,7 +943,7 @@ module Commit = struct
 
   let copy w =
     {
-      cores = Array.map CC.copy w.cores;
+      cores = Cores.copy w.cores;
       stores = Array.map (Array.map (fun m -> { m with ver = m.ver })) w.stores;
       net = w.net;
       issued = w.issued;
@@ -854,13 +951,15 @@ module Commit = struct
       epoch = w.epoch;
       epoch_pending = w.epoch_pending;
       dups_left = w.dups_left;
+      skipped = w.skipped;
     }
 
   let init_world config =
     {
       cores =
-        Array.init nnodes (fun i ->
-            CC.create ~clear_marks:config.clear_marks ~self:i ~nodes:nnodes ());
+        Cores.create
+          (Array.init nnodes (fun i ->
+               CC.create ~clear_marks:config.clear_marks ~self:i ~nodes:nnodes ()));
       stores =
         Array.init nnodes (fun _ -> Array.init 2 (fun _ -> { ver = 0; valid = true }));
       net = [];
@@ -869,6 +968,7 @@ module Commit = struct
       epoch = 0;
       epoch_pending = false;
       dups_left = config.dup_budget;
+      skipped = None;
     }
 
   (* With [fifo = true] only each link's oldest message is deliverable —
@@ -921,8 +1021,11 @@ module Commit = struct
 
   let all_nodes = List.init nnodes Fun.id
 
+  (* Followers apply a pipeline's slots in order, so outside replay no
+     apply skips a version of an object it holds; then valid copies of an
+     object agree on its version. *)
   let invariant w =
-    let bad = ref (Ok ()) in
+    let bad = ref (match w.skipped with Some msg -> Error msg | None -> Ok ()) in
     List.iter
       (fun k ->
         let valids =
@@ -951,27 +1054,27 @@ module Commit = struct
   let at_quiescence config w =
     let live_nodes = List.filter (fab_live w) all_nodes in
     let followers = List.filter (fun i -> i <> coord) live_nodes in
-    match List.find_opt (fun i -> CC.buffered_invs w.cores.(i) > 0) followers with
+    match List.find_opt (fun i -> CC.buffered_invs (Cores.get w.cores i) > 0) followers with
     | Some i ->
       (* The reordering deadlock's signature: an R-INV waiting forever for
          a predecessor slot that already cleared. *)
       Error (Format.asprintf "n%d still holds buffered R-INVs" i)
     | None -> (
-    match List.find_opt (fun i -> CC.stored_invs w.cores.(i) > 0) followers with
+    match List.find_opt (fun i -> CC.stored_invs (Cores.get w.cores i) > 0) followers with
     | Some i -> Error (Format.asprintf "n%d still holds stored R-INVs" i)
     | None -> (
-      match List.find_opt (fun i -> CC.replaying_count w.cores.(i) > 0) live_nodes with
+      match List.find_opt (fun i -> CC.replaying_count (Cores.get w.cores i) > 0) live_nodes with
       | Some i -> Error (Format.asprintf "n%d's replay never finished" i)
       | None -> (
         match
-          List.find_opt (fun i -> CC.recovering_epoch w.cores.(i) <> None) live_nodes
+          List.find_opt (fun i -> CC.recovering_epoch (Cores.get w.cores i) <> None) live_nodes
         with
         | Some i -> Error (Format.asprintf "n%d's recovery drain never completed" i)
         | None ->
           if not w.crashed then begin
             if w.issued < List.length config.txns then
               Error "schedule never fully issued"
-            else if CC.inflight w.cores.(coord) > 0 then
+            else if CC.inflight (Cores.get w.cores coord) > 0 then
               Error "coordinator slots never validated"
             else
               let stale =
@@ -1032,41 +1135,17 @@ module Commit = struct
   let fingerprint config w =
     let b = Buffer.create 1024 in
     let add fmt = Format.kasprintf (Buffer.add_string b) fmt in
-    add "e%d%s crash=%b dup=%d issued=%d;"
+    add "e%d%s crash=%b dup=%d issued=%d%s;"
       w.epoch
       (if w.epoch_pending then "+p" else "")
-      w.crashed w.dups_left w.issued;
-    Array.iteri
-      (fun i _ ->
-        if fab_live w i then
-          add "n%d[%a| %s];" i pp_store (w, i) (CC.fingerprint w.cores.(i))
-        else add "n%d[dead];" i)
-      w.cores;
-    (* Under FIFO links the per-link order is behaviour — fold it into the
-       key link by link; a reordering net is an order-free multiset. *)
-    let net_part =
-      if config.fifo then
-        let links =
-          List.sort_uniq compare (List.map (fun m -> (m.m_src, m.m_dst)) w.net)
-        in
-        String.concat " "
-          (List.map
-             (fun (s, d) ->
-               let ps =
-                 List.filter_map
-                   (fun m ->
-                     if m.m_src = s && m.m_dst = d then
-                       Some (Format.asprintf "%a" pp_payload m.payload)
-                     else None)
-                   w.net
-               in
-               Format.asprintf "n%d->n%d:[%s]" s d (String.concat "|" ps))
-             links)
-      else
-        String.concat " "
-          (List.sort compare (List.map (Format.asprintf "%a" pp_msg) w.net))
-    in
-    add "net{%s}" net_part;
+      w.crashed w.dups_left w.issued
+      (if w.skipped <> None then " skipped" else "");
+    for i = 0 to nnodes - 1 do
+      if fab_live w i then
+        add "n%d[%a| %s];" i pp_store (w, i) (Cores.fingerprint w.cores i)
+      else add "n%d[dead];" i
+    done;
+    add "net{%s}" (net_key ~fifo:config.fifo w.net);
     Buffer.contents b
 
   let pp_state ppf w =
@@ -1074,16 +1153,15 @@ module Commit = struct
       w.epoch
       (if w.epoch_pending then " (tick pending)" else "")
       w.crashed w.dups_left w.issued;
-    Array.iteri
-      (fun i _ ->
-        if fab_live w i then
-          Format.fprintf ppf
-            "n%d: %a inflight %d stored %d replaying %d@," i pp_store (w, i)
-            (CC.inflight w.cores.(i))
-            (CC.stored_invs w.cores.(i))
-            (CC.replaying_count w.cores.(i))
-        else Format.fprintf ppf "n%d: dead@," i)
-      w.cores;
+    Option.iter (Format.fprintf ppf "%s@,") w.skipped;
+    for i = 0 to nnodes - 1 do
+      if fab_live w i then begin
+        let c = Cores.get w.cores i in
+        Format.fprintf ppf "n%d: %a inflight %d stored %d replaying %d@," i pp_store (w, i)
+          (CC.inflight c) (CC.stored_invs c) (CC.replaying_count c)
+      end
+      else Format.fprintf ppf "n%d: dead@," i
+    done;
     pp_net ppf w.net;
     Format.fprintf ppf "@]"
 
@@ -1093,3 +1171,98 @@ module Commit = struct
       ~next:(transitions config) ~key:(fingerprint config) ~invariant
       ~at_quiescence:(at_quiescence config) ?max_states ()
 end
+
+(* ========================================================================== *)
+(* Scenarios                                                                  *)
+(* ========================================================================== *)
+
+type expect = Exhaustive | Bounded | Counterexample of string
+
+type scenario = {
+  name : string;
+  cap : int;
+  expect : expect;
+  explore : max_states:int -> (Format.formatter -> unit) Explorer.stats;
+}
+
+(* Erase a run's state type: states become their printers. *)
+let printable pp (stats : _ Explorer.stats) =
+  {
+    stats with
+    Explorer.violation =
+      Option.map (fun (s, msg) -> ((fun ppf -> pp ppf s), msg)) stats.Explorer.violation;
+    trace = List.map (fun s ppf -> pp ppf s) stats.Explorer.trace;
+  }
+
+(* An exploration's live set (visited digests, frontier) only grows.  The
+   simulator drivers' [space_overhead = 400] lets the major heap reach
+   several times it — 1.5 GB for the largest row, against 0.6 GB at the
+   OCaml default of 120 — so rows run at the default. *)
+let with_default_gc f =
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.space_overhead = 120 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) f
+
+let ownership name cap expect config =
+  let explore ~max_states =
+    with_default_gc (fun () ->
+        printable Ownership.pp_state (Ownership.explore ~config ~max_states ()))
+  in
+  { name = "ownership core: " ^ name; cap; expect; explore }
+
+let commit name cap expect config =
+  let explore ~max_states =
+    with_default_gc (fun () ->
+        printable Commit.pp_state (Commit.explore ~config ~max_states ()))
+  in
+  { name = "commit core: " ^ name; cap; expect; explore }
+
+let scenarios =
+  let o = Ownership.default_config and c = Commit.default_config in
+  [
+    ownership "contention, no faults" 20_000 Exhaustive
+      { o with crashable = []; dup_budget = 0 };
+    ownership "contention + duplication" 300_000 Exhaustive
+      { o with crashable = []; dup_budget = 1 };
+    ownership "owner/driver crash, 1 requester" 40_000 Exhaustive
+      { o with requesters = [ 3 ] };
+    ownership "contention + crash" 600_000 Exhaustive o;
+    (* The rows above run with [fifo = false]: the ownership protocol never
+       leans on link order.  FIFO links are the strict-subset sanity check
+       (the ordered transport). *)
+    ownership "contention + crash, FIFO links" 200_000 Exhaustive
+      { o with fifo = true };
+    commit "pipelined, partial streams, no faults" 2_000 Exhaustive
+      { c with crash = false };
+    commit "longer pipeline" 4_000 Exhaustive
+      { c with txns = [ `Y; `XY; `X; `XY ]; crash = false };
+    commit "with duplication" 4_000 Exhaustive { c with crash = false; dup_budget = 1 };
+    commit "coordinator crash + replay" 40_000 Exhaustive c;
+    (* With the sequence-aware clear marks (the default) the protocol stays
+       safe and live on links that permute delivery. *)
+    commit "reordered links" 2_000 Exhaustive { c with crash = false; fifo = false };
+    commit "reordered links + crash/replay" 200_000 Bounded { c with fifo = false };
+    (* Negative control: the historical arrival-order clearing has the
+       liveness hole under reordering (an R-VAL overtaking a pipe's first
+       R-INV leaves that INV buffered forever).  Losing this counterexample
+       would mean the harness lost its nondeterminism. *)
+    commit "reordered links, legacy clear marks" 20_000
+      (Counterexample "buffered R-INVs")
+      { c with crash = false; fifo = false; clear_marks = CC.Legacy };
+  ]
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let verdict sc ~max_states (stats : _ Explorer.stats) =
+  match (sc.expect, stats.Explorer.violation) with
+  | (Exhaustive | Bounded), Some (_, msg) -> Error ("violation: " ^ msg)
+  | Exhaustive, None when max_states >= sc.cap && not stats.Explorer.exhausted ->
+    Error (Printf.sprintf "did not close within its cap of %d states" sc.cap)
+  | (Exhaustive | Bounded), None -> Ok ()
+  | Counterexample sub, Some (_, msg) ->
+    if contains ~sub msg then Ok () else Error ("unexpected violation: " ^ msg)
+  | Counterexample sub, None ->
+    Error (Printf.sprintf "expected counterexample (%s) not found" sub)

@@ -1,32 +1,37 @@
-(** Bounded exploration of the {e real} sans-I/O protocol cores.
+(** Bounded exploration of the {e real} sans-I/O protocol cores — the
+    repo's one model checker, the executable analogue of the paper's TLA+
+    checking (§8).
 
-    {!Ownership_spec} and {!Commit_spec} model-check independent
-    re-statements of the protocols; this harness closes the gap between
-    model and implementation by driving the production state machines —
-    {!Zeus_ownership.Core} and {!Zeus_commit.Core} — through the same
+    The harness drives the production state machines —
+    {!Zeus_ownership.Core} and {!Zeus_commit.Core} — through
     {!Explorer.bfs}.  Each world holds one core per node plus the minimal
     interpreter around it (a model replica store, a message multiset,
     armed timers, the membership epoch); transitions feed real inputs and
     execute the returned effects exactly as the simulator interpreters do.
+    {!scenarios} is the table every consumer runs: [zeus_cli model], the
+    [verify] experiment and the model tests. *)
 
-    Scenarios and invariants mirror the spec modules, so the two checkers
-    cross-validate each other: a behaviour divergence shows up as either a
-    violation here or a state-count discrepancy there. *)
+(** A message in flight. *)
+type msg = {
+  m_src : Zeus_store.Types.node_id;
+  m_dst : Zeus_store.Types.node_id;
+  payload : Zeus_net.Msg.payload;
+}
 
 (** Ownership core under contention, duplication, crash-stop failure and
-    arb-replay (scenario of {!Ownership_spec}: 3 directory replicas, node 0
-    owns key 0 with readers {1, 2}, node 3 a non-replica). *)
+    arb-replay: 3 directory replicas, node 0 owns key 0 with readers
+    {1, 2}, node 3 a non-replica. *)
 module Ownership : sig
   type config = {
     requesters : int list;  (** nodes issuing Acquire intents *)
     crashable : int list;   (** nodes that may crash (at most one does) *)
     dup_budget : int;       (** how many deliveries may be duplicated *)
     fifo : bool;
-        (** [false] (default, and the historical behaviour): the net is an
-            arbitrarily reordered multiset — the ownership protocol has
-            never assumed link order, and this pins that.  [true]
-            restricts delivery to each link's oldest message (the ordered
-            transport), a strict subset of the reordered behaviours. *)
+        (** [false] (default): the net is an arbitrarily reordered
+            multiset — the ownership protocol has never assumed link
+            order, and this pins that.  [true] restricts delivery to each
+            link's oldest message (the ordered transport), a strict subset
+            of the reordered behaviours. *)
   }
 
   val default_config : config
@@ -36,11 +41,45 @@ module Ownership : sig
   val pp_state : Format.formatter -> state -> unit
 
   val explore : ?config:config -> ?max_states:int -> unit -> state Explorer.stats
+
+  (** {2 Scripting}
+
+      Step-by-step world construction, for tests of the harness itself.
+      The mutators change the world in place. *)
+
+  val init_world : config -> state
+  val copy : state -> state
+
+  val issue : state -> Zeus_store.Types.node_id -> unit
+  (** The node starts an Acquire of key 0. *)
+
+  val crash : state -> Zeus_store.Types.node_id -> unit
+  val tick : state -> unit
+  (** Installs the view that follows a {!crash}. *)
+
+  val post : state -> msg -> unit
+  (** Appends a message to the net. *)
+
+  val take : state -> msg -> unit
+  (** Removes one copy of the message from the net and delivers it, with
+      the destination's owner copy not busy. *)
+
+  val normalize : state -> unit
+  (** The reduction applied to every explored world: drops what can no
+      longer influence behaviour (state of the dead, zombie replay timers,
+      no-op NACKs). *)
+
+  val key : config -> state -> string
+  (** The canonical key worlds are deduplicated on. *)
+
+  val net : state -> msg list
+  val epoch : state -> int
+  val core : state -> Zeus_store.Types.node_id -> Zeus_ownership.Core.state
 end
 
 (** Commit core under pipelining, partial streams, duplication and
-    coordinator crash + replay (scenario of {!Commit_spec}: coordinator 0,
-    object X on followers 1-2, object Y on follower 1 only). *)
+    coordinator crash + replay: coordinator 0, object X on followers 1-2,
+    object Y on follower 1 only. *)
 module Commit : sig
   type txn = [ `X | `XY | `Y ]
 
@@ -58,8 +97,7 @@ module Commit : sig
         (** [Sequenced] (default): R-VALs carry explicit slot watermarks.
             [Legacy]: the historical arrival-order clearing; combined with
             [fifo = false] it reproduces the VAL-overtakes-first-INV
-            buffering deadlock — [zeus_cli model]'s pinned negative
-            control. *)
+            buffering deadlock — the table's negative control. *)
   }
 
   val default_config : config
@@ -70,3 +108,26 @@ module Commit : sig
 
   val explore : ?config:config -> ?max_states:int -> unit -> state Explorer.stats
 end
+
+(** {1 Scenario table} *)
+
+type expect =
+  | Exhaustive  (** no violation, and a run at [cap] closes the space *)
+  | Bounded     (** no violation within [cap]; the space is larger *)
+  | Counterexample of string
+      (** a violation whose message contains this, found within [cap] *)
+
+type scenario = {
+  name : string;
+  cap : int;  (** the state cap of a full run *)
+  expect : expect;
+  explore : max_states:int -> (Format.formatter -> unit) Explorer.stats;
+      (** states are erased to their printers *)
+}
+
+val scenarios : scenario list
+
+val verdict :
+  scenario -> max_states:int -> _ Explorer.stats -> (unit, string) result
+(** Whether a run at [max_states] meets the row's expectation.  Closing is
+    required of an [Exhaustive] row only when [max_states >= cap]. *)

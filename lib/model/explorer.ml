@@ -3,48 +3,45 @@ type 'state stats = {
   transitions : int;
   quiescent : int;
   max_depth : int;
+  exhausted : bool;
   violation : ('state * string) option;
   trace : 'state list;
 }
 
-let bfs ~init ~next ?key ~invariant ?at_quiescence ?(max_states = 500_000) () =
-  (* By default states are deduplicated on their full marshalled
-     representation: the default polymorphic hash only samples a few
-     constructors of these deep states, which would collapse the table into
-     collision chains.  Worlds whose representation is not canonical (token
-     allocators, hashtable layouts, closures) pass an explicit canonical
-     [key] instead. *)
-  let key =
-    match key with Some f -> f | None -> fun s -> Marshal.to_string s []
-  in
-  let seen = Hashtbl.create 65_536 in
-  let parent = Hashtbl.create 65_536 in
+let bfs ~init ~next ~key ~invariant ?at_quiescence ?(max_states = 500_000) () =
+  (* A visited state is remembered by the digest of its key, mapped to its
+     parent's digest: holding the states themselves would keep every
+     visited world (cores, hashtables) alive.  Only the frontier holds
+     states. *)
+  let digest s = Digest.string (key s) in
+  let parent : (Digest.t, Digest.t option) Hashtbl.t = Hashtbl.create 65_536 in
   let queue = Queue.create () in
   let explored = ref 0 in
   let transitions = ref 0 in
   let quiescent = ref 0 in
   let max_depth = ref 0 in
   let violation = ref None in
-  let enqueue ?from depth state =
-    let k = key state in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      (match from with Some p -> Hashtbl.replace parent k p | None -> ());
-      Queue.push (depth, state) queue
+  let enqueue from depth state =
+    let d = digest state in
+    if not (Hashtbl.mem parent d) then begin
+      Hashtbl.add parent d from;
+      Queue.push (depth, d, state) queue
     end
   in
-  List.iter (enqueue 0) init;
+  List.iter (enqueue None 0) init;
+  let bad = ref None in
   (try
      while not (Queue.is_empty queue) do
        if !explored >= max_states then raise Exit;
-       let depth, state = Queue.pop queue in
+       let depth, d, state = Queue.pop queue in
        incr explored;
        if depth > !max_depth then max_depth := depth;
-       (match invariant state with
-       | Ok () -> ()
-       | Error msg ->
+       let fail msg =
          violation := Some (state, msg);
-         raise Exit);
+         bad := Some d;
+         raise Exit
+       in
+       (match invariant state with Ok () -> () | Error msg -> fail msg);
        let succs = next state in
        if succs = [] then begin
          incr quiescent;
@@ -52,35 +49,49 @@ let bfs ~init ~next ?key ~invariant ?at_quiescence ?(max_states = 500_000) () =
          | Some check -> (
            match check state with
            | Ok () -> ()
-           | Error msg ->
-             violation := Some (state, "at quiescence: " ^ msg);
-             raise Exit)
+           | Error msg -> fail ("at quiescence: " ^ msg))
          | None -> ()
        end
        else
          List.iter
            (fun s ->
              incr transitions;
-             enqueue ~from:state (depth + 1) s)
+             enqueue (Some d) (depth + 1) s)
            succs
      done
    with Exit -> ());
+  (* The violation's trace: walk the digest chain back to an initial state,
+     then replay [next] forward, at each step picking the successor whose
+     key has the next digest on the chain. *)
   let trace =
-    match !violation with
+    match !bad with
     | None -> []
-    | Some (bad, _) ->
-      let rec walk s acc =
-        match Hashtbl.find_opt parent (key s) with
-        | Some p -> walk p (s :: acc)
-        | None -> s :: acc
+    | Some d ->
+      let rec chain d acc =
+        match Hashtbl.find parent d with
+        | None -> d :: acc
+        | Some p -> chain p (d :: acc)
       in
-      walk bad []
+      let pick d states = List.find (fun s -> Digest.equal (digest s) d) states in
+      (match chain d [] with
+      | [] -> []
+      | d0 :: rest ->
+        let s0 = pick d0 init in
+        let _, path =
+          List.fold_left
+            (fun (s, acc) d ->
+              let s' = pick d (next s) in
+              (s', s' :: acc))
+            (s0, [ s0 ]) rest
+        in
+        List.rev path)
   in
   {
     explored = !explored;
     transitions = !transitions;
     quiescent = !quiescent;
     max_depth = !max_depth;
+    exhausted = Queue.is_empty queue && Option.is_none !violation;
     violation = !violation;
     trace;
   }

@@ -1,9 +1,10 @@
 (* Monomorphic, pooled event core.
 
-   The generic closure-based [Heap.t] of boxed event records paid an
-   indirect [leq] call per comparison, a 5-word allocation per scheduled
-   event, and kept cancelled transport timers (RTO, delayed-ack) in the
-   queue until they surfaced.  This engine instead keeps:
+   A generic closure-based heap of boxed event records (the engine's first
+   queue) paid an indirect [leq] call per comparison, a 5-word allocation
+   per scheduled event, and kept cancelled transport timers (RTO,
+   delayed-ack) in the queue until they surfaced.  This engine instead
+   keeps:
 
    - an {e event slab}: parallel arrays [e_fn]/[e_gen] indexed by slot,
      recycled through a free-slot stack, so steady-state scheduling

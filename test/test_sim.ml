@@ -1,7 +1,6 @@
 (* Unit and property tests for the simulation substrate. *)
 
 module Rng = Zeus_sim.Rng
-module Heap = Zeus_sim.Heap
 module Engine = Zeus_sim.Engine
 module Resource = Zeus_sim.Resource
 module Fifo = Zeus_sim.Fifo
@@ -79,46 +78,6 @@ let zipf_uniform_theta0 () =
     counts.(Rng.Zipf.sample z r) <- counts.(Rng.Zipf.sample z r) + 1
   done;
   Array.iter (fun c -> if c < 500 then Alcotest.fail "theta=0 not uniform") counts
-
-(* ---------- heap ---------- *)
-
-let heap_orders () =
-  let h = Heap.create ~leq:(fun (a : int) b -> a <= b) in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = ref [] in
-  let rec pop () =
-    match Heap.pop h with
-    | Some v ->
-      out := v :: !out;
-      pop ()
-    | None -> ()
-  in
-  pop ();
-  check Alcotest.(list int) "sorted" [ 9; 5; 4; 3; 1; 1; 0 ] !out
-
-let heap_qcheck =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let h = Heap.create ~leq:(fun (a : int) b -> a <= b) in
-      List.iter (Heap.push h) l;
-      let rec drain acc =
-        match Heap.pop h with Some v -> drain (v :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare l)
-
-let heap_interleaved () =
-  let h = Heap.create ~leq:(fun (a : int) b -> a <= b) in
-  Heap.push h 5;
-  Heap.push h 2;
-  check Alcotest.(option int) "min" (Some 2) (Heap.pop h);
-  Heap.push h 1;
-  Heap.push h 7;
-  check Alcotest.(option int) "min2" (Some 1) (Heap.pop h);
-  check Alcotest.(option int) "min3" (Some 5) (Heap.pop h);
-  check Alcotest.(option int) "min4" (Some 7) (Heap.pop h);
-  check Alcotest.(option int) "empty" None (Heap.pop h);
-  check Alcotest.bool "is_empty" true (Heap.is_empty h)
 
 (* ---------- engine event heap (specialized heap: qcheck properties) ----- *)
 
@@ -387,9 +346,6 @@ let suite =
     tc "rng: shuffle is a permutation" rng_shuffle_permutation;
     tc "rng: zipf skew" zipf_skew;
     tc "rng: zipf theta=0 uniform" zipf_uniform_theta0;
-    tc "heap: pops sorted" heap_orders;
-    tc "heap: interleaved push/pop" heap_interleaved;
-    QCheck_alcotest.to_alcotest heap_qcheck;
     tc "engine: time order" engine_time_order;
     QCheck_alcotest.to_alcotest engine_heap_order_qcheck;
     QCheck_alcotest.to_alcotest engine_heap_fifo_qcheck;
