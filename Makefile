@@ -10,8 +10,14 @@ test: build
 
 # What CI runs: full build, the whole test suite, and a quick smoke of the
 # locality-engine experiment (also exercises the BENCH_locality.json path).
+# The experiment runs twice and the two BENCH_locality.json files must be
+# byte-identical: any nondeterminism in the locality engine fails here.
 check: test
 	dune exec bench/main.exe -- --quick predictive
+	cp BENCH_locality.json BENCH_locality.first.json
+	dune exec bench/main.exe -- --quick predictive
+	@cmp BENCH_locality.first.json BENCH_locality.json || { echo "check: two predictive runs wrote different BENCH_locality.json" >&2; exit 1; }
+	rm -f BENCH_locality.first.json
 
 bench:
 	dune exec bench/main.exe
@@ -138,4 +144,4 @@ perf-baseline: build
 
 clean:
 	dune clean
-	rm -f BENCH_locality.json BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_perf.json trace.json model-smoke.log
+	rm -f BENCH_locality.json BENCH_locality.first.json BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_perf.json trace.json model-smoke.log

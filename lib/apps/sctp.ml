@@ -34,7 +34,7 @@ let run ?(config = default_config) ~mode packet_size =
      (two passes over ~6.8 KB), plus the unoptimized state-access
      instrumentation the paper mentions; replication itself is pipelined. *)
   let copy_us =
-    (2.0 *. float_of_int config.state_bytes *. zconfig.Config.byte_proc_us) +. 8.0
+    (2.0 *. float_of_int config.state_bytes *. Config.byte_proc_us) +. 8.0
   in
   let stop = config.duration_us in
   let rec loop seq =

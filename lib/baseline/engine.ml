@@ -174,10 +174,8 @@ let finish t st ~ok =
   st.k ok
 
 let backoff t attempt =
-  let d =
-    t.config.Config.backoff_base_us *. (2.0 ** float_of_int (min attempt 10))
-  in
-  Float.min d t.config.Config.backoff_max_us *. (0.5 +. Rng.float t.rng 1.0)
+  let d = Config.backoff_base_us *. (2.0 ** float_of_int (min attempt 10)) in
+  Float.min d Config.backoff_max_us *. (0.5 +. Rng.float t.rng 1.0)
 
 let rec attempt_txn t ~home ~spec ~attempt k =
   let coord = t.nodes.(home) in
@@ -213,7 +211,7 @@ and retry t st =
     st.locked;
   Hashtbl.remove t.nodes.(home).txns st.tref.seq;
   Metrics.Counter.incr t.c_retries;
-  if st.attempt >= t.config.Config.max_retries then begin
+  if st.attempt >= Config.max_retries then begin
     Metrics.Counter.incr t.c_aborted;
     st.k false
   end
@@ -415,7 +413,7 @@ let handle t ~node ~src payload =
   | _ -> ()
 
 let payload_cost t payload =
-  let c = t.config.Config.msg_proc_us *. t.profile.Profile.msg_scale in
+  let c = Config.msg_proc_us *. t.profile.Profile.msg_scale in
   match payload with
   | B_read { one_sided = true; _ } ->
     (* RDMA one-sided read: the remote CPU is not involved; the NIC serves
@@ -426,7 +424,7 @@ let payload_cost t payload =
   | B_read_rep { versions; _ } ->
     c +. (t.profile.Profile.read_finish_us *. float_of_int (List.length versions))
   | B_log { keys; bytes; _ } ->
-    c +. (float_of_int (bytes * List.length keys) *. t.config.Config.byte_proc_us)
+    c +. (float_of_int (bytes * List.length keys) *. Config.byte_proc_us)
   | _ -> c
 
 let create ?(profile = Profile.fasst) ?(config = Config.default) ~primary_of () =
@@ -437,7 +435,7 @@ let create ?(profile = Profile.fasst) ?(config = Config.default) ~primary_of () 
     Array.init config.Config.nodes (fun id ->
         {
           id;
-          ds = Resource.create engine ~servers:config.Config.ds_threads;
+          ds = Resource.create engine ~servers:Config.ds_threads;
           app = Resource.create engine ~servers:config.Config.app_threads;
           locks = Hashtbl.create 4096;
           txn_seq = 0;

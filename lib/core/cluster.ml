@@ -25,9 +25,8 @@ let create ?(config = Config.default) ?(tracing = false) () =
   in
   let transport = Transport.create ~config:config.Config.transport ~telemetry fabric in
   let membership =
-    Service.create ~lease_us:config.Config.lease_us ~detect_us:config.Config.detect_us
-      ~mode:config.Config.membership_mode ~detection:config.Config.detection ~telemetry
-      transport
+    Service.create ~mode:config.Config.membership_mode ~detection:config.Config.detection
+      ~telemetry transport
   in
   let history = if config.Config.record_history then Some (History.create ()) else None in
   let nodes =

@@ -11,8 +11,7 @@ open Zeus_store
 type t
 
 val create : ?config:Config.t -> ?tracing:bool -> unit -> t
-(** [tracing] arms per-transaction span recording from the start; it can
-    also be toggled later via [Hub.set_tracing (telemetry t)]. *)
+(** [tracing] arms per-transaction span recording for the whole run. *)
 
 val config : t -> Config.t
 val engine : t -> Zeus_sim.Engine.t

@@ -12,23 +12,7 @@ type t = {
   replication_degree : int;  (** replicas per object, owner included (paper: 3) *)
   dir_replicas : int;        (** directory replication (paper: 3) *)
   app_threads : int;         (** application worker threads per node (paper: 10) *)
-  ds_threads : int;          (** datastore worker threads per node (paper: 10) *)
-  (* CPU cost model, µs *)
-  msg_proc_us : float;       (** handling one received protocol message *)
-  byte_proc_us : float;      (** per payload byte (copy in/out) *)
-  local_commit_us : float;   (** single-node local commit *)
-  txn_dispatch_us : float;   (** fixed per-transaction overhead at the app thread *)
-  ownership_dispatch_us : float;
-      (** app-side thread time to issue one ownership request and install
-          the result, on top of the request's 1.5-RTT blocking wait (§3.2).
-          Calibrated from the paper's own figures: one worker thread
-          sustains 25 K ownership ops/s while the request latency is
-          17 µs (§8.4), i.e. ~40 µs of thread time per op. *)
-  (* application-level policies *)
   pipeline_depth : int;      (** max in-flight reliable commits per thread *)
-  backoff_base_us : float;   (** exponential back-off on aborts (§6.2) *)
-  backoff_max_us : float;
-  max_retries : int;
   auto_trim : bool;
       (** issue Remove_reader out of the critical path to restore the
           replication degree after a non-replica acquired ownership (§6.2) *)
@@ -47,7 +31,7 @@ type t = {
   transport : Zeus_net.Transport.config;
       (** reliable-messaging layer; [transport.batching] (on by default)
           coalesces same-destination protocol messages within
-          [transport.flush_window_us] into multi-payload frames with
+          [Zeus_net.Transport.flush_window_us] into multi-payload frames with
           cumulative acks — set [Zeus_net.Transport.unbatched] for the
           historical one-frame-per-message behaviour (model checking,
           ablations) *)
@@ -57,14 +41,12 @@ type t = {
           ordering in the messages and stays live on reordering links,
           [Legacy] is the historical arrival-order scheme that leans on
           per-link FIFO delivery *)
-  lease_us : float;
-  detect_us : float;
   membership_mode : Zeus_membership.Service.mode;
       (** [Oracle] (default): the membership service is told about crashes
-          and installs the excluding view after [detect_us + lease_us] by
-          fiat.  [Detected]: failures are detected end-to-end — heartbeat
-          silence, quorum suspicion, lease expiry, fencing — per
-          [detection] below. *)
+          and installs the excluding view after the membership service's
+          detection delay plus one lease by fiat.  [Detected]: failures
+          are detected end-to-end — heartbeat silence, quorum suspicion,
+          lease expiry, fencing — per [detection] below. *)
   detection : Zeus_membership.Service.detection;
       (** heartbeat period, adaptive suspicion timeout bounds, and the
           fenced-node rejoin backoff; only read in [Detected] mode *)
@@ -77,16 +59,7 @@ let default =
     replication_degree = 3;
     dir_replicas = 3;
     app_threads = 10;
-    ds_threads = 10;
-    msg_proc_us = 0.30;
-    byte_proc_us = 0.0008;
-    local_commit_us = 0.25;
-    txn_dispatch_us = 0.15;
-    ownership_dispatch_us = 28.0;
     pipeline_depth = 32;
-    backoff_base_us = 3.0;
-    backoff_max_us = 400.0;
-    max_retries = 12;
     auto_trim = true;
     distributed_directory = false;
     record_history = false;
@@ -95,12 +68,23 @@ let default =
     transport = Zeus_net.Transport.default_config;
     ownership = Zeus_ownership.Agent.default_config;
     commit_clear_marks = Zeus_commit.Core.Sequenced;
-    lease_us = 2_000.0;
-    detect_us = 1_000.0;
     membership_mode = Zeus_membership.Service.Oracle;
     detection = Zeus_membership.Service.default_detection;
     seed = 42L;
   }
+
+(* Calibrated constants: the paper's one testbed (§8), varied by no
+   experiment. *)
+
+let ds_threads = 10
+let msg_proc_us = 0.30
+let byte_proc_us = 0.0008
+let local_commit_us = 0.25
+let txn_dispatch_us = 0.15
+let ownership_dispatch_us = 28.0
+let backoff_base_us = 3.0
+let backoff_max_us = 400.0
+let max_retries = 12
 
 (** The first [dir_replicas] nodes host the (replicated) ownership
     directory (§4: a single replicated directory; §6.2 discusses

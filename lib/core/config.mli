@@ -1,45 +1,24 @@
-(** Deployment and cost-model configuration — every knob in one record.
+(** Deployment and cost-model configuration.
 
-    One {!t} value configures a whole cluster: topology and replication
-    degree, the CPU cost model, application-level retry/pipelining policy,
-    the message fabric and reliable transport, the ownership agent's
-    timeouts, predictive locality, and the membership/failure-detection
-    mode.  Fault injection is not a field here: faults are either fabric
-    knobs ({!Zeus_net.Fabric.config} — loss, duplication, reordering,
-    partitions) set through [fabric], or declarative chaos schedules
-    ({!Zeus_chaos.Schedule}) attached to a running cluster by
-    {!Zeus_chaos.Nemesis}.
-
-    The CPU costs (in µs) model the paper's testbed: dual-socket Skylake
-    at 2.7 GHz with DPDK kernel-bypass messaging, where processing one
-    small protocol message costs a few hundred nanoseconds and payloads
-    pay a per-byte copy cost.  Absolute throughput depends on these
-    constants; the comparisons between Zeus and the baselines depend only
-    on message counts and blocking structure, which the protocols
-    determine. *)
+    Two kinds of setting live here.  The record {!t} holds what the
+    experiments, benchmarks and tests vary: topology and replication
+    degree, application pipelining, the message fabric and reliable
+    transport, the ownership agent's timeouts, predictive locality, and
+    the membership/failure-detection mode.  The values below it are the
+    calibrated constants of the paper's one testbed (§8), which no
+    experiment varies: the CPU cost model, the datastore thread count and
+    the abort back-off policy.  Fault injection is not a field here:
+    faults are either fabric knobs ({!Zeus_net.Fabric.config} — loss,
+    duplication, reordering, partitions) set through [fabric], or
+    declarative chaos schedules ({!Zeus_chaos.Schedule}) attached to a
+    running cluster by {!Zeus_chaos.Nemesis}. *)
 
 type t = {
   nodes : int;  (** cluster size (paper testbed: 3-6) *)
   replication_degree : int;  (** replicas per object, owner included (paper: 3) *)
   dir_replicas : int;  (** directory replication (paper: 3) *)
   app_threads : int;  (** application worker threads per node (paper: 10) *)
-  ds_threads : int;  (** datastore worker threads per node (paper: 10) *)
-  (* CPU cost model, µs *)
-  msg_proc_us : float;  (** handling one received protocol message *)
-  byte_proc_us : float;  (** per payload byte (copy in/out) *)
-  local_commit_us : float;  (** single-node local commit *)
-  txn_dispatch_us : float;  (** fixed per-transaction overhead at the app thread *)
-  ownership_dispatch_us : float;
-      (** app-side thread time to issue one ownership request and install
-          the result, on top of the request's 1.5-RTT blocking wait (§3.2).
-          Calibrated from the paper's own figures: one worker thread
-          sustains 25 K ownership ops/s while the request latency is
-          17 µs (§8.4), i.e. ~40 µs of thread time per op. *)
-  (* application-level policies *)
   pipeline_depth : int;  (** max in-flight reliable commits per thread (§5.2) *)
-  backoff_base_us : float;  (** exponential back-off on aborts (§6.2) *)
-  backoff_max_us : float;  (** back-off cap *)
-  max_retries : int;  (** transaction retry budget before giving up *)
   auto_trim : bool;
       (** issue Remove_reader out of the critical path to restore the
           replication degree after a non-replica acquired ownership (§6.2) *)
@@ -61,7 +40,7 @@ type t = {
   transport : Zeus_net.Transport.config;
       (** reliable-messaging layer; [transport.batching] (on by default)
           coalesces same-destination protocol messages within
-          [transport.flush_window_us] into multi-payload frames with
+          [Zeus_net.Transport.flush_window_us] into multi-payload frames with
           cumulative acks and per-link in-order delivery (the RDMA RC
           contract of §3.1).  Since the sequence-aware clear marks of
           [Zeus_commit.Core], in-order delivery is a latency optimization,
@@ -82,14 +61,13 @@ type t = {
           links — kept as a compat knob pinning the known
           VAL-overtakes-first-INV deadlock as a model-checker negative
           control. *)
-  lease_us : float;  (** membership lease length (§3.1) *)
-  detect_us : float;  (** Oracle-mode failure-detection latency by fiat *)
   membership_mode : Zeus_membership.Service.mode;
       (** [Oracle] (default): the membership service is told about crashes
-          and installs the excluding view after [detect_us + lease_us] by
-          fiat.  [Detected]: failures are detected end-to-end — heartbeat
-          silence, quorum suspicion, lease expiry, fencing — per
-          [detection] below. *)
+          and installs the excluding view after
+          {!Zeus_membership.Service.create}'s detection delay plus one
+          lease (1 000 + 2 000 µs) by fiat.  [Detected]: failures are
+          detected end-to-end — heartbeat silence, quorum suspicion, lease
+          expiry, fencing — per [detection] below. *)
   detection : Zeus_membership.Service.detection;
       (** heartbeat period, adaptive suspicion timeout bounds, and the
           fenced-node rejoin backoff; only read in [Detected] mode *)
@@ -99,6 +77,47 @@ type t = {
 val default : t
 (** 3 nodes, 3-way replication, batched transport, Oracle membership,
     locality engine off — the paper's baseline deployment. *)
+
+(** {1 Calibrated constants}
+
+    The CPU costs (in µs) model the paper's testbed: dual-socket Skylake
+    at 2.7 GHz with DPDK kernel-bypass messaging, where processing one
+    small protocol message costs a few hundred nanoseconds and payloads
+    pay a per-byte copy cost.  Absolute throughput depends on these
+    constants; the comparisons between Zeus and the baselines depend only
+    on message counts and blocking structure, which the protocols
+    determine. *)
+
+val ds_threads : int
+(** Datastore worker threads per node (paper: 10). *)
+
+val msg_proc_us : float
+(** Handling one received protocol message. *)
+
+val byte_proc_us : float
+(** Per payload byte (copy in/out). *)
+
+val local_commit_us : float
+(** Single-node local commit. *)
+
+val txn_dispatch_us : float
+(** Fixed per-transaction overhead at the app thread. *)
+
+val ownership_dispatch_us : float
+(** App-side thread time to issue one ownership request and install the
+    result, on top of the request's 1.5-RTT blocking wait (§3.2).
+    Calibrated from the paper's own figures: one worker thread sustains
+    25 K ownership ops/s while the request latency is 17 µs (§8.4), i.e.
+    ~40 µs of thread time per op. *)
+
+val backoff_base_us : float
+(** Base of the exponential back-off on aborts (§6.2). *)
+
+val backoff_max_us : float
+(** Back-off cap. *)
+
+val max_retries : int
+(** Transaction retry budget before giving up. *)
 
 val dir_nodes : t -> Zeus_store.Types.node_id list
 (** The first [dir_replicas] nodes host the (replicated) ownership

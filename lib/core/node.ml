@@ -77,13 +77,11 @@ let ownership_latency t = Own.Agent.latency_samples (ownership_agent t)
 let is_alive t = Fabric.is_alive (Transport.fabric t.transport) t.id
 let set_app_handler t fn = t.app_handler <- Some fn
 
-let send_app t ~dst ?size payload = Transport.send t.transport ~src:t.id ~dst ?size payload
-
 (* ------ CPU cost of one received protocol message ------------------------ *)
 
-let payload_cost config payload =
-  let c = config.Config.msg_proc_us in
-  let bytes n = float_of_int n *. config.Config.byte_proc_us in
+let payload_cost payload =
+  let c = Config.msg_proc_us in
+  let bytes n = float_of_int n *. Config.byte_proc_us in
   match payload with
   | Com.Messages.R_inv { writes; _ } ->
     c +. bytes (List.fold_left (fun a (u : Txn.update) -> a + Value.size u.data) 0 writes)
@@ -176,7 +174,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       ownership = None;
       commit = None;
       locality = None;
-      ds = Resource.create engine ~servers:config.Config.ds_threads;
+      ds = Resource.create engine ~servers:Config.ds_threads;
       rng = Engine.fork_rng engine;
       history;
       outstanding_rc = Array.make config.Config.app_threads 0;
@@ -252,7 +250,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
          (they never reach the protocol agents). *)
       if not (Service.observe membership ~dst:id ~src payload) then
       (* Every received message costs datastore-worker CPU. *)
-      Resource.submit t.ds ~service:(payload_cost config payload) (fun () ->
+      Resource.submit t.ds ~service:(payload_cost payload) (fun () ->
           if not (Own.Agent.handle ownership ~src payload) then
             if not (Com.Agent.handle commit ~src payload) then
               if
@@ -303,7 +301,7 @@ let acquire_ownership t key k =
   | Some obj when Obj.is_owner obj && obj.Obj.o_state = Types.O_valid -> k (Ok ())
   | Some _ | None ->
     ignore
-      (Engine.schedule t.engine ~after:t.config.Config.ownership_dispatch_us (fun () ->
+      (Engine.schedule t.engine ~after:Config.ownership_dispatch_us (fun () ->
            Own.Agent.request (ownership_agent t) ~key ~kind:Own.Messages.Acquire
              ~k:(fun result ->
                if Result.is_ok result then maybe_trim t key;
@@ -371,7 +369,7 @@ let ensure_owner ctx key k =
         let acq_start = Engine.now t.engine in
         if Float.is_nan ctx.own_first then ctx.own_first <- acq_start;
         ignore
-          (Engine.schedule t.engine ~after:t.config.Config.ownership_dispatch_us
+          (Engine.schedule t.engine ~after:Config.ownership_dispatch_us
              (fun () ->
                Own.Agent.request ~parent:ctx.span (ownership_agent t) ~key
                  ~kind:Own.Messages.Acquire
@@ -454,8 +452,7 @@ let start_reliable_commit t ~thread ~parent ~lc_done ~txn_start
   let followers = t.config.Config.replication_degree - 1 in
   let send_cost =
     float_of_int followers
-    *. (t.config.Config.msg_proc_us
-       +. (float_of_int bytes *. t.config.Config.byte_proc_us))
+    *. (Config.msg_proc_us +. (float_of_int bytes *. Config.byte_proc_us))
   in
   t.outstanding_rc.(thread) <- t.outstanding_rc.(thread) + 1;
   (* Broadcasting the R-INVs consumes datastore-worker CPU at the
@@ -484,10 +481,8 @@ let start_reliable_commit t ~thread ~parent ~lc_done ~txn_start
         ())
 
 let backoff t attempt =
-  let base = t.config.Config.backoff_base_us in
-  let cap = t.config.Config.backoff_max_us in
-  let d = base *. (2.0 ** float_of_int (min attempt 12)) in
-  let d = Float.min d cap in
+  let d = Config.backoff_base_us *. (2.0 ** float_of_int (min attempt 12)) in
+  let d = Float.min d Config.backoff_max_us in
   d *. (0.5 +. Rng.float t.rng 1.0)
 
 let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
@@ -544,7 +539,7 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
       let on_fail reason =
         t.txn_free.(thread) <- Some txn;
         t.n_retries <- t.n_retries + 1;
-        if n >= t.config.Config.max_retries then begin
+        if n >= Config.max_retries then begin
           if read_only then t.n_ro_aborted <- t.n_ro_aborted + 1
           else t.n_aborted <- t.n_aborted + 1;
           Tspan.finish t.tspans
@@ -575,7 +570,7 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
         guard ctx (fun () ->
             let ce = Engine.now t.engine in
             ignore
-              (Engine.schedule t.engine ~after:t.config.Config.local_commit_us
+              (Engine.schedule t.engine ~after:Config.local_commit_us
                  (fun () ->
                    match Txn.local_commit ctx.txn with
                    | Error reason -> fail ctx reason
@@ -645,7 +640,7 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
       in
       ignore
         (Engine.schedule t.engine
-           ~after:(exec_us +. t.config.Config.txn_dispatch_us)
+           ~after:(exec_us +. Config.txn_dispatch_us)
            (fun () ->
              ctx.body_start <- Engine.now t.engine;
              body ctx commit_now))

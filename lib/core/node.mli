@@ -70,8 +70,6 @@ val set_app_handler : t -> (src:Types.node_id -> Zeus_net.Msg.payload -> unit) -
 (** Receive application-level messages (after protocol dispatch), already
     charged to the datastore worker pool. *)
 
-val send_app : t -> dst:Types.node_id -> ?size:int -> Zeus_net.Msg.payload -> unit
-
 (** {1 Transactions} *)
 
 type ctx

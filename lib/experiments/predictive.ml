@@ -60,7 +60,7 @@ let hit_rate a =
 let tuned ~bucket ~refill_per_ms =
   {
     Loc.Engine.enabled_default with
-    Loc.Engine.planner = { Loc.Planner.default_config with Loc.Planner.cooldown_us = 120.0 };
+    Loc.Engine.planner = { Loc.Planner.cooldown_us = 120.0 };
     migrator = { Loc.Migrator.bucket; refill_per_ms };
   }
 

@@ -14,26 +14,24 @@ type Zeus_net.Msg.payload +=
 type config = {
   enabled : bool;
   log : Access_log.config;
-  predictor : Predictor.config;
   planner : Planner.config;
   migrator : Migrator.config;
-  idle_gap_us : float;
 }
 
 let default_config =
   {
     enabled = false;
     log = Access_log.default_config;
-    predictor = Predictor.default_config;
     planner = Planner.default_config;
     migrator = Migrator.default_config;
-    idle_gap_us = 60.0;
   }
 
 let enabled_default = { default_config with enabled = true }
 
+(* Local silence on an owned key before the planner is consulted. *)
+let idle_gap_us = 60.0
+
 type t = {
-  config : config;
   node : Types.node_id;
   engine : Sim.t;
   transport : Transport.t;
@@ -62,17 +60,16 @@ type t = {
   mutable on_pin : (key:Types.key -> target:Types.node_id -> unit) option;
 }
 
-let create ?telemetry ~config ~node ~nodes ~engine ~transport ~agent ~is_owner () =
+let create ?telemetry ~(config : config) ~node ~nodes ~engine ~transport ~agent ~is_owner () =
   let hub = match telemetry with Some h -> h | None -> Hub.none () in
   let metrics = Metrics.create () in
   {
-    config;
     node;
     engine;
     transport;
     is_owner;
     log = Access_log.create ~config:config.log ~nodes ();
-    predictor = Predictor.create ~config:config.predictor ~nodes ();
+    predictor = Predictor.create ~nodes;
     planner = Planner.create ~config:config.planner ();
     migrator = Migrator.create ~config:config.migrator ~agent ~engine ();
     metrics;
@@ -153,9 +150,7 @@ let rec arm_idle_check t key ~after =
            match Hashtbl.find_opt t.last_access key with
            | None -> ()
            | Some last ->
-             let remaining =
-               t.config.idle_gap_us -. (Sim.now t.engine -. last)
-             in
+             let remaining = idle_gap_us -. (Sim.now t.engine -. last) in
              if remaining <= idle_slop_us then plan_key t key
              else arm_idle_check t key ~after:remaining))
   end
@@ -171,7 +166,7 @@ let note_local_access t ~key ~write =
   end;
   if write then begin
     Hashtbl.replace t.last_access key now;
-    arm_idle_check t key ~after:t.config.idle_gap_us
+    arm_idle_check t key ~after:idle_gap_us
   end
 
 let note_request t ~key ~kind ~requester =
@@ -204,7 +199,7 @@ let note_owner_change t ~key ~owner =
       | None -> false
     in
     if not deadline_known then begin
-      Hashtbl.replace t.reacted_pins key (now +. t.config.planner.Planner.pin_us);
+      Hashtbl.replace t.reacted_pins key (now +. Planner.pin_us);
       Metrics.Counter.incr t.c_pins_applied;
       match t.on_pin with Some f -> f ~key ~target | None -> ()
     end)

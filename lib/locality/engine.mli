@@ -22,7 +22,7 @@
 
     A prefetch plan is executed by the {e predicted} node (hint + pull), so
     the data and the arbitration flow exactly as in a reactive acquire.
-    Hints fire only after a key has gone idle locally for [idle_gap_us] —
+    Hints fire only after a key has gone idle locally for 60 µs —
     migrating a key still in active local use is how ping-pong starts, so
     idleness is the precondition, and the planner's hysteresis and pinning
     stabilize whatever the idle trigger still gets wrong.
@@ -36,11 +36,8 @@ open Zeus_store
 type config = {
   enabled : bool;
   log : Access_log.config;
-  predictor : Predictor.config;
   planner : Planner.config;
   migrator : Migrator.config;
-  idle_gap_us : float;
-      (** local silence on an owned key before the planner is consulted *)
 }
 
 val default_config : config

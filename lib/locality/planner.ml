@@ -1,25 +1,14 @@
 open Zeus_store
 
-type config = {
-  hysteresis : float;
-  min_rate : float;
-  cooldown_us : float;
-  pingpong_window_us : float;
-  pingpong_moves : int;
-  pin_us : float;
-  read_replicate_ratio : float;
-}
+type config = { cooldown_us : float }
 
-let default_config =
-  {
-    hysteresis = 2.0;
-    min_rate = 0.5;
-    cooldown_us = 200.0;
-    pingpong_window_us = 2_000.0;
-    pingpong_moves = 4;
-    pin_us = 20_000.0;
-    read_replicate_ratio = 0.6;
-  }
+let default_config = { cooldown_us = 200.0 }
+let hysteresis = 2.0
+let min_rate = 0.5
+let pingpong_window_us = 2_000.0
+let pingpong_moves = 4
+let pin_us = 20_000.0
+let read_replicate_ratio = 0.6
 
 type decision =
   | Stay
@@ -89,14 +78,14 @@ let note_migration t ~key ~owner ~now =
        declares thrash; pin where the key landed — executing the pin then
        costs zero further migrations, and the caller re-routes traffic. *)
     let recent =
-      List.filter (fun (_, at) -> now -. at <= t.config.pingpong_window_us) s.moves
+      List.filter (fun (_, at) -> now -. at <= pingpong_window_us) s.moves
     in
-    if List.length recent >= t.config.pingpong_moves then begin
+    if List.length recent >= pingpong_moves then begin
       let contenders =
         List.sort_uniq compare (List.map (fun (n, _) -> n) recent)
       in
       if List.length contenders <= 2 && now >= s.pinned_until then begin
-        s.pinned_until <- now +. t.config.pin_us;
+        s.pinned_until <- now +. pin_us;
         s.pin_target <- owner;
         t.n_pins <- t.n_pins + 1
       end
@@ -132,13 +121,13 @@ let decide t ~predictor ~log ~key ~holder ~now =
           let r_target = Access_log.rate log ~key ~node:target ~now in
           let r_holder = Access_log.rate log ~key ~node:holder ~now in
           let tot = Access_log.total log ~key ~now in
-          if r_target < t.config.min_rate then Stay
+          if r_target < min_rate then Stay
           else if
             (match s with Some s -> List.mem target s.readers | None -> false)
             && tot > 0.0
-            && r_target /. tot >= t.config.read_replicate_ratio
+            && r_target /. tot >= read_replicate_ratio
           then Replicate target
-          else if r_target >= t.config.hysteresis *. Float.max r_holder 0.05 then
+          else if r_target >= hysteresis *. Float.max r_holder 0.05 then
             Prefetch { target; directional = false }
           else Stay
         end)

@@ -4,13 +4,13 @@
     The planner is stateful per key and applies two stabilizers:
 
     - {e hysteresis}: a prefetch fires only when the predicted accessor's
-      recent rate beats the current holder's by [hysteresis] (or the
+      recent rate beats the current holder's by {!hysteresis} (or the
       prediction is directional), the prediction clears the confidence bar,
       and [cooldown_us] has passed since the key's last ownership move —
       migration must be strictly cheaper than staying put, with margin;
-    - {e anti-ping-pong}: a key observed to migrate [pingpong_moves] times
-      within [pingpong_window_us] while bouncing between ≤ 2 nodes is
-      declared thrashing and pinned for [pin_us] at the node holding it at
+    - {e anti-ping-pong}: a key observed to migrate {!pingpong_moves} times
+      within {!pingpong_window_us} while bouncing between ≤ 2 nodes is
+      declared thrashing and pinned for {!pin_us} at the node holding it at
       detection (executing that pin costs zero further migrations); further
       speculative movement is suppressed, and the caller is expected to
       re-route the key's transactions to the pin target (e.g.
@@ -19,19 +19,31 @@
 open Zeus_store
 
 type config = {
-  hysteresis : float;          (** frequency-mode rate advantage required *)
-  min_rate : float;            (** ignore keys colder than this *)
-  cooldown_us : float;         (** min quiet time after a move *)
-  pingpong_window_us : float;
-  pingpong_moves : int;        (** moves within the window that mean thrash *)
-  pin_us : float;              (** how long a pin lasts *)
-  read_replicate_ratio : float;
-      (** a node reading this share of a remote key's accesses (with no
-          writes observed from it) gets a reader replica instead of
-          ownership *)
+  cooldown_us : float;  (** min quiet time after a move (default 200 µs) *)
 }
 
 val default_config : config
+
+(** {1 Thresholds} *)
+
+val hysteresis : float
+(** Frequency-pattern rate advantage required: 2×. *)
+
+val min_rate : float
+(** Ignore keys colder than this. *)
+
+val pingpong_window_us : float
+(** Window over which a key's moves are counted. *)
+
+val pingpong_moves : int
+(** Moves within {!pingpong_window_us} that mean thrash. *)
+
+val pin_us : float
+(** How long a pin lasts. *)
+
+val read_replicate_ratio : float
+(** A node reading this share of a remote key's accesses (with no writes
+    observed from it) gets a reader replica instead of ownership. *)
 
 type decision =
   | Stay

@@ -1,10 +1,7 @@
 open Zeus_store
 
-type mode = Frequency | Directional | Auto
-
-type config = { mode : mode; history : int; min_confidence : float }
-
-let default_config = { mode = Auto; history = 4; min_confidence = 0.55 }
+let history = 4
+let min_confidence = 0.55
 
 type prediction = { target : Types.node_id; confidence : float; directional : bool }
 
@@ -14,13 +11,11 @@ type track = {
 }
 
 type t = {
-  config : config;
   nodes : int;
   tracks : (Types.key, track) Hashtbl.t;
 }
 
-let create ?(config = default_config) ~nodes () =
-  { config; nodes; tracks = Hashtbl.create 256 }
+let create ~nodes = { nodes; tracks = Hashtbl.create 256 }
 
 let rec take n = function
   | [] -> []
@@ -45,7 +40,7 @@ let note_owner t ~key ~owner ~now =
     let gap = now -. at in
     tr.dwell_us <-
       Some (match tr.dwell_us with None -> gap | Some d -> (0.5 *. d) +. (0.5 *. gap));
-    tr.owners <- take t.config.history ((owner, now) :: tr.owners)
+    tr.owners <- take history ((owner, now) :: tr.owners)
   | [] -> tr.owners <- [ (owner, now) ]
 
 let directional_prediction t key =
@@ -76,16 +71,12 @@ let frequency_prediction ~log ~key ~now =
 
 let predict t ~log ~key ~now =
   let p =
-    match t.config.mode with
-    | Directional -> directional_prediction t key
-    | Frequency -> frequency_prediction ~log ~key ~now
-    | Auto -> (
-      match directional_prediction t key with
-      | Some _ as p -> p
-      | None -> frequency_prediction ~log ~key ~now)
+    match directional_prediction t key with
+    | Some _ as p -> p
+    | None -> frequency_prediction ~log ~key ~now
   in
   match p with
-  | Some pr when pr.confidence >= t.config.min_confidence -> p
+  | Some pr when pr.confidence >= min_confidence -> p
   | Some _ | None -> None
 
 let expected_dwell_us t ~key =

@@ -1,6 +1,6 @@
 (** Next-accessor prediction.
 
-    Two modes, combined per key:
+    Two patterns, tried in this order per key:
 
     - {e directional} (mobility-aware): the predictor watches each key's
       owner trajectory.  A key whose last ownership moves step by a constant
@@ -11,21 +11,13 @@
       {!Access_log} is the predicted next accessor, with confidence equal to
       its share of the key's total rate.
 
+    Predictions below 0.55 confidence are suppressed, and each key
+    remembers its last 4 owner moves.
+
     The predictor is a deterministic function of the fed event sequence —
     it draws no randomness, so two replicas fed the same events agree. *)
 
 open Zeus_store
-
-type mode = Frequency | Directional | Auto
-(** [Auto] tries the directional pattern first and falls back to frequency. *)
-
-type config = {
-  mode : mode;
-  history : int;          (** owner moves remembered per key (≥ 2) *)
-  min_confidence : float; (** predictions below this are suppressed *)
-}
-
-val default_config : config
 
 type prediction = {
   target : Types.node_id;
@@ -35,7 +27,7 @@ type prediction = {
 
 type t
 
-val create : ?config:config -> nodes:int -> unit -> t
+val create : nodes:int -> t
 
 val note_owner : t -> key:Types.key -> owner:Types.node_id -> now:float -> unit
 (** Feed an observed ownership change (from the ownership agent). *)

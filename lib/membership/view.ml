@@ -10,7 +10,6 @@ let live_list t =
   done;
   !acc
 
-let live_count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.live
 
 let without t n =
   let live = Array.copy t.live in

@@ -8,7 +8,6 @@ type t = { epoch : int; live : bool array }
 val initial : nodes:int -> t
 val is_live : t -> Zeus_net.Msg.node_id -> bool
 val live_list : t -> Zeus_net.Msg.node_id list
-val live_count : t -> int
 val without : t -> Zeus_net.Msg.node_id -> t
 (** New view with [epoch + 1] and the node marked dead. *)
 

@@ -1,4 +1,2 @@
 type node_id = int
 type payload = ..
-
-let pp_node ppf n = Format.fprintf ppf "n%d" n

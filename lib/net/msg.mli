@@ -8,5 +8,3 @@
 type node_id = int
 
 type payload = ..
-
-val pp_node : Format.formatter -> node_id -> unit

@@ -3,37 +3,21 @@ module Metrics = Zeus_telemetry.Metrics
 module Trace = Zeus_telemetry.Trace
 module Hub = Zeus_telemetry.Hub
 
-type config = {
-  rto_us : float;
-  rto_backoff : float;
-  rto_max_us : float;
-  max_retries : int;
-  dedup : bool;
-  batching : bool;
-  flush_window_us : float;
-  delayed_ack_us : float;
-  max_batch : int;
-  max_ooo : int;
-  ordered : bool;
-}
+type config = { batching : bool; ordered : bool }
 
-let default_config =
-  {
-    rto_us = 40.0;
-    rto_backoff = 2.0;
-    rto_max_us = 2_000.0;
-    max_retries = 50;
-    dedup = true;
-    batching = true;
-    flush_window_us = 2.0;
-    delayed_ack_us = 8.0;
-    max_batch = 32;
-    max_ooo = 512;
-    ordered = true;
-  }
+let default_config = { batching = true; ordered = true }
 
 let unbatched config = { config with batching = false }
 let unordered config = { config with ordered = false }
+
+let rto_us = 40.0
+let rto_backoff = 2.0
+let rto_max_us = 2_000.0
+let max_retries = 50
+let flush_window_us = 2.0
+let delayed_ack_us = 8.0
+let max_batch = 32
+let max_ooo = 512
 
 (* Retransmission timeout after [retries] consecutive retransmissions with
    no window progress: capped exponential backoff, so a partitioned or dead
@@ -47,9 +31,9 @@ let backoff_jitter ~src ~dst ~retries =
   in
   float_of_int (h land 0xffff) /. 65536.0
 
-let rto_after config ~src ~dst ~retries =
-  let raw = config.rto_us *. (config.rto_backoff ** float_of_int retries) in
-  let capped = Float.min raw config.rto_max_us in
+let rto_after ~src ~dst ~retries =
+  let raw = rto_us *. (rto_backoff ** float_of_int retries) in
+  let capped = Float.min raw rto_max_us in
   capped *. (1.0 +. (0.1 *. backoff_jitter ~src ~dst ~retries))
 
 (* Wire framing.  A [Batch] replaces N [Data]+[Ack] pairs: its size is the
@@ -79,7 +63,6 @@ let hole : Msg.payload * int = (Ring_hole, 0)
 
 (* Legacy (unbatched) per-message in-flight record. *)
 type pending = {
-  p_dst : Msg.node_id;
   p_payload : Msg.payload;
   p_size : int;
   mutable p_retries : int;
@@ -182,8 +165,7 @@ let engine t = Fabric.engine t.fabric
 let retransmissions t = Metrics.Counter.get t.c_retransmissions
 let backoffs t = Metrics.Counter.get t.c_backoff
 
-let flow_rto t fl ~retries =
-  rto_after t.config ~src:fl.f_src ~dst:fl.f_dst ~retries
+let flow_rto fl ~retries = rto_after ~src:fl.f_src ~dst:fl.f_dst ~retries
 
 let stats t =
   {
@@ -324,7 +306,7 @@ let send_window ?(retx = false) t fl ~lo ~hi =
   let rev = t.flows.(fl.f_dst).(fl.f_src) in
   let rec go lo =
     if lo <= hi then begin
-      let n = min t.config.max_batch (hi - lo + 1) in
+      let n = min max_batch (hi - lo + 1) in
       let mask = Array.length fl.ring - 1 in
       (* Assemble the frame straight from the ring, back to front, reusing
          the stored (payload, size) pairs: one cons per payload, no
@@ -381,7 +363,7 @@ let rec on_rto t fl =
   fl.rto_ev <- None;
   if tx_window fl > 0 then begin
     let now = Engine.now (engine t) in
-    let deadline = fl.rto_progress_at +. flow_rto t fl ~retries:fl.tx_retries in
+    let deadline = fl.rto_progress_at +. flow_rto fl ~retries:fl.tx_retries in
     if deadline > now +. 1e-9 then
       (* The window advanced since this timer was armed: push the timer out
          to the oldest-unacked deadline instead of retransmitting. *)
@@ -392,7 +374,7 @@ let rec on_rto t fl =
     then
       (* A dead endpoint is the membership service's problem, not ours. *)
       reset_tx t fl
-    else if fl.tx_retries >= t.config.max_retries then reset_tx t fl
+    else if fl.tx_retries >= max_retries then reset_tx t fl
     else begin
       (* Go-back-N: resend the whole unacked window as one burst (any
          not-yet-flushed tail included — it is leaving now anyway). *)
@@ -406,7 +388,7 @@ let rec on_rto t fl =
       fl.rto_ev <-
         Some
           (Engine.schedule (engine t)
-             ~after:(flow_rto t fl ~retries:fl.tx_retries)
+             ~after:(flow_rto fl ~retries:fl.tx_retries)
              (fun () -> on_rto t fl))
     end
   end
@@ -421,7 +403,7 @@ let flush_flow t fl =
       fl.rto_ev <-
         Some
           (Engine.schedule (engine t)
-             ~after:(flow_rto t fl ~retries:fl.tx_retries)
+             ~after:(flow_rto fl ~retries:fl.tx_retries)
              (fun () -> on_rto t fl))
     end
   end
@@ -454,16 +436,15 @@ let send_batched t fl ~size payload =
     fl.queued <- true;
     t.dirty.(fl.f_src) := fl :: !(t.dirty.(fl.f_src));
     if t.node_flush_ev.(fl.f_src) = None then
-      schedule_node_flush t fl.f_src ~after:t.config.flush_window_us
+      schedule_node_flush t fl.f_src ~after:flush_window_us
   end
 
 (* Doorbell: flush [node]'s unflushed frames at the end of the current
    instant instead of waiting out the flush window.  Everything enqueued at
    this timestamp (e.g. all sends of one protocol-handler activation) still
-   coalesces, but no latency is added.  A no-op with a zero window, where
-   every send already behaves this way. *)
+   coalesces, but no latency is added. *)
 let flush t node =
-  if t.config.batching && t.config.flush_window_us > 0.0 then
+  if t.config.batching then
     match t.node_flush_ev.(node) with
     | Some _ -> schedule_node_flush t node ~after:0.0
     | None -> ()
@@ -494,7 +475,7 @@ let schedule_dack t fl =
   if fl.dack_ev = None then
     fl.dack_ev <-
       Some
-        (Engine.schedule (engine t) ~after:t.config.delayed_ack_us (fun () ->
+        (Engine.schedule (engine t) ~after:delayed_ack_us (fun () ->
              fl.dack_ev <- None;
              if fl.ack_owed && Fabric.is_alive t.fabric fl.f_dst then begin
                fl.ack_owed <- false;
@@ -513,10 +494,7 @@ let handle_batch t fl ~inc ~first_seq ~items =
         if
           seq <= fl.watermark || Hashtbl.mem fl.ooo seq
           || Hashtbl.mem fl.seen_ahead seq
-        then begin
-          (* Duplicate (a retransmitted window overlapping delivery). *)
-          if not t.config.dedup then deliver t ~dst:fl.f_dst ~src:fl.f_src payload
-        end
+        then ()  (* duplicate: a retransmitted window overlapping delivery *)
         else if seq = fl.watermark + 1 then begin
           fl.watermark <- seq;
           deliver t ~dst:fl.f_dst ~src:fl.f_src payload;
@@ -528,7 +506,7 @@ let handle_batch t fl ~inc ~first_seq ~items =
             done
         end
         else if t.config.ordered then begin
-          if Hashtbl.length fl.ooo < t.config.max_ooo then
+          if Hashtbl.length fl.ooo < max_ooo then
             (* Ahead of the watermark: hold for in-order delivery; go-back-N
                retransmission fills the gap.  Beyond [max_ooo] we drop and
                rely on the retransmitted window instead — receive-side state
@@ -562,12 +540,12 @@ let rec arm_retransmit t fl seq p =
   p.p_timer <-
     Some
       (Engine.schedule (engine t)
-         ~after:(flow_rto t fl ~retries:p.p_retries)
+         ~after:(flow_rto fl ~retries:p.p_retries)
          (fun () ->
            p.p_timer <- None;
            if Hashtbl.mem fl.inflight seq then begin
              if
-               p.p_retries < t.config.max_retries
+               p.p_retries < max_retries
                && Fabric.is_alive t.fabric fl.f_src
                && Fabric.is_alive t.fabric fl.f_dst
              then begin
@@ -584,10 +562,7 @@ let rec arm_retransmit t fl seq p =
 let send_legacy t fl ~size payload =
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
-  let p =
-    { p_dst = fl.f_dst; p_payload = payload; p_size = size; p_retries = 0; p_timer = None }
-  in
-  ignore p.p_dst;
+  let p = { p_payload = payload; p_size = size; p_retries = 0; p_timer = None } in
   Hashtbl.replace fl.inflight seq p;
   Metrics.Counter.incr t.c_frames;
   Metrics.Counter.incr t.c_payloads;
@@ -602,21 +577,18 @@ let handle_data_legacy t fl ~seq ~inc ~inner =
     Metrics.Counter.incr t.c_acks_standalone;
     Fabric.send t.fabric ~src:fl.f_dst ~dst:fl.f_src ~size:ack_bytes
       (Ack { seq; inc });
-    if t.config.dedup then begin
-      let dup = seq <= fl.watermark || Hashtbl.mem fl.seen_ahead seq in
-      if not dup then begin
-        if seq = fl.watermark + 1 then begin
-          fl.watermark <- seq;
-          while Hashtbl.mem fl.seen_ahead (fl.watermark + 1) do
-            Hashtbl.remove fl.seen_ahead (fl.watermark + 1);
-            fl.watermark <- fl.watermark + 1
-          done
-        end
-        else Hashtbl.replace fl.seen_ahead seq ();
-        deliver t ~dst:fl.f_dst ~src:fl.f_src inner
+    let dup = seq <= fl.watermark || Hashtbl.mem fl.seen_ahead seq in
+    if not dup then begin
+      if seq = fl.watermark + 1 then begin
+        fl.watermark <- seq;
+        while Hashtbl.mem fl.seen_ahead (fl.watermark + 1) do
+          Hashtbl.remove fl.seen_ahead (fl.watermark + 1);
+          fl.watermark <- fl.watermark + 1
+        done
       end
+      else Hashtbl.replace fl.seen_ahead seq ();
+      deliver t ~dst:fl.f_dst ~src:fl.f_src inner
     end
-    else deliver t ~dst:fl.f_dst ~src:fl.f_src inner
   end
 
 let handle_ack_legacy t fl ~seq ~inc =
@@ -659,7 +631,7 @@ let create ?(config = default_config) ?telemetry fabric =
       c_payloads = Metrics.Counter.v m "transport.payloads";
       c_acks_piggybacked = Metrics.Counter.v m "transport.acks_piggybacked";
       c_acks_standalone = Metrics.Counter.v m "transport.acks_standalone";
-      h_occupancy = Metrics.Histogram.v m ~lo:1.0 ~decades:3 ~per_decade:10 "transport.batch_occupancy";
+      h_occupancy = Metrics.Histogram.v m "transport.batch_occupancy";
       trace = Hub.trace hub;
     }
   in

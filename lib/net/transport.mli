@@ -4,10 +4,13 @@
     DPDK (§3.1, §7): low-level retransmission recovers lost messages,
     receivers deduplicate, and protocol messages to the same peer are
     coalesced into batched frames to amortize per-frame overheads.  This
-    module reproduces it with two modes:
+    module reproduces it.  Its {!config} holds the two switches the
+    experiments vary, [batching] and [ordered]; the timers, window sizes
+    and retry budget are the calibrated constants below it.  Receivers
+    always deduplicate.
 
     {b Batched} (default, [batching = true]): messages to the same
-    destination enqueued within [flush_window_us] (or within one simulator
+    destination enqueued within {!flush_window_us} (or within one simulator
     instant — the "doorbell") are packed into a single multi-payload
     [Batch] frame whose fabric size is the sum of its parts plus one
     header.  The receiver delivers in order behind a cumulative watermark,
@@ -30,29 +33,7 @@
     old incarnation are ignored. *)
 
 type config = {
-  rto_us : float;  (** base retransmission timeout *)
-  rto_backoff : float;
-      (** multiplier applied per consecutive retransmission without window
-          progress (capped exponential backoff with deterministic jitter);
-          progress resets the timeout to [rto_us].  [1.0] restores the
-          historical fixed-rate behaviour *)
-  rto_max_us : float;  (** backoff ceiling *)
-  max_retries : int;
-      (** give up after this many retransmissions (a crashed peer is the
-          membership service's problem) *)
-  dedup : bool;  (** deduplicate on the receive side *)
   batching : bool;  (** coalesce frames + cumulative acks (default on) *)
-  flush_window_us : float;
-      (** how long an enqueued message may wait for companions before its
-          flow is flushed; 0 = flush at the end of the current instant *)
-  delayed_ack_us : float;
-      (** how long the receiver withholds a standalone cumulative ack
-          hoping to piggyback it on reverse-direction data *)
-  max_batch : int;  (** max payloads packed into one [Batch] frame *)
-  max_ooo : int;
-      (** receive-side out-of-order window; payloads beyond it are dropped
-          and recovered by retransmission, keeping state bounded; only
-          read in ordered mode *)
   ordered : bool;
       (** [true] (default): per-flow in-order delivery — payloads ahead of
           the cumulative watermark are held in the OOO window until the
@@ -74,6 +55,39 @@ val unordered : config -> config
 (** [unordered c] is [c] with [ordered = false] — reliable exactly-once
     delivery without the per-flow ordering guarantee. *)
 
+(** {1 Calibrated constants} *)
+
+val rto_us : float
+(** Base retransmission timeout: 40 µs. *)
+
+val rto_backoff : float
+(** Multiplier applied per consecutive retransmission without window
+    progress (capped exponential backoff with deterministic jitter);
+    progress resets the timeout to {!rto_us}. *)
+
+val rto_max_us : float
+(** Backoff ceiling. *)
+
+val max_retries : int
+(** Give up after this many retransmissions (a crashed peer is the
+    membership service's problem). *)
+
+val flush_window_us : float
+(** How long an enqueued message may wait for companions before its flow
+    is flushed: 2 µs. *)
+
+val delayed_ack_us : float
+(** How long the receiver withholds a standalone cumulative ack hoping to
+    piggyback it on reverse-direction data. *)
+
+val max_batch : int
+(** Max payloads packed into one [Batch] frame. *)
+
+val max_ooo : int
+(** Receive-side out-of-order window; payloads beyond it are dropped and
+    recovered by retransmission, keeping state bounded.  Only read in
+    ordered mode. *)
+
 type t
 
 val create : ?config:config -> ?telemetry:Zeus_telemetry.Hub.t -> Fabric.t -> t
@@ -89,7 +103,7 @@ val set_handler : t -> Msg.node_id -> (src:Msg.node_id -> Msg.payload -> unit) -
 (** Application-level receive handler for a node. *)
 
 val send : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
-(** Reliable send: retransmits until acknowledged or [max_retries] is
+(** Reliable send: retransmits until acknowledged or {!max_retries} is
     exhausted.  In batched mode the payload is queued on the per-peer flow
     and leaves with the next flush. *)
 
@@ -98,7 +112,7 @@ val flush : t -> Msg.node_id -> unit
     current simulator instant instead of waiting out the flush window.
     All sends enqueued at the current timestamp still coalesce; no latency
     is added.  Protocol agents ring this after a fan-out burst.  No-op in
-    legacy mode or with a zero flush window. *)
+    legacy mode. *)
 
 val send_unreliable : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
 (** Plain fabric send, bypassing retransmission (used for traffic where the
@@ -120,10 +134,10 @@ val backoffs : t -> int
 (** Retransmission bursts fired (each re-armed with a backed-off timeout);
     mirrors the [transport.backoff] counter. *)
 
-val rto_after : config -> src:Msg.node_id -> dst:Msg.node_id -> retries:int -> float
+val rto_after : src:Msg.node_id -> dst:Msg.node_id -> retries:int -> float
 (** The timeout armed after [retries] consecutive retransmissions without
     window progress: [rto_us * rto_backoff^retries], capped at
-    [rto_max_us], plus up to 10 % of deterministic per-flow jitter (a pure
+    {!rto_max_us}, plus up to 10 % of deterministic per-flow jitter (a pure
     hash of [src], [dst], [retries] — no RNG draw, so arming a timer never
     perturbs the simulation's random streams).  Exposed for tests. *)
 

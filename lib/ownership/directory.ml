@@ -37,11 +37,6 @@ let size t = Dense_map.size t.entries
 let iter t fn = Dense_map.iter t.entries fn
 let clear t = Dense_map.clear t.entries
 
-let effective_ts entry =
-  match entry.pending with
-  | Some p when Ots.(p.o_ts > entry.o_ts) -> p.o_ts
-  | Some _ | None -> entry.o_ts
-
 let set_pending entry p =
   entry.pending <- Some p;
   entry.o_state <- (if p.driving then Types.O_drive else Types.O_invalid)

@@ -49,9 +49,6 @@ val iter : t -> (entry -> unit) -> unit
 
 val clear : t -> unit
 
-val effective_ts : entry -> Ots.t
-(** The timestamp new INVs must beat: max of applied and pending. *)
-
 val set_pending : entry -> pending -> unit
 val clear_pending : entry -> unit
 (** Roll back to the last applied state. *)

@@ -1,7 +1,6 @@
 type t = { owner : Types.node_id option; readers : Types.node_id list }
 
 let v ~owner ~readers = { owner = Some owner; readers = List.filter (fun r -> r <> owner) readers }
-let no_owner ~readers = { owner = None; readers }
 
 let all t =
   match t.owner with

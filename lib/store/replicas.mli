@@ -7,7 +7,6 @@
 type t = { owner : Types.node_id option; readers : Types.node_id list }
 
 val v : owner:Types.node_id -> readers:Types.node_id list -> t
-val no_owner : readers:Types.node_id list -> t
 
 val all : t -> Types.node_id list
 (** Owner (if any) followed by readers, no duplicates. *)

@@ -8,5 +8,4 @@ let none () =
 
 let metrics t = t.metrics
 let trace t = t.trace
-let set_tracing t on = Trace.set_enabled t.trace on
 let tracing t = Trace.enabled t.trace

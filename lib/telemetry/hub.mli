@@ -15,5 +15,4 @@ val none : unit -> t
 
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
-val set_tracing : t -> bool -> unit
 val tracing : t -> bool

@@ -4,30 +4,19 @@ module Rng = Zeus_sim.Rng
 type t = {
   counters : Stats.Counter.t;
   mutable hists : (string * hist) list;  (* registration order, newest first *)
-  mutable gauges : (string * float ref) list;
   rng : Rng.t;
 }
 
 and hist = {
   h_name : string;
-  lo : float;                 (* lower bound of the first finite bucket *)
-  per_decade : int;           (* log-scale resolution: buckets per decade *)
-  buckets : int array;        (* [0] = underflow, last = overflow *)
   summary : Stats.Summary.t;
   samples : Stats.Samples.t;  (* reservoir: exact percentiles, reused code *)
 }
 
-let create ?(seed = 0x7e1eL) () =
-  {
-    counters = Stats.Counter.create ();
-    hists = [];
-    gauges = [];
-    rng = Rng.create seed;
-  }
-
+let seed = 0x7e1eL
+let create () = { counters = Stats.Counter.create (); hists = []; rng = Rng.create seed }
 let counters t = Stats.Counter.to_list t.counters
 let histograms t = List.rev t.hists
-let gauges t = List.rev_map (fun (n, g) -> (n, !g)) t.gauges
 
 module Counter = struct
   type h = int ref
@@ -38,85 +27,31 @@ module Counter = struct
   let v t name = Stats.Counter.cell t.counters name
   let incr ?(by = 1) c = c := !c + by
   let get c = !c
-  let set c n = c := n
-end
-
-module Gauge = struct
-  type h = float ref
-
-  let v t name =
-    match List.assoc_opt name t.gauges with
-    | Some g -> g
-    | None ->
-      let g = ref 0.0 in
-      t.gauges <- (name, g) :: t.gauges;
-      g
-
-  let set g x = g := x
-  let add g x = g := !g +. x
-  let get g = !g
 end
 
 module Histogram = struct
   type h = hist
 
-  let default_lo = 0.01      (* 10 ns: below any modelled CPU cost *)
-  let default_decades = 8    (* .. up to 1 s of sim time *)
-  let default_per_decade = 5
+  let make ~rng name =
+    { h_name = name; summary = Stats.Summary.create (); samples = Stats.Samples.create rng }
 
-  let make ~rng ?(lo = default_lo) ?(decades = default_decades)
-      ?(per_decade = default_per_decade) name =
-    assert (lo > 0.0 && decades > 0 && per_decade > 0);
-    {
-      h_name = name;
-      lo;
-      per_decade;
-      (* + underflow and overflow *)
-      buckets = Array.make ((decades * per_decade) + 2) 0;
-      summary = Stats.Summary.create ();
-      samples = Stats.Samples.create rng;
-    }
+  (* Standalone (unregistered) histogram, e.g. one per workload run. *)
+  let create name = make ~rng:(Rng.create seed) name
 
-  let create ?lo ?decades ?per_decade name =
-    (* Standalone (unregistered) histogram, e.g. one per workload run. *)
-    make ~rng:(Rng.create 0x7e1eL) ?lo ?decades ?per_decade name
-
-  let v t ?lo ?decades ?per_decade name =
+  let v t name =
     match List.assoc_opt name t.hists with
     | Some h -> h
     | None ->
-      let h = make ~rng:t.rng ?lo ?decades ?per_decade name in
+      let h = make ~rng:t.rng name in
       t.hists <- (name, h) :: t.hists;
       h
 
-  let n_finite h = Array.length h.buckets - 2
-
-  (* Bucket index for value [x]: 0 is underflow (x < lo), the last bucket
-     is overflow; finite bucket [i] covers [lo*10^((i-1)/pd), lo*10^(i/pd)). *)
-  let index h x =
-    if Float.is_nan x then -1
-    else if x < h.lo then 0
-    else begin
-      let i = int_of_float (floor (Float.log10 (x /. h.lo) *. float_of_int h.per_decade)) in
-      if i >= n_finite h then n_finite h + 1 else 1 + max 0 i
-    end
-
-  let bucket_lo h i =
-    if i <= 0 then 0.0
-    else h.lo *. Float.pow 10.0 (float_of_int (i - 1) /. float_of_int h.per_decade)
-
-  let bucket_hi h i =
-    if i >= n_finite h + 1 then infinity
-    else if i = 0 then h.lo
-    else h.lo *. Float.pow 10.0 (float_of_int i /. float_of_int h.per_decade)
-
   let observe h x =
-    match index h x with
-    | -1 -> ()  (* NaN: never poison the distribution *)
-    | i ->
-      h.buckets.(i) <- h.buckets.(i) + 1;
+    (* NaN: never poison the distribution *)
+    if not (Float.is_nan x) then begin
       Stats.Summary.add h.summary x;
       Stats.Samples.add h.samples x
+    end
 
   let name h = h.h_name
   let count h = Stats.Summary.count h.summary
@@ -125,34 +60,4 @@ module Histogram = struct
   let min h = Stats.Summary.min h.summary
   let max h = Stats.Summary.max h.summary
   let percentile h p = Stats.Samples.percentile h.samples p
-
-  let percentile_bucketed h p =
-    (* Coarse log-bucket estimate (geometric interpolation inside the
-       winning bucket) — bounded memory even past the reservoir cap. *)
-    let total = Array.fold_left ( + ) 0 h.buckets in
-    if total = 0 then nan
-    else begin
-      let p = Float.max 0.0 (Float.min 100.0 p) in
-      let target = p /. 100.0 *. float_of_int total in
-      let rec find i acc =
-        if i >= Array.length h.buckets then Array.length h.buckets - 1
-        else begin
-          let acc' = acc +. float_of_int h.buckets.(i) in
-          if acc' >= target && h.buckets.(i) > 0 then i else find (i + 1) acc'
-        end
-      in
-      let i = find 0 0.0 in
-      let lo = bucket_lo h i and hi = bucket_hi h i in
-      if i = 0 then lo +. ((hi -. lo) /. 2.0)
-      else if Float.is_finite hi then sqrt (lo *. hi)
-      else lo
-    end
-
-  let nonzero_buckets h =
-    let acc = ref [] in
-    for i = Array.length h.buckets - 1 downto 0 do
-      if h.buckets.(i) > 0 then
-        acc := (bucket_lo h i, bucket_hi h i, h.buckets.(i)) :: !acc
-    done;
-    !acc
 end

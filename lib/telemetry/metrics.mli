@@ -1,34 +1,25 @@
-(** Typed metric registry: counters, gauges, and log-scale latency
-    histograms.
+(** Typed metric registry: counters and latency histograms.
 
     Call sites register once ([Counter.v], [Histogram.v]) and keep the
     returned {e handle} — an OCaml value, so a typo in a metric name is a
     compile error at the declaration site, not a silently fresh counter.
     {!Zeus_sim.Stats} remains the underlying storage: counter handles are
     [Stats.Counter] cells (resolved once, so the hot path is a single ref
-    update) and histograms embed a [Stats.Samples] reservoir so the
-    existing percentile code is reused, not duplicated.
-
-    Histograms additionally keep fixed log-scale buckets ([per_decade]
-    buckets per decade between [lo] and [lo·10^decades], plus underflow
-    and overflow), giving bounded-memory distribution estimates
-    ({!Histogram.percentile_bucketed}, {!Histogram.nonzero_buckets}) even
-    beyond the reservoir cap. *)
+    update) and histograms embed a [Stats.Summary] and a [Stats.Samples]
+    reservoir so the existing percentile code is reused, not duplicated. *)
 
 type t
 type hist
 
-val create : ?seed:int64 -> unit -> t
-(** A fresh registry.  [seed] feeds the histogram reservoirs'
-    deterministic RNG. *)
+val create : unit -> t
+(** A fresh registry.  Its histogram reservoirs share one RNG with a
+    fixed seed, so runs are deterministic. *)
 
 val counters : t -> (string * int) list
 (** All registered counters, sorted by name. *)
 
 val histograms : t -> (string * hist) list
 (** In registration order. *)
-
-val gauges : t -> (string * float) list
 
 module Counter : sig
   type h = int ref
@@ -38,27 +29,15 @@ module Counter : sig
 
   val incr : ?by:int -> h -> unit
   val get : h -> int
-  val set : h -> int -> unit
-end
-
-module Gauge : sig
-  type h = float ref
-
-  val v : t -> string -> h
-  val set : h -> float -> unit
-  val add : h -> float -> unit
-  val get : h -> float
 end
 
 module Histogram : sig
   type h = hist
 
-  val v :
-    t -> ?lo:float -> ?decades:int -> ?per_decade:int -> string -> h
-  (** Register (or look up) a histogram.  Defaults: [lo = 0.01] µs,
-      [decades = 8], [per_decade = 5] — 10 ns to 1 s of sim time. *)
+  val v : t -> string -> h
+  (** Register (or look up) a histogram; idempotent per name. *)
 
-  val create : ?lo:float -> ?decades:int -> ?per_decade:int -> string -> h
+  val create : string -> h
   (** A standalone, unregistered histogram (e.g. one per workload run). *)
 
   val observe : h -> float -> unit
@@ -73,19 +52,4 @@ module Histogram : sig
 
   val percentile : h -> float -> float
   (** Exact (reservoir-based) percentile; [nan] when empty. *)
-
-  val percentile_bucketed : h -> float -> float
-  (** Log-bucket estimate with geometric interpolation — bounded memory,
-      within one bucket width of the truth. *)
-
-  val nonzero_buckets : h -> (float * float * int) list
-  (** [(bucket_lo, bucket_hi, count)] for populated buckets, ascending.
-      Underflow reports [lo = 0.]; overflow reports [hi = infinity]. *)
-
-  val index : h -> float -> int
-  (** Bucket index for a value ([-1] for NaN; 0 = underflow; last =
-      overflow) — exposed for tests. *)
-
-  val bucket_lo : h -> int -> float
-  val bucket_hi : h -> int -> float
 end

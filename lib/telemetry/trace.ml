@@ -16,7 +16,7 @@ let null_span =
 
 type t = {
   now : unit -> float;
-  mutable enabled : bool;
+  enabled : bool;
   max_spans : int;
   mutable items : span list;  (* newest first *)
   mutable count : int;
@@ -27,7 +27,6 @@ type t = {
 let create ?(enabled = false) ?(max_spans = 2_000_000) ~now () =
   { now; enabled; max_spans; items = []; count = 0; dropped = 0; next_id = 0 }
 
-let set_enabled t on = t.enabled <- on
 let enabled t = t.enabled
 let dropped t = t.dropped
 let count t = t.count
@@ -56,8 +55,6 @@ let start_span t ~cat ~pid ?(tid = 0) ?(parent = null_span) ?(args = []) name =
     record t sp;
     sp
   end
-
-let add_args sp args = if not (is_null sp) then sp.args <- sp.args @ args
 
 let finish_at t ~stop ?(args = []) sp =
   ignore t;

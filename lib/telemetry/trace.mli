@@ -34,7 +34,6 @@ val create : ?enabled:bool -> ?max_spans:int -> now:(unit -> float) -> unit -> t
 (** [max_spans] bounds memory (default 2M); further spans are counted as
     {!dropped} rather than recorded. *)
 
-val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 val count : t -> int
 val dropped : t -> int
@@ -56,8 +55,6 @@ val finish : t -> ?args:(string * string) list -> span -> unit
     ignored. *)
 
 val finish_at : t -> stop:float -> ?args:(string * string) list -> span -> unit
-
-val add_args : span -> (string * string) list -> unit
 
 val complete :
   t ->

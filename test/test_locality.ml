@@ -41,7 +41,7 @@ let test_log_top_node () =
 (* ---------- predictor ---------- *)
 
 let test_predictor_directional () =
-  let p = Loc.Predictor.create ~nodes:4 () in
+  let p = Loc.Predictor.create ~nodes:4 in
   let log = Loc.Access_log.create ~nodes:4 () in
   Loc.Predictor.note_owner p ~key:5 ~owner:0 ~now:0.0;
   Loc.Predictor.note_owner p ~key:5 ~owner:1 ~now:100.0;
@@ -53,7 +53,7 @@ let test_predictor_directional () =
   | None -> Alcotest.fail "expected a directional prediction"
 
 let test_predictor_frequency () =
-  let p = Loc.Predictor.create ~nodes:3 () in
+  let p = Loc.Predictor.create ~nodes:3 in
   let log = Loc.Access_log.create ~config:log_config ~nodes:3 () in
   for _ = 1 to 9 do
     Loc.Access_log.record log ~key:4 ~node:1 ~now:5.0
@@ -69,7 +69,7 @@ let test_predictor_frequency () =
 
 let test_planner_hysteresis () =
   let planner = Loc.Planner.create () in
-  let predictor = Loc.Predictor.create ~nodes:2 () in
+  let predictor = Loc.Predictor.create ~nodes:2 in
   let log = Loc.Access_log.create ~config:log_config ~nodes:2 () in
   (* node 1 at 3 accesses vs holder 0 at 2: confident prediction, but under
      the 2x hysteresis bar -> Stay *)
@@ -93,8 +93,7 @@ let test_planner_hysteresis () =
   | d -> Alcotest.failf "expected Prefetch, got %a" Loc.Planner.pp_decision d
 
 let test_planner_pin_and_expiry () =
-  let config = Loc.Planner.default_config in
-  let planner = Loc.Planner.create ~config () in
+  let planner = Loc.Planner.create () in
   (* 4 alternating moves inside the window: thrash, pinned where it landed *)
   Loc.Planner.note_migration planner ~key:3 ~owner:0 ~now:0.0;
   Loc.Planner.note_migration planner ~key:3 ~owner:1 ~now:50.0;
@@ -110,7 +109,7 @@ let test_planner_pin_and_expiry () =
   (* while pinned: no re-pin, and decide reports the pin *)
   Loc.Planner.note_migration planner ~key:3 ~owner:0 ~now:250.0;
   check Alcotest.int "no re-pin while pinned" 1 (Loc.Planner.pins_set planner);
-  let expiry = 150.0 +. config.Loc.Planner.pin_us in
+  let expiry = 150.0 +. Loc.Planner.pin_us in
   check
     Alcotest.(option int)
     "pin expires" None
@@ -221,7 +220,7 @@ let prop_predictor_deterministic =
     QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 10) (int_bound 3)))
     (fun events ->
       let feed () =
-        let p = Loc.Predictor.create ~nodes:4 () in
+        let p = Loc.Predictor.create ~nodes:4 in
         let log = Loc.Access_log.create ~nodes:4 () in
         List.iteri
           (fun i (key, owner) ->

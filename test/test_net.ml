@@ -280,11 +280,11 @@ let transport_survives_loss () =
   let sorted = List.sort compare (List.map snd !log) in
   check Alcotest.(list int) "exactly once" (List.init 50 (fun i -> i + 1)) sorted
 
-let transport_dedup_duplication () =
+let transport_dedup_duplication config () =
   let e, t =
     transport_setup
       ~fabric_config:{ Fabric.default_config with Fabric.dup_prob = 1.0 }
-      ()
+      ~config ()
   in
   let log = tcollect t 1 in
   for i = 1 to 10 do
@@ -292,18 +292,6 @@ let transport_dedup_duplication () =
   done;
   Engine.run e;
   check Alcotest.int "deduplicated" 10 (List.length !log)
-
-let transport_no_dedup_mode () =
-  let e, t =
-    transport_setup
-      ~fabric_config:{ Fabric.default_config with Fabric.dup_prob = 1.0 }
-      ~config:{ Transport.default_config with Transport.dedup = false }
-      ()
-  in
-  let log = tcollect t 1 in
-  Transport.send t ~src:0 ~dst:1 (Ping 1);
-  Engine.run e;
-  check Alcotest.bool "duplicates visible" true (List.length !log >= 2)
 
 let transport_gives_up_on_dead_peer () =
   let e, t = transport_setup () in
@@ -328,23 +316,22 @@ let transport_crash_clears_timers () =
   check Alcotest.int "no stuck retransmit timers" 0 (Engine.pending e)
 
 let transport_backoff_deterministic () =
-  let c = Transport.default_config in
-  let rto = Transport.rto_after c in
+  let rto = Transport.rto_after in
   (* pure: same flow and retry count, same timeout — twice *)
   check (Alcotest.float 0.0) "deterministic" (rto ~src:0 ~dst:1 ~retries:3)
     (rto ~src:0 ~dst:1 ~retries:3);
   (* first shot starts at the base (plus at most 10% jitter) *)
   let r0 = rto ~src:0 ~dst:1 ~retries:0 in
-  check Alcotest.bool "base rto" true (r0 >= c.Transport.rto_us && r0 <= 1.1 *. c.Transport.rto_us);
+  check Alcotest.bool "base rto" true (r0 >= Transport.rto_us && r0 <= 1.1 *. Transport.rto_us);
   (* grows while under the cap, never exceeds cap + jitter *)
   for r = 0 to 4 do
     let a = rto ~src:0 ~dst:1 ~retries:r and b = rto ~src:0 ~dst:1 ~retries:(r + 1) in
-    if b < a && a < c.Transport.rto_max_us then
+    if b < a && a < Transport.rto_max_us then
       Alcotest.failf "backoff shrank below the cap: retries=%d %.1f -> %.1f" r a b
   done;
   for r = 0 to 20 do
     let v = rto ~src:0 ~dst:1 ~retries:r in
-    if v > 1.1 *. c.Transport.rto_max_us then
+    if v > 1.1 *. Transport.rto_max_us then
       Alcotest.failf "backoff exceeded cap: retries=%d %.1f" r v
   done;
   (* distinct flows jitter apart (desynchronizing simultaneous probers) *)
@@ -353,18 +340,16 @@ let transport_backoff_deterministic () =
 
 let transport_backoff_collapses_probe_rate () =
   (* against an unreachable peer, backoff must spend far fewer
-     retransmissions than the historical fixed-rate transport over the
-     same virtual-time horizon *)
-  let probe config =
-    let e, t = transport_setup ~config () in
-    let _ = tcollect t 1 in
-    Fabric.partition (Transport.fabric t) 0 1;
-    Transport.send t ~src:0 ~dst:1 (Ping 1);
-    Engine.run ~until:5_000.0 e;
-    Transport.retransmissions t
-  in
-  let fixed = probe { Transport.default_config with Transport.rto_backoff = 1.0 } in
-  let backed = probe Transport.default_config in
+     retransmissions than a fixed-rate transport (one probe per [rto_us],
+     up to the retry budget) over the same virtual-time horizon *)
+  let horizon = 5_000.0 in
+  let e, t = transport_setup () in
+  let _ = tcollect t 1 in
+  Fabric.partition (Transport.fabric t) 0 1;
+  Transport.send t ~src:0 ~dst:1 (Ping 1);
+  Engine.run ~until:horizon e;
+  let backed = Transport.retransmissions t in
+  let fixed = min (int_of_float (horizon /. Transport.rto_us)) Transport.max_retries in
   if backed * 3 > fixed then
     Alcotest.failf "backoff did not collapse probing: fixed=%d backed-off=%d" fixed backed
 
@@ -443,18 +428,20 @@ let transport_batched_in_order_under_reorder () =
     (List.rev_map snd !log)
 
 let transport_doorbell_flushes_early () =
-  (* With a large flush window, the doorbell must release the batch at the
-     current instant instead of waiting out the window. *)
-  let config = { Transport.default_config with Transport.flush_window_us = 500.0 } in
-  let e, t = transport_setup ~config () in
+  (* The doorbell must release the batch at the send instant instead of
+     waiting out the flush window; a flow nobody rang (2 -> 1) still
+     waits for it. *)
+  let e, t = transport_setup () in
   let log = tcollect t 1 in
   Transport.send t ~src:0 ~dst:1 (Ping 1);
   Transport.send t ~src:0 ~dst:1 (Ping 2);
+  Transport.send t ~src:2 ~dst:1 (Ping 3);
   Transport.flush t 0;
+  Engine.run ~until:0.0 e;
+  check Alcotest.int "only the rung batch left at the send instant" 1
+    (Fabric.messages_sent (Transport.fabric t));
   Engine.run e;
-  check Alcotest.int "delivered" 2 (List.length !log);
-  (* fabric latency only: base 4µs + jitter, nowhere near the 500µs window *)
-  check Alcotest.bool "no window delay" true (Engine.now e < 100.0)
+  check Alcotest.int "delivered" 3 (List.length !log)
 
 let transport_crash_symmetric_cleanup () =
   (* Peers' send-side state toward a crashed node is dropped at crash time
@@ -519,8 +506,10 @@ let suite =
     tc "fabric: invalid configs rejected at construction" fabric_rejects_invalid_config;
     tc "transport: delivers" transport_delivers;
     tc "transport: exactly-once under 40% loss" transport_survives_loss;
-    tc "transport: dedup under duplication" transport_dedup_duplication;
-    tc "transport: dedup can be disabled" transport_no_dedup_mode;
+    tc "transport: dedup under duplication"
+      (transport_dedup_duplication Transport.default_config);
+    tc "transport: dedup under duplication (unbatched)"
+      (transport_dedup_duplication (Transport.unbatched Transport.default_config));
     tc "transport: gives up on dead peer" transport_gives_up_on_dead_peer;
     tc "transport: crash clears retransmit state" transport_crash_clears_timers;
     tc "transport: backoff schedule is deterministic" transport_backoff_deterministic;

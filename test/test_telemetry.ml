@@ -1,4 +1,4 @@
-(* Telemetry layer: typed metrics (bucketing, percentile edge cases),
+(* Telemetry layer: typed metrics (registration, percentile edge cases),
    trace spans (nesting, ordering, idempotent finish, drop accounting),
    exporter JSON validity, and an end-to-end Smallbank trace check. *)
 
@@ -12,62 +12,6 @@ module W = Zeus_workload
 let tc = Helpers.tc
 let check = Alcotest.check
 let checkf = Alcotest.check (Alcotest.float 1e-9)
-
-(* ---- histogram bucketing ---- *)
-
-let bucket_index_bounds () =
-  let h = Metrics.Histogram.create ~lo:1.0 ~decades:3 ~per_decade:5 "t" in
-  (* Every in-range value must land in a bucket whose [lo, hi) contains it. *)
-  List.iter
-    (fun v ->
-      let i = Metrics.Histogram.index h v in
-      let lo = Metrics.Histogram.bucket_lo h i in
-      let hi = Metrics.Histogram.bucket_hi h i in
-      if not (lo <= v && v < hi) then
-        Alcotest.failf "value %g in bucket %d [%g, %g)" v i lo hi)
-    [ 1.0; 1.5; 2.0; 9.99; 10.0; 123.0; 999.0 ];
-  (* Below [lo] is underflow (index 0 with bucket_lo 0); past the top
-     decade is overflow (bucket_hi infinite). *)
-  let u = Metrics.Histogram.index h 0.5 in
-  check Alcotest.int "underflow index" 0 u;
-  checkf "underflow lo" 0.0 (Metrics.Histogram.bucket_lo h u);
-  let o = Metrics.Histogram.index h 5_000.0 in
-  check Alcotest.bool "overflow hi is inf" true
-    (Metrics.Histogram.bucket_hi h o = infinity);
-  check Alcotest.int "nan index" (-1) (Metrics.Histogram.index h nan)
-
-let bucket_index_monotone () =
-  let h = Metrics.Histogram.create ~lo:0.01 ~decades:8 ~per_decade:5 "t" in
-  let prev = ref (-1) in
-  let v = ref 0.005 in
-  while !v < 1.0e7 do
-    let i = Metrics.Histogram.index h !v in
-    if i < !prev then Alcotest.failf "index not monotone at %g" !v;
-    prev := i;
-    v := !v *. 1.07
-  done
-
-let bucketed_percentile_close () =
-  let h = Metrics.Histogram.create ~lo:0.01 ~decades:8 ~per_decade:5 "t" in
-  for i = 1 to 1_000 do
-    Metrics.Histogram.observe h (float_of_int i)
-  done;
-  List.iter
-    (fun p ->
-      let exact = Metrics.Histogram.percentile h p in
-      let est = Metrics.Histogram.percentile_bucketed h p in
-      (* A 5-per-decade log bucket spans a factor of 10^(1/5) ~ 1.58; the
-         estimate must stay within one bucket of the exact value. *)
-      if est < exact /. 1.6 || est > exact *. 1.6 then
-        Alcotest.failf "p%g: bucketed %g vs exact %g" p est exact)
-    [ 10.0; 50.0; 90.0; 99.0 ];
-  let total =
-    List.fold_left
-      (fun acc (_, _, n) -> acc + n)
-      0
-      (Metrics.Histogram.nonzero_buckets h)
-  in
-  check Alcotest.int "bucket counts sum to observations" 1_000 total
 
 (* ---- percentile edge cases ---- *)
 
@@ -283,9 +227,6 @@ let smallbank_phases () =
 
 let suite =
   [
-    tc "histogram: bucket index bounds" bucket_index_bounds;
-    tc "histogram: bucket index monotone" bucket_index_monotone;
-    tc "histogram: bucketed percentile near exact" bucketed_percentile_close;
     tc "histogram: percentile edge cases" percentile_edges;
     tc "metrics: registration idempotent" registry_idempotent;
     tc "trace: span nesting and ordering" span_nesting_and_ordering;

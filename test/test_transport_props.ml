@@ -15,7 +15,7 @@ type Zeus_net.Msg.payload += Msg of int
 let qtest = QCheck_alcotest.to_alcotest
 
 (* (loss, dup, reorder), [(src, dst, at_us); ...] — loss stays well under
-   the give-up threshold (max_retries = 50 go-back-N rounds), so delivery
+   the give-up threshold ([Transport.max_retries] go-back-N rounds), so delivery
    always completes and exactly-once is the right property. *)
 let case_gen =
   QCheck.Gen.(
