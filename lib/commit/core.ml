@@ -572,6 +572,13 @@ let handle_ack c ~tx ~sender =
 
 (* ---------- membership --------------------------------------------------- *)
 
+(* Keys are unique, so [compare] never reaches the values. *)
+let sorted_bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* Every walk below runs in ascending key order — threads then slots,
+   [(node, thread)] for follower pipes, [tx] for replays — so the effect
+   stream of a view change does not depend on hashtable layout. *)
 let view_change c ~view_epoch ~(vlive : bool array) =
   let st = c.st in
   let died = ref [] and revived = ref [] in
@@ -592,38 +599,36 @@ let view_change c ~view_epoch ~(vlive : bool array) =
     !revived;
   if !died <> [] then begin
     let alive n = vlive.(n) in
-    Hashtbl.iter
-      (fun _ pipe ->
-        let slots = Hashtbl.fold (fun _ s acc -> s :: acc) pipe.slots [] in
+    List.iter
+      (fun (_, pipe) ->
         List.iter
-          (fun s ->
+          (fun (_, s) ->
             s.s_missing <- List.filter alive s.s_missing;
             if s.s_missing = [] then finish_slot c pipe s)
-          slots)
-      st.pipelines;
-    let replays = Hashtbl.fold (fun _ s acc -> s :: acc) st.replaying [] in
+          (sorted_bindings pipe.slots))
+      (sorted_bindings st.pipelines);
     List.iter
-      (fun s ->
+      (fun (_, s) ->
         s.s_missing <- List.filter alive s.s_missing;
         if s.s_missing = [] then finish_replay c s)
-      replays;
+      (sorted_bindings st.replaying);
     st.recovering_epoch <- Some view_epoch;
-    Hashtbl.iter
-      (fun (pid : pipe_id) fp ->
+    List.iter
+      (fun ((pid : pipe_id), fp) ->
         if not (alive pid.node) then begin
           Hashtbl.reset fp.buffered;
-          Hashtbl.iter (fun _ si -> start_replay c si) fp.stored
+          List.iter (fun (_, si) -> start_replay c si) (sorted_bindings fp.stored)
         end)
-      st.follower_pipes;
+      (sorted_bindings st.follower_pipes);
     check_drained c
   end;
   (* Re-drive open slots / replays at the new epoch (stale-only fencing on
      the receive side would otherwise lose one fenced R-INV for good). *)
   let e = view_epoch in
-  Hashtbl.iter
-    (fun _ pipe ->
-      Hashtbl.iter
-        (fun _ (s : slot_state) ->
+  List.iter
+    (fun (_, pipe) ->
+      List.iter
+        (fun (_, (s : slot_state)) ->
           let size = writes_size s.s_writes in
           List.iter
             (fun f ->
@@ -654,10 +659,10 @@ let view_change c ~view_epoch ~(vlive : bool array) =
                      })
               end)
             s.s_missing)
-        pipe.slots)
-    st.pipelines;
-  Hashtbl.iter
-    (fun _ (s : slot_state) ->
+        (sorted_bindings pipe.slots))
+    (sorted_bindings st.pipelines);
+  List.iter
+    (fun (_, (s : slot_state)) ->
       let size = writes_size s.s_writes in
       List.iter
         (fun f ->
@@ -679,7 +684,7 @@ let view_change c ~view_epoch ~(vlive : bool array) =
                        };
                  }))
         s.s_missing)
-    st.replaying;
+    (sorted_bindings st.replaying);
   c.emit Flush
 
 let reset st =
@@ -796,9 +801,6 @@ let pp_slot ppf (s : slot_state) =
     (String.concat ";" (List.map string_of_int (List.sort compare s.s_missing)))
     (String.concat ";" (List.map string_of_int (List.sort compare s.s_extra_vals)))
     s.s_has_durable
-
-let sorted_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let fingerprint st =
   let b = Buffer.create 512 in
