@@ -2,10 +2,8 @@ type t = { owner : Types.node_id option; readers : Types.node_id list }
 
 let v ~owner ~readers = { owner = Some owner; readers = List.filter (fun r -> r <> owner) readers }
 
-let all t =
-  match t.owner with
-  | Some o -> o :: List.filter (fun r -> r <> o) t.readers
-  | None -> t.readers
+(* No constructor below ever puts the owner among [readers]. *)
+let all t = match t.owner with Some o -> o :: t.readers | None -> t.readers
 
 let is_owner t n = t.owner = Some n
 let is_reader t n = List.mem n t.readers

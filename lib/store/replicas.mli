@@ -5,8 +5,11 @@
     same way (e.g. all objects a node seeds or creates). *)
 
 type t = { owner : Types.node_id option; readers : Types.node_id list }
+(** [readers] never holds the owner: every constructor below keeps it out,
+    so {!all} need not filter. *)
 
 val v : owner:Types.node_id -> readers:Types.node_id list -> t
+(** [readers] must be duplicate-free; [owner] is dropped from it. *)
 
 val all : t -> Types.node_id list
 (** Owner (if any) followed by readers, no duplicates. *)

@@ -32,6 +32,57 @@ let prop_replicas_drop_dead_subset =
            (fun m -> m = dead || List.mem m (Replicas.all r'))
            (Replicas.all r))
 
+(* [all] no longer filters the owner out of [readers]; over random
+   sequences of every constructor it must still equal the filtered
+   definition, owner first and without duplicates. *)
+type replicas_op = Promote of int | Add of int | Remove of int | Drop of int
+
+let prop_replicas_all_owner_first =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> Promote n) (int_bound 7);
+          map (fun n -> Add n) (int_bound 7);
+          map (fun n -> Remove n) (int_bound 7);
+          map (fun n -> Drop n) (int_bound 7);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 7)
+        (map (List.sort_uniq compare) (list_size (0 -- 6) (int_bound 7)))
+        (list_size (0 -- 12) op))
+  in
+  let filtered (r : Replicas.t) =
+    match r.owner with
+    | Some o -> o :: List.filter (fun n -> n <> o) r.readers
+    | None -> r.readers
+  in
+  let ok (r : Replicas.t) =
+    let all = Replicas.all r in
+    all = filtered r
+    && List.length (List.sort_uniq compare all) = List.length all
+    && match r.owner with Some o -> List.hd all = o | None -> true
+  in
+  QCheck.Test.make ~name:"replicas: all is owner-first, duplicate-free, unfiltered"
+    ~count:500
+    (QCheck.make gen) (fun (owner, readers, ops) ->
+      let r = Replicas.v ~owner ~readers in
+      ok r
+      && snd
+           (List.fold_left
+              (fun (r, good) op ->
+                let r =
+                  match op with
+                  | Promote n -> Replicas.promote r ~new_owner:n
+                  | Add n -> Replicas.add_reader r n
+                  | Remove n -> Replicas.remove_reader r n
+                  | Drop n -> Replicas.drop_dead r ~live:(fun m -> m <> n)
+                in
+                (r, good && ok r))
+              (r, true) ops))
+
 let prop_value_roundtrip =
   QCheck.Test.make ~name:"value: of_ints/to_ints roundtrip" ~count:300
     QCheck.(list_of_size Gen.(0 -- 10) int)
@@ -233,6 +284,7 @@ let suite =
   [
     qtest prop_replicas_promote_keeps_membership;
     qtest prop_replicas_drop_dead_subset;
+    qtest prop_replicas_all_owner_first;
     qtest prop_value_roundtrip;
     qtest prop_percentile_within_range;
     qtest prop_random_schedules_safe;
