@@ -23,7 +23,7 @@ type t = {
   membership : Service.t;
   cb : callbacks;
   transport : Transport.t;
-  durables : (int * int, unit -> unit) Hashtbl.t;  (* (thread, slot) *)
+  mutable durables : (unit -> unit) Window.t array;  (* by thread, then slot *)
   spans : (int, Tspan.span) Hashtbl.t;  (* span token -> live span *)
   mutable span_parent : Tspan.span;
   metrics : Metrics.t;
@@ -32,6 +32,8 @@ type t = {
   c_durable : Metrics.Counter.h;
   c_replays : Metrics.Counter.h;
   mutable io_tap : (Core.input -> Core.eff list -> unit) option;
+  mutable env_view : View.t;  (* the view [env_cache] was sampled from *)
+  mutable env_cache : Core.env;
 }
 
 let node t = t.node
@@ -47,12 +49,26 @@ let core_fingerprint t = Core.fingerprint t.core
 
 (* ---------- runtime sampling --------------------------------------------- *)
 
+(* Views are immutable and [trace_on] is fixed at creation, so the sampled
+   env stays exact for as long as the node's view is the same record. *)
 let env t =
-  {
-    Core.epoch = Service.epoch_at t.membership t.node;
-    live = (Service.node_view t.membership t.node).View.live;
-    trace_on = Tspan.enabled t.tspans;
-  }
+  let v = Service.node_view t.membership t.node in
+  if v != t.env_view then begin
+    t.env_view <- v;
+    t.env_cache <-
+      { Core.epoch = v.View.epoch; live = v.View.live; trace_on = Tspan.enabled t.tspans }
+  end;
+  t.env_cache
+
+let no_durable () = ()
+
+let durables_of t thread =
+  let len = Array.length t.durables in
+  if thread >= len then
+    t.durables <-
+      Array.init (max (thread + 1) (2 * len)) (fun i ->
+          if i < len then t.durables.(i) else Window.create ~dummy:no_durable);
+  t.durables.(thread)
 
 (* ---------- effect execution --------------------------------------------- *)
 
@@ -146,37 +162,45 @@ let exec_eff t = function
   | Core.Validate_local { writes } -> validate_local t writes
   | Core.Apply_writes { install; writes } -> apply_writes t ~install writes
   | Core.Validate_stored { writes } -> validate_stored t writes
-  | Core.Durable { tx } -> (
-    let key = (tx.Messages.pipe.thread, tx.Messages.slot) in
-    match Hashtbl.find_opt t.durables key with
-    | Some k ->
-      Hashtbl.remove t.durables key;
+  | Core.Durable { tx } ->
+    let ks = durables_of t tx.Messages.pipe.thread in
+    let k = Window.find ks tx.Messages.slot in
+    if k != no_durable then begin
+      Window.remove ks tx.Messages.slot;
       k ()
-    | None -> ())
+    end
   | Core.Drained { epoch } -> t.cb.recovery_drained ~epoch
   | Core.Telemetry tele -> exec_telemetry t tele
+
+let rec exec_effs t = function
+  | [] -> ()
+  | e :: rest ->
+    exec_eff t e;
+    exec_effs t rest
 
 let feed t input =
   let _, effs = Core.handle t.core input in
   (match t.io_tap with Some f -> f input effs | None -> ());
-  List.iter (exec_eff t) effs
+  exec_effs t effs
 
 (* ---------- public API ---------------------------------------------------- *)
 
+let rec replica_sets table = function
+  | [] -> []
+  | (u : Txn.update) :: rest ->
+    let all =
+      match Table.find table u.key with
+      | Some { Obj.o_replicas = Some r; _ } -> Replicas.all r
+      | Some _ | None -> []
+    in
+    all :: replica_sets table rest
+
 let commit ?(parent = Tspan.null_span) t ~thread ~updates ?on_durable () =
-  let replica_sets =
-    List.map
-      (fun (u : Txn.update) ->
-        match Table.find t.table u.key with
-        | Some obj -> (
-          match obj.Obj.o_replicas with Some r -> Replicas.all r | None -> [])
-        | None -> [])
-      updates
-  in
+  let replica_sets = replica_sets t.table updates in
   let has_durable =
     match on_durable with
     | Some k ->
-      Hashtbl.replace t.durables (thread, Core.peek_slot t.core ~thread) k;
+      Window.set (durables_of t thread) (Core.peek_slot t.core ~thread) k;
       true
     | None -> false
   in
@@ -200,7 +224,7 @@ let on_view_change t (v : View.t) =
    timers, so unlike ownership there is no zombie path to preserve). *)
 let reset t =
   feed t Core.Reset;
-  Hashtbl.reset t.durables;
+  Array.iter Window.clear t.durables;
   Hashtbl.reset t.spans
 
 let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport =
@@ -215,7 +239,7 @@ let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport
       membership;
       cb = callbacks;
       transport;
-      durables = Hashtbl.create 16;
+      durables = [||];
       spans = Hashtbl.create 16;
       span_parent = Tspan.null_span;
       metrics;
@@ -224,6 +248,8 @@ let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport
       c_durable = Metrics.Counter.v metrics "commit.commits_durable";
       c_replays = Metrics.Counter.v metrics "commit.replays_started";
       io_tap = None;
+      env_view = View.initial ~nodes:0;
+      env_cache = { Core.epoch = 0; live = [||]; trace_on = false };
     }
   in
   Service.subscribe membership node (fun v -> on_view_change t v);

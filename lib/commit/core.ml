@@ -58,6 +58,11 @@ type input =
 
 (* ---------- state -------------------------------------------------------- *)
 
+(* Every per-pipeline table is slot-indexed ({!Window}) and every per-thread
+   or per-coordinator table is an array, so a steady-state input does no
+   hashing and no polymorphic comparison; absent entries are the constant
+   sentinels below, tested with [==], so lookups allocate no [Some]. *)
+
 type clear_marks = Legacy | Sequenced
 
 type slot_state = {
@@ -71,14 +76,16 @@ type slot_state = {
 }
 
 type pipeline = {
+  p_id : pipe_id;  (* shared by the [tx] of every slot *)
   mutable next_slot : int;
   mutable done_upto : int;
       (* contiguous commit watermark: every slot <= done_upto has validated
          locally (it was removed from [slots], or never entered them — the
          no-follower fast path); this is the [upto] clear mark R-VALs carry *)
-  slots : (int, slot_state) Hashtbl.t;
+  slots : slot_state Window.t;
 }
 
+(* [i_tx] and [b_tx] are the R-INV's own [tx], reused by its R-ACK. *)
 type stored_inv = {
   i_tx : tx_id;
   i_followers : Types.node_id list;
@@ -86,6 +93,7 @@ type stored_inv = {
 }
 
 type buffered_inv = {
+  b_tx : tx_id;
   b_followers : Types.node_id list;
   b_writes : Txn.update list;
   b_src : Types.node_id;
@@ -93,95 +101,181 @@ type buffered_inv = {
 
 type follower_pipe = {
   mutable cleared_upto : int;
-  marks : (int, unit) Hashtbl.t;
+  marks : bool Window.t;
       (* Sequenced mode only: slots above [cleared_upto] known handled
          (stored or cleared by a VAL) while earlier slots are still open at
          the coordinator; compacted into [cleared_upto] as gaps close *)
-  stored : (int, stored_inv) Hashtbl.t;
-  buffered : (int, buffered_inv) Hashtbl.t;
+  stored : stored_inv Window.t;
+  buffered : buffered_inv Window.t;
 }
+
+module Tx_map = Map.Make (struct
+  type t = tx_id
+
+  let compare (a : tx_id) (b : tx_id) =
+    if a.pipe.node <> b.pipe.node then Int.compare a.pipe.node b.pipe.node
+    else if a.pipe.thread <> b.pipe.thread then Int.compare a.pipe.thread b.pipe.thread
+    else Int.compare a.slot b.slot
+end)
 
 type state = {
   self : Types.node_id;
   mode : clear_marks;
-  pipelines : (int, pipeline) Hashtbl.t;
-  follower_pipes : (pipe_id, follower_pipe) Hashtbl.t;
-  replaying : (tx_id, slot_state) Hashtbl.t;
+  mutable pipelines : pipeline option array;  (* by thread *)
+  follower_pipes : follower_pipe option array array;  (* by coordinator, then thread *)
+  mutable replaying : slot_state Tx_map.t;  (* crash path only *)
   mutable prev_live : bool array;
   mutable recovering_epoch : int option;
   mutable token_seq : int;
+  mutable env : env;  (* of the input being handled *)
+  mutable out : eff array;  (* its effects so far: the first [n_out] *)
+  mutable n_out : int;
 }
+
+let no_tx = { pipe = { node = -1; thread = -1 }; slot = -1 }
+
+let no_slot =
+  {
+    s_tx = no_tx;
+    s_writes = [];
+    s_followers = [];
+    s_missing = [];
+    s_extra_vals = [];
+    s_has_durable = false;
+    s_span = -1;
+  }
+
+let no_inv = { i_tx = no_tx; i_followers = []; i_writes = [] }
+let no_buffered = { b_tx = no_tx; b_followers = []; b_writes = []; b_src = -1 }
+let no_env = { epoch = 0; live = [||]; trace_on = false }
+let out_capacity = 16
 
 let create ?(clear_marks = Sequenced) ~self ~nodes () =
   {
     self;
     mode = clear_marks;
-    pipelines = Hashtbl.create 16;
-    follower_pipes = Hashtbl.create 64;
-    replaying = Hashtbl.create 16;
+    pipelines = Array.make 8 None;
+    follower_pipes = Array.make nodes [||];
+    replaying = Tx_map.empty;
     prev_live = Array.make nodes true;
     recovering_epoch = None;
     token_seq = 0;
+    env = no_env;
+    out = Array.make out_capacity Flush;
+    n_out = 0;
   }
 
+let fold_follower_pipes f st acc =
+  Array.fold_left
+    (Array.fold_left (fun acc -> function Some fp -> f fp acc | None -> acc))
+    acc st.follower_pipes
+
 let inflight st =
-  Hashtbl.fold (fun _ p acc -> acc + Hashtbl.length p.slots) st.pipelines 0
+  Array.fold_left
+    (fun acc -> function Some p -> acc + Window.length p.slots | None -> acc)
+    0 st.pipelines
 
-let stored_invs st =
-  Hashtbl.fold (fun _ fp acc -> acc + Hashtbl.length fp.stored) st.follower_pipes 0
-
-let buffered_invs st =
-  Hashtbl.fold
-    (fun _ fp acc -> acc + Hashtbl.length fp.buffered)
-    st.follower_pipes 0
-
-let replaying_count st = Hashtbl.length st.replaying
+let stored_invs st = fold_follower_pipes (fun fp acc -> acc + Window.length fp.stored) st 0
+let buffered_invs st = fold_follower_pipes (fun fp acc -> acc + Window.length fp.buffered) st 0
+let replaying_count st = Tx_map.cardinal st.replaying
 let recovering_epoch st = st.recovering_epoch
 
+let find_pipe st thread =
+  if thread < Array.length st.pipelines then st.pipelines.(thread) else None
+
 let peek_slot st ~thread =
-  match Hashtbl.find_opt st.pipelines thread with
-  | Some p -> p.next_slot
-  | None -> 0
+  match find_pipe st thread with Some p -> p.next_slot | None -> 0
 
 let handles_payload = function R_inv _ | R_ack _ | R_val _ -> true | _ -> false
 
 let writes_size writes =
   List.fold_left (fun acc (u : Txn.update) -> acc + Value.size u.data + 16) 64 writes
 
-type ctx = { st : state; env : env; emit : eff -> unit }
+(* Effects go to a buffer kept in the state and leave as one list built
+   back to front, so an input allocates one cons per effect; the buffer is
+   cleared behind, leaving no effect reachable from the long-lived state. *)
+let emit st e =
+  if st.n_out = Array.length st.out then begin
+    let out = Array.make (2 * st.n_out) Flush in
+    Array.blit st.out 0 out 0 st.n_out;
+    st.out <- out
+  end;
+  st.out.(st.n_out) <- e;
+  st.n_out <- st.n_out + 1
 
-let live c n = c.env.live.(n)
+let take_effects st =
+  let rec build i acc =
+    if i < 0 then acc
+    else begin
+      let e = st.out.(i) in
+      st.out.(i) <- Flush;
+      build (i - 1) (e :: acc)
+    end
+  in
+  let effs = build (st.n_out - 1) [] in
+  st.n_out <- 0;
+  effs
+
+let live st n = st.env.live.(n)
 
 let fresh_token st =
   let tok = st.token_seq in
   st.token_seq <- tok + 1;
   tok
 
+(* Node lists are short; these walk them without closures or polymorphic
+   comparison, and return their argument itself when nothing is dropped. *)
+let rec mem_node (n : Types.node_id) = function
+  | [] -> false
+  | m :: rest -> m = n || mem_node n rest
+
+let rec remove_node (n : Types.node_id) = function
+  | [] -> []
+  | m :: rest as l ->
+    if m = n then remove_node n rest
+    else
+      let rest' = remove_node n rest in
+      if rest' == rest then l else m :: rest'
+
+let rec all_live live = function [] -> true | f :: rest -> live.(f) && all_live live rest
+
+let live_only live nodes =
+  if all_live live nodes then nodes else List.filter (fun f -> live.(f)) nodes
+
 (* ---------- coordinator -------------------------------------------------- *)
 
 let get_pipe st thread =
-  match Hashtbl.find_opt st.pipelines thread with
+  match find_pipe st thread with
   | Some p -> p
   | None ->
-    let p = { next_slot = 0; done_upto = -1; slots = Hashtbl.create 32 } in
-    Hashtbl.replace st.pipelines thread p;
+    let len = Array.length st.pipelines in
+    if thread >= len then begin
+      let a = Array.make (max (thread + 1) (2 * len)) None in
+      Array.blit st.pipelines 0 a 0 len;
+      st.pipelines <- a
+    end;
+    let p =
+      {
+        p_id = { node = st.self; thread };
+        next_slot = 0;
+        done_upto = -1;
+        slots = Window.create ~dummy:no_slot;
+      }
+    in
+    st.pipelines.(thread) <- Some p;
     p
 
 (* A slot not in [slots] but below [next_slot] has validated locally —
    either [finish_slot] removed it or the no-follower fast path never
-   inserted it — so the watermark may advance over it. *)
+   inserted it — so the watermark sits just below the lowest open slot. *)
 let advance_done pipe =
-  while
-    pipe.done_upto + 1 < pipe.next_slot
-    && not (Hashtbl.mem pipe.slots (pipe.done_upto + 1))
-  do
-    pipe.done_upto <- pipe.done_upto + 1
-  done
+  pipe.done_upto <-
+    (if Window.length pipe.slots = 0 then pipe.next_slot else Window.low pipe.slots) - 1
 
-let validate_local c (s : slot_state) =
-  c.emit (Validate_local { writes = s.s_writes });
-  c.emit (Telemetry (Count C_durable));
-  if s.s_has_durable then c.emit (Durable { tx = s.s_tx })
+let validate_local st ~tx ~writes ~has_durable =
+  emit st (Validate_local { writes });
+  emit st (Telemetry (Count C_durable));
+  if has_durable then emit st (Durable { tx })
 
 (* The clear mark a VAL carries is per recipient: the highest slot [f] need
    not wait for.  Starting from the contiguous [done_upto] watermark, every
@@ -199,69 +293,70 @@ let upto_for pipe f ~slot =
   let u = ref pipe.done_upto in
   let blocked = ref false in
   while (not !blocked) && !u + 1 <= slot do
-    match Hashtbl.find_opt pipe.slots (!u + 1) with
-    | None -> incr u
-    | Some s -> if List.mem f s.s_missing then blocked := true else incr u
+    let s = Window.find pipe.slots (!u + 1) in
+    if s != no_slot && mem_node f s.s_missing then blocked := true else incr u
   done;
   !u
 
-let finish_slot c pipe (s : slot_state) =
-  Hashtbl.remove pipe.slots s.s_tx.slot;
-  advance_done pipe;
-  if s.s_span >= 0 then c.emit (Telemetry (Span_finish s.s_span));
-  validate_local c s;
-  let recipients =
-    List.filter (fun n -> live c n) (s.s_followers @ s.s_extra_vals)
-  in
-  let epoch = c.env.epoch in
-  List.iter
-    (fun f ->
-      c.emit
-        (Send
-           {
-             dst = f;
-             size = 32;
-             payload =
-               R_val
-                 { tx = s.s_tx; upto = upto_for pipe f ~slot:s.s_tx.slot; epoch };
-           }))
-    recipients
+(* One R-VAL per live recipient, in list order. *)
+let rec send_vals st pipe (s : slot_state) ~epoch = function
+  | [] -> ()
+  | f :: rest ->
+    if live st f then begin
+      let upto = upto_for pipe f ~slot:s.s_tx.slot in
+      emit st (Send { dst = f; size = 32; payload = R_val { tx = s.s_tx; upto; epoch } })
+    end;
+    send_vals st pipe s ~epoch rest
 
-let api_commit c ~thread ~updates ~replica_sets ~has_durable =
-  let st = c.st in
-  c.emit (Telemetry (Count C_started));
+let finish_slot st pipe (s : slot_state) =
+  Window.remove pipe.slots s.s_tx.slot;
+  advance_done pipe;
+  if s.s_span >= 0 then emit st (Telemetry (Span_finish s.s_span));
+  validate_local st ~tx:s.s_tx ~writes:s.s_writes ~has_durable:s.s_has_durable;
+  let epoch = st.env.epoch in
+  send_vals st pipe s ~epoch s.s_followers;
+  send_vals st pipe s ~epoch s.s_extra_vals
+
+let rec send_all st ~size payload = function
+  | [] -> ()
+  | f :: rest ->
+    emit st (Send { dst = f; size; payload });
+    send_all st ~size payload rest
+
+(* A follower of this slot that is not one of the still-open previous
+   slot's is owed that slot's R-VAL too: it is how the follower learns the
+   predecessor cleared (partial streams, §5.2). *)
+let rec add_extra_vals (prev : slot_state) = function
+  | [] -> ()
+  | f :: rest ->
+    if not (mem_node f prev.s_followers || mem_node f prev.s_extra_vals) then
+      prev.s_extra_vals <- f :: prev.s_extra_vals;
+    add_extra_vals prev rest
+
+(* The followers of a commit, most recently met first: every replica of
+   every update, bar this node, once. *)
+let rec add_followers self acc = function
+  | [] -> acc
+  | n :: rest ->
+    add_followers self (if n = self || mem_node n acc then acc else n :: acc) rest
+
+let rec collect_followers self acc = function
+  | [] -> acc
+  | all :: rest -> collect_followers self (add_followers self acc all) rest
+
+let api_commit st ~thread ~updates ~replica_sets ~has_durable =
+  emit st (Telemetry (Count C_started));
   let pipe = get_pipe st thread in
   let slot = pipe.next_slot in
   pipe.next_slot <- slot + 1;
-  let tx = { pipe = { node = st.self; thread }; slot } in
-  let followers =
-    List.fold_left
-      (fun acc all ->
-        List.fold_left
-          (fun acc n -> if n = st.self || List.mem n acc then acc else n :: acc)
-          acc all)
-      [] replica_sets
-  in
-  let followers = List.filter (fun f -> live c f) followers in
-  if followers = [] then begin
-    let s =
-      {
-        s_tx = tx;
-        s_writes = updates;
-        s_followers = [];
-        s_missing = [];
-        s_extra_vals = [];
-        s_has_durable = has_durable;
-        s_span = -1;
-      }
-    in
-    validate_local c s
-  end
-  else begin
+  let tx = { pipe = pipe.p_id; slot } in
+  match live_only st.env.live (collect_followers st.self [] replica_sets) with
+  | [] -> validate_local st ~tx ~writes:updates ~has_durable
+  | followers ->
     let span =
-      if c.env.trace_on then begin
+      if st.env.trace_on then begin
         let tok = fresh_token st in
-        c.emit
+        emit st
           (Telemetry
              (Span_start
                 {
@@ -275,7 +370,7 @@ let api_commit c ~thread ~updates ~replica_sets ~has_durable =
       end
       else -1
     in
-    let s =
+    Window.set pipe.slots slot
       {
         s_tx = tx;
         s_writes = updates;
@@ -284,49 +379,47 @@ let api_commit c ~thread ~updates ~replica_sets ~has_durable =
         s_extra_vals = [];
         s_has_durable = has_durable;
         s_span = span;
-      }
-    in
-    Hashtbl.replace pipe.slots slot s;
-    let prev = Hashtbl.find_opt pipe.slots (slot - 1) in
-    let e = c.env.epoch in
-    let size = writes_size updates in
-    List.iter
-      (fun f ->
-        let prev_val =
-          match prev with
-          | None -> true
-          | Some ps ->
-            if not (List.mem f ps.s_followers || List.mem f ps.s_extra_vals) then
-              ps.s_extra_vals <- f :: ps.s_extra_vals;
-            false
-        in
-        c.emit
-          (Send
-             {
-               dst = f;
-               size;
-               payload =
-                 R_inv
-                   { tx; epoch = e; followers; writes = updates; prev_val; replay = false };
-             }))
+      };
+    let prev = Window.find pipe.slots (slot - 1) in
+    if prev != no_slot then add_extra_vals prev followers;
+    send_all st ~size:(writes_size updates)
+      (R_inv
+         {
+           tx;
+           epoch = st.env.epoch;
+           followers;
+           writes = updates;
+           prev_val = prev == no_slot;
+           replay = false;
+         })
       followers
-  end
 
 (* ---------- follower ------------------------------------------------------ *)
 
-let get_follower_pipe st pipe_id =
-  match Hashtbl.find_opt st.follower_pipes pipe_id with
+let find_follower_pipe st (pid : pipe_id) =
+  let row = st.follower_pipes.(pid.node) in
+  if pid.thread < Array.length row then row.(pid.thread) else None
+
+let get_follower_pipe st (pid : pipe_id) =
+  match find_follower_pipe st pid with
   | Some fp -> fp
   | None ->
+    let row = st.follower_pipes.(pid.node) in
+    let len = Array.length row in
+    if pid.thread >= len then begin
+      let a = Array.make (max (pid.thread + 1) (max 8 (2 * len))) None in
+      Array.blit row 0 a 0 len;
+      st.follower_pipes.(pid.node) <- a
+    end;
     let fp =
       {
         cleared_upto = -1;
-        marks = Hashtbl.create 8;
-        stored = Hashtbl.create 32;
-        buffered = Hashtbl.create 8;
+        marks = Window.create ~dummy:false;
+        stored = Window.create ~dummy:no_inv;
+        buffered = Window.create ~dummy:no_buffered;
       }
     in
-    Hashtbl.replace st.follower_pipes pipe_id fp;
+    st.follower_pipes.(pid.node).(pid.thread) <- Some fp;
     fp
 
 (* ---- sequence-aware clear marks (Sequenced mode) ----
@@ -336,114 +429,110 @@ let get_follower_pipe st pipe_id =
    watermark [cleared_upto] absorbs marks as they become contiguous, so
    [marks] only holds the sparse frontier above coordinator-side gaps. *)
 
-let cleared fp slot = slot <= fp.cleared_upto || Hashtbl.mem fp.marks slot
+let cleared fp slot = slot <= fp.cleared_upto || Window.mem fp.marks slot
 
 let compact_marks fp =
-  while Hashtbl.mem fp.marks (fp.cleared_upto + 1) do
-    Hashtbl.remove fp.marks (fp.cleared_upto + 1);
+  while Window.mem fp.marks (fp.cleared_upto + 1) do
+    Window.remove fp.marks (fp.cleared_upto + 1);
     fp.cleared_upto <- fp.cleared_upto + 1
   done
 
 let mark_handled fp slot =
-  if slot > fp.cleared_upto then Hashtbl.replace fp.marks slot ();
+  if slot > fp.cleared_upto then Window.set fp.marks slot true;
   compact_marks fp
 
 let advance_cleared fp upto =
   if upto > fp.cleared_upto then begin
     fp.cleared_upto <- upto;
-    let stale = Hashtbl.fold (fun s () acc -> if s <= upto then s :: acc else acc) fp.marks [] in
-    List.iter (Hashtbl.remove fp.marks) stale
+    Window.remove_below fp.marks (upto + 1)
   end;
   compact_marks fp
 
-let dead_stored_count c =
-  Hashtbl.fold
-    (fun (pid : pipe_id) fp acc ->
-      if live c pid.node then acc else acc + Hashtbl.length fp.stored)
-    c.st.follower_pipes 0
+let dead_stored_count st =
+  let n = ref 0 in
+  Array.iteri
+    (fun node row ->
+      if not (live st node) then
+        Array.iter (function Some fp -> n := !n + Window.length fp.stored | None -> ()) row)
+    st.follower_pipes;
+  !n
 
-let check_drained c =
-  match c.st.recovering_epoch with
-  | Some e when dead_stored_count c = 0 ->
-    c.st.recovering_epoch <- None;
-    c.emit (Drained { epoch = e })
+let check_drained st =
+  match st.recovering_epoch with
+  | Some e when dead_stored_count st = 0 ->
+    st.recovering_epoch <- None;
+    emit st (Drained { epoch = e })
   | Some _ | None -> ()
 
-let validate_stored c fp slot (si : stored_inv) =
-  c.emit (Validate_stored { writes = si.i_writes });
-  Hashtbl.remove fp.stored slot;
-  check_drained c
+(* An R-VAL, or a finished replay, for a slot stored here. *)
+let validate_stored st fp slot =
+  let si = Window.find fp.stored slot in
+  if si != no_inv then begin
+    emit st (Validate_stored { writes = si.i_writes });
+    Window.remove fp.stored slot;
+    check_drained st
+  end
 
 (* Legacy drain: the watermark is the only clear mark, so only the exactly
    contiguous next slot can unblock. *)
-let rec drain_buffered c pipe_id fp =
-  match c.st.mode with
-  | Legacy -> (
+let rec drain_buffered st fp =
+  match st.mode with
+  | Legacy ->
     let next = fp.cleared_upto + 1 in
-    match Hashtbl.find_opt fp.buffered next with
-    | Some b ->
-      Hashtbl.remove fp.buffered next;
-      apply_slot c pipe_id fp ~slot:next ~followers:b.b_followers ~writes:b.b_writes
-        ~src:b.b_src ~install:true;
-      drain_buffered c pipe_id fp
-    | None -> ())
-  | Sequenced when Hashtbl.length fp.buffered = 0 -> ()
+    let b = Window.find fp.buffered next in
+    if b != no_buffered then begin
+      Window.remove fp.buffered next;
+      apply_slot st fp ~tx:b.b_tx ~followers:b.b_followers ~writes:b.b_writes ~src:b.b_src
+        ~install:true;
+      drain_buffered st fp
+    end
+  | Sequenced when Window.length fp.buffered = 0 -> ()
   | Sequenced ->
     (* Sequenced: a sparse mark can unblock any buffered slot whose
        predecessor just became handled, not only the contiguous next one.
        Ascending order keeps the effect stream identical to the legacy
        contiguous drain when marks happen to be contiguous (FIFO runs). *)
-    let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) fp.buffered []) in
     let progressed = ref false in
-    List.iter
-      (fun slot ->
-        if Hashtbl.mem fp.buffered slot && (slot = 0 || cleared fp (slot - 1)) then begin
-          let b = Hashtbl.find fp.buffered slot in
-          Hashtbl.remove fp.buffered slot;
-          apply_slot c pipe_id fp ~slot ~followers:b.b_followers ~writes:b.b_writes
-            ~src:b.b_src ~install:true;
-          progressed := true
-        end)
-      keys;
-    if !progressed then drain_buffered c pipe_id fp
+    for slot = Window.low fp.buffered to Window.high fp.buffered - 1 do
+      let b = Window.find fp.buffered slot in
+      if b != no_buffered && (slot = 0 || cleared fp (slot - 1)) then begin
+        Window.remove fp.buffered slot;
+        apply_slot st fp ~tx:b.b_tx ~followers:b.b_followers ~writes:b.b_writes
+          ~src:b.b_src ~install:true;
+        progressed := true
+      end
+    done;
+    if !progressed then drain_buffered st fp
 
-and apply_slot c pipe_id fp ~slot ~followers ~writes ~src ~install =
-  c.emit (Apply_writes { install; writes });
-  Hashtbl.replace fp.stored slot
-    { i_tx = { pipe = pipe_id; slot }; i_followers = followers; i_writes = writes };
-  (match c.st.mode with
-  | Legacy -> if slot > fp.cleared_upto then fp.cleared_upto <- slot
-  | Sequenced -> mark_handled fp slot);
-  c.emit
-    (Send
-       {
-         dst = src;
-         size = 32;
-         payload = R_ack { tx = { pipe = pipe_id; slot }; sender = c.st.self };
-       })
+and apply_slot st fp ~tx ~followers ~writes ~src ~install =
+  emit st (Apply_writes { install; writes });
+  Window.set fp.stored tx.slot { i_tx = tx; i_followers = followers; i_writes = writes };
+  (match st.mode with
+  | Legacy -> if tx.slot > fp.cleared_upto then fp.cleared_upto <- tx.slot
+  | Sequenced -> mark_handled fp tx.slot);
+  emit st (Send { dst = src; size = 32; payload = R_ack { tx; sender = st.self } })
 
-let handle_inv c ~src ~tx ~followers ~writes ~prev_val ~replay =
-  let fp = get_follower_pipe c.st tx.pipe in
-  if Hashtbl.mem fp.stored tx.slot || cleared fp tx.slot then
-    c.emit (Send { dst = src; size = 32; payload = R_ack { tx; sender = c.st.self } })
+let handle_inv st ~src ~tx ~followers ~writes ~prev_val ~replay =
+  let fp = get_follower_pipe st tx.pipe in
+  if Window.mem fp.stored tx.slot || cleared fp tx.slot then
+    emit st (Send { dst = src; size = 32; payload = R_ack { tx; sender = st.self } })
   else begin
     (if prev_val && tx.slot - 1 > fp.cleared_upto then
-       match c.st.mode with
+       match st.mode with
        | Legacy -> fp.cleared_upto <- tx.slot - 1
        | Sequenced -> advance_cleared fp (tx.slot - 1));
     let pred_handled =
-      match c.st.mode with
+      match st.mode with
       | Legacy -> fp.cleared_upto >= tx.slot - 1
       | Sequenced -> cleared fp (tx.slot - 1)
     in
     if replay || pred_handled then begin
-      apply_slot c tx.pipe fp ~slot:tx.slot ~followers ~writes ~src
-        ~install:(not replay);
-      drain_buffered c tx.pipe fp
+      apply_slot st fp ~tx ~followers ~writes ~src ~install:(not replay);
+      drain_buffered st fp
     end
     else
-      Hashtbl.replace fp.buffered tx.slot
-        { b_followers = followers; b_writes = writes; b_src = src }
+      Window.set fp.buffered tx.slot
+        { b_tx = tx; b_followers = followers; b_writes = writes; b_src = src }
   end
 
 (* Legacy receiver: an R-VAL for an unknown pipe is dropped, not adopted,
@@ -454,16 +543,14 @@ let handle_inv c ~src ~tx ~followers ~writes ~prev_val ~replay =
    buffered forever — the liveness hole Core_harness reproduces with
    [fifo = false] + [clear_marks:Legacy], kept as the pinned negative
    control in [zeus_cli model]. *)
-let handle_val_legacy c ~tx =
-  match Hashtbl.find_opt c.st.follower_pipes tx.pipe with
+let handle_val_legacy st ~tx =
+  match find_follower_pipe st tx.pipe with
   | None -> ()
   | Some fp ->
-    (match Hashtbl.find_opt fp.stored tx.slot with
-    | Some si -> validate_stored c fp tx.slot si
-    | None -> ());
+    validate_stored st fp tx.slot;
     if tx.slot > fp.cleared_upto then begin
       fp.cleared_upto <- tx.slot;
-      drain_buffered c tx.pipe fp
+      drain_buffered st fp
     end
 
 (* Sequenced receiver (default): ordering is carried by the message, not
@@ -477,41 +564,32 @@ let handle_val_legacy c ~tx =
    recorded, so the overtaken first R-INV finds its predecessor handled
    when it lands.  Epoch fencing keeps the PR 9 invariant: adoption is
    refused for stale-incarnation stragglers (see [deliver]). *)
-let handle_val c ~tx ~upto =
-  let fp = get_follower_pipe c.st tx.pipe in
-  (match Hashtbl.find_opt fp.stored tx.slot with
-  | Some si -> validate_stored c fp tx.slot si
-  | None -> ());
+let handle_val st ~tx ~upto =
+  let fp = get_follower_pipe st tx.pipe in
+  validate_stored st fp tx.slot;
   advance_cleared fp upto;
   mark_handled fp tx.slot;
-  drain_buffered c tx.pipe fp
+  drain_buffered st fp
 
 (* ---------- replay after a coordinator crash (§5.1) ---------------------- *)
 
-let finish_replay c (s : slot_state) =
-  let st = c.st in
-  Hashtbl.remove st.replaying s.s_tx;
-  (match Hashtbl.find_opt st.follower_pipes s.s_tx.pipe with
-  | Some fp -> (
-    match Hashtbl.find_opt fp.stored s.s_tx.slot with
-    | Some si -> validate_stored c fp s.s_tx.slot si
-    | None -> ())
+let finish_replay st (s : slot_state) =
+  st.replaying <- Tx_map.remove s.s_tx st.replaying;
+  (match find_follower_pipe st s.s_tx.pipe with
+  | Some fp -> validate_stored st fp s.s_tx.slot
   | None -> ());
   (* A replayer cannot vouch for earlier slots of the dead pipe (it may
      not have stored them), so the replay VAL carries no watermark: it
      clears exactly its own slot. *)
-  let epoch = c.env.epoch in
-  List.iter
-    (fun f ->
-      c.emit
-        (Send { dst = f; size = 32; payload = R_val { tx = s.s_tx; upto = -1; epoch } }))
-    s.s_followers
+  send_all st ~size:32 (R_val { tx = s.s_tx; upto = -1; epoch = st.env.epoch }) s.s_followers
 
-let start_replay c (si : stored_inv) =
-  let st = c.st in
-  if not (Hashtbl.mem st.replaying si.i_tx) then begin
-    c.emit (Telemetry (Count C_replays));
-    let others = List.filter (fun f -> f <> st.self && live c f) si.i_followers in
+let replay_inv ~tx ~epoch ~followers ~writes =
+  R_inv { tx; epoch; followers; writes; prev_val = false; replay = true }
+
+let start_replay st (si : stored_inv) =
+  if not (Tx_map.mem si.i_tx st.replaying) then begin
+    emit st (Telemetry (Count C_replays));
+    let others = List.filter (fun f -> f <> st.self && live st f) si.i_followers in
     let s =
       {
         s_tx = si.i_tx;
@@ -523,64 +601,43 @@ let start_replay c (si : stored_inv) =
         s_span = -1;
       }
     in
-    if others = [] then finish_replay c s
-    else begin
-      Hashtbl.replace st.replaying si.i_tx s;
-      let e = c.env.epoch in
-      let size = writes_size si.i_writes in
-      List.iter
-        (fun f ->
-          c.emit
-            (Send
-               {
-                 dst = f;
-                 size;
-                 payload =
-                   R_inv
-                     {
-                       tx = si.i_tx;
-                       epoch = e;
-                       followers = si.i_followers;
-                       writes = si.i_writes;
-                       prev_val = false;
-                       replay = true;
-                     };
-               }))
+    match others with
+    | [] -> finish_replay st s
+    | _ ->
+      st.replaying <- Tx_map.add si.i_tx s st.replaying;
+      send_all st ~size:(writes_size si.i_writes)
+        (replay_inv ~tx:si.i_tx ~epoch:st.env.epoch ~followers:si.i_followers
+           ~writes:si.i_writes)
         others
-    end
   end
 
-let handle_ack c ~tx ~sender =
-  let st = c.st in
+let handle_ack st ~tx ~sender =
   if tx.pipe.node = st.self then begin
-    match Hashtbl.find_opt st.pipelines tx.pipe.thread with
+    match find_pipe st tx.pipe.thread with
     | None -> ()
-    | Some pipe -> (
-      match Hashtbl.find_opt pipe.slots tx.slot with
-      | None -> ()
-      | Some s ->
-        s.s_missing <- List.filter (fun f -> f <> sender) s.s_missing;
-        if s.s_missing = [] then finish_slot c pipe s)
+    | Some pipe ->
+      let s = Window.find pipe.slots tx.slot in
+      if s != no_slot then begin
+        s.s_missing <- remove_node sender s.s_missing;
+        match s.s_missing with [] -> finish_slot st pipe s | _ :: _ -> ()
+      end
   end
   else begin
-    match Hashtbl.find_opt st.replaying tx with
+    match Tx_map.find_opt tx st.replaying with
     | None -> ()
-    | Some s ->
-      s.s_missing <- List.filter (fun f -> f <> sender) s.s_missing;
-      if s.s_missing = [] then finish_replay c s
+    | Some s -> (
+      s.s_missing <- remove_node sender s.s_missing;
+      match s.s_missing with [] -> finish_replay st s | _ :: _ -> ())
   end
 
 (* ---------- membership --------------------------------------------------- *)
 
-(* Keys are unique, so [compare] never reaches the values. *)
-let sorted_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 (* Every walk below runs in ascending key order — threads then slots,
    [(node, thread)] for follower pipes, [tx] for replays — so the effect
-   stream of a view change does not depend on hashtable layout. *)
-let view_change c ~view_epoch ~(vlive : bool array) =
-  let st = c.st in
+   stream of a view change does not depend on table layout. *)
+let iter_pipes f st = Array.iter (function Some p -> f p | None -> ()) st.pipelines
+
+let view_change st ~view_epoch ~(vlive : bool array) =
   let died = ref [] and revived = ref [] in
   Array.iteri
     (fun i was ->
@@ -588,125 +645,87 @@ let view_change c ~view_epoch ~(vlive : bool array) =
       else if (not was) && vlive.(i) then revived := i :: !revived)
     st.prev_live;
   st.prev_live <- Array.copy vlive;
-  List.iter
-    (fun node ->
-      let stale =
-        Hashtbl.fold
-          (fun (pid : pipe_id) _ acc -> if pid.node = node then pid :: acc else acc)
-          st.follower_pipes []
-      in
-      List.iter (Hashtbl.remove st.follower_pipes) stale)
-    !revived;
+  List.iter (fun node -> st.follower_pipes.(node) <- [||]) !revived;
   if !died <> [] then begin
     let alive n = vlive.(n) in
-    List.iter
-      (fun (_, pipe) ->
-        List.iter
-          (fun (_, s) ->
+    iter_pipes
+      (fun pipe ->
+        Window.iter
+          (fun _ s ->
             s.s_missing <- List.filter alive s.s_missing;
-            if s.s_missing = [] then finish_slot c pipe s)
-          (sorted_bindings pipe.slots))
-      (sorted_bindings st.pipelines);
-    List.iter
-      (fun (_, s) ->
+            if s.s_missing = [] then finish_slot st pipe s)
+          pipe.slots)
+      st;
+    Tx_map.iter
+      (fun _ s ->
         s.s_missing <- List.filter alive s.s_missing;
-        if s.s_missing = [] then finish_replay c s)
-      (sorted_bindings st.replaying);
+        if s.s_missing = [] then finish_replay st s)
+      st.replaying;
     st.recovering_epoch <- Some view_epoch;
-    List.iter
-      (fun ((pid : pipe_id), fp) ->
-        if not (alive pid.node) then begin
-          Hashtbl.reset fp.buffered;
-          List.iter (fun (_, si) -> start_replay c si) (sorted_bindings fp.stored)
-        end)
-      (sorted_bindings st.follower_pipes);
-    check_drained c
+    Array.iteri
+      (fun node row ->
+        if not (alive node) then
+          Array.iter
+            (function
+              | Some fp ->
+                Window.clear fp.buffered;
+                Window.iter (fun _ si -> start_replay st si) fp.stored
+              | None -> ())
+            row)
+      st.follower_pipes;
+    check_drained st
   end;
   (* Re-drive open slots / replays at the new epoch (stale-only fencing on
      the receive side would otherwise lose one fenced R-INV for good). *)
-  let e = view_epoch in
-  List.iter
-    (fun (_, pipe) ->
-      List.iter
-        (fun (_, (s : slot_state)) ->
-          let size = writes_size s.s_writes in
-          List.iter
-            (fun f ->
-              if vlive.(f) then begin
-                let prev_val =
-                  match Hashtbl.find_opt pipe.slots (s.s_tx.slot - 1) with
-                  | None -> true
-                  | Some ps ->
-                    if not (List.mem f ps.s_followers || List.mem f ps.s_extra_vals)
-                    then ps.s_extra_vals <- f :: ps.s_extra_vals;
-                    false
-                in
-                c.emit
-                  (Send
-                     {
-                       dst = f;
-                       size;
-                       payload =
-                         R_inv
-                           {
-                             tx = s.s_tx;
-                             epoch = e;
-                             followers = s.s_followers;
-                             writes = s.s_writes;
-                             prev_val;
-                             replay = false;
-                           };
-                     })
-              end)
-            s.s_missing)
-        (sorted_bindings pipe.slots))
-    (sorted_bindings st.pipelines);
-  List.iter
-    (fun (_, (s : slot_state)) ->
-      let size = writes_size s.s_writes in
-      List.iter
-        (fun f ->
-          if vlive.(f) then
-            c.emit
-              (Send
-                 {
-                   dst = f;
-                   size;
-                   payload =
-                     R_inv
-                       {
-                         tx = s.s_tx;
-                         epoch = e;
-                         followers = s.s_followers;
-                         writes = s.s_writes;
-                         prev_val = false;
-                         replay = true;
-                       };
-                 }))
-        s.s_missing)
-    (sorted_bindings st.replaying);
-  c.emit Flush
+  let epoch = view_epoch in
+  iter_pipes
+    (fun pipe ->
+      Window.iter
+        (fun _ (s : slot_state) ->
+          let prev = Window.find pipe.slots (s.s_tx.slot - 1) in
+          let targets = List.filter (fun f -> vlive.(f)) s.s_missing in
+          if prev != no_slot then add_extra_vals prev targets;
+          send_all st ~size:(writes_size s.s_writes)
+            (R_inv
+               {
+                 tx = s.s_tx;
+                 epoch;
+                 followers = s.s_followers;
+                 writes = s.s_writes;
+                 prev_val = prev == no_slot;
+                 replay = false;
+               })
+            targets)
+        pipe.slots)
+    st;
+  Tx_map.iter
+    (fun _ (s : slot_state) ->
+      send_all st ~size:(writes_size s.s_writes)
+        (replay_inv ~tx:s.s_tx ~epoch ~followers:s.s_followers ~writes:s.s_writes)
+        (List.filter (fun f -> vlive.(f)) s.s_missing))
+    st.replaying;
+  emit st Flush
 
 let reset st =
-  Hashtbl.reset st.pipelines;
-  Hashtbl.reset st.follower_pipes;
-  Hashtbl.reset st.replaying;
+  Array.fill st.pipelines 0 (Array.length st.pipelines) None;
+  Array.fill st.follower_pipes 0 (Array.length st.follower_pipes) [||];
+  st.replaying <- Tx_map.empty;
   st.recovering_epoch <- None
 
 (* ---------- dispatch ------------------------------------------------------ *)
 
-let deliver c ~src payload =
+let deliver st ~src payload =
   match payload with
   | R_inv { tx; epoch = e; followers; writes; prev_val; replay } ->
     (* Fence stale epochs only; accept future epochs from live peers (they
        installed the next view first) but keep fencing senders we still see
        as dead — their rejoin wipe has not reached us yet. *)
-    if e = c.env.epoch || (e > c.env.epoch && live c src) then
-      handle_inv c ~src ~tx ~followers ~writes ~prev_val ~replay
-  | R_ack { tx; sender } -> handle_ack c ~tx ~sender
+    if e = st.env.epoch || (e > st.env.epoch && live st src) then
+      handle_inv st ~src ~tx ~followers ~writes ~prev_val ~replay
+  | R_ack { tx; sender } -> handle_ack st ~tx ~sender
   | R_val { tx; upto; epoch = e } -> (
-    match c.st.mode with
-    | Legacy -> handle_val_legacy c ~tx
+    match st.mode with
+    | Legacy -> handle_val_legacy st ~tx
     | Sequenced ->
       (* A VAL for a pipe we already track is always safe to process: its
          claims (slot committed, slots <= upto committed) are monotone
@@ -716,74 +735,50 @@ let deliver c ~src payload =
          predate a fence-and-reset of this pipe's incarnation, and a
          fresh incarnation must not resurrect pipe state (PR 9). *)
       if
-        Hashtbl.mem c.st.follower_pipes tx.pipe
-        || e = c.env.epoch
-        || (e > c.env.epoch && live c src)
-      then handle_val c ~tx ~upto)
+        Option.is_some (find_follower_pipe st tx.pipe)
+        || e = st.env.epoch
+        || (e > st.env.epoch && live st src)
+      then handle_val st ~tx ~upto)
   | _ -> ()
 
-let no_env = { epoch = 0; live = [||]; trace_on = false }
-
-let env_of = function
-  | Deliver { env; _ } | Api_commit { env; _ } | View_change { env; _ } -> env
-  | Reset -> no_env
-
 let handle st input =
-  let acc = ref [] in
-  let emit e = acc := e :: !acc in
-  let c = { st; env = env_of input; emit } in
   (match input with
-  | Deliver { src; payload; _ } -> deliver c ~src payload
-  | Api_commit { thread; updates; replica_sets; has_durable; _ } ->
-    api_commit c ~thread ~updates ~replica_sets ~has_durable
-  | View_change { view_epoch; live; _ } -> view_change c ~view_epoch ~vlive:live
+  | Deliver { src; payload; env } ->
+    st.env <- env;
+    deliver st ~src payload
+  | Api_commit { thread; updates; replica_sets; has_durable; env } ->
+    st.env <- env;
+    api_commit st ~thread ~updates ~replica_sets ~has_durable
+  | View_change { view_epoch; live; env } ->
+    st.env <- env;
+    view_change st ~view_epoch ~vlive:live
   | Reset -> reset st);
-  (st, List.rev !acc)
+  (st, take_effects st)
 
 (* ---------- deep copy + canonical fingerprint (model checking) ----------- *)
 
-let copy_slot (s : slot_state) =
+let copy_slot (s : slot_state) = { s with s_missing = s.s_missing }  (* a fresh record *)
+
+let copy_follower_pipe fp =
   {
-    s_tx = s.s_tx;
-    s_writes = s.s_writes;
-    s_followers = s.s_followers;
-    s_missing = s.s_missing;
-    s_extra_vals = s.s_extra_vals;
-    s_has_durable = s.s_has_durable;
-    s_span = s.s_span;
+    cleared_upto = fp.cleared_upto;
+    marks = Window.copy Fun.id fp.marks;
+    stored = Window.copy Fun.id fp.stored;
+    buffered = Window.copy Fun.id fp.buffered;
   }
 
 let copy st =
-  let pipelines = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun thread p ->
-      let slots = Hashtbl.create (Hashtbl.length p.slots * 2 + 1) in
-      Hashtbl.iter (fun k s -> Hashtbl.replace slots k (copy_slot s)) p.slots;
-      Hashtbl.replace pipelines thread
-        { next_slot = p.next_slot; done_upto = p.done_upto; slots })
-    st.pipelines;
-  let follower_pipes = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun pid fp ->
-      Hashtbl.replace follower_pipes pid
-        {
-          cleared_upto = fp.cleared_upto;
-          marks = Hashtbl.copy fp.marks;
-          stored = Hashtbl.copy fp.stored;
-          buffered = Hashtbl.copy fp.buffered;
-        })
-    st.follower_pipes;
-  let replaying = Hashtbl.create 16 in
-  Hashtbl.iter (fun k s -> Hashtbl.replace replaying k (copy_slot s)) st.replaying;
   {
-    self = st.self;
-    mode = st.mode;
-    pipelines;
-    follower_pipes;
-    replaying;
+    st with
+    pipelines =
+      Array.map
+        (Option.map (fun p -> { p with slots = Window.copy copy_slot p.slots }))
+        st.pipelines;
+    follower_pipes = Array.map (Array.map (Option.map copy_follower_pipe)) st.follower_pipes;
+    replaying = Tx_map.map copy_slot st.replaying;
     prev_live = Array.copy st.prev_live;
-    recovering_epoch = st.recovering_epoch;
-    token_seq = st.token_seq;
+    out = Array.make out_capacity Flush;
+    n_out = 0;
   }
 
 let pp_writes ppf writes =
@@ -809,37 +804,35 @@ let fingerprint st =
     (match st.recovering_epoch with Some e -> string_of_int e | None -> "-")
     (String.concat ";"
        (Array.to_list (Array.map (fun l -> if l then "1" else "0") st.prev_live)));
-  List.iter
-    (fun (thread, p) ->
-      Format.fprintf ppf "P%d next=%d done=%d@," thread p.next_slot p.done_upto;
-      List.iter
-        (fun (slot, s) -> Format.fprintf ppf " s%d %a@," slot pp_slot s)
-        (sorted_bindings p.slots))
-    (sorted_bindings st.pipelines);
-  List.iter
-    (fun ((pid : pipe_id), fp) ->
-      Format.fprintf ppf "F n%d.t%d cleared=%d marks=[%s]@," pid.node pid.thread
-        fp.cleared_upto
-        (String.concat ";"
-           (List.map string_of_int
-              (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) fp.marks []))));
-      List.iter
-        (fun (slot, (si : stored_inv)) ->
-          Format.fprintf ppf " i%d f=[%s] w=%a@," slot
-            (String.concat ";" (List.map string_of_int si.i_followers))
-            pp_writes si.i_writes)
-        (sorted_bindings fp.stored);
-      List.iter
-        (fun (slot, (bi : buffered_inv)) ->
-          Format.fprintf ppf " b%d src=n%d f=[%s] w=%a@," slot bi.b_src
-            (String.concat ";" (List.map string_of_int bi.b_followers))
-            pp_writes bi.b_writes)
-        (sorted_bindings fp.buffered))
-    (sorted_bindings st.follower_pipes);
-  List.iter
-    (fun ((tx : tx_id), s) ->
-      ignore tx;
-      Format.fprintf ppf "R %a@," pp_slot s)
-    (sorted_bindings st.replaying);
+  Array.iteri
+    (fun thread -> function
+      | None -> ()
+      | Some p ->
+        Format.fprintf ppf "P%d next=%d done=%d@," thread p.next_slot p.done_upto;
+        Window.iter (fun slot s -> Format.fprintf ppf " s%d %a@," slot pp_slot s) p.slots)
+    st.pipelines;
+  Array.iteri
+    (fun node ->
+      Array.iteri (fun thread -> function
+        | None -> ()
+        | Some fp ->
+          let marks = ref [] in
+          Window.iter (fun k _ -> marks := string_of_int k :: !marks) fp.marks;
+          Format.fprintf ppf "F n%d.t%d cleared=%d marks=[%s]@," node thread fp.cleared_upto
+            (String.concat ";" (List.rev !marks));
+          Window.iter
+            (fun slot (si : stored_inv) ->
+              Format.fprintf ppf " i%d f=[%s] w=%a@," slot
+                (String.concat ";" (List.map string_of_int si.i_followers))
+                pp_writes si.i_writes)
+            fp.stored;
+          Window.iter
+            (fun slot (bi : buffered_inv) ->
+              Format.fprintf ppf " b%d src=n%d f=[%s] w=%a@," slot bi.b_src
+                (String.concat ";" (List.map string_of_int bi.b_followers))
+                pp_writes bi.b_writes)
+            fp.buffered))
+    st.follower_pipes;
+  Tx_map.iter (fun _ s -> Format.fprintf ppf "R %a@," pp_slot s) st.replaying;
   Format.pp_print_flush ppf ();
   Buffer.contents b

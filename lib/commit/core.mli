@@ -13,7 +13,20 @@
     Contract for interpreters: sample {!env} before calling [handle] and
     execute the returned effects in order, immediately.  Unlike the
     ownership core there are no timers and no per-key facts — commit
-    state is entirely protocol-side. *)
+    state is entirely protocol-side.
+
+    {b State representation.}  A steady-state input touches only
+    monomorphic, int-indexed state.  Coordinator pipelines sit in an array
+    by thread, follower pipes in an array by coordinator node, then
+    thread.  Within a pipe, the open slots, the stored and the buffered
+    R-INVs and the clear marks are each a {!Window}: a power-of-two ring
+    indexed by slot, which grows when the band of live slots outgrows it.
+    Absent entries are constant sentinels, so a lookup neither hashes nor
+    allocates.  Only the crash path's replays live in a map, ordered by
+    [tx].  The input's [env] and the effects it produces are kept in the
+    state while it is handled, and the effect list is built once, in
+    order, when it returns; a pipeline's [pipe_id] is shared by all its
+    slots and an R-ACK reuses its R-INV's [tx]. *)
 
 open Zeus_store
 
@@ -88,8 +101,8 @@ val handle : state -> input -> state * eff list
 
 val peek_slot : state -> thread:int -> int
 (** The slot the next {!Api_commit} on [thread] will occupy — interpreters
-    register the caller's [on_durable] continuation under
-    [(thread, slot)] before feeding the input. *)
+    register the caller's [on_durable] continuation under that slot of
+    the thread before feeding the input. *)
 
 val handles_payload : Zeus_net.Msg.payload -> bool
 
@@ -114,6 +127,6 @@ val copy : state -> state
 (** Deep copy, for branching exploration. *)
 
 val fingerprint : state -> string
-(** Canonical dump: hashtables in sorted order, span tokens reduced to
-    presence bits — states differing only in allocation history collapse
-    together. *)
+(** Canonical dump: every table in ascending key order, span tokens
+    dropped — states differing only in allocation history (ring sizes,
+    token counters) collapse together. *)
