@@ -13,23 +13,23 @@ test: build
 # The experiment runs twice and the two BENCH_locality.json files must be
 # byte-identical: any nondeterminism in the locality engine fails here.
 check: test
-	dune exec bench/main.exe -- --quick predictive
+	dune exec bin/zeus_cli.exe -- run --quick predictive
 	cp BENCH_locality.json BENCH_locality.first.json
-	dune exec bench/main.exe -- --quick predictive
+	dune exec bin/zeus_cli.exe -- run --quick predictive
 	@cmp BENCH_locality.first.json BENCH_locality.json || { echo "check: two predictive runs wrote different BENCH_locality.json" >&2; exit 1; }
 	rm -f BENCH_locality.first.json
 
 bench:
-	dune exec bench/main.exe
+	dune exec bin/zeus_cli.exe -- run all
 
 bench-quick:
-	dune exec bench/main.exe -- --quick
+	dune exec bin/zeus_cli.exe -- run --quick all
 
 # Quick transport ablation (batched vs unbatched) + sanity-check that the
 # machine-readable BENCH_transport.json came out well-formed.
 bench-smoke: build
 	rm -f BENCH_transport.json
-	dune exec bench/main.exe -- --quick transport
+	dune exec bin/zeus_cli.exe -- run --quick transport
 	@test -s BENCH_transport.json || { echo "bench-smoke: BENCH_transport.json missing or empty" >&2; exit 1; }
 	@for key in smallbank handover unbatched batched messages_per_txn bytes_per_txn events_per_txn committed mean_occupancy; do \
 	  grep -q "\"$$key\"" BENCH_transport.json || { echo "bench-smoke: key \"$$key\" missing from BENCH_transport.json" >&2; exit 1; }; \
@@ -42,7 +42,7 @@ bench-smoke: build
 # "recovery_us": null), and every invariant monitor passed.
 chaos-smoke: build
 	rm -f BENCH_faults.json
-	dune exec bench/main.exe -- --quick faults
+	dune exec bin/zeus_cli.exe -- run --quick faults
 	@test -s BENCH_faults.json || { echo "chaos-smoke: BENCH_faults.json missing or empty" >&2; exit 1; }
 	@for key in follower owner directory reorder baseline_mtps dip_mtps recovery_us timeline monitors_ok; do \
 	  grep -q "\"$$key\"" BENCH_faults.json || { echo "chaos-smoke: key \"$$key\" missing from BENCH_faults.json" >&2; exit 1; }; \
@@ -60,7 +60,7 @@ chaos-smoke: build
 # analytical bound, and commits progressed after every view change.
 detect-smoke: build
 	rm -f BENCH_detection.json
-	dune exec bench/main.exe -- --quick detection
+	dune exec bin/zeus_cli.exe -- run --quick detection
 	@test -s BENCH_detection.json || { echo "detect-smoke: BENCH_detection.json missing or empty" >&2; exit 1; }
 	@for key in period_us min_timeout_us bound_us detect_latency_us within_bound recovered noise_false_suspicions noise_evictions_averted; do \
 	  grep -q "\"$$key\"" BENCH_detection.json || { echo "detect-smoke: key \"$$key\" missing from BENCH_detection.json" >&2; exit 1; }; \
@@ -91,7 +91,7 @@ trace-smoke: build
 # store no more than 5% above it, and the -j1 vs -jN sweep bit-identical.
 perf-smoke: build
 	rm -f BENCH_perf.json
-	dune exec bench/main.exe -- --quick perf
+	dune exec bin/zeus_cli.exe -- run --quick perf
 	@test -s BENCH_perf.json || { echo "perf-smoke: BENCH_perf.json missing or empty" >&2; exit 1; }
 	@for key in events_per_sec words_per_event promoted_per_event speedup regression_ok words_ok promoted_ok populate live_words_per_key live_words_ok sweep identical cores; do \
 	  grep -q "\"$$key\"" BENCH_perf.json || { echo "perf-smoke: key \"$$key\" missing from BENCH_perf.json" >&2; exit 1; }; \
@@ -128,7 +128,7 @@ model-smoke: build
 # when the reference hardware or compiler changes — events/sec is
 # machine-bound, the GC figures compiler-bound.
 perf-baseline: build
-	dune exec bench/main.exe -- --quick perf
+	dune exec bin/zeus_cli.exe -- run --quick perf
 	@test -s BENCH_perf.json || { echo "perf-baseline: BENCH_perf.json missing" >&2; exit 1; }
 	@eps=$$(sed -n 's/.*"smallbank": {"events_per_sec": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  wpe=$$(sed -n 's/.*"words_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \

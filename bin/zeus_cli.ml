@@ -2,7 +2,9 @@
 
      zeus_cli list                 # show reproducible experiments
      zeus_cli run fig8 [--quick]   # regenerate one table/figure
+     zeus_cli run faults detection # several; each BENCH_*.json they own
      zeus_cli run all [--quick]    # the whole evaluation
+     zeus_cli micro                # bechamel microbenchmarks
      zeus_cli bench smallbank --nodes 3 --remote 0.02
                                    # one-off Zeus throughput measurement
      zeus_cli chaos --seed 7 --faults 4 --quick
@@ -26,41 +28,74 @@ let jobs =
 
 (* ---- list ---- *)
 
+module Experiments = Zeus_experiments.Experiments
+
 let list_cmd =
   let run () =
     Printf.printf "%-10s %s\n" "id" "description";
     List.iter
-      (fun (id, descr, _) -> Printf.printf "%-10s %s\n" id descr)
-      Zeus_experiments.Experiments.all
+      (fun (e : Experiments.t) -> Printf.printf "%-10s %s\n" e.id e.descr)
+      Experiments.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List the reproducible tables and figures.")
     Term.(const run $ const ())
 
 (* ---- run ---- *)
 
+let write_json path v =
+  let oc = open_out path in
+  output_string oc (Tel.Jsonv.serialize v);
+  output_char oc '\n';
+  close_out oc;
+  Tel.Tlog.infof "wrote %s" path
+
 let run_cmd =
-  let id =
+  let ids =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see $(b,list)) or $(b,all).")
+      non_empty
+      & pos_all string []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiment ids (see $(b,list)), or $(b,all) for every one.")
   in
-  let run quick jobs id =
+  let run quick jobs ids =
     Zeus_experiments.Sweep.set_jobs jobs;
-    if id = "all" then begin
-      Zeus_experiments.Experiments.run_all ~quick;
+    let find id =
+      match Experiments.find id with
+      | Some e -> Either.Left [ e ]
+      | None when id = "all" -> Either.Left Experiments.all
+      | None -> Either.Right id
+    in
+    match List.partition_map find ids with
+    | found, [] ->
+      List.iter
+        (fun e ->
+          Option.iter
+            (fun (path, json) -> write_json path json)
+            (Experiments.run ~quick e))
+        (List.concat found);
       `Ok ()
-    end
-    else if Zeus_experiments.Experiments.run_one ~quick id then `Ok ()
-    else
+    | _, unknown ->
       `Error
         ( false,
-          Printf.sprintf "unknown experiment %S; known: all, %s" id
-            (String.concat ", " (Zeus_experiments.Experiments.names ())) )
+          Printf.sprintf "unknown experiment %s; known: all, %s"
+            (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+            (String.concat ", " (Experiments.names ())) )
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Regenerate one of the paper's tables/figures (or $(b,all)).")
-    Term.(ret (const run $ quick $ jobs $ id))
+    (Cmd.info "run"
+       ~doc:
+         "Regenerate tables/figures of the paper's evaluation (or $(b,all)); \
+          experiments with a machine-readable output write their \
+          BENCH_*.json to the current directory.")
+    Term.(ret (const run $ quick $ jobs $ ids))
+
+(* ---- micro ---- *)
+
+let micro_cmd =
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:"Bechamel microbenchmarks of the simulator and protocol code paths.")
+    Term.(const Micro.run $ const ())
 
 (* ---- bench ---- *)
 
@@ -192,27 +227,12 @@ let chaos_cmd =
     let monitor = Chaos.Monitor.attach cluster in
     let nemesis = Chaos.Nemesis.attach ~monitor cluster schedule in
     let end_us = warmup_us +. duration +. 6_000.0 in
-    let issuing = ref true in
-    for n = 0 to nodes - 1 do
-      let node = Cluster.node cluster n in
-      for thread = 0 to 3 do
-        let rec loop () =
-          if !issuing then begin
-            if Node.is_alive node then
-              Zeus_workload.Spec.run_on_zeus node ~thread
-                (Zeus_workload.Smallbank.gen w ~home:(Node.id node))
-                (fun _ -> loop ())
-            else ignore (Engine.schedule eng ~after:250.0 (fun () -> loop ()))
-          end
-        in
-        ignore
-          (Engine.schedule eng
-             ~after:(0.1 *. float_of_int ((n * 4) + thread))
-             (fun () -> loop ()))
-      done
-    done;
+    let stop =
+      Zeus_workload.Driver.closed_loop cluster ~nodes:(List.init nodes Fun.id) ~threads:4
+        (fun node -> Zeus_workload.Smallbank.gen w ~home:(Node.id node))
+    in
     Cluster.run cluster ~until_us:end_us;
-    issuing := false;
+    stop ();
     Chaos.Monitor.stop monitor;
     Cluster.run_quiesce cluster ~max_us:(end_us +. 100_000.0) ();
     List.iter
@@ -248,9 +268,8 @@ let chaos_cmd =
     in
     Option.iter
       (fun path ->
-        Chaos.Report.write ~path
-          { Chaos.Report.quick; seed; scenarios = [ scenario ] };
-        Tel.Tlog.infof "wrote %s" path)
+        write_json path
+          (Chaos.Report.to_json { Chaos.Report.quick; seed; scenarios = [ scenario ] }))
       out;
     match Chaos.Monitor.check_final monitor with
     | Ok () ->
@@ -502,4 +521,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "zeus_cli" ~doc)
-          [ list_cmd; run_cmd; bench_cmd; chaos_cmd; model_cmd; trace_cmd ]))
+          [ list_cmd; run_cmd; micro_cmd; bench_cmd; chaos_cmd; model_cmd; trace_cmd ]))

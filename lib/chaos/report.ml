@@ -90,54 +90,34 @@ let of_monitor ~name ~fault_at_us ?restart_at_us ?detection ~committed ~aborted 
 
 (* ---------- JSON ----------------------------------------------------------- *)
 
-let num x = if Float.is_finite x then Printf.sprintf "%.6f" x else "null"
-let opt_num = function Some x -> num x | None -> "null"
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Zeus_telemetry.Jsonv
 
 let detection_to_json d =
-  Printf.sprintf
-    "{\"mode\": \"%s\", \"heartbeats\": %d, \"suspicions\": %d, \
-     \"retractions\": %d, \"false_suspicions\": %d, \"fences\": %d, \
-     \"evictions_averted\": %d, \"views_installed\": %d}"
-    (escape d.d_mode) d.d_heartbeats d.d_suspicions d.d_retractions
-    d.d_false_suspicions d.d_fences d.d_evictions_averted d.d_views_installed
+  J.Obj
+    [
+      ("mode", J.Str d.d_mode); ("heartbeats", J.int d.d_heartbeats);
+      ("suspicions", J.int d.d_suspicions); ("retractions", J.int d.d_retractions);
+      ("false_suspicions", J.int d.d_false_suspicions); ("fences", J.int d.d_fences);
+      ("evictions_averted", J.int d.d_evictions_averted);
+      ("views_installed", J.int d.d_views_installed);
+    ]
 
 let scenario_to_json s =
-  let timeline =
-    String.concat ", "
-      (List.map (fun (at, g) -> Printf.sprintf "[%s, %s]" (num at) (num g)) s.timeline)
-  in
-  let violations =
-    String.concat ", " (List.map (fun v -> Printf.sprintf "\"%s\"" (escape v)) s.violations)
-  in
-  let detection =
-    match s.detection with None -> "null" | Some d -> detection_to_json d
-  in
-  Printf.sprintf
-    "{\"name\": \"%s\", \"fault_at_us\": %s, \"restart_at_us\": %s, \
-     \"baseline_mtps\": %s, \"dip_mtps\": %s, \"recovery_us\": %s, \
-     \"committed\": %d, \"aborted\": %d, \"monitors_ok\": %b, \
-     \"violations\": [%s], \"detection\": %s, \"timeline\": [%s]}"
-    (escape s.name) (num s.fault_at_us) (opt_num s.restart_at_us)
-    (num s.baseline_mtps) (num s.dip_mtps) (opt_num s.recovery_us) s.committed
-    s.aborted s.monitors_ok violations detection timeline
+  J.Obj
+    [
+      ("name", J.Str s.name); ("fault_at_us", J.num s.fault_at_us);
+      ("restart_at_us", J.opt J.num s.restart_at_us); ("baseline_mtps", J.num s.baseline_mtps);
+      ("dip_mtps", J.num s.dip_mtps); ("recovery_us", J.opt J.num s.recovery_us);
+      ("committed", J.int s.committed); ("aborted", J.int s.aborted);
+      ("monitors_ok", J.Bool s.monitors_ok);
+      ("violations", J.Arr (List.map (fun v -> J.Str v) s.violations));
+      ("detection", J.opt detection_to_json s.detection);
+      ("timeline", J.Arr (List.map (fun (at, g) -> J.Arr [ J.num at; J.num g ]) s.timeline));
+    ]
 
 let to_json t =
-  Printf.sprintf "{\"quick\": %b,\n \"seed\": %Ld,\n \"scenarios\": [\n  %s\n ]}\n"
-    t.quick t.seed
-    (String.concat ",\n  " (List.map scenario_to_json t.scenarios))
-
-let write ~path t =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  close_out oc
+  J.Obj
+    [
+      ("quick", J.Bool t.quick); ("seed", J.num (Int64.to_float t.seed));
+      ("scenarios", J.Arr (List.map scenario_to_json t.scenarios));
+    ]

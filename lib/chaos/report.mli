@@ -4,8 +4,8 @@
     identity (name, fault/restart instants), throughput (pre-fault
     baseline, worst post-fault window, the full goodput timeline), the
     recovery time extracted by {!Monitor.recovery_us}, commit/abort
-    totals, and the monitor verdict.  [to_json] hand-rolls the JSON the
-    same way as the other bench emitters — no JSON library in tree. *)
+    totals, and the monitor verdict.  {!to_json} builds the
+    {!Zeus_telemetry.Jsonv} value; the caller prints and writes it. *)
 
 (** Failure-detection observability for a scenario: which membership
     regime it ran under ([d_mode]: ["oracle"] or ["detected"]) and the
@@ -59,6 +59,4 @@ val of_monitor :
 (** Derive a scenario from a stopped monitor: baseline, dip, recovery and
     verdict all come from the monitor's timeline and final check. *)
 
-val scenario_to_json : scenario -> string
-val to_json : t -> string
-val write : path:string -> t -> unit
+val to_json : t -> Zeus_telemetry.Jsonv.v

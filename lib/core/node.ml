@@ -89,72 +89,8 @@ let payload_cost payload =
     c +. bytes (Value.size d.Own.Messages.value)
   | _ -> c
 
-(* ------ ownership callbacks ---------------------------------------------- *)
-
 let obj_busy t key =
-  match Table.find t.table key with
-  | Some obj ->
-    obj.Obj.lock_thread <> None
-    || obj.Obj.pending_rc > 0
-    || obj.Obj.t_state <> Types.T_valid
-  | None -> false
-
-let apply_arbiter t ~key ~kind ~o_ts ~replicas ~requester =
-  ignore requester;
-  match Table.find t.table key with
-  | None -> ()
-  | Some obj -> (
-    obj.Obj.o_ts <- o_ts;
-    match kind with
-    | Own.Messages.Acquire ->
-      if Obj.is_owner obj then begin
-        (* Another node took over: demote to reader (§4); we keep the data
-           and keep serving read-only transactions (§5.3). *)
-        obj.Obj.role <- Types.Reader;
-        obj.Obj.o_replicas <- None
-      end
-    | Own.Messages.Add_reader ->
-      if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
-    | Own.Messages.Remove_reader r ->
-      if r = t.id then Table.remove t.table key
-      else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas)
-
-let apply_requester t ~key ~kind ~o_ts ~replicas ~data =
-  match kind with
-  | Own.Messages.Acquire | Own.Messages.Add_reader ->
-    let role =
-      match kind with Own.Messages.Acquire -> Types.Owner | _ -> Types.Reader
-    in
-    let obj =
-      match Table.find t.table key with
-      | Some obj ->
-        (match data with
-        | Some d when d.Own.Messages.t_version > obj.Obj.t_version ->
-          obj.Obj.data <- d.Own.Messages.value;
-          obj.Obj.t_version <- d.Own.Messages.t_version;
-          obj.Obj.t_state <- Types.T_valid
-        | Some _ | None -> ());
-        obj
-      | None ->
-        let d = Option.get data in
-        let obj =
-          Obj.create ~key ~role ~version:d.Own.Messages.t_version ~o_ts
-            d.Own.Messages.value
-        in
-        Table.install t.table obj;
-        obj
-    in
-    obj.Obj.role <- role;
-    obj.Obj.o_ts <- o_ts;
-    obj.Obj.o_state <- Types.O_valid;
-    obj.Obj.o_replicas <- (if role = Types.Owner then Some replicas else None)
-  | Own.Messages.Remove_reader r -> (
-    match Table.find t.table key with
-    | Some obj ->
-      obj.Obj.o_ts <- o_ts;
-      if r = t.id then Table.remove t.table key
-      else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
-    | None -> ())
+  match Table.find t.table key with Some obj -> Obj.busy obj | None -> false
 
 (* ------ construction ------------------------------------------------------ *)
 
@@ -195,22 +131,10 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       n_txn_with_ownership = 0;
     }
   in
-  let own_cb =
-    {
-      Own.Agent.is_busy = (fun key -> obj_busy t key);
-      apply_arbiter =
-        (fun ~key ~kind ~o_ts ~replicas ~requester ->
-          apply_arbiter t ~key ~kind ~o_ts ~replicas ~requester);
-      apply_requester =
-        (fun ~key ~kind ~o_ts ~replicas ~data ->
-          apply_requester t ~key ~kind ~o_ts ~replicas ~data);
-    }
-  in
   let ownership =
     Own.Agent.create ?telemetry ~config:config.Config.ownership ~node:id
       ~dir_nodes_of:(fun key -> Config.dir_nodes_for config ~key)
-      ~table:t.table ~membership ~callbacks:own_cb
-      transport
+      ~table:t.table ~membership transport
   in
   t.ownership <- Some ownership;
   if config.Config.locality.Loc.Engine.enabled then begin

@@ -56,12 +56,7 @@ let detection_of ~period_us ~min_timeout_us =
   {
     Service.default_detection with
     Service.detector =
-      {
-        Detector.default_config with
-        Detector.period_us;
-        min_timeout_us;
-        max_timeout_us = 2.0 *. min_timeout_us;
-      };
+      { Detector.period_us; min_timeout_us; max_timeout_us = 2.0 *. min_timeout_us };
   }
 
 let make_cluster ~quick ~period_us ~min_timeout_us =
@@ -90,28 +85,9 @@ let make_cluster ~quick ~period_us ~min_timeout_us =
 
 (* Closed loops on nodes 0-2 (node 3 never drives, so the crash arm's
    victim is a pure follower), resilient to the victim's absence. *)
-let drive c w ~issuing =
-  let eng = Cluster.engine c in
-  let threads = (Cluster.config c).Config.app_threads in
-  List.iter
-    (fun n ->
-      let node = Cluster.node c n in
-      for thread = 0 to threads - 1 do
-        let rec loop () =
-          if !issuing then begin
-            if Node.is_alive node then
-              W.Spec.run_on_zeus node ~thread
-                (W.Smallbank.gen w ~home:(Node.id node))
-                (fun _ -> loop ())
-            else ignore (Engine.schedule eng ~after:250.0 (fun () -> loop ()))
-          end
-        in
-        ignore
-          (Engine.schedule eng
-             ~after:(0.1 *. float_of_int ((n * threads) + thread))
-             (fun () -> loop ()))
-      done)
-    [ 0; 1; 2 ]
+let drive c w =
+  W.Driver.closed_loop c ~nodes:[ 0; 1; 2 ] (fun node ->
+      W.Smallbank.gen w ~home:(Node.id node))
 
 let crash_arm ~quick ~period_us ~min_timeout_us =
   let c, w = make_cluster ~quick ~period_us ~min_timeout_us in
@@ -120,8 +96,7 @@ let crash_arm ~quick ~period_us ~min_timeout_us =
   let bound = Service.detection_bound_us svc in
   let fault_at = 1_500.0 +. if quick then 2_500.0 else 5_000.0 in
   let end_us = fault_at +. bound +. if quick then 4_000.0 else 8_000.0 in
-  let issuing = ref true in
-  drive c w ~issuing;
+  let stop = drive c w in
   let installed_at = ref None in
   let committed_at_install = ref 0 in
   Service.subscribe svc 0 (fun v ->
@@ -131,7 +106,7 @@ let crash_arm ~quick ~period_us ~min_timeout_us =
       end);
   ignore (Engine.schedule eng ~after:fault_at (fun () -> Cluster.kill c 3));
   Cluster.run c ~until_us:end_us;
-  issuing := false;
+  stop ();
   Cluster.run_quiesce c ~max_us:100_000.0 ();
   let stats = Service.det_stats svc in
   let latency = Option.map (fun at -> at -. fault_at) !installed_at in
@@ -157,10 +132,9 @@ let noise_arm ~quick ~period_us ~min_timeout_us =
          ~dup:0.02 ~delay_us:30.0 ())
   in
   let nemesis = Chaos.Nemesis.attach c schedule in
-  let issuing = ref true in
-  drive c w ~issuing;
+  let stop = drive c w in
   Cluster.run c ~until_us:end_us;
-  issuing := false;
+  stop ();
   Cluster.run_quiesce c ~max_us:100_000.0 ();
   assert (Chaos.Nemesis.done_ nemesis);
   Service.det_stats (Cluster.membership c)
@@ -194,8 +168,28 @@ let compute ~quick =
   let combos = Sweep.map (run_combo ~quick) grid in
   { quick; seed; combos }
 
-let last = ref None
-let last_results () = !last
+module J = Zeus_telemetry.Jsonv
+
+let combo_to_json c =
+  J.Obj
+    [
+      ("period_us", J.num c.period_us); ("min_timeout_us", J.num c.min_timeout_us);
+      ("bound_us", J.num c.bound_us); ("detect_latency_us", J.opt J.num c.detect_latency_us);
+      ("within_bound", J.Bool c.within_bound); ("recovered", J.Bool c.recovered);
+      ("crash_suspicions", J.int c.crash_suspicions);
+      ("noise_suspicions", J.int c.noise_suspicions);
+      ("noise_retractions", J.int c.noise_retractions);
+      ("noise_false_suspicions", J.int c.noise_false_suspicions);
+      ("noise_evictions_averted", J.int c.noise_evictions_averted);
+      ("noise_views_installed", J.int c.noise_views_installed);
+    ]
+
+let to_json r =
+  J.Obj
+    [
+      ("quick", J.Bool r.quick); ("seed", J.num (Int64.to_float r.seed));
+      ("combos", J.Arr (List.map combo_to_json r.combos));
+    ]
 
 let print_combo c =
   Exp.print_kv
@@ -218,5 +212,5 @@ let print_combo c =
 
 let run ~quick =
   let r = compute ~quick in
-  last := Some r;
-  List.iter print_combo r.combos
+  List.iter print_combo r.combos;
+  r

@@ -24,8 +24,8 @@ type combo = {
 
 type results = { quick : bool; seed : int64; combos : combo list }
 
-val last_results : unit -> results option
-(** Results of the most recent {!run} (consumed by the bench JSON
-    emitter). *)
+val run : quick:bool -> results
+(** Print one table per configuration and return the results. *)
 
-val run : quick:bool -> unit
+val to_json : results -> Zeus_telemetry.Jsonv.v
+(** The [BENCH_detection.json] document. *)

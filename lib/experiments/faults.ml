@@ -45,15 +45,12 @@ module Node = Zeus_core.Node
 module W = Zeus_workload
 module Chaos = Zeus_chaos
 
-type results = { quick : bool; seed : int64; scenarios : Chaos.Report.scenario list }
-
 let seed = 7L
 
 (* One scenario: a fresh 4-node cluster, Smallbank homed on [home_shift ..
-   home_shift+2], a resilient closed loop on [drive] (unlike
-   [W.Driver.run], it survives a driving node's crash window by polling
-   for the rejoin), and a crash/restart window on [crash_node] executed by
-   the nemesis. *)
+   home_shift+2], a crash-tolerant closed loop on [drive]
+   ({!W.Driver.closed_loop}), and a crash/restart window on [crash_node]
+   executed by the nemesis. *)
 let run_scenario ?(mode = Zeus_membership.Service.Oracle) ?(extra_down_us = 0.0)
     ?(transport = Zeus_net.Transport.default_config) ?scramble ~quick ~name
     ~home_shift ~drive ~crash_node ~remote_frac () =
@@ -104,35 +101,17 @@ let run_scenario ?(mode = Zeus_membership.Service.Oracle) ?(extra_down_us = 0.0)
         Chaos.Schedule.crash_restart ~node:crash_node ~at_us:fault_at_us ~down_us)
   in
   let nemesis = Chaos.Nemesis.attach ~monitor c schedule in
-  let issuing = ref true in
   let committed0 = ref 0 and aborted0 = ref 0 in
-  List.iter
-    (fun n ->
-      let node = Cluster.node c n in
-      for thread = 0 to config.Config.app_threads - 1 do
-        let rec loop () =
-          if !issuing then begin
-            if Node.is_alive node then
-              W.Spec.run_on_zeus node ~thread
-                (W.Smallbank.gen w ~home:(Node.id node - home_shift))
-                (fun _ -> loop ())
-            else
-              (* crashed driver: poll for the rejoin instead of dying *)
-              ignore (Engine.schedule eng ~after:250.0 (fun () -> loop ()))
-          end
-        in
-        ignore
-          (Engine.schedule eng
-             ~after:(0.1 *. float_of_int ((n * config.Config.app_threads) + thread))
-             (fun () -> loop ()))
-      done)
-    drive;
+  let stop =
+    W.Driver.closed_loop c ~nodes:drive (fun node ->
+        W.Smallbank.gen w ~home:(Node.id node - home_shift))
+  in
   ignore
     (Engine.schedule eng ~after:warmup_us (fun () ->
          committed0 := Cluster.total_committed c;
          aborted0 := Cluster.total_aborted c));
   Cluster.run c ~until_us:end_us;
-  issuing := false;
+  stop ();
   Chaos.Monitor.stop monitor;
   Cluster.run_quiesce c ~max_us:(end_us +. 100_000.0) ();
   assert (Chaos.Nemesis.done_ nemesis);
@@ -171,12 +150,7 @@ let compute ~quick =
         ~crash_node:3 ~remote_frac:0.2 ();
     ]
   in
-  { quick; seed; scenarios }
-
-let last = ref None
-let last_results () = !last
-
-let report r = { Chaos.Report.quick = r.quick; seed = r.seed; scenarios = r.scenarios }
+  { Chaos.Report.quick; seed; scenarios }
 
 let print_scenario (s : Chaos.Report.scenario) =
   Exp.print_kv
@@ -205,11 +179,11 @@ let print_scenario (s : Chaos.Report.scenario) =
 
 let run ~quick =
   let r = compute ~quick in
-  last := Some r;
-  List.iter print_scenario r.scenarios;
+  List.iter print_scenario r.Chaos.Report.scenarios;
   List.iter
     (fun (s : Chaos.Report.scenario) ->
       List.iter
         (fun v -> Zeus_telemetry.Tlog.warnf "faults/%s: %s" s.Chaos.Report.name v)
         s.Chaos.Report.violations)
-    r.scenarios
+    r.Chaos.Report.scenarios;
+  r

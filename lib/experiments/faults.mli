@@ -1,16 +1,6 @@
 (** Performance under failures (§8): Smallbank goodput through crash and
     recovery, with the online invariant monitors armed. *)
 
-type results = {
-  quick : bool;
-  seed : int64;
-  scenarios : Zeus_chaos.Report.scenario list;
-}
-
-val last_results : unit -> results option
-(** Results of the most recent {!run} (consumed by the bench JSON
-    emitter). *)
-
-val report : results -> Zeus_chaos.Report.t
-
-val run : quick:bool -> unit
+val run : quick:bool -> Zeus_chaos.Report.t
+(** Print one table per scenario and return the report that
+    [BENCH_faults.json] records ({!Zeus_chaos.Report.to_json}). *)

@@ -24,9 +24,6 @@ let issue_fn w stash node ~thread done_ =
   W.Spec.run_on_zeus node ~thread spec (fun outcome ->
       done_ (outcome = Zeus_store.Txn.Committed))
 
-(* The most recent point's cluster — its hub feeds the per-phase table. *)
-let last_cluster = ref None
-
 (* One sweep point, pure in its parameters (own cluster, own RNG streams,
    no printing, no shared refs) so [Sweep.map] can run points on separate
    domains with bit-identical results. *)
@@ -95,9 +92,6 @@ let run ~quick =
         point ~quick ~nodes ~handover_frac ~remote_handover_frac)
       specs
   in
-  (match List.rev points with
-  | p :: _ -> last_cluster := Some p.cluster
-  | [] -> ());
   let series =
     List.map2
       (fun (label, nodes, _, _) p ->
@@ -118,6 +112,6 @@ let run ~quick =
         ];
       notes = [ Exp.scale_note ~quick ];
     };
-  Option.iter
-    (Exp.print_phase_breakdown "fig7: per-phase txn latency (last Zeus point)")
-    !last_cluster
+  match List.rev points with
+  | p :: _ -> Exp.print_phase_breakdown "fig7: per-phase txn latency (last Zeus point)" p.cluster
+  | [] -> ()

@@ -98,12 +98,10 @@ let run ~quick =
          | `Flat_r _ -> assert false)
   in
   let latency_notes = ref [] in
-  let last_cluster = ref None in
   let zeus idx nodes =
     let pts = zeus_points idx in
     List.iter2
-      (fun f (_, _, r, cluster) ->
-        last_cluster := Some cluster;
+      (fun f (_, _, r, _) ->
         if f = 0.0 then
           latency_notes :=
             Printf.sprintf
@@ -144,6 +142,8 @@ let run ~quick =
         ];
       notes = Exp.scale_note ~quick :: List.rev !latency_notes;
     };
-  Option.iter
-    (Exp.print_phase_breakdown "fig8: per-phase txn latency (last Zeus point)")
-    !last_cluster
+  (* The phase table shows the last point of the 3-node sweep. *)
+  match List.rev (zeus_points 0) with
+  | (_, _, _, cluster) :: _ ->
+    Exp.print_phase_breakdown "fig8: per-phase txn latency (last Zeus point)" cluster
+  | [] -> ()

@@ -34,7 +34,7 @@ module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
 module Node = Zeus_core.Node
-module Jsonv = Zeus_telemetry.Jsonv
+module J = Zeus_telemetry.Jsonv
 module W = Zeus_workload
 
 type run_stats = {
@@ -191,10 +191,10 @@ let read_baseline () =
     let ic = open_in_bin baseline_path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    match Jsonv.parse s with
+    match J.parse s with
     | Error _ -> (None, None, None, None)
     | Ok v ->
-      let num key = Option.bind (Jsonv.member key v) Jsonv.to_float in
+      let num key = Option.bind (J.member key v) J.to_float in
       ( num "events_per_sec",
         num "words_per_event",
         num "promoted_per_event",
@@ -272,12 +272,46 @@ let compute ~quick =
     sweep_identical = j1_points = jn_points;
   }
 
-let last = ref None
-let last_results () = !last
+let to_json r =
+  let s = r.smallbank and p = r.populate and opt = J.opt J.num in
+  J.Obj
+    [
+      ("quick", J.Bool r.quick); ("repeats", J.int r.repeats); ("cores", J.int r.cores);
+      ( "smallbank",
+        J.Obj
+          [
+            ("events_per_sec", J.num s.events_per_sec); ("events", J.int s.events);
+            ("wall_s", J.num s.wall_s); ("committed", J.int s.committed);
+            ("sim_us", J.num s.sim_us); ("minor_words", J.num s.minor_words);
+            ("major_words", J.num s.major_words); ("words_per_event", J.num s.words_per_event);
+            ("promoted_words", J.num s.promoted_words);
+            ("promoted_per_event", J.num s.promoted_per_event);
+          ] );
+      ("baseline_events_per_sec", opt r.baseline_events_per_sec);
+      ("speedup", opt r.speedup); ("regression_ok", J.Bool r.regression_ok);
+      ("baseline_words_per_event", opt r.baseline_words_per_event);
+      ("words_ok", J.Bool r.words_ok);
+      ("baseline_promoted_per_event", opt r.baseline_promoted_per_event);
+      ("promoted_ok", J.Bool r.promoted_ok);
+      ( "populate",
+        J.Obj
+          [
+            ("keys", J.int p.keys); ("setup_s", J.num p.setup_s);
+            ("live_words_per_key", J.num p.live_words_per_key);
+          ] );
+      ("baseline_live_words_per_key", opt r.baseline_live_words_per_key);
+      ("live_words_ok", J.Bool r.live_words_ok);
+      ( "sweep",
+        J.Obj
+          [
+            ("points", J.int r.sweep_points); ("jobs", J.int r.sweep_jobs);
+            ("j1_wall_s", J.num r.sweep_j1_wall_s); ("jn_wall_s", J.num r.sweep_jn_wall_s);
+            ("speedup", J.num r.sweep_speedup); ("identical", J.Bool r.sweep_identical);
+          ] );
+    ]
 
 let run ~quick =
   let r = compute ~quick in
-  last := Some r;
   let f = Printf.sprintf in
   Exp.print_kv "perf: simulator wall-clock harness"
     [
@@ -316,4 +350,5 @@ let run ~quick =
           r.sweep_jobs r.sweep_jn_wall_s r.sweep_speedup r.cores );
       ( "sweep results bit-identical",
         if r.sweep_identical then "yes" else "NO" );
-    ]
+    ];
+  r

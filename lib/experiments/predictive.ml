@@ -91,14 +91,13 @@ let loc_stats c =
   in
   (!hits, !misses, !hints, pins)
 
-(* The predictive-trajectory cluster — its hub feeds the per-phase table. *)
-let phase_cluster = ref None
-
 let incr_body ctx key commit =
   Node.read_write ctx key (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ -> commit ())
 
 (* ---------- trajectory (handover) ---------- *)
 
+(* Returns the cluster too: the predictive arm's hub feeds the per-phase
+   table. *)
 let run_trajectory ~quick ~predictive =
   let nodes = 4 and users_per_node = 6 in
   let interval = 30.0 and accesses = 6 and gap = 150.0 in
@@ -114,7 +113,6 @@ let run_trajectory ~quick ~predictive =
      a pre-existing protocol corner unrelated to placement policy. *)
   let config = { Config.default with Config.nodes; seed = 11L; auto_trim = false; locality } in
   let c = Cluster.create ~config () in
-  if predictive then phase_cluster := Some c;
   let eng = Cluster.engine c in
   let users = nodes * users_per_node in
   (* one session object per user, starting at the user's first cell *)
@@ -181,7 +179,8 @@ let run_trajectory ~quick ~predictive =
     hints;
     pins;
     reassigns = 0;
-  }
+  },
+  c
 
 (* ---------- skewed two-node contention (ping-pong) ---------- *)
 
@@ -351,21 +350,42 @@ let compute ~quick =
     Tlog.debugf ~src:"predictive" "%s done" name;
     r
   in
-  {
-    quick;
-    trajectory =
-      ( stage "trajectory/reactive" (fun () -> run_trajectory ~quick ~predictive:false),
-        stage "trajectory/predictive" (fun () -> run_trajectory ~quick ~predictive:true) );
-    skew =
-      ( stage "skew/reactive" (fun () -> run_skew ~quick ~predictive:false),
-        stage "skew/predictive" (fun () -> run_skew ~quick ~predictive:true) );
-    uniform =
-      ( stage "uniform/reactive" (fun () -> run_uniform ~quick ~predictive:false),
-        stage "uniform/predictive" (fun () -> run_uniform ~quick ~predictive:true) );
-  }
+  let (traj_reactive, _), (traj_predictive, table_cluster) =
+    ( stage "trajectory/reactive" (fun () -> run_trajectory ~quick ~predictive:false),
+      stage "trajectory/predictive" (fun () -> run_trajectory ~quick ~predictive:true) )
+  in
+  ( {
+      quick;
+      trajectory = (traj_reactive, traj_predictive);
+      skew =
+        ( stage "skew/reactive" (fun () -> run_skew ~quick ~predictive:false),
+          stage "skew/predictive" (fun () -> run_skew ~quick ~predictive:true) );
+      uniform =
+        ( stage "uniform/reactive" (fun () -> run_uniform ~quick ~predictive:false),
+          stage "uniform/predictive" (fun () -> run_uniform ~quick ~predictive:true) );
+    },
+    table_cluster )
 
-let last = ref None
-let last_results () = !last
+module J = Zeus_telemetry.Jsonv
+
+let arm_to_json a =
+  J.Obj
+    [
+      ("committed", J.int a.committed); ("remote_fraction", J.num (remote_fraction a));
+      ("p50_us", J.num a.p50); ("p99_us", J.num a.p99);
+      ("prefetch_hits", J.int a.hits); ("prefetch_misses", J.int a.misses);
+      ("hints", J.int a.hints); ("pins", J.int a.pins); ("reassigns", J.int a.reassigns);
+    ]
+
+let to_json r =
+  let pair (reactive, predictive) =
+    J.Obj [ ("reactive", arm_to_json reactive); ("predictive", arm_to_json predictive) ]
+  in
+  J.Obj
+    [
+      ("quick", J.Bool r.quick); ("trajectory", pair r.trajectory); ("skew", pair r.skew);
+      ("uniform", pair r.uniform);
+    ]
 
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
@@ -386,8 +406,7 @@ let print_pair title extra (reactive, predictive) =
     @ extra predictive)
 
 let run ~quick =
-  let r = compute ~quick in
-  last := Some r;
+  let r, table_cluster = compute ~quick in
   print_pair "predictive: trajectory handovers (directional prefetch)"
     (fun p ->
       [
@@ -405,7 +424,6 @@ let run ~quick =
   print_pair "predictive: uniform partitioned load (no-regression check)"
     (fun p -> [ ("hints sent (should be ~0)", string_of_int p.hints) ])
     r.uniform;
-  Option.iter
-    (Exp.print_phase_breakdown
-       "predictive: per-phase txn latency (trajectory, predictive)")
-    !phase_cluster
+  Exp.print_phase_breakdown "predictive: per-phase txn latency (trajectory, predictive)"
+    table_cluster;
+  r

@@ -21,12 +21,9 @@ type results = {
   uniform : arm * arm;
 }
 
-val remote_fraction : arm -> float
-val hit_rate : arm -> float
+val run : quick:bool -> results
+(** Print the three comparison tables and the per-phase latency table,
+    and return the results. *)
 
-val compute : quick:bool -> results
-val run : quick:bool -> unit
-
-val last_results : unit -> results option
-(** The most recent [run]'s results — the bench harness reads these to emit
-    [BENCH_locality.json]. *)
+val to_json : results -> Zeus_telemetry.Jsonv.v
+(** The [BENCH_locality.json] document. *)

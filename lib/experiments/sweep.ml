@@ -11,9 +11,9 @@
     Two rules keep that true (enforced by convention, asserted by the
     [-j 1] vs [-j N] determinism test):
 
-    - point functions must not touch cross-point mutable state (the
-      [last_cluster]-style refs the printers use are assigned {e after}
-      the map, from its ordered results);
+    - point functions must not touch cross-point mutable state: whatever
+      a printer needs from a point (a cluster for the phase table, say)
+      travels back in the point's result;
     - point functions must not print — {!Tlog} writes straight to the
       process-wide stdout/stderr, so table rendering stays in the
       sequential caller. *)

@@ -5,7 +5,7 @@
 
 val set_jobs : int -> unit
 (** Set the process-wide default job count (clamped to >= 1).  Wired to
-    the [-j N] flag of [bench/main.exe] and [zeus_cli run]. *)
+    the [-j N] flag of [zeus_cli run]. *)
 
 val get_jobs : unit -> int
 

@@ -52,11 +52,6 @@ let msgs_per_txn a = per_txn a.messages a
 let bytes_per_txn a = per_txn a.bytes a
 let events_per_txn a = per_txn a.events a
 
-(* The batched-Smallbank arm's cluster (the acceptance workload) — its hub
-   feeds the per-phase breakdown table.  Assigned only after [compute]'s
-   sweep so the arms themselves stay sweep-pure (see sweep.ml). *)
-let phase_cluster = ref None
-
 (* Run one arm: build the cluster, install the workload, and measure the
    fabric/engine deltas over the driver's measurement window.  Returns the
    arm and its cluster (for the phase-breakdown table). *)
@@ -156,10 +151,10 @@ let one ~quick ~batched ~setup =
   measure ~config ~warmup_us:s.Exp.warmup_us ~duration_us:s.Exp.duration_us
     ~setup:(setup s)
 
+(* Four independent simulations: sweep them (bit-identical to running
+   sequentially).  Also returns the batched-Smallbank cluster (the
+   acceptance workload), whose hub feeds the per-phase breakdown table. *)
 let compute ~quick =
-  (* Four independent simulations: sweep them (bit-identical to running
-     sequentially), then pick the batched-Smallbank cluster for the
-     phase-breakdown table. *)
   let arms =
     Sweep.map
       (fun (batched, setup) -> one ~quick ~batched ~setup)
@@ -172,12 +167,31 @@ let compute ~quick =
   in
   match arms with
   | [ (sb_u, _); (sb_b, sb_cluster); (ho_u, _); (ho_b, _) ] ->
-    phase_cluster := Some sb_cluster;
-    { quick; smallbank = (sb_u, sb_b); handover = (ho_u, ho_b) }
+    ({ quick; smallbank = (sb_u, sb_b); handover = (ho_u, ho_b) }, sb_cluster)
   | _ -> assert false
 
-let last = ref None
-let last_results () = !last
+module J = Zeus_telemetry.Jsonv
+
+let arm_to_json a =
+  J.Obj
+    [
+      ("committed", J.int a.committed); ("mtps", J.num a.mtps);
+      ("abort_rate", J.num a.abort_rate); ("p50_us", J.num a.p50); ("p99_us", J.num a.p99);
+      ("messages", J.int a.messages); ("bytes", J.int a.bytes); ("events", J.int a.events);
+      ("messages_per_txn", J.num (msgs_per_txn a)); ("bytes_per_txn", J.num (bytes_per_txn a));
+      ("events_per_txn", J.num (events_per_txn a));
+      ("retransmissions", J.int a.retransmissions); ("frames", J.int a.frames);
+      ("payloads", J.int a.payloads); ("mean_occupancy", J.num a.mean_occupancy);
+      ("acks_piggybacked", J.int a.piggybacked_acks);
+      ("acks_standalone", J.int a.standalone_acks);
+    ]
+
+let to_json r =
+  let pair (unbatched, batched) =
+    J.Obj [ ("unbatched", arm_to_json unbatched); ("batched", arm_to_json batched) ]
+  in
+  J.Obj
+    [ ("quick", J.Bool r.quick); ("smallbank", pair r.smallbank); ("handover", pair r.handover) ]
 
 let print_pair title (unbatched, batched) =
   let f = Printf.sprintf in
@@ -214,11 +228,9 @@ let print_pair title (unbatched, batched) =
     ]
 
 let run ~quick =
-  let r = compute ~quick in
-  last := Some r;
+  let r, table_cluster = compute ~quick in
   print_pair "transport: Smallbank, 3 nodes, default fabric" r.smallbank;
   print_pair "transport: handovers (2.5%, 3 nodes)" r.handover;
-  Option.iter
-    (Exp.print_phase_breakdown
-       "transport: per-phase txn latency (Smallbank, batched)")
-    !phase_cluster
+  Exp.print_phase_breakdown "transport: per-phase txn latency (Smallbank, batched)"
+    table_cluster;
+  r

@@ -25,13 +25,9 @@ type results = {
   handover : arm * arm;
 }
 
-val msgs_per_txn : arm -> float
-val bytes_per_txn : arm -> float
-val events_per_txn : arm -> float
+val run : quick:bool -> results
+(** Print the two comparison tables and the per-phase latency table, and
+    return the results. *)
 
-val compute : quick:bool -> results
-val run : quick:bool -> unit
-
-val last_results : unit -> results option
-(** The most recent [run]'s results — the bench harness reads these to emit
-    [BENCH_transport.json]. *)
+val to_json : results -> Zeus_telemetry.Jsonv.v
+(** The [BENCH_transport.json] document. *)

@@ -11,20 +11,10 @@ type hint_kind = Hint_own | Hint_read
 type Zeus_net.Msg.payload +=
   | L_hint of { key : Types.key; kind : hint_kind; from_ : Types.node_id }
 
-type config = {
-  enabled : bool;
-  log : Access_log.config;
-  planner : Planner.config;
-  migrator : Migrator.config;
-}
+type config = { enabled : bool; planner : Planner.config; migrator : Migrator.config }
 
 let default_config =
-  {
-    enabled = false;
-    log = Access_log.default_config;
-    planner = Planner.default_config;
-    migrator = Migrator.default_config;
-  }
+  { enabled = false; planner = Planner.default_config; migrator = Migrator.default_config }
 
 let enabled_default = { default_config with enabled = true }
 
@@ -68,7 +58,7 @@ let create ?telemetry ~(config : config) ~node ~nodes ~engine ~transport ~agent 
     engine;
     transport;
     is_owner;
-    log = Access_log.create ~config:config.log ~nodes ();
+    log = Access_log.create ~nodes ();
     predictor = Predictor.create ~nodes;
     planner = Planner.create ~config:config.planner ();
     migrator = Migrator.create ~config:config.migrator ~agent ~engine ();

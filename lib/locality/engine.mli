@@ -33,12 +33,8 @@
 
 open Zeus_store
 
-type config = {
-  enabled : bool;
-  log : Access_log.config;
-  planner : Planner.config;
-  migrator : Migrator.config;
-}
+type config = { enabled : bool; planner : Planner.config; migrator : Migrator.config }
+(** The engine's {!Access_log} always uses {!Access_log.default_config}. *)
 
 val default_config : config
 (** [enabled = false]: seed behaviour. *)

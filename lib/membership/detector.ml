@@ -1,21 +1,10 @@
 type Zeus_net.Msg.payload += Heartbeat of { epoch : int }
 
-type config = {
-  period_us : float;
-  phi_factor : float;
-  min_timeout_us : float;
-  max_timeout_us : float;
-  min_samples : int;
-}
+type config = { period_us : float; min_timeout_us : float; max_timeout_us : float }
 
-let default_config =
-  {
-    period_us = 200.0;
-    phi_factor = 4.0;
-    min_timeout_us = 1_200.0;
-    max_timeout_us = 2_400.0;
-    min_samples = 3;
-  }
+let default_config = { period_us = 200.0; min_timeout_us = 1_200.0; max_timeout_us = 2_400.0 }
+let phi_factor = 4.0
+let min_samples = 3
 
 type peer = {
   mutable last_arrival : float;
@@ -49,11 +38,11 @@ let note_arrival t ~src ~now =
 
 let timeout_us t ~peer =
   let p = t.peers.(peer) in
-  if p.samples < t.config.min_samples then t.config.max_timeout_us
+  if p.samples < min_samples then t.config.max_timeout_us
   else
     Float.min t.config.max_timeout_us
       (Float.max t.config.min_timeout_us
-         (p.mean_ia +. (t.config.phi_factor *. p.dev_ia)))
+         (p.mean_ia +. (phi_factor *. p.dev_ia)))
 
 let silence_us t ~peer ~now = now -. t.peers.(peer).last_arrival
 

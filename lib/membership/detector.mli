@@ -13,11 +13,12 @@
 
     {v clamp(mean + phi_factor * dev, min_timeout_us, max_timeout_us) v}
 
-    The floor keeps chatty data flows (µs-scale inter-arrivals) from
-    turning one scheduling hiccup into a suspicion; the cap bounds
-    detection latency and is the term the deterministic recovery-bound
-    tests assert against.  Until [min_samples] arrivals have been observed
-    for a peer (fresh start, rejoin grace) the cap is used verbatim.
+    with the constant [phi_factor = 4].  The floor keeps chatty data flows
+    (µs-scale inter-arrivals) from turning one scheduling hiccup into a
+    suspicion; the cap bounds detection latency and is the term the
+    deterministic recovery-bound tests assert against.  Until
+    [min_samples = 3] arrivals have been observed for a peer (fresh start,
+    rejoin grace) the cap is used verbatim.
 
     This module is a pure state machine — no timers, no transport; the
     {!Service} drives it from heartbeat ticks and message receipt. *)
@@ -30,14 +31,12 @@ type Zeus_net.Msg.payload +=
 
 type config = {
   period_us : float;       (** heartbeat period *)
-  phi_factor : float;      (** deviation multiplier over the mean inter-arrival *)
   min_timeout_us : float;  (** suspicion floor (also the false-positive guard) *)
   max_timeout_us : float;  (** suspicion cap — bounds detection latency *)
-  min_samples : int;       (** arrivals before the adaptive estimate is trusted *)
 }
 
 val default_config : config
-(** 200 µs period, phi 4.0, 1.2 ms floor, 2.4 ms cap, 3 samples. *)
+(** 200 µs period, 1.2 ms floor, 2.4 ms cap. *)
 
 type t
 

@@ -339,8 +339,8 @@ module Ownership = struct
     List.iter (exec_eff w i) effs
 
   (* Store facts sampled exactly as the simulator interpreter samples them;
-     [busy] is the branch point the checker injects in place of the commit
-     layer's [is_busy]. *)
+     [busy] is the branch point the checker injects in place of
+     [Obj.busy]. *)
   let facts_for w i ~busy (payload : Zeus_net.Msg.payload) =
     let m = w.stores.(i) in
     match payload with

@@ -3,7 +3,7 @@
    Everything protocol lives in [Core]; this module only (a) samples the
    runtime facts an input needs (time, epoch, view, store lookups), and
    (b) executes the returned effects, in order, against the simulator:
-   transport sends, engine timers, store callbacks, telemetry, and the
+   transport sends, engine timers, store updates, telemetry, and the
    caller's continuation.  Closures never enter the core — continuations
    are keyed by request seq, timers and spans by core-allocated tokens.
 
@@ -22,24 +22,6 @@ module Service = Zeus_membership.Service
 module View = Zeus_membership.View
 open Zeus_store
 open Messages
-
-type callbacks = {
-  is_busy : Types.key -> bool;
-  apply_arbiter :
-    key:Types.key ->
-    kind:Messages.kind ->
-    o_ts:Ots.t ->
-    replicas:Replicas.t ->
-    requester:Types.node_id ->
-    unit;
-  apply_requester :
-    key:Types.key ->
-    kind:Messages.kind ->
-    o_ts:Ots.t ->
-    replicas:Replicas.t ->
-    data:Messages.data_snapshot option ->
-    unit;
-}
 
 type config = Core.config = {
   request_timeout_us : float;
@@ -61,7 +43,6 @@ type t = {
   dir_nodes_of : Types.key -> Types.node_id list;
   table : Table.t;
   membership : Service.t;
-  cb : callbacks;
   transport : Transport.t;
   engine : Engine.t;
   unblocks : (int, (unit, nack_reason) result -> unit) Hashtbl.t;
@@ -115,19 +96,23 @@ let snapshot t key =
 
 let facts_for t payload =
   match payload with
-  | O_req { key; _ } -> { Core.no_facts with Core.f_busy = t.cb.is_busy key }
+  | O_req { key; _ } ->
+    {
+      Core.no_facts with
+      Core.f_busy =
+        (match Table.find t.table key with Some obj -> Obj.busy obj | None -> false);
+    }
   | O_inv { key; _ } -> (
-    let f_busy = t.cb.is_busy key in
     match Table.find t.table key with
     | Some obj ->
       {
         Core.f_exists = true;
         f_o_ts = obj.Obj.o_ts;
         f_is_owner = Obj.is_owner obj;
-        f_busy;
+        f_busy = Obj.busy obj;
         f_snapshot = None;
       }
-    | None -> { Core.no_facts with Core.f_busy })
+    | None -> Core.no_facts)
   | O_ack { req_id; key; _ } ->
     {
       Core.no_facts with
@@ -159,6 +144,59 @@ let counter_handle t = function
   | Core.C_timeout -> t.c_timeout
   | Core.C_replays -> t.c_replays
   | Core.C_driven -> t.c_driven
+
+(* A request validated at this node: demote, trim or update the local
+   replica. *)
+let apply_arbiter t ~key ~kind ~o_ts ~replicas =
+  match Table.find t.table key with
+  | None -> ()
+  | Some obj -> (
+    obj.Obj.o_ts <- o_ts;
+    match kind with
+    | Acquire ->
+      if Obj.is_owner obj then begin
+        (* Another node took over: demote to reader (§4); we keep the data
+           and keep serving read-only transactions (§5.3). *)
+        obj.Obj.role <- Types.Reader;
+        obj.Obj.o_replicas <- None
+      end
+    | Add_reader -> if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
+    | Remove_reader r ->
+      if r = t.node then Table.remove t.table key
+      else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas)
+
+(* This node's own request won: install the object or access level. *)
+let apply_requester t ~key ~kind ~o_ts ~replicas ~data =
+  match kind with
+  | Acquire | Add_reader ->
+    let role = match kind with Acquire -> Types.Owner | _ -> Types.Reader in
+    let obj =
+      match Table.find t.table key with
+      | Some obj ->
+        (match data with
+        | Some d when d.t_version > obj.Obj.t_version ->
+          obj.Obj.data <- d.value;
+          obj.Obj.t_version <- d.t_version;
+          obj.Obj.t_state <- Types.T_valid
+        | Some _ | None -> ());
+        obj
+      | None ->
+        let d = Option.get data in
+        let obj = Obj.create ~key ~role ~version:d.t_version ~o_ts d.value in
+        Table.install t.table obj;
+        obj
+    in
+    obj.Obj.role <- role;
+    obj.Obj.o_ts <- o_ts;
+    obj.Obj.o_state <- Types.O_valid;
+    obj.Obj.o_replicas <- (if role = Types.Owner then Some replicas else None)
+  | Remove_reader r -> (
+    match Table.find t.table key with
+    | Some obj ->
+      obj.Obj.o_ts <- o_ts;
+      if r = t.node then Table.remove t.table key
+      else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
+    | None -> ())
 
 let restore_request_state t key =
   match Table.find t.table key with
@@ -227,10 +265,10 @@ let rec exec_eff t (e : Core.eff) =
       Engine.cancel t.engine ev;
       Hashtbl.remove t.timers token
     | None -> ())
-  | Core.Apply_arbiter { key; kind; o_ts; replicas; requester } ->
-    t.cb.apply_arbiter ~key ~kind ~o_ts ~replicas ~requester
+  | Core.Apply_arbiter { key; kind; o_ts; replicas } ->
+    apply_arbiter t ~key ~kind ~o_ts ~replicas
   | Core.Apply_requester { key; kind; o_ts; replicas; data } ->
-    t.cb.apply_requester ~key ~kind ~o_ts ~replicas ~data
+    apply_requester t ~key ~kind ~o_ts ~replicas ~data
   | Core.Set_o_state { key; o_state } -> (
     match Table.find t.table key with
     | Some obj -> obj.Obj.o_state <- o_state
@@ -304,7 +342,7 @@ let on_view_change t (v : View.t) =
 let reset t = feed t Core.Reset
 
 let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~membership
-    ~callbacks transport =
+    transport =
   let engine = Zeus_net.Fabric.engine (Transport.fabric transport) in
   let nodes = Zeus_net.Fabric.nodes (Transport.fabric transport) in
   let hub = match telemetry with Some h -> h | None -> Hub.none () in
@@ -316,7 +354,6 @@ let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~mem
       dir_nodes_of;
       table;
       membership;
-      cb = callbacks;
       transport;
       engine;
       unblocks = Hashtbl.create 64;

@@ -25,30 +25,6 @@
 
 open Zeus_store
 
-(** Hooks into the node runtime (the store and commit layers). *)
-type callbacks = {
-  is_busy : Types.key -> bool;
-      (** owner-side: the object is in a still-executing or
-          still-replicating transaction, so the request must be NACKed *)
-  apply_arbiter :
-    key:Types.key ->
-    kind:Messages.kind ->
-    o_ts:Ots.t ->
-    replicas:Replicas.t ->
-    requester:Types.node_id ->
-    unit;
-      (** a request validated at this node: demote/trim/update the local
-          replica accordingly *)
-  apply_requester :
-    key:Types.key ->
-    kind:Messages.kind ->
-    o_ts:Ots.t ->
-    replicas:Replicas.t ->
-    data:Messages.data_snapshot option ->
-    unit;
-      (** this node's own request won: install the object/access level *)
-}
-
 type config = Core.config = {
   request_timeout_us : float;
       (** requester gives up (the app will retry with backoff) *)
@@ -79,7 +55,6 @@ val create :
   dir_nodes_of:(Types.key -> Types.node_id list) ->
   table:Table.t ->
   membership:Zeus_membership.Service.t ->
-  callbacks:callbacks ->
   Zeus_net.Transport.t ->
   t
 (** The agent does not install transport handlers; the node runtime routes

@@ -43,7 +43,7 @@ type facts = {
   f_exists : bool;  (** [Table.mem table key] *)
   f_o_ts : Ots.t;  (** the local replica's applied [o_ts] ([Ots.zero] if none) *)
   f_is_owner : bool;
-  f_busy : bool;  (** the commit layer's [is_busy key] *)
+  f_busy : bool;  (** [Obj.busy] of the local replica *)
   f_snapshot : data_snapshot option;
       (** copy of the local replica's value, for replay bookkeeping only *)
 }
@@ -97,7 +97,6 @@ type eff =
       kind : kind;
       o_ts : Ots.t;
       replicas : Replicas.t;
-      requester : Types.node_id;
     }
   | Apply_requester of {
       key : Types.key;
@@ -264,13 +263,7 @@ let apply_pending_here c key (p : Directory.pending) =
   if p.Directory.requester <> st.self then
     c.emit
       (Apply_arbiter
-         {
-           key;
-           kind = p.Directory.kind;
-           o_ts = p.Directory.o_ts;
-           replicas;
-           requester = p.Directory.requester;
-         })
+         { key; kind = p.Directory.kind; o_ts = p.Directory.o_ts; replicas })
 
 (* ---------- arb-replay (§4.1) -------------------------------------------- *)
 

@@ -3,7 +3,7 @@
     A pure state machine: {!handle} consumes one {!input} (a protocol
     message, an API call, a timer fire, a view change) and returns the
     ordered {!eff} list its runtime must execute — sends, timers, store
-    callbacks, telemetry, caller unblocks.  No simulator, transport or
+    updates, telemetry, caller unblocks.  No simulator, transport or
     telemetry handle appears anywhere in the state: the same code is driven
     by the simulator interpreter ({!Agent}), by bounded model checking over
     real states ({!Zeus_model.Core_harness}) and by input-log replay.
@@ -87,7 +87,6 @@ type eff =
       kind : Messages.kind;
       o_ts : Ots.t;
       replicas : Replicas.t;
-      requester : Types.node_id;
     }
   | Apply_requester of {
       key : Types.key;

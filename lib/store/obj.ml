@@ -29,6 +29,8 @@ let create ~key ~role ?(version = 0) ?(o_ts = Ots.zero) data =
 
 let is_owner t = t.role = Types.Owner
 
+let busy t = t.lock_thread <> None || t.pending_rc > 0 || t.t_state <> Types.T_valid
+
 let can_lock t ~thread =
   (match t.lock_thread with None -> true | Some holder -> holder = thread)
   && (t.pending_rc = 0 || t.last_writer_thread = thread)

@@ -26,6 +26,10 @@ val create :
 
 val is_owner : t -> bool
 
+val busy : t -> bool
+(** The object is in a still-executing or still-replicating transaction:
+    an ownership request for it is NACKed, and a trim waits. *)
+
 val can_lock : t -> thread:int -> bool
 (** Local ownership rule (§7 + §5.2): a thread may acquire the object if no
     other thread holds it {e and} the object is not in another thread's

@@ -1,6 +1,7 @@
-(* Minimal recursive-descent JSON reader — just enough to validate the
-   trace exporter's output (trace-smoke, integration tests) without
-   pulling a JSON dependency into the tree. *)
+(* Minimal JSON value: a recursive-descent reader (validates the trace
+   exporter's output, reads the perf baseline) and the one printer every
+   BENCH file, chaos report and trace export goes through — no JSON
+   dependency in the tree. *)
 
 type v =
   | Null
@@ -155,3 +156,73 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_float = function Num f -> Some f | _ -> None
+
+(* ---------- printing ------------------------------------------------------ *)
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 || c = '\127' ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* %.15g is exact for every double that has a decimal form of at most 15
+   significant digits, and %g drops trailing zeros and a bare point, so the
+   first precision that reads back is the shortest form. *)
+let add_number buf x =
+  if not (Float.is_finite x) then Buffer.add_string buf "null"
+  else begin
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p x in
+      if p >= 17 || float_of_string s = x then s else shortest (p + 1)
+    in
+    Buffer.add_string buf (shortest 15)
+  end
+
+let num x = Num x
+let int n = Num (float_of_int n)
+let opt f = function Some x -> f x | None -> Null
+
+(* The top-level container and its array members put one item per line;
+   everything deeper stays on the line of its parent item, so one BENCH
+   scenario or sweep point is one greppable line. *)
+let serialize v =
+  let buf = Buffer.create 1024 in
+  let rec value depth v =
+    match v with
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num x -> add_number buf x
+    | Str s -> add_string buf s
+    | Arr xs -> items depth ('[', ']') (value (depth + 1)) xs
+    | Obj kvs ->
+      items depth ('{', '}')
+        (fun (k, v) ->
+          add_string buf k;
+          Buffer.add_string buf ": ";
+          value (depth + 1) v)
+        kvs
+  and items : 'a. int -> char * char -> ('a -> unit) -> 'a list -> unit =
+   fun depth (op, cl) item xs ->
+    let broken = xs <> [] && (depth = 0 || (depth = 1 && op = '[')) in
+    let indent d = Buffer.add_char buf '\n'; Buffer.add_string buf (String.make d ' ') in
+    Buffer.add_char buf op;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string buf (if broken then "," else ", ");
+        if broken then indent (depth + 1);
+        item x)
+      xs;
+    if broken then indent depth;
+    Buffer.add_char buf cl
+  in
+  value 0 v;
+  Buffer.contents buf

@@ -6,7 +6,7 @@
 
     The default level is [Warn], so [dune runtest] output stays clean —
     library code never prints on the happy path.  Entry points that want
-    experiment tables ([zeus_cli], [bench/main]) call [set_level Info] at
+    experiment tables ([zeus_cli]) call [set_level Info] at
     startup.  The [ZEUS_LOG] environment variable ([quiet]/[error]/[warn]/
     [info]/[debug]) overrides in both directions and always wins over
     [set_level] when it asks for {e more} verbosity, so [ZEUS_LOG=debug

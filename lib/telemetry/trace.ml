@@ -90,23 +90,6 @@ let find_all t name = List.filter (fun sp -> sp.name = name) (spans t)
 
 (* ---- export ---------------------------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_num buf x =
-  if Float.is_finite x then Buffer.add_string buf (Printf.sprintf "%.3f" x)
-  else Buffer.add_string buf "0"
-
 let add_args_json buf sp =
   Buffer.add_string buf "{\"id\":";
   Buffer.add_string buf (string_of_int sp.id);
@@ -114,25 +97,24 @@ let add_args_json buf sp =
   Buffer.add_string buf (string_of_int sp.parent);
   List.iter
     (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      escape buf k;
-      Buffer.add_string buf "\":\"";
-      escape buf v;
-      Buffer.add_string buf "\"")
+      Buffer.add_char buf ',';
+      Jsonv.add_string buf k;
+      Buffer.add_char buf ':';
+      Jsonv.add_string buf v)
     sp.args;
   Buffer.add_char buf '}'
 
 (* Chrome trace_event format: "X" (complete) events.  Sim time is in µs
    and trace_event [ts]/[dur] are in µs, so timestamps map 1:1. *)
 let add_chrome_event buf sp =
-  Buffer.add_string buf "{\"name\":\"";
-  escape buf sp.name;
-  Buffer.add_string buf "\",\"cat\":\"";
-  escape buf sp.cat;
-  Buffer.add_string buf "\",\"ph\":\"X\",\"ts\":";
-  add_num buf sp.start;
+  Buffer.add_string buf "{\"name\":";
+  Jsonv.add_string buf sp.name;
+  Buffer.add_string buf ",\"cat\":";
+  Jsonv.add_string buf sp.cat;
+  Buffer.add_string buf ",\"ph\":\"X\",\"ts\":";
+  Jsonv.add_number buf sp.start;
   Buffer.add_string buf ",\"dur\":";
-  add_num buf (Float.max 0.0 (sp.stop -. sp.start));
+  Jsonv.add_number buf (Float.max 0.0 (sp.stop -. sp.start));
   Buffer.add_string buf ",\"pid\":";
   Buffer.add_string buf (string_of_int sp.pid);
   Buffer.add_string buf ",\"tid\":";
@@ -171,28 +153,26 @@ let add_jsonl_line buf sp =
   Buffer.add_string buf (string_of_int sp.id);
   Buffer.add_string buf ",\"parent\":";
   Buffer.add_string buf (string_of_int sp.parent);
-  Buffer.add_string buf ",\"name\":\"";
-  escape buf sp.name;
-  Buffer.add_string buf "\",\"cat\":\"";
-  escape buf sp.cat;
-  Buffer.add_string buf "\",\"pid\":";
+  Buffer.add_string buf ",\"name\":";
+  Jsonv.add_string buf sp.name;
+  Buffer.add_string buf ",\"cat\":";
+  Jsonv.add_string buf sp.cat;
+  Buffer.add_string buf ",\"pid\":";
   Buffer.add_string buf (string_of_int sp.pid);
   Buffer.add_string buf ",\"tid\":";
   Buffer.add_string buf (string_of_int sp.tid);
   Buffer.add_string buf ",\"start\":";
-  add_num buf sp.start;
+  Jsonv.add_number buf sp.start;
   Buffer.add_string buf ",\"stop\":";
-  add_num buf sp.stop;
+  Jsonv.add_number buf sp.stop;
   Buffer.add_string buf ",\"args\":{";
   let first = ref true in
   List.iter
     (fun (k, v) ->
       if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      escape buf k;
-      Buffer.add_string buf "\":\"";
-      escape buf v;
-      Buffer.add_char buf '"')
+      Jsonv.add_string buf k;
+      Buffer.add_char buf ':';
+      Jsonv.add_string buf v)
     sp.args;
   Buffer.add_string buf "}}\n"
 

@@ -126,3 +126,30 @@ let run cluster ?nodes ?threads ?retry ~warmup_us ~duration_us ~issue () =
     lat_p50_us = Metrics.Histogram.percentile latencies 50.0;
     lat_p99_us = Metrics.Histogram.percentile latencies 99.0;
   }
+
+let closed_loop cluster ~nodes ?threads gen =
+  let engine = Cluster.engine cluster in
+  let threads =
+    Option.value threads ~default:(Cluster.config cluster).Zeus_core.Config.app_threads
+  in
+  let issuing = ref true in
+  List.iter
+    (fun id ->
+      let node = Cluster.node cluster id in
+      for thread = 0 to threads - 1 do
+        let rec loop () =
+          if !issuing then begin
+            if Node.is_alive node then
+              Spec.run_on_zeus node ~thread (gen node) (fun _ -> loop ())
+            else
+              (* crashed driver: poll for the rejoin instead of dying *)
+              ignore (Engine.schedule engine ~after:250.0 loop)
+          end
+        in
+        ignore
+          (Engine.schedule engine
+             ~after:(0.1 *. float_of_int ((id * threads) + thread))
+             loop)
+      done)
+    nodes;
+  fun () -> issuing := false

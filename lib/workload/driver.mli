@@ -50,3 +50,18 @@ val run :
 (** [issue node ~thread ~seq done_] must run exactly one transaction and
     call [done_ committed] at its completion.  [nodes] defaults to all,
     [threads] to the configured app threads per node, [retry] to none. *)
+
+val closed_loop :
+  Zeus_core.Cluster.t ->
+  nodes:int list ->
+  ?threads:int ->
+  (Zeus_core.Node.t -> Spec.t) ->
+  unit ->
+  unit
+(** [closed_loop cluster ~nodes gen] is the crash-tolerant closed loop of
+    the fault experiments: every (node, thread) pair of [nodes] starts at
+    [0.1 * (node * threads + thread)] µs and runs [gen node] back-to-back,
+    whatever the outcome, until the returned [stop] is called; while its
+    node is down it polls every 250 µs for the rejoin instead of stopping.  Nothing is measured — the caller runs the
+    cluster and reads its own counters.  [threads] defaults to the
+    configured app threads per node. *)

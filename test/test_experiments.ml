@@ -5,19 +5,34 @@
 let tc = Helpers.tc
 let check = Alcotest.check
 
+module E = Zeus_experiments.Experiments
+
 let registry_ids () =
-  let ids = Zeus_experiments.Experiments.names () in
-  List.iter
-    (fun required ->
-      if not (List.mem required ids) then Alcotest.failf "missing experiment %s" required)
+  check
+    Alcotest.(list string)
+    "the whole registry, in order"
     [
-      "table2"; "verify"; "locality"; "fig7"; "fig8"; "fig9"; "fig10-12";
-      "fig13-15"; "tpcc"; "ablations";
+      "table2"; "verify"; "locality"; "predictive"; "fig7"; "fig8"; "fig9";
+      "fig10-12"; "fig13-15"; "tpcc"; "ablations"; "transport"; "faults";
+      "detection"; "perf";
     ]
+    (E.names ());
+  check
+    Alcotest.(list (pair string string))
+    "exactly these name a BENCH file"
+    [
+      ("predictive", "BENCH_locality.json");
+      ("transport", "BENCH_transport.json");
+      ("faults", "BENCH_faults.json");
+      ("detection", "BENCH_detection.json");
+      ("perf", "BENCH_perf.json");
+    ]
+    (List.filter_map
+       (fun (e : E.t) -> Option.map (fun f -> (e.E.id, f)) (E.bench_file e))
+       E.all)
 
 let unknown_id_rejected () =
-  check Alcotest.bool "unknown id" false
-    (Zeus_experiments.Experiments.run_one ~quick:true "nope")
+  check Alcotest.bool "unknown id" true (E.find "nope" = None)
 
 let scales () =
   let q = Zeus_experiments.Exp.scale_of ~quick:true in
@@ -27,13 +42,11 @@ let scales () =
   check Alcotest.bool "quick shorter" true
     (q.Zeus_experiments.Exp.duration_us < f.Zeus_experiments.Exp.duration_us)
 
-let table2_runs () =
-  check Alcotest.bool "table2" true
-    (Zeus_experiments.Experiments.run_one ~quick:true "table2")
-
-let locality_runs () =
-  check Alcotest.bool "locality" true
-    (Zeus_experiments.Experiments.run_one ~quick:true "locality")
+(* A table-only experiment runs and hands back nothing to write. *)
+let runs id () =
+  match E.find id with
+  | None -> Alcotest.failf "missing experiment %s" id
+  | Some e -> check Alcotest.bool id true (E.run ~quick:true e = None)
 
 (* ---------- Sweep: domain-parallel maps ---------- *)
 
@@ -92,8 +105,8 @@ let suite =
     tc "registry: all paper artifacts present" registry_ids;
     tc "registry: unknown ids rejected" unknown_id_rejected;
     tc "scales: quick < full" scales;
-    tc "table2 runs" table2_runs;
-    tc "locality analysis runs" locality_runs;
+    tc "table2 runs" (runs "table2");
+    tc "locality analysis runs" (runs "locality");
     tc "sweep: map preserves order across domains" sweep_map_order;
     tc "sweep: -j1 vs -j4 bit-identical simulations" sweep_deterministic;
     tc "sweep: global job knob" sweep_global_jobs;

@@ -24,10 +24,8 @@ let det_config =
     Service.detector =
       {
         Detector.period_us = 50.0;
-        phi_factor = 4.0;
         min_timeout_us = 200.0;
         max_timeout_us = 400.0;
-        min_samples = 3;
       };
     rejoin_backoff_us = 400.0;
   }
@@ -106,13 +104,7 @@ let two_kills_two_epochs () =
 
 let detector_grace_then_adapts () =
   let cfg =
-    {
-      Detector.default_config with
-      Detector.period_us = 100.0;
-      min_timeout_us = 150.0;
-      max_timeout_us = 1_000.0;
-      min_samples = 3;
-    }
+    { Detector.period_us = 100.0; min_timeout_us = 150.0; max_timeout_us = 1_000.0 }
   in
   let d = Detector.create cfg ~node:0 ~nodes:2 ~now:0.0 in
   check (Alcotest.float 1e-6) "grace window: timeout at the cap" 1_000.0
@@ -133,13 +125,7 @@ let detector_grace_then_adapts () =
 
 let detector_widens_under_jitter () =
   let cfg =
-    {
-      Detector.default_config with
-      Detector.period_us = 100.0;
-      min_timeout_us = 150.0;
-      max_timeout_us = 1_000.0;
-      min_samples = 3;
-    }
+    { Detector.period_us = 100.0; min_timeout_us = 150.0; max_timeout_us = 1_000.0 }
   in
   let d = Detector.create cfg ~node:0 ~nodes:2 ~now:0.0 in
   let now = ref 0.0 in

@@ -225,6 +225,112 @@ let smallbank_phases () =
   check Alcotest.bool "e2e histogram populated" true
     (Metrics.Histogram.count e2e >= List.length committed_roots)
 
+(* ---- Jsonv printer ---- *)
+
+(* Random trees whose strings mix JSON's special characters with control
+   characters and whose numbers cover integral, fractional, tiny and huge
+   magnitudes (any finite bit pattern). *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(frequency [ (3, printable); (1, oneofl [ '"'; '\\'; '/'; '\000'; '\031'; '\127' ]) ])
+      (0 -- 8)
+  in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        float_range (-1e6) 1e6;
+        map (fun b -> finite (Int64.float_of_bits b)) ui64;
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               return Jsonv.Null;
+               map (fun b -> Jsonv.Bool b) bool;
+               map (fun f -> Jsonv.Num f) num;
+               map (fun s -> Jsonv.Str s) str;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (1, map (fun l -> Jsonv.Arr l) (list_size (0 -- 4) (self (depth - 1))));
+               ( 1,
+                 map (fun l -> Jsonv.Obj l)
+                   (list_size (0 -- 4) (pair str (self (depth - 1)))) );
+             ])
+
+let json_round_trip =
+  QCheck.Test.make ~name:"jsonv: parse (serialize v) = Ok v" ~count:500
+    (QCheck.make ~print:Jsonv.serialize json_gen)
+    (fun v -> Jsonv.parse (Jsonv.serialize v) = Ok v)
+
+let json_numbers () =
+  let p x = Jsonv.serialize (Jsonv.Num x) in
+  check Alcotest.string "nan" "null" (p Float.nan);
+  check Alcotest.string "+inf" "null" (p Float.infinity);
+  check Alcotest.string "-inf" "null" (p Float.neg_infinity);
+  check Alcotest.string "integral" "137396349" (p 137396349.0);
+  check Alcotest.string "shortest" "0.1" (p 0.1);
+  check Alcotest.string "17 digits" "0.30000000000000004" (p (0.1 +. 0.2));
+  check Alcotest.string "control" {|"a\u0001\n\"\\"|} (Jsonv.serialize (Jsonv.Str "a\001\n\"\\"))
+
+(* Every literal a Makefile gate greps a BENCH file for, and the line shape
+   [perf-baseline]'s sed reads, spelled by the printer itself: a layout
+   change that broke one would silently disarm its gate. *)
+let json_gate_literals () =
+  let text =
+    Jsonv.serialize
+      (Jsonv.Obj
+         [
+           ( "scenarios",
+             Jsonv.Arr
+               [
+                 Jsonv.Obj
+                   [
+                     ("recovery_us", Jsonv.opt Jsonv.num None);
+                     ("monitors_ok", Jsonv.Bool false);
+                     ("within_bound", Jsonv.Bool false);
+                     ("recovered", Jsonv.Bool false);
+                   ];
+               ] );
+           ( "smallbank",
+             Jsonv.Obj
+               [ ("events_per_sec", Jsonv.num 622970.5); ("words_per_event", Jsonv.num 118.5) ]
+           );
+           ("regression_ok", Jsonv.Bool false);
+           ("sweep", Jsonv.Obj [ ("identical", Jsonv.Bool false) ]);
+         ])
+  in
+  let lines = String.split_on_char '\n' text in
+  let has sub line =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length line && (String.sub line i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun lit ->
+      check Alcotest.bool lit true (List.exists (has lit) lines))
+    [
+      {|"recovery_us": null|};
+      {|"monitors_ok": false|};
+      {|"within_bound": false|};
+      {|"recovered": false|};
+      {|"identical": false|};
+      {|"regression_ok": false|};
+      {|"smallbank": {"events_per_sec": 622970.5,|};
+    ];
+  check Alcotest.int "words_per_event on one line" 1
+    (List.length (List.filter (has {|"words_per_event": 118.5|}) lines))
+
 let suite =
   [
     tc "histogram: percentile edge cases" percentile_edges;
@@ -236,4 +342,7 @@ let suite =
     tc "trace: chrome export parses" chrome_export_parses;
     tc "trace: jsonl export parses" jsonl_export_parses;
     tc "integration: smallbank phase spans" smallbank_phases;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) json_round_trip;
+    tc "jsonv: numbers and escapes" json_numbers;
+    tc "jsonv: Makefile gate literals" json_gate_literals;
   ]
