@@ -18,14 +18,6 @@ module Tel = Zeus_telemetry
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Small populations and short runs.")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run independent sweep points on $(docv) domains (cores).  \
-           Results are bit-identical to -j 1; only wall-clock changes.")
-
 (* ---- list ---- *)
 
 module Experiments = Zeus_experiments.Experiments
@@ -57,8 +49,7 @@ let run_cmd =
       & info [] ~docv:"EXPERIMENT"
           ~doc:"Experiment ids (see $(b,list)), or $(b,all) for every one.")
   in
-  let run quick jobs ids =
-    Zeus_experiments.Sweep.set_jobs jobs;
+  let run quick ids =
     let find id =
       match Experiments.find id with
       | Some e -> Either.Left [ e ]
@@ -86,8 +77,9 @@ let run_cmd =
        ~doc:
          "Regenerate tables/figures of the paper's evaluation (or $(b,all)); \
           experiments with a machine-readable output write their \
-          BENCH_*.json to the current directory.")
-    Term.(ret (const run $ quick $ jobs $ ids))
+          BENCH_*.json to the current directory.  Independent sweep points \
+          run on up to four cores; the output does not depend on the core count.")
+    Term.(ret (const run $ quick $ ids))
 
 (* ---- micro ---- *)
 

@@ -44,33 +44,33 @@ module Generator = struct
 end
 
 module Worker = struct
-  type 'req t = {
+  type t = {
     engine : Engine.t;
-    serve : 'req -> (unit -> unit) -> unit;
-    queue : 'req Queue.t;
+    serve : int -> (unit -> unit) -> unit;
+    queue : int Zeus_sim.Fifo.t;
     mutable busy : bool;
     mutable completed : int;
   }
 
   let create engine ~serve =
-    { engine; serve; queue = Queue.create (); busy = false; completed = 0 }
+    { engine; serve; queue = Zeus_sim.Fifo.create ~dummy:0; busy = false; completed = 0 }
 
   let rec next t =
-    if Queue.is_empty t.queue then t.busy <- false
+    if Zeus_sim.Fifo.is_empty t.queue then t.busy <- false
     else begin
-      let req = Queue.pop t.queue in
+      let req = Zeus_sim.Fifo.pop t.queue in
       t.serve req (fun () ->
           t.completed <- t.completed + 1;
           next t)
     end
 
   let push t req =
-    Queue.push req t.queue;
+    Zeus_sim.Fifo.push t.queue req;
     if not t.busy then begin
       t.busy <- true;
       next t
     end
 
   let completed t = t.completed
-  let queue_length t = Queue.length t.queue
+  let queue_length t = Zeus_sim.Fifo.length t.queue
 end

@@ -17,14 +17,15 @@ module Generator : sig
 end
 
 module Worker : sig
-  type 'req t
+  type t
 
-  val create : Zeus_sim.Engine.t -> serve:('req -> (unit -> unit) -> unit) -> 'req t
-  (** A worker thread: requests are queued and served one at a time; [serve]
-      calls its continuation when the request completes (it may block on
-      I/O or a transaction in between). *)
+  val create : Zeus_sim.Engine.t -> serve:(int -> (unit -> unit) -> unit) -> t
+  (** A worker thread: requests (session or user ids) are queued and
+      served one at a time; [serve] calls its continuation when the
+      request completes (it may block on I/O or a transaction in
+      between). *)
 
-  val push : 'req t -> 'req -> unit
-  val completed : 'req t -> int
-  val queue_length : 'req t -> int
+  val push : t -> int -> unit
+  val completed : t -> int
+  val queue_length : t -> int
 end

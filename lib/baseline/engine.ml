@@ -505,7 +505,6 @@ let run_load t ?coroutines ~warmup_us ~duration_us ~gen () =
   {
     Zeus_workload.Driver.committed = c;
     aborted = a;
-    retries = 0;
     duration_us;
     mtps = float_of_int c /. duration_us;
     abort_rate = (if c + a = 0 then 0.0 else float_of_int a /. float_of_int (c + a));

@@ -51,8 +51,7 @@ type t = {
           the historical one-frame-per-message behaviour (model checking,
           ablations). *)
   ownership : Zeus_ownership.Agent.config;
-      (** ownership-protocol timeouts: request timeout, arb-replay delay,
-          replay sweep period *)
+      (** ownership-protocol timeouts: request timeout, arb-replay delay *)
   commit_clear_marks : Zeus_commit.Core.clear_marks;
       (** follower-side R-VAL discipline of the reliable-commit protocol.
           [Sequenced] (default): R-VALs carry explicit slot watermarks, so

@@ -2,8 +2,8 @@
     transactions that require an ownership change, vs the FaSST- and
     DrTM-like baselines at static (drifted-to-random) sharding.
 
-    All points (Zeus and baseline) run through {!Sweep.map}, so [-j N]
-    spreads them across domains with bit-identical results. *)
+    All points (Zeus and baseline) run through {!Sweep.map}, which
+    spreads them across the host's cores with bit-identical results. *)
 
 module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster

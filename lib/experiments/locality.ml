@@ -21,8 +21,8 @@ let run ~quick =
         (nodes, W.Venmo.remote_fraction ~samples:(if quick then 20_000 else 200_000) v))
       [ 3; 6 ]
   in
-  let tpcc_txn = W.Tpcc.remote_txn_fraction () in
-  let tpcc_access = W.Tpcc.remote_access_fraction () in
+  let tpcc_txn = W.Tpcc.remote_txn_fraction in
+  let tpcc_access = W.Tpcc.remote_access_fraction in
   Exp.print_kv "locality: remote fractions of workloads (§8)"
     (List.map
        (fun (n, f) ->

@@ -4,12 +4,13 @@
     — engine, clock, RNG streams, telemetry hub — from a seed fixed by the
     experiment, so two points share no mutable state and a point's result
     is a pure function of its parameters.  That makes the sweep
-    embarrassingly parallel: [map f points] farms the points out to
-    [jobs ()] domains and returns the results in input order, bit-identical
-    to a sequential run whatever the job count.
+    embarrassingly parallel: [map f points] farms the points out to one
+    domain per core, at most [max_default_jobs], and returns the results
+    in input order, bit-identical to a sequential run whatever the job
+    count.
 
     Two rules keep that true (enforced by convention, asserted by the
-    [-j 1] vs [-j N] determinism test):
+    [jobs:1] vs [jobs:4] determinism test):
 
     - point functions must not touch cross-point mutable state: whatever
       a printer needs from a point (a cluster for the phase table, say)
@@ -18,20 +19,18 @@
       process-wide stdout/stderr, so table rendering stays in the
       sequential caller. *)
 
-(* Process-wide default, set once by the CLI's [-j] flag before any
-   experiment runs; individual maps can override. *)
-let jobs = ref 1
+(* [recommended_domain_count] counts the cores the process may run on
+   (it follows CPU affinity, not a CFS quota).  The cap bounds memory:
+   full-scale fig8 peaks at 1.7 GB RSS on one domain and at 3.5 GB on
+   two or four, and more domains than that are unmeasured. *)
+let max_default_jobs = 4
 
-let set_jobs n = jobs := max 1 n
-let get_jobs () = !jobs
-
-let map ?jobs:override f xs =
-  let j = match override with Some j -> j | None -> !jobs in
+let map ?(jobs = min max_default_jobs (Domain.recommended_domain_count ())) f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
-  if j <= 1 || n <= 1 then List.map f xs
+  if jobs <= 1 || n <= 1 then List.map f xs
   else begin
-    let j = min j n in
+    let j = min jobs n in
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let rec worker () =

@@ -85,7 +85,15 @@ let write t ~key value k =
   e.ts <- ts;
   e.value <- value;
   e.state <- Invalid;
-  let p = { w_ts = ts; w_missing = others t; w_k = k } in
+  (* A write still pending on this key is superseded by this one, which
+     inherits its continuation: the older write's fires first, when this
+     one commits or is itself superseded. *)
+  let w_k =
+    match Hashtbl.find_opt t.pending key with
+    | Some older -> fun () -> older.w_k (); k ()
+    | None -> k
+  in
+  let p = { w_ts = ts; w_missing = others t; w_k } in
   Hashtbl.replace t.pending key p;
   if p.w_missing = [] then commit_write t key p
   else

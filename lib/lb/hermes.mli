@@ -25,7 +25,10 @@ val node : t -> Types.node_id
 
 val write : t -> key:Types.key -> Value.t -> (unit -> unit) -> unit
 (** Linearizable write coordinated by this replica; the continuation fires
-    when the write is committed (all replicas invalidated). *)
+    when the write is committed (all replicas invalidated) or superseded
+    by a higher-timestamped write.  A second local write to a key whose
+    first is still pending coalesces with it: the first's continuation
+    fires first, when the second commits or is superseded. *)
 
 val read : t -> Types.key -> Value.t option
 (** Local read; [None] while the key is invalid (a write is in flight) or

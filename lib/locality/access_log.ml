@@ -1,8 +1,7 @@
 open Zeus_store
 
-type config = { half_life_us : float; capacity : int }
-
-let default_config = { half_life_us = 5_000.0; capacity = 4_096 }
+let half_life_us = 5_000.0
+let capacity = 4_096
 
 type entry = {
   ewma : float array;          (* one decayed rate per node *)
@@ -11,20 +10,18 @@ type entry = {
 }
 
 type t = {
-  config : config;
   nodes : int;
   entries : (Types.key, entry) Hashtbl.t;
 }
 
-let create ?(config = default_config) ~nodes () =
-  { config; nodes; entries = Hashtbl.create (min config.capacity 256) }
+let create ~nodes = { nodes; entries = Hashtbl.create 256 }
 
-let decay_factor t ~from_ ~to_ =
+let decay_factor ~from_ ~to_ =
   if to_ <= from_ then 1.0
-  else Float.exp (-.Float.log 2.0 *. (to_ -. from_) /. t.config.half_life_us)
+  else Float.exp (-.Float.log 2.0 *. (to_ -. from_) /. half_life_us)
 
 let refresh t e ~now =
-  let f = decay_factor t ~from_:e.last ~to_:now in
+  let f = decay_factor ~from_:e.last ~to_:now in
   if f < 1.0 then begin
     for n = 0 to t.nodes - 1 do
       e.ewma.(n) <- e.ewma.(n) *. f
@@ -45,7 +42,7 @@ let evict t ~now =
       if entry_total e < 0.05 then doomed := key :: !doomed)
     t.entries;
   List.iter (Hashtbl.remove t.entries) !doomed;
-  if Hashtbl.length t.entries >= t.config.capacity then begin
+  if Hashtbl.length t.entries >= capacity then begin
     let coldest = ref None in
     Hashtbl.iter
       (fun key e ->
@@ -64,7 +61,7 @@ let record t ~key ~node ~now =
     e.ewma.(node) <- e.ewma.(node) +. 1.0;
     e.last_node <- node
   | None ->
-    if Hashtbl.length t.entries >= t.config.capacity then evict t ~now;
+    if Hashtbl.length t.entries >= capacity then evict t ~now;
     let e = { ewma = Array.make t.nodes 0.0; last = now; last_node = node } in
     e.ewma.(node) <- 1.0;
     Hashtbl.replace t.entries key e
@@ -72,25 +69,25 @@ let record t ~key ~node ~now =
 let rate t ~key ~node ~now =
   match Hashtbl.find_opt t.entries key with
   | None -> 0.0
-  | Some e -> e.ewma.(node) *. decay_factor t ~from_:e.last ~to_:now
+  | Some e -> e.ewma.(node) *. decay_factor ~from_:e.last ~to_:now
 
 let rates t ~key ~now =
   match Hashtbl.find_opt t.entries key with
   | None -> Array.make t.nodes 0.0
   | Some e ->
-    let f = decay_factor t ~from_:e.last ~to_:now in
+    let f = decay_factor ~from_:e.last ~to_:now in
     Array.map (fun r -> r *. f) e.ewma
 
 let total t ~key ~now =
   match Hashtbl.find_opt t.entries key with
   | None -> 0.0
-  | Some e -> entry_total e *. decay_factor t ~from_:e.last ~to_:now
+  | Some e -> entry_total e *. decay_factor ~from_:e.last ~to_:now
 
 let top_node t ~key ~now =
   match Hashtbl.find_opt t.entries key with
   | None -> None
   | Some e ->
-    let f = decay_factor t ~from_:e.last ~to_:now in
+    let f = decay_factor ~from_:e.last ~to_:now in
     let best = ref None in
     for n = 0 to t.nodes - 1 do
       let r = e.ewma.(n) *. f in

@@ -1,7 +1,7 @@
 (** Per-key, per-node decayed access counters (the locality engine's input).
 
     Each tracked key carries one exponentially-weighted rate per node,
-    decayed with a configurable half-life so that old accesses fade and the
+    decayed with a fixed half-life so that old accesses fade and the
     counters approximate "recent accesses per half-life window".  Memory is
     bounded: at most [capacity] keys are tracked, and inserting beyond that
     evicts the coldest entries — cold keys are exactly the ones no placement
@@ -12,16 +12,15 @@
 
 open Zeus_store
 
-type config = {
-  half_life_us : float;  (** decay: a rate halves every [half_life_us] *)
-  capacity : int;        (** max tracked keys; beyond it the coldest go *)
-}
+val half_life_us : float
+(** Decay: a rate halves every [half_life_us] (5 ms). *)
 
-val default_config : config
+val capacity : int
+(** Max tracked keys (4096); beyond it the coldest go. *)
 
 type t
 
-val create : ?config:config -> nodes:int -> unit -> t
+val create : nodes:int -> t
 
 val record : t -> key:Types.key -> node:Types.node_id -> now:float -> unit
 (** One access to [key] by [node] at virtual time [now]. *)

@@ -58,7 +58,7 @@ let create ?telemetry ~(config : config) ~node ~nodes ~engine ~transport ~agent 
     engine;
     transport;
     is_owner;
-    log = Access_log.create ~nodes ();
+    log = Access_log.create ~nodes;
     predictor = Predictor.create ~nodes;
     planner = Planner.create ~config:config.planner ();
     migrator = Migrator.create ~config:config.migrator ~agent ~engine ();

@@ -34,7 +34,8 @@
 open Zeus_store
 
 type config = { enabled : bool; planner : Planner.config; migrator : Migrator.config }
-(** The engine's {!Access_log} always uses {!Access_log.default_config}. *)
+(** The engine's {!Access_log} has a fixed half-life and capacity
+    ({!Access_log.half_life_us}, {!Access_log.capacity}). *)
 
 val default_config : config
 (** [enabled = false]: seed behaviour. *)

@@ -8,6 +8,10 @@ module Transport = Zeus_net.Transport
 
 type mode = Oracle | Detected
 
+let lease_us = 2_000.0
+let detect_us = 1_000.0
+let skew_us = 5.0
+
 type detection = { detector : Detector.config; rejoin_backoff_us : float }
 
 let default_detection =
@@ -35,9 +39,6 @@ type counters = {
 
 type t = {
   transport : Transport.t;
-  lease_us : float;
-  detect_us : float;
-  skew_us : float;
   rng : Rng.t;
   mode : mode;
   detection : detection;
@@ -90,7 +91,7 @@ let install t next =
   Array.iteri
     (fun node _ ->
       if View.is_live next node then begin
-        let skew = Rng.float t.rng t.skew_us in
+        let skew = Rng.float t.rng skew_us in
         ignore
           (Engine.schedule (engine t) ~after:skew (fun () ->
                (* A node may have crashed between scheduling and delivery. *)
@@ -146,7 +147,7 @@ let do_rejoin t node =
     if View.is_live t.view node then install t (View.without t.view node)
   end;
   ignore
-    (Engine.schedule (engine t) ~after:t.detect_us (fun () ->
+    (Engine.schedule (engine t) ~after:detect_us (fun () ->
          if not (View.is_live t.view node) then install t (View.with_node t.view node)))
 
 let lease_expired t suspect =
@@ -185,7 +186,7 @@ let maybe_evict t suspect =
   if (not t.evicting.(suspect)) && quorum_held t suspect then begin
     t.evicting.(suspect) <- true;
     instant t (Printf.sprintf "lease_wait(%d)" suspect);
-    ignore (Engine.schedule (engine t) ~after:t.lease_us (fun () -> lease_expired t suspect))
+    ignore (Engine.schedule (engine t) ~after:lease_us (fun () -> lease_expired t suspect))
   end
 
 let report t ~reporter ~suspect =
@@ -271,7 +272,7 @@ let detection_bound_us t =
   (* One period of arrival slack (the last heartbeat may land just after
      the crash instant), the timeout cap, one period of suspicion-check
      granularity, the lease, and the install skew. *)
-  (2.0 *. d.Detector.period_us) +. d.Detector.max_timeout_us +. t.lease_us +. t.skew_us
+  (2.0 *. d.Detector.period_us) +. d.Detector.max_timeout_us +. lease_us +. skew_us
 
 let set_fence_hook t hook = t.fence_hook <- Some hook
 
@@ -302,15 +303,14 @@ let kill t node =
     ()
   | Oracle ->
     ignore
-      (Engine.schedule (engine t) ~after:(t.detect_us +. t.lease_us) (fun () ->
+      (Engine.schedule (engine t) ~after:(detect_us +. lease_us) (fun () ->
            (* Derive from the view current at expiry so concurrent kills and
               rejoins compose into a single monotone epoch sequence. *)
            if View.is_live t.view node then install t (View.without t.view node)))
 
 let rejoin t node = do_rejoin t node
 
-let create ?(lease_us = 2_000.0) ?(detect_us = 1_000.0) ?(skew_us = 5.0)
-    ?(mode = Oracle) ?(detection = default_detection) ?telemetry transport =
+let create ?(mode = Oracle) ?(detection = default_detection) ?telemetry transport =
   let fabric = Transport.fabric transport in
   let nodes = Fabric.nodes fabric in
   let view = View.initial ~nodes in
@@ -321,9 +321,6 @@ let create ?(lease_us = 2_000.0) ?(detect_us = 1_000.0) ?(skew_us = 5.0)
   let t =
     {
       transport;
-      lease_us;
-      detect_us;
-      skew_us;
       rng = Engine.fork_rng (Fabric.engine fabric);
       mode;
       detection;

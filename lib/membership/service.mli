@@ -42,6 +42,18 @@
 
 type mode = Oracle | Detected
 
+val lease_us : float
+(** Lease length: a view excluding a node is installed only after its
+    lease expired (2 ms). *)
+
+val detect_us : float
+(** [Oracle] mode: the external service's detection delay before the
+    lease clock starts (1 ms). *)
+
+val skew_us : float
+(** Upper bound of the uniform per-node delay with which an installed
+    view reaches each live node (5 µs). *)
+
 type detection = {
   detector : Detector.config;
   rejoin_backoff_us : float;
@@ -66,9 +78,6 @@ type det_stats = {
 type t
 
 val create :
-  ?lease_us:float ->
-  ?detect_us:float ->
-  ?skew_us:float ->
   ?mode:mode ->
   ?detection:detection ->
   ?telemetry:Zeus_telemetry.Hub.t ->

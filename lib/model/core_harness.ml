@@ -223,7 +223,7 @@ module Ownership = struct
      "old enough to replay" check passes and the replay decision is purely
      the checker's. *)
   let model_config =
-    { OC.request_timeout_us = 0.0; replay_after_us = 0.0; replay_sweep_us = 0.0 }
+    { OC.request_timeout_us = 0.0; replay_after_us = 0.0 }
 
   (* One node's replica of the object, at the granularity the core's
      [facts] and store effects actually touch. *)

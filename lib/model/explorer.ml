@@ -15,7 +15,8 @@ let bfs ~init ~next ~key ~invariant ?at_quiescence ?(max_states = 500_000) () =
      states. *)
   let digest s = Digest.string (key s) in
   let parent : (Digest.t, Digest.t option) Hashtbl.t = Hashtbl.create 65_536 in
-  let queue = Queue.create () in
+  (* The frontier; [None] only fills the ring's empty slots. *)
+  let queue = Zeus_sim.Fifo.create ~dummy:None in
   let explored = ref 0 in
   let transitions = ref 0 in
   let quiescent = ref 0 in
@@ -25,15 +26,15 @@ let bfs ~init ~next ~key ~invariant ?at_quiescence ?(max_states = 500_000) () =
     let d = digest state in
     if not (Hashtbl.mem parent d) then begin
       Hashtbl.add parent d from;
-      Queue.push (depth, d, state) queue
+      Zeus_sim.Fifo.push queue (Some (depth, d, state))
     end
   in
   List.iter (enqueue None 0) init;
   let bad = ref None in
   (try
-     while not (Queue.is_empty queue) do
+     while not (Zeus_sim.Fifo.is_empty queue) do
        if !explored >= max_states then raise Exit;
-       let depth, d, state = Queue.pop queue in
+       let depth, d, state = Option.get (Zeus_sim.Fifo.pop queue) in
        incr explored;
        if depth > !max_depth then max_depth := depth;
        let fail msg =
@@ -91,7 +92,7 @@ let bfs ~init ~next ~key ~invariant ?at_quiescence ?(max_states = 500_000) () =
     transitions = !transitions;
     quiescent = !quiescent;
     max_depth = !max_depth;
-    exhausted = Queue.is_empty queue && Option.is_none !violation;
+    exhausted = Zeus_sim.Fifo.is_empty queue && Option.is_none !violation;
     violation = !violation;
     trace;
   }

@@ -26,7 +26,6 @@ open Messages
 type config = Core.config = {
   request_timeout_us : float;
   replay_after_us : float;
-  replay_sweep_us : float;
 }
 
 type observer = {

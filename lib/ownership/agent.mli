@@ -31,7 +31,6 @@ type config = Core.config = {
   replay_after_us : float;
       (** how long an arbitration may stay pending before a blocked arbiter
           initiates arb-replay *)
-  replay_sweep_us : float;  (** period of the stuck-arbitration sweep *)
 }
 
 val default_config : config

@@ -22,11 +22,9 @@ open Messages
 type config = {
   request_timeout_us : float;
   replay_after_us : float;
-  replay_sweep_us : float;
 }
 
-let default_config =
-  { request_timeout_us = 500.0; replay_after_us = 300.0; replay_sweep_us = 500.0 }
+let default_config = { request_timeout_us = 500.0; replay_after_us = 300.0 }
 
 (* Runtime facts sampled once per input, before [handle] runs. *)
 type env = {

@@ -24,7 +24,6 @@ open Zeus_store
 type config = {
   request_timeout_us : float;
   replay_after_us : float;
-  replay_sweep_us : float;
 }
 
 val default_config : config

@@ -1,17 +1,11 @@
 module Engine = Zeus_sim.Engine
 module Metrics = Zeus_telemetry.Metrics
-module Hub = Zeus_telemetry.Hub
 module Cluster = Zeus_core.Cluster
 module Node = Zeus_core.Node
-
-type retry = { max_attempts : int; base_us : float; cap_us : float }
-
-let default_retry = { max_attempts = 3; base_us = 20.0; cap_us = 400.0 }
 
 type result = {
   committed : int;
   aborted : int;
-  retries : int;
   duration_us : float;
   mtps : float;
   abort_rate : float;
@@ -23,22 +17,7 @@ let pp_result ppf r =
   Format.fprintf ppf "%.3f Mtps (%d committed, %d aborted, %.1f%% aborts, p50 %.1fus, p99 %.1fus)"
     r.mtps r.committed r.aborted (100.0 *. r.abort_rate) r.lat_p50_us r.lat_p99_us
 
-(* Pure avalanche hash of the attempt identity, as in the transport's
-   retransmission backoff: deterministic (same seed, same schedule) yet
-   de-synchronizing threads whose aborts collided at the same instant. *)
-let retry_jitter ~node ~thread ~seq ~attempt =
-  let h =
-    (node * 0x9e3779b1) lxor (thread * 0x85ebca6b) lxor (seq * 0xc2b2ae35)
-    lxor ((attempt + 1) * 0x27d4eb2f)
-  in
-  float_of_int (h land 0xffff) /. 65536.0
-
-let retry_delay r ~node ~thread ~seq ~attempt =
-  let raw = r.base_us *. (2.0 ** float_of_int (attempt - 1)) in
-  let capped = Float.min raw r.cap_us in
-  capped *. (1.0 +. (0.25 *. retry_jitter ~node ~thread ~seq ~attempt))
-
-let run cluster ?nodes ?threads ?retry ~warmup_us ~duration_us ~issue () =
+let run cluster ?nodes ?threads ~warmup_us ~duration_us ~issue () =
   let engine = Cluster.engine cluster in
   let config = Cluster.config cluster in
   let node_ids =
@@ -50,15 +29,7 @@ let run cluster ?nodes ?threads ?retry ~warmup_us ~duration_us ~issue () =
   let t0 = Engine.now engine in
   let start = t0 +. warmup_us in
   let stop = start +. duration_us in
-  let committed = ref 0 and aborted = ref 0 and retried = ref 0 in
-  (* Registered on the cluster hub only when retrying is on, so a plain
-     run's counter registry is byte-identical to before. *)
-  let c_retries =
-    match retry with
-    | None -> None
-    | Some _ ->
-      Some (Metrics.Counter.v (Hub.metrics (Cluster.telemetry cluster)) "driver.retries")
-  in
+  let committed = ref 0 and aborted = ref 0 in
   (* One standalone histogram per run: log-scale buckets survive past the
      reservoir cap, and a fresh instance needs no reset between runs. *)
   let latencies = Metrics.Histogram.create "driver.latency_us" in
@@ -72,36 +43,16 @@ let run cluster ?nodes ?threads ?retry ~warmup_us ~duration_us ~issue () =
             let s = !seq in
             incr seq;
             let issued_at = Engine.now engine in
-            (* [attempt] counts issues of this logical transaction; a retried
-               commit is counted once, with latency from the first issue. *)
-            let rec submit attempt =
-              issue node ~thread ~seq:s (fun ok ->
-                  let now = Engine.now engine in
-                  let counting = now >= start && now < stop in
+            issue node ~thread ~seq:s (fun ok ->
+                let now = Engine.now engine in
+                if now >= start && now < stop then begin
                   if ok then begin
-                    if counting then begin
-                      incr committed;
-                      Metrics.Histogram.observe latencies (now -. issued_at)
-                    end;
-                    loop ()
+                    incr committed;
+                    Metrics.Histogram.observe latencies (now -. issued_at)
                   end
-                  else
-                    match retry with
-                    | Some r when attempt < r.max_attempts && now < stop ->
-                      if counting then incr retried;
-                      Option.iter Metrics.Counter.incr c_retries;
-                      let after =
-                        retry_delay r ~node:id ~thread ~seq:s ~attempt
-                      in
-                      ignore
-                        (Engine.schedule engine ~after (fun () ->
-                             if Node.is_alive node then submit (attempt + 1)
-                             else loop ()))
-                    | _ ->
-                      if counting then incr aborted;
-                      loop ())
-            in
-            submit 1
+                  else incr aborted
+                end;
+                loop ())
           end
         in
         (* Stagger thread start to avoid artificial phase locking. *)
@@ -118,7 +69,6 @@ let run cluster ?nodes ?threads ?retry ~warmup_us ~duration_us ~issue () =
   {
     committed = c;
     aborted = a;
-    retries = !retried;
     duration_us;
     mtps = float_of_int c /. duration_us;
     abort_rate =

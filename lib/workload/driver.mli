@@ -5,29 +5,15 @@
     issues transactions back-to-back.  Only completions inside the
     measurement window (after warm-up) are counted.
 
-    {b Retry.}  By default an aborted transaction is dropped (counted and
-    replaced by a fresh one) — the historical behaviour, and the right one
-    for measuring raw abort rates.  Passing [retry] makes the driver
-    re-issue an aborted transaction up to [max_attempts] total issues,
-    spaced by capped exponential backoff ([base_us * 2^(attempt-1)], capped
-    at [cap_us]) with a deterministic avalanche-hash jitter of the
-    (node, thread, seq, attempt) identity — no rng draw, so a retrying run
-    perturbs no other seeded decision.  A transaction that eventually
-    commits is counted {e once}, with latency measured from its first
-    issue; only a transaction that exhausts its attempts counts as
-    aborted.  Each re-issue bumps the [driver.retries] counter (registered
-    on the cluster hub only when retrying is on). *)
-
-(** [max_attempts] is total issues per logical transaction (>= 1). *)
-type retry = { max_attempts : int; base_us : float; cap_us : float }
-
-val default_retry : retry
-(** 3 attempts, 20 µs base, 400 µs cap. *)
+    {b Aborts.}  The driver never re-issues a transaction: an aborted one
+    is counted and replaced by a fresh one.  {!Zeus_core.Node.run_write}
+    and [run_read] already retry every abort with back-off, up to
+    [Config.max_retries], so an abort seen here is one that exhausted
+    those retries. *)
 
 type result = {
   committed : int;
-  aborted : int;       (** logical transactions that exhausted their attempts *)
-  retries : int;       (** re-issues inside the measurement window *)
+  aborted : int;
   duration_us : float;
   mtps : float;        (** committed transactions per µs × 10⁶ / 10⁶ = Mtps *)
   abort_rate : float;
@@ -41,7 +27,6 @@ val run :
   Zeus_core.Cluster.t ->
   ?nodes:int list ->
   ?threads:int ->
-  ?retry:retry ->
   warmup_us:float ->
   duration_us:float ->
   issue:(Zeus_core.Node.t -> thread:int -> seq:int -> (bool -> unit) -> unit) ->
@@ -49,7 +34,7 @@ val run :
   result
 (** [issue node ~thread ~seq done_] must run exactly one transaction and
     call [done_ committed] at its completion.  [nodes] defaults to all,
-    [threads] to the configured app threads per node, [retry] to none. *)
+    [threads] to the configured app threads per node. *)
 
 val closed_loop :
   Zeus_core.Cluster.t ->

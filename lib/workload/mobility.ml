@@ -1,16 +1,10 @@
 module Rng = Zeus_sim.Rng
 
-type params = {
-  grid : int;
-  driver_frac : float;
-  driver_trip_km : float;
-  nondriver_trip_km : float;
-}
-
-let default_params =
-  { grid = 32; driver_frac = 0.4; driver_trip_km = 20.0; nondriver_trip_km = 4.0 }
-
-let stations p = p.grid * p.grid
+let grid = 32
+let driver_frac = 0.4
+let driver_trip_km = 20.0
+let nondriver_trip_km = 4.0
+let stations = grid * grid
 
 (* Contiguous 2-D tiling: cut the grid into [a × b] blocks with a * b =
    nodes, a and b as balanced as possible — geographic sharding keeps
@@ -23,24 +17,24 @@ let tiling nodes =
   in
   best (int_of_float (sqrt (float_of_int nodes)))
 
-let tile_of p ~nodes (x, y) =
+let tile_of ~nodes (x, y) =
   let a, b = tiling nodes in
   (* a rows of b columns *)
-  let row = min (a - 1) (y * a / p.grid) in
-  let col = min (b - 1) (x * b / p.grid) in
+  let row = min (a - 1) (y * a / grid) in
+  let col = min (b - 1) (x * b / grid) in
   (row * b) + col
 
-let station_of_cell p (x, y) = (y * p.grid) + x
+let station_of_cell (x, y) = (y * grid) + x
 
-let clamp p v = if v < 0 then 0 else if v >= p.grid then p.grid - 1 else v
+let clamp v = if v < 0 then 0 else if v >= grid then grid - 1 else v
 
-let walk p rng =
-  let x0 = Rng.float rng (float_of_int p.grid) in
-  let y0 = Rng.float rng (float_of_int p.grid) in
+let walk rng =
+  let x0 = Rng.float rng (float_of_int grid) in
+  let y0 = Rng.float rng (float_of_int grid) in
   let angle = Rng.float rng (2.0 *. Float.pi) in
   let len =
-    if Rng.chance rng p.driver_frac then Rng.exponential rng ~mean:p.driver_trip_km
-    else Rng.exponential rng ~mean:p.nondriver_trip_km
+    if Rng.chance rng driver_frac then Rng.exponential rng ~mean:driver_trip_km
+    else Rng.exponential rng ~mean:nondriver_trip_km
   in
   let dx = cos angle and dy = sin angle in
   let steps = int_of_float (len /. 0.25) in
@@ -49,7 +43,7 @@ let walk p rng =
   for i = 0 to steps do
     let fx = x0 +. (dx *. 0.25 *. float_of_int i) in
     let fy = y0 +. (dy *. 0.25 *. float_of_int i) in
-    let cx = clamp p (int_of_float fx) and cy = clamp p (int_of_float fy) in
+    let cx = clamp (int_of_float fx) and cy = clamp (int_of_float fy) in
     if (cx, cy) <> !last then begin
       last := (cx, cy);
       cells := (cx, cy) :: !cells
@@ -57,19 +51,17 @@ let walk p rng =
   done;
   List.rev !cells
 
-let sample_trip ?(params = default_params) ~nodes rng =
-  List.map
-    (fun cell -> (station_of_cell params cell, tile_of params ~nodes cell))
-    (walk params rng)
+let sample_trip ~nodes rng =
+  List.map (fun cell -> (station_of_cell cell, tile_of ~nodes cell)) (walk rng)
 
-let remote_handover_fraction ?(params = default_params) ?(trips = 20_000) ~nodes rng =
+let remote_handover_fraction ?(trips = 20_000) ~nodes rng =
   let handovers = ref 0 and remote = ref 0 in
   for _ = 1 to trips do
-    let cells = walk params rng in
+    let cells = walk rng in
     let rec count = function
       | a :: (b :: _ as rest) ->
         incr handovers;
-        if tile_of params ~nodes a <> tile_of params ~nodes b then incr remote;
+        if tile_of ~nodes a <> tile_of ~nodes b then incr remote;
         count rest
       | [ _ ] | [] -> ()
     in

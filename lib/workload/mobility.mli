@@ -4,31 +4,22 @@
     Substitutes the Boston metropolitan traces of [Calabrese et al.]: base
     stations sit on a 1 km grid sharded across nodes in contiguous 2-D
     tiles; a trip is a straight line with random origin and direction whose
-    length follows the reported statistics (drivers average 20 km per trip,
-    non-drivers 4 km, 5 one-way trips/day).  A handover happens at every
+    length follows the reported statistics (drivers, who make 40 % of the
+    trips, average 20 km per trip, non-drivers 4 km, 5 one-way trips/day).  A handover happens at every
     cell crossing; it is {e remote} when the two cells belong to different
     nodes.  The paper reports up to 6.2 % remote handovers at six nodes. *)
 
-type params = {
-  grid : int;            (** grid side in cells (1 km spacing); ~1000 stations *)
-  driver_frac : float;
-  driver_trip_km : float;
-  nondriver_trip_km : float;
-}
+val stations : int
+(** Number of base stations: a 32 × 32 grid, ~1000 stations. *)
 
-val default_params : params
-
-val tile_of : params -> nodes:int -> int * int -> int
+val tile_of : nodes:int -> int * int -> int
 (** Which node owns the cell at [(x, y)] (contiguous 2-D tiling). *)
 
-val station_of_cell : params -> int * int -> int
+val station_of_cell : int * int -> int
 (** Station (cell) index of a grid cell. *)
 
-val stations : params -> int
-
-val remote_handover_fraction : ?params:params -> ?trips:int -> nodes:int -> Zeus_sim.Rng.t -> float
+val remote_handover_fraction : ?trips:int -> nodes:int -> Zeus_sim.Rng.t -> float
 (** Monte-Carlo estimate of the fraction of handovers crossing nodes. *)
 
-val sample_trip :
-  ?params:params -> nodes:int -> Zeus_sim.Rng.t -> (int * int) list
+val sample_trip : nodes:int -> Zeus_sim.Rng.t -> (int * int) list
 (** The sequence of [(station, node)] cells visited by one random trip. *)

@@ -1,14 +1,18 @@
 let new_order_weight = 0.45
 let payment_weight = 0.43
 
-let remote_txn_fraction ?(remote_item_prob = 0.01) ?(items_per_order = 10)
-    ?(remote_customer_prob = 0.15) () =
+(* The spec's remote probabilities and transaction shapes. *)
+let remote_item_prob = 0.01
+let items_per_order = 10
+let remote_customer_prob = 0.15
+let accesses_per_new_order = 23
+let accesses_per_payment = 4
+
+let remote_txn_fraction =
   let no_remote = 1.0 -. ((1.0 -. remote_item_prob) ** float_of_int items_per_order) in
   (new_order_weight *. no_remote) +. (payment_weight *. remote_customer_prob)
 
-let remote_access_fraction ?(remote_item_prob = 0.01) ?(items_per_order = 10)
-    ?(accesses_per_new_order = 23) ?(accesses_per_payment = 4)
-    ?(remote_customer_prob = 0.15) () =
+let remote_access_fraction =
   (* Remote accesses per New-Order: each of the ~10 stock lines is remote
      with probability 1%; per Payment: the customer row (15%). *)
   let no_remote_accesses = float_of_int items_per_order *. remote_item_prob in

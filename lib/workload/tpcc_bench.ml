@@ -4,13 +4,13 @@ module Node = Zeus_core.Node
 module Value = Zeus_store.Value
 
 let districts_per_wh = 10
+let customers_per_district = 300
+let items_per_warehouse = 1_000
 let recent_cap = 20
 
 type t = {
   warehouses : int;
   nodes : int;
-  customers_per_district : int;
-  items_per_warehouse : int;
   rng : Rng.t;
   mutable order_seq : int;
   mutable n_new_orders : int;
@@ -19,13 +19,10 @@ type t = {
   mutable n_remote_lines : int;
 }
 
-let create ~warehouses ~nodes ?(customers_per_district = 300) ?(items_per_warehouse = 1_000)
-    rng =
+let create ~warehouses ~nodes rng =
   {
     warehouses;
     nodes;
-    customers_per_district;
-    items_per_warehouse;
     rng;
     order_seq = 0;
     n_new_orders = 0;
@@ -55,19 +52,19 @@ let district_key t w d = t.warehouses + (w * districts_per_wh) + d
 let customer_key t w d c =
   t.warehouses
   + (t.warehouses * districts_per_wh)
-  + ((((w * districts_per_wh) + d) * t.customers_per_district) + c)
+  + ((((w * districts_per_wh) + d) * customers_per_district) + c)
 
 let stock_key t w i =
   t.warehouses
   + (t.warehouses * districts_per_wh)
-  + (t.warehouses * districts_per_wh * t.customers_per_district)
-  + ((w * t.items_per_warehouse) + i)
+  + (t.warehouses * districts_per_wh * customers_per_district)
+  + ((w * items_per_warehouse) + i)
 
 let orders_base t =
   t.warehouses
   + (t.warehouses * districts_per_wh)
-  + (t.warehouses * districts_per_wh * t.customers_per_district)
-  + (t.warehouses * t.items_per_warehouse)
+  + (t.warehouses * districts_per_wh * customers_per_district)
+  + (t.warehouses * items_per_warehouse)
 
 (* Order keys encode their home node so the baseline's static sharding can
    place them on the home warehouse's partition. *)
@@ -84,18 +81,18 @@ let home_of_key t k =
     k
     < t.warehouses
       + (t.warehouses * districts_per_wh)
-      + (t.warehouses * districts_per_wh * t.customers_per_district)
+      + (t.warehouses * districts_per_wh * customers_per_district)
   then begin
     let c = k - t.warehouses - (t.warehouses * districts_per_wh) in
-    home_of_warehouse t (c / (districts_per_wh * t.customers_per_district))
+    home_of_warehouse t (c / (districts_per_wh * customers_per_district))
   end
   else if k < orders_base t then begin
     let s =
       k - t.warehouses
       - (t.warehouses * districts_per_wh)
-      - (t.warehouses * districts_per_wh * t.customers_per_district)
+      - (t.warehouses * districts_per_wh * customers_per_district)
     in
-    home_of_warehouse t (s / t.items_per_warehouse)
+    home_of_warehouse t (s / items_per_warehouse)
   end
   else (k - orders_base t) mod t.nodes
 
@@ -123,12 +120,12 @@ let populate t cluster =
     for d = 0 to districts_per_wh - 1 do
       Cluster.populate cluster ~key:(district_key t w d) ~owner
         (Value.of_ints district_init);
-      for c = 0 to t.customers_per_district - 1 do
+      for c = 0 to customers_per_district - 1 do
         Cluster.populate cluster ~key:(customer_key t w d c) ~owner
           (Value.of_ints [ 1000; 0 ])
       done
     done;
-    for i = 0 to t.items_per_warehouse - 1 do
+    for i = 0 to items_per_warehouse - 1 do
       Cluster.populate cluster ~key:(stock_key t w i) ~owner (Value.of_ints [ 100; 0 ])
     done
   done
@@ -158,7 +155,7 @@ let pick_lines t w =
         else w
       in
       t.n_lines <- t.n_lines + 1;
-      (supply_w, Rng.int t.rng t.items_per_warehouse))
+      (supply_w, Rng.int t.rng items_per_warehouse))
 
 (* ---- the five transactions as Zeus bodies ---- *)
 
@@ -206,7 +203,7 @@ let payment t node ~thread k =
   let d = Rng.int t.rng districts_per_wh in
   (* 15% of payments are for a customer of a remote warehouse *)
   let cw = if Rng.chance t.rng 0.15 then other_warehouse t w else w in
-  let c = Rng.int t.rng t.customers_per_district in
+  let c = Rng.int t.rng customers_per_district in
   let amount = 1 + Rng.int t.rng 50 in
   Node.run_write node ~thread ~exec_us:1.2
     ~body:(fun ctx commit ->
@@ -230,7 +227,7 @@ let order_status t node ~thread k =
   let home = Node.id node in
   let w = local_warehouse t home in
   let d = Rng.int t.rng districts_per_wh in
-  let c = Rng.int t.rng t.customers_per_district in
+  let c = Rng.int t.rng customers_per_district in
   Node.run_read node ~thread ~exec_us:0.8
     ~body:(fun ctx commit ->
       Node.read ctx (customer_key t w d c) (fun _ ->
@@ -245,7 +242,7 @@ let delivery t node ~thread k =
   let home = Node.id node in
   let w = local_warehouse t home in
   let d = Rng.int t.rng districts_per_wh in
-  let c = Rng.int t.rng t.customers_per_district in
+  let c = Rng.int t.rng customers_per_district in
   Node.run_write node ~thread ~exec_us:1.5
     ~body:(fun ctx commit ->
       (* pop the oldest recent order (stands in for oldest-undelivered) *)
@@ -280,7 +277,7 @@ let stock_level t node ~thread k =
     ~body:(fun ctx commit ->
       Node.read ctx (district_key t w d) (fun _ ->
           let stocks =
-            List.init 5 (fun _ -> stock_key t w (Rng.int t.rng t.items_per_warehouse))
+            List.init 5 (fun _ -> stock_key t w (Rng.int t.rng items_per_warehouse))
           in
           seq_iter stocks
             (fun s k -> Node.read ctx s (fun _ -> k ()))
@@ -312,17 +309,17 @@ let gen_spec t ~home =
   else if p < 0.88 then begin
     t.n_payments <- t.n_payments + 1;
     let cw = if Rng.chance t.rng 0.15 then other_warehouse t w else w in
-    let c = Rng.int t.rng t.customers_per_district in
+    let c = Rng.int t.rng customers_per_district in
     Spec.write_txn ~payload:32 ~exec_us:1.2
       [ warehouse_key t w; district_key t w d; customer_key t cw d c ]
   end
   else if p < 0.92 then
     Spec.read_txn ~exec_us:0.8
-      [ customer_key t w d (Rng.int t.rng t.customers_per_district); district_key t w d ]
+      [ customer_key t w d (Rng.int t.rng customers_per_district); district_key t w d ]
   else if p < 0.96 then
     Spec.write_txn ~payload:32 ~exec_us:1.5
-      [ district_key t w d; customer_key t w d (Rng.int t.rng t.customers_per_district) ]
+      [ district_key t w d; customer_key t w d (Rng.int t.rng customers_per_district) ]
   else
     Spec.read_txn ~exec_us:1.0
       (district_key t w d
-      :: List.init 5 (fun _ -> stock_key t w (Rng.int t.rng t.items_per_warehouse)))
+      :: List.init 5 (fun _ -> stock_key t w (Rng.int t.rng items_per_warehouse)))

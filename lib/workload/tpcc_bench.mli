@@ -18,13 +18,9 @@
 
 type t
 
-val create :
-  warehouses:int ->
-  nodes:int ->
-  ?customers_per_district:int ->
-  ?items_per_warehouse:int ->
-  Zeus_sim.Rng.t ->
-  t
+val create : warehouses:int -> nodes:int -> Zeus_sim.Rng.t -> t
+(** Each warehouse has 10 districts of 300 customers and 1000 stock
+    items. *)
 
 val nodes : t -> int
 val home_of_warehouse : t -> int -> int

@@ -1,37 +1,28 @@
 module Rng = Zeus_sim.Rng
 
-type t = {
-  users : int;
-  community_size : int;
-  inter_community : float;
-  nodes : int;
-  rng : Rng.t;
-}
+let users = 100_000
+let community_size = 30
+let inter_community = 0.013
 
-let create ?(users = 100_000) ?(community_size = 30) ?(inter_community = 0.013) ~nodes
-    rng =
-  { users; community_size; inter_community; nodes; rng }
+type t = { nodes : int; rng : Rng.t }
 
-let community_of t u = u / t.community_size
-let communities t = (t.users + t.community_size - 1) / t.community_size
+let create ~nodes rng = { nodes; rng }
+let community_of u = u / community_size
 
 (* Whole communities are placed on nodes (the locality-preserving sharding
    of §2.2). *)
-let node_of_user t u = community_of t u mod t.nodes
+let node_of_user t u = community_of u mod t.nodes
 
 let gen_pair t =
-  let payer = Rng.int t.rng t.users in
+  let payer = Rng.int t.rng users in
   let payee =
-    if Rng.chance t.rng t.inter_community then Rng.int t.rng t.users
+    if Rng.chance t.rng inter_community then Rng.int t.rng users
     else begin
-      let c = community_of t payer in
-      let base = c * t.community_size in
-      let span = min t.community_size (t.users - base) in
-      base + Rng.int t.rng span
+      let base = community_of payer * community_size in
+      base + Rng.int t.rng (min community_size (users - base))
     end
   in
-  let payee = if payee = payer then (payee + 1) mod t.users else payee in
-  ignore (communities t);
+  let payee = if payee = payer then (payee + 1) mod users else payee in
   (payer, payee)
 
 let remote_fraction ?(samples = 200_000) t =

@@ -5,13 +5,10 @@ type t = {
   contestants : int;
   voters : int;
   nodes : int;
-  hot_contestant : int option;
-  hot_frac : float;
   rng : Rng.t;
 }
 
-let create ~contestants ~voters ~nodes ?(hot_contestant = None) ?(hot_frac = 0.0) rng =
-  { contestants; voters; nodes; hot_contestant; hot_frac; rng }
+let create ~contestants ~voters ~nodes rng = { contestants; voters; nodes; rng }
 
 let contestant_key _t c = c
 let voter_key t v = t.contestants + v
@@ -33,17 +30,10 @@ let local_contestants t home =
 
 let gen t ~home ~thread ~threads =
   let voter = (home * voters_per_node t) + Rng.int t.rng (voters_per_node t) in
+  let cands = List.filter (fun c -> c mod threads = thread) (local_contestants t home) in
+  let cands = if cands = [] then local_contestants t home else cands in
   let contestant =
-    match t.hot_contestant with
-    | Some hot when Rng.chance t.rng t.hot_frac -> hot
-    | _ -> (
-      let cands =
-        List.filter (fun c -> c mod threads = thread) (local_contestants t home)
-      in
-      let cands = if cands = [] then local_contestants t home else cands in
-      match cands with
-      | [] -> 0
-      | l -> List.nth l (Rng.int t.rng (List.length l)))
+    match cands with [] -> 0 | l -> List.nth l (Rng.int t.rng (List.length l))
   in
   Spec.write_txn ~payload:32 ~exec_us:0.5
     [ contestant_key t contestant; voter_key t voter ]

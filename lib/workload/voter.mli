@@ -7,16 +7,7 @@
 
 type t
 
-val create :
-  contestants:int ->
-  voters:int ->
-  nodes:int ->
-  ?hot_contestant:int option ->
-  ?hot_frac:float ->
-  Zeus_sim.Rng.t ->
-  t
-(** [hot_contestant] (with [hot_frac] of the votes) models the popular
-    contestant of Figure 11. *)
+val create : contestants:int -> voters:int -> nodes:int -> Zeus_sim.Rng.t -> t
 
 val contestant_key : t -> int -> int
 val voter_key : t -> int -> int

@@ -58,7 +58,8 @@ let sweep_map_order () =
   check Alcotest.(list int) "correct" (List.map (fun x -> x * x) xs) par
 
 (* One tiny Smallbank simulation per point: each builds its own cluster, so
-   [-j 1] and [-j 4] must produce identical committed/abort/event counts. *)
+   one job, four jobs and the host's default must produce identical
+   committed/abort/event counts. *)
 let mini_point remote_frac =
   let module Engine = Zeus_sim.Engine in
   let module Cluster = Zeus_core.Cluster in
@@ -88,17 +89,14 @@ let sweep_deterministic () =
   let fracs = [ 0.0; 0.1; 0.2; 0.3 ] in
   let j1 = Zeus_experiments.Sweep.map ~jobs:1 mini_point fracs in
   let j4 = Zeus_experiments.Sweep.map ~jobs:4 mini_point fracs in
+  let host = Zeus_experiments.Sweep.map mini_point fracs in
   check
     Alcotest.(list (triple int int int))
     "-j1 and -j4 bit-identical" j1 j4;
+  check
+    Alcotest.(list (triple int int int))
+    "-j1 and the host's job count bit-identical" j1 host;
   List.iter (fun (c, _, _) -> check Alcotest.bool "work happened" true (c > 0)) j1
-
-let sweep_global_jobs () =
-  Zeus_experiments.Sweep.set_jobs 3;
-  let got = Zeus_experiments.Sweep.get_jobs () in
-  Zeus_experiments.Sweep.set_jobs 1;
-  check Alcotest.int "set/get" 3 got;
-  check Alcotest.int "clamped at 1" 1 (Zeus_experiments.Sweep.get_jobs ())
 
 let suite =
   [
@@ -109,5 +107,4 @@ let suite =
     tc "locality analysis runs" (runs "locality");
     tc "sweep: map preserves order across domains" sweep_map_order;
     tc "sweep: -j1 vs -j4 bit-identical simulations" sweep_deterministic;
-    tc "sweep: global job knob" sweep_global_jobs;
   ]

@@ -93,6 +93,25 @@ let read_wait_retries () =
   check Alcotest.(option int) "waited for validation" (Some 2)
     (Option.map Value.to_int !got)
 
+(* Two writes from one replica before the first commits: the second
+   supersedes the first, and both continuations must still fire. *)
+let superseded_local_write () =
+  let e, _, hs = setup () in
+  let first = ref false and second = ref false in
+  Hermes.write hs.(0) ~key:1 (Value.of_int 1) (fun () -> first := true);
+  Hermes.write hs.(0) ~key:1 (Value.of_int 2) (fun () ->
+      check Alcotest.bool "first fires before second" true !first;
+      second := true);
+  Engine.run e;
+  check Alcotest.bool "first write completes" true !first;
+  check Alcotest.bool "second write completes" true !second;
+  check Alcotest.int "one commit" 1 (Hermes.writes_committed hs.(0));
+  Array.iter
+    (fun h ->
+      check Alcotest.(option int) "later value everywhere" (Some 2)
+        (Option.map Value.to_int (Hermes.read h 1)))
+    hs
+
 (* ---------- balancer ---------- *)
 
 let balancer_setup () =
@@ -153,6 +172,7 @@ let suite =
     tc "hermes: any replica coordinates" writes_from_any_replica;
     tc "hermes: survives 30% loss" survives_loss;
     tc "hermes: read_wait" read_wait_retries;
+    tc "hermes: superseded local write completes" superseded_local_write;
     tc "balancer: sticky routing" balancer_sticky;
     tc "balancer: assignments replicated" balancer_shared_across_lbs;
     tc "balancer: reassign" balancer_reassign;

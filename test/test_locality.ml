@@ -14,19 +14,18 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* ---------- access log ---------- *)
 
-let log_config = { Loc.Access_log.half_life_us = 100.0; capacity = 64 }
-
 let test_log_decay () =
-  let log = Loc.Access_log.create ~config:log_config ~nodes:2 () in
+  let log = Loc.Access_log.create ~nodes:2 in
+  let half_life = Loc.Access_log.half_life_us in
   Loc.Access_log.record log ~key:1 ~node:0 ~now:0.0;
   let r0 = Loc.Access_log.rate log ~key:1 ~node:0 ~now:0.0 in
-  let r1 = Loc.Access_log.rate log ~key:1 ~node:0 ~now:100.0 in
+  let r1 = Loc.Access_log.rate log ~key:1 ~node:0 ~now:half_life in
   check (Alcotest.float 1e-9) "one half-life halves the rate" (r0 /. 2.0) r1;
   check (Alcotest.float 1e-9) "other node unaffected" 0.0
-    (Loc.Access_log.rate log ~key:1 ~node:1 ~now:100.0)
+    (Loc.Access_log.rate log ~key:1 ~node:1 ~now:half_life)
 
 let test_log_top_node () =
-  let log = Loc.Access_log.create ~config:log_config ~nodes:3 () in
+  let log = Loc.Access_log.create ~nodes:3 in
   for _ = 1 to 5 do
     Loc.Access_log.record log ~key:7 ~node:2 ~now:10.0
   done;
@@ -42,7 +41,7 @@ let test_log_top_node () =
 
 let test_predictor_directional () =
   let p = Loc.Predictor.create ~nodes:4 in
-  let log = Loc.Access_log.create ~nodes:4 () in
+  let log = Loc.Access_log.create ~nodes:4 in
   Loc.Predictor.note_owner p ~key:5 ~owner:0 ~now:0.0;
   Loc.Predictor.note_owner p ~key:5 ~owner:1 ~now:100.0;
   Loc.Predictor.note_owner p ~key:5 ~owner:2 ~now:200.0;
@@ -54,7 +53,7 @@ let test_predictor_directional () =
 
 let test_predictor_frequency () =
   let p = Loc.Predictor.create ~nodes:3 in
-  let log = Loc.Access_log.create ~config:log_config ~nodes:3 () in
+  let log = Loc.Access_log.create ~nodes:3 in
   for _ = 1 to 9 do
     Loc.Access_log.record log ~key:4 ~node:1 ~now:5.0
   done;
@@ -70,7 +69,7 @@ let test_predictor_frequency () =
 let test_planner_hysteresis () =
   let planner = Loc.Planner.create () in
   let predictor = Loc.Predictor.create ~nodes:2 in
-  let log = Loc.Access_log.create ~config:log_config ~nodes:2 () in
+  let log = Loc.Access_log.create ~nodes:2 in
   (* node 1 at 3 accesses vs holder 0 at 2: confident prediction, but under
      the 2x hysteresis bar -> Stay *)
   for _ = 1 to 3 do
@@ -202,18 +201,16 @@ let test_disabled_is_seed () =
 let prop_log_bounded =
   QCheck.Test.make ~name:"access_log: tracked keys never exceed capacity"
     ~count:100
-    QCheck.(list_of_size Gen.(0 -- 200) (pair (int_bound 100) (int_bound 2)))
-    (fun events ->
-      let log =
-        Loc.Access_log.create
-          ~config:{ Loc.Access_log.half_life_us = 50.0; capacity = 8 }
-          ~nodes:3 ()
-      in
+    (* key [i] for record [i]: every case brings more than [capacity]
+       distinct keys, so every case runs the eviction path *)
+    (let cap = Loc.Access_log.capacity in
+     QCheck.(list_of_size Gen.((cap + 1) -- (cap + 200)) (int_bound 2)))
+    (fun nodes ->
+      let log = Loc.Access_log.create ~nodes:3 in
       List.iteri
-        (fun i (key, node) ->
-          Loc.Access_log.record log ~key ~node ~now:(float_of_int i))
-        events;
-      Loc.Access_log.tracked log <= 8)
+        (fun i node -> Loc.Access_log.record log ~key:i ~node ~now:(float_of_int i))
+        nodes;
+      Loc.Access_log.tracked log <= Loc.Access_log.capacity)
 
 let prop_predictor_deterministic =
   QCheck.Test.make ~name:"predictor: identical event feeds agree" ~count:100
@@ -221,7 +218,7 @@ let prop_predictor_deterministic =
     (fun events ->
       let feed () =
         let p = Loc.Predictor.create ~nodes:4 in
-        let log = Loc.Access_log.create ~nodes:4 () in
+        let log = Loc.Access_log.create ~nodes:4 in
         List.iteri
           (fun i (key, owner) ->
             let now = 10.0 *. float_of_int i in

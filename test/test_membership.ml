@@ -14,11 +14,18 @@ let setup ?(nodes = 3) () =
   let e = Engine.create () in
   let f = Fabric.create e ~nodes Fabric.default_config in
   let t = Transport.create f in
-  let m = Service.create ~lease_us:100.0 ~detect_us:50.0 ~skew_us:2.0 t in
+  let m = Service.create t in
   (e, f, m)
 
-(* Detected-mode fixture: fast heartbeats and a short lease so the whole
-   suspect -> lease -> install pipeline fits in a few hundred virtual µs. *)
+(* Oracle mode: a killed node's excluding view reaches every live node by
+   this long after the kill. *)
+let installed_us = Service.detect_us +. Service.lease_us +. Service.skew_us
+
+(* Run [e] until a view change started now has reached every node. *)
+let settle e = Engine.run ~until:(Engine.now e +. installed_us +. 100.0) e
+
+(* Detected-mode fixture: fast heartbeats, so the whole suspect -> lease ->
+   install pipeline fits in a few virtual ms. *)
 let det_config =
   {
     Service.detector =
@@ -34,10 +41,7 @@ let setup_detected ?(nodes = 4) () =
   let e = Engine.create () in
   let f = Fabric.create e ~nodes Fabric.default_config in
   let t = Transport.create f in
-  let m =
-    Service.create ~lease_us:300.0 ~detect_us:50.0 ~skew_us:2.0
-      ~mode:Service.Detected ~detection:det_config t
-  in
+  let m = Service.create ~mode:Service.Detected ~detection:det_config t in
   (e, f, m)
 
 let view_ops () =
@@ -56,9 +60,10 @@ let kill_updates_after_lease () =
   let e, f, m = setup () in
   Service.kill m 1;
   check Alcotest.bool "fabric crash immediate" false (Fabric.is_alive f 1);
-  Engine.run ~until:100.0 e;
+  (* detection is over, the lease is not *)
+  Engine.run ~until:(Service.detect_us +. (Service.lease_us /. 2.0)) e;
   check Alcotest.int "not yet (lease)" 0 (Service.view m).View.epoch;
-  Engine.run ~until:400.0 e;
+  settle e;
   check Alcotest.int "epoch bumped" 1 (Service.view m).View.epoch;
   check Alcotest.bool "view excludes" false (View.is_live (Service.view m) 1)
 
@@ -68,7 +73,7 @@ let nodes_get_view_with_skew () =
   Service.subscribe m 0 (fun v -> seen := v.View.epoch :: !seen);
   Service.subscribe m 2 (fun v -> seen := (100 + v.View.epoch) :: !seen);
   Service.kill m 1;
-  Engine.run ~until:1_000.0 e;
+  settle e;
   check Alcotest.bool "node0 notified" true (List.mem 1 !seen);
   check Alcotest.bool "node2 notified" true (List.mem 101 !seen);
   check Alcotest.int "node epoch" 1 (Service.epoch_at m 0)
@@ -78,15 +83,15 @@ let dead_node_not_notified () =
   let fired = ref false in
   Service.subscribe m 1 (fun _ -> fired := true);
   Service.kill m 1;
-  Engine.run ~until:1_000.0 e;
+  settle e;
   check Alcotest.bool "dead node silent" false !fired
 
 let rejoin_bumps_epoch () =
   let e, f, m = setup () in
   Service.kill m 1;
-  Engine.run ~until:500.0 e;
+  settle e;
   Service.rejoin m 1;
-  Engine.run ~until:1_000.0 e;
+  settle e;
   check Alcotest.int "epoch 2" 2 (Service.view m).View.epoch;
   check Alcotest.bool "alive again" true (Fabric.is_alive f 1);
   check Alcotest.bool "in view" true (View.is_live (Service.view m) 1)
@@ -94,9 +99,9 @@ let rejoin_bumps_epoch () =
 let two_kills_two_epochs () =
   let e, _, m = setup () in
   Service.kill m 1;
-  Engine.run ~until:500.0 e;
+  settle e;
   Service.kill m 2;
-  Engine.run ~until:1_500.0 e;
+  settle e;
   check Alcotest.int "epoch 2" 2 (Service.view m).View.epoch;
   check Alcotest.(list int) "only node0" [ 0 ] (View.live_list (Service.view m))
 
@@ -189,7 +194,7 @@ let detected_eviction_averted_by_heal () =
       Fabric.partition_oneway f ~src:d ~dst:3)
     [ 0; 1; 2 ];
   (* Long enough for the suspicion quorum to form (timeout floor 200 µs),
-     short of the 300 µs lease expiry that follows it. *)
+     short of the lease expiry that follows it. *)
   Engine.run ~until:(Engine.now e +. 350.0) e;
   check Alcotest.bool "quorum suspicion formed" true
     (Service.suspected m ~by:0 3 || Service.suspected m ~by:1 3
@@ -199,7 +204,7 @@ let detected_eviction_averted_by_heal () =
       Fabric.heal_oneway f ~src:3 ~dst:d;
       Fabric.heal_oneway f ~src:d ~dst:3)
     [ 0; 1; 2 ];
-  Engine.run ~until:(Engine.now e +. 2_000.0) e;
+  Engine.run ~until:(Engine.now e +. Service.lease_us +. 2_000.0) e;
   let s = Service.det_stats m in
   check Alcotest.int "no eviction: epoch unchanged" 0 (Service.view m).View.epoch;
   check Alcotest.bool "lease expiry was averted" true (s.Service.evictions_averted >= 1);
@@ -245,7 +250,7 @@ let subscribe_preserves_order () =
     Service.subscribe m 0 (fun _ -> order := i :: !order)
   done;
   Service.kill m 1;
-  Engine.run ~until:1_000.0 e;
+  settle e;
   check Alcotest.(list int) "subscribers fire in subscription order" [ 0; 1; 2; 3; 4 ]
     (List.rev !order)
 

@@ -11,8 +11,7 @@ let check = Alcotest.check
 
 let small () =
   let rng = Zeus_sim.Rng.create 31L in
-  W.Tpcc_bench.create ~warehouses:6 ~nodes:3 ~customers_per_district:20
-    ~items_per_warehouse:50 rng
+  W.Tpcc_bench.create ~warehouses:6 ~nodes:3 rng
 
 let key_layout_disjoint_and_homed () =
   let t = small () in
@@ -29,11 +28,13 @@ let populate_and_run_mix () =
   W.Tpcc_bench.populate t cluster;
   let engine = Cluster.engine cluster in
   let committed = ref 0 and total = ref 0 in
+  (* four threads per node, 20 transactions each: enough concurrency on
+     the district and warehouse rows for ~100 conflict retries *)
   for home = 0 to 2 do
     let node = Cluster.node cluster home in
-    for thread = 0 to 1 do
+    for thread = 0 to 3 do
       let rec chain i =
-        if i < 40 then
+        if i < 20 then
           W.Tpcc_bench.issue t node ~thread (fun outcome ->
               incr total;
               if outcome = Zeus_store.Txn.Committed then incr committed;
@@ -41,7 +42,7 @@ let populate_and_run_mix () =
       in
       ignore
         (Engine.schedule engine
-           ~after:(float_of_int ((home * 2) + thread))
+           ~after:(float_of_int ((home * 4) + thread))
            (fun () -> chain 0))
     done
   done;

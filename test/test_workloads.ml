@@ -112,21 +112,6 @@ let voter_contestant_thread_binding () =
     | _ -> Alcotest.fail "vote must write two objects"
   done
 
-let voter_hot_contestant () =
-  let rng = Rng.create 9L in
-  let w =
-    W.Voter.create ~contestants:20 ~voters:3_000 ~nodes:3 ~hot_contestant:(Some 0)
-      ~hot_frac:0.5 rng
-  in
-  let hot = ref 0 and n = 4_000 in
-  for _ = 1 to n do
-    let s = W.Voter.gen w ~home:0 ~thread:0 ~threads:10 in
-    match s.W.Spec.writes with
-    | c :: _ when c = 0 -> incr hot
-    | _ -> ()
-  done;
-  if float_of_int !hot /. float_of_int n < 0.4 then Alcotest.fail "hot skew missing"
-
 (* ---------- handover + mobility ---------- *)
 
 let handover_two_txn_structure () =
@@ -182,7 +167,7 @@ let mobility_trip_structure () =
   check Alcotest.bool "nonempty" true (List.length trip >= 1);
   List.iter
     (fun (station, node) ->
-      if station < 0 || station >= W.Mobility.(stations default_params) then
+      if station < 0 || station >= W.Mobility.stations then
         Alcotest.fail "station out of range";
       if node < 0 || node >= 6 then Alcotest.fail "node out of range")
     trip
@@ -197,18 +182,19 @@ let venmo_remote_fraction_calibrated () =
 
 let venmo_pairs_valid () =
   let rng = Rng.create 17L in
-  let v = W.Venmo.create ~users:1_000 ~nodes:3 rng in
+  let v = W.Venmo.create ~nodes:3 rng in
+  let users = W.Venmo.users in
   for _ = 1 to 2_000 do
     let a, b = W.Venmo.gen_pair v in
     if a = b then Alcotest.fail "self-payment";
-    if a < 0 || a >= 1_000 || b < 0 || b >= 1_000 then Alcotest.fail "user range"
+    if a < 0 || a >= users || b < 0 || b >= users then Alcotest.fail "user range"
   done
 
 let tpcc_analytics () =
-  let txn = W.Tpcc.remote_txn_fraction () in
+  let txn = W.Tpcc.remote_txn_fraction in
   (* spec-standard: 45% * (1-.99^10) + 43% * 15% ~ 10.8% *)
   if txn < 0.09 || txn > 0.12 then Alcotest.failf "tpcc txn fraction %f" txn;
-  let acc = W.Tpcc.remote_access_fraction () in
+  let acc = W.Tpcc.remote_access_fraction in
   if acc < 0.003 || acc > 0.03 then Alcotest.failf "tpcc access fraction %f" acc
 
 (* ---------- driver ---------- *)
@@ -227,11 +213,10 @@ let driver_counts_in_window () =
   let expected = float_of_int r.W.Driver.committed /. 1_000.0 in
   Alcotest.(check (float 1e-6)) "mtps math" expected r.W.Driver.mtps
 
-(* An issue function that always aborts the first attempt of every logical
-   transaction and commits the second: with retry on, every transaction
-   commits (once) after exactly one retry; with retry off, nothing ever
-   commits.  Failures are delivered asynchronously so simulated time
-   advances between attempts. *)
+(* An issue function that aborts the first attempt of every (thread, seq)
+   and would commit a second one: the driver never re-issues, so nothing
+   ever commits.  Failures are delivered asynchronously so simulated time
+   advances between transactions. *)
 let flaky_issue c calls _node ~thread ~seq done_ =
   let eng = Zeus_core.Cluster.engine c in
   let key = (thread, seq) in
@@ -239,23 +224,7 @@ let flaky_issue c calls _node ~thread ~seq done_ =
   Hashtbl.replace calls key n;
   ignore (Zeus_sim.Engine.schedule eng ~after:10.0 (fun () -> done_ (n >= 2)))
 
-let driver_retry_commits_once () =
-  let c = Helpers.default_cluster () in
-  let calls = Hashtbl.create 64 in
-  let r =
-    W.Driver.run c ~nodes:[ 0 ] ~threads:2 ~retry:W.Driver.default_retry
-      ~warmup_us:0.0 ~duration_us:2_000.0 ~issue:(flaky_issue c calls) ()
-  in
-  Alcotest.(check bool) "commits under retry" true (r.W.Driver.committed > 0);
-  Alcotest.(check int) "retried commits are not aborts" 0 r.W.Driver.aborted;
-  Alcotest.(check bool) "one retry per commit" true
-    (r.W.Driver.retries >= r.W.Driver.committed);
-  Hashtbl.iter
-    (fun (thread, seq) n ->
-      if n > 2 then Alcotest.failf "txn %d/%d issued %d times" thread seq n)
-    calls
-
-let driver_no_retry_surfaces_aborts () =
+let driver_aborts_surface () =
   let c = Helpers.default_cluster () in
   let calls = Hashtbl.create 64 in
   let r =
@@ -263,22 +232,7 @@ let driver_no_retry_surfaces_aborts () =
       ~issue:(flaky_issue c calls) ()
   in
   Alcotest.(check int) "first attempts always abort" 0 r.W.Driver.committed;
-  Alcotest.(check int) "no retries without opt-in" 0 r.W.Driver.retries;
   Alcotest.(check bool) "aborts surface" true (r.W.Driver.aborted > 0)
-
-let driver_retry_deterministic () =
-  let go () =
-    let c = Helpers.default_cluster () in
-    let calls = Hashtbl.create 64 in
-    let r =
-      W.Driver.run c ~nodes:[ 0 ] ~threads:3 ~retry:W.Driver.default_retry
-        ~warmup_us:0.0 ~duration_us:1_500.0 ~issue:(flaky_issue c calls) ()
-    in
-    (r.W.Driver.committed, r.W.Driver.retries)
-  in
-  let c1, r1 = go () and c2, r2 = go () in
-  Alcotest.(check int) "committed reproducible" c1 c2;
-  Alcotest.(check int) "retries reproducible" r1 r2
 
 let suite =
   [
@@ -290,7 +244,6 @@ let suite =
     tc "tatp: reads local by default" tatp_reads_local_by_default;
     tc "tatp: baseline reads drift" tatp_baseline_reads_drift;
     tc "voter: LB binds contestants to node+thread" voter_contestant_thread_binding;
-    tc "voter: hot contestant skew" voter_hot_contestant;
     tc "handover: two-transaction structure" handover_two_txn_structure;
     tc "handover: remote crosses nodes" handover_remote_crosses_nodes;
     tc "handover: 400B contexts" handover_payload_size;
@@ -301,7 +254,5 @@ let suite =
     tc "venmo: valid pairs" venmo_pairs_valid;
     tc "tpcc: analytical fractions" tpcc_analytics;
     tc "driver: measurement window math" driver_counts_in_window;
-    tc "driver: retry commits once, counts retries" driver_retry_commits_once;
-    tc "driver: no retry without opt-in" driver_no_retry_surfaces_aborts;
-    tc "driver: retry backoff is deterministic" driver_retry_deterministic;
+    tc "driver: aborts surface" driver_aborts_surface;
   ]
