@@ -12,12 +12,19 @@ test: build
 # locality-engine experiment (also exercises the BENCH_locality.json path).
 # The experiment runs twice and the two BENCH_locality.json files must be
 # byte-identical: any nondeterminism in the locality engine fails here.
+# Then the fig8/fig9 sweep runs pinned to one core (one domain) and
+# unpinned (one per core), and the two outputs must be byte-identical:
+# sweep points that share state across domains fail here.
 check: test
 	dune exec bin/zeus_cli.exe -- run --quick predictive
 	cp BENCH_locality.json BENCH_locality.first.json
 	dune exec bin/zeus_cli.exe -- run --quick predictive
 	@cmp BENCH_locality.first.json BENCH_locality.json || { echo "check: two predictive runs wrote different BENCH_locality.json" >&2; exit 1; }
 	rm -f BENCH_locality.first.json
+	taskset -c 0 dune exec bin/zeus_cli.exe -- run --quick fig8 fig9 > sweep.one-core.txt
+	dune exec bin/zeus_cli.exe -- run --quick fig8 fig9 > sweep.all-cores.txt
+	@cmp sweep.one-core.txt sweep.all-cores.txt || { echo "check: fig8/fig9 output depends on the number of cores" >&2; exit 1; }
+	rm -f sweep.one-core.txt sweep.all-cores.txt
 
 bench:
 	dune exec bin/zeus_cli.exe -- run all
@@ -144,4 +151,4 @@ perf-baseline: build
 
 clean:
 	dune clean
-	rm -f BENCH_locality.json BENCH_locality.first.json BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_perf.json trace.json model-smoke.log
+	rm -f BENCH_locality.json BENCH_locality.first.json BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_perf.json trace.json model-smoke.log sweep.one-core.txt sweep.all-cores.txt

@@ -5,8 +5,6 @@
      zeus_cli run faults detection # several; each BENCH_*.json they own
      zeus_cli run all [--quick]    # the whole evaluation
      zeus_cli micro                # bechamel microbenchmarks
-     zeus_cli bench smallbank --nodes 3 --remote 0.02
-                                   # one-off Zeus throughput measurement
      zeus_cli chaos --seed 7 --faults 4 --quick
                                    # Smallbank under a random fault schedule
      zeus_cli trace --workload smallbank --quick --out trace.json
@@ -89,67 +87,6 @@ let micro_cmd =
        ~doc:"Bechamel microbenchmarks of the simulator and protocol code paths.")
     Term.(const Micro.run $ const ())
 
-(* ---- bench ---- *)
-
-let bench_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some (enum [ ("smallbank", `Smallbank); ("tatp", `Tatp) ])) None
-      & info [] ~docv:"WORKLOAD" ~doc:"smallbank or tatp.")
-  in
-  let nodes = Arg.(value & opt int 3 & info [ "nodes" ] ~doc:"Cluster size.") in
-  let remote =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "remote" ] ~doc:"Fraction of write transactions with drifted accesses.")
-  in
-  let duration =
-    Arg.(value & opt float 15_000.0 & info [ "duration-us" ] ~doc:"Measured window.")
-  in
-  let run workload nodes remote duration =
-    let config = { Zeus_core.Config.default with Zeus_core.Config.nodes } in
-    let cluster = Zeus_core.Cluster.create ~config () in
-    let rng = Zeus_sim.Engine.fork_rng (Zeus_core.Cluster.engine cluster) in
-    let issue, name =
-      match workload with
-      | `Smallbank ->
-        let w =
-          Zeus_workload.Smallbank.create ~accounts_per_node:10_000 ~nodes
-            ~remote_frac:remote rng
-        in
-        Zeus_core.Cluster.populate_n cluster ~n:(Zeus_workload.Smallbank.total_keys w)
-          ~owner_of:(fun k -> Zeus_workload.Smallbank.home_of_key w k)
-          (fun _ -> Bytes.copy Zeus_workload.Smallbank.initial_value);
-        ( (fun node ~thread -> Zeus_workload.Smallbank.gen w ~home:(Zeus_core.Node.id node) |> fun s -> (s, thread)),
-          "smallbank" )
-      | `Tatp ->
-        let w =
-          Zeus_workload.Tatp.create ~subscribers_per_node:10_000 ~nodes
-            ~remote_frac:remote rng
-        in
-        Zeus_core.Cluster.populate_n cluster ~n:(Zeus_workload.Tatp.total_keys w)
-          ~owner_of:(fun k -> Zeus_workload.Tatp.home_of_key w k)
-          (fun _ -> Bytes.copy Zeus_workload.Tatp.initial_value);
-        ( (fun node ~thread -> Zeus_workload.Tatp.gen w ~home:(Zeus_core.Node.id node) |> fun s -> (s, thread)),
-          "tatp" )
-    in
-    let r =
-      Zeus_workload.Driver.run cluster ~warmup_us:2_000.0 ~duration_us:duration
-        ~issue:(fun node ~thread ~seq:_ done_ ->
-          let spec, thread = issue node ~thread in
-          Zeus_workload.Spec.run_on_zeus node ~thread spec (fun o ->
-              done_ (o = Zeus_store.Txn.Committed)))
-        ()
-    in
-    Format.printf "%s on %d nodes (remote %.1f%%): %a@." name nodes (100.0 *. remote)
-      Zeus_workload.Driver.pp_result r
-  in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"One-off Zeus throughput measurement.")
-    Term.(const run $ workload $ nodes $ remote $ duration)
-
 (* ---- chaos ---- *)
 
 let chaos_cmd =
@@ -206,9 +143,7 @@ let chaos_cmd =
         ~accounts_per_node:(if quick then 50 else 200)
         ~nodes ~remote_frac:0.1 rng
     in
-    Cluster.populate_n cluster ~n:(Zeus_workload.Smallbank.total_keys w)
-      ~owner_of:(fun k -> Zeus_workload.Smallbank.home_of_key w k)
-      (fun _ -> Bytes.copy Zeus_workload.Smallbank.initial_value);
+    Zeus_workload.Smallbank.populate w cluster;
     let warmup_us = if quick then 1_000.0 else 3_000.0 in
     let duration = if quick then Float.min duration 10_000.0 else duration in
     let schedule =
@@ -449,34 +384,26 @@ let trace_cmd =
     let per_node = if quick then 2_000 else 10_000 in
     let warmup_us = if quick then 500.0 else 2_000.0 in
     let duration_us = if quick then 3_000.0 else 15_000.0 in
-    let issue, name =
+    let gen, name =
       match workload with
       | `Smallbank ->
         let w =
           Zeus_workload.Smallbank.create ~accounts_per_node:per_node ~nodes
             ~remote_frac:0.0 rng
         in
-        Zeus_core.Cluster.populate_n cluster ~n:(Zeus_workload.Smallbank.total_keys w)
-          ~owner_of:(fun k -> Zeus_workload.Smallbank.home_of_key w k)
-          (fun _ -> Bytes.copy Zeus_workload.Smallbank.initial_value);
-        ( (fun node -> Zeus_workload.Smallbank.gen w ~home:(Zeus_core.Node.id node)),
-          "smallbank" )
+        Zeus_workload.Smallbank.populate w cluster;
+        (Zeus_workload.Smallbank.gen w, "smallbank")
       | `Tatp ->
         let w =
           Zeus_workload.Tatp.create ~subscribers_per_node:per_node ~nodes
             ~remote_frac:0.0 rng
         in
-        Zeus_core.Cluster.populate_n cluster ~n:(Zeus_workload.Tatp.total_keys w)
-          ~owner_of:(fun k -> Zeus_workload.Tatp.home_of_key w k)
-          (fun _ -> Bytes.copy Zeus_workload.Tatp.initial_value);
-        ((fun node -> Zeus_workload.Tatp.gen w ~home:(Zeus_core.Node.id node)), "tatp")
+        Zeus_workload.Tatp.populate w cluster;
+        (Zeus_workload.Tatp.gen w, "tatp")
     in
     let r =
       Zeus_workload.Driver.run cluster ~warmup_us ~duration_us
-        ~issue:(fun node ~thread ~seq:_ done_ ->
-          Zeus_workload.Spec.run_on_zeus node ~thread (issue node) (fun o ->
-              done_ (o = Zeus_store.Txn.Committed)))
-        ()
+        ~issue:(Zeus_workload.Spec.issue gen) ()
     in
     let tr = Zeus_core.Cluster.trace cluster in
     Tel.Trace.write_chrome tr out;
@@ -513,4 +440,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "zeus_cli" ~doc)
-          [ list_cmd; run_cmd; micro_cmd; bench_cmd; chaos_cmd; model_cmd; trace_cmd ]))
+          [ list_cmd; run_cmd; micro_cmd; chaos_cmd; model_cmd; trace_cmd ]))

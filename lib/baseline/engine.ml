@@ -469,45 +469,8 @@ let create ?(profile = Profile.fasst) ?(config = Config.default) ~primary_of () 
 let submit t ~home spec k = attempt_txn t ~home ~spec ~attempt:0 k
 
 let run_load t ?coroutines ~warmup_us ~duration_us ~gen () =
-  let coroutines =
-    Option.value coroutines ~default:(16 * t.config.Config.app_threads)
-  in
-  let t0 = Sim.now t.engine in
-  let start = t0 +. warmup_us in
-  let stop = start +. duration_us in
-  let committed = ref 0 and aborted = ref 0 in
-  let latencies = Zeus_sim.Stats.Samples.create ~cap:50_000 (Sim.fork_rng t.engine) in
-  for home = 0 to t.config.Config.nodes - 1 do
-    for c = 0 to coroutines - 1 do
-      let rec loop () =
-        if Sim.now t.engine < stop then begin
-          let issued_at = Sim.now t.engine in
-          submit t ~home (gen ~home) (fun ok ->
-              let now = Sim.now t.engine in
-              if now >= start && now < stop then begin
-                if ok then begin
-                  incr committed;
-                  Zeus_sim.Stats.Samples.add latencies (now -. issued_at)
-                end
-                else incr aborted
-              end;
-              loop ())
-        end
-      in
-      ignore
-        (Sim.schedule t.engine
-           ~after:(0.01 *. float_of_int ((home * coroutines) + c))
-           loop)
-    done
-  done;
-  Sim.run ~until:(stop +. 2_000.0) t.engine;
-  let c = !committed and a = !aborted in
-  {
-    Zeus_workload.Driver.committed = c;
-    aborted = a;
-    duration_us;
-    mtps = float_of_int c /. duration_us;
-    abort_rate = (if c + a = 0 then 0.0 else float_of_int a /. float_of_int (c + a));
-    lat_p50_us = Zeus_sim.Stats.Samples.percentile latencies 50.0;
-    lat_p99_us = Zeus_sim.Stats.Samples.percentile latencies 99.0;
-  }
+  let threads = Option.value coroutines ~default:(16 * t.config.Config.app_threads) in
+  Zeus_workload.Driver.measure t.engine
+    ~nodes:(List.init t.config.Config.nodes Fun.id)
+    ~threads ~warmup_us ~duration_us
+    (fun home ~thread:_ done_ -> submit t ~home (gen ~home) done_)

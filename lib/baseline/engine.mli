@@ -47,7 +47,8 @@ val run_load :
   Zeus_workload.Driver.result
 (** Closed-loop load from every node ([coroutines] concurrent transactions
     per node, defaulting to 16 per app thread — modelling FaSST's coroutine
-    multiplexing). *)
+    multiplexing), measured by {!Zeus_workload.Driver.measure}: the same
+    window, stagger, counting and latency histogram as the Zeus runs. *)
 
 val committed : t -> int
 val aborted : t -> int

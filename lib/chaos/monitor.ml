@@ -8,22 +8,11 @@ module Table = Zeus_store.Table
 module Obj = Zeus_store.Obj
 module Types = Zeus_store.Types
 
-type config = {
-  sample_us : float;
-  window_us : float;
-  grace_us : float;
-  recovery_frac : float;
-  baseline_windows : int;
-}
-
-let default_config =
-  {
-    sample_us = 200.0;
-    window_us = 500.0;
-    grace_us = 4_000.0;
-    recovery_frac = 0.9;
-    baseline_windows = 8;
-  }
+let sample_us = 200.0
+let window_us = 500.0
+let grace_us = 4_000.0  (* steady-state guard after each fault *)
+let recovery_frac = 0.9  (* recovery threshold vs the pre-fault mean *)
+let baseline_windows = 8
 
 module Itbl = Hashtbl.Make (Int)
 
@@ -41,7 +30,6 @@ type key_state = {
 
 type t = {
   cluster : Cluster.t;
-  config : config;
   observed : int list;
   started_at : float;
   mutable bins : int list;  (* newest first; current bin at the head *)
@@ -86,7 +74,7 @@ let steady t =
   let svc = Cluster.membership c in
   all_live (Cluster.fabric c) svc (Cluster.nodes c - 1)
   && Service.stable svc
-  && Engine.now (engine t) >= t.last_fault_at +. t.config.grace_us
+  && Engine.now (engine t) >= t.last_fault_at +. grace_us
 
 (* ---------- invariant sampling --------------------------------------------- *)
 
@@ -182,7 +170,7 @@ let reset_suspects t = Itbl.iter (fun _ r -> r.suspect <- 0) t.keys
 let rec arm_sample t =
   t.sample_ev <-
     Some
-      (Engine.schedule (engine t) ~after:t.config.sample_us (fun () ->
+      (Engine.schedule (engine t) ~after:sample_us (fun () ->
            t.sample_ev <- None;
            if not t.stopped then begin
              if steady t then sample_invariants t
@@ -193,7 +181,7 @@ let rec arm_sample t =
 let rec arm_window t =
   t.window_ev <-
     Some
-      (Engine.schedule (engine t) ~after:t.config.window_us (fun () ->
+      (Engine.schedule (engine t) ~after:window_us (fun () ->
            t.window_ev <- None;
            if not t.stopped then begin
              let cur = observed_committed t in
@@ -204,7 +192,7 @@ let rec arm_window t =
              arm_window t
            end))
 
-let attach ?(config = default_config) ?observed cluster =
+let attach ?observed cluster =
   let observed =
     Option.value observed ~default:(List.init (Cluster.nodes cluster) Fun.id)
   in
@@ -212,7 +200,6 @@ let attach ?(config = default_config) ?observed cluster =
   let t =
     {
       cluster;
-      config;
       observed;
       started_at = Engine.now (Cluster.engine cluster);
       bins = [];
@@ -238,7 +225,6 @@ let attach ?(config = default_config) ?observed cluster =
   arm_window t;
   t
 
-let config t = t.config
 let note_fault t = t.last_fault_at <- Engine.now (engine t)
 
 let stop t =
@@ -259,11 +245,11 @@ let timeline t =
     (List.mapi
        (fun i count ->
          let newest = List.length t.bins - 1 in
-         (t.started_at +. (float_of_int (newest - i) *. t.config.window_us), count))
+         (t.started_at +. (float_of_int (newest - i) *. window_us), count))
        t.bins)
 
 let goodput t =
-  List.map (fun (at, n) -> (at, float_of_int n /. t.config.window_us)) (timeline t)
+  List.map (fun (at, n) -> (at, float_of_int n /. window_us)) (timeline t)
 
 (* ---------- recovery extraction -------------------------------------------- *)
 
@@ -296,8 +282,8 @@ let recovery_of_timeline ~window_us ~frac ~baseline_windows ~fault_at_us tl =
   end
 
 let recovery_us t ~fault_at_us =
-  recovery_of_timeline ~window_us:t.config.window_us ~frac:t.config.recovery_frac
-    ~baseline_windows:t.config.baseline_windows ~fault_at_us (timeline t)
+  recovery_of_timeline ~window_us ~frac:recovery_frac ~baseline_windows ~fault_at_us
+    (timeline t)
 
 (* ---------- final convergence check ---------------------------------------- *)
 

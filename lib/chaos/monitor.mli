@@ -5,7 +5,7 @@
 
     - {e invariants}, every [sample_us] of {e steady} time — all nodes
       alive, no membership reconfiguration in flight, and at least
-      [grace_us] since the last injected fault.  Checked online: at most
+      4 ms since the last injected fault.  Checked online: at most
       one {e usable} owner per key — role Owner with [o_state = O_valid];
       a stale owner mid-handover keeps its role until the O-VAL drains
       through the in-order flow but is invalidated and cannot commit —
@@ -21,8 +21,8 @@
     - the {e goodput timeline}, every [window_us]: committed transactions
       of the observed nodes per window.  {!recovery_us} extracts the
       paper's §8 recovery metric from it — time from fault injection until
-      the windowed goodput is back to [recovery_frac] (default 90 %) of
-      the pre-fault mean for two consecutive windows.
+      the windowed goodput is back to 90 % of the pre-fault mean for two
+      consecutive windows.
 
     {!stop} cancels the sampling events (so a drain can quiesce), and
     {!check_final} runs the full post-quiesce convergence check: the
@@ -30,27 +30,25 @@
     replica convergence — every surviving key must retain at least one
     valid copy after all faults heal. *)
 
-type config = {
-  sample_us : float;       (** invariant sampling period *)
-  window_us : float;       (** goodput bin width *)
-  grace_us : float;        (** steady-state guard after each fault *)
-  recovery_frac : float;   (** recovery threshold vs the pre-fault mean *)
-  baseline_windows : int;  (** windows averaged for the pre-fault mean *)
-}
+val sample_us : float
+(** Invariant sampling period: 200 µs. *)
 
-val default_config : config
+val window_us : float
+(** Goodput bin width: 500 µs. *)
+
+val baseline_windows : int
+(** Windows averaged for the pre-fault mean: 8. *)
 
 type t
 
-val attach : ?config:config -> ?observed:int list -> Zeus_core.Cluster.t -> t
+val attach : ?observed:int list -> Zeus_core.Cluster.t -> t
 (** Starts sampling at the next sample/window boundary.  [observed]
     (default: all nodes) names the nodes whose committed counts feed the
     goodput timeline — pass the expected survivors when a scenario crashes
     a driving node, so the recovery metric tracks surviving capacity. *)
 
-val config : t -> config
 val note_fault : t -> unit
-(** Fault injected now: opens a [grace_us] suppression window. *)
+(** Fault injected now: opens the 4 ms suppression window. *)
 
 val stop : t -> unit
 (** Cancel the recurring sampling events; timelines and violations remain

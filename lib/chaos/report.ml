@@ -46,13 +46,12 @@ let mean = function
 
 let of_monitor ~name ~fault_at_us ?restart_at_us ?detection ~committed ~aborted monitor
     =
-  let cfg = Monitor.config monitor in
   let tl = Monitor.goodput monitor in
   let pre =
-    List.filter (fun (at, _) -> at +. cfg.Monitor.window_us <= fault_at_us) tl
+    List.filter (fun (at, _) -> at +. Monitor.window_us <= fault_at_us) tl
   in
   let pre =
-    List.filteri (fun i _ -> i >= List.length pre - cfg.Monitor.baseline_windows) pre
+    List.filteri (fun i _ -> i >= List.length pre - Monitor.baseline_windows) pre
   in
   let baseline_mtps = mean (List.map snd pre) in
   let recovery_us = Monitor.recovery_us monitor ~fault_at_us in

@@ -38,9 +38,8 @@ let create ?(config = Config.default) ?(tracing = false) () =
      rejoins as a fresh incarnation after a short backoff, protocol state
      wiped, unless a crash/rejoin schedule already revived it. *)
   Service.set_fence_hook membership (fun n ->
-      let backoff = config.Config.detection.Service.rejoin_backoff_us in
       ignore
-        (Engine.schedule engine ~after:backoff (fun () ->
+        (Engine.schedule engine ~after:Service.rejoin_backoff_us (fun () ->
              if not (Fabric.is_alive fabric n) then begin
                Node.reset t.nodes.(n);
                Service.rejoin membership n

@@ -47,9 +47,9 @@ type t = {
           detection delay plus one lease by fiat.  [Detected]: failures
           are detected end-to-end — heartbeat silence, quorum suspicion,
           lease expiry, fencing — per [detection] below. *)
-  detection : Zeus_membership.Service.detection;
-      (** heartbeat period, adaptive suspicion timeout bounds, and the
-          fenced-node rejoin backoff; only read in [Detected] mode *)
+  detection : Zeus_membership.Detector.config;
+      (** heartbeat period and adaptive suspicion timeout bounds; only
+          read in [Detected] mode *)
   seed : int64;
 }
 
@@ -69,7 +69,7 @@ let default =
     ownership = Zeus_ownership.Agent.default_config;
     commit_clear_marks = Zeus_commit.Core.Sequenced;
     membership_mode = Zeus_membership.Service.Oracle;
-    detection = Zeus_membership.Service.default_detection;
+    detection = Zeus_membership.Detector.default_config;
     seed = 42L;
   }
 

@@ -67,9 +67,9 @@ type t = {
           lease (1 000 + 2 000 µs) by fiat.  [Detected]: failures are
           detected end-to-end — heartbeat silence, quorum suspicion, lease
           expiry, fencing — per [detection] below. *)
-  detection : Zeus_membership.Service.detection;
-      (** heartbeat period, adaptive suspicion timeout bounds, and the
-          fenced-node rejoin backoff; only read in [Detected] mode *)
+  detection : Zeus_membership.Detector.config;
+      (** heartbeat period and adaptive suspicion timeout bounds; only
+          read in [Detected] mode *)
   seed : int64;  (** root RNG seed — same seed, same simulation *)
 }
 

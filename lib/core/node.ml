@@ -48,7 +48,6 @@ type t = {
   mutable n_committed : int;
   mutable n_aborted : int;
   mutable n_ro_committed : int;
-  mutable n_ro_aborted : int;
   mutable n_retries : int;
   mutable n_txn_with_ownership : int;
 }
@@ -70,7 +69,6 @@ let note_local_access t ~key ~write =
 let committed t = t.n_committed
 let aborted t = t.n_aborted
 let ro_committed t = t.n_ro_committed
-let ro_aborted t = t.n_ro_aborted
 let retries t = t.n_retries
 let txns_with_ownership t = t.n_txn_with_ownership
 let ownership_latency t = Own.Agent.latency_samples (ownership_agent t)
@@ -126,7 +124,6 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       n_committed = 0;
       n_aborted = 0;
       n_ro_committed = 0;
-      n_ro_aborted = 0;
       n_retries = 0;
       n_txn_with_ownership = 0;
     }
@@ -464,8 +461,7 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
         t.txn_free.(thread) <- Some txn;
         t.n_retries <- t.n_retries + 1;
         if n >= Config.max_retries then begin
-          if read_only then t.n_ro_aborted <- t.n_ro_aborted + 1
-          else t.n_aborted <- t.n_aborted + 1;
+          if not read_only then t.n_aborted <- t.n_aborted + 1;
           Tspan.finish t.tspans
             ~args:[ ("result", "aborted"); ("attempts", string_of_int (n + 1)) ]
             root;

@@ -120,7 +120,6 @@ val role : t -> Types.key -> Types.role option
 val committed : t -> int
 val aborted : t -> int
 val ro_committed : t -> int
-val ro_aborted : t -> int
 val retries : t -> int
 
 (** Committed write transactions that needed at least one ownership request

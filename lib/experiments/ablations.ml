@@ -15,15 +15,9 @@ let smallbank_run ~quick ~config ~remote_frac =
     W.Smallbank.create ~accounts_per_node:s.Exp.objects_per_node
       ~nodes:config.Config.nodes ~remote_frac rng
   in
-  Cluster.populate_n cluster ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
+  W.Smallbank.populate w cluster;
   W.Driver.run cluster ~warmup_us:s.Exp.warmup_us ~duration_us:s.Exp.duration_us
-    ~issue:(fun node ~thread ~seq:_ done_ ->
-      W.Spec.run_on_zeus node ~thread
-        (W.Smallbank.gen w ~home:(Node.id node))
-        (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed)))
-    ()
+    ~issue:(W.Spec.issue (W.Smallbank.gen w)) ()
 
 (* §5.2: what does non-blocking pipelining buy?  Depth 1 makes every
    transaction wait for the previous one's replication before starting its
@@ -91,11 +85,8 @@ let readonly ~quick =
     let r =
       W.Driver.run cluster ?nodes ~warmup_us:s.Exp.warmup_us
         ~duration_us:s.Exp.duration_us
-        ~issue:(fun node ~thread ~seq:_ done_ ->
-          let key = Zeus_sim.Rng.int rng keys in
-          W.Spec.run_on_zeus node ~thread
-            (W.Spec.read_txn [ key ])
-            (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed)))
+        ~issue:(fun node ~thread k ->
+          W.Spec.run_on_zeus node ~thread (W.Spec.read_txn [ Zeus_sim.Rng.int rng keys ]) k)
         ()
     in
     r.W.Driver.mtps

@@ -53,11 +53,7 @@ type results = { quick : bool; seed : int64; combos : combo list }
 let seed = 11L
 
 let detection_of ~period_us ~min_timeout_us =
-  {
-    Service.default_detection with
-    Service.detector =
-      { Detector.period_us; min_timeout_us; max_timeout_us = 2.0 *. min_timeout_us };
-  }
+  { Detector.period_us; min_timeout_us; max_timeout_us = 2.0 *. min_timeout_us }
 
 let make_cluster ~quick ~period_us ~min_timeout_us =
   let config =
@@ -78,9 +74,7 @@ let make_cluster ~quick ~period_us ~min_timeout_us =
   let w =
     W.Smallbank.create ~accounts_per_node:accounts ~nodes:3 ~remote_frac:0.2 rng
   in
-  Cluster.populate_n c ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
+  W.Smallbank.populate w c;
   (c, w)
 
 (* Closed loops on nodes 0-2 (node 3 never drives, so the crash arm's

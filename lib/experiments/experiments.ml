@@ -21,8 +21,11 @@ let all =
     bench "predictive" "locality engine: reactive vs predictive placement"
       "BENCH_locality.json" Predictive.run Predictive.to_json;
     tables "fig7" "Handovers: ideal vs Zeus, 2.5%/5%" Fig7.run;
-    tables "fig8" "Smallbank vs remote write transactions" Fig8.run;
-    tables "fig9" "TATP vs remote write transactions" Fig9.run;
+    tables "fig8" "Smallbank vs remote write transactions" (fun ~quick ->
+        Exp.print_phase_breakdown "fig8: per-phase txn latency (last Zeus point)"
+          (Fig8.run Fig8.smallbank ~quick));
+    tables "fig9" "TATP vs remote write transactions" (fun ~quick ->
+        ignore (Fig8.run Fig8.tatp ~quick));
     tables "fig10-12" "Voter migrations + ownership latency CDF" Voter_figs.run;
     tables "fig13-15" "legacy applications: gateway, SCTP, Nginx" Apps_figs.run;
     tables "tpcc" "executed TPC-C (extension beyond the paper)" Tpcc_fig.run;

@@ -4,25 +4,7 @@
 module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
-module Node = Zeus_core.Node
 module W = Zeus_workload
-
-(* A handover is two transactions; [stash] holds the second one so each
-   driver slot still runs exactly one transaction. *)
-let issue_fn w stash node ~thread done_ =
-  let home = Node.id node in
-  let spec =
-    match stash.(home).(thread) with
-    | Some s ->
-      stash.(home).(thread) <- None;
-      s
-    | None ->
-      let s1, s2 = W.Handover.gen w ~home ~thread ~threads:(Array.length stash.(home)) in
-      stash.(home).(thread) <- s2;
-      s1
-  in
-  W.Spec.run_on_zeus node ~thread spec (fun outcome ->
-      done_ (outcome = Zeus_store.Txn.Committed))
 
 (* One sweep point, pure in its parameters (own cluster, own RNG streams,
    no printing, no shared refs) so [Sweep.map] can run points on separate
@@ -46,18 +28,10 @@ let point ~quick ~nodes ~handover_frac ~remote_handover_frac =
     W.Handover.create ~users_per_node ~stations_per_node ~nodes ~handover_frac
       ~remote_handover_frac rng
   in
-  Cluster.populate_n cluster ~n:(W.Handover.total_keys w)
-    ~owner_of:(fun k -> W.Handover.home_of_key w k)
-    (fun k ->
-      Bytes.copy
-        (if W.Handover.is_user_key w k then W.Handover.user_context
-         else W.Handover.station_context));
-  let threads = config.Config.app_threads in
-  let stash = Array.make_matrix nodes threads None in
+  W.Handover.populate w cluster;
   let r =
     W.Driver.run cluster ~warmup_us:s.Exp.warmup_us ~duration_us:s.Exp.duration_us
-      ~issue:(fun node ~thread ~seq:_ done_ -> issue_fn w stash node ~thread done_)
-      ()
+      ~issue:(W.Handover.issue w) ()
   in
   let eng = Cluster.engine cluster in
   {

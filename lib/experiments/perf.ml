@@ -33,7 +33,6 @@
 module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
-module Node = Zeus_core.Node
 module J = Zeus_telemetry.Jsonv
 module W = Zeus_workload
 
@@ -99,14 +98,8 @@ let smallbank_run ~duration_us =
     W.Smallbank.create ~accounts_per_node:s.Exp.objects_per_node
       ~nodes:config.Config.nodes ~remote_frac:0.0 rng
   in
-  Cluster.populate_n cluster ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
-  let issue node ~thread ~seq:_ done_ =
-    W.Spec.run_on_zeus node ~thread
-      (W.Smallbank.gen w ~home:(Node.id node))
-      (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed))
-  in
+  W.Smallbank.populate w cluster;
+  let issue = W.Spec.issue (W.Smallbank.gen w) in
   let eng = Cluster.engine cluster in
   (* Start and end on an empty minor heap, so [promoted_words] counts
      exactly what this run's collections copied. *)
@@ -163,8 +156,7 @@ let populate_run () =
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
   let t0 = Unix.gettimeofday () in
-  Cluster.populate_n cluster ~n:keys ~owner_of:(W.Tatp.home_of_key w) (fun _ ->
-      Bytes.copy W.Tatp.initial_value);
+  W.Tatp.populate w cluster;
   let setup_s = Unix.gettimeofday () -. t0 in
   Gc.full_major ();
   let live1 = (Gc.stat ()).Gc.live_words in

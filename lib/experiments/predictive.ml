@@ -22,7 +22,7 @@
 
 module Engine = Zeus_sim.Engine
 module Rng = Zeus_sim.Rng
-module Stats = Zeus_sim.Stats
+module Metrics = Zeus_telemetry.Metrics
 module Tlog = Zeus_telemetry.Tlog
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
@@ -119,7 +119,7 @@ let run_trajectory ~quick ~predictive =
   Cluster.populate_n c ~n:users ~owner_of:(fun u -> u mod nodes) (fun _ -> Value.of_int 0);
   let start = warmup and stop = warmup +. duration in
   let committed = ref 0 in
-  let lat = Stats.Samples.create ~cap:50_000 (Engine.fork_rng eng) in
+  let lat = Metrics.Histogram.create "predictive.latency_us" in
   (* Open-loop per user: [accesses] writes spaced [interval] apart at the
      current cell, then a travel gap, then the next cell.  Users sharing a
      start cell are staggered by cohort so each (cell, thread) pair hosts at
@@ -138,7 +138,7 @@ let run_trajectory ~quick ~predictive =
           (match outcome with
           | Txn.Committed when now >= start && now < stop ->
             incr committed;
-            Stats.Samples.add lat (now -. t0)
+            Metrics.Histogram.observe lat (now -. t0)
           | _ -> ());
           ignore (Engine.schedule eng ~after:interval (fun () -> dwell u at_node (writes_done + 1))))
     end
@@ -172,8 +172,8 @@ let run_trajectory ~quick ~predictive =
   {
     committed = !committed;
     remote;
-    p50 = Stats.Samples.percentile lat 50.0;
-    p99 = Stats.Samples.percentile lat 99.0;
+    p50 = Metrics.Histogram.percentile lat 50.0;
+    p99 = Metrics.Histogram.percentile lat 99.0;
     hits;
     misses;
     hints;
@@ -239,7 +239,7 @@ let run_skew ~quick ~predictive =
   end;
   let start = warmup and stop = warmup +. duration in
   let committed = ref 0 in
-  let lat = Stats.Samples.create ~cap:50_000 (Engine.fork_rng eng) in
+  let lat = Metrics.Histogram.create "predictive.latency_us" in
   (* Writer loop [side] of key h lives at pair node [side]; the two sides
      start half an interval apart so writes alternate A,B,A,B. *)
   let rec writer h side =
@@ -254,7 +254,7 @@ let run_skew ~quick ~predictive =
         (match outcome with
         | Txn.Committed when now >= start && now < stop ->
           incr committed;
-          Stats.Samples.add lat (now -. t0)
+          Metrics.Histogram.observe lat (now -. t0)
         | _ -> ());
         ignore (Engine.schedule eng ~after:interval (fun () -> writer h side)))
   in
@@ -289,8 +289,8 @@ let run_skew ~quick ~predictive =
   {
     committed = !committed;
     remote;
-    p50 = Stats.Samples.percentile lat 50.0;
-    p99 = Stats.Samples.percentile lat 99.0;
+    p50 = Metrics.Histogram.percentile lat 50.0;
+    p99 = Metrics.Histogram.percentile lat 99.0;
     hits;
     misses;
     hints;
@@ -317,12 +317,10 @@ let run_uniform ~quick ~predictive =
     Array.init nodes (fun _ ->
         Array.init config.Config.app_threads (fun _ -> Engine.fork_rng eng))
   in
-  let issue node ~thread ~seq:_ done_ =
+  let issue node ~thread k =
     let id = Node.id node in
-    let k = (id * ppn) + Rng.int rngs.(id).(thread) ppn in
-    Node.run_write node ~thread
-      ~body:(fun ctx commit -> incr_body ctx k commit)
-      (fun o -> done_ (match o with Txn.Committed -> true | Txn.Aborted _ -> false))
+    let key = (id * ppn) + Rng.int rngs.(id).(thread) ppn in
+    Node.run_write node ~thread ~body:(fun ctx commit -> incr_body ctx key commit) k
   in
   let own0 = ref 0 and own1 = ref 0 in
   ignore (Engine.schedule eng ~after:warmup (fun () -> own0 := sum_own c));

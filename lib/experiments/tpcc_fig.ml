@@ -19,10 +19,7 @@ let zeus_run ~quick ~nodes =
   W.Tpcc_bench.populate w cluster;
   let r =
     W.Driver.run cluster ~warmup_us:s.Exp.warmup_us ~duration_us:s.Exp.duration_us
-      ~issue:(fun node ~thread ~seq:_ done_ ->
-        W.Tpcc_bench.issue w node ~thread (fun outcome ->
-            done_ (outcome = Zeus_store.Txn.Committed)))
-      ()
+      ~issue:(W.Tpcc_bench.issue w) ()
   in
   let owntxn = ref 0 in
   for i = 0 to nodes - 1 do

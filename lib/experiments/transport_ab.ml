@@ -19,7 +19,6 @@
 module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
-module Node = Zeus_core.Node
 module Fabric = Zeus_net.Fabric
 module Transport = Zeus_net.Transport
 module W = Zeus_workload
@@ -99,13 +98,8 @@ let smallbank_setup (s : Exp.scale) cluster =
     W.Smallbank.create ~accounts_per_node:s.Exp.objects_per_node
       ~nodes:config.Config.nodes ~remote_frac:0.0 rng
   in
-  Cluster.populate_n cluster ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
-  fun node ~thread ~seq:_ done_ ->
-    W.Spec.run_on_zeus node ~thread
-      (W.Smallbank.gen w ~home:(Node.id node))
-      (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed))
+  W.Smallbank.populate w cluster;
+  W.Spec.issue (W.Smallbank.gen w)
 
 let handover_setup (s : Exp.scale) cluster =
   let config = Cluster.config cluster in
@@ -117,29 +111,8 @@ let handover_setup (s : Exp.scale) cluster =
     W.Handover.create ~users_per_node ~stations_per_node ~nodes ~handover_frac:0.025
       ~remote_handover_frac:0.3 rng
   in
-  Cluster.populate_n cluster ~n:(W.Handover.total_keys w)
-    ~owner_of:(fun k -> W.Handover.home_of_key w k)
-    (fun k ->
-      Bytes.copy
-        (if W.Handover.is_user_key w k then W.Handover.user_context
-         else W.Handover.station_context));
-  let stash = Array.make_matrix nodes config.Config.app_threads None in
-  fun node ~thread ~seq:_ done_ ->
-    let home = Node.id node in
-    let spec =
-      match stash.(home).(thread) with
-      | Some s ->
-        stash.(home).(thread) <- None;
-        s
-      | None ->
-        let s1, s2 =
-          W.Handover.gen w ~home ~thread ~threads:(Array.length stash.(home))
-        in
-        stash.(home).(thread) <- s2;
-        s1
-    in
-    W.Spec.run_on_zeus node ~thread spec (fun outcome ->
-        done_ (outcome = Zeus_store.Txn.Committed))
+  W.Handover.populate w cluster;
+  W.Handover.issue w
 
 let one ~quick ~batched ~setup =
   let s = Exp.scale_of ~quick in

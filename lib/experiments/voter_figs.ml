@@ -72,9 +72,7 @@ let fig10_run ~quick =
   let engine = Cluster.engine cluster in
   let rng = Engine.fork_rng engine in
   let w = W.Voter.create ~contestants:20 ~voters ~nodes:3 rng in
-  Cluster.populate_n cluster ~n:(W.Voter.total_keys w)
-    ~owner_of:(fun k -> W.Voter.home_of_key w k)
-    (fun _ -> Bytes.copy W.Voter.initial_value);
+  W.Voter.populate w cluster;
   (* The migrated block lives beyond the active keyspace, owned by node 0. *)
   let base = W.Voter.total_keys w in
   Cluster.populate_n cluster ~n:block ~base ~owner_of:(fun _ -> 0)
@@ -142,9 +140,7 @@ let fig11_run ~quick =
   let engine = Cluster.engine cluster in
   let rng = Engine.fork_rng engine in
   let w = W.Voter.create ~contestants:20 ~voters ~nodes:3 rng in
-  Cluster.populate_n cluster ~n:(W.Voter.total_keys w)
-    ~owner_of:(fun k -> W.Voter.home_of_key w k)
-    (fun _ -> Bytes.copy W.Voter.initial_value);
+  W.Voter.populate w cluster;
   (* Hot contestant object + her dedicated voters, initially on node 0. *)
   let base = W.Voter.total_keys w in
   let hot_contestant = base in

@@ -6,7 +6,6 @@ let capacity = 4_096
 type entry = {
   ewma : float array;          (* one decayed rate per node *)
   mutable last : float;        (* time of the last decay application *)
-  mutable last_node : Types.node_id;
 }
 
 type t = {
@@ -58,11 +57,10 @@ let record t ~key ~node ~now =
   match Hashtbl.find_opt t.entries key with
   | Some e ->
     refresh t e ~now;
-    e.ewma.(node) <- e.ewma.(node) +. 1.0;
-    e.last_node <- node
+    e.ewma.(node) <- e.ewma.(node) +. 1.0
   | None ->
     if Hashtbl.length t.entries >= capacity then evict t ~now;
-    let e = { ewma = Array.make t.nodes 0.0; last = now; last_node = node } in
+    let e = { ewma = Array.make t.nodes 0.0; last = now } in
     e.ewma.(node) <- 1.0;
     Hashtbl.replace t.entries key e
 
@@ -96,9 +94,6 @@ let top_node t ~key ~now =
       | _ -> if r > 0.0 then best := Some (n, r)
     done;
     !best
-
-let last_accessor t ~key =
-  Option.map (fun e -> e.last_node) (Hashtbl.find_opt t.entries key)
 
 let tracked t = Hashtbl.length t.entries
 let iter t f = Hashtbl.iter (fun key _ -> f key) t.entries

@@ -37,8 +37,6 @@ val top_node : t -> key:Types.key -> now:float -> (Types.node_id * float) option
 (** Hottest accessor and its rate; ties break to the lowest node id.
     [None] when the key is untracked or fully decayed. *)
 
-val last_accessor : t -> key:Types.key -> Types.node_id option
-
 val tracked : t -> int
 (** Number of keys currently tracked — bounded by [capacity]. *)
 

@@ -169,7 +169,7 @@ let note_request t ~key ~kind ~requester =
 let note_owner_change t ~key ~owner =
   let now = Sim.now t.engine in
   Metrics.Counter.incr t.c_migrations_observed;
-  Predictor.note_owner t.predictor ~key ~owner ~now;
+  Predictor.note_owner t.predictor ~key ~owner;
   Planner.note_migration t.planner ~key ~owner ~now;
   if owner <> t.node then begin
     Hashtbl.remove t.hinted key;

@@ -5,10 +5,7 @@ let min_confidence = 0.55
 
 type prediction = { target : Types.node_id; confidence : float; directional : bool }
 
-type track = {
-  mutable owners : (Types.node_id * float) list;  (* newest first, ≤ history *)
-  mutable dwell_us : float option;                (* EWMA inter-migration gap *)
-}
+type track = { mutable owners : Types.node_id list (* newest first, ≤ history *) }
 
 type t = {
   nodes : int;
@@ -22,12 +19,12 @@ let rec take n = function
   | _ when n = 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let note_owner t ~key ~owner ~now =
+let note_owner t ~key ~owner =
   let tr =
     match Hashtbl.find_opt t.tracks key with
     | Some tr -> tr
     | None ->
-      let tr = { owners = []; dwell_us = None } in
+      let tr = { owners = [] } in
       (* the track table inherits the access log's bound rationale: keys
          whose moves we no longer remember simply fall back to frequency *)
       if Hashtbl.length t.tracks >= 8_192 then Hashtbl.reset t.tracks;
@@ -35,24 +32,19 @@ let note_owner t ~key ~owner ~now =
       tr
   in
   match tr.owners with
-  | (prev, _) :: _ when prev = owner -> ()  (* re-confirmation, no move *)
-  | (_, at) :: _ ->
-    let gap = now -. at in
-    tr.dwell_us <-
-      Some (match tr.dwell_us with None -> gap | Some d -> (0.5 *. d) +. (0.5 *. gap));
-    tr.owners <- take history ((owner, now) :: tr.owners)
-  | [] -> tr.owners <- [ (owner, now) ]
+  | prev :: _ when prev = owner -> ()  (* re-confirmation, no move *)
+  | owners -> tr.owners <- take history (owner :: owners)
 
 let directional_prediction t key =
   match Hashtbl.find_opt t.tracks key with
   | None -> None
   | Some tr -> (
     match tr.owners with
-    | (o3, _) :: (o2, _) :: rest ->
+    | o3 :: o2 :: rest ->
       let d1 = (o3 - o2 + t.nodes) mod t.nodes in
       let consistent =
         match rest with
-        | (o1, _) :: _ -> (o2 - o1 + t.nodes) mod t.nodes = d1
+        | o1 :: _ -> (o2 - o1 + t.nodes) mod t.nodes = d1
         | [] -> false
       in
       if d1 <> 0 && consistent then
@@ -78,9 +70,6 @@ let predict t ~log ~key ~now =
   match p with
   | Some pr when pr.confidence >= min_confidence -> p
   | Some _ | None -> None
-
-let expected_dwell_us t ~key =
-  match Hashtbl.find_opt t.tracks key with Some tr -> tr.dwell_us | None -> None
 
 let forget t ~key = Hashtbl.remove t.tracks key
 let tracked t = Hashtbl.length t.tracks

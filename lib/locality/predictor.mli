@@ -5,8 +5,8 @@
     - {e directional} (mobility-aware): the predictor watches each key's
       owner trajectory.  A key whose last ownership moves step by a constant
       node delta (a commuter crossing tiles: shard [h] → [h+1] → [h+2]) is
-      predicted to continue in that direction, with a dwell-time estimate
-      (EWMA of the observed inter-migration intervals) saying {e when};
+      predicted to continue in that direction (the prediction names the
+      next node, not when the key will move);
     - {e frequency}: otherwise the hottest accessor in the
       {!Access_log} is the predicted next accessor, with confidence equal to
       its share of the key's total rate.
@@ -29,15 +29,12 @@ type t
 
 val create : nodes:int -> t
 
-val note_owner : t -> key:Types.key -> owner:Types.node_id -> now:float -> unit
+val note_owner : t -> key:Types.key -> owner:Types.node_id -> unit
 (** Feed an observed ownership change (from the ownership agent). *)
 
 val predict : t -> log:Access_log.t -> key:Types.key -> now:float -> prediction option
 (** Predicted next accessor of [key], excluding nobody: callers compare
     [target] against the current owner themselves. *)
-
-val expected_dwell_us : t -> key:Types.key -> float option
-(** EWMA of the key's inter-migration interval; [None] before two moves. *)
 
 val forget : t -> key:Types.key -> unit
 val tracked : t -> int

@@ -11,11 +11,7 @@ type mode = Oracle | Detected
 let lease_us = 2_000.0
 let detect_us = 1_000.0
 let skew_us = 5.0
-
-type detection = { detector : Detector.config; rejoin_backoff_us : float }
-
-let default_detection =
-  { detector = Detector.default_config; rejoin_backoff_us = 1_500.0 }
+let rejoin_backoff_us = 1_500.0
 
 type det_stats = {
   heartbeats : int;
@@ -41,7 +37,7 @@ type t = {
   transport : Transport.t;
   rng : Rng.t;
   mode : mode;
-  detection : detection;
+  detection : Detector.config;
   mutable view : View.t;
   node_views : View.t array;
   subscribers : (View.t -> unit) list array;  (* reversed: newest first *)
@@ -60,7 +56,6 @@ let fabric t = Transport.fabric t.transport
 let engine t = Fabric.engine (fabric t)
 
 let mode t = t.mode
-let detection t = t.detection
 let view t = t.view
 let node_view t n = t.node_views.(n)
 let epoch_at t n = t.node_views.(n).View.epoch
@@ -171,7 +166,7 @@ let lease_expired t suspect =
       | Some hook -> hook suspect
       | None ->
         ignore
-          (Engine.schedule (engine t) ~after:t.detection.rejoin_backoff_us (fun () ->
+          (Engine.schedule (engine t) ~after:rejoin_backoff_us (fun () ->
                if not (Fabric.is_alive (fabric t) suspect) then do_rejoin t suspect))
     end
   end
@@ -207,7 +202,7 @@ let rec arm_tick t n ~after =
 and tick t n =
   t.tick_events.(n) <- None;
   if not t.suspended then begin
-    let d = t.detection.detector in
+    let d = t.detection in
     if Fabric.is_alive (fabric t) n then begin
       let myview = t.node_views.(n) in
       let now = Engine.now (engine t) in
@@ -268,7 +263,7 @@ let det_stats t =
   }
 
 let detection_bound_us t =
-  let d = t.detection.detector in
+  let d = t.detection in
   (* One period of arrival slack (the last heartbeat may land just after
      the crash instant), the timeout cap, one period of suspicion-check
      granularity, the lease, and the install skew. *)
@@ -291,7 +286,7 @@ let stagger d n = d.Detector.period_us *. (0.25 +. (0.5 *. float_of_int (n + 1))
 let resume t =
   if t.mode = Detected && t.suspended then begin
     t.suspended <- false;
-    Array.iteri (fun n _ -> arm_tick t n ~after:(stagger t.detection.detector n))
+    Array.iteri (fun n _ -> arm_tick t n ~after:(stagger t.detection n))
       t.tick_events
   end
 
@@ -310,7 +305,7 @@ let kill t node =
 
 let rejoin t node = do_rejoin t node
 
-let create ?(mode = Oracle) ?(detection = default_detection) ?telemetry transport =
+let create ?(mode = Oracle) ?(detection = Detector.default_config) ?telemetry transport =
   let fabric = Transport.fabric transport in
   let nodes = Fabric.nodes fabric in
   let view = View.initial ~nodes in
@@ -329,7 +324,7 @@ let create ?(mode = Oracle) ?(detection = default_detection) ?telemetry transpor
       subscribers = Array.make nodes [];
       detectors =
         (if detected then
-           Array.init nodes (fun n -> Detector.create detection.detector ~node:n ~nodes ~now)
+           Array.init nodes (fun n -> Detector.create detection ~node:n ~nodes ~now)
          else [||]);
       suspected_by =
         (if detected then Array.init nodes (fun _ -> Array.make nodes false) else [||]);
@@ -357,7 +352,7 @@ let create ?(mode = Oracle) ?(detection = default_detection) ?telemetry transpor
          dispatch chain, which calls [observe] first. *)
       Transport.set_handler transport n (fun ~src payload ->
           ignore (observe t ~dst:n ~src payload));
-      arm_tick t n ~after:(stagger detection.detector n)
+      arm_tick t n ~after:(stagger detection n)
     done
   end;
   t

@@ -54,15 +54,11 @@ val skew_us : float
 (** Upper bound of the uniform per-node delay with which an installed
     view reaches each live node (5 µs). *)
 
-type detection = {
-  detector : Detector.config;
-  rejoin_backoff_us : float;
-      (** how long a fenced (falsely-suspected-but-alive) node waits
-          before automatically re-registering, when no fence hook is
-          installed *)
-}
-
-val default_detection : detection
+val rejoin_backoff_us : float
+(** How long a fenced (falsely-suspected-but-alive) node waits before it
+    re-registers as a fresh incarnation (1.5 ms): automatically when no
+    fence hook is installed, and through {!Zeus_core.Cluster}'s hook
+    otherwise. *)
 
 (** Detection-side observability (all zero in [Oracle] mode). *)
 type det_stats = {
@@ -79,7 +75,7 @@ type t
 
 val create :
   ?mode:mode ->
-  ?detection:detection ->
+  ?detection:Detector.config ->
   ?telemetry:Zeus_telemetry.Hub.t ->
   Zeus_net.Transport.t ->
   t
@@ -89,7 +85,6 @@ val create :
     instead. *)
 
 val mode : t -> mode
-val detection : t -> detection
 
 val view : t -> View.t
 (** The service's latest installed view. *)

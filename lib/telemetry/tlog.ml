@@ -54,7 +54,6 @@ let logf lvl ?src fmt =
       let src = match src with None -> "" | Some s -> ":" ^ s in
       Printf.eprintf ("%s%s] " ^^ fmt ^^ "\n%!") (tag lvl) src
 
-let errorf ?src fmt = logf Error ?src fmt
 let warnf ?src fmt = logf Warn ?src fmt
 let infof ?src fmt = logf Info ?src fmt
 let debugf ?src fmt = logf Debug ?src fmt

@@ -1,8 +1,8 @@
 (** Severity-tagged structured logging for the whole stack.
 
     Replaces the ad-hoc [Printf.printf]/[eprintf] calls that used to live
-    under [lib/]: libraries emit through {!infof}/{!debugf}/{!warnf}/
-    {!errorf} and the process entry point decides how chatty to be.
+    under [lib/]: libraries emit through {!infof}/{!debugf}/{!warnf} and
+    the process entry point decides how chatty to be.
 
     The default level is [Warn], so [dune runtest] output stays clean —
     library code never prints on the happy path.  Entry points that want
@@ -25,7 +25,6 @@ val enabled : level -> bool
 (** Guard for log statements whose arguments are expensive to compute. *)
 
 val logf : level -> ?src:string -> ('a, out_channel, unit) format -> 'a
-val errorf : ?src:string -> ('a, out_channel, unit) format -> 'a
 val warnf : ?src:string -> ('a, out_channel, unit) format -> 'a
 val infof : ?src:string -> ('a, out_channel, unit) format -> 'a
 val debugf : ?src:string -> ('a, out_channel, unit) format -> 'a

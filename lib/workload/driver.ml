@@ -2,6 +2,7 @@ module Engine = Zeus_sim.Engine
 module Metrics = Zeus_telemetry.Metrics
 module Cluster = Zeus_core.Cluster
 module Node = Zeus_core.Node
+module Txn = Zeus_store.Txn
 
 type result = {
   committed : int;
@@ -17,17 +18,8 @@ let pp_result ppf r =
   Format.fprintf ppf "%.3f Mtps (%d committed, %d aborted, %.1f%% aborts, p50 %.1fus, p99 %.1fus)"
     r.mtps r.committed r.aborted (100.0 *. r.abort_rate) r.lat_p50_us r.lat_p99_us
 
-let run cluster ?nodes ?threads ~warmup_us ~duration_us ~issue () =
-  let engine = Cluster.engine cluster in
-  let config = Cluster.config cluster in
-  let node_ids =
-    match nodes with
-    | Some ns -> ns
-    | None -> List.init (Cluster.nodes cluster) (fun i -> i)
-  in
-  let threads = Option.value threads ~default:config.Zeus_core.Config.app_threads in
-  let t0 = Engine.now engine in
-  let start = t0 +. warmup_us in
+let measure engine ~nodes ~threads ~warmup_us ~duration_us issue =
+  let start = Engine.now engine +. warmup_us in
   let stop = start +. duration_us in
   let committed = ref 0 and aborted = ref 0 in
   (* One standalone histogram per run: log-scale buckets survive past the
@@ -35,15 +27,11 @@ let run cluster ?nodes ?threads ~warmup_us ~duration_us ~issue () =
   let latencies = Metrics.Histogram.create "driver.latency_us" in
   List.iter
     (fun id ->
-      let node = Cluster.node cluster id in
       for thread = 0 to threads - 1 do
-        let seq = ref 0 in
         let rec loop () =
-          if Engine.now engine < stop && Node.is_alive node then begin
-            let s = !seq in
-            incr seq;
+          if Engine.now engine < stop then begin
             let issued_at = Engine.now engine in
-            issue node ~thread ~seq:s (fun ok ->
+            issue id ~thread (fun ok ->
                 let now = Engine.now engine in
                 if now >= start && now < stop then begin
                   if ok then begin
@@ -61,7 +49,7 @@ let run cluster ?nodes ?threads ~warmup_us ~duration_us ~issue () =
              ~after:(0.01 *. float_of_int ((id * threads) + thread))
              loop)
       done)
-    node_ids;
+    nodes;
   Engine.run ~until:stop engine;
   (* Drain in-flight transactions and replication without counting them. *)
   Engine.run ~until:(stop +. 5_000.0) engine;
@@ -76,6 +64,24 @@ let run cluster ?nodes ?threads ~warmup_us ~duration_us ~issue () =
     lat_p50_us = Metrics.Histogram.percentile latencies 50.0;
     lat_p99_us = Metrics.Histogram.percentile latencies 99.0;
   }
+
+let run cluster ?nodes ?threads ~warmup_us ~duration_us ~issue () =
+  let nodes =
+    match nodes with
+    | Some ns -> ns
+    | None -> List.init (Cluster.nodes cluster) (fun i -> i)
+  in
+  let threads =
+    Option.value threads ~default:(Cluster.config cluster).Zeus_core.Config.app_threads
+  in
+  measure (Cluster.engine cluster) ~nodes ~threads ~warmup_us ~duration_us
+    (fun id ~thread done_ ->
+      let node = Cluster.node cluster id in
+      (* A crashed node's threads retire. *)
+      if Node.is_alive node then
+        issue node ~thread (function
+          | Txn.Committed -> done_ true
+          | Txn.Aborted _ -> done_ false))
 
 let closed_loop cluster ~nodes ?threads gen =
   let engine = Cluster.engine cluster in

@@ -29,12 +29,31 @@ val run :
   ?threads:int ->
   warmup_us:float ->
   duration_us:float ->
-  issue:(Zeus_core.Node.t -> thread:int -> seq:int -> (bool -> unit) -> unit) ->
+  issue:(Zeus_core.Node.t -> thread:int -> (Zeus_store.Txn.outcome -> unit) -> unit) ->
   unit ->
   result
-(** [issue node ~thread ~seq done_] must run exactly one transaction and
-    call [done_ committed] at its completion.  [nodes] defaults to all,
-    [threads] to the configured app threads per node. *)
+(** [issue node ~thread k] must run exactly one transaction and call [k]
+    with its outcome — {!Spec.run_on_zeus} and the workloads' own [issue]
+    functions fit as they are.  [nodes] defaults to all, [threads] to the
+    configured app threads per node; a node's threads stop issuing once it
+    is down. *)
+
+val measure :
+  Zeus_sim.Engine.t ->
+  nodes:int list ->
+  threads:int ->
+  warmup_us:float ->
+  duration_us:float ->
+  (int -> thread:int -> (bool -> unit) -> unit) ->
+  result
+(** The measured closed loop under {!run}, for an engine without a cluster
+    (the static-sharding baselines').  Every (node, thread) pair starts at
+    [0.01 * (node * threads + thread)] µs and calls [issue node ~thread
+    done_] back-to-back until the window closes; [issue] runs one
+    transaction and calls [done_ committed] at its end, or returns without
+    calling it to retire the pair.  Completions from [warmup_us] after the
+    start until [duration_us] later are counted; the engine then drains
+    for 5 ms without counting. *)
 
 val closed_loop :
   Zeus_core.Cluster.t ->

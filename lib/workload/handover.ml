@@ -8,11 +8,22 @@ type t = {
   handover_frac : float;
   remote_handover_frac : float;
   rng : Rng.t;
+  stash : Spec.t option array array;
+      (* per node, per thread: a handover's second transaction, issued by
+         the thread's next [issue]; rows are sized on first use *)
 }
 
 let create ~users_per_node ~stations_per_node ~nodes ~handover_frac
     ~remote_handover_frac rng =
-  { users_per_node; stations_per_node; nodes; handover_frac; remote_handover_frac; rng }
+  {
+    users_per_node;
+    stations_per_node;
+    nodes;
+    handover_frac;
+    remote_handover_frac;
+    rng;
+    stash = Array.make nodes [||];
+  }
 
 let user_key _t u = u
 let station_key t b = (t.users_per_node * t.nodes) + b
@@ -26,6 +37,10 @@ let home_of_key t key =
 let user_context = Value.padded [ 0 ] ~size:400
 let station_context = Value.padded [ 0 ] ~size:256
 let is_user_key t key = key < t.users_per_node * t.nodes
+
+let populate t cluster =
+  Zeus_core.Cluster.populate_n cluster ~n:(total_keys t) ~owner_of:(home_of_key t)
+    (fun k -> if is_user_key t k then user_context else station_context)
 
 (* Station contexts are written by every operation, so the load balancer
    binds each station to one thread of its node (§7). *)
@@ -87,5 +102,25 @@ let gen t ~home ~thread ~threads =
     ( Spec.write_txn ~payload:400 ~exec_us:exec [ user_key t user; station_key t bs ],
       None )
   end
+
+(* A handover is two transactions; the stash holds the second one so each
+   call still runs exactly one transaction. *)
+let issue t node ~thread k =
+  let home = Zeus_core.Node.id node in
+  if Array.length t.stash.(home) = 0 then
+    t.stash.(home) <-
+      Array.make (Zeus_core.Node.config node).Zeus_core.Config.app_threads None;
+  let row = t.stash.(home) in
+  let spec =
+    match row.(thread) with
+    | Some s ->
+      row.(thread) <- None;
+      s
+    | None ->
+      let s1, s2 = gen t ~home ~thread ~threads:(Array.length row) in
+      row.(thread) <- s2;
+      s1
+  in
+  Spec.run_on_zeus node ~thread spec k
 
 let table_summary = ("Handovers", 5, 36, 4, 0)

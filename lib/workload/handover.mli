@@ -33,8 +33,18 @@ val user_context : Zeus_store.Value.t
 val station_context : Zeus_store.Value.t
 val is_user_key : t -> int -> bool
 
+val populate : t -> Zeus_core.Cluster.t -> unit
+(** Install every user context ([user_context]) and base-station context
+    ([station_context]) on its home node. *)
+
 val gen : t -> home:int -> thread:int -> threads:int -> Spec.t * Spec.t option
 (** One operation issued at node [home]: the transaction, plus the second
     transaction when the operation is a handover. *)
+
+val issue :
+  t -> Zeus_core.Node.t -> thread:int -> (Zeus_store.Txn.outcome -> unit) -> unit
+(** Run one transaction of the mix from the node: a handover's second
+    transaction runs on the same thread's next call, before any new
+    operation is drawn. *)
 
 val table_summary : string * int * int * int * int

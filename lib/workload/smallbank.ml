@@ -19,6 +19,10 @@ let total_keys t = 2 * t.accounts_per_node * t.nodes
 let home_of_key t key = key / 2 / t.accounts_per_node
 let initial_value = Value.padded [ 1000 ] ~size:64
 
+let populate t cluster =
+  Zeus_core.Cluster.populate_n cluster ~n:(total_keys t) ~owner_of:(home_of_key t)
+    (fun _ -> initial_value)
+
 (* Pick an account homed at [node]. *)
 let local_account t node = (node * t.accounts_per_node) + Rng.int t.rng t.accounts_per_node
 

@@ -29,6 +29,10 @@ val total_keys : t -> int
 val home_of_key : t -> int -> int
 val initial_value : Zeus_store.Value.t
 
+val populate : t -> Zeus_core.Cluster.t -> unit
+(** Install every account's two objects on their home node, at
+    [initial_value]. *)
+
 val gen : t -> home:int -> Spec.t
 (** One transaction from the mix, issued from node [home]. *)
 

@@ -32,3 +32,5 @@ let run_on_zeus node ~thread spec k =
   in
   if spec.read_only then Node.run_read node ~thread ~exec_us:spec.exec_us ~body k
   else Node.run_write node ~thread ~exec_us:spec.exec_us ~body k
+
+let issue gen node ~thread k = run_on_zeus node ~thread (gen ~home:(Node.id node)) k

@@ -23,3 +23,13 @@ val run_on_zeus :
 (** Execute the spec as a Zeus transaction: open every read key, then
     read-modify-write every write key (bumping a counter, padding to
     [payload] bytes), and commit. *)
+
+val issue :
+  (home:int -> t) ->
+  Zeus_core.Node.t ->
+  thread:int ->
+  (Zeus_store.Txn.outcome -> unit) ->
+  unit
+(** [issue gen node ~thread k] runs one spec drawn from [gen] for the
+    node's id as home — the [issue] of {!Driver.run} for a workload that
+    only generates specs ([Smallbank.gen w], [Tatp.gen w]). *)

@@ -19,6 +19,10 @@ let total_keys t = 3 * t.subscribers_per_node * t.nodes
 let home_of_key t key = key / 3 / t.subscribers_per_node
 let initial_value = Value.padded [ 7 ] ~size:48
 
+let populate t cluster =
+  Zeus_core.Cluster.populate_n cluster ~n:(total_keys t) ~owner_of:(home_of_key t)
+    (fun _ -> initial_value)
+
 let local_sub t node =
   (node * t.subscribers_per_node) + Rng.int t.rng t.subscribers_per_node
 

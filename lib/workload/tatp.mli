@@ -28,5 +28,9 @@ val total_keys : t -> int
 val home_of_key : t -> int -> int
 val initial_value : Zeus_store.Value.t
 
+val populate : t -> Zeus_core.Cluster.t -> unit
+(** Install every subscriber's three objects on their home node, at
+    [initial_value]. *)
+
 val gen : t -> home:int -> Spec.t
 val table_summary : string * int * int * int * int

@@ -20,6 +20,10 @@ let home_of_key t key =
 
 let initial_value = Value.padded [ 0 ] ~size:32
 
+let populate t cluster =
+  Zeus_core.Cluster.populate_n cluster ~n:(total_keys t) ~owner_of:(home_of_key t)
+    (fun _ -> initial_value)
+
 let voters_per_node t = t.voters / t.nodes
 
 (* The application-level load balancer routes votes for a contestant to

@@ -15,6 +15,10 @@ val total_keys : t -> int
 val home_of_key : t -> int -> int
 val initial_value : Zeus_store.Value.t
 
+val populate : t -> Zeus_core.Cluster.t -> unit
+(** Install every contestant and voter object on its home node, at
+    [initial_value]. *)
+
 val gen : t -> home:int -> thread:int -> threads:int -> Spec.t
 (** A vote from a voter homed at [home]; the contestant is picked among
     those the load balancer routes to ([home], [thread]). *)

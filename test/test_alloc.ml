@@ -382,7 +382,7 @@ let monitor_sample_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
   Cluster.populate_n c ~n:600 ~owner_of:(fun k -> k mod nodes) (fun k -> Value.of_int k);
   let mon = Monitor.attach c in
-  let sample_us = (Monitor.config mon).Monitor.sample_us in
+  let sample_us = Monitor.sample_us in
   Cluster.run c ~until_us:(10.0 *. sample_us);
   let s0 = Monitor.samples mon in
   let before = Gc.minor_words () in
@@ -416,8 +416,7 @@ let populate_live_words () =
   let keys = Tatp.total_keys w in
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
-  Cluster.populate_n c ~n:keys ~owner_of:(Tatp.home_of_key w) (fun _ ->
-      Bytes.copy Tatp.initial_value);
+  Tatp.populate w c;
   Gc.full_major ();
   let live1 = (Gc.stat ()).Gc.live_words in
   let objects = ref 0 in

@@ -233,7 +233,7 @@ let copies c key =
 let idle_monitored () =
   let c = chaos_cluster () in
   let mon = Monitor.attach c in
-  let sample_us = (Monitor.config mon).Monitor.sample_us in
+  let sample_us = Monitor.sample_us in
   (* [n] more sampling periods *)
   let samples n =
     Cluster.run c ~until_us:(Engine.now (Cluster.engine c) +. (float_of_int n *. sample_us))
@@ -360,9 +360,7 @@ let detected_follower_crash_recovers () =
   let eng = Cluster.engine c in
   let rng = Engine.fork_rng eng in
   let w = W.Smallbank.create ~accounts_per_node:60 ~nodes:3 ~remote_frac:0.2 rng in
-  Cluster.populate_n c ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
+  W.Smallbank.populate w c;
   let mon = Monitor.attach ~observed:[ 0; 1; 2 ] c in
   let svc = Cluster.membership c in
   let bound = Service.detection_bound_us svc in

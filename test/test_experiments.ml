@@ -70,16 +70,10 @@ let mini_point remote_frac =
   let cluster = Cluster.create ~config () in
   let rng = Engine.fork_rng (Cluster.engine cluster) in
   let w = W.Smallbank.create ~accounts_per_node:200 ~nodes:3 ~remote_frac rng in
-  Cluster.populate_n cluster ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
+  W.Smallbank.populate w cluster;
   let r =
     W.Driver.run cluster ~warmup_us:200.0 ~duration_us:1_500.0
-      ~issue:(fun node ~thread ~seq:_ done_ ->
-        W.Spec.run_on_zeus node ~thread
-          (W.Smallbank.gen w ~home:(Node.id node))
-          (fun outcome -> done_ (outcome = Zeus_store.Txn.Committed)))
-      ()
+      ~issue:(W.Spec.issue (W.Smallbank.gen w)) ()
   in
   ( r.W.Driver.committed,
     r.W.Driver.aborted,

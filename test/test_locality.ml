@@ -42,9 +42,9 @@ let test_log_top_node () =
 let test_predictor_directional () =
   let p = Loc.Predictor.create ~nodes:4 in
   let log = Loc.Access_log.create ~nodes:4 in
-  Loc.Predictor.note_owner p ~key:5 ~owner:0 ~now:0.0;
-  Loc.Predictor.note_owner p ~key:5 ~owner:1 ~now:100.0;
-  Loc.Predictor.note_owner p ~key:5 ~owner:2 ~now:200.0;
+  Loc.Predictor.note_owner p ~key:5 ~owner:0;
+  Loc.Predictor.note_owner p ~key:5 ~owner:1;
+  Loc.Predictor.note_owner p ~key:5 ~owner:2;
   match Loc.Predictor.predict p ~log ~key:5 ~now:250.0 with
   | Some pr ->
     check Alcotest.int "trajectory 0,1,2 continues to 3" 3 pr.Loc.Predictor.target;
@@ -222,7 +222,7 @@ let prop_predictor_deterministic =
         List.iteri
           (fun i (key, owner) ->
             let now = 10.0 *. float_of_int i in
-            Loc.Predictor.note_owner p ~key ~owner ~now;
+            Loc.Predictor.note_owner p ~key ~owner;
             Loc.Access_log.record log ~key ~node:owner ~now)
           events;
         List.init 11 (fun key ->

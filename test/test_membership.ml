@@ -27,15 +27,7 @@ let settle e = Engine.run ~until:(Engine.now e +. installed_us +. 100.0) e
 (* Detected-mode fixture: fast heartbeats, so the whole suspect -> lease ->
    install pipeline fits in a few virtual ms. *)
 let det_config =
-  {
-    Service.detector =
-      {
-        Detector.period_us = 50.0;
-        min_timeout_us = 200.0;
-        max_timeout_us = 400.0;
-      };
-    rejoin_backoff_us = 400.0;
-  }
+  { Detector.period_us = 50.0; min_timeout_us = 200.0; max_timeout_us = 400.0 }
 
 let setup_detected ?(nodes = 4) () =
   let e = Engine.create () in
@@ -224,13 +216,14 @@ let detected_oneway_partition_fences_and_rejoins () =
   let s = Service.det_stats m in
   check Alcotest.bool "eviction was a false suspicion" true
     (s.Service.false_suspicions >= 1);
-  (* The fence force-crashed it at the fabric; by now the automatic rejoin
-     may already have revived it (it will just be fenced again while the
-     partition stands), so assert the counter, not the instantaneous state. *)
+  (* The fence force-crashed it at the fabric.  The eviction took at least
+     the 200 us timeout floor plus the 2 ms lease, so the automatic rejoin,
+     [rejoin_backoff_us] after the fence, is still pending. *)
   check Alcotest.bool "the live node was fenced" true (s.Service.fences >= 1);
+  check Alcotest.bool "fenced node down until its backoff ends" false (Fabric.is_alive f 3);
   (* Heal the links; the automatic post-fence rejoin then sticks. *)
   List.iter (fun d -> Fabric.heal_oneway f ~src:3 ~dst:d) [ 0; 1; 2 ];
-  Engine.run ~until:(Engine.now e +. 3_000.0) e;
+  Engine.run ~until:(Engine.now e +. Service.rejoin_backoff_us +. 1_500.0) e;
   check Alcotest.bool "rejoined after heal" true (View.is_live (Service.view m) 3);
   check Alcotest.bool "alive after heal" true (Fabric.is_alive f 3);
   let s1 = Service.det_stats m in

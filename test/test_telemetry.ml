@@ -169,16 +169,10 @@ let smallbank_phases () =
   let cluster = Cluster.create ~config ~tracing:true () in
   let rng = Zeus_sim.Engine.fork_rng (Cluster.engine cluster) in
   let w = W.Smallbank.create ~accounts_per_node:200 ~nodes ~remote_frac:0.0 rng in
-  Cluster.populate_n cluster ~n:(W.Smallbank.total_keys w)
-    ~owner_of:(fun k -> W.Smallbank.home_of_key w k)
-    (fun _ -> Bytes.copy W.Smallbank.initial_value);
+  W.Smallbank.populate w cluster;
   let r =
     W.Driver.run cluster ~warmup_us:200.0 ~duration_us:1_000.0
-      ~issue:(fun node ~thread ~seq:_ done_ ->
-        W.Spec.run_on_zeus node ~thread
-          (W.Smallbank.gen w ~home:(Zeus_core.Node.id node))
-          (fun o -> done_ (o = Zeus_store.Txn.Committed)))
-      ()
+      ~issue:(W.Spec.issue (W.Smallbank.gen w)) ()
   in
   check Alcotest.bool "committed some" true (r.W.Driver.committed > 50);
   let tr = Cluster.trace cluster in

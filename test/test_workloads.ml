@@ -197,6 +197,112 @@ let tpcc_analytics () =
   let acc = W.Tpcc.remote_access_fraction in
   if acc < 0.003 || acc > 0.03 then Alcotest.failf "tpcc access fraction %f" acc
 
+(* ---------- populate and issue ---------- *)
+
+module Cluster = Zeus_core.Cluster
+module Node = Zeus_core.Node
+module Table = Zeus_store.Table
+module Obj = Zeus_store.Obj
+
+(* The owner's copy of [key] on [node], if it has one. *)
+let owned c node key =
+  match Table.find (Node.table (Cluster.node c node)) key with
+  | Some o when Obj.is_owner o -> Some o
+  | Some _ | None -> None
+
+(* Every workload's [populate] installs each key on [home_of_key]'s node,
+   as owner, holding the workload's initial value — and nothing past its
+   key space.  A row builds the workload on a 3-node cluster, populates
+   it, and returns (total keys, home of a key, initial value of a key). *)
+let populate_rows : (string * (Cluster.t -> int * (int -> int) * (int -> bytes))) list =
+  [
+    ( "smallbank",
+      fun c ->
+        let w = W.Smallbank.create ~accounts_per_node:50 ~nodes:3 (Rng.create 1L) in
+        W.Smallbank.populate w c;
+        ( W.Smallbank.total_keys w,
+          W.Smallbank.home_of_key w,
+          fun _ -> W.Smallbank.initial_value ) );
+    ( "tatp",
+      fun c ->
+        let w = W.Tatp.create ~subscribers_per_node:50 ~nodes:3 (Rng.create 2L) in
+        W.Tatp.populate w c;
+        (W.Tatp.total_keys w, W.Tatp.home_of_key w, fun _ -> W.Tatp.initial_value) );
+    ( "handover",
+      fun c ->
+        let w =
+          W.Handover.create ~users_per_node:50 ~stations_per_node:20 ~nodes:3
+            ~handover_frac:0.025 ~remote_handover_frac:0.3 (Rng.create 3L)
+        in
+        W.Handover.populate w c;
+        ( W.Handover.total_keys w,
+          W.Handover.home_of_key w,
+          fun k ->
+            if W.Handover.is_user_key w k then W.Handover.user_context
+            else W.Handover.station_context ) );
+    ( "voter",
+      fun c ->
+        let w = W.Voter.create ~contestants:12 ~voters:150 ~nodes:3 (Rng.create 4L) in
+        W.Voter.populate w c;
+        (W.Voter.total_keys w, W.Voter.home_of_key w, fun _ -> W.Voter.initial_value) );
+  ]
+
+let populate_places_every_key () =
+  List.iter
+    (fun (name, setup) ->
+      let c = Helpers.default_cluster ~record_history:false () in
+      let n, home_of_key, value_of = setup c in
+      for key = 0 to n - 1 do
+        match owned c (home_of_key key) key with
+        | Some o when Bytes.equal o.Obj.data (value_of key) -> ()
+        | Some _ -> Alcotest.failf "%s: key %d holds the wrong initial value" name key
+        | None ->
+          Alcotest.failf "%s: key %d not owned by node %d" name key (home_of_key key)
+      done;
+      for node = 0 to Cluster.nodes c - 1 do
+        if Table.mem (Node.table (Cluster.node c node)) n then
+          Alcotest.failf "%s: key %d past the key space installed" name n
+      done)
+    populate_rows
+
+(* With every operation a local handover, [issue]'s second call must run
+   the first call's end transaction: the same user context written again,
+   and no other user touched. *)
+let handover_issue_runs_second_txn_next () =
+  let users = 1_000 in
+  let c = Helpers.default_cluster ~record_history:false () in
+  let w =
+    W.Handover.create ~users_per_node:users ~stations_per_node:20 ~nodes:3
+      ~handover_frac:1.0 ~remote_handover_frac:0.0 (Rng.create 5L)
+  in
+  W.Handover.populate w c;
+  let node = Cluster.node c 0 in
+  let written () =
+    List.filter_map
+      (fun u ->
+        let key = W.Handover.user_key w u in
+        match owned c 0 key with
+        | Some o when o.Obj.t_version > 1 -> Some (key, o.Obj.t_version)
+        | Some _ | None -> None)
+      (List.init users Fun.id)
+  in
+  let issue () =
+    let outcome = ref None in
+    W.Handover.issue w node ~thread:0 (fun o -> outcome := Some o);
+    Helpers.drain c;
+    check Alcotest.bool "committed" true (!outcome = Some Zeus_store.Txn.Committed)
+  in
+  issue ();
+  let user =
+    match written () with
+    | [ (key, 2) ] -> key
+    | l -> Alcotest.failf "first call wrote %d user contexts, want 1" (List.length l)
+  in
+  issue ();
+  match written () with
+  | [ (key, 3) ] when key = user -> ()
+  | _ -> Alcotest.fail "second call did not run the handover's end transaction"
+
 (* ---------- driver ---------- *)
 
 let driver_counts_in_window () =
@@ -204,32 +310,37 @@ let driver_counts_in_window () =
   Zeus_core.Cluster.populate c ~key:1 ~owner:0 (Zeus_store.Value.of_int 0);
   let r =
     W.Driver.run c ~nodes:[ 0 ] ~threads:1 ~warmup_us:100.0 ~duration_us:1_000.0
-      ~issue:(fun node ~thread ~seq:_ done_ ->
-        W.Spec.run_on_zeus node ~thread (W.Spec.write_txn [ 1 ]) (fun o ->
-            done_ (o = Zeus_store.Txn.Committed)))
+      ~issue:(fun node ~thread k ->
+        W.Spec.run_on_zeus node ~thread (W.Spec.write_txn [ 1 ]) k)
       ()
   in
   Alcotest.(check bool) "some commits" true (r.W.Driver.committed > 0);
   let expected = float_of_int r.W.Driver.committed /. 1_000.0 in
   Alcotest.(check (float 1e-6)) "mtps math" expected r.W.Driver.mtps
 
-(* An issue function that aborts the first attempt of every (thread, seq)
+(* An issue function that aborts the first attempt of every transaction
    and would commit a second one: the driver never re-issues, so nothing
-   ever commits.  Failures are delivered asynchronously so simulated time
-   advances between transactions. *)
-let flaky_issue c calls _node ~thread ~seq done_ =
+   ever commits.  A transaction is its thread's [issued.(thread)]-th call;
+   [attempts] counts the calls that named each one.  Failures are
+   delivered asynchronously so simulated time advances between
+   transactions. *)
+let flaky_issue c ~issued ~attempts _node ~thread k =
   let eng = Zeus_core.Cluster.engine c in
-  let key = (thread, seq) in
-  let n = (try Hashtbl.find calls key with Not_found -> 0) + 1 in
-  Hashtbl.replace calls key n;
-  ignore (Zeus_sim.Engine.schedule eng ~after:10.0 (fun () -> done_ (n >= 2)))
+  let key = (thread, issued.(thread)) in
+  issued.(thread) <- issued.(thread) + 1;
+  let n = (try Hashtbl.find attempts key with Not_found -> 0) + 1 in
+  Hashtbl.replace attempts key n;
+  ignore
+    (Zeus_sim.Engine.schedule eng ~after:10.0 (fun () ->
+         k (if n >= 2 then Zeus_store.Txn.Committed
+            else Zeus_store.Txn.Aborted (Zeus_store.Txn.Lock_conflict 0))))
 
 let driver_aborts_surface () =
   let c = Helpers.default_cluster () in
-  let calls = Hashtbl.create 64 in
+  let issued = Array.make 2 0 and attempts = Hashtbl.create 64 in
   let r =
     W.Driver.run c ~nodes:[ 0 ] ~threads:2 ~warmup_us:0.0 ~duration_us:2_000.0
-      ~issue:(flaky_issue c calls) ()
+      ~issue:(flaky_issue c ~issued ~attempts) ()
   in
   Alcotest.(check int) "first attempts always abort" 0 r.W.Driver.committed;
   Alcotest.(check bool) "aborts surface" true (r.W.Driver.aborted > 0)
@@ -247,6 +358,9 @@ let suite =
     tc "handover: two-transaction structure" handover_two_txn_structure;
     tc "handover: remote crosses nodes" handover_remote_crosses_nodes;
     tc "handover: 400B contexts" handover_payload_size;
+    tc "handover: issue runs the second transaction next"
+      handover_issue_runs_second_txn_next;
+    tc "populate: every key at its home with its initial value" populate_places_every_key;
     tc "mobility: remote fraction near paper's" mobility_fraction_sane;
     tc "mobility: more nodes, more remote" mobility_more_nodes_more_remote;
     tc "mobility: trips well-formed" mobility_trip_structure;
