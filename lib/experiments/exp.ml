@@ -97,3 +97,31 @@ type scale = { duration_us : float; warmup_us : float; objects_per_node : int }
 let scale_of ~quick =
   if quick then { duration_us = 3_000.0; warmup_us = 500.0; objects_per_node = 2_000 }
   else { duration_us = 15_000.0; warmup_us = 2_000.0; objects_per_node = 10_000 }
+
+let txns_with_ownership cluster =
+  let n = ref 0 in
+  for i = 0 to Zeus_core.Cluster.nodes cluster - 1 do
+    n := !n + Zeus_core.Node.txns_with_ownership (Zeus_core.Cluster.node cluster i)
+  done;
+  !n
+
+let run_zeus cluster ~quick ~issue =
+  let s = scale_of ~quick in
+  let engine = Zeus_core.Cluster.engine cluster in
+  let at_start = ref (0, 0) and at_stop = ref (0, 0) in
+  (* Scheduled before the driver's first event, each snapshot runs ahead
+     of any completion at the same instant, matching the driver's
+     [start <= t < stop] window. *)
+  let snapshot_at after cell =
+    ignore
+      (Zeus_sim.Engine.schedule engine ~after (fun () ->
+           cell := (txns_with_ownership cluster, Zeus_core.Cluster.total_committed cluster)))
+  in
+  snapshot_at s.warmup_us at_start;
+  snapshot_at (s.warmup_us +. s.duration_us) at_stop;
+  let r =
+    Zeus_workload.Driver.run cluster ~warmup_us:s.warmup_us ~duration_us:s.duration_us
+      ~issue ()
+  in
+  let (own0, writes0), (own1, writes1) = (!at_start, !at_stop) in
+  (r, 100.0 *. float_of_int (own1 - own0) /. float_of_int (max 1 (writes1 - writes0)))

@@ -35,3 +35,17 @@ type scale = {
 }
 
 val scale_of : quick:bool -> scale
+
+val txns_with_ownership : Zeus_core.Cluster.t -> int
+(** {!Zeus_core.Node.txns_with_ownership} summed over the cluster's
+    nodes. *)
+
+val run_zeus :
+  Zeus_core.Cluster.t ->
+  quick:bool ->
+  issue:(Zeus_core.Node.t -> thread:int -> (Zeus_store.Txn.outcome -> unit) -> unit) ->
+  Zeus_workload.Driver.result * float
+(** {!Zeus_workload.Driver.run} over every node for the scale's window,
+    and the share (in %) of committed write transactions that needed an
+    ownership change, both counted in that window — the x-axis of
+    Figures 8 and 9 and tpcc's ownership row. *)

@@ -10,7 +10,6 @@
 module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
-module Node = Zeus_core.Node
 module W = Zeus_workload
 module B = Zeus_baseline
 
@@ -31,7 +30,6 @@ type figure = {
     local_reads:bool ->
     Zeus_sim.Rng.t ->
     load;
-  write_share : float;  (** write transactions' share of the mix *)
   fracs : quick:bool -> float list;  (** remote fractions of the Zeus points, from 0 *)
   baselines : B.Profile.t list;
   baseline_seed : int64;  (** the baselines' workload RNG *)
@@ -54,7 +52,6 @@ let smallbank =
           home_of_key = W.Smallbank.home_of_key w;
           gen = W.Smallbank.gen w;
         });
-    write_share = 0.85;
     fracs =
       (fun ~quick ->
         if quick then [ 0.0; 0.02; 0.05 ]
@@ -85,7 +82,6 @@ let tatp =
           home_of_key = W.Tatp.home_of_key w;
           gen = W.Tatp.gen w;
         });
-    write_share = 0.2;
     fracs =
       (fun ~quick ->
         if quick then [ 0.0; 0.1; 0.3 ] else [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.5; 0.7 ]);
@@ -111,18 +107,8 @@ let zeus_point fig ~quick ~nodes ~remote_frac ~keep =
       ~local_reads:true rng
   in
   w.populate cluster;
-  let r =
-    W.Driver.run cluster ~warmup_us:s.Exp.warmup_us ~duration_us:s.Exp.duration_us
-      ~issue:(W.Spec.issue w.gen) ()
-  in
-  let owntxn = ref 0 in
-  for i = 0 to nodes - 1 do
-    owntxn := !owntxn + Node.txns_with_ownership (Cluster.node cluster i)
-  done;
-  let writes = fig.write_share *. float_of_int r.W.Driver.committed in
-  ( 100.0 *. float_of_int !owntxn /. Float.max 1.0 writes,
-    r,
-    if keep then Some cluster else None )
+  let r, x = Exp.run_zeus cluster ~quick ~issue:(W.Spec.issue w.gen) in
+  (x, r, if keep then Some cluster else None)
 
 (* Static sharding after the access pattern drifted to (almost) random
    placement (§8.2). *)

@@ -64,12 +64,7 @@ let tuned ~bucket ~refill_per_ms =
     migrator = { Loc.Migrator.bucket; refill_per_ms };
   }
 
-let sum_own c =
-  let s = ref 0 in
-  for i = 0 to Cluster.nodes c - 1 do
-    s := !s + Node.txns_with_ownership (Cluster.node c i)
-  done;
-  !s
+let sum_own = Exp.txns_with_ownership
 
 (* Engine counters summed over nodes; pins from node 0's planner (every
    directory node observes the same migration stream, so each planner

@@ -6,28 +6,17 @@
 module Engine = Zeus_sim.Engine
 module Cluster = Zeus_core.Cluster
 module Config = Zeus_core.Config
-module Node = Zeus_core.Node
 module W = Zeus_workload
 module B = Zeus_baseline
 
 let zeus_run ~quick ~nodes =
-  let s = Exp.scale_of ~quick in
   let config = { Config.default with Config.nodes } in
   let cluster = Cluster.create ~config () in
   let rng = Engine.fork_rng (Cluster.engine cluster) in
   let w = W.Tpcc_bench.create ~warehouses:(2 * nodes) ~nodes rng in
   W.Tpcc_bench.populate w cluster;
-  let r =
-    W.Driver.run cluster ~warmup_us:s.Exp.warmup_us ~duration_us:s.Exp.duration_us
-      ~issue:(W.Tpcc_bench.issue w) ()
-  in
-  let owntxn = ref 0 in
-  for i = 0 to nodes - 1 do
-    owntxn := !owntxn + Node.txns_with_ownership (Cluster.node cluster i)
-  done;
-  ( r,
-    100.0 *. float_of_int !owntxn /. float_of_int (max 1 r.W.Driver.committed),
-    100.0 *. W.Tpcc_bench.remote_line_fraction w )
+  let r, owntxn_pct = Exp.run_zeus cluster ~quick ~issue:(W.Tpcc_bench.issue w) in
+  (r, owntxn_pct, 100.0 *. W.Tpcc_bench.remote_line_fraction w)
 
 let baseline_run ~quick ~nodes profile =
   let s = Exp.scale_of ~quick in
