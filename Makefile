@@ -120,13 +120,16 @@ perf-smoke: build
 # arb-replay/commit-replay, plus a negative control that reproduces the
 # known reordering deadlock on non-FIFO links.  The subcommand exits
 # non-zero on any invariant violation or a suspiciously small state space;
-# per-scenario explored-state counts land in the log.
+# per-scenario explored-state counts land in the log, and must equal the
+# checked-in bench/model_quick.txt: a change to the checker's state space
+# shows up as a reviewed diff of that file.
 model-smoke: build
 	rm -f model-smoke.log
 	dune exec bin/zeus_cli.exe -- model --quick --trace > model-smoke.log 2>&1 || { cat model-smoke.log >&2; exit 1; }
 	@cat model-smoke.log
 	@grep -q "states explored across" model-smoke.log || { echo "model-smoke: no state-count summary in output" >&2; exit 1; }
 	@grep -q "reordered links" model-smoke.log || { echo "model-smoke: reordering scenarios missing from run" >&2; exit 1; }
+	@grep -E '^(ownership|commit) core:|^total:' model-smoke.log | diff bench/model_quick.txt - || { echo "model-smoke: per-row counts differ from bench/model_quick.txt" >&2; exit 1; }
 	@echo "model-smoke: real-core exploration OK"
 
 # Re-capture the reference on this machine: run the perf harness and copy

@@ -124,7 +124,8 @@ let chaos_cmd =
     let module Node = Zeus_core.Node in
     let module Engine = Zeus_sim.Engine in
     (* auto_trim off for the same reason as the faults experiment: the
-       known trim-wedge corner would read as a chaos-found regression. *)
+       known trim wedge (ROADMAP.md, strict-serializability item, "Trims")
+       would read as a chaos-found regression. *)
     let config =
       {
         Zeus_core.Config.default with

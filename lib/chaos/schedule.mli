@@ -44,10 +44,6 @@ val equal : t -> t -> bool
 (** {2 Common fault windows} — each returns the steps of one incident. *)
 
 val crash_restart : node:int -> at_us:float -> down_us:float -> step list
-val partition_window : a:int -> b:int -> at_us:float -> duration_us:float -> step list
-
-val oneway_window : src:int -> dst:int -> at_us:float -> duration_us:float -> step list
-
 val spike_window :
   at_us:float ->
   duration_us:float ->
@@ -56,8 +52,6 @@ val spike_window :
   ?delay_us:float ->
   unit ->
   step list
-
-val slow_window : node:int -> factor:float -> at_us:float -> duration_us:float -> step list
 
 val scramble_window :
   at_us:float -> duration_us:float -> ?prob:float -> unit -> step list

@@ -37,8 +37,6 @@ type t = {
 }
 
 let node t = t.node
-let commits_started t = Metrics.Counter.get t.c_started
-let commits_durable t = Metrics.Counter.get t.c_durable
 let replays_started t = Metrics.Counter.get t.c_replays
 let metrics t = t.metrics
 let inflight t = Core.inflight t.core
@@ -70,34 +68,36 @@ let durables_of t thread =
           if i < len then t.durables.(i) else Window.create ~dummy:no_durable);
   t.durables.(thread)
 
-(* ---------- effect execution --------------------------------------------- *)
+(* ---------- the store ---------------------------------------------------- *)
 
 (* Reliably committed: validate unchanged objects locally, finish freed
-   ones, and release the pipelining guard ([pending_rc]). *)
-let validate_local t writes =
-  List.iter
-    (fun (u : Txn.update) ->
-      match Table.find t.table u.key with
-      | Some obj ->
-        obj.Obj.pending_rc <- obj.Obj.pending_rc - 1;
-        if obj.Obj.t_version = u.version then begin
-          if u.freed then begin
-            Table.remove t.table u.key;
-            t.cb.on_freed u.key
-          end
-          else obj.Obj.t_state <- Types.T_valid
+   ones, and release the pipelining guard ([pending_rc]).  A loop, not
+   [List.iter]: a closure over [table] and [on_freed] would allocate on
+   every commit. *)
+let rec validate_local table ~on_freed = function
+  | [] -> ()
+  | (u : Txn.update) :: rest ->
+    (match Table.find table u.key with
+    | Some obj ->
+      obj.Obj.pending_rc <- obj.Obj.pending_rc - 1;
+      if obj.Obj.t_version = u.version then begin
+        if u.freed then begin
+          Table.remove table u.key;
+          on_freed u.key
         end
-      | None -> ())
-    writes
+        else obj.Obj.t_state <- Types.T_valid
+      end
+    | None -> ());
+    validate_local table ~on_freed rest
 
 (* Apply the writes of an R-INV version-monotonically (§5.1).  Receiving an
    R-INV for an object we do not store means the coordinator just made us a
    reader of it (object creation, §7 malloc) — install it.  Replays never
    install: a reader that was reliably removed must not resurrect. *)
-let apply_writes t ~install writes =
+let apply_writes table ~install writes =
   List.iter
     (fun (u : Txn.update) ->
-      match Table.find t.table u.key with
+      match Table.find table u.key with
       | Some obj ->
         if u.version > obj.Obj.t_version then begin
           obj.Obj.data <- u.data;
@@ -108,23 +108,32 @@ let apply_writes t ~install writes =
         if install && not u.freed then begin
           let obj = Obj.create ~key:u.key ~role:Types.Reader ~version:u.version u.data in
           obj.Obj.t_state <- Types.T_invalid;
-          Table.install t.table obj
+          Table.install table obj
         end)
     writes
 
 (* An R-VAL (or equivalent) for a stored R-INV: validate objects whose
    version is unchanged, complete frees. *)
-let validate_stored t writes =
+let validate_stored table writes =
   List.iter
     (fun (u : Txn.update) ->
-      match Table.find t.table u.key with
+      match Table.find table u.key with
       | Some obj ->
         if obj.Obj.t_version = u.version then begin
-          if u.freed then Table.remove t.table u.key
+          if u.freed then Table.remove table u.key
           else if obj.Obj.t_state = Types.T_invalid then obj.Obj.t_state <- Types.T_valid
         end
       | None -> ())
     writes
+
+let apply_store table ~on_freed (e : Core.eff) =
+  match e with
+  | Core.Validate_local { writes } -> validate_local table ~on_freed writes
+  | Core.Apply_writes { install; writes } -> apply_writes table ~install writes
+  | Core.Validate_stored { writes } -> validate_stored table writes
+  | Core.Send _ | Core.Flush | Core.Durable _ | Core.Drained _ | Core.Telemetry _ -> ()
+
+(* ---------- effect execution --------------------------------------------- *)
 
 let exec_telemetry t = function
   | Core.Count C_started -> Metrics.Counter.incr t.c_started
@@ -150,7 +159,8 @@ let exec_telemetry t = function
       Tspan.finish t.tspans span
     | None -> ())
 
-let exec_eff t = function
+let exec_eff t (e : Core.eff) =
+  match e with
   | Core.Send { dst; size; payload } ->
     Transport.send t.transport ~src:t.node ~dst ~size payload
   | Core.Flush ->
@@ -159,9 +169,8 @@ let exec_eff t = function
        core rings the doorbell only where extra delay could stall recovery
        (replays on a view change). *)
     Transport.flush t.transport t.node
-  | Core.Validate_local { writes } -> validate_local t writes
-  | Core.Apply_writes { install; writes } -> apply_writes t ~install writes
-  | Core.Validate_stored { writes } -> validate_stored t writes
+  | Core.Validate_local _ | Core.Apply_writes _ | Core.Validate_stored _ ->
+    apply_store t.table ~on_freed:t.cb.on_freed e
   | Core.Durable { tx } ->
     let ks = durables_of t tx.Messages.pipe.thread in
     let k = Window.find ks tx.Messages.slot in

@@ -80,12 +80,18 @@ val stored_invs : t -> int
 val buffered_invs : t -> int
 (** Follower-side R-INVs buffered behind an unhandled predecessor slot. *)
 
-val commits_started : t -> int
-val commits_durable : t -> int
 val replays_started : t -> int
 
 val metrics : t -> Zeus_telemetry.Metrics.t
 (** The agent's typed registry (counters under ["commit."]). *)
+
+(** {2 The store} *)
+
+val apply_store : Table.t -> on_freed:(Types.key -> unit) -> Core.eff -> unit
+(** Applies a store effect ([Validate_local], [Apply_writes],
+    [Validate_stored]) to one node's table, calling [on_freed] for each
+    freed object the coordinator removes; ignores the rest.  The model
+    checker runs it on its own tables. *)
 
 (** Record / replay *)
 

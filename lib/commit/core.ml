@@ -6,8 +6,8 @@
    reads arrive pre-sampled in the input (the per-update replica sets of
    an {!Api_commit}), writes leave as the three coarse store transforms
    the old agent performed inline ({!Validate_local}, {!Apply_writes},
-   {!Validate_stored}) — the simulator interpreter runs them against the
-   real {!Zeus_store.Table}, the model harness against its model store. *)
+   {!Validate_stored}) — {!Agent.apply_store} runs them against a real
+   {!Zeus_store.Table}, in the simulator and in the model harness. *)
 
 open Zeus_store
 open Messages

@@ -6,9 +6,8 @@
     arrive pre-sampled inside the input (the [replica_sets] of an
     {!Api_commit}), writes leave as three coarse store transforms
     ({!Validate_local}, {!Apply_writes}, {!Validate_stored}) whose
-    per-update loops the interpreter runs verbatim against its store —
-    the real {!Zeus_store.Table} in the simulator, a model store under
-    the checker.
+    per-update loops {!Agent.apply_store} runs against a real
+    {!Zeus_store.Table}, in the simulator and under the checker.
 
     Contract for interpreters: sample {!env} before calling [handle] and
     execute the returned effects in order, immediately.  Unlike the

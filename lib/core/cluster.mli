@@ -65,7 +65,9 @@ val check_invariants : t -> (unit, string) result
     state (call at a quiescent point):
     - at most one live owner per key, agreeing with every live directory
       replica's applied metadata;
-    - all live replicas in [t_state = Valid] hold identical data;
+    - the live [t_state = Valid] replicas at the key's highest version
+      hold identical data (a Valid copy below that version is not
+      compared);
     - the owner holds the highest version of the object;
     plus, when history recording is on, the serializability checks of
     {!History.check}. *)

@@ -33,8 +33,8 @@ type t = {
           coalesces same-destination protocol messages within
           [Zeus_net.Transport.flush_window_us] into multi-payload frames with
           cumulative acks — set [Zeus_net.Transport.unbatched] for the
-          historical one-frame-per-message behaviour (model checking,
-          ablations) *)
+          historical one-frame-per-message behaviour (the transport
+          ablation; model checking does not use the transport) *)
   ownership : Zeus_ownership.Agent.config;
   commit_clear_marks : Zeus_commit.Core.clear_marks;
       (** follower-side R-VAL discipline; [Sequenced] (default) carries

@@ -48,8 +48,8 @@ type t = {
           relaxes it (out-of-window payloads deliver immediately) and the
           protocols stay live — model-checked by [zeus_cli model]'s
           reordering scenarios.  Set [Zeus_net.Transport.unbatched] for
-          the historical one-frame-per-message behaviour (model checking,
-          ablations). *)
+          the historical one-frame-per-message behaviour (the transport
+          ablation; model checking does not use the transport). *)
   ownership : Zeus_ownership.Agent.config;
       (** ownership-protocol timeouts: request timeout, arb-replay delay *)
   commit_clear_marks : Zeus_commit.Core.clear_marks;

@@ -63,10 +63,10 @@ let run_scenario ?(mode = Zeus_membership.Service.Oracle) ?(extra_down_us = 0.0)
   let down_us = (if quick then 6_000.0 else 9_000.0) +. extra_down_us in
   let restart_at_us = fault_at_us +. down_us in
   let end_us = restart_at_us +. if quick then 6_000.0 else 10_000.0 in
-  (* auto_trim off: with 4 nodes and degree 3, a remote acquisition's trim
-     can wedge the object's o_state (the pre-existing protocol corner noted
-     in the predictive experiment), which shows up here as goodput decaying
-     all run long — with trims off the pre-fault baseline is flat. *)
+  (* auto_trim off: a remote acquisition's trim leaves the new owner's
+     copy out of O_valid (ROADMAP.md, strict-serializability item,
+     "Trims"), which shows up here as goodput decaying all run long —
+     with trims off the pre-fault baseline is flat. *)
   let config =
     {
       Config.default with

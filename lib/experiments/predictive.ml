@@ -64,8 +64,6 @@ let tuned ~bucket ~refill_per_ms =
     migrator = { Loc.Migrator.bucket; refill_per_ms };
   }
 
-let sum_own = Exp.txns_with_ownership
-
 (* Engine counters summed over nodes; pins from node 0's planner (every
    directory node observes the same migration stream, so each planner
    reaches the same pin — summing would multiple-count one decision). *)
@@ -102,10 +100,11 @@ let run_trajectory ~quick ~predictive =
     if predictive then tuned ~bucket:32.0 ~refill_per_ms:150.0
     else Loc.Engine.default_config
   in
-  (* auto_trim off (both arms): with 4 nodes and degree 3 a handover to the
-     one non-replica node triggers a trim whose Remove_reader arbitration can
-     leave the fresh owner's o_state invalid, wedging the session object —
-     a pre-existing protocol corner unrelated to placement policy. *)
+  (* auto_trim off (both arms): a handover to the one non-replica node
+     triggers a trim whose Remove_reader arbitration leaves the fresh
+     owner's copy out of O_valid, wedging the session object — a protocol
+     defect unrelated to placement policy (ROADMAP.md,
+     strict-serializability item, "Trims"). *)
   let config = { Config.default with Config.nodes; seed = 11L; auto_trim = false; locality } in
   let c = Cluster.create ~config () in
   let eng = Cluster.engine c in
@@ -145,9 +144,9 @@ let run_trajectory ~quick ~predictive =
          (fun () -> dwell u (u mod nodes) 0))
   done;
   let own0 = ref 0 in
-  ignore (Engine.schedule_at eng ~time:start (fun () -> own0 := sum_own c));
+  ignore (Engine.schedule_at eng ~time:start (fun () -> own0 := Exp.txns_with_ownership c));
   Cluster.run c ~until_us:stop;
-  let remote = sum_own c - !own0 in
+  let remote = Exp.txns_with_ownership c - !own0 in
   if Tlog.enabled Tlog.Debug then begin
     for i = 0 to nodes - 1 do
       let n = Cluster.node c i in
@@ -262,9 +261,9 @@ let run_skew ~quick ~predictive =
     done
   done;
   let own0 = ref 0 in
-  ignore (Engine.schedule_at eng ~time:start (fun () -> own0 := sum_own c));
+  ignore (Engine.schedule_at eng ~time:start (fun () -> own0 := Exp.txns_with_ownership c));
   Cluster.run c ~until_us:stop;
-  let remote = sum_own c - !own0 in
+  let remote = Exp.txns_with_ownership c - !own0 in
   if Tlog.enabled Tlog.Debug then begin
     for i = 0 to nodes - 1 do
       let n = Cluster.node c i in
@@ -318,8 +317,8 @@ let run_uniform ~quick ~predictive =
     Node.run_write node ~thread ~body:(fun ctx commit -> incr_body ctx key commit) k
   in
   let own0 = ref 0 and own1 = ref 0 in
-  ignore (Engine.schedule eng ~after:warmup (fun () -> own0 := sum_own c));
-  ignore (Engine.schedule eng ~after:(warmup +. duration) (fun () -> own1 := sum_own c));
+  ignore (Engine.schedule eng ~after:warmup (fun () -> own0 := Exp.txns_with_ownership c));
+  ignore (Engine.schedule eng ~after:(warmup +. duration) (fun () -> own1 := Exp.txns_with_ownership c));
   let r = W.Driver.run c ~warmup_us:warmup ~duration_us:duration ~issue () in
   let hits, misses, hints, pins = loc_stats c in
   {

@@ -8,7 +8,6 @@ type t = {
   mutable placement_hint : (int -> Zeus_net.Msg.node_id option) option;
   mutable hits : int;
   mutable misses : int;
-  mutable hint_hits : int;
   mutable reassigns : int;
 }
 
@@ -22,14 +21,12 @@ let create ~node ~lb_nodes ~backends transport =
     placement_hint = None;
     hits = 0;
     misses = 0;
-    hint_hits = 0;
     reassigns = 0;
   }
 
 let hermes t = t.hermes
 let hits t = t.hits
 let misses t = t.misses
-let hint_hits t = t.hint_hits
 let reassigns t = t.reassigns
 let set_backends t backends = t.backends <- backends
 let set_placement_hint t f = t.placement_hint <- Some f
@@ -39,9 +36,7 @@ let route t ~key k =
      requests must follow the pin immediately, not after the reassign
      write propagates. *)
   match match t.placement_hint with Some f -> f key | None -> None with
-  | Some dst ->
-    t.hint_hits <- t.hint_hits + 1;
-    k dst
+  | Some dst -> k dst
   | None ->
     Hermes.read_wait t.hermes key (fun v ->
         match v with

@@ -40,7 +40,4 @@ val handle : t -> src:Zeus_net.Msg.node_id -> Zeus_net.Msg.payload -> bool
 val hits : t -> int
 val misses : t -> int
 
-val hint_hits : t -> int
-(** Requests routed by the placement hint. *)
-
 val reassigns : t -> int

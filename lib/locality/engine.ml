@@ -92,7 +92,6 @@ let counters t = Metrics.counters t.metrics
 let prefetch_hits t = Metrics.Counter.get t.c_prefetch_hits
 let prefetch_misses t = Metrics.Counter.get t.c_prefetch_misses
 let hints_sent t = Metrics.Counter.get t.c_hints_sent
-let migrations_observed t = Metrics.Counter.get t.c_migrations_observed
 
 let set_on_pin t f = t.on_pin <- Some f
 

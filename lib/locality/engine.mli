@@ -102,4 +102,3 @@ val counters : t -> (string * int) list
 val prefetch_hits : t -> int
 val prefetch_misses : t -> int
 val hints_sent : t -> int
-val migrations_observed : t -> int

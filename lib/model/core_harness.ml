@@ -3,23 +3,28 @@
 
    The harness drives the production state machines —
    {!Zeus_ownership.Core} and {!Zeus_commit.Core} — through
-   {!Explorer.bfs}.  A world holds one core per node plus a model-level
-   interpreter around each: a tiny replica store, a message multiset,
+   {!Explorer.bfs}.  A world holds one core and one real {!Table} per
+   node, plus a model-level interpreter around them: a message multiset,
    armed timers, and the membership epoch.  Transitions feed real inputs
-   (deliveries, API calls, timer fires, view changes) and execute the
-   returned effects exactly as the simulator interpreters do, so every
+   (deliveries, API calls, timer fires, view changes).  Store facts are
+   sampled, and store effects applied, by the agents' own functions
+   ({!OA.facts}, {!OA.apply_store}, {!CA.apply_store}) on the node's
+   table; the interpreter only routes messages and timers.  So every
    interleaving the checker visits is a behaviour the deployed code can
-   exhibit.
+   exhibit, store code included.
 
-   Worlds are deduplicated on {!OC.fingerprint}/{!CC.fingerprint}-based
-   keys rather than their marshalled bytes: the cores' token allocators
-   and hashtable layouts vary with history, and a timer fire that re-arms
+   Worlds are deduplicated on keys built from {!OC.fingerprint} /
+   {!CC.fingerprint} and the protocol-visible fields of each held copy,
+   rather than on marshalled bytes: the cores' token allocators and
+   hashtable layouts vary with history, and a timer fire that re-arms
    would otherwise never converge. *)
 
 module OC = Zeus_ownership.Core
+module OA = Zeus_ownership.Agent
 module OM = Zeus_ownership.Messages
 module ODir = Zeus_ownership.Directory
 module CC = Zeus_commit.Core
+module CA = Zeus_commit.Agent
 module CM = Zeus_commit.Messages
 open Zeus_store
 
@@ -135,13 +140,13 @@ let net_key ~fifo net =
   in
   Marshal.to_string net [ Marshal.No_sharing ]
 
-(* ---------- shared: copy-on-write cores --------------------------------- *)
+(* ---------- shared: copy-on-write nodes --------------------------------- *)
 
-(* A world's cores, copied on write: a successor shares its parent's cores
-   until it feeds one, and a shared core is never mutated again, so its
-   fingerprint is computed once.  Most transitions feed one core, so this
-   saves most of the copying, of the frontier's memory and of the key
-   building. *)
+(* A world's nodes — each a core and its store table — copied on write: a
+   successor shares its parent's nodes until it feeds one, and a shared
+   node is never mutated again, so its core's fingerprint is computed
+   once.  Most transitions feed one node, so this saves most of the
+   copying, of the frontier's memory and of the key building. *)
 module Cow (C : sig
   type t
 
@@ -149,29 +154,41 @@ module Cow (C : sig
   val fingerprint : t -> string
 end) =
 struct
-  type t = { cs : C.t array; owned : bool array; fps : string option array }
+  type t = {
+    cs : C.t array;
+    tables : Table.t array;
+    owned : bool array;
+    fps : string option array;
+  }
 
-  let create cs =
+  let create cs tables =
     let n = Array.length cs in
-    { cs; owned = Array.make n true; fps = Array.make n None }
+    { cs; tables; owned = Array.make n true; fps = Array.make n None }
 
-  (* After a copy both sides share every core, so neither may write one in
+  (* After a copy both sides share every node, so neither may write one in
      place. *)
   let copy t =
     let n = Array.length t.cs in
     Array.fill t.owned 0 n false;
-    { cs = Array.copy t.cs; owned = Array.make n false; fps = Array.copy t.fps }
+    {
+      cs = Array.copy t.cs;
+      tables = Array.copy t.tables;
+      owned = Array.make n false;
+      fps = Array.copy t.fps;
+    }
 
-  let get t i = t.cs.(i)
+  let core t i = t.cs.(i)
+  let table t i = t.tables.(i)
 
-  (* The core to feed: this world's own copy, its cached fingerprint dropped. *)
+  (* Makes node [i] this world's own, to feed or write: its core's cached
+     fingerprint is dropped. *)
   let mut t i =
     if not t.owned.(i) then begin
       t.cs.(i) <- C.copy t.cs.(i);
+      t.tables.(i) <- Table.copy t.tables.(i);
       t.owned.(i) <- true
     end;
-    t.fps.(i) <- None;
-    t.cs.(i)
+    t.fps.(i) <- None
 
   let fingerprint t i =
     match t.fps.(i) with
@@ -187,7 +204,7 @@ end
 (* ========================================================================== *)
 
 module Ownership = struct
-  module Cores = Cow (struct
+  module Nodes = Cow (struct
     type t = OC.state
 
     let copy = OC.copy
@@ -225,19 +242,8 @@ module Ownership = struct
   let model_config =
     { OC.request_timeout_us = 0.0; replay_after_us = 0.0 }
 
-  (* One node's replica of the object, at the granularity the core's
-     [facts] and store effects actually touch. *)
-  type mobj = {
-    mutable exists : bool;
-    mutable role : Types.role;
-    mutable o_state : Types.o_state;
-    mutable o_ts : Ots.t;
-    mutable version : int;
-  }
-
   type state = {
-    cores : Cores.t;
-    stores : mobj array;
+    nodes : Nodes.t;
     mutable net : msg list;
     mutable timers : (Types.node_id * int * OC.timer_kind) list;
     mutable waiting : (Types.node_id * int) list;
@@ -263,14 +269,14 @@ module Ownership = struct
       trace_on = false;
     }
 
-  let snapshot (m : mobj) =
-    if m.exists then Some { OM.value = Value.empty; t_version = m.version }
-    else None
+  (* Node [i]'s copy of the object, if it holds one. *)
+  let held w i = Table.find (Nodes.table w.nodes i) key0
 
-  (* Effect interpreter — the model-store analogue of {!Zeus_ownership.Agent},
-     with apply semantics at the granularity of {!Zeus_core.Node}. *)
-  let exec_eff w i eff =
-    let m = w.stores.(i) in
+  (* Effect interpreter: the store effects run {!OA.apply_store} on the
+     node's table, as in the agent; the net, timers and continuations are
+     the model's. *)
+  let exec_eff w i table eff =
+    OA.apply_store table eff;
     match eff with
     | OC.Send { dst; payload; _ } ->
       (* Tail-append: the list stays in per-link send order, which the
@@ -287,7 +293,7 @@ module Ownership = struct
               payload =
                 OM.O_ack
                   { req_id; key; o_ts; new_replicas; arbiters; sender = i;
-                    data = snapshot m; epoch };
+                    data = OA.snapshot table key; epoch };
             };
           ]
     | OC.Flush -> ()
@@ -298,100 +304,47 @@ module Ownership = struct
            model, exactly as in the specs *)
     | OC.Cancel_timer token ->
       w.timers <- List.filter (fun (n, tok, _) -> not (n = i && tok = token)) w.timers
-    | OC.Apply_arbiter { kind; o_ts; _ } ->
-      if m.exists then begin
-        m.o_ts <- o_ts;
-        match kind with
-        | OM.Acquire -> if m.role = Types.Owner then m.role <- Types.Reader
-        | OM.Add_reader -> ()
-        | OM.Remove_reader r -> if r = i then m.exists <- false
-      end
-    | OC.Apply_requester { kind; o_ts; data; _ } -> (
-      match kind with
-      | OM.Remove_reader r ->
-        if m.exists then begin
-          m.o_ts <- o_ts;
-          if r = i then m.exists <- false
-        end
-      | OM.Acquire | OM.Add_reader ->
-        if not m.exists then begin
-          m.exists <- true;
-          m.version <- (match data with Some d -> d.OM.t_version | None -> 0)
-        end
-        else (
-          match data with
-          | Some d when d.OM.t_version > m.version -> m.version <- d.OM.t_version
-          | _ -> ());
-        m.role <- (match kind with OM.Acquire -> Types.Owner | _ -> Types.Reader);
-        m.o_ts <- o_ts;
-        m.o_state <- Types.O_valid)
-    | OC.Set_o_state { o_state; _ } -> if m.exists then m.o_state <- o_state
-    | OC.Restore_request_state _ ->
-      if m.exists && m.o_state = Types.O_request then m.o_state <- Types.O_valid
-    | OC.Drop_dead_replicas _ -> ()
-    | OC.Notify_request _ | OC.Notify_owner_change _ -> ()
     | OC.Unblock { seq; _ } ->
       w.waiting <- List.filter (fun (n, s) -> not (n = i && s = seq)) w.waiting
-    | OC.Telemetry _ -> ()
+    | _ -> ()
 
   let feed w i input =
-    let _, effs = OC.handle ~dir (Cores.mut w.cores i) input in
-    List.iter (exec_eff w i) effs
-
-  (* Store facts sampled exactly as the simulator interpreter samples them;
-     [busy] is the branch point the checker injects in place of
-     [Obj.busy]. *)
-  let facts_for w i ~busy (payload : Zeus_net.Msg.payload) =
-    let m = w.stores.(i) in
-    match payload with
-    | OM.O_req _ -> { OC.no_facts with OC.f_busy = busy }
-    | OM.O_inv _ ->
-      if m.exists then
-        { OC.f_exists = true; f_o_ts = m.o_ts; f_is_owner = m.role = Types.Owner;
-          f_busy = busy; f_snapshot = None }
-      else { OC.no_facts with OC.f_busy = busy }
-    | OM.O_ack { req_id; key; _ } ->
-      {
-        OC.no_facts with
-        OC.f_exists = m.exists;
-        f_snapshot =
-          (if req_id.OM.origin <> i && OC.has_replay (Cores.get w.cores i) key then
-             snapshot m
-           else None);
-      }
-    | OM.O_resp _ ->
-      if m.exists then { OC.no_facts with OC.f_exists = true; f_o_ts = m.o_ts }
-      else OC.no_facts
-    | _ -> OC.no_facts
+    Nodes.mut w.nodes i;
+    let _, effs = OC.handle ~dir (Nodes.core w.nodes i) input in
+    List.iter (exec_eff w i (Nodes.table w.nodes i)) effs
 
   (* A delivery consults the owner's busy flag only when the destination
      actually owns a valid copy — the only case the core reads [f_busy]. *)
   let busy_branches w (msg : msg) =
-    let m = w.stores.(msg.m_dst) in
     let applicable =
       (match msg.payload with OM.O_req _ | OM.O_inv _ -> true | _ -> false)
-      && fab_live w msg.m_dst && m.exists
-      && m.role = Types.Owner
+      && fab_live w msg.m_dst
+      && match held w msg.m_dst with Some obj -> Obj.is_owner obj | None -> false
     in
     if applicable then [ false; true ] else [ false ]
 
+  (* [busy] is the branch point the checker injects in place of
+     [Obj.busy]. *)
   let deliver w (msg : msg) ~busy =
-    if fab_live w msg.m_dst then
-      feed w msg.m_dst
+    let i = msg.m_dst in
+    if fab_live w i then
+      feed w i
         (OC.Deliver
            { src = msg.m_src; payload = msg.payload;
-             facts = facts_for w msg.m_dst ~busy msg.payload;
-             env = env w msg.m_dst })
+             facts =
+               OA.facts (Nodes.core w.nodes i) (Nodes.table w.nodes i) ~busy msg.payload;
+             env = env w i })
 
   let issue w r =
     w.to_issue <- List.filter (fun x -> x <> r) w.to_issue;
     if fab_live w r then begin
-      let seq = OC.next_seq (Cores.get w.cores r) in
+      let seq = OC.next_seq (Nodes.core w.nodes r) in
       w.waiting <- (r, seq) :: w.waiting;
       feed w r
         (OC.Api_request
            { key = key0; kind = OM.Acquire;
-             facts = { OC.no_facts with OC.f_exists = w.stores.(r).exists };
+             facts =
+               { OC.no_facts with OC.f_exists = Table.mem (Nodes.table w.nodes r) key0 };
              env = env w r })
     end
 
@@ -419,11 +372,7 @@ module Ownership = struct
 
   let fire w i token kind =
     w.timers <- List.filter (fun (n, tok, _) -> not (n = i && tok = token)) w.timers;
-    let facts =
-      match kind with
-      | OC.T_replay _ -> { OC.no_facts with OC.f_snapshot = snapshot w.stores.(i) }
-      | _ -> OC.no_facts
-    in
+    let facts = OA.timer_facts (Nodes.table w.nodes i) kind in
     feed w i (OC.Timer_fire { token; kind; facts; env = env w i })
 
   (* Drop state that can no longer influence behaviour, keeping the world
@@ -463,42 +412,34 @@ module Ownership = struct
         (fun (i, _, k) ->
           match k with
           | OC.T_replay { key; o_ts } -> (
-            match OC.pending_ts (Cores.get w.cores i) key with
+            match OC.pending_ts (Nodes.core w.nodes i) key with
             | Some ts -> Ots.equal ts o_ts
             | None -> false)
           | _ -> false)
         w.timers
 
-  let copy w =
-    {
-      cores = Cores.copy w.cores;
-      stores = Array.map (fun m -> { m with exists = m.exists }) w.stores;
-      net = w.net;
-      timers = w.timers;
-      waiting = w.waiting;
-      to_issue = w.to_issue;
-      crashed = w.crashed;
-      epoch = w.epoch;
-      epoch_pending = w.epoch_pending;
-      dups_left = w.dups_left;
-    }
+  (* Every field but [nodes] holds an immutable value. *)
+  let copy w = { w with nodes = Nodes.copy w.nodes }
 
   let init_world config =
+    let replicas = Replicas.v ~owner:0 ~readers:[ 1; 2 ] in
+    let table i =
+      let t = Table.create ~node:i in
+      if Replicas.is_replica replicas i then begin
+        let role = if Replicas.is_owner replicas i then Types.Owner else Types.Reader in
+        let obj = Obj.create ~key:key0 ~role Value.empty in
+        if role = Types.Owner then obj.Obj.o_replicas <- Some replicas;
+        Table.install t obj
+      end;
+      t
+    in
     let w =
       {
-        cores =
-          Cores.create
+        nodes =
+          Nodes.create
             (Array.init nnodes (fun i ->
-                 OC.create ~config:model_config ~self:i ~nodes:nnodes ()));
-        stores =
-          Array.init nnodes (fun i ->
-              if i < 3 then
-                { exists = true;
-                  role = (if i = 0 then Types.Owner else Types.Reader);
-                  o_state = Types.O_valid; o_ts = Ots.zero; version = 0 }
-              else
-                { exists = false; role = Types.Reader; o_state = Types.O_valid;
-                  o_ts = Ots.zero; version = 0 });
+                 OC.create ~config:model_config ~self:i ~nodes:nnodes ()))
+            (Array.init nnodes table);
         net = [];
         timers = [];
         waiting = [];
@@ -509,7 +450,6 @@ module Ownership = struct
         dups_left = config.dup_budget;
       }
     in
-    let replicas = Replicas.v ~owner:0 ~readers:[ 1; 2 ] in
     List.iter (fun d -> feed w d (OC.Api_seed { key = key0; replicas })) dirs;
     w
 
@@ -596,8 +536,9 @@ module Ownership = struct
       (fun i ->
         fab_live w i
         &&
-        let m = w.stores.(i) in
-        m.exists && m.role = Types.Owner && m.o_state = Types.O_valid)
+        match held w i with
+        | Some obj -> Obj.is_owner obj && obj.Obj.o_state = Types.O_valid
+        | None -> false)
       all_nodes
 
   (* Live directory replicas whose entry is in the applied (valid) state. *)
@@ -605,7 +546,7 @@ module Ownership = struct
     List.filter_map
       (fun d ->
         if fab_live w d then
-          match ODir.find (OC.directory (Cores.get w.cores d)) key0 with
+          match ODir.find (OC.directory (Nodes.core w.nodes d)) key0 with
           | Some e when e.ODir.pending = None && e.ODir.o_state = Types.O_valid ->
             Some (d, e)
           | _ -> None
@@ -644,7 +585,7 @@ module Ownership = struct
   let at_quiescence w =
     let live_nodes = List.filter (fab_live w) all_nodes in
     match
-      List.find_opt (fun i -> OC.pending_ts (Cores.get w.cores i) key0 <> None) live_nodes
+      List.find_opt (fun i -> OC.pending_ts (Nodes.core w.nodes i) key0 <> None) live_nodes
     with
     | Some i -> Error (Format.asprintf "n%d: pending arbitration never resolved" i)
     | None -> (
@@ -684,7 +625,7 @@ module Ownership = struct
             | None -> Ok ()
           end
         | [ o ] -> (
-          let owner_ts = w.stores.(o).o_ts in
+          let owner_ts = (Option.get (held w o)).Obj.o_ts in
           match
             List.find_opt
               (fun (_, (e : ODir.entry)) ->
@@ -707,11 +648,12 @@ module Ownership = struct
     | OC.T_timeout { seq; key; _ } -> Format.fprintf ppf "timeout(#%d k%d)" seq key
     | OC.T_cleanup { seq; _ } -> Format.fprintf ppf "cleanup(#%d)" seq
 
-  let pp_mobj ppf (m : mobj) =
-    if m.exists then
-      Format.fprintf ppf "%a %a %a v%d" Types.pp_role m.role Types.pp_o_state
-        m.o_state Ots.pp m.o_ts m.version
-    else Format.pp_print_string ppf "-"
+  (* The projection of a held copy that the protocol reads. *)
+  let pp_copy ppf = function
+    | Some (obj : Obj.t) ->
+      Format.fprintf ppf "%a %a %a v%d" Types.pp_role obj.role Types.pp_o_state
+        obj.o_state Ots.pp obj.o_ts obj.t_version
+    | None -> Format.pp_print_string ppf "-"
 
   let fingerprint config w =
     let b = Buffer.create 1024 in
@@ -721,12 +663,11 @@ module Ownership = struct
       (if w.epoch_pending then "+p" else "")
       (match w.crashed with Some v -> "n" ^ string_of_int v | None -> "-")
       w.dups_left pp_nodes (List.sort compare w.to_issue);
-    Array.iteri
-      (fun i m ->
-        if fab_live w i then
-          add "n%d[%a | %s];" i pp_mobj m (Cores.fingerprint w.cores i)
-        else add "n%d[dead];" i)
-      w.stores;
+    for i = 0 to nnodes - 1 do
+      if fab_live w i then
+        add "n%d[%a | %s];" i pp_copy (held w i) (Nodes.fingerprint w.nodes i)
+      else add "n%d[dead];" i
+    done;
     add "net{%s};" (net_key ~fifo:config.fifo w.net);
     let timers =
       List.sort_uniq compare
@@ -745,20 +686,19 @@ module Ownership = struct
       (if w.epoch_pending then " (tick pending)" else "")
       (match w.crashed with Some v -> "n" ^ string_of_int v | None -> "-")
       w.dups_left pp_nodes w.to_issue;
-    Array.iteri
-      (fun i m ->
-        if fab_live w i then
-          Format.fprintf ppf "n%d: %a  dir %s@," i pp_mobj m
-            (match ODir.find (OC.directory (Cores.get w.cores i)) key0 with
-            | Some e ->
-              Format.asprintf "%a %a %a%s" Types.pp_o_state e.ODir.o_state Ots.pp
-                e.ODir.o_ts Replicas.pp e.ODir.replicas
-                (match e.ODir.pending with
-                | Some p -> Format.asprintf " pending %a" Ots.pp p.ODir.o_ts
-                | None -> "")
-            | None -> "-")
-        else Format.fprintf ppf "n%d: dead@," i)
-      w.stores;
+    for i = 0 to nnodes - 1 do
+      if fab_live w i then
+        Format.fprintf ppf "n%d: %a  dir %s@," i pp_copy (held w i)
+          (match ODir.find (OC.directory (Nodes.core w.nodes i)) key0 with
+          | Some e ->
+            Format.asprintf "%a %a %a%s" Types.pp_o_state e.ODir.o_state Ots.pp
+              e.ODir.o_ts Replicas.pp e.ODir.replicas
+              (match e.ODir.pending with
+              | Some p -> Format.asprintf " pending %a" Ots.pp p.ODir.o_ts
+              | None -> "")
+          | None -> "-")
+      else Format.fprintf ppf "n%d: dead@," i
+    done;
     List.iter
       (fun (i, _, k) -> Format.fprintf ppf "timer n%d %a@," i pp_timer k)
       w.timers;
@@ -783,7 +723,8 @@ module Ownership = struct
   let key = fingerprint
   let net w = w.net
   let epoch w = w.epoch
-  let core w i = (Cores.get w.cores i)
+  let core w i = Nodes.core w.nodes i
+  let table w i = Nodes.table w.nodes i
 end
 
 (* ========================================================================== *)
@@ -791,7 +732,7 @@ end
 (* ========================================================================== *)
 
 module Commit = struct
-  module Cores = Cow (struct
+  module Nodes = Cow (struct
     type t = CC.state
 
     let copy = CC.copy
@@ -807,8 +748,8 @@ module Commit = struct
   let nnodes = 3
   let obj_x = 0
   let obj_y = 1
+  let objs = [ obj_x; obj_y ]
   let replicas_of k = if k = obj_x then [ 0; 1; 2 ] else [ 0; 1 ]
-  let has i k = List.mem i (replicas_of k)
 
   type txn = [ `X | `XY | `Y ]
 
@@ -829,11 +770,8 @@ module Commit = struct
       clear_marks = CC.Sequenced;
     }
 
-  type cobj = { mutable ver : int; mutable valid : bool }
-
   type state = {
-    cores : Cores.t;
-    stores : cobj array array;  (** [node].(object) — meaningful where [has] *)
+    nodes : Nodes.t;
     mutable net : msg list;
     mutable issued : int;
     mutable crashed : bool;
@@ -851,68 +789,55 @@ module Commit = struct
   let env w _i =
     { CC.epoch = w.epoch; live = Array.init nnodes (view_live w); trace_on = false }
 
-  (* Effect interpreter: the store transforms run their per-update loops
-     against the model store, with the spec's has-guard — a node only
-     tracks objects it is configured to replicate. *)
-  let exec_eff w i eff =
+  (* Effect interpreter: the store effects run {!CA.apply_store} on the
+     node's table, as in the agent; the net is the model's.  Before an
+     install, it records whether the apply raises a held object by more
+     than one version: a slot applied out of pipeline order. *)
+  let exec_eff w i table eff =
+    (match eff with
+    | CC.Apply_writes { install = true; writes } when w.skipped = None ->
+      w.skipped <-
+        List.find_map
+          (fun (u : Txn.update) ->
+            match Table.find table u.key with
+            | Some obj when u.version > obj.Obj.t_version + 1 ->
+              Some
+                (Format.asprintf
+                   "n%d applied object %d v%d over v%d (out of pipeline order)" i u.key
+                   u.version obj.Obj.t_version)
+            | Some _ | None -> None)
+          writes
+    | _ -> ());
+    CA.apply_store table ~on_freed:ignore eff;
     match eff with
     | CC.Send { dst; payload; _ } ->
       (* Appended at the tail so the list order is the per-link send order —
          the FIFO delivery rule below depends on it. *)
       w.net <- w.net @ [ { m_src = i; m_dst = dst; payload } ]
-    | CC.Flush -> ()
-    | CC.Validate_local { writes } ->
-      List.iter
-        (fun (u : Txn.update) ->
-          let m = w.stores.(i).(u.key) in
-          if m.ver = u.version then m.valid <- true)
-        writes
-    | CC.Apply_writes { install; writes } ->
-      List.iter
-        (fun (u : Txn.update) ->
-          if has i u.key then begin
-            let m = w.stores.(i).(u.key) in
-            if install && u.version > m.ver + 1 && w.skipped = None then
-              w.skipped <-
-                Some
-                  (Format.asprintf
-                     "n%d applied object %d v%d over v%d (out of pipeline order)" i u.key
-                     u.version m.ver);
-            if u.version > m.ver then begin
-              m.ver <- u.version;
-              m.valid <- false
-            end
-          end)
-        writes
-    | CC.Validate_stored { writes } ->
-      List.iter
-        (fun (u : Txn.update) ->
-          if has i u.key then begin
-            let m = w.stores.(i).(u.key) in
-            if m.ver = u.version then m.valid <- true
-          end)
-        writes
-    | CC.Durable _ -> ()
-    | CC.Drained _ -> ()
-    | CC.Telemetry _ -> ()
+    | _ -> ()
 
   let feed w i input =
-    let _, effs = CC.handle (Cores.mut w.cores i) input in
-    List.iter (exec_eff w i) effs
+    Nodes.mut w.nodes i;
+    let _, effs = CC.handle (Nodes.core w.nodes i) input in
+    List.iter (exec_eff w i (Nodes.table w.nodes i)) effs
 
   let objs_of = function `X -> [ obj_x ] | `Y -> [ obj_y ] | `XY -> [ obj_x; obj_y ]
 
-  (* A local commit: bump + invalidate the coordinator's copies (what
-     [Txn.local_commit] does), then hand the updates to the real core. *)
+  (* A local commit: bump the coordinator's copies, mark them written and
+     guard them for the replication in flight (what [Txn.local_commit]
+     does), then hand the updates to the real core. *)
   let do_commit w txn =
     w.issued <- w.issued + 1;
+    Nodes.mut w.nodes coord;
+    let table = Nodes.table w.nodes coord in
     let updates =
       List.map
         (fun k ->
-          let m = w.stores.(coord).(k) in
-          m.ver <- m.ver + 1;
-          m.valid <- false;
-          { Txn.key = k; version = m.ver; data = Value.empty; freed = false })
+          let obj = Table.get table k in
+          obj.Obj.t_version <- obj.Obj.t_version + 1;
+          obj.Obj.t_state <- Types.T_write;
+          obj.Obj.pending_rc <- obj.Obj.pending_rc + 1;
+          { Txn.key = k; version = obj.Obj.t_version; data = Value.empty; freed = false })
         (objs_of txn)
     in
     let replica_sets = List.map (fun (u : Txn.update) -> replicas_of u.Txn.key) updates in
@@ -941,27 +866,25 @@ module Commit = struct
                env = env w i })
     done
 
-  let copy w =
-    {
-      cores = Cores.copy w.cores;
-      stores = Array.map (Array.map (fun m -> { m with ver = m.ver })) w.stores;
-      net = w.net;
-      issued = w.issued;
-      crashed = w.crashed;
-      epoch = w.epoch;
-      epoch_pending = w.epoch_pending;
-      dups_left = w.dups_left;
-      skipped = w.skipped;
-    }
+  let copy w = { w with nodes = Nodes.copy w.nodes }
 
   let init_world config =
+    let table i =
+      let t = Table.create ~node:i in
+      List.iter
+        (fun k ->
+          if List.mem i (replicas_of k) then
+            let role = if i = coord then Types.Owner else Types.Reader in
+            Table.install t (Obj.create ~key:k ~role Value.empty))
+        objs;
+      t
+    in
     {
-      cores =
-        Cores.create
+      nodes =
+        Nodes.create
           (Array.init nnodes (fun i ->
-               CC.create ~clear_marks:config.clear_marks ~self:i ~nodes:nnodes ()));
-      stores =
-        Array.init nnodes (fun _ -> Array.init 2 (fun _ -> { ver = 0; valid = true }));
+               CC.create ~clear_marks:config.clear_marks ~self:i ~nodes:nnodes ()))
+          (Array.init nnodes table);
       net = [];
       issued = 0;
       crashed = false;
@@ -1021,116 +944,107 @@ module Commit = struct
 
   let all_nodes = List.init nnodes Fun.id
 
+  (* Node [i]'s copy of object [k], if it holds one: its version and
+     whether it is valid. *)
+  let held w i k =
+    match Table.find (Nodes.table w.nodes i) k with
+    | Some obj -> Some (obj.Obj.t_version, obj.Obj.t_state = Types.T_valid)
+    | None -> None
+
+  let version w i k = fst (Option.get (held w i k))
+
+  let to_result = function Some msg -> Error msg | None -> Ok ()
+
   (* Followers apply a pipeline's slots in order, so outside replay no
      apply skips a version of an object it holds; then valid copies of an
      object agree on its version. *)
   let invariant w =
-    let bad = ref (match w.skipped with Some msg -> Error msg | None -> Ok ()) in
-    List.iter
-      (fun k ->
-        let valids =
-          List.filter_map
-            (fun i ->
-              if fab_live w i && has i k && w.stores.(i).(k).valid then
-                Some (i, w.stores.(i).(k).ver)
-              else None)
-            all_nodes
-        in
-        match valids with
-        | (i1, v1) :: rest -> (
-          match List.find_opt (fun (_, v) -> v <> v1) rest with
-          | Some (i2, v2) ->
-            if !bad = Ok () then
-              bad :=
-                Error
-                  (Format.asprintf
-                     "object %d: valid copies disagree (n%d@v%d vs n%d@v%d)" k i1
-                     v1 i2 v2)
-          | None -> ())
-        | [] -> ())
-      [ obj_x; obj_y ];
-    !bad
+    let disagreement k =
+      let valids =
+        List.filter_map
+          (fun i ->
+            match held w i k with
+            | Some (v, true) when fab_live w i -> Some (i, v)
+            | Some _ | None -> None)
+          all_nodes
+      in
+      match valids with
+      | (i1, v1) :: rest ->
+        Option.map
+          (fun (i2, v2) ->
+            Format.asprintf "object %d: valid copies disagree (n%d@v%d vs n%d@v%d)" k i1
+              v1 i2 v2)
+          (List.find_opt (fun (_, v) -> v <> v1) rest)
+      | [] -> None
+    in
+    to_result (if w.skipped <> None then w.skipped else List.find_map disagreement objs)
 
   let at_quiescence config w =
     let live_nodes = List.filter (fab_live w) all_nodes in
     let followers = List.filter (fun i -> i <> coord) live_nodes in
-    match List.find_opt (fun i -> CC.buffered_invs (Cores.get w.cores i) > 0) followers with
+    let core i = Nodes.core w.nodes i in
+    let each nodes check = List.find_map (fun i -> List.find_map (check i) objs) nodes in
+    match List.find_opt (fun i -> CC.buffered_invs (core i) > 0) followers with
     | Some i ->
       (* The reordering deadlock's signature: an R-INV waiting forever for
          a predecessor slot that already cleared. *)
       Error (Format.asprintf "n%d still holds buffered R-INVs" i)
     | None -> (
-    match List.find_opt (fun i -> CC.stored_invs (Cores.get w.cores i) > 0) followers with
+    match List.find_opt (fun i -> CC.stored_invs (core i) > 0) followers with
     | Some i -> Error (Format.asprintf "n%d still holds stored R-INVs" i)
     | None -> (
-      match List.find_opt (fun i -> CC.replaying_count (Cores.get w.cores i) > 0) live_nodes with
+      match List.find_opt (fun i -> CC.replaying_count (core i) > 0) live_nodes with
       | Some i -> Error (Format.asprintf "n%d's replay never finished" i)
       | None -> (
-        match
-          List.find_opt (fun i -> CC.recovering_epoch (Cores.get w.cores i) <> None) live_nodes
-        with
+        match List.find_opt (fun i -> CC.recovering_epoch (core i) <> None) live_nodes with
         | Some i -> Error (Format.asprintf "n%d's recovery drain never completed" i)
         | None ->
           if not w.crashed then begin
             if w.issued < List.length config.txns then
               Error "schedule never fully issued"
-            else if CC.inflight (Cores.get w.cores coord) > 0 then
+            else if CC.inflight (core coord) > 0 then
               Error "coordinator slots never validated"
             else
-              let stale =
-                List.concat_map
-                  (fun i ->
-                    List.filter_map
-                      (fun k ->
-                        if has i k then begin
-                          let m = w.stores.(i).(k) in
-                          if (not m.valid) || m.ver <> w.stores.(coord).(k).ver then
-                            Some (i, k)
-                          else None
-                        end
-                        else None)
-                      [ obj_x; obj_y ])
-                  live_nodes
-              in
-              match stale with
-              | (i, k) :: _ ->
-                Error
-                  (Format.asprintf
-                     "n%d's object %d did not converge to the coordinator (v%d, \
-                      coordinator v%d, valid %b)"
-                     i k w.stores.(i).(k).ver w.stores.(coord).(k).ver
-                     w.stores.(i).(k).valid)
-              | [] -> Ok ()
+              to_result
+                (each live_nodes (fun i k ->
+                     match held w i k with
+                     | Some (v, valid) when (not valid) || v <> version w coord k ->
+                       Some
+                         (Format.asprintf
+                            "n%d's object %d did not converge to the coordinator (v%d, \
+                             coordinator v%d, valid %b)"
+                            i k v (version w coord k) valid)
+                     | Some _ | None -> None))
           end
           else begin
             (* survivors must agree on X and hold fully validated copies
-               of everything they replicate *)
-            if w.stores.(1).(obj_x).ver <> w.stores.(2).(obj_x).ver then
-              Error
-                (Format.asprintf "survivors diverge on X: n1@v%d vs n2@v%d"
-                   w.stores.(1).(obj_x).ver w.stores.(2).(obj_x).ver)
+               of everything they hold *)
+            let x1 = version w 1 obj_x and x2 = version w 2 obj_x in
+            if x1 <> x2 then
+              Error (Format.asprintf "survivors diverge on X: n1@v%d vs n2@v%d" x1 x2)
             else
-              match
-                List.find_opt
-                  (fun (i, k) -> has i k && not w.stores.(i).(k).valid)
-                  [ (1, obj_x); (1, obj_y); (2, obj_x) ]
-              with
-              | Some (i, k) ->
-                Error (Format.asprintf "n%d's object %d never revalidated" i k)
-              | None -> Ok ()
+              to_result
+                (each followers (fun i k ->
+                     match held w i k with
+                     | Some (_, false) ->
+                       Some (Format.asprintf "n%d's object %d never revalidated" i k)
+                     | Some _ | None -> None))
           end)))
 
   (* ---------- canonical key / display ------------------------------------- *)
 
+  (* The projection of each held copy that the protocol reads. *)
   let pp_store ppf (w, i) =
     List.iter
       (fun k ->
-        if has i k then
+        match held w i k with
+        | Some (v, valid) ->
           Format.fprintf ppf "%s:v%d%s "
             (if k = obj_x then "X" else "Y")
-            w.stores.(i).(k).ver
-            (if w.stores.(i).(k).valid then "" else "*"))
-      [ obj_x; obj_y ]
+            v
+            (if valid then "" else "*")
+        | None -> ())
+      objs
 
   let fingerprint config w =
     let b = Buffer.create 1024 in
@@ -1142,7 +1056,7 @@ module Commit = struct
       (if w.skipped <> None then " skipped" else "");
     for i = 0 to nnodes - 1 do
       if fab_live w i then
-        add "n%d[%a| %s];" i pp_store (w, i) (Cores.fingerprint w.cores i)
+        add "n%d[%a| %s];" i pp_store (w, i) (Nodes.fingerprint w.nodes i)
       else add "n%d[dead];" i
     done;
     add "net{%s}" (net_key ~fifo:config.fifo w.net);
@@ -1156,7 +1070,7 @@ module Commit = struct
     Option.iter (Format.fprintf ppf "%s@,") w.skipped;
     for i = 0 to nnodes - 1 do
       if fab_live w i then begin
-        let c = Cores.get w.cores i in
+        let c = Nodes.core w.nodes i in
         Format.fprintf ppf "n%d: %a inflight %d stored %d replaying %d@," i pp_store (w, i)
           (CC.inflight c) (CC.stored_invs c) (CC.replaying_count c)
       end

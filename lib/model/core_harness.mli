@@ -4,10 +4,12 @@
 
     The harness drives the production state machines —
     {!Zeus_ownership.Core} and {!Zeus_commit.Core} — through
-    {!Explorer.bfs}.  Each world holds one core per node plus the minimal
-    interpreter around it (a model replica store, a message multiset,
-    armed timers, the membership epoch); transitions feed real inputs and
-    execute the returned effects exactly as the simulator interpreters do.
+    {!Explorer.bfs}.  Each world holds one core and one real
+    {!Zeus_store.Table} per node, plus the minimal interpreter around them
+    (a message multiset, armed timers, the membership epoch); transitions
+    feed real inputs, sample their store facts and run their store effects
+    with the agents' own functions ({!Zeus_ownership.Agent.facts},
+    {!Zeus_ownership.Agent.apply_store}, {!Zeus_commit.Agent.apply_store}).
     {!scenarios} is the table every consumer runs: [zeus_cli model], the
     [verify] experiment and the model tests. *)
 
@@ -37,8 +39,6 @@ module Ownership : sig
   val default_config : config
 
   type state
-
-  val pp_state : Format.formatter -> state -> unit
 
   val explore : ?config:config -> ?max_states:int -> unit -> state Explorer.stats
 
@@ -75,6 +75,7 @@ module Ownership : sig
   val net : state -> msg list
   val epoch : state -> int
   val core : state -> Zeus_store.Types.node_id -> Zeus_ownership.Core.state
+  val table : state -> Zeus_store.Types.node_id -> Zeus_store.Table.t
 end
 
 (** Commit core under pipelining, partial streams, duplication and
@@ -103,8 +104,6 @@ module Commit : sig
   val default_config : config
 
   type state
-
-  val pp_state : Format.formatter -> state -> unit
 
   val explore : ?config:config -> ?max_states:int -> unit -> state Explorer.stats
 end

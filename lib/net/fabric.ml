@@ -114,7 +114,6 @@ let partitioned t a b = Hashtbl.mem t.partitions (pair a b)
 let blocked t ~src ~dst = partitioned t src dst || Hashtbl.mem t.oneway (src, dst)
 
 let set_perturb t p = t.perturb <- p
-let perturb t = t.perturb
 
 let set_scramble t p =
   if p < 0.0 || p > 1.0 || Float.is_nan p then

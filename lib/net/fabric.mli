@@ -87,7 +87,6 @@ type perturb = {
 }
 
 val set_perturb : t -> perturb option -> unit
-val perturb : t -> perturb option
 
 val set_scramble : t -> float -> unit
 (** Runtime add-on to [permute_prob] while a scramble fault is armed

@@ -88,66 +88,64 @@ let env t =
     trace_on = Tspan.enabled t.tspans;
   }
 
-let snapshot t key =
-  match Table.find t.table key with
+(* ---------- the store ---------------------------------------------------- *)
+
+(* The facts an input samples from, and the effects it applies to, one
+   node's table.  They take the node from [Table.node], so the model
+   checker runs them on its own tables. *)
+
+let snapshot table key =
+  match Table.find table key with
   | Some obj -> Some { value = Bytes.copy obj.Obj.data; t_version = obj.Obj.t_version }
   | None -> None
 
-let facts_for t payload =
+let is_busy busy obj = match busy with Some b -> b | None -> Obj.busy obj
+
+let facts core table ?busy payload =
   match payload with
   | O_req { key; _ } ->
     {
       Core.no_facts with
       Core.f_busy =
-        (match Table.find t.table key with Some obj -> Obj.busy obj | None -> false);
+        (match Table.find table key with Some obj -> is_busy busy obj | None -> false);
     }
   | O_inv { key; _ } -> (
-    match Table.find t.table key with
+    match Table.find table key with
     | Some obj ->
       {
         Core.f_exists = true;
         f_o_ts = obj.Obj.o_ts;
         f_is_owner = Obj.is_owner obj;
-        f_busy = Obj.busy obj;
+        f_busy = is_busy busy obj;
         f_snapshot = None;
       }
     | None -> Core.no_facts)
   | O_ack { req_id; key; _ } ->
     {
       Core.no_facts with
-      Core.f_exists = Table.mem t.table key;
+      Core.f_exists = Table.mem table key;
       f_snapshot =
         (* only a replay driver's completion can consult the snapshot *)
-        (if req_id.origin <> t.node && Core.has_replay t.core key then
-           snapshot t key
+        (if req_id.origin <> Table.node table && Core.has_replay core key then
+           snapshot table key
          else None);
     }
   | O_resp { key; _ } -> (
-    match Table.find t.table key with
+    match Table.find table key with
     | Some obj ->
       { Core.no_facts with Core.f_exists = true; f_o_ts = obj.Obj.o_ts }
     | None -> Core.no_facts)
   | _ -> Core.no_facts
 
-let timer_facts t = function
+let timer_facts table = function
   | Core.T_replay { key; _ } ->
-    { Core.no_facts with Core.f_snapshot = snapshot t key }
+    { Core.no_facts with Core.f_snapshot = snapshot table key }
   | Core.T_timeout _ | Core.T_cleanup _ -> Core.no_facts
-
-(* ---------- effect execution --------------------------------------------- *)
-
-let counter_handle t = function
-  | Core.C_started -> t.c_started
-  | Core.C_won -> t.c_won
-  | Core.C_nacked -> t.c_nacked
-  | Core.C_timeout -> t.c_timeout
-  | Core.C_replays -> t.c_replays
-  | Core.C_driven -> t.c_driven
 
 (* A request validated at this node: demote, trim or update the local
    replica. *)
-let apply_arbiter t ~key ~kind ~o_ts ~replicas =
-  match Table.find t.table key with
+let apply_arbiter table ~key ~kind ~o_ts ~replicas =
+  match Table.find table key with
   | None -> ()
   | Some obj -> (
     obj.Obj.o_ts <- o_ts;
@@ -161,16 +159,16 @@ let apply_arbiter t ~key ~kind ~o_ts ~replicas =
       end
     | Add_reader -> if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
     | Remove_reader r ->
-      if r = t.node then Table.remove t.table key
+      if r = Table.node table then Table.remove table key
       else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas)
 
 (* This node's own request won: install the object or access level. *)
-let apply_requester t ~key ~kind ~o_ts ~replicas ~data =
+let apply_requester table ~key ~kind ~o_ts ~replicas ~data =
   match kind with
   | Acquire | Add_reader ->
     let role = match kind with Acquire -> Types.Owner | _ -> Types.Reader in
     let obj =
-      match Table.find t.table key with
+      match Table.find table key with
       | Some obj ->
         (match data with
         | Some d when d.t_version > obj.Obj.t_version ->
@@ -182,7 +180,7 @@ let apply_requester t ~key ~kind ~o_ts ~replicas ~data =
       | None ->
         let d = Option.get data in
         let obj = Obj.create ~key ~role ~version:d.t_version ~o_ts d.value in
-        Table.install t.table obj;
+        Table.install table obj;
         obj
     in
     obj.Obj.role <- role;
@@ -190,17 +188,49 @@ let apply_requester t ~key ~kind ~o_ts ~replicas ~data =
     obj.Obj.o_state <- Types.O_valid;
     obj.Obj.o_replicas <- (if role = Types.Owner then Some replicas else None)
   | Remove_reader r -> (
-    match Table.find t.table key with
+    match Table.find table key with
     | Some obj ->
       obj.Obj.o_ts <- o_ts;
-      if r = t.node then Table.remove t.table key
+      if r = Table.node table then Table.remove table key
       else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
     | None -> ())
 
-let restore_request_state t key =
-  match Table.find t.table key with
-  | Some obj when obj.Obj.o_state = Types.O_request -> obj.Obj.o_state <- Types.O_valid
-  | Some _ | None -> ()
+let apply_store table (e : Core.eff) =
+  match e with
+  | Core.Apply_arbiter { key; kind; o_ts; replicas } ->
+    apply_arbiter table ~key ~kind ~o_ts ~replicas
+  | Core.Apply_requester { key; kind; o_ts; replicas; data } ->
+    apply_requester table ~key ~kind ~o_ts ~replicas ~data
+  | Core.Set_o_state { key; o_state } -> (
+    match Table.find table key with
+    | Some obj -> obj.Obj.o_state <- o_state
+    | None -> ())
+  | Core.Restore_request_state key -> (
+    match Table.find table key with
+    | Some obj when obj.Obj.o_state = Types.O_request -> obj.Obj.o_state <- Types.O_valid
+    | Some _ | None -> ())
+  | Core.Drop_dead_replicas { live } ->
+    Table.iter table (fun obj ->
+        if Obj.is_owner obj then
+          match obj.Obj.o_replicas with
+          | Some r ->
+            let r' = Replicas.drop_dead r ~live:(fun n -> live.(n)) in
+            if r' != r then obj.Obj.o_replicas <- Some r'
+          | None -> ())
+  | Core.Send _ | Core.Send_ack_local_data _ | Core.Flush | Core.Set_timer _
+  | Core.Cancel_timer _ | Core.Notify_request _ | Core.Notify_owner_change _
+  | Core.Unblock _ | Core.Telemetry _ ->
+    ()
+
+(* ---------- effect execution --------------------------------------------- *)
+
+let counter_handle t = function
+  | Core.C_started -> t.c_started
+  | Core.C_won -> t.c_won
+  | Core.C_nacked -> t.c_nacked
+  | Core.C_timeout -> t.c_timeout
+  | Core.C_replays -> t.c_replays
+  | Core.C_driven -> t.c_driven
 
 let exec_telemetry t = function
   | Core.Count c -> Metrics.Counter.incr (counter_handle t c)
@@ -243,7 +273,7 @@ let rec exec_eff t (e : Core.eff) =
     Transport.send t.transport ~src:t.node ~dst ~size payload
   | Core.Send_ack_local_data { dst; req_id; key; o_ts; new_replicas; arbiters; epoch }
     ->
-    let data = snapshot t key in
+    let data = snapshot t.table key in
     Transport.send t.transport ~src:t.node ~dst
       ~size:(64 + match data with Some s -> Value.size s.value | None -> 0)
       (O_ack
@@ -255,7 +285,7 @@ let rec exec_eff t (e : Core.eff) =
           Hashtbl.remove t.timers token;
           feed t
             (Core.Timer_fire
-               { token; kind; facts = timer_facts t kind; env = env t }))
+               { token; kind; facts = timer_facts t.table kind; env = env t }))
     in
     Hashtbl.replace t.timers token ev
   | Core.Cancel_timer token -> (
@@ -264,23 +294,9 @@ let rec exec_eff t (e : Core.eff) =
       Engine.cancel t.engine ev;
       Hashtbl.remove t.timers token
     | None -> ())
-  | Core.Apply_arbiter { key; kind; o_ts; replicas } ->
-    apply_arbiter t ~key ~kind ~o_ts ~replicas
-  | Core.Apply_requester { key; kind; o_ts; replicas; data } ->
-    apply_requester t ~key ~kind ~o_ts ~replicas ~data
-  | Core.Set_o_state { key; o_state } -> (
-    match Table.find t.table key with
-    | Some obj -> obj.Obj.o_state <- o_state
-    | None -> ())
-  | Core.Restore_request_state key -> restore_request_state t key
-  | Core.Drop_dead_replicas { live } ->
-    Table.iter t.table (fun obj ->
-        if Obj.is_owner obj then
-          match obj.Obj.o_replicas with
-          | Some r ->
-            let r' = Replicas.drop_dead r ~live:(fun n -> live.(n)) in
-            if r' != r then obj.Obj.o_replicas <- Some r'
-          | None -> ())
+  | Core.Apply_arbiter _ | Core.Apply_requester _ | Core.Set_o_state _
+  | Core.Restore_request_state _ | Core.Drop_dead_replicas _ ->
+    apply_store t.table e
   | Core.Notify_request { key; kind; requester } -> (
     match t.observer with
     | Some o -> o.on_request ~key ~kind ~requester
@@ -320,7 +336,7 @@ let request ?(parent = Tspan.null_span) t ~key ~kind ~k =
 
 let handle t ~src payload =
   if Core.handles_payload payload then begin
-    feed t (Core.Deliver { src; payload; facts = facts_for t payload; env = env t });
+    feed t (Core.Deliver { src; payload; facts = facts t.core t.table payload; env = env t });
     true
   end
   else false

@@ -107,6 +107,29 @@ val reset : t -> unit
     (the crash-stop model of §3.1 — a returning node knows nothing).
     Directory entries are re-learnt from subsequent arbitrations. *)
 
+(** {2 The store}
+
+    The facts an input samples from one node's table, and the store
+    effects it applies there.  The node is [Table.node]; the model checker
+    runs these on its own tables. *)
+
+val snapshot : Table.t -> Types.key -> Messages.data_snapshot option
+(** The data an ACK or a replay carries: the held copy's value and
+    version. *)
+
+val facts :
+  Core.state -> Table.t -> ?busy:bool -> Zeus_net.Msg.payload -> Core.facts
+(** The store facts a delivery of the payload needs.  [busy] overrides
+    {!Obj.busy} of the held copy: the model checker's injected branch.
+    The agent never passes it. *)
+
+val timer_facts : Table.t -> Core.timer_kind -> Core.facts
+
+val apply_store : Table.t -> Core.eff -> unit
+(** Applies a store effect ([Apply_arbiter], [Apply_requester],
+    [Set_o_state], [Restore_request_state], [Drop_dead_replicas]); ignores
+    the rest. *)
+
 (** Observability *)
 
 val latency_samples : t -> Zeus_sim.Stats.Samples.t

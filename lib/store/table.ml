@@ -22,3 +22,10 @@ let size t = Dense_map.size t.objs
    preallocated [fn] costs no minor-heap words. *)
 let iter t fn = Dense_map.iter t.objs fn
 let clear t = Dense_map.clear t.objs
+
+(* Values are shared: the store replaces an object's [data], it never
+   writes into it. *)
+let copy t =
+  let c = create ~node:t.node in
+  iter t (fun obj -> install c { obj with Obj.key = obj.Obj.key });
+  c

@@ -19,3 +19,7 @@ val iter : t -> (Obj.t -> unit) -> unit
 
 val clear : t -> unit
 (** Drop every object (a fresh incarnation's empty table). *)
+
+val copy : t -> t
+(** An independent table with a copy of every object: mutating either
+    side's objects leaves the other's unchanged. *)

@@ -24,7 +24,6 @@ val level : unit -> level
 val enabled : level -> bool
 (** Guard for log statements whose arguments are expensive to compute. *)
 
-val logf : level -> ?src:string -> ('a, out_channel, unit) format -> 'a
 val warnf : ?src:string -> ('a, out_channel, unit) format -> 'a
 val infof : ?src:string -> ('a, out_channel, unit) format -> 'a
 val debugf : ?src:string -> ('a, out_channel, unit) format -> 'a

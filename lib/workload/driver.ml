@@ -14,10 +14,6 @@ type result = {
   lat_p99_us : float;
 }
 
-let pp_result ppf r =
-  Format.fprintf ppf "%.3f Mtps (%d committed, %d aborted, %.1f%% aborts, p50 %.1fus, p99 %.1fus)"
-    r.mtps r.committed r.aborted (100.0 *. r.abort_rate) r.lat_p50_us r.lat_p99_us
-
 let measure engine ~nodes ~threads ~warmup_us ~duration_us issue =
   let start = Engine.now engine +. warmup_us in
   let stop = start +. duration_us in

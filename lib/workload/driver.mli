@@ -21,8 +21,6 @@ type result = {
   lat_p99_us : float;
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 val run :
   Zeus_core.Cluster.t ->
   ?nodes:int list ->

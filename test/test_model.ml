@@ -7,6 +7,7 @@ module H = Zeus_model.Core_harness
 module O = H.Ownership
 module OC = Zeus_ownership.Core
 module OM = Zeus_ownership.Messages
+module ODir = Zeus_ownership.Directory
 
 let tc = Helpers.tc
 
@@ -153,9 +154,28 @@ let net_key_ignores_sharing () =
     (O.key O.default_config (world (msgs shared shared)))
     (O.key O.default_config (world (msgs (fresh ()) (fresh ()))))
 
+(* A scripted handover: node 3, a non-replica, acquires key 0 over a
+   fault-free net.  The agent's store code, run on node 3's table, installs
+   a valid owner copy at the timestamp the directory granted. *)
+let scripted_handover () =
+  let open Zeus_store in
+  let w = O.init_world O.default_config in
+  O.issue w 3;
+  let rec drain () = match O.net w with m :: _ -> O.take w m; drain () | [] -> () in
+  drain ();
+  let entry = Option.get (ODir.find (OC.directory (O.core w 0)) 0) in
+  Alcotest.(check (option int)) "directory names n3" (Some 3)
+    entry.ODir.replicas.Replicas.owner;
+  let obj = Option.get (Table.find (O.table w 3) 0) in
+  Alcotest.(check bool) "valid owner" true
+    (Obj.is_owner obj && obj.Obj.o_state = Types.O_valid);
+  Alcotest.(check bool) "at the granted o_ts" true
+    (Ots.equal obj.Obj.o_ts entry.ODir.o_ts && Ots.compare entry.ODir.o_ts Ots.zero > 0)
+
 let suite =
   List.map (fun sc -> tc (test_name sc) (run_row sc)) H.scenarios
   @ [
+      tc "ownership: a scripted handover installs the owner copy" scripted_handover;
       tc "ownership: normalize drops only no-op NACKs" nack_reduction_is_sound;
       tc "ownership: net key ignores physical sharing" net_key_ignores_sharing;
       tc "explorer: trace rebuilt from digests" explorer_rebuilds_trace;

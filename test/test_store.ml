@@ -110,6 +110,20 @@ let table_basics () =
   Table.remove t 1;
   check Alcotest.bool "removed" false (Table.mem t 1)
 
+(* A copy owns its objects and its key set, dense and spilled keys alike. *)
+let table_copy () =
+  let keys = [ 3; -1; Dense_map.max_dense + 7 ] in
+  let t = Table.create ~node:2 in
+  List.iter (fun key -> Table.install t (Obj.create ~key ~role:Types.Reader Value.empty)) keys;
+  let c = Table.copy t in
+  List.iter (fun key -> (Table.get c key).Obj.t_version <- 9) keys;
+  Table.remove c 3;
+  Table.install c (Obj.create ~key:4 ~role:Types.Owner Value.empty);
+  check Alcotest.int "copy's node" 2 (Table.node c);
+  check Alcotest.(list int) "original versions" [ 0; 0; 0 ]
+    (List.map (fun key -> (Table.get t key).Obj.t_version) keys);
+  check Alcotest.(list bool) "original key set" [ true; false ] [ Table.mem t 3; Table.mem t 4 ]
+
 (* ---------- dense map: model test against a Hashtbl ---------- *)
 
 (* Both per-key structures built on [Dense_map] — the object table and the
@@ -366,6 +380,7 @@ let suite =
     tc "obj: thread locking rules" obj_lock_rules;
     tc "obj: pipeline switching guard (§5.2)" obj_pipeline_guard;
     tc "table: basics" table_basics;
+    tc "table: a copy owns its objects" table_copy;
     QCheck_alcotest.to_alcotest
       (dense_map_qcheck "dense map: Table agrees with a Hashtbl" table_impl);
     QCheck_alcotest.to_alcotest
