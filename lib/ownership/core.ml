@@ -991,7 +991,10 @@ let view_change c ~view_epoch ~(vlive : bool array) =
   let alive n = vlive.(n) in
   Directory.drop_dead st.directory ~live:alive;
   c.emit (Drop_dead_replicas { live = Array.copy vlive });
-  let stale = Hashtbl.fold (fun seq _ acc -> seq :: acc) st.outstanding [] in
+  (* Open requests fail in ascending seq order, whatever the table layout. *)
+  let stale =
+    List.sort Int.compare (Hashtbl.fold (fun seq _ acc -> seq :: acc) st.outstanding [])
+  in
   List.iter
     (fun seq ->
       match Hashtbl.find_opt st.outstanding seq with
