@@ -372,7 +372,7 @@ module Ownership = struct
 
   let fire w i token kind =
     w.timers <- List.filter (fun (n, tok, _) -> not (n = i && tok = token)) w.timers;
-    let facts = OA.timer_facts (Nodes.table w.nodes i) kind in
+    let facts = OA.timer_facts (Nodes.core w.nodes i) (Nodes.table w.nodes i) kind in
     feed w i (OC.Timer_fire { token; kind; facts; env = env w i })
 
   (* Drop state that can no longer influence behaviour, keeping the world

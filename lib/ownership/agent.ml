@@ -6,6 +6,8 @@
    transport sends, engine timers, store updates, telemetry, and the
    caller's continuation.  Closures never enter the core — continuations
    are keyed by request seq, timers and spans by core-allocated tokens.
+   Seqs and tokens only grow, so continuations and armed timers sit in
+   {!Zeus_store.Window}s, whose absent cells are constant sentinels.
 
    The unblock / timer / span maps deliberately survive {!reset}: the
    pre-split agent's closures outlived a fresh-incarnation reset (stale
@@ -36,6 +38,9 @@ type observer = {
 
 let default_config = Core.default_config
 
+(* The absent continuation of [unblocks], compared with [==]. *)
+let no_unblock : (unit, nack_reason) result -> unit = fun _ -> ()
+
 type t = {
   core : Core.state;
   node : Types.node_id;
@@ -44,8 +49,8 @@ type t = {
   membership : Service.t;
   transport : Transport.t;
   engine : Engine.t;
-  unblocks : (int, (unit, nack_reason) result -> unit) Hashtbl.t;
-  timers : (int, Engine.event_id) Hashtbl.t;
+  unblocks : ((unit, nack_reason) result -> unit) Window.t;  (* by request seq *)
+  timers : Engine.event_id Window.t;  (* by timer token *)
   spans : (int, Tspan.span) Hashtbl.t;
   mutable span_parent : Tspan.span;
       (* parent for the span the in-flight [Api_request] starts *)
@@ -137,9 +142,14 @@ let facts core table ?busy payload =
     | None -> Core.no_facts)
   | _ -> Core.no_facts
 
-let timer_facts table = function
-  | Core.T_replay { key; _ } ->
-    { Core.no_facts with Core.f_snapshot = snapshot table key }
+(* The core reads a replay timer's snapshot only while the arbitration it
+   was armed for is still pending. *)
+let timer_facts core table = function
+  | Core.T_replay { key; o_ts } -> (
+    match Core.pending_ts core key with
+    | Some ts when Ots.equal ts o_ts ->
+      { Core.no_facts with Core.f_snapshot = snapshot table key }
+    | Some _ | None -> Core.no_facts)
   | Core.T_timeout _ | Core.T_cleanup _ -> Core.no_facts
 
 (* A request validated at this node: demote, trim or update the local
@@ -282,18 +292,17 @@ let rec exec_eff t (e : Core.eff) =
   | Core.Set_timer { token; after; kind } ->
     let ev =
       Engine.schedule t.engine ~after (fun () ->
-          Hashtbl.remove t.timers token;
+          Window.remove t.timers token;
           feed t
             (Core.Timer_fire
-               { token; kind; facts = timer_facts t.table kind; env = env t }))
+               { token; kind; facts = timer_facts t.core t.table kind; env = env t }))
     in
-    Hashtbl.replace t.timers token ev
-  | Core.Cancel_timer token -> (
-    match Hashtbl.find_opt t.timers token with
-    | Some ev ->
-      Engine.cancel t.engine ev;
-      Hashtbl.remove t.timers token
-    | None -> ())
+    Window.set t.timers token ev
+  | Core.Cancel_timer token ->
+    if Window.mem t.timers token then begin
+      Engine.cancel t.engine (Window.find t.timers token);
+      Window.remove t.timers token
+    end
   | Core.Apply_arbiter _ | Core.Apply_requester _ | Core.Set_o_state _
   | Core.Restore_request_state _ | Core.Drop_dead_replicas _ ->
     apply_store t.table e
@@ -305,24 +314,30 @@ let rec exec_eff t (e : Core.eff) =
     match t.observer with
     | Some o -> o.on_owner_change ~key ~owner
     | None -> ())
-  | Core.Unblock { seq; result } -> (
-    match Hashtbl.find_opt t.unblocks seq with
-    | Some k ->
-      Hashtbl.remove t.unblocks seq;
+  | Core.Unblock { seq; result } ->
+    let k = Window.find t.unblocks seq in
+    if k != no_unblock then begin
+      Window.remove t.unblocks seq;
       k result
-    | None -> ())
+    end
   | Core.Telemetry tele -> exec_telemetry t tele
+
+and exec_all t = function
+  | [] -> ()
+  | e :: rest ->
+    exec_eff t e;
+    exec_all t rest
 
 and feed t input =
   let _, effs = Core.handle ~dir:t.dir_nodes_of t.core input in
   (match t.io_tap with Some tap -> tap input effs | None -> ());
-  List.iter (exec_eff t) effs
+  exec_all t effs
 
 (* ---------- public API ---------------------------------------------------- *)
 
 let request ?(parent = Tspan.null_span) t ~key ~kind ~k =
   let seq = Core.next_seq t.core in
-  Hashtbl.replace t.unblocks seq k;
+  Window.set t.unblocks seq k;
   t.span_parent <- parent;
   feed t
     (Core.Api_request
@@ -371,8 +386,8 @@ let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~mem
       membership;
       transport;
       engine;
-      unblocks = Hashtbl.create 64;
-      timers = Hashtbl.create 64;
+      unblocks = Window.create ~dummy:no_unblock;
+      timers = Window.create ~dummy:Engine.no_event;
       spans = Hashtbl.create 64;
       span_parent = Tspan.null_span;
       latency = Stats.Samples.create (Engine.fork_rng engine);

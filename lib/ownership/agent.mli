@@ -123,7 +123,10 @@ val facts :
     {!Obj.busy} of the held copy: the model checker's injected branch.
     The agent never passes it. *)
 
-val timer_facts : Table.t -> Core.timer_kind -> Core.facts
+val timer_facts : Core.state -> Table.t -> Core.timer_kind -> Core.facts
+(** The store facts a timer fire needs: a replay timer's snapshot of the
+    held copy, taken only while the core still holds the arbitration the
+    timer was armed for pending (otherwise the core ignores it). *)
 
 val apply_store : Table.t -> Core.eff -> unit
 (** Applies a store effect ([Apply_arbiter], [Apply_requester],

@@ -1,9 +1,9 @@
 (* Sans-I/O core of the ownership protocol (§4).
 
    Every protocol decision lives here as a pure state machine:
-   [handle st input] mutates [st] (hashtables and counters only — no
-   closures, no engine handles, no sockets) and returns the ordered list
-   of effects the surrounding runtime must execute.  The simulator agent
+   [handle st input] mutates [st] (int-indexed tables and counters — no
+   engine handles, no sockets, no continuations) and returns the ordered
+   list of effects the surrounding runtime must execute.  The simulator agent
    ({!Agent}), the model-checking harness ({!Zeus_model.Core_harness}) and
    input-log replay all drive this same code.
 
@@ -130,24 +130,36 @@ type input =
 
 (* ---------- state -------------------------------------------------------- *)
 
+(* Every table is int-indexed: open requests sit in a {!Window} by request
+   seq (seqs only grow), pending side-buffers and replays in a
+   {!Dense_map} by key, and the recovery gate in an array by node.  Ack
+   sets are bitmasks over node ids, and absent entries are the constant
+   sentinels below, tested with [==], so a steady-state input does no
+   hashing and allocates no [Some] to look anything up. *)
+
 type outstanding = {
   o_req_id : request_id;
   o_key : Types.key;
   o_kind : kind;
   started : float;
-  mutable acks : Types.node_id list;
-  mutable proto : (Ots.t * Replicas.t * Types.node_id list) option;
+  mutable acks : int;  (** bit [n] set once node [n] ACKed *)
+  mutable has_proto : bool;
+      (** an ACK arrived: [p_o_ts], [p_replicas] and [p_arbiters] hold the
+          proposal of the latest [o_ts] seen *)
+  mutable p_o_ts : Ots.t;
+  mutable p_replicas : Replicas.t;
+  mutable p_arbiters : Types.node_id list;
   mutable data : data_snapshot option;
   mutable live_req : bool;
       (** caller not yet unblocked (the old agent's [unblock <> None]) *)
-  mutable timer : int option;  (** armed timeout token *)
+  mutable timer : int;  (** armed timeout token, [-1] when none *)
   o_span : int;  (** span token, [-1] when tracing was off at request time *)
 }
 
 type replay = {
   r_pending : Directory.pending;
   r_key : Types.key;
-  mutable r_acks : Types.node_id list;
+  mutable r_acks : int;  (** bitmask, as [acks] *)
   mutable r_data : data_snapshot option;
 }
 
@@ -155,43 +167,88 @@ type state = {
   config : config;
   self : Types.node_id;
   directory : Directory.t;
-  side_pending : (Types.key, Directory.pending) Hashtbl.t;
-  outstanding : (int, outstanding) Hashtbl.t;
-  replays : (Types.key, replay) Hashtbl.t;
+  side_pending : Directory.pending Dense_map.t;
+  outstanding : outstanding Window.t;  (** by request seq *)
+  replays : replay Dense_map.t;
   mutable req_seq : int;
   mutable rr : int;
   mutable gate_epoch : int;
-  gate_waiting : (Types.node_id, unit) Hashtbl.t;
+  mutable gate_waiting : bool array;  (** by node *)
+  mutable gate_count : int;  (** [true] cells of [gate_waiting] *)
   mutable prev_live : bool array;
   mutable token_seq : int;  (** timer + span token allocator *)
+  timeout_after : float;
+  cleanup_after : float;
+  replay_after : float;
+      (** the timer delays, boxed once here rather than on every [Set_timer] *)
+  mutable env : env;  (** of the input being handled *)
+  mutable dir : Types.key -> Types.node_id list;
+      (** of the input being handled; [no_dir] between inputs *)
+  mutable out : eff array;  (** its effects so far: the first [n_out] *)
+  mutable n_out : int;
 }
 
+let no_replicas = { Replicas.owner = None; readers = [] }
+let no_req_id = { origin = -1; seq = -1 }
+
+let no_outstanding =
+  {
+    o_req_id = no_req_id;
+    o_key = -1;
+    o_kind = Acquire;
+    started = 0.0;
+    acks = 0;
+    has_proto = false;
+    p_o_ts = Ots.zero;
+    p_replicas = no_replicas;
+    p_arbiters = [];
+    data = None;
+    live_req = false;
+    timer = -1;
+    o_span = -1;
+  }
+
+let no_env =
+  { now = 0.0; epoch = 0; live = [||]; self_alive = true; trace_on = false }
+
+let no_dir (_ : Types.key) : Types.node_id list = []
+let out_capacity = 16
+
 let create ?(config = default_config) ~self ~nodes () =
+  if nodes >= Sys.int_size then invalid_arg "Ownership.Core.create: ack bitmasks hold 62 nodes";
   {
     config;
     self;
     directory = Directory.create ~node:self;
-    side_pending = Hashtbl.create 64;
-    outstanding = Hashtbl.create 64;
-    replays = Hashtbl.create 16;
+    side_pending = Dense_map.create ();
+    outstanding = Window.create ~dummy:no_outstanding;
+    replays = Dense_map.create ();
     req_seq = 0;
     rr = self;
     gate_epoch = -1;
-    gate_waiting = Hashtbl.create 8;
+    gate_waiting = Array.make nodes false;
+    gate_count = 0;
     prev_live = Array.make nodes true;
     token_seq = 0;
+    timeout_after = config.request_timeout_us;
+    cleanup_after = 4.0 *. config.request_timeout_us;
+    replay_after = config.replay_after_us;
+    env = no_env;
+    dir = no_dir;
+    out = Array.make out_capacity Flush;
+    n_out = 0;
   }
 
 let directory st = st.directory
 let next_seq st = st.req_seq
 
-let has_replay st key = Hashtbl.mem st.replays key
+let has_replay st key = Dense_map.mem st.replays key
 
 let pending_ts st key =
   let p =
     match Directory.find st.directory key with
     | Some e -> e.Directory.pending
-    | None -> Hashtbl.find_opt st.side_pending key
+    | None -> Dense_map.find st.side_pending key
   in
   Option.map (fun (p : Directory.pending) -> p.Directory.o_ts) p
 
@@ -201,95 +258,187 @@ let handles_payload = function
     true
   | _ -> false
 
-(* ---------- per-input context -------------------------------------------- *)
+(* Effects go to a buffer kept in the state and leave as one list built
+   back to front, so an input allocates one cons per effect; the buffer is
+   cleared behind, leaving no effect reachable from the long-lived state. *)
+let emit st e =
+  if st.n_out = Array.length st.out then begin
+    let out = Array.make (2 * st.n_out) Flush in
+    Array.blit st.out 0 out 0 st.n_out;
+    st.out <- out
+  end;
+  st.out.(st.n_out) <- e;
+  st.n_out <- st.n_out + 1
 
-type ctx = {
-  st : state;
-  env : env;
-  dir : Types.key -> Types.node_id list;
-  emit : eff -> unit;
-}
+let take_effects st =
+  let rec build i acc =
+    if i < 0 then acc
+    else begin
+      let e = st.out.(i) in
+      st.out.(i) <- Flush;
+      build (i - 1) (e :: acc)
+    end
+  in
+  let effs = build (st.n_out - 1) [] in
+  st.n_out <- 0;
+  effs
 
-let live c n = c.env.live.(n)
+let live st n = st.env.live.(n)
+let bit (n : Types.node_id) = 1 lsl n
 
-(* First occurrence of each node, in order. *)
-let dedup nodes =
-  List.rev
-    (List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [] nodes)
+let is_self st = function Some n -> n = st.self | None -> false
+let is_some = function Some _ -> true | None -> false
 
-let is_dir_for c key = List.mem c.st.self (c.dir key)
+(* Node lists are short; these walk them without closures or polymorphic
+   comparison. *)
+let rec mem_node (n : Types.node_id) = function
+  | [] -> false
+  | m :: rest -> m = n || mem_node n rest
 
-let dir_entry c key =
-  if is_dir_for c key then Directory.find c.st.directory key else None
+let rec mem_live live (n : Types.node_id) = function
+  | [] -> false
+  | m :: rest -> (m = n && live.(m)) || mem_live live n rest
 
-let find_pending c key =
-  match dir_entry c key with
+let rec all_live live = function [] -> true | n :: rest -> live.(n) && all_live live rest
+
+(* [Replicas.drop_dead] under the input's view, without building a
+   closure while everyone is live (it then returns its argument too). *)
+let drop_dead st (r : Replicas.t) =
+  let live = st.env.live in
+  if (match r.Replicas.owner with Some o -> live.(o) | None -> true)
+     && all_live live r.Replicas.readers
+  then r
+  else Replicas.drop_dead r ~live:(fun n -> live.(n))
+
+let is_dir_for st key = mem_node st.self (st.dir key)
+
+let dir_entry st key =
+  if is_dir_for st key then Directory.find st.directory key else None
+
+let find_pending st key =
+  match dir_entry st key with
   | Some e -> e.Directory.pending
-  | None -> Hashtbl.find_opt c.st.side_pending key
+  | None -> Dense_map.find st.side_pending key
 
-let applied_ts c key ~facts =
-  match dir_entry c key with Some e -> e.Directory.o_ts | None -> facts.f_o_ts
+let applied_ts st key ~facts =
+  match dir_entry st key with Some e -> e.Directory.o_ts | None -> facts.f_o_ts
 
 let fresh_token st =
   let tok = st.token_seq in
   st.token_seq <- tok + 1;
   tok
 
+(* ---------- request routing ---------------------------------------------- *)
+
+(* The [i]-th live node of [dirs] other than [skip], counting from 0. *)
+let rec nth_live live ~skip i = function
+  | [] -> invalid_arg "Ownership.Core.nth_live"
+  | d :: rest ->
+    if live.(d) && d <> skip then if i = 0 then d else nth_live live ~skip (i - 1) rest
+    else nth_live live ~skip i rest
+
+let rec count_live live ~skip = function
+  | [] -> 0
+  | d :: rest -> (if live.(d) && d <> skip then 1 else 0) + count_live live ~skip rest
+
+let pick_driver ~live ~self ~rr dirs =
+  let others = count_live live ~skip:self dirs in
+  if others > 0 then nth_live live ~skip:self (rr mod others) dirs
+  else nth_live live ~skip:(-1) (rr mod count_live live ~skip:(-1) dirs) dirs
+
+(* [d] occurs in [l] before the cell [stop]. *)
+let rec occurs_before (d : Types.node_id) stop l =
+  if l == stop then false
+  else match l with [] -> false | m :: rest -> m = d || occurs_before d stop rest
+
+(* An extra arbiter counts unless absent ([-1]), the requester, already
+   listed before it, or a live directory node. *)
+let keep_extra live dirs ~requester n ~after1 ~after2 =
+  n >= 0 && n <> requester && n <> after1 && n <> after2 && not (mem_live live n dirs)
+
+(* The live directory nodes in order, first occurrences only, without the
+   requester, followed by [extras]. *)
+let rec arbiters_from live dirs ~requester extras = function
+  | [] -> extras
+  | d :: rest as l ->
+    if live.(d) && d <> requester && not (occurs_before d l dirs) then
+      d :: arbiters_from live dirs ~requester extras rest
+    else arbiters_from live dirs ~requester extras rest
+
+let arbiters ~live ~dirs ~owner ~data_from ~kind ~requester =
+  let owner = match owner with Some o when live.(o) -> o | _ -> -1 in
+  let source = match data_from with Some n -> n | None -> -1 in
+  let trimmed = match kind with Remove_reader r when live.(r) -> r | _ -> -1 in
+  let extras =
+    if keep_extra live dirs ~requester trimmed ~after1:owner ~after2:source then [ trimmed ]
+    else []
+  in
+  let extras =
+    if keep_extra live dirs ~requester source ~after1:owner ~after2:(-1) then source :: extras
+    else extras
+  in
+  let extras =
+    if keep_extra live dirs ~requester owner ~after1:(-1) ~after2:(-1) then owner :: extras
+    else extras
+  in
+  arbiters_from live dirs ~requester extras dirs
+
 (* ---------- arbiter-side apply ------------------------------------------- *)
 
-let apply_pending_here c key (p : Directory.pending) =
-  let st = c.st in
-  let replicas = Replicas.drop_dead p.Directory.new_replicas ~live:(live c) in
-  (match dir_entry c key with
+let apply_pending_here st key (p : Directory.pending) =
+  let replicas = drop_dead st p.Directory.new_replicas in
+  (match dir_entry st key with
   | Some e ->
     Directory.apply_pending e;
     e.Directory.replicas <- replicas
   | None ->
-    if is_dir_for c key then begin
+    if is_dir_for st key then begin
       Directory.register st.directory key replicas;
       match Directory.find st.directory key with
       | Some e -> e.Directory.o_ts <- p.Directory.o_ts
       | None -> ()
     end;
-    Hashtbl.remove st.side_pending key);
-  Hashtbl.remove st.replays key;
-  c.emit (Set_o_state { key; o_state = Types.O_valid });
+    Dense_map.remove st.side_pending key);
+  Dense_map.remove st.replays key;
+  emit st (Set_o_state { key; o_state = Types.O_valid });
   (match p.Directory.kind with
-  | Acquire ->
-    c.emit (Notify_owner_change { key; owner = p.Directory.requester })
+  | Acquire -> emit st (Notify_owner_change { key; owner = p.Directory.requester })
   | Add_reader | Remove_reader _ -> ());
   if p.Directory.requester <> st.self then
-    c.emit
-      (Apply_arbiter
-         { key; kind = p.Directory.kind; o_ts = p.Directory.o_ts; replicas })
+    emit st
+      (Apply_arbiter { key; kind = p.Directory.kind; o_ts = p.Directory.o_ts; replicas })
+
+(* One [payload] to each node of the list other than this one (and, with
+   [only_live], each live one). *)
+let rec send_each st ~size ~only_live payload = function
+  | [] -> ()
+  | a :: rest ->
+    if a <> st.self && ((not only_live) || live st a) then
+      emit st (Send { dst = a; size; payload });
+    send_each st ~size ~only_live payload rest
+
+let send_vals st ~key ~o_ts ~only_live arbiters =
+  send_each st ~size:48 ~only_live (O_val { key; o_ts; epoch = st.env.epoch }) arbiters
 
 (* ---------- arb-replay (§4.1) -------------------------------------------- *)
 
-let finish_replay_driverside c r =
-  let st = c.st in
+let finish_replay_driverside st r =
   let p = r.r_pending in
-  apply_pending_here c r.r_key p;
-  List.iter
-    (fun a ->
-      if a <> st.self && live c a then
-        c.emit
-          (Send
-             {
-               dst = a;
-               size = 48;
-               payload =
-                 O_val { key = r.r_key; o_ts = p.Directory.o_ts; epoch = c.env.epoch };
-             }))
-    p.Directory.arbiters;
-  Hashtbl.remove st.replays r.r_key
+  apply_pending_here st r.r_key p;
+  send_vals st ~key:r.r_key ~o_ts:p.Directory.o_ts ~only_live:true p.Directory.arbiters;
+  Dense_map.remove st.replays r.r_key
 
-let replay_check_complete c ~snap r =
+(* Every live arbiter ACKed. *)
+let rec live_acked st acks = function
+  | [] -> true
+  | a :: rest -> ((not (live st a)) || acks land bit a <> 0) && live_acked st acks rest
+
+let replay_check_complete st ~snap r =
   let p = r.r_pending in
-  let needed = List.filter (fun a -> live c a) p.Directory.arbiters in
-  if List.for_all (fun a -> List.mem a r.r_acks) needed then begin
-    if r.r_data = None then r.r_data <- snap;
-    if live c p.Directory.requester then
-      c.emit
+  if live_acked st r.r_acks p.Directory.arbiters then begin
+    (match r.r_data with None -> r.r_data <- snap | Some _ -> ());
+    if live st p.Directory.requester then
+      emit st
         (Send
            {
              dst = p.Directory.requester;
@@ -304,199 +453,169 @@ let replay_check_complete c ~snap r =
                    new_replicas = p.Directory.new_replicas;
                    arbiters = p.Directory.arbiters;
                    data = r.r_data;
-                   epoch = c.env.epoch;
+                   epoch = st.env.epoch;
                  };
            })
-    else finish_replay_driverside c r
+    else finish_replay_driverside st r
   end
 
-let start_replay c ~snap key (p : Directory.pending) =
-  let st = c.st in
-  if not (Hashtbl.mem st.replays key) then begin
-    c.emit (Telemetry (Count C_replays));
+(* The first live arbiter other than the requester that holds a replica. *)
+let rec replay_source st (p : Directory.pending) = function
+  | [] -> None
+  | a :: rest ->
+    if live st a && Replicas.is_replica p.Directory.new_replicas a
+       && a <> p.Directory.requester
+    then Some a
+    else replay_source st p rest
+
+let start_replay st ~snap key (p : Directory.pending) =
+  if not (Dense_map.mem st.replays key) then begin
+    emit st (Telemetry (Count C_replays));
     let p =
       match p.Directory.data_from with
-      | Some src when not (live c src) ->
-        let candidates =
-          List.filter
-            (fun a ->
-              live c a
-              && Replicas.is_replica p.Directory.new_replicas a
-              && a <> p.Directory.requester)
-            p.Directory.arbiters
-        in
-        { p with
-          Directory.data_from =
-            (match candidates with cand :: _ -> Some cand | [] -> None) }
+      | Some src when not (live st src) ->
+        { p with Directory.data_from = replay_source st p p.Directory.arbiters }
       | _ -> p
     in
-    let r = { r_pending = p; r_key = key; r_acks = [ st.self ]; r_data = None } in
-    if p.Directory.data_from = Some st.self then r.r_data <- snap;
-    Hashtbl.replace st.replays key r;
-    let e = c.env.epoch in
-    List.iter
-      (fun a ->
-        if a <> st.self && live c a then
-          c.emit
-            (Send
-               {
-                 dst = a;
-                 size = 128;
-                 payload =
-                   O_inv
-                     {
-                       req_id = p.Directory.req_id;
-                       key;
-                       o_ts = p.Directory.o_ts;
-                       base_ts = p.Directory.base_ts;
-                       new_replicas = p.Directory.new_replicas;
-                       kind = p.Directory.kind;
-                       requester = p.Directory.requester;
-                       arbiters = p.Directory.arbiters;
-                       data_from = p.Directory.data_from;
-                       recovery = true;
-                       driver = st.self;
-                       epoch = e;
-                     };
-               }))
+    let r = { r_pending = p; r_key = key; r_acks = bit st.self; r_data = None } in
+    if is_self st p.Directory.data_from then r.r_data <- snap;
+    Dense_map.replace st.replays key r;
+    send_each st ~size:128 ~only_live:true
+      (O_inv
+         {
+           req_id = p.Directory.req_id;
+           key;
+           o_ts = p.Directory.o_ts;
+           base_ts = p.Directory.base_ts;
+           new_replicas = p.Directory.new_replicas;
+           kind = p.Directory.kind;
+           requester = p.Directory.requester;
+           arbiters = p.Directory.arbiters;
+           data_from = p.Directory.data_from;
+           recovery = true;
+           driver = st.self;
+           epoch = st.env.epoch;
+         })
       p.Directory.arbiters;
-    replay_check_complete c ~snap r
+    replay_check_complete st ~snap r
   end
 
-let arm_replay_check c key o_ts =
-  let tok = fresh_token c.st in
-  c.emit
-    (Set_timer
-       { token = tok; after = c.st.config.replay_after_us; kind = T_replay { key; o_ts } })
+let arm_replay_check st key o_ts =
+  let tok = fresh_token st in
+  emit st (Set_timer { token = tok; after = st.replay_after; kind = T_replay { key; o_ts } })
 
-let set_pending c key (p : Directory.pending) =
-  (match dir_entry c key with
+let set_pending st key (p : Directory.pending) =
+  (match dir_entry st key with
   | Some e -> Directory.set_pending e p
-  | None -> Hashtbl.replace c.st.side_pending key p);
-  c.emit (Set_o_state { key; o_state = Types.O_invalid });
-  arm_replay_check c key p.Directory.o_ts
+  | None -> Dense_map.replace st.side_pending key p);
+  emit st (Set_o_state { key; o_state = Types.O_invalid });
+  arm_replay_check st key p.Directory.o_ts
 
 (* ---------- requester ---------------------------------------------------- *)
 
-let finish_outstanding c o result =
-  (match o.timer with Some tok -> c.emit (Cancel_timer tok) | None -> ());
-  o.timer <- None;
+let finish_outstanding st o result =
+  if o.timer >= 0 then emit st (Cancel_timer o.timer);
+  o.timer <- -1;
   if o.o_span >= 0 then
-    c.emit
+    emit st
       (Telemetry
          (Span_finish
             {
               token = o.o_span;
-              outcome =
-                (match result with Ok () -> Granted | Error r -> Denied r);
+              outcome = (match result with Ok () -> Granted | Error r -> Denied r);
             }));
   if o.live_req then begin
     o.live_req <- false;
-    if Result.is_error result then c.emit (Restore_request_state o.o_key);
-    c.emit (Unblock { seq = o.o_req_id.seq; result })
+    if Result.is_error result then emit st (Restore_request_state o.o_key);
+    emit st (Unblock { seq = o.o_req_id.seq; result })
   end
 
 let missing_data ~kind ~data ~f_exists =
   (match kind with Acquire | Add_reader -> true | Remove_reader _ -> false)
-  && data = None
+  && (match data with None -> true | Some _ -> false)
   && not f_exists
 
-let requester_apply_and_val c ~key ~kind ~o_ts ~replicas ~arbiters ~data =
-  let st = c.st in
-  let replicas = Replicas.drop_dead replicas ~live:(live c) in
-  c.emit (Apply_requester { key; kind; o_ts; replicas; data });
-  (match dir_entry c key with
+let requester_apply_and_val st ~key ~kind ~o_ts ~replicas ~arbiters ~data =
+  let replicas = drop_dead st replicas in
+  emit st (Apply_requester { key; kind; o_ts; replicas; data });
+  (match dir_entry st key with
   | Some e ->
     e.Directory.o_ts <- o_ts;
     e.Directory.replicas <- replicas;
     Directory.clear_pending e
-  | None -> Hashtbl.remove st.side_pending key);
-  Hashtbl.remove st.replays key;
+  | None -> Dense_map.remove st.side_pending key);
+  Dense_map.remove st.replays key;
   (match kind with
-  | Acquire -> c.emit (Notify_owner_change { key; owner = st.self })
+  | Acquire -> emit st (Notify_owner_change { key; owner = st.self })
   | Add_reader | Remove_reader _ -> ());
-  let e = c.env.epoch in
-  List.iter
-    (fun a ->
-      if a <> st.self then
-        c.emit (Send { dst = a; size = 48; payload = O_val { key; o_ts; epoch = e } }))
-    arbiters
+  send_vals st ~key ~o_ts ~only_live:false arbiters
 
-let check_complete c o ~f_exists =
-  let st = c.st in
-  match o.proto with
-  | None -> ()
-  | Some (o_ts, replicas, arbiters) ->
-    if List.for_all (fun a -> a = st.self || List.mem a o.acks) arbiters then begin
-      Hashtbl.remove st.outstanding o.o_req_id.seq;
-      (if missing_data ~kind:o.o_kind ~data:o.data ~f_exists then
-         finish_outstanding c o (Error Unavailable)
-       else begin
-         requester_apply_and_val c ~key:o.o_key ~kind:o.o_kind ~o_ts ~replicas
-           ~arbiters ~data:o.data;
-         c.emit (Telemetry (Count C_won));
-         c.emit (Telemetry (Arb_latency (c.env.now -. o.started)));
-         finish_outstanding c o (Ok ())
-       end);
-      if o.o_span >= 0 then c.emit (Telemetry (Span_forget o.o_span))
-    end
+(* Every arbiter but this node ACKed. *)
+let rec all_acked ~self acks = function
+  | [] -> true
+  | a :: rest -> (a = self || acks land bit a <> 0) && all_acked ~self acks rest
 
-let api_request c ~key ~kind ~facts =
-  let st = c.st in
-  c.emit (Telemetry (Count C_started));
+let check_complete st o ~f_exists =
+  if o.has_proto && all_acked ~self:st.self o.acks o.p_arbiters then begin
+    Window.remove st.outstanding o.o_req_id.seq;
+    (if missing_data ~kind:o.o_kind ~data:o.data ~f_exists then
+       finish_outstanding st o (Error Unavailable)
+     else begin
+       requester_apply_and_val st ~key:o.o_key ~kind:o.o_kind ~o_ts:o.p_o_ts
+         ~replicas:o.p_replicas ~arbiters:o.p_arbiters ~data:o.data;
+       emit st (Telemetry (Count C_won));
+       emit st (Telemetry (Arb_latency (st.env.now -. o.started)));
+       finish_outstanding st o (Ok ())
+     end);
+    if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
+  end
+
+let api_request st ~key ~kind ~facts =
+  emit st (Telemetry (Count C_started));
   let seq = st.req_seq in
   st.req_seq <- seq + 1;
   let req_id = { origin = st.self; seq } in
-  let live_dirs = List.filter (fun d -> live c d) (c.dir key) in
-  match live_dirs with
-  | [] -> c.emit (Unblock { seq; result = Error Unavailable })
-  | _ ->
+  let dirs = st.dir key in
+  let live_dirs = count_live st.env.live ~skip:(-1) dirs in
+  if live_dirs = 0 then emit st (Unblock { seq; result = Error Unavailable })
+  else begin
     let driver =
-      if List.mem st.self live_dirs && dir_entry c key <> None then st.self
+      let self_live_dir = count_live st.env.live ~skip:st.self dirs < live_dirs in
+      if self_live_dir && is_some (dir_entry st key) then st.self
       else begin
-        let candidates =
-          match List.filter (fun d -> d <> st.self) live_dirs with
-          | [] -> live_dirs
-          | l -> l
-        in
         st.rr <- st.rr + 1;
-        List.nth candidates (st.rr mod List.length candidates)
+        pick_driver ~live:st.env.live ~self:st.self ~rr:st.rr dirs
       end
     in
     let span =
-      if c.env.trace_on then begin
+      if st.env.trace_on then begin
         let tok = fresh_token st in
-        c.emit (Telemetry (Span_start { token = tok; key; kind; driver }));
+        emit st (Telemetry (Span_start { token = tok; key; kind; driver }));
         tok
       end
       else -1
     in
-    let o =
+    let tok = fresh_token st in
+    Window.set st.outstanding seq
       {
         o_req_id = req_id;
         o_key = key;
         o_kind = kind;
-        started = c.env.now;
-        acks = [];
-        proto = None;
+        started = st.env.now;
+        acks = 0;
+        has_proto = false;
+        p_o_ts = Ots.zero;
+        p_replicas = no_replicas;
+        p_arbiters = [];
         data = None;
         live_req = true;
-        timer = None;
+        timer = tok;
         o_span = span;
-      }
-    in
-    Hashtbl.replace st.outstanding seq o;
-    c.emit (Set_o_state { key; o_state = Types.O_request });
-    let tok = fresh_token st in
-    o.timer <- Some tok;
-    c.emit
-      (Set_timer
-         {
-           token = tok;
-           after = st.config.request_timeout_us;
-           kind = T_timeout { seq; key; span };
-         });
-    c.emit
+      };
+    emit st (Set_o_state { key; o_state = Types.O_request });
+    emit st
+      (Set_timer { token = tok; after = st.timeout_after; kind = T_timeout { seq; key; span } });
+    emit st
       (Send
          {
            dst = driver;
@@ -509,17 +628,22 @@ let api_request c ~key ~kind ~facts =
                  kind;
                  requester = st.self;
                  requester_has_data = facts.f_exists;
-                 epoch = c.env.epoch;
+                 epoch = st.env.epoch;
                };
          });
-    c.emit Flush
+    emit st Flush
+  end
 
 (* ---------- driver (a directory node serving REQ) ------------------------ *)
 
-let nack c ~dst ~req_id ~key ?o_ts reason =
-  c.emit
+let nack st ~dst ~req_id ~key reason =
+  emit st
     (Send
-       { dst; size = 48; payload = O_nack { req_id; key; o_ts; reason; epoch = c.env.epoch } })
+       {
+         dst;
+         size = 48;
+         payload = O_nack { req_id; key; o_ts = None; reason; epoch = st.env.epoch };
+       })
 
 let compute_replicas replicas kind ~requester =
   match kind with
@@ -527,24 +651,55 @@ let compute_replicas replicas kind ~requester =
   | Add_reader -> Replicas.add_reader replicas requester
   | Remove_reader r -> Replicas.remove_reader replicas r
 
-let gate_active st = st.gate_epoch >= 0 && Hashtbl.length st.gate_waiting > 0
+let gate_active st = st.gate_epoch >= 0 && st.gate_count > 0
 
-let handle_req c ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
-  let st = c.st in
-  if not (is_dir_for c key) then ()
-  else (
-    c.emit (Telemetry (Count C_driven));
-    c.emit (Notify_request { key; kind; requester });
+(* An arbiter's ACK; the designated data source's carries its copy. *)
+let send_ack st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from =
+  if is_self st data_from then
+    emit st
+      (Send_ack_local_data
+         { dst; req_id; key; o_ts; new_replicas; arbiters; epoch = st.env.epoch })
+  else
+    emit st
+      (Send
+         {
+           dst;
+           size = 64;
+           payload =
+             O_ack
+               {
+                 req_id;
+                 key;
+                 o_ts;
+                 new_replicas;
+                 arbiters;
+                 sender = st.self;
+                 data = None;
+                 epoch = st.env.epoch;
+               };
+         })
+
+let rec first_live st = function
+  | [] -> None
+  | r :: rest -> if live st r then Some r else first_live st rest
+
+let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
+  if is_dir_for st key then begin
+    emit st (Telemetry (Count C_driven));
+    emit st (Notify_request { key; kind; requester });
     match Directory.find st.directory key with
-    | None -> nack c ~dst:requester ~req_id ~key Unknown_key
+    | None -> nack st ~dst:requester ~req_id ~key Unknown_key
     | Some entry ->
       let replicas = entry.Directory.replicas in
       let owner = replicas.Replicas.owner in
-      let owner_dead = match owner with Some o -> not (live c o) | None -> true in
-      if gate_active st && owner_dead then nack c ~dst:requester ~req_id ~key Recovering
-      else if entry.Directory.pending <> None then nack c ~dst:requester ~req_id ~key Busy
-      else if kind = Acquire && owner = Some requester then
-        c.emit
+      let owner_live = match owner with Some o -> live st o | None -> false in
+      if gate_active st && not owner_live then nack st ~dst:requester ~req_id ~key Recovering
+      else if is_some entry.Directory.pending then nack st ~dst:requester ~req_id ~key Busy
+      else if
+        (match kind with Acquire -> true | Add_reader | Remove_reader _ -> false)
+        && match owner with Some o -> o = requester | None -> false
+      then
+        emit st
           (Send
              {
                dst = requester;
@@ -559,7 +714,7 @@ let handle_req c ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
                      arbiters = [ st.self ];
                      sender = st.self;
                      data = None;
-                     epoch = c.env.epoch;
+                     epoch = st.env.epoch;
                    };
              })
       else begin
@@ -569,142 +724,65 @@ let handle_req c ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
         in
         let data_from =
           if not need_data then None
-          else
-            match owner with
-            | Some o when live c o -> Some o
-            | _ -> List.find_opt (fun r -> live c r) replicas.Replicas.readers
+          else if owner_live then owner
+          else first_live st replicas.Replicas.readers
         in
-        if need_data && data_from = None then
-          nack c ~dst:requester ~req_id ~key Unavailable
+        if need_data && not (is_some data_from) then nack st ~dst:requester ~req_id ~key Unavailable
         else begin
           let o_ts = Ots.next entry.Directory.o_ts ~node:st.self in
           let arbiters =
-            let extra =
-              (match owner with Some o when live c o -> [ o ] | _ -> [])
-              @ (match data_from with Some nd -> [ nd ] | None -> [])
-              @ (match kind with Remove_reader r when live c r -> [ r ] | _ -> [])
-            in
-            List.filter
-              (fun a -> a <> requester)
-              (dedup (List.filter (fun dn -> live c dn) (c.dir key) @ extra))
+            arbiters ~live:st.env.live ~dirs:(st.dir key) ~owner ~data_from ~kind ~requester
           in
-          if owner = Some st.self && facts.f_busy then
-            nack c ~dst:requester ~req_id ~key Busy
+          if is_self st owner && facts.f_busy then nack st ~dst:requester ~req_id ~key Busy
           else begin
-            let p =
+            let new_replicas = compute_replicas replicas kind ~requester in
+            set_pending st key
               {
                 Directory.req_id;
                 o_ts;
                 base_ts = entry.Directory.o_ts;
-                new_replicas = compute_replicas replicas kind ~requester;
+                new_replicas;
                 kind;
                 requester;
                 arbiters;
                 data_from;
                 driving = true;
-                born = c.env.now;
-              }
-            in
-            set_pending c key p;
-            let e = c.env.epoch in
-            List.iter
-              (fun a ->
-                if a <> st.self then
-                  c.emit
-                    (Send
-                       {
-                         dst = a;
-                         size = 128;
-                         payload =
-                           O_inv
-                             {
-                               req_id;
-                               key;
-                               o_ts;
-                               base_ts = p.Directory.base_ts;
-                               new_replicas = p.Directory.new_replicas;
-                               kind;
-                               requester;
-                               arbiters;
-                               data_from;
-                               recovery = false;
-                               driver = st.self;
-                               epoch = e;
-                             };
-                       }))
-              arbiters;
-            if data_from = Some st.self then
-              c.emit
-                (Send_ack_local_data
-                   {
-                     dst = requester;
-                     req_id;
-                     key;
-                     o_ts;
-                     new_replicas = p.Directory.new_replicas;
-                     arbiters;
-                     epoch = e;
-                   })
-            else
-              c.emit
-                (Send
-                   {
-                     dst = requester;
-                     size = 64;
-                     payload =
-                       O_ack
-                         {
-                           req_id;
-                           key;
-                           o_ts;
-                           new_replicas = p.Directory.new_replicas;
-                           arbiters;
-                           sender = st.self;
-                           data = None;
-                           epoch = e;
-                         };
-                   })
-          end
-        end
-      end)
-
-(* ---------- arbiter ------------------------------------------------------ *)
-
-let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
-    ~arbiters ~data_from ~recovery ~driver ~facts =
-  let st = c.st in
-  let reply_dst = if recovery then driver else requester in
-  let ack () =
-    if data_from = Some st.self then
-      c.emit
-        (Send_ack_local_data
-           { dst = reply_dst; req_id; key; o_ts; new_replicas; arbiters;
-             epoch = c.env.epoch })
-    else
-      c.emit
-        (Send
-           {
-             dst = reply_dst;
-             size = 64;
-             payload =
-               O_ack
+                born = st.env.now;
+              };
+            send_each st ~size:128 ~only_live:false
+              (O_inv
                  {
                    req_id;
                    key;
                    o_ts;
+                   base_ts = entry.Directory.o_ts;
                    new_replicas;
+                   kind;
+                   requester;
                    arbiters;
-                   sender = st.self;
-                   data = None;
-                   epoch = c.env.epoch;
-                 };
-           })
-  in
-  let applied = applied_ts c key ~facts in
-  let pend = find_pending c key in
-  if Ots.equal o_ts applied then ack ()
-  else if match pend with Some p -> Ots.equal p.Directory.o_ts o_ts | None -> false
-  then ack ()
+                   data_from;
+                   recovery = false;
+                   driver = st.self;
+                   epoch = st.env.epoch;
+                 })
+              arbiters;
+            send_ack st ~dst:requester ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from
+          end
+        end
+      end
+  end
+
+(* ---------- arbiter ------------------------------------------------------ *)
+
+let handle_inv st ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
+    ~arbiters ~data_from ~recovery ~driver ~facts =
+  let dst = if recovery then driver else requester in
+  let applied = applied_ts st key ~facts in
+  let pend = find_pending st key in
+  if Ots.equal o_ts applied
+     || match pend with Some p -> Ots.equal p.Directory.o_ts o_ts | None -> false
+  then
+    send_ack st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from
   else begin
     let beats_applied = Ots.(o_ts > applied) in
     let beats_pending =
@@ -713,8 +791,7 @@ let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
     if beats_applied && beats_pending then begin
       (match pend with
       | Some p when p.Directory.driving ->
-        nack c ~dst:p.Directory.requester ~req_id:p.Directory.req_id ~key
-          Lost_arbitration
+        nack st ~dst:p.Directory.requester ~req_id:p.Directory.req_id ~key Lost_arbitration
       | Some _ | None -> ());
       (* Track the store transforms an applied base-arbitration performs, so
          the busy decision below sees the post-apply store exactly as the
@@ -724,10 +801,10 @@ let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
       and f_busy = ref facts.f_busy in
       (match pend with
       | Some p when Ots.equal p.Directory.o_ts base_ts ->
-        apply_pending_here c key p;
+        apply_pending_here st key p;
         if p.Directory.requester <> st.self then begin
           match p.Directory.kind with
-          | Acquire -> if !f_is_owner then f_is_owner := false
+          | Acquire -> f_is_owner := false
           | Remove_reader r when r = st.self ->
             f_exists := false;
             f_is_owner := false;
@@ -740,9 +817,9 @@ let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
         && ((!f_exists && !f_is_owner)
            || match kind with Remove_reader r -> r = st.self | _ -> false)
       in
-      if busy_here then nack c ~dst:requester ~req_id ~key Busy
+      if busy_here then nack st ~dst:requester ~req_id ~key Busy
       else begin
-        set_pending c key
+        set_pending st key
           {
             Directory.req_id;
             o_ts;
@@ -753,101 +830,107 @@ let handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
             arbiters;
             data_from;
             driving = false;
-            born = c.env.now;
+            born = st.env.now;
           };
-        ack ()
+        send_ack st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from
       end
     end
   end
 
-let handle_val c ~key ~o_ts =
-  match find_pending c key with
-  | Some p when Ots.equal p.Directory.o_ts o_ts -> apply_pending_here c key p
+let handle_val st ~key ~o_ts =
+  match find_pending st key with
+  | Some p when Ots.equal p.Directory.o_ts o_ts -> apply_pending_here st key p
   | Some _ | None -> ()
 
 (* ---------- dispatch ------------------------------------------------------ *)
 
-let handle_ack c ~req_id ~key ~o_ts ~new_replicas ~arbiters ~sender ~data ~facts =
-  let st = c.st in
+let handle_ack st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~sender ~data ~facts =
   if req_id.origin = st.self then begin
-    match Hashtbl.find_opt st.outstanding req_id.seq with
-    | Some o ->
-      (match o.proto with
-      | None -> o.proto <- Some (o_ts, new_replicas, arbiters)
-      | Some (ts0, _, _) ->
-        if not (Ots.equal ts0 o_ts) then o.proto <- Some (o_ts, new_replicas, arbiters));
+    let o = Window.find st.outstanding req_id.seq in
+    if o != no_outstanding then begin
+      if not (o.has_proto && Ots.equal o.p_o_ts o_ts) then begin
+        o.has_proto <- true;
+        o.p_o_ts <- o_ts;
+        o.p_replicas <- new_replicas;
+        o.p_arbiters <- arbiters
+      end;
       (match data with Some _ -> o.data <- data | None -> ());
-      if not (List.mem sender o.acks) then o.acks <- sender :: o.acks;
-      check_complete c o ~f_exists:facts.f_exists
-    | None -> ()
+      o.acks <- o.acks lor bit sender;
+      check_complete st o ~f_exists:facts.f_exists
+    end
   end
   else begin
-    match Hashtbl.find_opt st.replays key with
+    match Dense_map.find st.replays key with
     | Some r when Ots.equal r.r_pending.Directory.o_ts o_ts ->
       (match data with Some _ -> r.r_data <- data | None -> ());
-      if not (List.mem sender r.r_acks) then r.r_acks <- sender :: r.r_acks;
-      replay_check_complete c ~snap:facts.f_snapshot r
+      r.r_acks <- r.r_acks lor bit sender;
+      replay_check_complete st ~snap:facts.f_snapshot r
     | Some _ | None -> ()
   end
 
-let handle_nack c ~req_id ~key ~o_ts ~reason =
-  ignore key;
-  ignore o_ts;
-  let st = c.st in
+let handle_nack st ~req_id ~reason =
   if req_id.origin = st.self then begin
-    match Hashtbl.find_opt st.outstanding req_id.seq with
-    | Some o ->
-      Hashtbl.remove st.outstanding req_id.seq;
-      c.emit (Telemetry (Count C_nacked));
-      finish_outstanding c o (Error reason);
-      if o.o_span >= 0 then c.emit (Telemetry (Span_forget o.o_span))
-    | None -> ()
+    let o = Window.find st.outstanding req_id.seq in
+    if o != no_outstanding then begin
+      Window.remove st.outstanding req_id.seq;
+      emit st (Telemetry (Count C_nacked));
+      finish_outstanding st o (Error reason);
+      if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
+    end
   end
 
-let handle_resp c ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
-  let st = c.st in
+let handle_resp st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
   (* A RESP with no data anywhere (no snapshot, no local copy) is dropped. *)
-  if not (missing_data ~kind:Acquire ~data ~f_exists:facts.f_exists) then
-    match Hashtbl.find_opt st.outstanding req_id.seq with
-    | Some o ->
-      Hashtbl.remove st.outstanding req_id.seq;
-      c.emit (Telemetry (Count C_won));
-      c.emit (Telemetry (Arb_latency (c.env.now -. o.started)));
-      requester_apply_and_val c ~key ~kind:o.o_kind ~o_ts ~replicas:new_replicas
+  if not (missing_data ~kind:Acquire ~data ~f_exists:facts.f_exists) then begin
+    let o = Window.find st.outstanding req_id.seq in
+    if o != no_outstanding then begin
+      Window.remove st.outstanding req_id.seq;
+      emit st (Telemetry (Count C_won));
+      emit st (Telemetry (Arb_latency (st.env.now -. o.started)));
+      requester_apply_and_val st ~key ~kind:o.o_kind ~o_ts ~replicas:new_replicas
         ~arbiters ~data;
-      finish_outstanding c o (Ok ());
-      if o.o_span >= 0 then c.emit (Telemetry (Span_forget o.o_span))
-    | None ->
-      let applied = applied_ts c key ~facts in
+      finish_outstanding st o (Ok ());
+      if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
+    end
+    else begin
+      let applied = applied_ts st key ~facts in
       let pend_matches =
-        match find_pending c key with
+        match find_pending st key with
         | Some p -> Ots.equal p.Directory.o_ts o_ts
         | None -> false
       in
       if Ots.(o_ts > applied) || pend_matches then
-        requester_apply_and_val c ~key ~kind:Acquire ~o_ts ~replicas:new_replicas
+        requester_apply_and_val st ~key ~kind:Acquire ~o_ts ~replicas:new_replicas
           ~arbiters ~data
-      else
-        let e = c.env.epoch in
-        List.iter
-          (fun a ->
-            if a <> st.self && live c a then
-              c.emit
-                (Send { dst = a; size = 48; payload = O_val { key; o_ts; epoch = e } }))
-          arbiters
+      else send_vals st ~key ~o_ts ~only_live:true arbiters
+    end
+  end
 
 let handle_recovery_done st ~sender ~msg_epoch =
   if msg_epoch = st.gate_epoch then begin
-    Hashtbl.remove st.gate_waiting sender;
-    if Hashtbl.length st.gate_waiting = 0 then st.gate_epoch <- -1
+    if sender >= 0 && sender < Array.length st.gate_waiting && st.gate_waiting.(sender)
+    then begin
+      st.gate_waiting.(sender) <- false;
+      st.gate_count <- st.gate_count - 1
+    end;
+    if st.gate_count = 0 then st.gate_epoch <- -1
   end
 
-let deliver c ~src ~facts payload =
-  let st = c.st in
-  let e = c.env.epoch in
+let rec seed_or_send st key payload ~size ~here = function
+  | [] -> ()
+  | dn :: rest ->
+    if dn = st.self then here st key
+    else if live st dn then emit st (Send { dst = dn; size; payload });
+    seed_or_send st key payload ~size ~here rest
+
+let seed_directory st key replicas =
+  if is_dir_for st key then Directory.register st.directory key replicas
+
+let deliver st ~facts payload =
+  let e = st.env.epoch in
   (match payload with
   | O_req { req_id; key; kind; requester; requester_has_data; epoch } ->
-    if epoch = e then handle_req c ~req_id ~key ~kind ~requester ~requester_has_data ~facts
+    if epoch = e then handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts
   | O_inv
       {
         req_id;
@@ -864,151 +947,118 @@ let deliver c ~src ~facts payload =
         epoch;
       } ->
     if epoch = e then
-      handle_inv c ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
+      handle_inv st ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
         ~arbiters ~data_from ~recovery ~driver ~facts
   | O_ack { req_id; key; o_ts; new_replicas; arbiters; sender; data; epoch } ->
     if epoch = e then
-      handle_ack c ~req_id ~key ~o_ts ~new_replicas ~arbiters ~sender ~data ~facts
-  | O_val { key; o_ts; epoch } -> if epoch = e then handle_val c ~key ~o_ts
-  | O_nack { req_id; key; o_ts; reason; epoch } ->
-    if epoch = e then handle_nack c ~req_id ~key ~o_ts ~reason
+      handle_ack st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~sender ~data ~facts
+  | O_val { key; o_ts; epoch } -> if epoch = e then handle_val st ~key ~o_ts
+  | O_nack { req_id; reason; epoch; _ } -> if epoch = e then handle_nack st ~req_id ~reason
   | O_resp { req_id; key; o_ts; new_replicas; arbiters; data; epoch } ->
-    if epoch = e then handle_resp c ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts
-  | O_recovery_done { node; epoch } ->
-    handle_recovery_done st ~sender:node ~msg_epoch:epoch;
-    ignore src
-  | O_register { key; replicas } ->
-    if is_dir_for c key then Directory.register st.directory key replicas
+    if epoch = e then handle_resp st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts
+  | O_recovery_done { node; epoch } -> handle_recovery_done st ~sender:node ~msg_epoch:epoch
+  | O_register { key; replicas } -> seed_directory st key replicas
   | O_forget { key } -> Directory.forget st.directory key
   | _ -> ());
-  c.emit Flush
+  emit st Flush
 
 (* ---------- timers ------------------------------------------------------- *)
 
-let timer_fire c ~facts kind =
-  let st = c.st in
+let timer_fire st ~facts kind =
   match kind with
   | T_replay { key; o_ts } ->
-    if c.env.self_alive then begin
-      match find_pending c key with
+    if st.env.self_alive then begin
+      match find_pending st key with
       | Some p when Ots.equal p.Directory.o_ts o_ts ->
-        Hashtbl.remove st.replays key;
-        start_replay c ~snap:facts.f_snapshot key p;
-        c.emit Flush;
-        arm_replay_check c key o_ts
+        Dense_map.remove st.replays key;
+        start_replay st ~snap:facts.f_snapshot key p;
+        emit st Flush;
+        arm_replay_check st key o_ts
       | Some _ | None -> ()
     end
-  | T_timeout { seq; key; span } -> begin
-    match Hashtbl.find_opt st.outstanding seq with
-    | Some o ->
-      o.timer <- None;
+  | T_timeout { seq; key; span } ->
+    let o = Window.find st.outstanding seq in
+    if o != no_outstanding then begin
+      o.timer <- -1;
       if o.live_req then begin
-        c.emit (Telemetry (Count C_timeout));
+        emit st (Telemetry (Count C_timeout));
         if o.o_span >= 0 then
-          c.emit (Telemetry (Span_finish { token = o.o_span; outcome = Timeout }));
-        finish_outstanding c o (Error Busy);
+          emit st (Telemetry (Span_finish { token = o.o_span; outcome = Timeout }));
+        finish_outstanding st o (Error Busy);
         (* Keep the record a while longer: a late win is still applied (the
            app's retry then finds it owns the object). *)
         let tok = fresh_token st in
-        c.emit
+        emit st
           (Set_timer
-             {
-               token = tok;
-               after = 4.0 *. st.config.request_timeout_us;
-               kind = T_cleanup { seq; span = o.o_span };
-             })
+             { token = tok; after = st.cleanup_after; kind = T_cleanup { seq; span = o.o_span } })
       end
-    | None ->
+    end
+    else begin
       (* A fresh-incarnation [Reset] wiped the record, but — exactly like
          the closure this timer replaces — the pre-crash caller must still
          be timed out and unblocked. *)
-      c.emit (Telemetry (Count C_timeout));
+      emit st (Telemetry (Count C_timeout));
       if span >= 0 then begin
-        c.emit (Telemetry (Span_finish { token = span; outcome = Timeout }));
-        c.emit (Telemetry (Span_finish { token = span; outcome = Denied Busy }))
+        emit st (Telemetry (Span_finish { token = span; outcome = Timeout }));
+        emit st (Telemetry (Span_finish { token = span; outcome = Denied Busy }))
       end;
-      c.emit (Restore_request_state key);
-      c.emit (Unblock { seq; result = Error Busy });
+      emit st (Restore_request_state key);
+      emit st (Unblock { seq; result = Error Busy });
       let tok = fresh_token st in
-      c.emit
-        (Set_timer
-           {
-             token = tok;
-             after = 4.0 *. st.config.request_timeout_us;
-             kind = T_cleanup { seq; span };
-           })
-  end
-  | T_cleanup { seq; span } -> begin
-    match Hashtbl.find_opt st.outstanding seq with
-    | Some o ->
-      Hashtbl.remove st.outstanding seq;
-      if o.o_span >= 0 then c.emit (Telemetry (Span_forget o.o_span))
-    | None -> if span >= 0 then c.emit (Telemetry (Span_forget span))
-  end
+      emit st
+        (Set_timer { token = tok; after = st.cleanup_after; kind = T_cleanup { seq; span } })
+    end
+  | T_cleanup { seq; span } ->
+    let o = Window.find st.outstanding seq in
+    if o != no_outstanding then begin
+      Window.remove st.outstanding seq;
+      if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
+    end
+    else if span >= 0 then emit st (Telemetry (Span_forget span))
 
 (* ---------- registration, recovery, membership --------------------------- *)
 
-let seed_directory c key replicas =
-  if is_dir_for c key then Directory.register c.st.directory key replicas
+let api_register st ~key ~replicas =
+  seed_or_send st key (O_register { key; replicas }) ~size:64
+    ~here:(fun st key -> seed_directory st key replicas)
+    (st.dir key)
 
-let api_register c ~key ~replicas =
-  List.iter
-    (fun dn ->
-      if dn = c.st.self then seed_directory c key replicas
-      else if live c dn then
-        c.emit (Send { dst = dn; size = 64; payload = O_register { key; replicas } }))
-    (c.dir key)
+let api_forget st ~key =
+  seed_or_send st key (O_forget { key }) ~size:48
+    ~here:(fun st key -> Directory.forget st.directory key)
+    (st.dir key)
 
-let api_forget c ~key =
-  List.iter
-    (fun dn ->
-      if dn = c.st.self then Directory.forget c.st.directory key
-      else if live c dn then
-        c.emit (Send { dst = dn; size = 48; payload = O_forget { key } }))
-    (c.dir key)
-
-let api_recovery_done c ~epoch:ep =
-  let st = c.st in
-  let live_list =
-    let acc = ref [] in
-    Array.iteri (fun i l -> if l then acc := i :: !acc) c.env.live;
-    List.rev !acc
-  in
-  List.iter
-    (fun dn ->
+let api_recovery_done st ~epoch:ep =
+  let live = st.env.live in
+  for dn = 0 to Array.length live - 1 do
+    if live.(dn) then
       if dn = st.self then handle_recovery_done st ~sender:st.self ~msg_epoch:ep
-      else if live c dn then
-        c.emit
-          (Send { dst = dn; size = 32; payload = O_recovery_done { node = st.self; epoch = ep } }))
-    live_list;
-  c.emit Flush
+      else
+        emit st
+          (Send
+             { dst = dn; size = 32; payload = O_recovery_done { node = st.self; epoch = ep } })
+  done;
+  emit st Flush
 
-let view_change c ~view_epoch ~(vlive : bool array) =
-  let st = c.st in
+let view_change st ~view_epoch ~(vlive : bool array) =
   let lost = ref false in
   Array.iteri (fun i was -> if was && not vlive.(i) then lost := true) st.prev_live;
   st.prev_live <- Array.copy vlive;
-  let alive n = vlive.(n) in
-  Directory.drop_dead st.directory ~live:alive;
-  c.emit (Drop_dead_replicas { live = Array.copy vlive });
-  (* Open requests fail in ascending seq order, whatever the table layout. *)
-  let stale =
-    List.sort Int.compare (Hashtbl.fold (fun seq _ acc -> seq :: acc) st.outstanding [])
-  in
-  List.iter
-    (fun seq ->
-      match Hashtbl.find_opt st.outstanding seq with
-      | Some o ->
-        Hashtbl.remove st.outstanding seq;
-        finish_outstanding c o (Error Busy);
-        if o.o_span >= 0 then c.emit (Telemetry (Span_forget o.o_span))
-      | None -> ())
-    stale;
-  Hashtbl.reset st.replays;
+  Directory.drop_dead st.directory ~live:(fun n -> vlive.(n));
+  emit st (Drop_dead_replicas { live = Array.copy vlive });
+  (* Every open request fails, in ascending seq order. *)
+  while Window.length st.outstanding > 0 do
+    let seq = Window.low st.outstanding in
+    let o = Window.find st.outstanding seq in
+    Window.remove st.outstanding seq;
+    finish_outstanding st o (Error Busy);
+    if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
+  done;
+  Dense_map.clear st.replays;
   if !lost then begin
     st.gate_epoch <- view_epoch;
-    Hashtbl.reset st.gate_waiting;
-    Array.iteri (fun n l -> if l then Hashtbl.replace st.gate_waiting n ()) vlive
+    st.gate_waiting <- Array.copy vlive;
+    st.gate_count <- Array.fold_left (fun n l -> if l then n + 1 else n) 0 vlive
   end;
   (* Replay checks are armed in ascending key order, so timer tokens and
      same-instant timer order depend on the pending set alone, not on
@@ -1018,69 +1068,57 @@ let view_change c ~view_epoch ~(vlive : bool array) =
       match e.Directory.pending with
       | Some p -> pendings := (e.Directory.key, p) :: !pendings
       | None -> ());
-  Hashtbl.iter (fun key p -> pendings := (key, p) :: !pendings) st.side_pending;
+  pendings := List.rev_append (List.rev (Dense_map.bindings st.side_pending)) !pendings;
   List.iter
-    (fun (key, (p : Directory.pending)) -> arm_replay_check c key p.Directory.o_ts)
-    (List.sort (fun (a, _) (b, _) -> compare (a : Types.key) b) !pendings)
+    (fun (key, (p : Directory.pending)) -> arm_replay_check st key p.Directory.o_ts)
+    (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !pendings)
 
 let reset st =
-  Hashtbl.reset st.side_pending;
-  Hashtbl.reset st.outstanding;
-  Hashtbl.reset st.replays;
-  Hashtbl.reset st.gate_waiting;
+  Dense_map.clear st.side_pending;
+  Window.clear st.outstanding;
+  Dense_map.clear st.replays;
+  Array.fill st.gate_waiting 0 (Array.length st.gate_waiting) false;
+  st.gate_count <- 0;
   st.gate_epoch <- -1;
   Directory.clear st.directory
 
 (* ---------- the one entry point ------------------------------------------ *)
 
-let no_env =
-  { now = 0.0; epoch = 0; live = [||]; self_alive = true; trace_on = false }
-
-let env_of = function
-  | Deliver { env; _ }
-  | Api_request { env; _ }
-  | Api_register { env; _ }
-  | Api_forget { env; _ }
-  | Api_recovery_done { env; _ }
-  | Timer_fire { env; _ }
-  | View_change { env; _ } ->
-    env
-  | Api_seed _ | Reset -> no_env
-
 let handle ~dir st input =
-  let acc = ref [] in
-  let emit e = acc := e :: !acc in
-  let c = { st; env = env_of input; dir; emit } in
+  st.dir <- dir;
   (match input with
-  | Deliver { src; payload; facts; _ } -> deliver c ~src ~facts payload
-  | Api_request { key; kind; facts; _ } -> api_request c ~key ~kind ~facts
-  | Api_register { key; replicas; _ } -> api_register c ~key ~replicas
-  | Api_forget { key; _ } -> api_forget c ~key
-  | Api_seed { key; replicas } -> seed_directory c key replicas
-  | Api_recovery_done { epoch; _ } -> api_recovery_done c ~epoch
-  | Timer_fire { kind; facts; _ } -> timer_fire c ~facts kind
-  | View_change { view_epoch; live; _ } -> view_change c ~view_epoch ~vlive:live
+  | Deliver { payload; facts; env; _ } ->
+    st.env <- env;
+    deliver st ~facts payload
+  | Api_request { key; kind; facts; env } ->
+    st.env <- env;
+    api_request st ~key ~kind ~facts
+  | Api_register { key; replicas; env } ->
+    st.env <- env;
+    api_register st ~key ~replicas
+  | Api_forget { key; env } ->
+    st.env <- env;
+    api_forget st ~key
+  | Api_seed { key; replicas } ->
+    st.env <- no_env;
+    seed_directory st key replicas
+  | Api_recovery_done { epoch; env } ->
+    st.env <- env;
+    api_recovery_done st ~epoch
+  | Timer_fire { kind; facts; env; _ } ->
+    st.env <- env;
+    timer_fire st ~facts kind
+  | View_change { view_epoch; live; env } ->
+    st.env <- env;
+    view_change st ~view_epoch ~vlive:live
   | Reset -> reset st);
-  (st, List.rev !acc)
+  st.dir <- no_dir;
+  (st, take_effects st)
 
 (* ---------- deep copy + canonical fingerprint (model checking) ----------- *)
 
-let copy_outstanding o =
-  {
-    o_req_id = o.o_req_id;
-    o_key = o.o_key;
-    o_kind = o.o_kind;
-    started = o.started;
-    acks = o.acks;
-    proto = o.proto;
-    data = o.data;
-    live_req = o.live_req;
-    timer = o.timer;
-    o_span = o.o_span;
-  }
-
-let copy_replay r =
-  { r_pending = r.r_pending; r_key = r.r_key; r_acks = r.r_acks; r_data = r.r_data }
+let copy_outstanding o = { o with acks = o.acks }  (* a fresh record *)
+let copy_replay r = { r with r_acks = r.r_acks }
 
 let copy st =
   let directory = Directory.create ~node:st.self in
@@ -1093,30 +1131,22 @@ let copy st =
         e'.Directory.replicas <- e.Directory.replicas;
         e'.Directory.pending <- e.Directory.pending
       | None -> ());
-  let side_pending = Hashtbl.copy st.side_pending in
-  let outstanding = Hashtbl.create (Hashtbl.length st.outstanding * 2 + 1) in
-  Hashtbl.iter (fun k o -> Hashtbl.replace outstanding k (copy_outstanding o)) st.outstanding;
-  let replays = Hashtbl.create (Hashtbl.length st.replays * 2 + 1) in
-  Hashtbl.iter (fun k r -> Hashtbl.replace replays k (copy_replay r)) st.replays;
   {
-    config = st.config;
-    self = st.self;
+    st with
     directory;
-    side_pending;
-    outstanding;
-    replays;
-    req_seq = st.req_seq;
-    rr = st.rr;
-    gate_epoch = st.gate_epoch;
-    gate_waiting = Hashtbl.copy st.gate_waiting;
+    side_pending = Dense_map.copy Fun.id st.side_pending;
+    outstanding = Window.copy copy_outstanding st.outstanding;
+    replays = Dense_map.copy copy_replay st.replays;
+    gate_waiting = Array.copy st.gate_waiting;
     prev_live = Array.copy st.prev_live;
-    token_seq = st.token_seq;
+    out = Array.make out_capacity Flush;
+    n_out = 0;
   }
 
-(* The fingerprint is canonical: hashtables are dumped in sorted key order
+(* The fingerprint is canonical: tables are dumped in ascending key order
    and timer/span tokens are reduced to presence bits, so two states that
-   differ only in allocation history (token counters) or table iteration
-   order collapse to one explored state. *)
+   differ only in allocation history (token counters) or table layout
+   collapse to one explored state. *)
 
 let pp_snap ppf = function
   | None -> Format.pp_print_string ppf "-"
@@ -1131,16 +1161,18 @@ let pp_pending ppf (p : Directory.pending) =
     (match p.Directory.data_from with Some n -> string_of_int n | None -> "-")
     p.Directory.driving p.Directory.born
 
-let sorted_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+(* The set bits of a node mask, ascending. *)
+let nodes_of_mask mask =
+  List.filter (fun n -> mask land bit n <> 0) (List.init (Sys.int_size - 1) Fun.id)
 
 let fingerprint st =
   let b = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer b in
+  let gw = ref [] in
+  Array.iteri (fun n w -> if w then gw := n :: !gw) st.gate_waiting;
   Format.fprintf ppf "n%d rr=%d seq=%d gate=%d gw=[%s] pl=[%s]@," st.self st.rr
     st.req_seq st.gate_epoch
-    (String.concat ";"
-       (List.map (fun (n, ()) -> string_of_int n) (sorted_bindings st.gate_waiting)))
+    (String.concat ";" (List.rev_map string_of_int !gw))
     (String.concat ";"
        (Array.to_list (Array.map (fun l -> if l then "1" else "0") st.prev_live)));
   let dir_entries = ref [] in
@@ -1157,24 +1189,23 @@ let fingerprint st =
     dir_entries;
   List.iter
     (fun (key, p) -> Format.fprintf ppf "S%d %a@," key pp_pending p)
-    (sorted_bindings st.side_pending);
-  List.iter
-    (fun (seq, o) ->
+    (Dense_map.bindings st.side_pending);
+  Window.iter
+    (fun seq o ->
       Format.fprintf ppf "O%d k=%d %a t0=%g acks=[%s] proto=%s data=%a live=%b tmr=%b@,"
         seq o.o_key Messages.pp_kind o.o_kind o.started
-        (String.concat ";" (List.map string_of_int (List.sort compare o.acks)))
-        (match o.proto with
-        | None -> "-"
-        | Some (ts, nr, arb) ->
-          Format.asprintf "%a/%a/[%s]" Ots.pp ts Replicas.pp nr
-            (String.concat ";" (List.map string_of_int arb)))
-        pp_snap o.data o.live_req (o.timer <> None))
-    (sorted_bindings st.outstanding);
+        (String.concat ";" (List.map string_of_int (nodes_of_mask o.acks)))
+        (if not o.has_proto then "-"
+         else
+           Format.asprintf "%a/%a/[%s]" Ots.pp o.p_o_ts Replicas.pp o.p_replicas
+             (String.concat ";" (List.map string_of_int o.p_arbiters)))
+        pp_snap o.data o.live_req (o.timer >= 0))
+    st.outstanding;
   List.iter
     (fun (key, r) ->
       Format.fprintf ppf "R%d %a acks=[%s] data=%a@," key pp_pending r.r_pending
-        (String.concat ";" (List.map string_of_int (List.sort compare r.r_acks)))
+        (String.concat ";" (List.map string_of_int (nodes_of_mask r.r_acks)))
         pp_snap r.r_data)
-    (sorted_bindings st.replays);
+    (Dense_map.bindings st.replays);
   Format.pp_print_flush ppf ();
   Buffer.contents b

@@ -124,9 +124,9 @@ val create : ?config:config -> self:Types.node_id -> nodes:int -> unit -> state
 val handle :
   dir:(Types.key -> Types.node_id list) -> state -> input -> state * eff list
 (** Process one input.  [dir] is the (static) directory-placement function,
-    passed per call so [state] stays marshal-free of closures.  The
-    returned state is the argument, mutated in place; the effect list must
-    be executed in order before the next input. *)
+    passed per call; the state holds it only while the input is handled.
+    The returned state is the argument, mutated in place; the effect list
+    must be executed in order before the next input. *)
 
 val directory : state -> Directory.t
 val next_seq : state -> int
@@ -144,10 +144,37 @@ val pending_ts : state -> Types.key -> Ots.t option
 
 val handles_payload : Zeus_net.Msg.payload -> bool
 
+(** {2 Request routing}
+
+    The node-list walks of the request path, allocating nothing but the
+    list they return; exposed so tests can hold them to their list-built
+    definitions. *)
+
+val pick_driver :
+  live:bool array -> self:Types.node_id -> rr:int -> Types.node_id list -> Types.node_id
+(** The driver a requester that does not drive its own request picks:
+    among the live nodes of the directory list, those other than [self]
+    (all of them when [self] is the only live one), the [rr mod n]-th of
+    the [n], duplicates counted.  At least one node of the list must be
+    live. *)
+
+val arbiters :
+  live:bool array ->
+  dirs:Types.node_id list ->
+  owner:Types.node_id option ->
+  data_from:Types.node_id option ->
+  kind:Messages.kind ->
+  requester:Types.node_id ->
+  Types.node_id list
+(** The arbiter set a driver stamps on a request: the live directory
+    nodes in order, then the owner if live, the data source, and the
+    target of a [Remove_reader] if live — each node once, at its first
+    place, and never the requester. *)
+
 val copy : state -> state
 (** Deep copy, for branching exploration. *)
 
 val fingerprint : state -> string
-(** Canonical dump: hashtables in sorted order, timer/span tokens reduced
+(** Canonical dump: tables in ascending key order, timer/span tokens reduced
     to presence bits — states differing only in allocation history
     collapse together. *)

@@ -27,6 +27,8 @@ let ignore_fn () = ()
 
 type event_id = int
 
+let no_event = -1
+
 type t = {
   mutable clock : float;
   mutable seq : int;

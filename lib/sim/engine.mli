@@ -11,6 +11,9 @@ type t
 type event_id
 (** Handle for cancelling a scheduled event. *)
 
+val no_event : event_id
+(** An id {!schedule} never returns: a sentinel for "no event". *)
+
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine with clock at 0.  Default seed is 42. *)
 

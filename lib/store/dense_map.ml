@@ -71,3 +71,18 @@ let clear t =
   t.dense <- Array.make initial_capacity None;
   Hashtbl.reset t.sparse;
   t.count <- 0
+
+let bindings t =
+  let acc = ref [] in
+  Hashtbl.iter (fun k v -> acc := (k, v) :: !acc) t.sparse;
+  for k = Array.length t.dense - 1 downto 0 do
+    match t.dense.(k) with Some v -> acc := (k, v) :: !acc | None -> ()
+  done;
+  List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+
+let copy f t =
+  {
+    dense = Array.map (function Some v -> Some (f v) | None -> None) t.dense;
+    sparse = Hashtbl.of_seq (Seq.map (fun (k, v) -> (k, f v)) (Hashtbl.to_seq t.sparse));
+    count = t.count;
+  }

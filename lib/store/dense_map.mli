@@ -28,3 +28,9 @@ val iter : 'a t -> ('a -> unit) -> unit
 
 val clear : 'a t -> unit
 (** Drop every binding and shrink back to the initial capacity. *)
+
+val bindings : 'a t -> (Types.key * 'a) list
+(** Every binding, in ascending key order. *)
+
+val copy : ('a -> 'a) -> 'a t -> 'a t
+(** An independent map holding the image of every binding. *)

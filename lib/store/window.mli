@@ -1,14 +1,17 @@
-(** Slot-indexed window: a map from pipeline slot numbers to values.
+(** Slot-indexed window: a map from monotonically allocated int ids to
+    values.
 
-    The commit core keys all its per-pipeline state by slot, and the slots
-    it holds at any moment sit in a narrow band — the open slots of a
-    pipeline, or the R-INVs a follower stores until their R-VAL.  A window
-    keeps that band in one power-of-two ring indexed by [slot land (len -
-    1)], with the bounds [[low, high)] kept tight around the present slots
-    and the ring doubling whenever the band outgrows it.  A lookup is a
+    The protocol cores key per-request state by ids that only ever grow —
+    the commit core's pipeline slots, the ownership core's request seqs —
+    and the ids they hold at any moment sit in a narrow band: the open
+    slots of a pipeline, the R-INVs a follower stores until their R-VAL,
+    the requests a node has in flight, the timers an agent has armed.  A
+    window keeps that band in one power-of-two ring indexed by [id land
+    (len - 1)], with the bounds [[low, high)] kept tight around the present
+    ids and the ring doubling whenever the band outgrows it.  A lookup is a
     bounds test and one array read: no hashing, no comparison, no [Some].
     Absent cells hold the [dummy] given at creation, which {!find} returns
-    for an absent slot. *)
+    for an absent id. *)
 
 type 'a t
 

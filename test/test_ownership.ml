@@ -306,6 +306,118 @@ let view_change_arms_in_key_order () =
     (List.sort compare (Array.to_list keys))
     armed
 
+(* ---------- view change: open requests fail in seq order ---------- *)
+
+(* A view change fails every open request.  With forty requests open and
+   every third already NACKed (holes in the seq window), the failures
+   come out in ascending seq order, and each request's timeout is
+   cancelled before its caller is unblocked. *)
+let view_change_fails_requests_in_seq_order () =
+  let module C = Own.Core in
+  let module M = Own.Messages in
+  let config = { Config.default with Config.nodes = 3 } in
+  let dir key = Config.dir_nodes_for config ~key in
+  let st = C.create ~self:2 ~nodes:3 () in
+  let env = { C.now = 0.0; epoch = 0; live = [| true; true; true |]; self_alive = true;
+              trace_on = false } in
+  let timers = Hashtbl.create 64 in
+  for key = 0 to 39 do
+    let _, effs =
+      C.handle ~dir st (C.Api_request { key; kind = M.Acquire; facts = C.no_facts; env })
+    in
+    List.iter
+      (function
+        | C.Set_timer { token; kind = C.T_timeout { seq; _ }; _ } -> Hashtbl.replace timers seq token
+        | _ -> ())
+      effs
+  done;
+  let nacked = List.filter (fun seq -> seq mod 3 = 1) (List.init 40 Fun.id) in
+  List.iter
+    (fun seq ->
+      let payload =
+        M.O_nack { req_id = { M.origin = 2; seq }; key = seq; o_ts = None; reason = M.Busy;
+                   epoch = 0 }
+      in
+      ignore (C.handle ~dir st (C.Deliver { src = 0; payload; facts = C.no_facts; env })))
+    nacked;
+  let live = [| true; false; true |] in
+  let _, effs =
+    C.handle ~dir st
+      (C.View_change { view_epoch = 1; live; env = { env with C.epoch = 1; live } })
+  in
+  let unblocked =
+    List.filter_map (function C.Unblock { seq; _ } -> Some seq | _ -> None) effs
+  in
+  check Alcotest.(list int) "open requests fail in ascending seq order"
+    (List.filter (fun seq -> not (List.mem seq nacked)) (List.init 40 Fun.id))
+    unblocked;
+  let position p =
+    let rec go i = function [] -> -1 | e :: rest -> if p e then i else go (i + 1) rest in
+    go 0 effs
+  in
+  List.iter
+    (fun seq ->
+      let tok = Hashtbl.find timers seq in
+      let cancel = position (function C.Cancel_timer t -> t = tok | _ -> false)
+      and unblock = position (function C.Unblock { seq = s; _ } -> s = seq | _ -> false) in
+      if not (cancel >= 0 && cancel < unblock) then
+        Alcotest.failf "request %d: timeout cancelled at %d, caller unblocked at %d" seq cancel
+          unblock)
+    unblocked
+
+(* ---------- replay timers: a snapshot only while the pending is open ---------- *)
+
+(* Node 1, a directory replica holding a copy of key 5, buffers node 0's
+   arbitration and arms a replay check.  Fired while the arbitration is
+   pending, the timer samples the copy; fired after the VAL applied it,
+   it samples nothing (the core would not read it). *)
+let replay_timer_snapshot_only_while_pending () =
+  let module C = Own.Core in
+  let module A = Own.Agent in
+  let module M = Own.Messages in
+  let module Ots = Zeus_store.Ots in
+  let module Replicas = Zeus_store.Replicas in
+  let config = { Config.default with Config.nodes = 3 } in
+  let dir key = Config.dir_nodes_for config ~key in
+  let key = 5 in
+  let st = C.create ~self:1 ~nodes:3 () in
+  let table = Zeus_store.Table.create ~node:1 in
+  let replicas = Replicas.v ~owner:0 ~readers:[ 1 ] in
+  Zeus_store.Table.install table
+    (Zeus_store.Obj.create ~key ~role:Types.Reader ~version:3 (Value.of_int 9));
+  ignore (C.handle ~dir st (C.Api_seed { key; replicas }));
+  let env = { C.now = 0.0; epoch = 0; live = [| true; true; true |]; self_alive = true;
+              trace_on = false } in
+  let o_ts = Ots.next Ots.zero ~node:0 in
+  let inv =
+    M.O_inv
+      { req_id = { M.origin = 2; seq = 0 }; key; o_ts; base_ts = Ots.zero;
+        new_replicas = Replicas.promote replicas ~new_owner:2; kind = M.Acquire; requester = 2;
+        arbiters = [ 0; 1 ]; data_from = Some 0; recovery = false; driver = 0; epoch = 0 }
+  in
+  let _, effs =
+    C.handle ~dir st (C.Deliver { src = 0; payload = inv; facts = A.facts st table inv; env })
+  in
+  let kind =
+    match
+      List.find_map
+        (function C.Set_timer { kind = C.T_replay _ as kind; _ } -> Some kind | _ -> None)
+        effs
+    with
+    | Some kind -> kind
+    | None -> Alcotest.fail "no replay check armed"
+  in
+  (match (A.timer_facts st table kind).C.f_snapshot with
+  | Some { M.value; t_version } ->
+    check Alcotest.int "snapshot version" 3 t_version;
+    check Alcotest.int "snapshot value" 9 (Value.to_int value)
+  | None -> Alcotest.fail "no snapshot while the arbitration is pending");
+  let value = M.O_val { key; o_ts; epoch = 0 } in
+  ignore (C.handle ~dir st (C.Deliver { src = 0; payload = value; facts = C.no_facts; env }));
+  check Alcotest.bool "pending applied" true (C.pending_ts st key = None);
+  check Alcotest.bool "no snapshot after the VAL" true
+    ((A.timer_facts st table kind).C.f_snapshot = None)
+
 let suite =
   [
     tc "reader acquires ownership (1.5 RTT path)" reader_acquires;
@@ -326,4 +438,6 @@ let suite =
     tc "node dies mid-arbitration" driver_dies_mid_arbitration;
     tc "epoch change filters stale requests" epoch_filtering;
     tc "view change arms replay checks in key order" view_change_arms_in_key_order;
+    tc "view change fails open requests in seq order" view_change_fails_requests_in_seq_order;
+    tc "replay timer snapshots only a pending arbitration" replay_timer_snapshot_only_while_pending;
   ]

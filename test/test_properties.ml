@@ -280,11 +280,85 @@ let prop_no_lost_updates =
       | Some v -> v = !committed
       | None -> false)
 
+(* ---------- ownership request routing ---------- *)
+
+module OwnC = Zeus_ownership.Core
+module OwnM = Zeus_ownership.Messages
+
+(* The list-built definitions the core's allocation-free walks replaced. *)
+let reference_driver ~live ~self ~rr dirs =
+  let live_dirs = List.filter (fun d -> live.(d)) dirs in
+  let candidates =
+    match List.filter (fun d -> d <> self) live_dirs with [] -> live_dirs | l -> l
+  in
+  List.nth candidates (rr mod List.length candidates)
+
+let reference_arbiters ~live ~dirs ~owner ~data_from ~kind ~requester =
+  let dedup nodes =
+    List.rev (List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) [] nodes)
+  in
+  let extra =
+    (match owner with Some o when live.(o) -> [ o ] | _ -> [])
+    @ (match data_from with Some nd -> [ nd ] | None -> [])
+    @ match kind with OwnM.Remove_reader r when live.(r) -> [ r ] | _ -> []
+  in
+  List.filter (fun a -> a <> requester) (dedup (List.filter (fun d -> live.(d)) dirs @ extra))
+
+(* Random views of up to six nodes, directory lists with duplicates,
+   owners, readers, all three kinds — a [Remove_reader] target may be
+   live or dead — and the data source the driver would pick (the owner
+   if live, else the first live reader) or none. *)
+let routing_case =
+  let open QCheck.Gen in
+  let* n = 1 -- 6 in
+  let node = 0 -- (n - 1) in
+  let* live = array_size (return n) bool in
+  let* dirs = list_size (1 -- 4) node in
+  let* owner = opt node in
+  let* readers = list_size (0 -- 3) node in
+  let* requester = node in
+  let* self = node in
+  let* rr = 0 -- 1000 in
+  let* kind =
+    oneof [ return OwnM.Acquire; return OwnM.Add_reader; map (fun r -> OwnM.Remove_reader r) node ]
+  in
+  let* needs_data = bool in
+  let data_from =
+    if not needs_data then None
+    else
+      match owner with
+      | Some o when live.(o) -> Some o
+      | _ -> List.find_opt (fun r -> live.(r)) readers
+  in
+  return (live, dirs, owner, data_from, kind, requester, self, rr)
+
+let print_routing (live, dirs, owner, data_from, kind, requester, self, rr) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let opt = function Some n -> string_of_int n | None -> "-" in
+  Format.asprintf "live=[%s] dirs=[%s] owner=%s data_from=%s kind=%a requester=%d self=%d rr=%d"
+    (String.concat ";" (Array.to_list (Array.map string_of_bool live)))
+    (ints dirs) (opt owner) (opt data_from) OwnM.pp_kind kind requester self rr
+
+let prop_routing_matches_lists =
+  QCheck.Test.make ~name:"ownership: driver choice and arbiter list match their list definitions"
+    ~count:2000 (QCheck.make ~print:print_routing routing_case)
+    (fun (live, dirs, owner, data_from, kind, requester, self, rr) ->
+      let arbiters_ok =
+        OwnC.arbiters ~live ~dirs ~owner ~data_from ~kind ~requester
+        = reference_arbiters ~live ~dirs ~owner ~data_from ~kind ~requester
+      in
+      let driver_ok =
+        (not (List.exists (fun d -> live.(d)) dirs))
+        || OwnC.pick_driver ~live ~self ~rr dirs = reference_driver ~live ~self ~rr dirs
+      in
+      arbiters_ok && driver_ok)
+
 let suite =
   [
     qtest prop_replicas_promote_keeps_membership;
     qtest prop_replicas_drop_dead_subset;
     qtest prop_replicas_all_owner_first;
+    qtest prop_routing_matches_lists;
     qtest prop_value_roundtrip;
     qtest prop_percentile_within_range;
     qtest prop_random_schedules_safe;
