@@ -164,7 +164,6 @@ type replay = {
 }
 
 type state = {
-  config : config;
   self : Types.node_id;
   directory : Directory.t;
   side_pending : Directory.pending Dense_map.t;
@@ -217,7 +216,6 @@ let out_capacity = 16
 let create ?(config = default_config) ~self ~nodes () =
   if nodes >= Sys.int_size then invalid_arg "Ownership.Core.create: ack bitmasks hold 62 nodes";
   {
-    config;
     self;
     directory = Directory.create ~node:self;
     side_pending = Dense_map.create ();
@@ -270,16 +268,17 @@ let emit st e =
   st.out.(st.n_out) <- e;
   st.n_out <- st.n_out + 1
 
+(* Top level, so that taking the effects builds no closure. *)
+let rec effects_from out i acc =
+  if i < 0 then acc
+  else begin
+    let e = out.(i) in
+    out.(i) <- Flush;
+    effects_from out (i - 1) (e :: acc)
+  end
+
 let take_effects st =
-  let rec build i acc =
-    if i < 0 then acc
-    else begin
-      let e = st.out.(i) in
-      st.out.(i) <- Flush;
-      build (i - 1) (e :: acc)
-    end
-  in
-  let effs = build (st.n_out - 1) [] in
+  let effs = effects_from st.out (st.n_out - 1) [] in
   st.n_out <- 0;
   effs
 
@@ -287,7 +286,6 @@ let live st n = st.env.live.(n)
 let bit (n : Types.node_id) = 1 lsl n
 
 let is_self st = function Some n -> n = st.self | None -> false
-let is_some = function Some _ -> true | None -> false
 
 (* Node lists are short; these walk them without closures or polymorphic
    comparison. *)
@@ -581,7 +579,7 @@ let api_request st ~key ~kind ~facts =
   else begin
     let driver =
       let self_live_dir = count_live st.env.live ~skip:st.self dirs < live_dirs in
-      if self_live_dir && is_some (dir_entry st key) then st.self
+      if self_live_dir && Option.is_some (dir_entry st key) then st.self
       else begin
         st.rr <- st.rr + 1;
         pick_driver ~live:st.env.live ~self:st.self ~rr:st.rr dirs
@@ -694,7 +692,7 @@ let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
       let owner = replicas.Replicas.owner in
       let owner_live = match owner with Some o -> live st o | None -> false in
       if gate_active st && not owner_live then nack st ~dst:requester ~req_id ~key Recovering
-      else if is_some entry.Directory.pending then nack st ~dst:requester ~req_id ~key Busy
+      else if Option.is_some entry.Directory.pending then nack st ~dst:requester ~req_id ~key Busy
       else if
         (match kind with Acquire -> true | Add_reader | Remove_reader _ -> false)
         && match owner with Some o -> o = requester | None -> false
@@ -727,7 +725,7 @@ let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
           else if owner_live then owner
           else first_live st replicas.Replicas.readers
         in
-        if need_data && not (is_some data_from) then nack st ~dst:requester ~req_id ~key Unavailable
+        if need_data && Option.is_none data_from then nack st ~dst:requester ~req_id ~key Unavailable
         else begin
           let o_ts = Ots.next entry.Directory.o_ts ~node:st.self in
           let arbiters =

@@ -6,12 +6,7 @@ let v ~owner ~readers = { owner = Some owner; readers = List.filter (fun r -> r 
 let all t = match t.owner with Some o -> o :: t.readers | None -> t.readers
 
 let is_owner t (n : Types.node_id) = match t.owner with Some o -> o = n | None -> false
-
-let rec mem_node (n : Types.node_id) = function
-  | [] -> false
-  | m :: rest -> m = n || mem_node n rest
-
-let is_reader t n = mem_node n t.readers
+let is_reader t n = List.mem n t.readers
 let is_replica t n = is_owner t n || is_reader t n
 let count t = List.length (all t)
 

@@ -55,7 +55,7 @@ let own_env =
 (* Key [k] starts owned by node 0 with node 1 as reader; node 2 (a
    non-replica, so the driver designates node 0 to ship the data) acquires
    it.  With three directory replicas node 2 drives its own request.
-   49.4 words per input; 89.2 when the core kept its requests, replays
+   44.4 words per input; 89.2 when the core kept its requests, replays
    and gate in hashtables, its acks in lists, and built a context, a
    closure and a reversed list per input. *)
 let ownership_acquire_budget () =
@@ -101,7 +101,7 @@ let ownership_acquire_budget () =
   done;
   Alcotest.(check int) "inputs per Acquire" 9 (!inputs / rounds);
   Alcotest.(check int) "every Acquire completed" total !granted;
-  check_budget "ownership Acquire" ~inputs:!inputs ~words:!acc ~bound:54.0
+  check_budget "ownership Acquire" ~inputs:!inputs ~words:!acc ~bound:48.9
 
 (* ---------- ownership: the agent path ----------------------------------- *)
 
@@ -116,9 +116,9 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 1979.9 words per granted request; 2473.9 with the agent's timers and
+(* 1917.9 words per granted request; 2473.9 with the agent's timers and
    continuations in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 2180.0
+let ownership_agent_bound = 2110.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
