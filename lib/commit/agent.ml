@@ -93,38 +93,39 @@ let rec validate_local table ~on_freed = function
 (* Apply the writes of an R-INV version-monotonically (§5.1).  Receiving an
    R-INV for an object we do not store means the coordinator just made us a
    reader of it (object creation, §7 malloc) — install it.  Replays never
-   install: a reader that was reliably removed must not resurrect. *)
-let apply_writes table ~install writes =
-  List.iter
-    (fun (u : Txn.update) ->
-      match Table.find table u.key with
-      | Some obj ->
-        if u.version > obj.Obj.t_version then begin
-          obj.Obj.data <- u.data;
-          obj.Obj.t_version <- u.version;
-          obj.Obj.t_state <- Types.T_invalid
-        end
-      | None ->
-        if install && not u.freed then begin
-          let obj = Obj.create ~key:u.key ~role:Types.Reader ~version:u.version u.data in
-          obj.Obj.t_state <- Types.T_invalid;
-          Table.install table obj
-        end)
-    writes
+   install: a reader that was reliably removed must not resurrect.  This
+   and [validate_stored] are loops for the reason [validate_local] is. *)
+let rec apply_writes table ~install = function
+  | [] -> ()
+  | (u : Txn.update) :: rest ->
+    (match Table.find table u.key with
+    | Some obj ->
+      if u.version > obj.Obj.t_version then begin
+        obj.Obj.data <- u.data;
+        obj.Obj.t_version <- u.version;
+        obj.Obj.t_state <- Types.T_invalid
+      end
+    | None ->
+      if install && not u.freed then begin
+        let obj = Obj.create ~key:u.key ~role:Types.Reader ~version:u.version u.data in
+        obj.Obj.t_state <- Types.T_invalid;
+        Table.install table obj
+      end);
+    apply_writes table ~install rest
 
 (* An R-VAL (or equivalent) for a stored R-INV: validate objects whose
    version is unchanged, complete frees. *)
-let validate_stored table writes =
-  List.iter
-    (fun (u : Txn.update) ->
-      match Table.find table u.key with
-      | Some obj ->
-        if obj.Obj.t_version = u.version then begin
-          if u.freed then Table.remove table u.key
-          else if obj.Obj.t_state = Types.T_invalid then obj.Obj.t_state <- Types.T_valid
-        end
-      | None -> ())
-    writes
+let rec validate_stored table = function
+  | [] -> ()
+  | (u : Txn.update) :: rest ->
+    (match Table.find table u.key with
+    | Some obj ->
+      if obj.Obj.t_version = u.version then begin
+        if u.freed then Table.remove table u.key
+        else if obj.Obj.t_state = Types.T_invalid then obj.Obj.t_state <- Types.T_valid
+      end
+    | None -> ());
+    validate_stored table rest
 
 let apply_store table ~on_freed (e : Core.eff) =
   match e with

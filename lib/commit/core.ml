@@ -128,8 +128,7 @@ type state = {
   mutable recovering_epoch : int option;
   mutable token_seq : int;
   mutable env : env;  (* of the input being handled *)
-  mutable out : eff array;  (* its effects so far: the first [n_out] *)
-  mutable n_out : int;
+  out : eff Outbox.t;  (* its effects so far: emitted, not yet taken *)
 }
 
 let no_tx = { pipe = { node = -1; thread = -1 }; slot = -1 }
@@ -148,7 +147,6 @@ let no_slot =
 let no_inv = { i_tx = no_tx; i_followers = []; i_writes = [] }
 let no_buffered = { b_tx = no_tx; b_followers = []; b_writes = []; b_src = -1 }
 let no_env = { epoch = 0; live = [||]; trace_on = false }
-let out_capacity = 16
 
 let create ?(clear_marks = Sequenced) ~self ~nodes () =
   {
@@ -161,8 +159,7 @@ let create ?(clear_marks = Sequenced) ~self ~nodes () =
     recovering_epoch = None;
     token_seq = 0;
     env = no_env;
-    out = Array.make out_capacity Flush;
-    n_out = 0;
+    out = Outbox.create ~dummy:Flush;
   }
 
 let fold_follower_pipes f st acc =
@@ -191,30 +188,9 @@ let handles_payload = function R_inv _ | R_ack _ | R_val _ -> true | _ -> false
 let writes_size writes =
   List.fold_left (fun acc (u : Txn.update) -> acc + Value.size u.data + 16) 64 writes
 
-(* Effects go to a buffer kept in the state and leave as one list built
-   back to front, so an input allocates one cons per effect; the buffer is
-   cleared behind, leaving no effect reachable from the long-lived state. *)
-let emit st e =
-  if st.n_out = Array.length st.out then begin
-    let out = Array.make (2 * st.n_out) Flush in
-    Array.blit st.out 0 out 0 st.n_out;
-    st.out <- out
-  end;
-  st.out.(st.n_out) <- e;
-  st.n_out <- st.n_out + 1
-
-let take_effects st =
-  let rec build i acc =
-    if i < 0 then acc
-    else begin
-      let e = st.out.(i) in
-      st.out.(i) <- Flush;
-      build (i - 1) (e :: acc)
-    end
-  in
-  let effs = build (st.n_out - 1) [] in
-  st.n_out <- 0;
-  effs
+(* Effects go to the state's {!Outbox} and leave as one list. *)
+let emit st e = Outbox.emit st.out e
+let take_effects st = Outbox.take st.out
 
 let live st n = st.env.live.(n)
 
@@ -777,8 +753,7 @@ let copy st =
     follower_pipes = Array.map (Array.map (Option.map copy_follower_pipe)) st.follower_pipes;
     replaying = Tx_map.map copy_slot st.replaying;
     prev_live = Array.copy st.prev_live;
-    out = Array.make out_capacity Flush;
-    n_out = 0;
+    out = Outbox.create ~dummy:Flush;
   }
 
 let pp_writes ppf writes =

@@ -14,6 +14,19 @@ module Com = Zeus_commit
 module Loc = Zeus_locality
 open Zeus_store
 
+(* A received payload waiting for or in datastore-worker service.  Each node
+   pools these records, each with its service closure built once, so a
+   received message allocates nothing to be queued and handled. *)
+type Zeus_net.Msg.payload += No_payload
+
+type delivery = {
+  mutable src : Types.node_id;
+  mutable payload : Zeus_net.Msg.payload;
+  serve : unit -> unit;
+}
+
+let no_delivery = { src = -1; payload = No_payload; serve = ignore }
+
 type t = {
   id : Types.node_id;
   config : Config.t;
@@ -32,9 +45,11 @@ type t = {
   history : History.t option;
   outstanding_rc : int array;  (* per app thread: in-flight reliable commits *)
   waiters : (unit -> unit) Fifo.t array;
-  txn_free : Txn.t option array;
+  spare : delivery Fifo.t;  (* deliveries free for reuse *)
+  txn_free : Txn.t array;
       (* per app thread: one recycled transaction, reinitialized on reuse so
-         the steady-state attempt allocates no copies table *)
+         the steady-state attempt allocates no copies table; [no_txn] while
+         it is in use *)
   mutable app_handler : (src:Types.node_id -> Zeus_net.Msg.payload -> unit) option;
   (* Phase telemetry: histograms live on the cluster hub's registry
      (Histogram.v is idempotent by name, so all nodes feed the same five);
@@ -90,6 +105,42 @@ let payload_cost payload =
 let obj_busy t key =
   match Table.find t.table key with Some obj -> Obj.busy obj | None -> false
 
+(* A placeholder for a thread's pooled transaction while it is in use. *)
+let no_txn = Txn.create_write (Table.create ~node:(-1)) ~thread:(-1)
+
+(* ------ message dispatch ------------------------------------------------- *)
+
+let serve t d =
+  let src = d.src and payload = d.payload in
+  d.payload <- No_payload;
+  Fifo.push t.spare d;
+  if not (Own.Agent.handle (ownership_agent t) ~src payload) then
+    if not (Com.Agent.handle (commit_agent t) ~src payload) then
+      if
+        not
+          (match t.locality with
+          | Some loc -> Loc.Engine.handle loc ~src payload
+          | None -> false)
+      then match t.app_handler with Some fn -> fn ~src payload | None -> ()
+
+let receive t ~src payload =
+  (* Feed the failure detector first: any traffic from [src] is a liveness
+     signal, and membership heartbeats are consumed here (they never reach
+     the protocol agents). *)
+  if not (Service.observe t.membership ~dst:t.id ~src payload) then begin
+    let d =
+      if Fifo.is_empty t.spare then begin
+        let rec d = { src; payload; serve = (fun () -> serve t d) } in
+        d
+      end
+      else Fifo.pop t.spare
+    in
+    d.src <- src;
+    d.payload <- payload;
+    (* Every received message costs datastore-worker CPU. *)
+    Resource.submit t.ds ~service:(payload_cost payload) d.serve
+  end
+
 (* ------ construction ------------------------------------------------------ *)
 
 let create ?telemetry ~config ~id ~transport ~membership ~history () =
@@ -113,7 +164,8 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       history;
       outstanding_rc = Array.make config.Config.app_threads 0;
       waiters = Array.init config.Config.app_threads (fun _ -> Fifo.create ~dummy:ignore);
-      txn_free = Array.make config.Config.app_threads None;
+      spare = Fifo.create ~dummy:no_delivery;
+      txn_free = Array.make config.Config.app_threads no_txn;
       app_handler = None;
       tspans = Hub.trace hub;
       h_own = Metrics.Histogram.v hm "txn.ownership_us";
@@ -165,21 +217,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       ~table:t.table ~membership ~callbacks:com_cb transport
   in
   t.commit <- Some commit;
-  Transport.set_handler transport id (fun ~src payload ->
-      (* Feed the failure detector first: any traffic from [src] is a
-         liveness signal, and membership heartbeats are consumed here
-         (they never reach the protocol agents). *)
-      if not (Service.observe membership ~dst:id ~src payload) then
-      (* Every received message costs datastore-worker CPU. *)
-      Resource.submit t.ds ~service:(payload_cost payload) (fun () ->
-          if not (Own.Agent.handle ownership ~src payload) then
-            if not (Com.Agent.handle commit ~src payload) then
-              if
-                not
-                  (match t.locality with
-                  | Some loc -> Loc.Engine.handle loc ~src payload
-                  | None -> false)
-              then match t.app_handler with Some fn -> fn ~src payload | None -> ()));
+  Transport.set_handler transport id (fun ~src payload -> receive t ~src payload);
   t
 
 (* A rejoining node comes back as a fresh incarnation (§3.1 crash-stop):
@@ -239,115 +277,56 @@ let role t key =
 
 (* ------ transactions ------------------------------------------------------ *)
 
-type ctx = {
-  node : t;
-  txn : Txn.t;
-  span : Tspan.span;  (* root "txn" span, shared by all attempts *)
-  mutable reads : (Types.key * int) list;
-  mutable used_ownership : bool;
-  mutable state : [ `Running | `Failed of Txn.abort_reason | `Done ];
-  on_fail : Txn.abort_reason -> unit;
-  (* Per-attempt phase bounds (sim µs): the acquisition window and the
-     body dispatch time, consumed by the commit path to cut the attempt
-     into ownership / execute / local-commit / replicate phases. *)
+(* The per-attempt and per-transaction state below is plain records, and
+   every step of an attempt is a top-level function of them: a local
+   operation on an owned object allocates no closure, and the closures an
+   attempt does build are the few events it schedules. *)
+
+(* Per-attempt phase bounds (sim µs): the acquisition window, the body
+   dispatch time and the commit entry, which cut the committing attempt
+   into ownership / execute / local-commit / replicate phases.  A record of
+   floats alone is stored flat, so setting a bound boxes nothing. *)
+type times = {
   mutable body_start : float;
   mutable own_first : float;  (* nan: no ownership request this attempt *)
   mutable own_last : float;
+  mutable commit_entry : float;
+}
+
+(* One transaction, across its attempts. *)
+type run = {
+  node : t;
+  thread : int;
+  read_only : bool;
+  exec_us : float;
+  body : ctx -> (unit -> unit) -> unit;
+  k : Txn.outcome -> unit;
+  root : Tspan.span;  (* root "txn" span, shared by all attempts *)
+  txn_start : float;
+  mutable attempt : int;  (* attempts before the current one *)
+}
+
+(* One attempt. *)
+and ctx = {
+  run : run;
+  txn : Txn.t;
+  times : times;
+  mutable reads : (Types.key * int) list;  (* kept only for the history *)
+  mutable used_ownership : bool;
+  mutable state : [ `Running | `Failed of Txn.abort_reason | `Done ];
   mutable own_count : int;
 }
 
-let guard ctx fn = match ctx.state with `Running -> fn () | `Failed _ | `Done -> ()
+let running ctx = match ctx.state with `Running -> true | `Failed _ | `Done -> false
 
-let fail ctx reason =
-  match ctx.state with
-  | `Running ->
-    ctx.state <- `Failed reason;
-    Txn.abort ctx.txn;
-    ctx.on_fail reason
-  | `Failed _ | `Done -> ()
+let recording t = match t.history with Some _ -> true | None -> false
 
 let note_read ctx key =
-  match Table.find ctx.node.table key with
-  | Some obj -> ctx.reads <- (key, obj.Obj.t_version) :: ctx.reads
-  | None -> ()
-
-(* Secure write-level ownership before touching an object in a write
-   transaction (§3.2 step 1); blocks the app thread if a request is
-   needed — the only blocking point in Zeus. *)
-let ensure_owner ctx key k =
-  guard ctx (fun () ->
-      let t = ctx.node in
-      note_local_access t ~key ~write:true;
-      match Table.find t.table key with
-      | Some obj when Obj.is_owner obj && obj.Obj.o_state = Types.O_valid -> k ()
-      | Some obj when obj.Obj.o_state <> Types.O_valid ->
-        (* An arbitration for this object is pending at this node (we are
-           an arbiter or a requester): do not touch it; retry with
-           back-off until the ownership protocol settles (§4.1). *)
-        fail ctx (Txn.Ownership_refused key)
-      | Some _ | None ->
-        ctx.used_ownership <- true;
-        let acq_start = Engine.now t.engine in
-        if Float.is_nan ctx.own_first then ctx.own_first <- acq_start;
-        ignore
-          (Engine.schedule t.engine ~after:Config.ownership_dispatch_us
-             (fun () ->
-               Own.Agent.request ~parent:ctx.span (ownership_agent t) ~key
-                 ~kind:Own.Messages.Acquire
-                 ~k:(fun result ->
-                   ctx.own_last <- Engine.now t.engine;
-                   ctx.own_count <- ctx.own_count + 1;
-                   guard ctx (fun () ->
-                       match result with
-                       | Ok () ->
-                         maybe_trim t key;
-                         k ()
-                       | Error _ -> fail ctx (Txn.Ownership_refused key))))))
-
-let read ctx key k =
-  guard ctx (fun () ->
-      if Txn.is_read_only ctx.txn then begin
-        note_local_access ctx.node ~key ~write:false;
-        note_read ctx key;
-        match Txn.open_read ctx.txn key with
-        | Ok v -> k v
-        | Error reason -> fail ctx reason
-      end
-      else
-        ensure_owner ctx key (fun () ->
-            if not (Txn.written ctx.txn key) then note_read ctx key;
-            match Txn.open_read ctx.txn key with
-            | Ok v -> k v
-            | Error reason -> fail ctx reason))
-
-let write ctx key value k =
-  guard ctx (fun () ->
-      ensure_owner ctx key (fun () ->
-          match Txn.open_write ctx.txn key with
-          | Ok _ ->
-            Txn.put ctx.txn key value;
-            k ()
-          | Error reason -> fail ctx reason))
-
-let read_write ctx key f k =
-  guard ctx (fun () ->
-      ensure_owner ctx key (fun () ->
-          if not (Txn.written ctx.txn key) then note_read ctx key;
-          match Txn.open_write ctx.txn key with
-          | Ok v ->
-            let v' = f v in
-            Txn.put ctx.txn key v';
-            k v'
-          | Error reason -> fail ctx reason))
-
-let insert ctx key value = guard ctx (fun () -> Txn.create_obj ctx.txn key value)
-
-let delete ctx key k =
-  guard ctx (fun () ->
-      ensure_owner ctx key (fun () ->
-          match Txn.free_obj ctx.txn key with
-          | Ok () -> k ()
-          | Error reason -> fail ctx reason))
+  let t = ctx.run.node in
+  if recording t then
+    match Table.find t.table key with
+    | Some obj -> ctx.reads <- (key, obj.Obj.t_version) :: ctx.reads
+    | None -> ()
 
 (* ------ commit machinery -------------------------------------------------- *)
 
@@ -357,19 +336,23 @@ let release_pipeline_slot t thread =
 
 (* Created objects need their replica set assigned (and the directory told)
    before the reliable commit picks followers. *)
-let prepare_created t (updates : Txn.update list) =
-  List.iter
-    (fun (u : Txn.update) ->
-      match Table.find t.table u.key with
-      | Some obj when Obj.is_owner obj && obj.Obj.o_replicas = None ->
-        obj.Obj.o_replicas <- Some t.home_replicas;
-        Own.Agent.register_object (ownership_agent t) u.key t.home_replicas
-      | Some _ | None -> ())
-    updates
+let rec prepare_created t = function
+  | [] -> ()
+  | (u : Txn.update) :: rest ->
+    (match Table.find t.table u.key with
+    | Some obj when Obj.is_owner obj && obj.Obj.o_replicas = None ->
+      obj.Obj.o_replicas <- Some t.home_replicas;
+      Own.Agent.register_object (ownership_agent t) u.key t.home_replicas
+    | Some _ | None -> ());
+    prepare_created t rest
+
+let rec update_bytes acc = function
+  | [] -> acc
+  | (u : Txn.update) :: rest -> update_bytes (acc + Value.size u.data) rest
 
 let start_reliable_commit t ~thread ~parent ~lc_done ~txn_start
     ~(updates : Txn.update list) =
-  let bytes = List.fold_left (fun a (u : Txn.update) -> a + Value.size u.data) 0 updates in
+  let bytes = update_bytes 0 updates in
   let followers = t.config.Config.replication_degree - 1 in
   let send_cost =
     float_of_int followers
@@ -406,6 +389,261 @@ let backoff t attempt =
   let d = Float.min d Config.backoff_max_us in
   d *. (0.5 +. Rng.float t.rng 1.0)
 
+(* Retrospective phase spans for the committing attempt, plus the
+   always-on phase histograms.  Ownership = [first acquisition issued, last
+   grant]; zero-length at body dispatch for all-local attempts.  Execute =
+   grant (or dispatch) to commit entry; the three phases are sequential and
+   nested inside the root txn span. *)
+let finish_phases ctx ~lc_done =
+  let r = ctx.run in
+  let t = r.node and tm = ctx.times in
+  let ce = tm.commit_entry in
+  let own_start, own_end =
+    if Float.is_nan tm.own_first then (tm.body_start, tm.body_start)
+    else (tm.own_first, tm.own_last)
+  in
+  Metrics.Histogram.observe t.h_own (own_end -. own_start);
+  Metrics.Histogram.observe t.h_exec (ce -. own_end);
+  Metrics.Histogram.observe t.h_lc (lc_done -. ce);
+  if not (Tspan.is_null r.root) then begin
+    let ph name start stop args =
+      Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:r.thread ~parent:r.root ~args
+        ~start ~stop name
+    in
+    ph "ownership" own_start own_end [ ("acquisitions", string_of_int ctx.own_count) ];
+    ph "execute" own_end ce [];
+    ph "local_commit" ce lc_done []
+  end
+
+let rec start_attempt r =
+  let t = r.node in
+  if not (is_alive t) then begin
+    Tspan.finish t.tspans ~args:[ ("result", "node_dead") ] r.root;
+    r.k (Txn.Aborted Txn.Node_dead)
+  end
+  else begin
+    let txn =
+      (* Per-thread pool: a thread runs one transaction at a time, so the
+         previous attempt's (finished) record is free for reuse. *)
+      let txn = t.txn_free.(r.thread) in
+      if txn != no_txn then begin
+        t.txn_free.(r.thread) <- no_txn;
+        Txn.reinit txn ~read_only:r.read_only ~thread:r.thread;
+        txn
+      end
+      else if r.read_only then Txn.create_read t.table ~thread:r.thread
+      else Txn.create_write t.table ~thread:r.thread
+    in
+    let ctx =
+      {
+        run = r;
+        txn;
+        times = { body_start = nan; own_first = nan; own_last = nan; commit_entry = nan };
+        reads = [];
+        used_ownership = false;
+        state = `Running;
+        own_count = 0;
+      }
+    in
+    ignore
+      (Engine.schedule t.engine
+         ~after:(r.exec_us +. Config.txn_dispatch_us)
+         (fun () -> dispatch ctx))
+  end
+
+and dispatch ctx =
+  ctx.times.body_start <- Engine.now ctx.run.node.engine;
+  ctx.run.body ctx (fun () -> commit_entry ctx)
+
+and commit_entry ctx =
+  if running ctx then begin
+    let t = ctx.run.node in
+    ctx.times.commit_entry <- Engine.now t.engine;
+    ignore (Engine.schedule t.engine ~after:Config.local_commit_us (fun () -> local_commit ctx))
+  end
+
+and local_commit ctx =
+  let r = ctx.run in
+  let t = r.node in
+  match Txn.local_commit ctx.txn with
+  | Error reason -> fail ctx reason
+  | Ok [] ->
+    ctx.state <- `Done;
+    t.txn_free.(r.thread) <- ctx.txn;
+    let lc_done = Engine.now t.engine in
+    if r.read_only then begin
+      t.n_ro_committed <- t.n_ro_committed + 1;
+      match t.history with
+      | Some h when ctx.reads <> [] ->
+        History.record_ro h ~node:t.id ~reads:ctx.reads ~time:(Engine.now t.engine)
+      | Some _ | None -> ()
+    end
+    else begin
+      t.n_committed <- t.n_committed + 1;
+      if ctx.used_ownership then t.n_txn_with_ownership <- t.n_txn_with_ownership + 1
+    end;
+    finish_phases ctx ~lc_done;
+    Metrics.Histogram.observe t.h_e2e (lc_done -. r.txn_start);
+    (* Nothing written: durable at local commit. *)
+    if not (Tspan.is_null r.root) then
+      Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:r.thread ~parent:r.root
+        ~args:[ ("writes", "0") ]
+        ~start:lc_done ~stop:lc_done "replicate";
+    Tspan.finish_at t.tspans ~stop:lc_done ~args:[ ("result", "committed") ] r.root;
+    r.k Txn.Committed
+  | Ok updates ->
+    ctx.state <- `Done;
+    t.txn_free.(r.thread) <- ctx.txn;
+    t.n_committed <- t.n_committed + 1;
+    if ctx.used_ownership then t.n_txn_with_ownership <- t.n_txn_with_ownership + 1;
+    prepare_created t updates;
+    let lc_done = Engine.now t.engine in
+    finish_phases ctx ~lc_done;
+    (match t.history with
+    | Some h ->
+      History.record_commit h ~node:t.id ~reads:ctx.reads
+        ~writes:(List.map (fun (u : Txn.update) -> (u.Txn.key, u.Txn.version)) updates)
+        ~time:(Engine.now t.engine)
+    | None -> ());
+    if t.outstanding_rc.(r.thread) >= t.config.Config.pipeline_depth then
+      (* Pipeline full: flow-control the thread. *)
+      Fifo.push t.waiters.(r.thread) (fun () ->
+          replicate r ~lc_done updates;
+          r.k Txn.Committed)
+    else begin
+      replicate r ~lc_done updates;
+      (* Pipelined: the app continues immediately. *)
+      r.k Txn.Committed
+    end
+
+and replicate r ~lc_done updates =
+  start_reliable_commit r.node ~thread:r.thread ~parent:r.root ~lc_done
+    ~txn_start:r.txn_start ~updates
+
+and fail ctx reason =
+  if running ctx then begin
+    ctx.state <- `Failed reason;
+    Txn.abort ctx.txn;
+    let r = ctx.run in
+    let t = r.node in
+    t.txn_free.(r.thread) <- ctx.txn;
+    t.n_retries <- t.n_retries + 1;
+    let n = r.attempt in
+    if n >= Config.max_retries then begin
+      if not r.read_only then t.n_aborted <- t.n_aborted + 1;
+      Tspan.finish t.tspans
+        ~args:[ ("result", "aborted"); ("attempts", string_of_int (n + 1)) ]
+        r.root;
+      r.k (Txn.Aborted reason)
+    end
+    else
+      ignore
+        (Engine.schedule t.engine ~after:(backoff t n) (fun () ->
+             r.attempt <- n + 1;
+             start_attempt r))
+  end
+
+(* ------ operations -------------------------------------------------------- *)
+
+(* Where write-level ownership of [key] stands at this node.  [`Owned] lets
+   the operation go on at once: the common local case allocates nothing. *)
+let own_state ctx key =
+  let t = ctx.run.node in
+  note_local_access t ~key ~write:true;
+  match Table.find t.table key with
+  | Some obj when Obj.is_owner obj && obj.Obj.o_state = Types.O_valid -> `Owned
+  | Some obj when obj.Obj.o_state <> Types.O_valid ->
+    (* An arbitration for this object is pending at this node (we are an
+       arbiter or a requester): do not touch it; retry with back-off until
+       the ownership protocol settles (§4.1). *)
+    `Pending
+  | Some _ | None -> `Absent
+
+(* Secure write-level ownership of [key] (§3.2 step 1), then run [k]: the
+   app thread blocks on the request — the only blocking point in Zeus. *)
+let acquire ctx key k =
+  let t = ctx.run.node in
+  ctx.used_ownership <- true;
+  let acq_start = Engine.now t.engine in
+  if Float.is_nan ctx.times.own_first then ctx.times.own_first <- acq_start;
+  ignore
+    (Engine.schedule t.engine ~after:Config.ownership_dispatch_us (fun () ->
+         Own.Agent.request ~parent:ctx.run.root (ownership_agent t) ~key
+           ~kind:Own.Messages.Acquire ~k:(fun result ->
+             ctx.times.own_last <- Engine.now t.engine;
+             ctx.own_count <- ctx.own_count + 1;
+             if running ctx then
+               match result with
+               | Ok () ->
+                 maybe_trim t key;
+                 k ()
+               | Error _ -> fail ctx (Txn.Ownership_refused key))))
+
+let read_owned ctx key k =
+  if recording ctx.run.node && not (Txn.written ctx.txn key) then note_read ctx key;
+  match Txn.open_read ctx.txn key with
+  | Ok v -> k v
+  | Error reason -> fail ctx reason
+
+let read ctx key k =
+  if running ctx then
+    if Txn.is_read_only ctx.txn then begin
+      note_local_access ctx.run.node ~key ~write:false;
+      note_read ctx key;
+      match Txn.open_read ctx.txn key with
+      | Ok v -> k v
+      | Error reason -> fail ctx reason
+    end
+    else
+      match own_state ctx key with
+      | `Owned -> read_owned ctx key k
+      | `Pending -> fail ctx (Txn.Ownership_refused key)
+      | `Absent -> acquire ctx key (fun () -> read_owned ctx key k)
+
+let write_owned ctx key value k =
+  match Txn.open_write ctx.txn key with
+  | Ok _ ->
+    Txn.put ctx.txn key value;
+    k ()
+  | Error reason -> fail ctx reason
+
+let write ctx key value k =
+  if running ctx then
+    match own_state ctx key with
+    | `Owned -> write_owned ctx key value k
+    | `Pending -> fail ctx (Txn.Ownership_refused key)
+    | `Absent -> acquire ctx key (fun () -> write_owned ctx key value k)
+
+let read_write_owned ctx key f k =
+  if recording ctx.run.node && not (Txn.written ctx.txn key) then note_read ctx key;
+  match Txn.open_write ctx.txn key with
+  | Ok v ->
+    let v' = f v in
+    Txn.put ctx.txn key v';
+    k v'
+  | Error reason -> fail ctx reason
+
+let read_write ctx key f k =
+  if running ctx then
+    match own_state ctx key with
+    | `Owned -> read_write_owned ctx key f k
+    | `Pending -> fail ctx (Txn.Ownership_refused key)
+    | `Absent -> acquire ctx key (fun () -> read_write_owned ctx key f k)
+
+let insert ctx key value = if running ctx then Txn.create_obj ctx.txn key value
+
+let delete_owned ctx key k =
+  match Txn.free_obj ctx.txn key with
+  | Ok () -> k ()
+  | Error reason -> fail ctx reason
+
+let delete ctx key k =
+  if running ctx then
+    match own_state ctx key with
+    | `Owned -> delete_owned ctx key k
+    | `Pending -> fail ctx (Txn.Ownership_refused key)
+    | `Absent -> acquire ctx key (fun () -> delete_owned ctx key k)
+
 let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
   let txn_start = Engine.now t.engine in
   let root =
@@ -415,158 +653,8 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
         "txn"
     else Tspan.null_span
   in
-  (* Retrospective phase spans for the committing attempt, plus the
-     always-on phase histograms.  Ownership = [first acquisition issued,
-     last grant]; zero-length at body dispatch for all-local attempts.
-     Execute = grant (or dispatch) to commit entry; the three phases are
-     sequential and nested inside the root txn span. *)
-  let finish_phases ctx ~ce ~lc_done =
-    let own_start, own_end =
-      if Float.is_nan ctx.own_first then (ctx.body_start, ctx.body_start)
-      else (ctx.own_first, ctx.own_last)
-    in
-    Metrics.Histogram.observe t.h_own (own_end -. own_start);
-    Metrics.Histogram.observe t.h_exec (ce -. own_end);
-    Metrics.Histogram.observe t.h_lc (lc_done -. ce);
-    if not (Tspan.is_null root) then begin
-      let ph name start stop args =
-        Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:thread ~parent:root
-          ~args ~start ~stop name
-      in
-      ph "ownership" own_start own_end
-        [ ("acquisitions", string_of_int ctx.own_count) ];
-      ph "execute" own_end ce [];
-      ph "local_commit" ce lc_done []
-    end
-  in
-  let rec attempt n =
-    if not (is_alive t) then begin
-      Tspan.finish t.tspans ~args:[ ("result", "node_dead") ] root;
-      k (Txn.Aborted Txn.Node_dead)
-    end
-    else begin
-      let txn =
-        (* Per-thread pool: a thread runs one transaction at a time, so the
-           previous attempt's (finished) record is free for reuse. *)
-        match t.txn_free.(thread) with
-        | Some txn ->
-          t.txn_free.(thread) <- None;
-          Txn.reinit txn ~read_only ~thread;
-          txn
-        | None ->
-          if read_only then Txn.create_read t.table ~thread
-          else Txn.create_write t.table ~thread
-      in
-      let on_fail reason =
-        t.txn_free.(thread) <- Some txn;
-        t.n_retries <- t.n_retries + 1;
-        if n >= Config.max_retries then begin
-          if not read_only then t.n_aborted <- t.n_aborted + 1;
-          Tspan.finish t.tspans
-            ~args:[ ("result", "aborted"); ("attempts", string_of_int (n + 1)) ]
-            root;
-          k (Txn.Aborted reason)
-        end
-        else
-          ignore
-            (Engine.schedule t.engine ~after:(backoff t n) (fun () -> attempt (n + 1)))
-      in
-      let ctx =
-        {
-          node = t;
-          txn;
-          span = root;
-          reads = [];
-          used_ownership = false;
-          state = `Running;
-          on_fail;
-          body_start = nan;
-          own_first = nan;
-          own_last = nan;
-          own_count = 0;
-        }
-      in
-      let commit_now () =
-        guard ctx (fun () ->
-            let ce = Engine.now t.engine in
-            ignore
-              (Engine.schedule t.engine ~after:Config.local_commit_us
-                 (fun () ->
-                   match Txn.local_commit ctx.txn with
-                   | Error reason -> fail ctx reason
-                   | Ok [] ->
-                     ctx.state <- `Done;
-                     t.txn_free.(thread) <- Some ctx.txn;
-                     let lc_done = Engine.now t.engine in
-                     if read_only then begin
-                       t.n_ro_committed <- t.n_ro_committed + 1;
-                       (match t.history with
-                       | Some h when ctx.reads <> [] ->
-                         History.record_ro h ~node:t.id ~reads:ctx.reads
-                           ~time:(Engine.now t.engine)
-                       | Some _ | None -> ())
-                     end
-                     else begin
-                       t.n_committed <- t.n_committed + 1;
-                       if ctx.used_ownership then
-                         t.n_txn_with_ownership <- t.n_txn_with_ownership + 1
-                     end;
-                     finish_phases ctx ~ce ~lc_done;
-                     Metrics.Histogram.observe t.h_e2e (lc_done -. txn_start);
-                     (* Nothing written: durable at local commit. *)
-                     if not (Tspan.is_null root) then
-                       Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:thread
-                         ~parent:root
-                         ~args:[ ("writes", "0") ]
-                         ~start:lc_done ~stop:lc_done "replicate";
-                     Tspan.finish_at t.tspans ~stop:lc_done
-                       ~args:[ ("result", "committed") ]
-                       root;
-                     k Txn.Committed
-                   | Ok updates ->
-                     ctx.state <- `Done;
-                     t.txn_free.(thread) <- Some ctx.txn;
-                     t.n_committed <- t.n_committed + 1;
-                     if ctx.used_ownership then
-                       t.n_txn_with_ownership <- t.n_txn_with_ownership + 1;
-                     prepare_created t updates;
-                     let lc_done = Engine.now t.engine in
-                     finish_phases ctx ~ce ~lc_done;
-                     (match t.history with
-                     | Some h ->
-                       History.record_commit h ~node:t.id ~reads:ctx.reads
-                         ~writes:
-                           (List.map
-                              (fun (u : Txn.update) -> (u.Txn.key, u.Txn.version))
-                              updates)
-                         ~time:(Engine.now t.engine)
-                     | None -> ());
-                     let proceed () =
-                       start_reliable_commit t ~thread ~parent:root ~lc_done
-                         ~txn_start ~updates
-                     in
-                     if t.outstanding_rc.(thread) >= t.config.Config.pipeline_depth
-                     then begin
-                       (* Pipeline full: flow-control the thread. *)
-                       Fifo.push t.waiters.(thread) (fun () ->
-                           proceed ();
-                           k Txn.Committed)
-                     end
-                     else begin
-                       proceed ();
-                       (* Pipelined: the app continues immediately. *)
-                       k Txn.Committed
-                     end)))
-      in
-      ignore
-        (Engine.schedule t.engine
-           ~after:(exec_us +. Config.txn_dispatch_us)
-           (fun () ->
-             ctx.body_start <- Engine.now t.engine;
-             body ctx commit_now))
-    end
-  in
-  attempt 0
+  start_attempt
+    { node = t; thread; read_only; exec_us; body; k; root; txn_start; attempt = 0 }
 
 let run_write t ~thread ?exec_us ~body k = run_txn ~read_only:false t ~thread ?exec_us ~body k
 let run_read t ~thread ?exec_us ~body k = run_txn ~read_only:true t ~thread ?exec_us ~body k

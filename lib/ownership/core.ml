@@ -131,11 +131,13 @@ type input =
 (* ---------- state -------------------------------------------------------- *)
 
 (* Every table is int-indexed: open requests sit in a {!Window} by request
-   seq (seqs only grow), pending side-buffers and replays in a
-   {!Dense_map} by key, and the recovery gate in an array by node.  Ack
+   seq (seqs only grow) and the recovery gate in an array by node.  Ack
    sets are bitmasks over node ids, and absent entries are the constant
    sentinels below, tested with [==], so a steady-state input does no
-   hashing and allocates no [Some] to look anything up. *)
+   hashing and allocates no [Some] to look anything up.  Pending
+   side-buffers and replays hold a few keys at a time, from anywhere in the
+   key space, so they are sparse {!Dense_map}s: their memory follows the
+   entries held, not the largest key ever replayed. *)
 
 type outstanding = {
   o_req_id : request_id;
@@ -183,8 +185,7 @@ type state = {
   mutable env : env;  (** of the input being handled *)
   mutable dir : Types.key -> Types.node_id list;
       (** of the input being handled; [no_dir] between inputs *)
-  mutable out : eff array;  (** its effects so far: the first [n_out] *)
-  mutable n_out : int;
+  out : eff Outbox.t;  (** its effects so far: emitted, not yet taken *)
 }
 
 let no_replicas = { Replicas.owner = None; readers = [] }
@@ -211,16 +212,15 @@ let no_env =
   { now = 0.0; epoch = 0; live = [||]; self_alive = true; trace_on = false }
 
 let no_dir (_ : Types.key) : Types.node_id list = []
-let out_capacity = 16
 
 let create ?(config = default_config) ~self ~nodes () =
   if nodes >= Sys.int_size then invalid_arg "Ownership.Core.create: ack bitmasks hold 62 nodes";
   {
     self;
     directory = Directory.create ~node:self;
-    side_pending = Dense_map.create ();
+    side_pending = Dense_map.create_sparse ();
     outstanding = Window.create ~dummy:no_outstanding;
-    replays = Dense_map.create ();
+    replays = Dense_map.create_sparse ();
     req_seq = 0;
     rr = self;
     gate_epoch = -1;
@@ -233,8 +233,7 @@ let create ?(config = default_config) ~self ~nodes () =
     replay_after = config.replay_after_us;
     env = no_env;
     dir = no_dir;
-    out = Array.make out_capacity Flush;
-    n_out = 0;
+    out = Outbox.create ~dummy:Flush;
   }
 
 let directory st = st.directory
@@ -256,31 +255,9 @@ let handles_payload = function
     true
   | _ -> false
 
-(* Effects go to a buffer kept in the state and leave as one list built
-   back to front, so an input allocates one cons per effect; the buffer is
-   cleared behind, leaving no effect reachable from the long-lived state. *)
-let emit st e =
-  if st.n_out = Array.length st.out then begin
-    let out = Array.make (2 * st.n_out) Flush in
-    Array.blit st.out 0 out 0 st.n_out;
-    st.out <- out
-  end;
-  st.out.(st.n_out) <- e;
-  st.n_out <- st.n_out + 1
-
-(* Top level, so that taking the effects builds no closure. *)
-let rec effects_from out i acc =
-  if i < 0 then acc
-  else begin
-    let e = out.(i) in
-    out.(i) <- Flush;
-    effects_from out (i - 1) (e :: acc)
-  end
-
-let take_effects st =
-  let effs = effects_from st.out (st.n_out - 1) [] in
-  st.n_out <- 0;
-  effs
+(* Effects go to the state's {!Outbox} and leave as one list. *)
+let emit st e = Outbox.emit st.out e
+let take_effects st = Outbox.take st.out
 
 let live st n = st.env.live.(n)
 let bit (n : Types.node_id) = 1 lsl n
@@ -1137,8 +1114,7 @@ let copy st =
     replays = Dense_map.copy copy_replay st.replays;
     gate_waiting = Array.copy st.gate_waiting;
     prev_live = Array.copy st.prev_live;
-    out = Array.make out_capacity Flush;
-    n_out = 0;
+    out = Outbox.create ~dummy:Flush;
   }
 
 (* The fingerprint is canonical: tables are dumped in ascending key order

@@ -2,6 +2,7 @@ type 'a t = {
   mutable dense : 'a option array; (* slot [k] holds the binding of key k *)
   sparse : (Types.key, 'a) Hashtbl.t;
   mutable count : int;
+  limit : int;  (* keys in [0, limit) are dense: [max_dense], or 0 *)
 }
 
 (* Past this the dense array stops growing and keys spill to [sparse];
@@ -14,7 +15,10 @@ let max_dense = 1 lsl 20
 let initial_capacity = 16
 
 let create () =
-  { dense = Array.make initial_capacity None; sparse = Hashtbl.create 16; count = 0 }
+  { dense = Array.make initial_capacity None; sparse = Hashtbl.create 16; count = 0;
+    limit = max_dense }
+
+let create_sparse () = { dense = [||]; sparse = Hashtbl.create 8; count = 0; limit = 0 }
 
 let find t key =
   if key >= 0 && key < Array.length t.dense then t.dense.(key)
@@ -35,7 +39,7 @@ let grow t key =
   t.dense <- dense
 
 let replace t key v =
-  if key >= 0 && key < max_dense then begin
+  if key >= 0 && key < t.limit then begin
     if key >= Array.length t.dense then grow t key;
     (match t.dense.(key) with None -> t.count <- t.count + 1 | Some _ -> ());
     t.dense.(key) <- Some v
@@ -68,7 +72,7 @@ let iter t fn =
   if Hashtbl.length t.sparse > 0 then Hashtbl.iter (fun _ v -> fn v) t.sparse
 
 let clear t =
-  t.dense <- Array.make initial_capacity None;
+  t.dense <- (if t.limit = 0 then [||] else Array.make initial_capacity None);
   Hashtbl.reset t.sparse;
   t.count <- 0
 
@@ -85,4 +89,5 @@ let copy f t =
     dense = Array.map (function Some v -> Some (f v) | None -> None) t.dense;
     sparse = Hashtbl.of_seq (Seq.map (fun (k, v) -> (k, f v)) (Hashtbl.to_seq t.sparse));
     count = t.count;
+    limit = t.limit;
   }

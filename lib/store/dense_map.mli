@@ -13,6 +13,12 @@ val max_dense : int
 (** Keys in [\[0, max_dense)] are stored densely. *)
 
 val create : unit -> 'a t
+
+val create_sparse : unit -> 'a t
+(** A map that keeps every key in the [Hashtbl]: its memory follows the
+    bindings it holds, not the largest key it has held.  For maps that hold
+    a handful of bindings over a wide key range. *)
+
 val find : 'a t -> Types.key -> 'a option
 val mem : 'a t -> Types.key -> bool
 

@@ -7,10 +7,12 @@ type t = {
   mutable o_state : Types.o_state;
   mutable o_ts : Ots.t;
   mutable o_replicas : Replicas.t option;
-  mutable lock_thread : int option;
+  mutable lock_thread : int;  (* [no_thread] when unlocked *)
   mutable last_writer_thread : int;
   mutable pending_rc : int;
 }
+
+let no_thread = -1
 
 let create ~key ~role ?(version = 0) ?(o_ts = Ots.zero) data =
   {
@@ -22,27 +24,25 @@ let create ~key ~role ?(version = 0) ?(o_ts = Ots.zero) data =
     o_state = Types.O_valid;
     o_ts;
     o_replicas = None;
-    lock_thread = None;
+    lock_thread = no_thread;
     last_writer_thread = -1;
     pending_rc = 0;
   }
 
 let is_owner t = t.role = Types.Owner
 
-let busy t = t.lock_thread <> None || t.pending_rc > 0 || t.t_state <> Types.T_valid
+let busy t = t.lock_thread <> no_thread || t.pending_rc > 0 || t.t_state <> Types.T_valid
 
 let can_lock t ~thread =
-  (match t.lock_thread with None -> true | Some holder -> holder = thread)
+  (t.lock_thread = no_thread || t.lock_thread = thread)
   && (t.pending_rc = 0 || t.last_writer_thread = thread)
 
 let lock t ~thread =
   assert (can_lock t ~thread);
-  t.lock_thread <- Some thread
+  t.lock_thread <- thread
 
 let unlock t ~thread =
-  match t.lock_thread with
-  | Some holder when holder = thread -> t.lock_thread <- None
-  | Some _ | None -> ()
+  if t.lock_thread = thread then t.lock_thread <- no_thread
 
 let pp ppf t =
   Format.fprintf ppf "#%d %a t=%a v=%d o=%a ts=%a rc=%d" t.key Types.pp_role t.role

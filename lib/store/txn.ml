@@ -64,13 +64,16 @@ let reinit t ~read_only ~thread =
 let is_read_only t = t.read_only
 let thread t = t.thread
 
+let rec unlock_all table thread = function
+  | [] -> ()
+  | key :: rest ->
+    (match Table.find table key with
+    | Some obj -> Obj.unlock obj ~thread
+    | None -> ());
+    unlock_all table thread rest
+
 let release_locks t =
-  List.iter
-    (fun key ->
-      match Table.find t.table key with
-      | Some obj -> Obj.unlock obj ~thread:t.thread
-      | None -> ())
-    t.locked;
+  unlock_all t.table t.thread t.locked;
   t.locked <- []
 
 let abort t =
@@ -89,15 +92,13 @@ let take_lock t obj =
      strictly per-thread and released at commit/abort, so [lock_thread =
      this thread] can only mean this very transaction took it (and already
      pushed the key onto [locked] for release). *)
-  match obj.Obj.lock_thread with
-  | Some th when th = t.thread -> Ok ()
-  | _ ->
-    if Obj.can_lock obj ~thread:t.thread then begin
-      Obj.lock obj ~thread:t.thread;
-      t.locked <- obj.Obj.key :: t.locked;
-      Ok ()
-    end
-    else Error (Lock_conflict obj.Obj.key)
+  if obj.Obj.lock_thread = t.thread then Ok ()
+  else if Obj.can_lock obj ~thread:t.thread then begin
+    Obj.lock obj ~thread:t.thread;
+    t.locked <- obj.Obj.key :: t.locked;
+    Ok ()
+  end
+  else Error (Lock_conflict obj.Obj.key)
 
 let created_value t key =
   List.assoc_opt key t.creates
@@ -208,35 +209,37 @@ let publish t obj data ~freed =
   Obj.unlock obj ~thread:t.thread;
   { key = obj.Obj.key; version = obj.Obj.t_version; data; freed }
 
+(* Publish a private copy (skip objects that are also freed).  A fold over
+   this top-level function, not an iteration over a closure into a ref. *)
+let publish_copy t key data updates =
+  if List.mem key t.frees then updates
+  else publish t (Table.get t.table key) data ~freed:false :: updates
+
+(* Freed objects: bump version, mark freed; removed once replicated. *)
+let rec publish_frees t updates = function
+  | [] -> updates
+  | key :: rest ->
+    let obj = Table.get t.table key in
+    publish_frees t (publish t obj obj.Obj.data ~freed:true :: updates) rest
+
+(* Created objects: installed as owned, version 1, pending replication. *)
+let rec install_creates t updates = function
+  | [] -> updates
+  | (key, data) :: rest ->
+    let obj = Obj.create ~key ~role:Types.Owner ~version:1 data in
+    obj.Obj.t_state <- Types.T_write;
+    obj.Obj.pending_rc <- 1;
+    obj.Obj.last_writer_thread <- t.thread;
+    Table.install t.table obj;
+    install_creates t ({ key; version = 1; data; freed = false } :: updates) rest
+
 let commit_write t =
-  let updates = ref [] in
-  (* Publish private copies (skip objects that are also freed). *)
-  Hashtbl.iter
-    (fun key data ->
-      if not (List.mem key t.frees) then begin
-        let obj = Table.get t.table key in
-        updates := publish t obj data ~freed:false :: !updates
-      end)
-    t.copies;
-  (* Freed objects: bump version, mark freed; removed once replicated. *)
-  List.iter
-    (fun key ->
-      let obj = Table.get t.table key in
-      updates := publish t obj obj.Obj.data ~freed:true :: !updates)
-    t.frees;
-  (* Created objects: installed as owned, version 1, pending replication. *)
-  List.iter
-    (fun (key, data) ->
-      let obj = Obj.create ~key ~role:Types.Owner ~version:1 data in
-      obj.Obj.t_state <- Types.T_write;
-      obj.Obj.pending_rc <- 1;
-      obj.Obj.last_writer_thread <- t.thread;
-      Table.install t.table obj;
-      updates := { key; version = 1; data; freed = false } :: !updates)
-    t.creates;
+  let updates = Hashtbl.fold (publish_copy t) t.copies [] in
+  let updates = publish_frees t updates t.frees in
+  let updates = install_creates t updates t.creates in
   release_locks t;
   t.finished <- true;
-  Ok !updates
+  Ok updates
 
 let local_commit t =
   assert (not t.finished);

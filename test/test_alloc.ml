@@ -8,8 +8,10 @@
    ones 10 %: a core that starts formatting debug strings, rebuilding
    constant lists or hashing its way to a slot on every input fails here
    before it shows up as a benchmark regression.  A second ownership row
-   meters the same Acquire through the agents of a simulated cluster, and
-   the slot window both cores use is unit-tested alongside.
+   meters the same Acquire through the agents of a simulated cluster, a
+   Smallbank row meters whole local transactions the same way (10 % above
+   their measured figures), and the slot window both cores use is
+   unit-tested alongside.
 
    The last two tests pin the simulator's long-lived structures against
    promotion cascades (DESIGN.md §12): a wait queue must not drag served
@@ -116,9 +118,11 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 1917.9 words per granted request; 2473.9 with the agent's timers and
-   continuations in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 2110.0
+(* 1765.9 words per granted request; 1917.9 with a closure and a job
+   record per received message and a local closure building each core
+   input's effect list; 2473.9 with the agent's timers and continuations
+   in [Hashtbl]s and the core's tables boxed. *)
+let ownership_agent_bound = 1943.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -138,6 +142,42 @@ let ownership_agent_budget () =
   if per_request > ownership_agent_bound then
     Alcotest.failf "ownership agent path: %.1f minor words per granted request (budget %.0f)"
       per_request ownership_agent_bound
+
+(* ---------- the transaction path, end to end ---------------------------- *)
+
+module Smallbank = Zeus_workload.Smallbank
+module Spec = Zeus_workload.Spec
+module Driver = Zeus_workload.Driver
+
+(* Smallbank with every write local through a fault-free 3-node cluster,
+   every app thread in a closed loop: the words cover the whole local path
+   — the spec walk, [Node]'s operations and commit, [Txn], the datastore
+   worker pool, both agents and cores, the transport, fabric and engine.
+   A layer that starts allocating per operation or per message again
+   fails here.  699.9 words per committed transaction;
+   1,040.9 when the spec built a closure per key and decoded
+   every field to bump a counter, [Node] built its guards, continuations
+   and attempt closures per operation, and the worker pool a closure and a
+   job record per message. *)
+let smallbank_bound = 770.0
+
+let smallbank_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let w = Smallbank.create ~accounts_per_node:1_000 ~nodes (Zeus_sim.Rng.create 5L) in
+  Smallbank.populate w c;
+  let committed () = Cluster.total_committed c + Cluster.total_ro_committed c in
+  let issue = Spec.issue (Smallbank.gen w) in
+  (* A first run warms the pools, windows and tables up. *)
+  ignore (Driver.run c ~warmup_us:0.0 ~duration_us:500.0 ~issue ());
+  let c0 = committed () and before = Gc.minor_words () in
+  let r = Driver.run c ~warmup_us:0.0 ~duration_us:5_000.0 ~issue () in
+  let words = Gc.minor_words () -. before and txns = committed () - c0 in
+  Alcotest.(check int) "no aborts" 0 r.Driver.aborted;
+  Alcotest.(check bool) "thousands committed" true (txns >= 2_000);
+  let per_txn = words /. float_of_int txns in
+  if per_txn > smallbank_bound then
+    Alcotest.failf "Smallbank: %.1f minor words per committed transaction (budget %.0f)" per_txn
+      smallbank_bound
 
 (* ---------- commit: one INV/ACK/VAL round ------------------------------- *)
 
@@ -520,6 +560,7 @@ let suite =
   [
     tc "ownership core: remote Acquire allocation budget" ownership_acquire_budget;
     tc "ownership agent: remote Acquire allocation budget" ownership_agent_budget;
+    tc "transaction path: Smallbank allocation budget" smallbank_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;
     tc "commit core: pipelined round, ACKs newest first" commit_pipelined_budget;
     tc "commit core: slot window" slot_window;

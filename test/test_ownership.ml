@@ -418,6 +418,50 @@ let replay_timer_snapshot_only_while_pending () =
   check Alcotest.bool "no snapshot after the VAL" true
     ((A.timer_facts st table kind).C.f_snapshot = None)
 
+(* ---------- side maps: memory follows the entries held ---------- *)
+
+(* Node 1, an arbiter but not a directory replica of key 1,000,000, buffers
+   node 0's arbitration for it in its side map; its replay check, fired
+   with the arbitration still pending, starts a replay.  Neither table may
+   grow with the key: dense arrays up to it would hold a million slots
+   (8 MB) each. *)
+let side_maps_follow_entries () =
+  let module C = Own.Core in
+  let module M = Own.Messages in
+  let module Ots = Zeus_store.Ots in
+  let module Replicas = Zeus_store.Replicas in
+  let key = 1_000_000 in
+  let dir _ = [ 0; 2 ] in
+  let st = C.create ~self:1 ~nodes:3 () in
+  let env = { C.now = 0.0; epoch = 0; live = [| true; true; true |]; self_alive = true;
+              trace_on = false } in
+  let words () = Stdlib.Obj.reachable_words (Stdlib.Obj.repr st) in
+  let before = words () in
+  let inv =
+    M.O_inv
+      { req_id = { M.origin = 0; seq = 0 }; key; o_ts = Ots.next Ots.zero ~node:0;
+        base_ts = Ots.zero; new_replicas = Replicas.v ~owner:0 ~readers:[ 1 ];
+        kind = M.Acquire; requester = 0; arbiters = [ 0; 1 ]; data_from = None;
+        recovery = false; driver = 0; epoch = 0 }
+  in
+  let _, effs = C.handle ~dir st (C.Deliver { src = 0; payload = inv; facts = C.no_facts; env }) in
+  let token, kind =
+    match
+      List.find_map
+        (function
+          | C.Set_timer { token; kind = C.T_replay _ as kind; _ } -> Some (token, kind)
+          | _ -> None)
+        effs
+    with
+    | Some tk -> tk
+    | None -> Alcotest.fail "no replay check armed"
+  in
+  ignore (C.handle ~dir st (C.Timer_fire { token; kind; facts = C.no_facts; env }));
+  check Alcotest.bool "replay started" true (C.has_replay st key);
+  let grown = words () - before in
+  if grown > 2_048 then
+    Alcotest.failf "one replay of key %d grew the core by %d words (bound 2048)" key grown
+
 let suite =
   [
     tc "reader acquires ownership (1.5 RTT path)" reader_acquires;
@@ -440,4 +484,5 @@ let suite =
     tc "view change arms replay checks in key order" view_change_arms_in_key_order;
     tc "view change fails open requests in seq order" view_change_fails_requests_in_seq_order;
     tc "replay timer snapshots only a pending arbitration" replay_timer_snapshot_only_while_pending;
+    tc "side maps: memory follows the entries held" side_maps_follow_entries;
   ]

@@ -275,6 +275,52 @@ let resource_stats () =
   check (Alcotest.float 1e-9) "busy time" 5.0 (Resource.busy_time r);
   check Alcotest.int "idle" 0 (Resource.busy r)
 
+(* Three servers finish out of submission order (service 5, 1, 3), and
+   the two queued jobs take the servers as they free up: each completion
+   runs its own job's continuation, whichever server it held. *)
+let resource_out_of_order () =
+  let e = Engine.create () in
+  let r = Resource.create e ~servers:3 in
+  let log = ref [] in
+  let job name service =
+    Resource.submit r ~service (fun () -> log := (name, Engine.now e) :: !log)
+  in
+  job "a" 5.0;
+  job "b" 1.0;
+  job "c" 3.0;
+  job "d" 2.0;
+  job "e" 1.0;
+  check Alcotest.int "three in service" 3 (Resource.busy r);
+  check Alcotest.int "two queued" 2 (Resource.queue_length r);
+  Engine.run e;
+  check
+    Alcotest.(list (pair string (float 1e-9)))
+    "completions" [ ("b", 1.0); ("c", 3.0); ("d", 3.0); ("e", 4.0); ("a", 5.0) ] (List.rev !log);
+  check Alcotest.int "completed" 5 (Resource.completed r);
+  check (Alcotest.float 1e-9) "busy time" 12.0 (Resource.busy_time r);
+  check Alcotest.int "idle" 0 (Resource.busy r)
+
+(* A job submitted from a completion takes the server that completion
+   freed at once, ahead of a job already queued; the queued one starts
+   when the next server frees. *)
+let resource_resubmit_from_completion () =
+  let e = Engine.create () in
+  let r = Resource.create e ~servers:2 in
+  let log = ref [] in
+  let note name () = log := (name, Engine.now e) :: !log in
+  Resource.submit r ~service:2.0 (fun () ->
+      note "a" ();
+      Resource.submit r ~service:1.0 (note "c");
+      check Alcotest.int "c in service" 2 (Resource.busy r);
+      check Alcotest.int "q still queued" 1 (Resource.queue_length r));
+  Resource.submit r ~service:5.0 (note "b");
+  Resource.submit r ~service:1.0 (note "q");
+  Engine.run e;
+  check
+    Alcotest.(list (pair string (float 1e-9)))
+    "completions" [ ("a", 2.0); ("c", 3.0); ("q", 4.0); ("b", 5.0) ] (List.rev !log);
+  check (Alcotest.float 1e-9) "busy time" 9.0 (Resource.busy_time r)
+
 (* ---------- stats ---------- *)
 
 let percentile_interpolates () =
@@ -360,6 +406,8 @@ let suite =
     tc "resource: single server serializes" resource_serializes;
     tc "resource: two servers in parallel" resource_parallel;
     tc "resource: accounting" resource_stats;
+    tc "resource: out-of-order completion on three servers" resource_out_of_order;
+    tc "resource: a completion's job reuses the freed server" resource_resubmit_from_completion;
     tc "stats: percentile interpolation" percentile_interpolates;
     tc "stats: summary" summary_basics;
     tc "stats: samples exact under cap" samples_exact_when_small;
