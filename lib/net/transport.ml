@@ -52,14 +52,13 @@ type Msg.payload +=
   | Batch of {
       inc : int;
       first_seq : int;
-      items : (Msg.payload * int) list;
+      items : Msg.payload list;
       ack : int;  (** cumulative ack for the reverse flow *)
       ack_inc : int;
     }
   | Ack_cum of { upto : int; inc : int }
   | Ring_hole  (** filler for empty send-ring slots; never hits the wire *)
 
-let hole : Msg.payload * int = (Ring_hole, 0)
 
 (* Legacy (unbatched) per-message in-flight record. *)
 type pending = {
@@ -82,10 +81,12 @@ type flow = {
   mutable flushed_upto : int;  (* all seqs <= this have hit the fabric once *)
   (* Batched: the unacked window lives in a power-of-two ring indexed by
      [seq land (cap - 1)] — O(1) store per send, nothing to delete on ack
-     (advancing [acked_upto] abandons the slots), and frame assembly reuses
-     the stored (payload, size) pairs instead of re-packing a hashtable.
-     [ring_enq] holds enqueue timestamps for the trace's batch residency. *)
-  mutable ring : (Msg.payload * int) array;
+     (advancing [acked_upto] abandons the slots), and frame assembly reads
+     the stored payloads and sizes instead of re-packing a hashtable.
+     [ring_size] holds each payload's size and [ring_enq] its enqueue
+     timestamp, for the trace's batch residency. *)
+  mutable ring : Msg.payload array;
+  mutable ring_size : int array;
   mutable ring_enq : float array;
   inflight : (int, pending) Hashtbl.t;  (* legacy: per-message records *)
   mutable queued : bool;  (* on the source node's dirty list *)
@@ -95,7 +96,7 @@ type flow = {
   (* ---- receiver side (at dst) ---- *)
   mutable rx_inc : int;  (* sender incarnation currently accepted *)
   mutable watermark : int;  (* all seqs <= this delivered (cumulative) *)
-  ooo : (int, Msg.payload * int) Hashtbl.t;
+  ooo : (int, Msg.payload) Hashtbl.t;
       (* batched: out-of-order payloads held for in-order delivery *)
   seen_ahead : (int, unit) Hashtbl.t;
       (* legacy: seqs delivered above the watermark (bounded by the
@@ -144,7 +145,8 @@ let fresh_flow ~src ~dst =
     next_seq = 0;
     acked_upto = -1;
     flushed_upto = -1;
-    ring = Array.make 16 hole;
+    ring = Array.make 16 Ring_hole;
+    ring_size = Array.make 16 0;
     ring_enq = Array.make 16 0.0;
     inflight = Hashtbl.create 16;
     queued = false;
@@ -194,13 +196,16 @@ let ring_grow fl =
   let cap = Array.length fl.ring in
   if tx_window fl > cap then begin
     let ncap = 2 * cap in
-    let nring = Array.make ncap hole in
+    let nring = Array.make ncap Ring_hole in
+    let nsize = Array.make ncap 0 in
     let nenq = Array.make ncap 0.0 in
     for s = fl.acked_upto + 1 to fl.next_seq - 1 do
       nring.(s land (ncap - 1)) <- fl.ring.(s land (cap - 1));
+      nsize.(s land (ncap - 1)) <- fl.ring_size.(s land (cap - 1));
       nenq.(s land (ncap - 1)) <- fl.ring_enq.(s land (cap - 1))
     done;
     fl.ring <- nring;
+    fl.ring_size <- nsize;
     fl.ring_enq <- nenq
   end
 
@@ -268,7 +273,7 @@ let reset_tx t fl =
   cancel_rto t fl;
   Hashtbl.iter (fun _ p -> cancel_pending_timer t p) fl.inflight;
   Hashtbl.reset fl.inflight;
-  Array.fill fl.ring 0 (Array.length fl.ring) hole;
+  Array.fill fl.ring 0 (Array.length fl.ring) Ring_hole;
   fl.tx_inc <- fl.tx_inc + 1;
   fl.next_seq <- 0;
   fl.acked_upto <- -1;
@@ -308,15 +313,13 @@ let send_window ?(retx = false) t fl ~lo ~hi =
     if lo <= hi then begin
       let n = min max_batch (hi - lo + 1) in
       let mask = Array.length fl.ring - 1 in
-      (* Assemble the frame straight from the ring, back to front, reusing
-         the stored (payload, size) pairs: one cons per payload, no
-         intermediate list, no lookups. *)
+      (* Assemble the frame straight from the ring, back to front: one
+         cons per payload, no intermediate list, no lookups. *)
       let items = ref [] in
       let size = ref batch_header_bytes in
       for s = lo + n - 1 downto lo do
-        let (_, sz) as item = fl.ring.(s land mask) in
-        size := !size + sz;
-        items := item :: !items
+        size := !size + fl.ring_size.(s land mask);
+        items := fl.ring.(s land mask) :: !items
       done;
       let items = !items in
       let size = !size in
@@ -430,7 +433,8 @@ let send_batched t fl ~size payload =
   fl.next_seq <- seq + 1;
   ring_grow fl;
   let i = seq land (Array.length fl.ring - 1) in
-  fl.ring.(i) <- (payload, size);
+  fl.ring.(i) <- payload;
+  fl.ring_size.(i) <- size;
   fl.ring_enq.(i) <- Engine.now (engine t);
   if not fl.queued then begin
     fl.queued <- true;
@@ -464,7 +468,7 @@ let apply_cum_ack t fl ~upto ~inc =
 
 let rec drain_ooo t fl =
   match Hashtbl.find_opt fl.ooo (fl.watermark + 1) with
-  | Some (payload, _) ->
+  | Some payload ->
     Hashtbl.remove fl.ooo (fl.watermark + 1);
     fl.watermark <- fl.watermark + 1;
     deliver t ~dst:fl.f_dst ~src:fl.f_src payload;
@@ -485,44 +489,48 @@ let schedule_dack t fl =
                  (Ack_cum { upto = fl.watermark; inc = fl.rx_inc })
              end))
 
+(* A frame's payloads, [seq] the first one's, walked in a loop: no closure
+   per frame. *)
+let rec receive_items t fl seq = function
+  | [] -> ()
+  | payload :: rest ->
+    if
+      seq <= fl.watermark || Hashtbl.mem fl.ooo seq
+      || Hashtbl.mem fl.seen_ahead seq
+    then ()  (* duplicate: a retransmitted window overlapping delivery *)
+    else if seq = fl.watermark + 1 then begin
+      fl.watermark <- seq;
+      deliver t ~dst:fl.f_dst ~src:fl.f_src payload;
+      if t.config.ordered then drain_ooo t fl
+      else
+        while Hashtbl.mem fl.seen_ahead (fl.watermark + 1) do
+          Hashtbl.remove fl.seen_ahead (fl.watermark + 1);
+          fl.watermark <- fl.watermark + 1
+        done
+    end
+    else if t.config.ordered then begin
+      if Hashtbl.length fl.ooo < max_ooo then
+        (* Ahead of the watermark: hold for in-order delivery; go-back-N
+           retransmission fills the gap.  Beyond [max_ooo] we drop and
+           rely on the retransmitted window instead — receive-side state
+           stays bounded no matter what the fault injection does. *)
+        Hashtbl.replace fl.ooo seq payload
+    end
+    else begin
+      (* Unordered mode: deliver ahead of the watermark immediately and
+         remember the seq for dedup (bounded by the in-flight span, as in
+         the legacy path); the cumulative ack still only covers the
+         contiguous prefix, so go-back-N refills the gap and the
+         [seen_ahead] check above swallows the resulting overlap. *)
+      Hashtbl.replace fl.seen_ahead seq ();
+      deliver t ~dst:fl.f_dst ~src:fl.f_src payload
+    end;
+    receive_items t fl (seq + 1) rest
+
 let handle_batch t fl ~inc ~first_seq ~items =
   if inc >= fl.rx_inc then begin
     if inc > fl.rx_inc then adopt_rx t fl inc;
-    List.iteri
-      (fun i ((payload, _) as item) ->
-        let seq = first_seq + i in
-        if
-          seq <= fl.watermark || Hashtbl.mem fl.ooo seq
-          || Hashtbl.mem fl.seen_ahead seq
-        then ()  (* duplicate: a retransmitted window overlapping delivery *)
-        else if seq = fl.watermark + 1 then begin
-          fl.watermark <- seq;
-          deliver t ~dst:fl.f_dst ~src:fl.f_src payload;
-          if t.config.ordered then drain_ooo t fl
-          else
-            while Hashtbl.mem fl.seen_ahead (fl.watermark + 1) do
-              Hashtbl.remove fl.seen_ahead (fl.watermark + 1);
-              fl.watermark <- fl.watermark + 1
-            done
-        end
-        else if t.config.ordered then begin
-          if Hashtbl.length fl.ooo < max_ooo then
-            (* Ahead of the watermark: hold for in-order delivery; go-back-N
-               retransmission fills the gap.  Beyond [max_ooo] we drop and
-               rely on the retransmitted window instead — receive-side state
-               stays bounded no matter what the fault injection does. *)
-            Hashtbl.replace fl.ooo seq item
-        end
-        else begin
-          (* Unordered mode: deliver ahead of the watermark immediately and
-             remember the seq for dedup (bounded by the in-flight span, as
-             in the legacy path); the cumulative ack still only covers the
-             contiguous prefix, so go-back-N refills the gap and the
-             [seen_ahead] check above swallows the resulting overlap. *)
-          Hashtbl.replace fl.seen_ahead seq ();
-          deliver t ~dst:fl.f_dst ~src:fl.f_src payload
-        end)
-      items;
+    receive_items t fl first_seq items;
     (* Any data frame earns an ack: fresh data to advance the cumulative
        ack, and a fully-duplicate frame means our previous ack was lost. *)
     fl.ack_owed <- true;

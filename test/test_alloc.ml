@@ -118,11 +118,12 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 1765.9 words per granted request; 1917.9 with a closure and a job
-   record per received message and a local closure building each core
-   input's effect list; 2473.9 with the agent's timers and continuations
+(* 1685.9 words per granted request; 1917.9 with a closure and a job
+   record per received message, a local closure building each core
+   input's effect list and a tuple per payload in the transport's send
+   ring; 2473.9 with the agent's timers and continuations
    in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 1943.0
+let ownership_agent_bound = 1855.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -154,12 +155,12 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  699.9 words per committed transaction;
-   1,040.9 when the spec built a closure per key and decoded
-   every field to bump a counter, [Node] built its guards, continuations
-   and attempt closures per operation, and the worker pool a closure and a
-   job record per message. *)
-let smallbank_bound = 770.0
+   fails here.  683.0 words per committed transaction; 1,040.9 when the
+   spec built a closure per key and decoded every field to bump a counter,
+   [Node] built its guards, continuations and attempt closures per
+   operation, the worker pool a closure and a job record per message, and
+   the transport a tuple per payload. *)
+let smallbank_bound = 751.0
 
 let smallbank_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
