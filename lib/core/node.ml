@@ -350,38 +350,39 @@ let rec update_bytes acc = function
   | [] -> acc
   | (u : Txn.update) :: rest -> update_bytes (acc + Value.size u.data) rest
 
-let start_reliable_commit t ~thread ~parent ~lc_done ~txn_start
-    ~(updates : Txn.update list) =
+(* A write transaction's updates are durable: close its phases and free
+   its pipeline slot. *)
+let durable r ~lc_done (updates : Txn.update list) =
+  let t = r.node in
+  let durable = Engine.now t.engine in
+  Metrics.Histogram.observe t.h_repl (durable -. lc_done);
+  Metrics.Histogram.observe t.h_e2e (durable -. r.txn_start);
+  if not (Tspan.is_null r.root) then
+    Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:r.thread ~parent:r.root
+      ~args:[ ("writes", string_of_int (List.length updates)) ]
+      ~start:lc_done ~stop:durable "replicate";
+  Tspan.finish_at t.tspans ~stop:durable ~args:[ ("result", "committed") ] r.root;
+  (match t.history with
+  | Some h ->
+    let writes = List.map (fun (u : Txn.update) -> (u.Txn.key, u.Txn.version)) updates in
+    History.record_durable h ~writes ~time:(Engine.now t.engine)
+  | None -> ());
+  release_pipeline_slot t r.thread
+
+let replicate r ~lc_done (updates : Txn.update list) =
+  let t = r.node in
   let bytes = update_bytes 0 updates in
   let followers = t.config.Config.replication_degree - 1 in
   let send_cost =
     float_of_int followers
     *. (Config.msg_proc_us +. (float_of_int bytes *. Config.byte_proc_us))
   in
-  t.outstanding_rc.(thread) <- t.outstanding_rc.(thread) + 1;
+  t.outstanding_rc.(r.thread) <- t.outstanding_rc.(r.thread) + 1;
   (* Broadcasting the R-INVs consumes datastore-worker CPU at the
      coordinator; the app thread does NOT wait (§5.2). *)
   Resource.submit t.ds ~service:send_cost (fun () ->
-      Com.Agent.commit ~parent (commit_agent t) ~thread ~updates
-        ~on_durable:(fun () ->
-          let durable = Engine.now t.engine in
-          Metrics.Histogram.observe t.h_repl (durable -. lc_done);
-          Metrics.Histogram.observe t.h_e2e (durable -. txn_start);
-          if not (Tspan.is_null parent) then
-            Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:thread ~parent
-              ~args:[ ("writes", string_of_int (List.length updates)) ]
-              ~start:lc_done ~stop:durable "replicate";
-          Tspan.finish_at t.tspans ~stop:durable
-            ~args:[ ("result", "committed") ]
-            parent;
-          (match t.history with
-          | Some h ->
-            let writes =
-              List.map (fun (u : Txn.update) -> (u.Txn.key, u.Txn.version)) updates
-            in
-            History.record_durable h ~writes ~time:(Engine.now t.engine)
-          | None -> ());
-          release_pipeline_slot t thread)
+      Com.Agent.commit ~parent:r.root (commit_agent t) ~thread:r.thread ~updates
+        ~on_durable:(fun () -> durable r ~lc_done updates)
         ())
 
 let backoff t attempt =
@@ -515,10 +516,6 @@ and local_commit ctx =
       (* Pipelined: the app continues immediately. *)
       r.k Txn.Committed
     end
-
-and replicate r ~lc_done updates =
-  start_reliable_commit r.node ~thread:r.thread ~parent:r.root ~lc_done
-    ~txn_start:r.txn_start ~updates
 
 and fail ctx reason =
   if running ctx then begin

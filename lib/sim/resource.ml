@@ -5,8 +5,8 @@
 
 type job = { service : float; k : unit -> unit }
 
-let no_job = { service = 0.0; k = (fun () -> ()) }
 let no_k () = ()
+let no_job = { service = 0.0; k = no_k }
 
 (* A record of floats alone is stored flat: accumulating boxes nothing. *)
 type clock = { mutable busy_time : float }

@@ -14,16 +14,13 @@ type t = {
   mutable o_ts : Ots.t;
   mutable o_replicas : Replicas.t option;  (** owner and directory only *)
   mutable lock_thread : int;
-      (** local thread executing a write transaction on the object;
-          {!no_thread} when none *)
+      (** local thread executing a write transaction on the object; [-1]
+          when none *)
   mutable last_writer_thread : int;
       (** pipeline that issued the newest local commit *)
   mutable pending_rc : int;
       (** reliable commits in flight that modified this object *)
 }
-
-val no_thread : int
-(** [-1]: the [lock_thread] of an unlocked object. *)
 
 val create :
   key:Types.key -> role:Types.role -> ?version:int -> ?o_ts:Ots.t -> Value.t -> t

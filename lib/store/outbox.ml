@@ -2,7 +2,6 @@ type 'a t = { mutable buf : 'a array; mutable len : int; dummy : 'a }
 
 let initial_capacity = 16
 let create ~dummy = { buf = Array.make initial_capacity dummy; len = 0; dummy }
-let length t = t.len
 
 let emit t e =
   if t.len = Array.length t.buf then begin

@@ -19,6 +19,3 @@ val emit : 'a t -> 'a -> unit
 val take : 'a t -> 'a list
 (** The effects emitted since the last [take], in emission order; the
     buffer is left empty. *)
-
-val length : 'a t -> int
-(** Effects emitted and not yet taken. *)

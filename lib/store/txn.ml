@@ -28,20 +28,42 @@ type t = {
   (* read-only txn state: (key, version) snapshots *)
   mutable snapshots : (Types.key * int) list;
   mutable finished : bool;
+  mutable publish_copy : Types.key -> Value.t -> update list -> update list;
+      (* [publish_copy] of this transaction, built once at [create] *)
 }
 
+let publish t obj data ~freed =
+  obj.Obj.data <- data;
+  obj.Obj.t_version <- obj.Obj.t_version + 1;
+  obj.Obj.t_state <- Types.T_write;
+  obj.Obj.pending_rc <- obj.Obj.pending_rc + 1;
+  obj.Obj.last_writer_thread <- t.thread;
+  Obj.unlock obj ~thread:t.thread;
+  { key = obj.Obj.key; version = obj.Obj.t_version; data; freed }
+
+(* Publish a private copy (skip objects that are also freed).  Folded over
+   the copies in table order; the table's order is the updates' order. *)
+let publish_copy t key data updates =
+  if List.mem key t.frees then updates
+  else publish t (Table.get t.table key) data ~freed:false :: updates
+
 let create ~read_only table ~thread =
-  {
-    table;
-    thread;
-    read_only;
-    locked = [];
-    copies = Hashtbl.create 8;
-    creates = [];
-    frees = [];
-    snapshots = [];
-    finished = false;
-  }
+  let t =
+    {
+      table;
+      thread;
+      read_only;
+      locked = [];
+      copies = Hashtbl.create 8;
+      creates = [];
+      frees = [];
+      snapshots = [];
+      finished = false;
+      publish_copy = (fun _ _ updates -> updates);
+    }
+  in
+  t.publish_copy <- publish_copy t;
+  t
 
 let create_write table ~thread = create ~read_only:false table ~thread
 let create_read table ~thread = create ~read_only:true table ~thread
@@ -200,21 +222,6 @@ let commit_read_only t =
   in
   validate t.snapshots
 
-let publish t obj data ~freed =
-  obj.Obj.data <- data;
-  obj.Obj.t_version <- obj.Obj.t_version + 1;
-  obj.Obj.t_state <- Types.T_write;
-  obj.Obj.pending_rc <- obj.Obj.pending_rc + 1;
-  obj.Obj.last_writer_thread <- t.thread;
-  Obj.unlock obj ~thread:t.thread;
-  { key = obj.Obj.key; version = obj.Obj.t_version; data; freed }
-
-(* Publish a private copy (skip objects that are also freed).  A fold over
-   this top-level function, not an iteration over a closure into a ref. *)
-let publish_copy t key data updates =
-  if List.mem key t.frees then updates
-  else publish t (Table.get t.table key) data ~freed:false :: updates
-
 (* Freed objects: bump version, mark freed; removed once replicated. *)
 let rec publish_frees t updates = function
   | [] -> updates
@@ -234,7 +241,7 @@ let rec install_creates t updates = function
     install_creates t ({ key; version = 1; data; freed = false } :: updates) rest
 
 let commit_write t =
-  let updates = Hashtbl.fold (publish_copy t) t.copies [] in
+  let updates = Hashtbl.fold t.publish_copy t.copies [] in
   let updates = publish_frees t updates t.frees in
   let updates = install_creates t updates t.creates in
   release_locks t;

@@ -155,12 +155,12 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  683.0 words per committed transaction; 1,040.9 when the
+   fails here.  673.6 words per committed transaction; 1,040.9 when the
    spec built a closure per key and decoded every field to bump a counter,
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 751.0
+let smallbank_bound = 741.0
 
 let smallbank_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
