@@ -59,7 +59,6 @@ type Msg.payload +=
   | Ack_cum of { upto : int; inc : int }
   | Ring_hole  (** filler for empty send-ring slots; never hits the wire *)
 
-
 (* Legacy (unbatched) per-message in-flight record. *)
 type pending = {
   p_payload : Msg.payload;
