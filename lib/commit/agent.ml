@@ -1,5 +1,5 @@
 (* Thin interpreter over {!Core}: samples the environment, feeds inputs,
-   and executes the returned effects against the real engine — transport
+   and executes their effects against the real engine — transport
    sends, store transforms, telemetry, the caller's durability
    continuation.  All protocol logic lives in the sans-I/O core. *)
 
@@ -182,16 +182,24 @@ let exec_eff t (e : Core.eff) =
   | Core.Drained { epoch } -> t.cb.recovery_drained ~epoch
   | Core.Telemetry tele -> exec_telemetry t tele
 
-let rec exec_effs t = function
-  | [] -> ()
-  | e :: rest ->
-    exec_eff t e;
-    exec_effs t rest
+let rec exec_range t out i stop =
+  if i < stop then begin
+    exec_eff t (Outbox.get out i);
+    exec_range t out (i + 1) stop
+  end
 
+(* The core leaves an input's effects in its buffer; they run in place and
+   are then truncated away.  A [Durable] continuation may commit again on
+   this agent mid-walk: that nested feed's effects go above [stop] and are
+   gone before the walk resumes (the stack discipline of {!Outbox}). *)
 let feed t input =
-  let _, effs = Core.handle t.core input in
-  (match t.io_tap with Some f -> f input effs | None -> ());
-  exec_effs t effs
+  let out = Core.effects t.core in
+  let mark = Outbox.length out in
+  Core.step t.core input;
+  let stop = Outbox.length out in
+  (match t.io_tap with Some f -> f input (Outbox.to_list out ~from:mark) | None -> ());
+  exec_range t out mark stop;
+  Outbox.truncate out mark
 
 (* ---------- public API ---------------------------------------------------- *)
 
@@ -205,15 +213,11 @@ let rec replica_sets table = function
     in
     all :: replica_sets table rest
 
-let commit ?(parent = Tspan.null_span) t ~thread ~updates ?on_durable () =
+let commit ~parent t ~thread ~updates ~on_durable =
   let replica_sets = replica_sets t.table updates in
-  let has_durable =
-    match on_durable with
-    | Some k ->
-      Window.set (durables_of t thread) (Core.peek_slot t.core ~thread) k;
-      true
-    | None -> false
-  in
+  let has_durable = on_durable != no_durable in
+  if has_durable then
+    Window.set (durables_of t thread) (Core.peek_slot t.core ~thread) on_durable;
   t.span_parent <- parent;
   feed t (Core.Api_commit { thread; updates; replica_sets; has_durable; env = env t });
   t.span_parent <- Tspan.null_span

@@ -49,22 +49,26 @@ val create :
 
 val node : t -> Types.node_id
 
+val no_durable : unit -> unit
+(** The [on_durable] of a commit that needs no continuation. *)
+
 val commit :
-  ?parent:Zeus_telemetry.Trace.span ->
+  parent:Zeus_telemetry.Trace.span ->
   t ->
   thread:int ->
   updates:Txn.update list ->
-  ?on_durable:(unit -> unit) ->
-  unit ->
+  on_durable:(unit -> unit) ->
   unit
 (** Start the reliable commit of a locally committed transaction.  The
     updates must all be to objects this node owns ([t_state = Write],
     versions already bumped by {!Zeus_store.Txn.local_commit}).
     [on_durable] fires when the transaction is reliably committed (all
     followers acked) — callers use it for replication-lag metrics and
-    post-replication actions, never to block the application.  With
-    tracing enabled, each replicated slot records a ["replication_ack"]
-    span (R-INV broadcast to last follower ACK) under [parent]. *)
+    post-replication actions, never to block the application; pass
+    {!no_durable} for none.  With tracing enabled, each replicated slot
+    records a ["replication_ack"] span (R-INV broadcast to last follower
+    ACK) under [parent] ({!Zeus_telemetry.Trace.null_span} for none).
+    Both are required arguments so that a commit boxes no option. *)
 
 val handle : t -> src:Types.node_id -> Zeus_net.Msg.payload -> bool
 
@@ -100,7 +104,9 @@ val set_io_tap : t -> (Core.input -> Core.eff list -> unit) -> unit
     order.  Inputs embed their sampled [env] (and, for [Api_commit], the
     pre-sampled replica sets), so a recorded sequence replayed into a
     fresh {!Core.state} reproduces the same states and effect lists
-    deterministically. *)
+    deterministically.  The tap gets each input's effects as a list copied
+    from the core's buffer before they run; an untapped agent builds
+    none. *)
 
 val core_fingerprint : t -> string
 (** {!Core.fingerprint} of the live core (replay-equivalence checks). *)

@@ -1,13 +1,14 @@
 (* Sans-I/O core of the reliable commit protocol (§5).
 
-   Same architecture as {!Zeus_ownership.Core}: [handle st input] mutates
-   the pipeline/follower state in place and returns the ordered effect
-   list its runtime must execute.  Store access is inverted two ways:
-   reads arrive pre-sampled in the input (the per-update replica sets of
-   an {!Api_commit}), writes leave as the three coarse store transforms
-   the old agent performed inline ({!Validate_local}, {!Apply_writes},
-   {!Validate_stored}) — {!Agent.apply_store} runs them against a real
-   {!Zeus_store.Table}, in the simulator and in the model harness. *)
+   Same architecture as {!Zeus_ownership.Core}: [step st input] mutates
+   the pipeline/follower state in place and leaves the ordered effects
+   its runtime must execute in the state's {!Outbox}.  Store access is
+   inverted two ways: reads arrive pre-sampled in the input (the
+   per-update replica sets of an {!Api_commit}), writes leave as the
+   three coarse store transforms the old agent performed inline
+   ({!Validate_local}, {!Apply_writes}, {!Validate_stored}) —
+   {!Agent.apply_store} runs them against a real {!Zeus_store.Table}, in
+   the simulator and in the model harness. *)
 
 open Zeus_store
 open Messages
@@ -128,7 +129,7 @@ type state = {
   mutable recovering_epoch : int option;
   mutable token_seq : int;
   mutable env : env;  (* of the input being handled *)
-  out : eff Outbox.t;  (* its effects so far: emitted, not yet taken *)
+  out : eff Outbox.t;  (* effects emitted, not yet executed by the interpreter *)
 }
 
 let no_tx = { pipe = { node = -1; thread = -1 }; slot = -1 }
@@ -188,9 +189,10 @@ let handles_payload = function R_inv _ | R_ack _ | R_val _ -> true | _ -> false
 let writes_size writes =
   List.fold_left (fun acc (u : Txn.update) -> acc + Value.size u.data + 16) 64 writes
 
-(* Effects go to the state's {!Outbox} and leave as one list. *)
+(* Effects go to the state's {!Outbox} and stay there for the
+   interpreter to walk. *)
 let emit st e = Outbox.emit st.out e
-let take_effects st = Outbox.take st.out
+let effects st = st.out
 
 let live st n = st.env.live.(n)
 
@@ -717,8 +719,8 @@ let deliver st ~src payload =
       then handle_val st ~tx ~upto)
   | _ -> ()
 
-let handle st input =
-  (match input with
+let step st input =
+  match input with
   | Deliver { src; payload; env } ->
     st.env <- env;
     deliver st ~src payload
@@ -728,8 +730,11 @@ let handle st input =
   | View_change { view_epoch; live; env } ->
     st.env <- env;
     view_change st ~view_epoch ~vlive:live
-  | Reset -> reset st);
-  (st, take_effects st)
+  | Reset -> reset st
+
+let handle st input =
+  step st input;
+  (st, Outbox.take st.out)
 
 (* ---------- deep copy + canonical fingerprint (model checking) ----------- *)
 

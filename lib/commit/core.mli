@@ -1,18 +1,23 @@
 (** Sans-I/O core of the reliable commit protocol (§5).
 
-    A pure state machine mirroring {!Zeus_ownership.Core}: {!handle}
-    consumes one {!input} and returns the ordered {!eff} list its runtime
-    must execute.  Store access is inverted in both directions: reads
-    arrive pre-sampled inside the input (the [replica_sets] of an
-    {!Api_commit}), writes leave as three coarse store transforms
-    ({!Validate_local}, {!Apply_writes}, {!Validate_stored}) whose
-    per-update loops {!Agent.apply_store} runs against a real
-    {!Zeus_store.Table}, in the simulator and under the checker.
+    A pure state machine mirroring {!Zeus_ownership.Core}: {!step}
+    consumes one {!input} and leaves the ordered {!eff}s its runtime must
+    execute in the state's effect buffer ({!effects}).  Store access is
+    inverted in both directions: reads arrive pre-sampled inside the input
+    (the [replica_sets] of an {!Api_commit}), writes leave as three coarse
+    store transforms ({!Validate_local}, {!Apply_writes},
+    {!Validate_stored}) whose per-update loops {!Agent.apply_store} runs
+    against a real {!Zeus_store.Table}, in the simulator and under the
+    checker.
 
-    Contract for interpreters: sample {!env} before calling [handle] and
-    execute the returned effects in order, immediately.  Unlike the
-    ownership core there are no timers and no per-key facts — commit
-    state is entirely protocol-side.
+    Contract for interpreters: sample {!env} before calling [step] and
+    execute the effects it appended, in order, immediately, then truncate
+    them away — the stack discipline of {!Zeus_store.Outbox}, since a
+    {!Durable} continuation may feed the same core again before the walk
+    ends.  {!handle} is the list adapter ([step], then take the whole
+    buffer) for the model checker, the tests and replay; it expects an
+    empty buffer.  Unlike the ownership core there are no timers and no
+    per-key facts — commit state is entirely protocol-side.
 
     {b State representation.}  A steady-state input touches only
     monomorphic, int-indexed state.  Coordinator pipelines sit in an array
@@ -22,10 +27,9 @@
     indexed by slot, which grows when the band of live slots outgrows it.
     Absent entries are constant sentinels, so a lookup neither hashes nor
     allocates.  Only the crash path's replays live in a map, ordered by
-    [tx].  The input's [env] and the effects it produces are kept in the
-    state while it is handled, and the effect list is built once, in
-    order, when it returns; a pipeline's [pipe_id] is shared by all its
-    slots and an R-ACK reuses its R-INV's [tx]. *)
+    [tx].  The input's [env] is kept in the state while it is stepped; a
+    pipeline's [pipe_id] is shared by all its slots and an R-ACK reuses
+    its R-INV's [tx]. *)
 
 open Zeus_store
 
@@ -96,7 +100,18 @@ type state
 type clear_marks = Legacy | Sequenced
 
 val create : ?clear_marks:clear_marks -> self:Types.node_id -> nodes:int -> unit -> state
+val step : state -> input -> unit
+(** Process one input, appending its effects to {!effects} in execution
+    order; the state is mutated in place. *)
+
+val effects : state -> eff Outbox.t
+(** The state's effect buffer: what {!step} appended and the interpreter
+    has not yet truncated. *)
+
 val handle : state -> input -> state * eff list
+(** [step], then {!Zeus_store.Outbox.take} the buffer: the effects as a
+    list, for callers that keep none in the buffer between inputs.  The
+    returned state is the argument. *)
 
 val peek_slot : state -> thread:int -> int
 (** The slot the next {!Api_commit} on [thread] will occupy — interpreters

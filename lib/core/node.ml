@@ -382,8 +382,7 @@ let replicate r ~lc_done (updates : Txn.update list) =
      coordinator; the app thread does NOT wait (§5.2). *)
   Resource.submit t.ds ~service:send_cost (fun () ->
       Com.Agent.commit ~parent:r.root (commit_agent t) ~thread:r.thread ~updates
-        ~on_durable:(fun () -> durable r ~lc_done updates)
-        ())
+        ~on_durable:(fun () -> durable r ~lc_done updates))
 
 let backoff t attempt =
   let d = Config.backoff_base_us *. (2.0 ** float_of_int (min attempt 12)) in

@@ -2,7 +2,7 @@
 
    Everything protocol lives in [Core]; this module only (a) samples the
    runtime facts an input needs (time, epoch, view, store lookups), and
-   (b) executes the returned effects, in order, against the simulator:
+   (b) executes its effects, in order, against the simulator:
    transport sends, engine timers, store updates, telemetry, and the
    caller's continuation.  Closures never enter the core — continuations
    are keyed by request seq, timers and spans by core-allocated tokens.
@@ -322,16 +322,28 @@ let rec exec_eff t (e : Core.eff) =
     end
   | Core.Telemetry tele -> exec_telemetry t tele
 
-and exec_all t = function
-  | [] -> ()
-  | e :: rest ->
-    exec_eff t e;
-    exec_all t rest
+and exec_range t out i stop =
+  if i < stop then begin
+    exec_eff t (Outbox.get out i);
+    exec_range t out (i + 1) stop
+  end
 
+(* The core leaves an input's effects in its buffer; they run in place and
+   are then truncated away.  An [Unblock] continuation may request again
+   on this agent mid-walk: that nested feed's effects go above [stop] and
+   are gone before the walk resumes (the stack discipline of {!Outbox}).
+   Seeding a key emits nothing, and populating a store seeds every key, so
+   an empty slice skips the walk. *)
 and feed t input =
-  let _, effs = Core.handle ~dir:t.dir_nodes_of t.core input in
-  (match t.io_tap with Some tap -> tap input effs | None -> ());
-  exec_all t effs
+  let out = Core.effects t.core in
+  let mark = Outbox.length out in
+  Core.step ~dir:t.dir_nodes_of t.core input;
+  let stop = Outbox.length out in
+  (match t.io_tap with Some tap -> tap input (Outbox.to_list out ~from:mark) | None -> ());
+  if stop > mark then begin
+    exec_range t out mark stop;
+    Outbox.truncate out mark
+  end
 
 (* ---------- public API ---------------------------------------------------- *)
 

@@ -158,7 +158,9 @@ val set_io_tap : t -> (Core.input -> Core.eff list -> unit) -> unit
 (** Observe every (input, effects) pair fed through the sans-I/O core, in
     order.  Inputs embed their sampled [env]/[facts], so a recorded
     sequence replayed into a fresh {!Core.state} reproduces the same
-    states and effect lists deterministically. *)
+    states and effect lists deterministically.  The tap gets each input's
+    effects as a list copied from the core's buffer before they run; an
+    untapped agent builds none. *)
 
 val core_fingerprint : t -> string
 (** {!Core.fingerprint} of the live core (replay-equivalence checks). *)

@@ -1,18 +1,19 @@
 (* Sans-I/O core of the ownership protocol (§4).
 
    Every protocol decision lives here as a pure state machine:
-   [handle st input] mutates [st] (int-indexed tables and counters — no
-   engine handles, no sockets, no continuations) and returns the ordered
-   list of effects the surrounding runtime must execute.  The simulator agent
-   ({!Agent}), the model-checking harness ({!Zeus_model.Core_harness}) and
-   input-log replay all drive this same code.
+   [step st input] mutates [st] (int-indexed tables and counters — no
+   engine handles, no sockets, no continuations) and leaves the ordered
+   effects the surrounding runtime must execute in the state's {!Outbox}.
+   The simulator agent ({!Agent}), the model-checking harness
+   ({!Zeus_model.Core_harness}) and input-log replay all drive this same
+   code.
 
    Environment access is inverted: anything the old agent read from the
    runtime mid-handler (virtual time, membership epoch and view, store
    lookups) arrives pre-sampled in {!env} and {!facts}.  Anything it wrote
    (sends, timers, store mutations, telemetry, the caller's continuation)
    leaves as an {!eff}.  The interpreter must execute effects in emission
-   order, immediately after [handle] returns — the orderings below mirror
+   order, immediately after [step] returns — the orderings below mirror
    the original call sites exactly, which is what keeps the simulator's
    event sequence bit-identical to the pre-split agent. *)
 
@@ -26,7 +27,7 @@ type config = {
 
 let default_config = { request_timeout_us = 500.0; replay_after_us = 300.0 }
 
-(* Runtime facts sampled once per input, before [handle] runs. *)
+(* Runtime facts sampled once per input, before [step] runs. *)
 type env = {
   now : float;  (** virtual time (only compared/subtracted, never advanced) *)
   epoch : int;  (** this node's membership epoch *)
@@ -185,7 +186,7 @@ type state = {
   mutable env : env;  (** of the input being handled *)
   mutable dir : Types.key -> Types.node_id list;
       (** of the input being handled; [no_dir] between inputs *)
-  out : eff Outbox.t;  (** its effects so far: emitted, not yet taken *)
+  out : eff Outbox.t;  (** effects emitted, not yet executed by the interpreter *)
 }
 
 let no_replicas = { Replicas.owner = None; readers = [] }
@@ -255,9 +256,10 @@ let handles_payload = function
     true
   | _ -> false
 
-(* Effects go to the state's {!Outbox} and leave as one list. *)
+(* Effects go to the state's {!Outbox} and stay there for the
+   interpreter to walk. *)
 let emit st e = Outbox.emit st.out e
-let take_effects st = Outbox.take st.out
+let effects st = st.out
 
 let live st n = st.env.live.(n)
 let bit (n : Types.node_id) = 1 lsl n
@@ -1057,9 +1059,9 @@ let reset st =
   st.gate_epoch <- -1;
   Directory.clear st.directory
 
-(* ---------- the one entry point ------------------------------------------ *)
+(* ---------- the entry points --------------------------------------------- *)
 
-let handle ~dir st input =
+let step ~dir st input =
   st.dir <- dir;
   (match input with
   | Deliver { payload; facts; env; _ } ->
@@ -1087,8 +1089,11 @@ let handle ~dir st input =
     st.env <- env;
     view_change st ~view_epoch ~vlive:live
   | Reset -> reset st);
-  st.dir <- no_dir;
-  (st, take_effects st)
+  st.dir <- no_dir
+
+let handle ~dir st input =
+  step ~dir st input;
+  (st, Outbox.take st.out)
 
 (* ---------- deep copy + canonical fingerprint (model checking) ----------- *)
 

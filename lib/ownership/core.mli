@@ -1,23 +1,31 @@
 (** Sans-I/O core of the ownership protocol (§4).
 
-    A pure state machine: {!handle} consumes one {!input} (a protocol
-    message, an API call, a timer fire, a view change) and returns the
-    ordered {!eff} list its runtime must execute — sends, timers, store
-    updates, telemetry, caller unblocks.  No simulator, transport or
-    telemetry handle appears anywhere in the state: the same code is driven
-    by the simulator interpreter ({!Agent}), by bounded model checking over
-    real states ({!Zeus_model.Core_harness}) and by input-log replay.
+    A pure state machine: {!step} consumes one {!input} (a protocol
+    message, an API call, a timer fire, a view change) and leaves the
+    ordered {!eff}s its runtime must execute — sends, timers, store
+    updates, telemetry, caller unblocks — in the state's effect buffer
+    ({!effects}).  No simulator, transport or telemetry handle appears
+    anywhere in the state: the same code is driven by the simulator
+    interpreter ({!Agent}), by bounded model checking over real states
+    ({!Zeus_model.Core_harness}) and by input-log replay.
 
     Contract for interpreters:
 
-    - sample {!env} and {!facts} {e before} calling [handle] (they are the
+    - sample {!env} and {!facts} {e before} calling [step] (they are the
       core's only window onto time, membership and the store);
-    - execute the returned effects {e in order, immediately}, before
-      feeding the next input — handlers never advance time, so in-order
+    - execute the effects [step] appended {e in order, immediately}, then
+      truncate them away — handlers never advance time, so in-order
       execution reproduces the pre-split agent's I/O sequence exactly;
+    - use the buffer as a stack ({!Zeus_store.Outbox}): an {!Unblock}
+      continuation may feed the same core again while its effects are
+      being walked, and that nested input's slice sits above the outer
+      one until it is truncated;
     - route timer fires back with the same {!timer_kind} that armed them;
     - keep feeding armed timers even across {!Reset} (crash-stop rejoin):
-      stale timers deliberately survive and time out pre-crash callers. *)
+      stale timers deliberately survive and time out pre-crash callers.
+
+    {!handle} is the list adapter ([step], then take the whole buffer) for
+    the model checker, the tests and replay. *)
 
 open Zeus_store
 
@@ -121,12 +129,21 @@ type state
 
 val create : ?config:config -> self:Types.node_id -> nodes:int -> unit -> state
 
+val step : dir:(Types.key -> Types.node_id list) -> state -> input -> unit
+(** Process one input, appending its effects to {!effects} in execution
+    order; the state is mutated in place.  [dir] is the (static)
+    directory-placement function, passed per call; the state holds it only
+    while the input is stepped. *)
+
+val effects : state -> eff Outbox.t
+(** The state's effect buffer: what {!step} appended and the interpreter
+    has not yet truncated. *)
+
 val handle :
   dir:(Types.key -> Types.node_id list) -> state -> input -> state * eff list
-(** Process one input.  [dir] is the (static) directory-placement function,
-    passed per call; the state holds it only while the input is handled.
-    The returned state is the argument, mutated in place; the effect list
-    must be executed in order before the next input. *)
+(** [step], then {!Zeus_store.Outbox.take} the buffer: the effects as a
+    list, for callers that keep none in the buffer between inputs.  The
+    returned state is the argument. *)
 
 val directory : state -> Directory.t
 val next_seq : state -> int

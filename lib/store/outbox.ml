@@ -12,16 +12,25 @@ let emit t e =
   t.buf.(t.len) <- e;
   t.len <- t.len + 1
 
-(* Top level, so that taking the effects builds no closure. *)
-let rec build buf dummy i acc =
-  if i < 0 then acc
-  else begin
-    let e = buf.(i) in
-    buf.(i) <- dummy;
-    build buf dummy (i - 1) (e :: acc)
-  end
+let length t = t.len
+
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Outbox.get";
+  Array.unsafe_get t.buf i
+
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Outbox.truncate";
+  Array.fill t.buf n (t.len - n) t.dummy;
+  t.len <- n
+
+(* Top level, so that listing the effects builds no closure. *)
+let rec build buf mark i acc = if i < mark then acc else build buf mark (i - 1) (buf.(i) :: acc)
+
+let to_list t ~from =
+  if from < 0 || from > t.len then invalid_arg "Outbox.to_list";
+  build t.buf from (t.len - 1) []
 
 let take t =
-  let effs = build t.buf t.dummy (t.len - 1) [] in
-  t.len <- 0;
+  let effs = to_list t ~from:0 in
+  truncate t 0;
   effs

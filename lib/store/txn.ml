@@ -145,9 +145,11 @@ let open_read t key =
         match take_lock t obj with
         | Error reason -> fail t reason
         | Ok () ->
-          (match Hashtbl.find_opt t.copies key with
-          | Some copy -> Ok copy
-          | None -> Ok obj.Obj.data)
+          (* [find] with [Not_found], not [find_opt]: opening a key again
+             boxes no [Some]. *)
+          (match Hashtbl.find t.copies key with
+          | copy -> Ok copy
+          | exception Not_found -> Ok obj.Obj.data)
       end)
 
 let open_write t key =
@@ -162,9 +164,9 @@ let open_write t key =
       (match take_lock t obj with
       | Error reason -> fail t reason
       | Ok () ->
-        (match Hashtbl.find_opt t.copies key with
-        | Some copy -> Ok copy
-        | None ->
+        (match Hashtbl.find t.copies key with
+        | copy -> Ok copy
+        | exception Not_found ->
           let copy = Bytes.copy obj.Obj.data in
           Hashtbl.replace t.copies key copy;
           Ok copy)))

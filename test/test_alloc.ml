@@ -1,17 +1,17 @@
 (* Allocation budget of the sans-I/O protocol cores.
 
-   Each test scripts a full protocol round through [Core.handle] on
-   hand-built states — a remote Acquire (REQ -> INV -> ACK -> VAL across
-   three ownership cores), a reliable-commit INV/ACK/VAL round and a
-   pipelined one — and bounds the minor words allocated per input.  The
-   commit bounds sit about 25 % above the measured figures, the ownership
-   ones 10 %: a core that starts formatting debug strings, rebuilding
-   constant lists or hashing its way to a slot on every input fails here
-   before it shows up as a benchmark regression.  A second ownership row
-   meters the same Acquire through the agents of a simulated cluster, a
-   Smallbank row meters whole local transactions the same way (10 % above
-   their measured figures), and the slot window both cores use is
-   unit-tested alongside.
+   Each test scripts a full protocol round through [Core.step] on
+   hand-built states, walking each input's effects in place as the agents
+   do — a remote Acquire (REQ -> INV -> ACK -> VAL across three ownership
+   cores), a reliable-commit INV/ACK/VAL round and a pipelined one — and
+   bounds the minor words allocated per input, about 10 % above the
+   measured figures: a core that starts formatting debug strings,
+   rebuilding constant lists or hashing its way to a slot on every input
+   fails here before it shows up as a benchmark regression.  A second
+   ownership row meters the same Acquire through the agents of a
+   simulated cluster, a Smallbank row meters whole local transactions the
+   same way (10 % above their measured figures), and the slot window both
+   cores use is unit-tested alongside.
 
    The last two tests pin the simulator's long-lived structures against
    promotion cascades (DESIGN.md §12): a wait queue must not drag served
@@ -35,13 +35,25 @@ let nodes = 3
 let warmup = 20
 let rounds = 200
 
-(* [handle input], adding the minor words it allocated to [acc] when
-   [measure]. *)
-let metered ~measure ~acc handle input =
+module Outbox = Zeus_store.Outbox
+
+(* One input as the agents interpret it: [step ()] appends its effects to
+   the core's buffer [out], the walk reads them there in place, and [out]
+   is truncated back to its mark; the minor words of all three are added
+   to [acc] when [measure].  The walk copies each effect into [seen],
+   whose cells the warm-up has grown, so it allocates nothing itself; the
+   effects come back as a list, built after the metering, for the script
+   to act on. *)
+let metered ~measure ~acc ~seen out step =
   let before = Gc.minor_words () in
-  let effs = handle input in
+  let mark = Outbox.length out in
+  step ();
+  for i = mark to Outbox.length out - 1 do
+    Outbox.emit seen (Outbox.get out i)
+  done;
+  Outbox.truncate out mark;
   if measure then acc := !acc +. (Gc.minor_words () -. before);
-  effs
+  Outbox.take seen
 
 let check_budget name ~inputs ~words ~bound =
   let per_input = words /. float_of_int inputs in
@@ -57,23 +69,29 @@ let own_env =
 (* Key [k] starts owned by node 0 with node 1 as reader; node 2 (a
    non-replica, so the driver designates node 0 to ship the data) acquires
    it.  With three directory replicas node 2 drives its own request.
-   44.4 words per input; 89.2 when the core kept its requests, replays
-   and gate in hashtables, its acks in lists, and built a context, a
-   closure and a reversed list per input. *)
+   28.1 words per input; 44.4 when [handle] copied the effects into a
+   list and boxed a result pair per input; 89.2 when the core also kept
+   its requests, replays and gate in hashtables, its acks in lists, and
+   built a context, a closure and a reversed list per input. *)
 let ownership_acquire_budget () =
   let config = Config.default in
   let dir key = Config.dir_nodes_for config ~key in
   let cores = Array.init nodes (fun self -> OwnC.create ~self ~nodes ()) in
-  let handle i input = snd (OwnC.handle ~dir cores.(i) input) in
   let total = warmup + rounds in
   let replicas = Replicas.v ~owner:0 ~readers:[ 1 ] in
   for key = 0 to total - 1 do
-    Array.iteri (fun i _ -> ignore (handle i (OwnC.Api_seed { key; replicas }))) cores
+    Array.iter
+      (fun core -> ignore (OwnC.handle ~dir core (OwnC.Api_seed { key; replicas })))
+      cores
   done;
   let acc = ref 0.0 and inputs = ref 0 and granted = ref 0 in
   let net = Queue.create () in
+  let seen = Outbox.create ~dummy:OwnC.Flush in
   let run ~measure input dst =
-    let effs = metered ~measure ~acc (handle dst) input in
+    let core = cores.(dst) in
+    let effs =
+      metered ~measure ~acc ~seen (OwnC.effects core) (fun () -> OwnC.step ~dir core input)
+    in
     if measure then incr inputs;
     List.iter
       (function
@@ -103,7 +121,7 @@ let ownership_acquire_budget () =
   done;
   Alcotest.(check int) "inputs per Acquire" 9 (!inputs / rounds);
   Alcotest.(check int) "every Acquire completed" total !granted;
-  check_budget "ownership Acquire" ~inputs:!inputs ~words:!acc ~bound:48.9
+  check_budget "ownership Acquire" ~inputs:!inputs ~words:!acc ~bound:30.9
 
 (* ---------- ownership: the agent path ----------------------------------- *)
 
@@ -118,12 +136,13 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 1685.9 words per granted request; 1917.9 with a closure and a job
+(* 1529.9 words per granted request; 1685.9 when the agents walked an
+   effect list per core input; 1917.9 with a closure and a job
    record per received message, a local closure building each core
    input's effect list and a tuple per payload in the transport's send
    ring; 2473.9 with the agent's timers and continuations
    in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 1855.0
+let ownership_agent_bound = 1683.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -155,12 +174,13 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  673.6 words per committed transaction; 1,040.9 when the
+   fails here.  616.6 words per committed transaction; 673.6 when the
+   agents walked an effect list per core input; 1,040.9 when the
    spec built a closure per key and decoded every field to bump a counter,
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 741.0
+let smallbank_bound = 678.0
 
 let smallbank_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -182,9 +202,10 @@ let smallbank_budget () =
 
 (* ---------- commit: one INV/ACK/VAL round ------------------------------- *)
 
-(* 26.0 words per input; 55.0 when the core kept its slots in
-   hashtables and built a context, a closure and a reversed list per
-   input. *)
+(* 12.4 words per input; 21.0 when [handle] copied the effects into a
+   list and boxed a result pair per input; 55.0 when the core also kept
+   its slots in hashtables and built a context, a closure and a reversed
+   list per input. *)
 
 let com_env = { ComC.epoch = 0; live = Array.make nodes true; trace_on = false }
 
@@ -193,8 +214,12 @@ let commit_round_budget () =
   let acc = ref 0.0 and inputs = ref 0 in
   let net = Queue.create () in
   let durable = ref 0 in
+  let seen = Outbox.create ~dummy:ComC.Flush in
   let run ~measure input dst =
-    let effs = metered ~measure ~acc (fun i -> snd (ComC.handle cores.(dst) i)) input in
+    let core = cores.(dst) in
+    let effs =
+      metered ~measure ~acc ~seen (ComC.effects core) (fun () -> ComC.step core input)
+    in
     if measure then incr inputs;
     List.iter
       (function
@@ -221,7 +246,7 @@ let commit_round_budget () =
   Alcotest.(check int) "every commit durable" total !durable;
   Alcotest.(check int) "nothing left stored" 0
     (Array.fold_left (fun a c -> a + ComC.stored_invs c) 0 cores);
-  check_budget "commit round" ~inputs:!inputs ~words:!acc ~bound:32.0
+  check_budget "commit round" ~inputs:!inputs ~words:!acc ~bound:13.7
 
 (* ---------- commit: a pipelined round ----------------------------------- *)
 
@@ -231,15 +256,19 @@ let commit_round_budget () =
    R-VALs then carry the whole round as their clear mark.  The first round
    opens 3 slots, so the next one starts mid-ring and the coordinator's
    and followers' windows (8 cells to start) grow while live and wrapped.
-   Every round ends with nothing in flight, stored or buffered.  26.4
-   words per input. *)
+   Every round ends with nothing in flight, stored or buffered.  12.9
+   words per input; 21.4 through [handle]'s effect list and result pair. *)
 let pipelined = 16
 
 let commit_pipelined_budget () =
   let cores = Array.init nodes (fun self -> ComC.create ~self ~nodes ()) in
   let acc = ref 0.0 and inputs = ref 0 and durable = ref 0 in
+  let seen = Outbox.create ~dummy:ComC.Flush in
   let run ~measure dst input =
-    let effs = metered ~measure ~acc (fun i -> snd (ComC.handle cores.(dst) i)) input in
+    let core = cores.(dst) in
+    let effs =
+      metered ~measure ~acc ~seen (ComC.effects core) (fun () -> ComC.step core input)
+    in
     if measure then incr inputs;
     List.filter_map
       (function
@@ -304,7 +333,7 @@ let commit_pipelined_budget () =
       Alcotest.(check int) "nothing stored" 0 (ComC.stored_invs c);
       Alcotest.(check int) "nothing buffered" 0 (ComC.buffered_invs c))
     cores;
-  check_budget "pipelined commit round" ~inputs:!inputs ~words:!acc ~bound:33.0
+  check_budget "pipelined commit round" ~inputs:!inputs ~words:!acc ~bound:14.1
 
 (* ---------- commit: the slot window ------------------------------------- *)
 

@@ -163,9 +163,81 @@ let commit_schedule_replays =
                log
              && ComC.fingerprint fresh = ComC.fingerprint core))
 
+(* ---------- taps on and off run the same effects ------------------------- *)
+
+module Engine = Zeus_sim.Engine
+module Smallbank = Zeus_workload.Smallbank
+module Spec = Zeus_workload.Spec
+module Driver = Zeus_workload.Driver
+
+(* Untapped, the agents walk each input's effects in place in the core's
+   buffer; tapped, they also hand the tap a list built from that slice.
+   Smallbank with 20 % remote writes exercises both protocols and the
+   reentrant feeds (an [Unblock] or [Durable] continuation that feeds the
+   agent mid-walk): both runs must execute the same effects in the same
+   order, so they end with the same counts, events, time and core states. *)
+type run = {
+  committed : int;
+  aborted : int;
+  acquires : int;
+  events : int;
+  now : float;
+  states : string list;  (* per node, a digest of both cores' fingerprints *)
+}
+
+let smallbank_run ~taps =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let nodes = Cluster.nodes c in
+  let agents f = List.init nodes (fun i -> f (Cluster.node c i)) in
+  let tapped = ref 0 in
+  let tap _ effs = tapped := !tapped + List.length effs in
+  if taps then begin
+    List.iter (fun a -> OwnA.set_io_tap a tap) (agents Node.ownership_agent);
+    List.iter (fun a -> ComA.set_io_tap a tap) (agents Node.commit_agent)
+  end;
+  let w =
+    Smallbank.create ~accounts_per_node:200 ~nodes ~remote_frac:0.2 (Zeus_sim.Rng.create 11L)
+  in
+  Smallbank.populate w c;
+  let r =
+    Driver.run c ~warmup_us:0.0 ~duration_us:3_000.0 ~issue:(Spec.issue (Smallbank.gen w)) ()
+  in
+  let engine = Cluster.engine c in
+  let run =
+    {
+      committed = r.Driver.committed;
+      aborted = r.Driver.aborted;
+      acquires =
+        List.fold_left ( + ) 0 (agents (fun n -> OwnA.requests_won (Node.ownership_agent n)));
+      events = Engine.events_dispatched engine;
+      now = Engine.now engine;
+      states =
+        agents (fun n ->
+            Digest.to_hex
+              (Digest.string
+                 (OwnA.core_fingerprint (Node.ownership_agent n)
+                 ^ ComA.core_fingerprint (Node.commit_agent n))));
+    }
+  in
+  (run, !tapped)
+
+let taps_on_and_off () =
+  let off, _ = smallbank_run ~taps:false in
+  let on, tapped = smallbank_run ~taps:true in
+  Alcotest.(check bool) "the taps saw effects" true (tapped > 0);
+  Alcotest.(check bool) "thousands committed" true (off.committed > 2_000);
+  Alcotest.(check bool) "ownership moved" true (off.acquires > 500);
+  Alcotest.(check int) "committed" off.committed on.committed;
+  Alcotest.(check int) "aborted" off.aborted on.aborted;
+  Alcotest.(check int) "ownership requests won" off.acquires on.acquires;
+  Alcotest.(check int) "events" off.events on.events;
+  Alcotest.(check (float 0.0)) "final virtual time" off.now on.now;
+  Alcotest.(check (list string)) "core states" off.states on.states
+
 let suite =
   [
     tc "commit cores replay from live-agent tap" commit_agent_replay;
     tc "ownership cores replay from live-agent tap" ownership_agent_replay;
     qtest commit_schedule_replays;
+    tc "io taps on and off: the same Smallbank run" taps_on_and_off;
   ]

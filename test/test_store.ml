@@ -366,6 +366,81 @@ let txn_multi_write_single_version_bump () =
     check Alcotest.int "last value" 3 (Value.to_int (Table.get t 1).Obj.data)
   | _ -> Alcotest.fail "commit"
 
+(* ---------- outbox: the effect buffer as a stack ---------- *)
+
+(* One input as the agents interpret it: note the mark, emit the input's
+   effects, walk the slice in order, truncate back to the mark.  [exec]
+   may interpret another input mid-walk, as a continuation feeding the
+   same core does. *)
+let interpret b ~emit ~exec =
+  let mark = Outbox.length b in
+  emit ();
+  let stop = Outbox.length b in
+  for i = mark to stop - 1 do
+    exec (Outbox.get b i)
+  done;
+  Outbox.truncate b mark
+
+let emit_all b prefix n () =
+  for i = 0 to n - 1 do
+    Outbox.emit b (Printf.sprintf "%s%d" prefix i)
+  done
+
+let names prefix n = List.init n (Printf.sprintf "%s%d" prefix)
+
+(* The nested input's 20 effects outgrow the 16-cell buffer while the
+   outer walk is at its fourth effect: the outer slice must survive the
+   growth and the nested truncation, and the walk must resume after it. *)
+let outbox_nested_walk () =
+  let b = Outbox.create ~dummy:"" in
+  let seen = ref [] in
+  let rec exec e =
+    seen := e :: !seen;
+    if e = "o3" then begin
+      interpret b ~emit:(emit_all b "n" 20) ~exec;
+      check Alcotest.int "outer slice length after the nested input" 10 (Outbox.length b);
+      check Alcotest.(list string) "outer slice intact" (names "o" 10) (Outbox.to_list b ~from:0)
+    end
+  in
+  interpret b ~emit:(emit_all b "o" 10) ~exec;
+  check Alcotest.(list string) "emission order, the nested input in place"
+    (names "o" 4 @ names "n" 20 @ List.filteri (fun i _ -> i >= 4) (names "o" 10))
+    (List.rev !seen);
+  check Alcotest.int "empty after the walk" 0 (Outbox.length b);
+  Alcotest.check_raises "no cell readable past the length" (Invalid_argument "Outbox.get")
+    (fun () -> ignore (Outbox.get b 0))
+
+(* Truncated and taken cells hold the dummy: the effects they held are
+   collected while the buffer itself stays live. *)
+let outbox_releases_cells () =
+  let b = Outbox.create ~dummy:Bytes.empty in
+  let kept = Bytes.make 8 'k' in
+  Outbox.emit b kept;
+  let w = Weak.create 3 in
+  let emit_fresh slot =
+    let e = Bytes.make 64 'x' in
+    Weak.set w slot (Some e);
+    Outbox.emit b e
+  in
+  emit_fresh 0;
+  emit_fresh 1;
+  Outbox.truncate b 1;
+  emit_fresh 2;
+  Outbox.truncate b 1;
+  Gc.full_major ();
+  for slot = 0 to 2 do
+    check Alcotest.bool (Printf.sprintf "truncated effect %d collected" slot) false
+      (Weak.check w slot)
+  done;
+  check Alcotest.int "one effect below the mark" 1 (Outbox.length b);
+  check Alcotest.bool "it stays" true (Outbox.get b 0 == kept);
+  emit_fresh 0;
+  ignore (Sys.opaque_identity (Outbox.take b));
+  Gc.full_major ();
+  check Alcotest.bool "taken effect collected" false (Weak.check w 0);
+  Outbox.emit b kept;
+  check Alcotest.int "the buffer is reused" 1 (Outbox.length b)
+
 let suite =
   [
     tc "value: roundtrip codecs" value_roundtrip;
@@ -395,4 +470,6 @@ let suite =
     tc "txn: read-only refuses invalidated object" txn_ro_aborts_on_invalid_state;
     tc "txn: non-replica read fails" txn_not_replica;
     tc "txn: one version bump per txn" txn_multi_write_single_version_bump;
+    tc "outbox: a nested input's slice leaves the outer one intact" outbox_nested_walk;
+    tc "outbox: truncated and taken cells hold the dummy" outbox_releases_cells;
   ]
