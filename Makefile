@@ -95,12 +95,13 @@ trace-smoke: build
 # worse than 25% below the checked-in baseline (bench/perf_baseline.json),
 # GC minor words/event no more than 5% above it, GC promoted words/event no
 # more than 10% above it, live words per key of a populated TATP-shaped
-# store no more than 5% above it, and the -j1 vs -jN sweep bit-identical.
+# store and words allocated per key while seeding it each no more than 5%
+# above it, and the -j1 vs -jN sweep bit-identical.
 perf-smoke: build
 	rm -f BENCH_perf.json
 	dune exec bin/zeus_cli.exe -- run --quick perf
 	@test -s BENCH_perf.json || { echo "perf-smoke: BENCH_perf.json missing or empty" >&2; exit 1; }
-	@for key in events_per_sec words_per_event promoted_per_event speedup regression_ok words_ok promoted_ok populate live_words_per_key live_words_ok sweep identical cores; do \
+	@for key in events_per_sec words_per_event promoted_per_event speedup regression_ok words_ok promoted_ok populate live_words_per_key live_words_ok alloc_words_per_key alloc_words_ok sweep identical cores; do \
 	  grep -q "\"$$key\"" BENCH_perf.json || { echo "perf-smoke: key \"$$key\" missing from BENCH_perf.json" >&2; exit 1; }; \
 	done
 	@if grep -q '"regression_ok": false' BENCH_perf.json; then \
@@ -111,6 +112,8 @@ perf-smoke: build
 	  echo "perf-smoke: promoted words/event rose >10% above bench/perf_baseline.json" >&2; exit 1; fi
 	@if grep -q '"live_words_ok": false' BENCH_perf.json; then \
 	  echo "perf-smoke: populate live words/key rose >5% above bench/perf_baseline.json" >&2; exit 1; fi
+	@if grep -q '"alloc_words_ok": false' BENCH_perf.json; then \
+	  echo "perf-smoke: populate allocated words/key rose >5% above bench/perf_baseline.json" >&2; exit 1; fi
 	@if grep -q '"identical": false' BENCH_perf.json; then \
 	  echo "perf-smoke: -j1 and -jN sweeps diverged (parallelism leaked into results)" >&2; exit 1; fi
 	@echo "perf-smoke: BENCH_perf.json OK"
@@ -134,9 +137,9 @@ model-smoke: build
 
 # Re-capture the reference on this machine: run the perf harness and copy
 # its best smallbank events/sec, words/event and promoted words/event, and
-# the populate row's live words/key, into bench/perf_baseline.json.  Use
-# when the reference hardware or compiler changes — events/sec is
-# machine-bound, the GC figures compiler-bound.
+# the populate row's live and allocated words/key, into
+# bench/perf_baseline.json.  Use when the reference hardware or compiler
+# changes — events/sec is machine-bound, the GC figures compiler-bound.
 perf-baseline: build
 	dune exec bin/zeus_cli.exe -- run --quick perf
 	@test -s BENCH_perf.json || { echo "perf-baseline: BENCH_perf.json missing" >&2; exit 1; }
@@ -144,13 +147,15 @@ perf-baseline: build
 	  wpe=$$(sed -n 's/.*"words_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  ppe=$$(sed -n 's/.*"promoted_per_event": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  lwk=$$(sed -n 's/.*"live_words_per_key": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
+	  apk=$$(sed -n 's/.*"alloc_words_per_key": \([0-9.]*\).*/\1/p' BENCH_perf.json); \
 	  test -n "$$eps" || { echo "perf-baseline: could not parse events_per_sec" >&2; exit 1; }; \
 	  test -n "$$wpe" || { echo "perf-baseline: could not parse words_per_event" >&2; exit 1; }; \
 	  test -n "$$ppe" || { echo "perf-baseline: could not parse promoted_per_event" >&2; exit 1; }; \
 	  test -n "$$lwk" || { echo "perf-baseline: could not parse live_words_per_key" >&2; exit 1; }; \
-	  printf '{"events_per_sec": %s,\n "words_per_event": %s,\n "promoted_per_event": %s,\n "live_words_per_key": %s,\n "captured": "%s",\n "state": "%s",\n "note": "Smallbank quick run, 3 nodes, 10 ms virtual, best of 5; live words/key of a TATP-shaped quick-scale populate (3 nodes, 18000 keys); events/sec is machine-dependent and the GC figures compiler-dependent — regenerate with '"'"'make perf-baseline'"'"' when either changes."}\n' \
-	    "$$eps" "$$wpe" "$$ppe" "$$lwk" "$$(date +%F)" "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" > bench/perf_baseline.json; \
-	  echo "perf-baseline: recorded $$eps events/sec, $$wpe words/event, $$ppe promoted words/event and $$lwk live words/key in bench/perf_baseline.json"
+	  test -n "$$apk" || { echo "perf-baseline: could not parse alloc_words_per_key" >&2; exit 1; }; \
+	  printf '{"events_per_sec": %s,\n "words_per_event": %s,\n "promoted_per_event": %s,\n "live_words_per_key": %s,\n "alloc_words_per_key": %s,\n "captured": "%s",\n "state": "%s",\n "note": "Smallbank quick run, 3 nodes, 10 ms virtual, best of 5; live and allocated words/key of a TATP-shaped quick-scale populate (3 nodes, 18000 keys); events/sec is machine-dependent and the GC figures compiler-dependent — regenerate with '"'"'make perf-baseline'"'"' when either changes."}\n' \
+	    "$$eps" "$$wpe" "$$ppe" "$$lwk" "$$apk" "$$(date +%F)" "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" > bench/perf_baseline.json; \
+	  echo "perf-baseline: recorded $$eps events/sec, $$wpe words/event, $$ppe promoted words/event, $$lwk live words/key and $$apk allocated words/key in bench/perf_baseline.json"
 
 clean:
 	dune clean

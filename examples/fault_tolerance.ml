@@ -23,13 +23,13 @@ let dump cluster label =
       Printf.printf "  key %d:" key;
       List.iter
         (fun n ->
-          match Table.find (Node.table (Cluster.node cluster n)) key with
-          | Some o ->
+          let o = Table.find (Node.table (Cluster.node cluster n)) key in
+          if o == Zeus_store.Obj.dummy then Printf.printf "  n%d=-" n
+          else
             Printf.printf "  n%d=%d(v%d,%s)" n
               (Value.to_int o.Zeus_store.Obj.data)
               o.Zeus_store.Obj.t_version
-              (Format.asprintf "%a" Zeus_store.Types.pp_t_state o.Zeus_store.Obj.t_state)
-          | None -> Printf.printf "  n%d=-" n)
+              (Format.asprintf "%a" Zeus_store.Types.pp_t_state o.Zeus_store.Obj.t_state))
         [ 0; 1; 2 ];
       print_newline ())
     keys
@@ -72,9 +72,9 @@ let () =
     List.for_all
       (fun key ->
         let v n =
-          Option.map
-            (fun o -> (Value.to_int o.Zeus_store.Obj.data, o.Zeus_store.Obj.t_version))
-            (Table.find (Node.table (Cluster.node cluster n)) key)
+          let o = Table.find (Node.table (Cluster.node cluster n)) key in
+          if o == Zeus_store.Obj.dummy then None
+          else Some (Value.to_int o.Zeus_store.Obj.data, o.Zeus_store.Obj.t_version)
         in
         v 1 = v 2)
       keys

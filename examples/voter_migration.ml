@@ -70,11 +70,8 @@ let () =
   Cluster.run cluster ~until_us:(stop +. 5_000.0);
   Printf.printf "total committed votes: %d\n" !votes;
   Printf.printf "contestant total: %d (must equal committed votes)\n"
-    (match
-       Zeus_store.Table.find (Node.table (Cluster.node cluster 1)) contestant
-     with
-    | Some o -> Value.to_int o.Zeus_store.Obj.data
-    | None -> -1);
+    (let o = Zeus_store.Table.find (Node.table (Cluster.node cluster 1)) contestant in
+     if o == Zeus_store.Obj.dummy then -1 else Value.to_int o.Zeus_store.Obj.data);
   match Cluster.check_invariants cluster with
   | Ok () -> Printf.printf "invariants hold\n"
   | Error m -> Printf.printf "INVARIANT VIOLATION: %s\n" m

@@ -77,8 +77,8 @@ let durables_of t thread =
 let rec validate_local table ~on_freed = function
   | [] -> ()
   | (u : Txn.update) :: rest ->
-    (match Table.find table u.key with
-    | Some obj ->
+    let obj = Table.find table u.key in
+    if obj != Obj.dummy then begin
       obj.Obj.pending_rc <- obj.Obj.pending_rc - 1;
       if obj.Obj.t_version = u.version then begin
         if u.freed then begin
@@ -87,7 +87,7 @@ let rec validate_local table ~on_freed = function
         end
         else obj.Obj.t_state <- Types.T_valid
       end
-    | None -> ());
+    end;
     validate_local table ~on_freed rest
 
 (* Apply the writes of an R-INV version-monotonically (§5.1).  Receiving an
@@ -98,19 +98,19 @@ let rec validate_local table ~on_freed = function
 let rec apply_writes table ~install = function
   | [] -> ()
   | (u : Txn.update) :: rest ->
-    (match Table.find table u.key with
-    | Some obj ->
+    let obj = Table.find table u.key in
+    if obj != Obj.dummy then begin
       if u.version > obj.Obj.t_version then begin
         obj.Obj.data <- u.data;
         obj.Obj.t_version <- u.version;
         obj.Obj.t_state <- Types.T_invalid
       end
-    | None ->
-      if install && not u.freed then begin
-        let obj = Obj.create ~key:u.key ~role:Types.Reader ~version:u.version u.data in
-        obj.Obj.t_state <- Types.T_invalid;
-        Table.install table obj
-      end);
+    end
+    else if install && not u.freed then begin
+      let obj = Obj.create ~key:u.key ~role:Types.Reader ~version:u.version u.data in
+      obj.Obj.t_state <- Types.T_invalid;
+      Table.install table obj
+    end;
     apply_writes table ~install rest
 
 (* An R-VAL (or equivalent) for a stored R-INV: validate objects whose
@@ -118,13 +118,11 @@ let rec apply_writes table ~install = function
 let rec validate_stored table = function
   | [] -> ()
   | (u : Txn.update) :: rest ->
-    (match Table.find table u.key with
-    | Some obj ->
-      if obj.Obj.t_version = u.version then begin
-        if u.freed then Table.remove table u.key
-        else if obj.Obj.t_state = Types.T_invalid then obj.Obj.t_state <- Types.T_valid
-      end
-    | None -> ());
+    let obj = Table.find table u.key in
+    if obj != Obj.dummy && obj.Obj.t_version = u.version then begin
+      if u.freed then Table.remove table u.key
+      else if obj.Obj.t_state = Types.T_invalid then obj.Obj.t_state <- Types.T_valid
+    end;
     validate_stored table rest
 
 let apply_store table ~on_freed (e : Core.eff) =
@@ -206,11 +204,8 @@ let feed t input =
 let rec replica_sets table = function
   | [] -> []
   | (u : Txn.update) :: rest ->
-    let all =
-      match Table.find table u.key with
-      | Some { Obj.o_replicas = Some r; _ } -> Replicas.all r
-      | Some _ | None -> []
-    in
+    (* [Obj.dummy] and a reader hold [Replicas.none], whose [all] is []. *)
+    let all = Replicas.all (Table.find table u.key).Obj.o_replicas in
     all :: replica_sets table rest
 
 let commit ~parent t ~thread ~updates ~on_durable =

@@ -68,14 +68,45 @@ let populate t ~key ~owner value =
     (fun n ->
       let role = if n = owner then Types.Owner else Types.Reader in
       let obj = Obj.create ~key ~role ~version:1 value in
-      if role = Types.Owner then obj.Obj.o_replicas <- Some replicas;
+      if role = Types.Owner then obj.Obj.o_replicas <- replicas;
       Table.install (Node.table t.nodes.(n)) obj)
     (Replicas.all replicas);
   List.iter
     (fun d -> Own.Agent.seed_directory (Node.ownership_agent t.nodes.(d)) key replicas)
     (Config.dir_nodes_for t.config ~key)
 
+(* Size each node's table and directory shard once, exactly to the
+   highest dense key it will hold, so seeding a large store neither copies
+   nor leaves behind the arrays that growth by doubling would.  Scanning
+   down from the top key, the first key a node holds is its highest, so
+   the scan stops once every node has been seen (at the first key when
+   every node holds the top one). *)
+let reserve_for t ~lo ~hi ~base ~owner_of =
+  let nodes = Array.length t.nodes in
+  let table_hi = Array.make nodes 0 and dir_hi = Array.make nodes 0 in
+  let unseen = ref (2 * nodes) in
+  let see bound key n =
+    if bound.(n) = 0 then begin
+      bound.(n) <- key + 1;
+      decr unseen
+    end
+  in
+  let key = ref (hi - 1) in
+  while !key >= lo && !unseen > 0 do
+    let k = !key in
+    let owner = t.nodes.(owner_of (k - base)) in
+    List.iter (see table_hi k) (Replicas.all (Node.home_replicas owner));
+    List.iter (see dir_hi k) (Config.dir_nodes_for t.config ~key:k);
+    decr key
+  done;
+  Array.iteri
+    (fun n node ->
+      Table.reserve (Node.table node) table_hi.(n);
+      Own.Directory.reserve (Own.Agent.directory (Node.ownership_agent node)) dir_hi.(n))
+    t.nodes
+
 let populate_n t ~n ?(base = 0) ~owner_of value_of =
+  reserve_for t ~lo:(max base 0) ~hi:(min (base + n) Dense_map.max_dense) ~base ~owner_of;
   for i = 0 to n - 1 do
     populate t ~key:(base + i) ~owner:(owner_of i) (value_of i)
   done
@@ -119,9 +150,8 @@ let check_key t key =
   let holders =
     List.filter_map
       (fun i ->
-        match Table.find (Node.table t.nodes.(i)) key with
-        | Some obj -> Some (i, obj)
-        | None -> None)
+        let obj = Table.find (Node.table t.nodes.(i)) key in
+        if obj == Obj.dummy then None else Some (i, obj))
       live
   in
   let owners = List.filter (fun (_, o) -> Obj.is_owner o) holders in
@@ -165,10 +195,10 @@ let check_key t key =
               if not (Fabric.is_alive t.fabric d) then None
               else
                 let dir = Own.Agent.directory (Node.ownership_agent t.nodes.(d)) in
-                match Own.Directory.find dir key with
-                | Some entry when entry.Own.Directory.pending = None ->
+                let entry = Own.Directory.find dir key in
+                if entry != Own.Directory.dummy && entry.Own.Directory.pending = None then
                   Some (d, entry.Own.Directory.o_ts, entry.Own.Directory.replicas)
-                | Some _ | None -> None)
+                else None)
             (Config.dir_nodes_for t.config ~key)
         in
         let pairwise_ok =
@@ -202,11 +232,14 @@ let check_key t key =
     end
 
 let check_invariants t =
-  let keys = all_keys t in
   let rec go = function
     | [] -> (
       match t.history with Some h -> History.check h | None -> Ok ())
     | key :: rest -> (
       match check_key t key with Ok () -> go rest | Error _ as e -> e)
   in
-  go keys
+  (* Every lookup miss returns the one shared dummy: a write through an
+     unchecked lookup would corrupt all of them at once. *)
+  if not (Obj.dummy_pristine ()) then err "Obj.dummy was written to"
+  else if not (Own.Directory.dummy_pristine ()) then err "Directory.dummy was written to"
+  else go (all_keys t)

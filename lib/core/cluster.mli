@@ -34,7 +34,11 @@ val populate : t -> key:Types.key -> owner:int -> Value.t -> unit
     the replicas share that copy and the owner's {!Node.home_replicas}. *)
 
 val populate_n : t -> n:int -> ?base:int -> owner_of:(int -> int) -> (int -> Value.t) -> unit
-(** [populate_n ~n ~owner_of value_of] installs keys [base..base+n-1]. *)
+(** [populate_n ~n ~owner_of value_of] installs keys [base..base+n-1].
+    Each node's table, and the directory on each node
+    {!Config.dir_nodes_for} names, is first sized once to the highest key
+    it receives (see {!Zeus_store.Table.reserve}).  [owner_of] must be
+    pure: the sizing pass calls it too. *)
 
 val live_nodes : t -> int list
 (** Nodes currently alive at the fabric level (crash-stop state, not the
@@ -69,5 +73,7 @@ val check_invariants : t -> (unit, string) result
       hold identical data (a Valid copy below that version is not
       compared);
     - the owner holds the highest version of the object;
+    - {!Zeus_store.Obj.dummy} and {!Zeus_ownership.Directory.dummy}, which
+      every lookup miss returns, still hold their initial fields;
     plus, when history recording is on, the serializability checks of
     {!History.check}. *)

@@ -103,7 +103,8 @@ let payload_cost payload =
   | _ -> c
 
 let obj_busy t key =
-  match Table.find t.table key with Some obj -> Obj.busy obj | None -> false
+  let obj = Table.find t.table key in
+  obj != Obj.dummy && Obj.busy obj
 
 (* A placeholder for a thread's pooled transaction while it is in use. *)
 let no_txn = Txn.create_write (Table.create ~node:(-1)) ~thread:(-1)
@@ -191,9 +192,8 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       Loc.Engine.create ?telemetry ~config:config.Config.locality ~node:id
         ~nodes:config.Config.nodes ~engine ~transport ~agent:ownership
         ~is_owner:(fun key ->
-          match Table.find t.table key with
-          | Some obj -> Obj.is_owner obj && obj.Obj.o_state = Types.O_valid
-          | None -> false)
+          let obj = Table.find t.table key in
+          obj != Obj.dummy && Obj.is_owner obj && obj.Obj.o_state = Types.O_valid)
         ()
     in
     t.locality <- Some loc;
@@ -233,10 +233,10 @@ let reset t =
 
 let maybe_trim t key =
   if t.config.Config.auto_trim then
-    match Table.find t.table key with
-    | Some obj when Obj.is_owner obj -> (
-      match obj.Obj.o_replicas with
-      | Some r when Replicas.count r > t.config.Config.replication_degree -> (
+    let obj = Table.find t.table key in
+    if obj != Obj.dummy && Obj.is_owner obj then begin
+      let r = obj.Obj.o_replicas in
+      if Replicas.count r > t.config.Config.replication_degree then
         match List.rev r.Replicas.readers with
         | victim :: _ ->
           (* Out of the critical path (§6.2): wait for the pipeline to
@@ -251,14 +251,13 @@ let maybe_trim t key =
                        ~k:(fun _ -> ())))
           in
           attempt 10
-        | [] -> ())
-      | Some _ | None -> ())
-    | Some _ | None -> ()
+        | [] -> ()
+    end
 
 let acquire_ownership t key k =
-  match Table.find t.table key with
-  | Some obj when Obj.is_owner obj && obj.Obj.o_state = Types.O_valid -> k (Ok ())
-  | Some _ | None ->
+  let obj = Table.find t.table key in
+  if obj != Obj.dummy && Obj.is_owner obj && obj.Obj.o_state = Types.O_valid then k (Ok ())
+  else
     ignore
       (Engine.schedule t.engine ~after:Config.ownership_dispatch_us (fun () ->
            Own.Agent.request (ownership_agent t) ~key ~kind:Own.Messages.Acquire
@@ -267,13 +266,12 @@ let acquire_ownership t key k =
                k result)))
 
 let add_reader t key k =
-  match Table.find t.table key with
-  | Some _ -> k (Ok ())
-  | None ->
-    Own.Agent.request (ownership_agent t) ~key ~kind:Own.Messages.Add_reader ~k
+  if Table.mem t.table key then k (Ok ())
+  else Own.Agent.request (ownership_agent t) ~key ~kind:Own.Messages.Add_reader ~k
 
 let role t key =
-  match Table.find t.table key with Some obj -> Some obj.Obj.role | None -> None
+  let obj = Table.find t.table key in
+  if obj == Obj.dummy then None else Some obj.Obj.role
 
 (* ------ transactions ------------------------------------------------------ *)
 
@@ -323,10 +321,10 @@ let recording t = match t.history with Some _ -> true | None -> false
 
 let note_read ctx key =
   let t = ctx.run.node in
-  if recording t then
-    match Table.find t.table key with
-    | Some obj -> ctx.reads <- (key, obj.Obj.t_version) :: ctx.reads
-    | None -> ()
+  if recording t then begin
+    let obj = Table.find t.table key in
+    if obj != Obj.dummy then ctx.reads <- (key, obj.Obj.t_version) :: ctx.reads
+  end
 
 (* ------ commit machinery -------------------------------------------------- *)
 
@@ -339,11 +337,11 @@ let release_pipeline_slot t thread =
 let rec prepare_created t = function
   | [] -> ()
   | (u : Txn.update) :: rest ->
-    (match Table.find t.table u.key with
-    | Some obj when Obj.is_owner obj && obj.Obj.o_replicas = None ->
-      obj.Obj.o_replicas <- Some t.home_replicas;
+    let obj = Table.find t.table u.key in
+    if obj != Obj.dummy && Obj.is_owner obj && obj.Obj.o_replicas == Replicas.none then begin
+      obj.Obj.o_replicas <- t.home_replicas;
       Own.Agent.register_object (ownership_agent t) u.key t.home_replicas
-    | Some _ | None -> ());
+    end;
     prepare_created t rest
 
 let rec update_bytes acc = function
@@ -546,14 +544,15 @@ and fail ctx reason =
 let own_state ctx key =
   let t = ctx.run.node in
   note_local_access t ~key ~write:true;
-  match Table.find t.table key with
-  | Some obj when Obj.is_owner obj && obj.Obj.o_state = Types.O_valid -> `Owned
-  | Some obj when obj.Obj.o_state <> Types.O_valid ->
+  let obj = Table.find t.table key in
+  if obj == Obj.dummy then `Absent
+  else if Obj.is_owner obj && obj.Obj.o_state = Types.O_valid then `Owned
+  else if obj.Obj.o_state <> Types.O_valid then
     (* An arbitration for this object is pending at this node (we are an
        arbiter or a requester): do not touch it; retry with back-off until
        the ownership protocol settles (§4.1). *)
     `Pending
-  | Some _ | None -> `Absent
+  else `Absent
 
 (* Secure write-level ownership of [key] (§3.2 step 1), then run [k]: the
    app thread blocks on the request — the only blocking point in Zeus. *)

@@ -270,7 +270,9 @@ module Ownership = struct
     }
 
   (* Node [i]'s copy of the object, if it holds one. *)
-  let held w i = Table.find (Nodes.table w.nodes i) key0
+  let held w i =
+    let obj = Table.find (Nodes.table w.nodes i) key0 in
+    if obj == Obj.dummy then None else Some obj
 
   (* Effect interpreter: the store effects run {!OA.apply_store} on the
      node's table, as in the agent; the net, timers and continuations are
@@ -428,7 +430,7 @@ module Ownership = struct
       if Replicas.is_replica replicas i then begin
         let role = if Replicas.is_owner replicas i then Types.Owner else Types.Reader in
         let obj = Obj.create ~key:key0 ~role Value.empty in
-        if role = Types.Owner then obj.Obj.o_replicas <- Some replicas;
+        if role = Types.Owner then obj.Obj.o_replicas <- replicas;
         Table.install t obj
       end;
       t
@@ -546,10 +548,10 @@ module Ownership = struct
     List.filter_map
       (fun d ->
         if fab_live w d then
-          match ODir.find (OC.directory (Nodes.core w.nodes d)) key0 with
-          | Some e when e.ODir.pending = None && e.ODir.o_state = Types.O_valid ->
+          let e = ODir.find (OC.directory (Nodes.core w.nodes d)) key0 in
+          if e != ODir.dummy && e.ODir.pending = None && e.ODir.o_state = Types.O_valid then
             Some (d, e)
-          | _ -> None
+          else None
         else None)
       dirs
 
@@ -689,14 +691,14 @@ module Ownership = struct
     for i = 0 to nnodes - 1 do
       if fab_live w i then
         Format.fprintf ppf "n%d: %a  dir %s@," i pp_copy (held w i)
-          (match ODir.find (OC.directory (Nodes.core w.nodes i)) key0 with
-          | Some e ->
-            Format.asprintf "%a %a %a%s" Types.pp_o_state e.ODir.o_state Ots.pp
-              e.ODir.o_ts Replicas.pp e.ODir.replicas
-              (match e.ODir.pending with
-              | Some p -> Format.asprintf " pending %a" Ots.pp p.ODir.o_ts
-              | None -> "")
-          | None -> "-")
+          (let e = ODir.find (OC.directory (Nodes.core w.nodes i)) key0 in
+           if e == ODir.dummy then "-"
+           else
+             Format.asprintf "%a %a %a%s" Types.pp_o_state e.ODir.o_state Ots.pp
+               e.ODir.o_ts Replicas.pp e.ODir.replicas
+               (match e.ODir.pending with
+               | Some p -> Format.asprintf " pending %a" Ots.pp p.ODir.o_ts
+               | None -> ""))
       else Format.fprintf ppf "n%d: dead@," i
     done;
     List.iter
@@ -799,13 +801,13 @@ module Commit = struct
       w.skipped <-
         List.find_map
           (fun (u : Txn.update) ->
-            match Table.find table u.key with
-            | Some obj when u.version > obj.Obj.t_version + 1 ->
+            let obj = Table.find table u.key in
+            if obj != Obj.dummy && u.version > obj.Obj.t_version + 1 then
               Some
                 (Format.asprintf
                    "n%d applied object %d v%d over v%d (out of pipeline order)" i u.key
                    u.version obj.Obj.t_version)
-            | Some _ | None -> None)
+            else None)
           writes
     | _ -> ());
     CA.apply_store table ~on_freed:ignore eff;
@@ -947,9 +949,8 @@ module Commit = struct
   (* Node [i]'s copy of object [k], if it holds one: its version and
      whether it is valid. *)
   let held w i k =
-    match Table.find (Nodes.table w.nodes i) k with
-    | Some obj -> Some (obj.Obj.t_version, obj.Obj.t_state = Types.T_valid)
-    | None -> None
+    let obj = Table.find (Nodes.table w.nodes i) k in
+    if obj == Obj.dummy then None else Some (obj.Obj.t_version, obj.Obj.t_state = Types.T_valid)
 
   let version w i k = fst (Option.get (held w i k))
 

@@ -100,23 +100,21 @@ let env t =
    checker runs them on its own tables. *)
 
 let snapshot table key =
-  match Table.find table key with
-  | Some obj -> Some { value = Bytes.copy obj.Obj.data; t_version = obj.Obj.t_version }
-  | None -> None
+  let obj = Table.find table key in
+  if obj == Obj.dummy then None
+  else Some { value = Bytes.copy obj.Obj.data; t_version = obj.Obj.t_version }
 
 let is_busy busy obj = match busy with Some b -> b | None -> Obj.busy obj
 
 let facts core table ?busy payload =
   match payload with
   | O_req { key; _ } ->
-    {
-      Core.no_facts with
-      Core.f_busy =
-        (match Table.find table key with Some obj -> is_busy busy obj | None -> false);
-    }
-  | O_inv { key; _ } -> (
-    match Table.find table key with
-    | Some obj ->
+    let obj = Table.find table key in
+    { Core.no_facts with Core.f_busy = obj != Obj.dummy && is_busy busy obj }
+  | O_inv { key; _ } ->
+    let obj = Table.find table key in
+    if obj == Obj.dummy then Core.no_facts
+    else
       {
         Core.f_exists = true;
         f_o_ts = obj.Obj.o_ts;
@@ -124,7 +122,6 @@ let facts core table ?busy payload =
         f_busy = is_busy busy obj;
         f_snapshot = None;
       }
-    | None -> Core.no_facts)
   | O_ack { req_id; key; _ } ->
     {
       Core.no_facts with
@@ -135,11 +132,10 @@ let facts core table ?busy payload =
            snapshot table key
          else None);
     }
-  | O_resp { key; _ } -> (
-    match Table.find table key with
-    | Some obj ->
-      { Core.no_facts with Core.f_exists = true; f_o_ts = obj.Obj.o_ts }
-    | None -> Core.no_facts)
+  | O_resp { key; _ } ->
+    let obj = Table.find table key in
+    if obj == Obj.dummy then Core.no_facts
+    else { Core.no_facts with Core.f_exists = true; f_o_ts = obj.Obj.o_ts }
   | _ -> Core.no_facts
 
 (* The core reads a replay timer's snapshot only while the arbitration it
@@ -155,9 +151,8 @@ let timer_facts core table = function
 (* A request validated at this node: demote, trim or update the local
    replica. *)
 let apply_arbiter table ~key ~kind ~o_ts ~replicas =
-  match Table.find table key with
-  | None -> ()
-  | Some obj -> (
+  let obj = Table.find table key in
+  if obj != Obj.dummy then begin
     obj.Obj.o_ts <- o_ts;
     match kind with
     | Acquire ->
@@ -165,12 +160,13 @@ let apply_arbiter table ~key ~kind ~o_ts ~replicas =
         (* Another node took over: demote to reader (§4); we keep the data
            and keep serving read-only transactions (§5.3). *)
         obj.Obj.role <- Types.Reader;
-        obj.Obj.o_replicas <- None
+        obj.Obj.o_replicas <- Replicas.none
       end
-    | Add_reader -> if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
+    | Add_reader -> if Obj.is_owner obj then obj.Obj.o_replicas <- replicas
     | Remove_reader r ->
       if r = Table.node table then Table.remove table key
-      else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas)
+      else if Obj.is_owner obj then obj.Obj.o_replicas <- replicas
+  end
 
 (* This node's own request won: install the object or access level. *)
 let apply_requester table ~key ~kind ~o_ts ~replicas ~data =
@@ -178,8 +174,8 @@ let apply_requester table ~key ~kind ~o_ts ~replicas ~data =
   | Acquire | Add_reader ->
     let role = match kind with Acquire -> Types.Owner | _ -> Types.Reader in
     let obj =
-      match Table.find table key with
-      | Some obj ->
+      let obj = Table.find table key in
+      if obj != Obj.dummy then begin
         (match data with
         | Some d when d.t_version > obj.Obj.t_version ->
           obj.Obj.data <- d.value;
@@ -187,23 +183,25 @@ let apply_requester table ~key ~kind ~o_ts ~replicas ~data =
           obj.Obj.t_state <- Types.T_valid
         | Some _ | None -> ());
         obj
-      | None ->
+      end
+      else begin
         let d = Option.get data in
         let obj = Obj.create ~key ~role ~version:d.t_version ~o_ts d.value in
         Table.install table obj;
         obj
+      end
     in
     obj.Obj.role <- role;
     obj.Obj.o_ts <- o_ts;
     obj.Obj.o_state <- Types.O_valid;
-    obj.Obj.o_replicas <- (if role = Types.Owner then Some replicas else None)
-  | Remove_reader r -> (
-    match Table.find table key with
-    | Some obj ->
+    obj.Obj.o_replicas <- (if role = Types.Owner then replicas else Replicas.none)
+  | Remove_reader r ->
+    let obj = Table.find table key in
+    if obj != Obj.dummy then begin
       obj.Obj.o_ts <- o_ts;
       if r = Table.node table then Table.remove table key
-      else if Obj.is_owner obj then obj.Obj.o_replicas <- Some replicas
-    | None -> ())
+      else if Obj.is_owner obj then obj.Obj.o_replicas <- replicas
+    end
 
 let apply_store table (e : Core.eff) =
   match e with
@@ -211,22 +209,18 @@ let apply_store table (e : Core.eff) =
     apply_arbiter table ~key ~kind ~o_ts ~replicas
   | Core.Apply_requester { key; kind; o_ts; replicas; data } ->
     apply_requester table ~key ~kind ~o_ts ~replicas ~data
-  | Core.Set_o_state { key; o_state } -> (
-    match Table.find table key with
-    | Some obj -> obj.Obj.o_state <- o_state
-    | None -> ())
-  | Core.Restore_request_state key -> (
-    match Table.find table key with
-    | Some obj when obj.Obj.o_state = Types.O_request -> obj.Obj.o_state <- Types.O_valid
-    | Some _ | None -> ())
+  | Core.Set_o_state { key; o_state } ->
+    let obj = Table.find table key in
+    if obj != Obj.dummy then obj.Obj.o_state <- o_state
+  | Core.Restore_request_state key ->
+    let obj = Table.find table key in
+    if obj != Obj.dummy && obj.Obj.o_state = Types.O_request then
+      obj.Obj.o_state <- Types.O_valid
   | Core.Drop_dead_replicas { live } ->
+    (* [Replicas.drop_dead] returns [Replicas.none] itself. *)
     Table.iter table (fun obj ->
         if Obj.is_owner obj then
-          match obj.Obj.o_replicas with
-          | Some r ->
-            let r' = Replicas.drop_dead r ~live:(fun n -> live.(n)) in
-            if r' != r then obj.Obj.o_replicas <- Some r'
-          | None -> ())
+          obj.Obj.o_replicas <- Replicas.drop_dead obj.Obj.o_replicas ~live:(fun n -> live.(n)))
   | Core.Send _ | Core.Send_ack_local_data _ | Core.Flush | Core.Set_timer _
   | Core.Cancel_timer _ | Core.Notify_request _ | Core.Notify_owner_change _
   | Core.Unblock _ | Core.Telemetry _ ->

@@ -189,8 +189,23 @@ type state = {
   out : eff Outbox.t;  (** effects emitted, not yet executed by the interpreter *)
 }
 
-let no_replicas = { Replicas.owner = None; readers = [] }
 let no_req_id = { origin = -1; seq = -1 }
+
+let no_pending =
+  {
+    Directory.req_id = no_req_id;
+    o_ts = Ots.zero;
+    base_ts = Ots.zero;
+    new_replicas = Replicas.none;
+    kind = Acquire;
+    requester = -1;
+    arbiters = [];
+    data_from = None;
+    driving = false;
+    born = 0.0;
+  }
+
+let no_replay = { r_pending = no_pending; r_key = -1; r_acks = 0; r_data = None }
 
 let no_outstanding =
   {
@@ -201,7 +216,7 @@ let no_outstanding =
     acks = 0;
     has_proto = false;
     p_o_ts = Ots.zero;
-    p_replicas = no_replicas;
+    p_replicas = Replicas.none;
     p_arbiters = [];
     data = None;
     live_req = false;
@@ -219,9 +234,9 @@ let create ?(config = default_config) ~self ~nodes () =
   {
     self;
     directory = Directory.create ~node:self;
-    side_pending = Dense_map.create_sparse ();
+    side_pending = Dense_map.create_sparse ~dummy:no_pending;
     outstanding = Window.create ~dummy:no_outstanding;
-    replays = Dense_map.create_sparse ();
+    replays = Dense_map.create_sparse ~dummy:no_replay;
     req_seq = 0;
     rr = self;
     gate_epoch = -1;
@@ -243,12 +258,12 @@ let next_seq st = st.req_seq
 let has_replay st key = Dense_map.mem st.replays key
 
 let pending_ts st key =
-  let p =
-    match Directory.find st.directory key with
-    | Some e -> e.Directory.pending
-    | None -> Dense_map.find st.side_pending key
-  in
-  Option.map (fun (p : Directory.pending) -> p.Directory.o_ts) p
+  let e = Directory.find st.directory key in
+  if e != Directory.dummy then
+    Option.map (fun (p : Directory.pending) -> p.Directory.o_ts) e.Directory.pending
+  else
+    let p = Dense_map.find st.side_pending key in
+    if p == no_pending then None else Some p.Directory.o_ts
 
 let handles_payload = function
   | O_req _ | O_inv _ | O_ack _ | O_val _ | O_nack _ | O_resp _
@@ -289,16 +304,20 @@ let drop_dead st (r : Replicas.t) =
 
 let is_dir_for st key = mem_node st.self (st.dir key)
 
+(* This node's directory entry for the key, or [Directory.dummy]. *)
 let dir_entry st key =
-  if is_dir_for st key then Directory.find st.directory key else None
+  if is_dir_for st key then Directory.find st.directory key else Directory.dummy
 
+(* The arbitration pending here for the key, or [no_pending]. *)
 let find_pending st key =
-  match dir_entry st key with
-  | Some e -> e.Directory.pending
-  | None -> Dense_map.find st.side_pending key
+  let e = dir_entry st key in
+  if e != Directory.dummy then
+    match e.Directory.pending with Some p -> p | None -> no_pending
+  else Dense_map.find st.side_pending key
 
 let applied_ts st key ~facts =
-  match dir_entry st key with Some e -> e.Directory.o_ts | None -> facts.f_o_ts
+  let e = dir_entry st key in
+  if e != Directory.dummy then e.Directory.o_ts else facts.f_o_ts
 
 let fresh_token st =
   let tok = st.token_seq in
@@ -364,18 +383,18 @@ let arbiters ~live ~dirs ~owner ~data_from ~kind ~requester =
 
 let apply_pending_here st key (p : Directory.pending) =
   let replicas = drop_dead st p.Directory.new_replicas in
-  (match dir_entry st key with
-  | Some e ->
+  let e = dir_entry st key in
+  if e != Directory.dummy then begin
     Directory.apply_pending e;
     e.Directory.replicas <- replicas
-  | None ->
+  end
+  else begin
     if is_dir_for st key then begin
       Directory.register st.directory key replicas;
-      match Directory.find st.directory key with
-      | Some e -> e.Directory.o_ts <- p.Directory.o_ts
-      | None -> ()
+      (Directory.find st.directory key).Directory.o_ts <- p.Directory.o_ts
     end;
-    Dense_map.remove st.side_pending key);
+    Dense_map.remove st.side_pending key
+  end;
   Dense_map.remove st.replays key;
   emit st (Set_o_state { key; o_state = Types.O_valid });
   (match p.Directory.kind with
@@ -482,9 +501,9 @@ let arm_replay_check st key o_ts =
   emit st (Set_timer { token = tok; after = st.replay_after; kind = T_replay { key; o_ts } })
 
 let set_pending st key (p : Directory.pending) =
-  (match dir_entry st key with
-  | Some e -> Directory.set_pending e p
-  | None -> Dense_map.replace st.side_pending key p);
+  let e = dir_entry st key in
+  if e != Directory.dummy then Directory.set_pending e p
+  else Dense_map.replace st.side_pending key p;
   emit st (Set_o_state { key; o_state = Types.O_invalid });
   arm_replay_check st key p.Directory.o_ts
 
@@ -515,12 +534,13 @@ let missing_data ~kind ~data ~f_exists =
 let requester_apply_and_val st ~key ~kind ~o_ts ~replicas ~arbiters ~data =
   let replicas = drop_dead st replicas in
   emit st (Apply_requester { key; kind; o_ts; replicas; data });
-  (match dir_entry st key with
-  | Some e ->
+  let e = dir_entry st key in
+  if e != Directory.dummy then begin
     e.Directory.o_ts <- o_ts;
     e.Directory.replicas <- replicas;
     Directory.clear_pending e
-  | None -> Dense_map.remove st.side_pending key);
+  end
+  else Dense_map.remove st.side_pending key;
   Dense_map.remove st.replays key;
   (match kind with
   | Acquire -> emit st (Notify_owner_change { key; owner = st.self })
@@ -558,7 +578,7 @@ let api_request st ~key ~kind ~facts =
   else begin
     let driver =
       let self_live_dir = count_live st.env.live ~skip:st.self dirs < live_dirs in
-      if self_live_dir && Option.is_some (dir_entry st key) then st.self
+      if self_live_dir && dir_entry st key != Directory.dummy then st.self
       else begin
         st.rr <- st.rr + 1;
         pick_driver ~live:st.env.live ~self:st.self ~rr:st.rr dirs
@@ -582,7 +602,7 @@ let api_request st ~key ~kind ~facts =
         acks = 0;
         has_proto = false;
         p_o_ts = Ots.zero;
-        p_replicas = no_replicas;
+        p_replicas = Replicas.none;
         p_arbiters = [];
         data = None;
         live_req = true;
@@ -664,9 +684,9 @@ let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
   if is_dir_for st key then begin
     emit st (Telemetry (Count C_driven));
     emit st (Notify_request { key; kind; requester });
-    match Directory.find st.directory key with
-    | None -> nack st ~dst:requester ~req_id ~key Unknown_key
-    | Some entry ->
+    let entry = Directory.find st.directory key in
+    if entry == Directory.dummy then nack st ~dst:requester ~req_id ~key Unknown_key
+    else
       let replicas = entry.Directory.replicas in
       let owner = replicas.Replicas.owner in
       let owner_live = match owner with Some o -> live st o | None -> false in
@@ -756,31 +776,26 @@ let handle_inv st ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
   let dst = if recovery then driver else requester in
   let applied = applied_ts st key ~facts in
   let pend = find_pending st key in
-  if Ots.equal o_ts applied
-     || match pend with Some p -> Ots.equal p.Directory.o_ts o_ts | None -> false
-  then
+  let pending = pend != no_pending in
+  if Ots.equal o_ts applied || (pending && Ots.equal pend.Directory.o_ts o_ts) then
     send_ack st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from
   else begin
     let beats_applied = Ots.(o_ts > applied) in
-    let beats_pending =
-      match pend with Some p -> Ots.(o_ts > p.Directory.o_ts) | None -> true
-    in
+    let beats_pending = (not pending) || Ots.(o_ts > pend.Directory.o_ts) in
     if beats_applied && beats_pending then begin
-      (match pend with
-      | Some p when p.Directory.driving ->
-        nack st ~dst:p.Directory.requester ~req_id:p.Directory.req_id ~key Lost_arbitration
-      | Some _ | None -> ());
+      if pending && pend.Directory.driving then
+        nack st ~dst:pend.Directory.requester ~req_id:pend.Directory.req_id ~key
+          Lost_arbitration;
       (* Track the store transforms an applied base-arbitration performs, so
          the busy decision below sees the post-apply store exactly as the
          pre-split agent (which re-read the table) did. *)
       let f_exists = ref facts.f_exists
       and f_is_owner = ref facts.f_is_owner
       and f_busy = ref facts.f_busy in
-      (match pend with
-      | Some p when Ots.equal p.Directory.o_ts base_ts ->
-        apply_pending_here st key p;
-        if p.Directory.requester <> st.self then begin
-          match p.Directory.kind with
+      if pending && Ots.equal pend.Directory.o_ts base_ts then begin
+        apply_pending_here st key pend;
+        if pend.Directory.requester <> st.self then begin
+          match pend.Directory.kind with
           | Acquire -> f_is_owner := false
           | Remove_reader r when r = st.self ->
             f_exists := false;
@@ -788,7 +803,7 @@ let handle_inv st ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
             f_busy := false
           | Add_reader | Remove_reader _ -> ()
         end
-      | Some _ | None -> ());
+      end;
       let busy_here =
         !f_busy
         && ((!f_exists && !f_is_owner)
@@ -815,9 +830,8 @@ let handle_inv st ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
   end
 
 let handle_val st ~key ~o_ts =
-  match find_pending st key with
-  | Some p when Ots.equal p.Directory.o_ts o_ts -> apply_pending_here st key p
-  | Some _ | None -> ()
+  let p = find_pending st key in
+  if p != no_pending && Ots.equal p.Directory.o_ts o_ts then apply_pending_here st key p
 
 (* ---------- dispatch ------------------------------------------------------ *)
 
@@ -837,12 +851,12 @@ let handle_ack st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~sender ~data ~fact
     end
   end
   else begin
-    match Dense_map.find st.replays key with
-    | Some r when Ots.equal r.r_pending.Directory.o_ts o_ts ->
+    let r = Dense_map.find st.replays key in
+    if r != no_replay && Ots.equal r.r_pending.Directory.o_ts o_ts then begin
       (match data with Some _ -> r.r_data <- data | None -> ());
       r.r_acks <- r.r_acks lor bit sender;
       replay_check_complete st ~snap:facts.f_snapshot r
-    | Some _ | None -> ()
+    end
   end
 
 let handle_nack st ~req_id ~reason =
@@ -872,9 +886,8 @@ let handle_resp st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
     else begin
       let applied = applied_ts st key ~facts in
       let pend_matches =
-        match find_pending st key with
-        | Some p -> Ots.equal p.Directory.o_ts o_ts
-        | None -> false
+        let p = find_pending st key in
+        p != no_pending && Ots.equal p.Directory.o_ts o_ts
       in
       if Ots.(o_ts > applied) || pend_matches then
         requester_apply_and_val st ~key ~kind:Acquire ~o_ts ~replicas:new_replicas
@@ -945,13 +958,13 @@ let timer_fire st ~facts kind =
   match kind with
   | T_replay { key; o_ts } ->
     if st.env.self_alive then begin
-      match find_pending st key with
-      | Some p when Ots.equal p.Directory.o_ts o_ts ->
+      let p = find_pending st key in
+      if p != no_pending && Ots.equal p.Directory.o_ts o_ts then begin
         Dense_map.remove st.replays key;
         start_replay st ~snap:facts.f_snapshot key p;
         emit st Flush;
         arm_replay_check st key o_ts
-      | Some _ | None -> ()
+      end
     end
   | T_timeout { seq; key; span } ->
     let o = Window.find st.outstanding seq in
@@ -1104,13 +1117,10 @@ let copy st =
   let directory = Directory.create ~node:st.self in
   Directory.iter st.directory (fun e ->
       Directory.register directory e.Directory.key e.Directory.replicas;
-      match Directory.find directory e.Directory.key with
-      | Some e' ->
-        e'.Directory.o_state <- e.Directory.o_state;
-        e'.Directory.o_ts <- e.Directory.o_ts;
-        e'.Directory.replicas <- e.Directory.replicas;
-        e'.Directory.pending <- e.Directory.pending
-      | None -> ());
+      let e' = Directory.find directory e.Directory.key in
+      e'.Directory.o_state <- e.Directory.o_state;
+      e'.Directory.o_ts <- e.Directory.o_ts;
+      e'.Directory.pending <- e.Directory.pending);
   {
     st with
     directory;

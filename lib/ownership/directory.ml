@@ -23,14 +23,20 @@ type entry = {
 
 type t = { node : Types.node_id; entries : entry Dense_map.t }
 
-let create ~node = { node; entries = Dense_map.create () }
+let fresh_entry key replicas =
+  { key; o_state = Types.O_valid; o_ts = Ots.zero; replicas; pending = None }
+
+let fresh_dummy () = fresh_entry min_int Replicas.none
+let dummy = fresh_dummy ()
+let dummy_pristine () = dummy = fresh_dummy ()
+let create ~node = { node; entries = Dense_map.create ~dummy }
 let node t = t.node
 
 let register t key replicas =
   if not (Dense_map.mem t.entries key) then
-    Dense_map.replace t.entries key
-      { key; o_state = Types.O_valid; o_ts = Ots.zero; replicas; pending = None }
+    Dense_map.replace t.entries key (fresh_entry key replicas)
 
+let reserve t n = Dense_map.reserve t.entries n
 let forget t key = Dense_map.remove t.entries key
 let find t key = Dense_map.find t.entries key
 let size t = Dense_map.size t.entries

@@ -7,7 +7,7 @@
     dropped on NACK, which keeps rollback trivial.
 
     Entries live in a {!Zeus_store.Dense_map}: a seeded store's keys are
-    array slots, looked up without hashing. *)
+    array slots, looked up without hashing or boxing. *)
 
 open Zeus_store
 
@@ -37,11 +37,26 @@ type t
 val create : node:Types.node_id -> t
 val node : t -> Types.node_id
 
+val dummy : entry
+(** The entry {!find} returns for a key with no entry here.  Test for it
+    physically ([!= dummy]) and never write to it: every miss returns this
+    one value. *)
+
+val dummy_pristine : unit -> bool
+(** [dummy] still holds the fields it was created with. *)
+
 val register : t -> Types.key -> Replicas.t -> unit
 (** Record a freshly created object (idempotent). *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] sizes the directory for keys [\[0, n)] at once (see
+    {!Zeus_store.Dense_map.reserve}), so registering them grows no array. *)
+
 val forget : t -> Types.key -> unit
-val find : t -> Types.key -> entry option
+
+val find : t -> Types.key -> entry
+(** The key's entry, or {!dummy}.  Allocates nothing. *)
+
 val size : t -> int
 
 val iter : t -> (entry -> unit) -> unit

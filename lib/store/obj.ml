@@ -6,7 +6,7 @@ type t = {
   mutable data : Value.t;
   mutable o_state : Types.o_state;
   mutable o_ts : Ots.t;
-  mutable o_replicas : Replicas.t option;
+  mutable o_replicas : Replicas.t;  (* [Replicas.none] off the owner *)
   mutable lock_thread : int;  (* [no_thread] when unlocked *)
   mutable last_writer_thread : int;
   mutable pending_rc : int;
@@ -23,11 +23,15 @@ let create ~key ~role ?(version = 0) ?(o_ts = Ots.zero) data =
     data;
     o_state = Types.O_valid;
     o_ts;
-    o_replicas = None;
+    o_replicas = Replicas.none;
     lock_thread = no_thread;
     last_writer_thread = -1;
     pending_rc = 0;
   }
+
+let fresh_dummy () = create ~key:min_int ~role:Types.Reader Value.empty
+let dummy = fresh_dummy ()
+let dummy_pristine () = dummy = fresh_dummy ()
 
 let is_owner t = t.role = Types.Owner
 

@@ -12,7 +12,8 @@ type t = {
   mutable data : Value.t;
   mutable o_state : Types.o_state;
   mutable o_ts : Ots.t;
-  mutable o_replicas : Replicas.t option;  (** owner and directory only *)
+  mutable o_replicas : Replicas.t;
+      (** the owner's replica set; {!Replicas.none} at a reader *)
   mutable lock_thread : int;
       (** local thread executing a write transaction on the object; [-1]
           when none *)
@@ -24,6 +25,14 @@ type t = {
 
 val create :
   key:Types.key -> role:Types.role -> ?version:int -> ?o_ts:Ots.t -> Value.t -> t
+
+val dummy : t
+(** The object {!Table.find} returns for a key the node does not store.
+    Test for it physically ([!= dummy]) and never write to it: every miss
+    returns this one value. *)
+
+val dummy_pristine : unit -> bool
+(** [dummy] still holds the fields it was created with. *)
 
 val is_owner : t -> bool
 

@@ -1,5 +1,7 @@
 type t = { owner : Types.node_id option; readers : Types.node_id list }
 
+let none = { owner = None; readers = [] }
+
 let v ~owner ~readers = { owner = Some owner; readers = List.filter (fun r -> r <> owner) readers }
 
 (* No constructor below ever puts the owner among [readers]. *)

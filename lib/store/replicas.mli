@@ -8,6 +8,11 @@ type t = { owner : Types.node_id option; readers : Types.node_id list }
 (** [readers] never holds the owner: every constructor below keeps it out,
     so {!all} need not filter. *)
 
+val none : t
+(** No owner, no readers: the [o_replicas] of an object this node does not
+    own.  One shared value, tested physically ([== none]); a set that
+    {!drop_dead} empties is a different value. *)
+
 val v : owner:Types.node_id -> readers:Types.node_id list -> t
 (** [readers] must be duplicate-free; [owner] is dropped from it. *)
 

@@ -1,20 +1,21 @@
 (* Hot-path note: [find] dominates simulator profiles (every read, write,
    validation and replicated apply goes through it), so objects live in a
-   {!Dense_map}: common keys are a dense-array slot, no hashing. *)
+   {!Dense_map}: common keys are a dense-array slot, no hashing, and a
+   lookup returns the object itself, no [Some]. *)
 
 type t = { node : Types.node_id; objs : Obj.t Dense_map.t }
 
-let create ~node = { node; objs = Dense_map.create () }
+let create ~node = { node; objs = Dense_map.create ~dummy:Obj.dummy }
 let node t = t.node
 let find t key = Dense_map.find t.objs key
 let mem t key = Dense_map.mem t.objs key
 
 let get t key =
-  match find t key with
-  | Some o -> o
-  | None -> raise Not_found
+  let obj = find t key in
+  if obj == Obj.dummy then raise Not_found else obj
 
 let install t obj = Dense_map.replace t.objs obj.Obj.key obj
+let reserve t n = Dense_map.reserve t.objs n
 let remove t key = Dense_map.remove t.objs key
 let size t = Dense_map.size t.objs
 

@@ -89,9 +89,8 @@ let thread t = t.thread
 let rec unlock_all table thread = function
   | [] -> ()
   | key :: rest ->
-    (match Table.find table key with
-    | Some obj -> Obj.unlock obj ~thread
-    | None -> ());
+    let obj = Table.find table key in
+    if obj != Obj.dummy then Obj.unlock obj ~thread;
     unlock_all table thread rest
 
 let release_locks t =
@@ -130,27 +129,26 @@ let open_read t key =
   match created_value t key with
   | Some v -> Ok v
   | None ->
-    (match Table.find t.table key with
-    | None -> fail t (Not_replica key)
-    | Some obj ->
-      if t.read_only then begin
-        (* A reader must not return a value with a pending reliable commit. *)
-        if obj.Obj.t_state <> Types.T_valid then fail t (Invalidated key)
-        else begin
-          t.snapshots <- (key, obj.Obj.t_version) :: t.snapshots;
-          Ok obj.Obj.data
-        end
-      end
+    let obj = Table.find t.table key in
+    if obj == Obj.dummy then fail t (Not_replica key)
+    else if t.read_only then begin
+      (* A reader must not return a value with a pending reliable commit. *)
+      if obj.Obj.t_state <> Types.T_valid then fail t (Invalidated key)
       else begin
-        match take_lock t obj with
-        | Error reason -> fail t reason
-        | Ok () ->
-          (* [find] with [Not_found], not [find_opt]: opening a key again
-             boxes no [Some]. *)
-          (match Hashtbl.find t.copies key with
-          | copy -> Ok copy
-          | exception Not_found -> Ok obj.Obj.data)
-      end)
+        t.snapshots <- (key, obj.Obj.t_version) :: t.snapshots;
+        Ok obj.Obj.data
+      end
+    end
+    else begin
+      match take_lock t obj with
+      | Error reason -> fail t reason
+      | Ok () ->
+        (* [find] with [Not_found], not [find_opt]: opening a key again
+           boxes no [Some]. *)
+        (match Hashtbl.find t.copies key with
+        | copy -> Ok copy
+        | exception Not_found -> Ok obj.Obj.data)
+    end
 
 let open_write t key =
   assert (not t.finished);
@@ -158,10 +156,10 @@ let open_write t key =
   match created_value t key with
   | Some v -> Ok v
   | None ->
-    (match Table.find t.table key with
-    | None -> fail t (Not_replica key)
-    | Some obj ->
-      (match take_lock t obj with
+    let obj = Table.find t.table key in
+    if obj == Obj.dummy then fail t (Not_replica key)
+    else
+      match take_lock t obj with
       | Error reason -> fail t reason
       | Ok () ->
         (match Hashtbl.find t.copies key with
@@ -169,7 +167,7 @@ let open_write t key =
         | exception Not_found ->
           let copy = Bytes.copy obj.Obj.data in
           Hashtbl.replace t.copies key copy;
-          Ok copy)))
+          Ok copy)
 
 let put t key data =
   assert (not t.finished);
@@ -194,14 +192,14 @@ let free_obj t key =
     Ok ()
   end
   else begin
-    match Table.find t.table key with
-    | None -> fail t (Not_replica key)
-    | Some obj ->
-      (match take_lock t obj with
+    let obj = Table.find t.table key in
+    if obj == Obj.dummy then fail t (Not_replica key)
+    else
+      match take_lock t obj with
       | Error reason -> fail t reason
       | Ok () ->
         t.frees <- key :: t.frees;
-        Ok ())
+        Ok ()
   end
 
 let written t key =
@@ -215,12 +213,11 @@ let commit_read_only t =
     | [] ->
       t.finished <- true;
       Ok []
-    | (key, version) :: rest -> (
-      match Table.find t.table key with
-      | Some obj when obj.Obj.t_state = Types.T_valid && obj.Obj.t_version = version
-        ->
-        validate rest
-      | Some _ | None -> fail t (Invalidated key))
+    | (key, version) :: rest ->
+      let obj = Table.find t.table key in
+      if obj != Obj.dummy && obj.Obj.t_state = Types.T_valid && obj.Obj.t_version = version
+      then validate rest
+      else fail t (Invalidated key)
   in
   validate t.snapshots
 

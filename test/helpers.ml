@@ -21,6 +21,11 @@ let default_cluster ?(nodes = 3) ?(record_history = true) ?(seed = 42L) ?fabric 
   in
   Cluster.create ~config ()
 
+(* Node [node_id]'s copy of [key], if it holds one. *)
+let obj_at cluster node_id key =
+  let o = Zeus_store.Table.find (Node.table (Cluster.node cluster node_id)) key in
+  if o == Zeus_store.Obj.dummy then None else Some o
+
 let drain ?(max_us = 100_000.0) cluster = Cluster.run_quiesce cluster ~max_us ()
 
 (* Run a write transaction to completion (drains the simulation). *)

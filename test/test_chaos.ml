@@ -226,9 +226,7 @@ let monitor_stop_is_idempotent_and_quiesces () =
    monitor that never fires would pass every other test here. *)
 
 let copies c key =
-  List.filter_map
-    (fun i -> Zeus_store.Table.find (Node.table (Cluster.node c i)) key)
-    (Cluster.live_nodes c)
+  List.filter_map (fun i -> Helpers.obj_at c i key) (Cluster.live_nodes c)
 
 let idle_monitored () =
   let c = chaos_cluster () in

@@ -13,7 +13,7 @@ module Types = Zeus_store.Types
 let tc = Helpers.tc
 let check = Alcotest.check
 
-let obj_at c node key = Table.find (Node.table (Cluster.node c node)) key
+let obj_at = Helpers.obj_at
 
 let value_at c node key =
   Option.map (fun o -> Value.to_int o.Zeus_store.Obj.data) (obj_at c node key)

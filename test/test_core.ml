@@ -65,6 +65,29 @@ let local_conflict_retries () =
   check Alcotest.(option int) "no lost updates" (Some 20) (Helpers.read_value c 0 1);
   Helpers.expect_invariants c
 
+(* Every lookup miss returns one shared dummy per structure, so a write
+   through an unchecked lookup would corrupt every later miss: the
+   invariant check fails on it. *)
+let dummy_writes_fail_invariants () =
+  let c = Helpers.default_cluster () in
+  Cluster.populate c ~key:1 ~owner:0 (Value.of_int 5);
+  Helpers.expect_invariants c;
+  let corrupted what ~write ~restore =
+    write ();
+    (match Fun.protect ~finally:restore (fun () -> Cluster.check_invariants c) with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "a write to %s passed the invariant check" what);
+    Helpers.expect_invariants c
+  in
+  let obj = Zeus_store.Obj.dummy in
+  corrupted "Obj.dummy"
+    ~write:(fun () -> obj.Zeus_store.Obj.t_version <- 7)
+    ~restore:(fun () -> obj.Zeus_store.Obj.t_version <- 0);
+  let entry = Zeus_ownership.Directory.dummy in
+  corrupted "Directory.dummy"
+    ~write:(fun () -> entry.Zeus_ownership.Directory.o_state <- Zeus_store.Types.O_drive)
+    ~restore:(fun () -> entry.Zeus_ownership.Directory.o_state <- Zeus_store.Types.O_valid)
+
 let abort_after_max_retries () =
   (* requesting ownership of a key whose directory entry does not exist
      aborts after bounded retries instead of hanging *)
@@ -272,6 +295,7 @@ let suite =
     tc "read-only transactions cost no messages" ro_txn_costs_no_messages;
     tc "local conflicts retry without lost updates" local_conflict_retries;
     tc "bounded retries then abort" abort_after_max_retries;
+    tc "invariants: a write to a lookup dummy fails the check" dummy_writes_fail_invariants;
     tc "insert, replicate, migrate" insert_then_use;
     tc "cross-node transfers conserve money" cross_node_transfer;
     tc "counters" txn_counters;

@@ -51,7 +51,7 @@ let degree_one_no_replication () =
   Helpers.expect_committed "w" (Helpers.write_txn c 0 ~keys:[ 1 ] ~value:(Value.of_int 1));
   check Alcotest.int "no replication traffic" before
     (Fabric.messages_sent (Cluster.fabric c));
-  match Table.find (Node.table (Cluster.node c 0)) 1 with
+  match Helpers.obj_at c 0 1 with
   | Some o ->
     check Alcotest.bool "immediately valid" true
       (o.Zeus_store.Obj.t_state = Zeus_store.Types.T_valid)
@@ -189,7 +189,7 @@ let large_values_replicate () =
   Cluster.populate c ~key:1 ~owner:0 (Value.padded [ 0 ] ~size:16_384);
   let big = Value.padded [ 4242 ] ~size:16_384 in
   Helpers.expect_committed "big write" (Helpers.write_txn c 0 ~keys:[ 1 ] ~value:big);
-  (match Table.find (Node.table (Cluster.node c 1)) 1 with
+  (match Helpers.obj_at c 1 1 with
   | Some o ->
     check Alcotest.int "size preserved" 16_384 (Value.size o.Zeus_store.Obj.data);
     check Alcotest.int "content" 4242 (Value.to_int o.Zeus_store.Obj.data)

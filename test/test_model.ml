@@ -163,10 +163,12 @@ let scripted_handover () =
   O.issue w 3;
   let rec drain () = match O.net w with m :: _ -> O.take w m; drain () | [] -> () in
   drain ();
-  let entry = Option.get (ODir.find (OC.directory (O.core w 0)) 0) in
+  let entry = ODir.find (OC.directory (O.core w 0)) 0 in
+  Alcotest.(check bool) "directory entry" true (entry != ODir.dummy);
   Alcotest.(check (option int)) "directory names n3" (Some 3)
     entry.ODir.replicas.Replicas.owner;
-  let obj = Option.get (Table.find (O.table w 3) 0) in
+  let obj = Table.find (O.table w 3) 0 in
+  Alcotest.(check bool) "object installed" true (obj != Obj.dummy);
   Alcotest.(check bool) "valid owner" true
     (Obj.is_owner obj && obj.Obj.o_state = Types.O_valid);
   Alcotest.(check bool) "at the granted o_ts" true

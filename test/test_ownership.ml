@@ -43,9 +43,7 @@ let nonreplica_acquires_with_data () =
   check Alcotest.string "owns" "owner" (Helpers.role_name (Node.role (Cluster.node c 3) 1));
   check Alcotest.(option int) "data travelled" (Some 123)
     (Option.map Value.to_int
-       (Option.map
-          (fun o -> o.Zeus_store.Obj.data)
-          (Zeus_store.Table.find (Node.table (Cluster.node c 3)) 1)))
+       (Option.map (fun o -> o.Zeus_store.Obj.data) (Helpers.obj_at c 3 1)))
 
 let ownership_latency_is_1_5_rtt () =
   let c = Helpers.default_cluster () in
@@ -277,22 +275,21 @@ let view_change_arms_in_key_order () =
   Array.iter
     (fun key ->
       ignore (C.handle ~dir st (C.Api_seed { key; replicas }));
-      match D.find (C.directory st) key with
-      | Some e ->
-        D.set_pending e
-          {
-            D.req_id = { Own.Messages.origin = 1; seq = key };
-            o_ts = Zeus_store.Ots.next Zeus_store.Ots.zero ~node:1;
-            base_ts = Zeus_store.Ots.zero;
-            new_replicas = replicas;
-            kind = Own.Messages.Acquire;
-            requester = 1;
-            arbiters = [ 0; 1; 2 ];
-            data_from = None;
-            driving = false;
-            born = 0.0;
-          }
-      | None -> Alcotest.failf "key %d not seeded" key)
+      let e = D.find (C.directory st) key in
+      if e == D.dummy then Alcotest.failf "key %d not seeded" key;
+      D.set_pending e
+        {
+          D.req_id = { Own.Messages.origin = 1; seq = key };
+          o_ts = Zeus_store.Ots.next Zeus_store.Ots.zero ~node:1;
+          base_ts = Zeus_store.Ots.zero;
+          new_replicas = replicas;
+          kind = Own.Messages.Acquire;
+          requester = 1;
+          arbiters = [ 0; 1; 2 ];
+          data_from = None;
+          driving = false;
+          born = 0.0;
+        })
     keys;
   let live = [| true; true; false |] in
   let env = { C.now = 0.0; epoch = 1; live; self_alive = true; trace_on = false } in

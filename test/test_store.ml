@@ -182,7 +182,10 @@ let table_impl =
     create = (fun () -> Table.create ~node:0);
     put = (fun t k v -> Table.install t (Obj.create ~key:k ~role:Types.Owner (Value.of_int v)));
     del = Table.remove;
-    find = (fun t k -> Option.map (fun o -> Value.to_int o.Obj.data) (Table.find t k));
+    find =
+      (fun t k ->
+        let o = Table.find t k in
+        if o == Obj.dummy then None else Some (Value.to_int o.Obj.data));
     mem = Table.mem;
     size = Table.size;
     keys =
@@ -201,8 +204,10 @@ let directory_impl =
     put = (fun t k v -> D.register t k (Replicas.v ~owner:v ~readers:[]));
     del = D.forget;
     find =
-      (fun t k -> Option.map (fun e -> Option.get e.D.replicas.Replicas.owner) (D.find t k));
-    mem = (fun t k -> D.find t k <> None);
+      (fun t k ->
+        let e = D.find t k in
+        if e == D.dummy then None else e.D.replicas.Replicas.owner);
+    mem = (fun t k -> D.find t k != D.dummy);
     size = D.size;
     keys =
       (fun t ->
@@ -247,6 +252,132 @@ let dense_map_qcheck name impl =
   QCheck.Test.make ~name ~count:150
     (QCheck.make ~print:QCheck.Print.(list print_map_op) map_ops)
     (dense_map_model impl)
+
+(* ---------- dense map: the dummy contract ---------- *)
+
+(* Boxed values, so that physical comparison is meaningful. *)
+type cell = { id : int }
+
+let cell_dummy = { id = min_int }
+
+let dense_maps =
+  [
+    ("dense", fun () -> Dense_map.create ~dummy:cell_dummy);
+    ("sparse", fun () -> Dense_map.create_sparse ~dummy:cell_dummy);
+  ]
+
+(* Keys from every region: small, negative, and at or above [max_dense]. *)
+let contract_keys = [ 0; 5; 17; 300; -1; -40; Dense_map.max_dense; Dense_map.max_dense + 9 ]
+let removed_keys = [ 5; -1; Dense_map.max_dense + 9 ]
+let kept_keys = List.filter (fun k -> not (List.mem k removed_keys)) contract_keys
+
+let ids m =
+  let acc = ref [] in
+  Dense_map.iter m (fun c -> acc := c.id :: !acc);
+  List.sort compare !acc
+
+(* A miss returns the dummy; every walk and [mem] skips dummy slots. *)
+let dense_map_dummy_contract () =
+  List.iter
+    (fun (label, create) ->
+      let m = create () in
+      let misses_hit_dummy what =
+        List.iter
+          (fun k ->
+            check Alcotest.bool
+              (Printf.sprintf "%s %s: miss on %d returns the dummy" label what k)
+              true
+              (Dense_map.find m k == cell_dummy && not (Dense_map.mem m k)))
+      in
+      misses_hit_dummy "empty" contract_keys;
+      List.iter (fun k -> Dense_map.replace m k { id = k }) contract_keys;
+      List.iter (Dense_map.remove m) removed_keys;
+      misses_hit_dummy "removed" removed_keys;
+      List.iter
+        (fun k ->
+          check Alcotest.int (Printf.sprintf "%s: find %d" label k) k (Dense_map.find m k).id)
+        kept_keys;
+      let sorted = List.sort compare kept_keys in
+      check Alcotest.int (label ^ ": size") (List.length kept_keys) (Dense_map.size m);
+      check Alcotest.(list int) (label ^ ": iter") sorted (ids m);
+      check Alcotest.(list int) (label ^ ": bindings") sorted
+        (List.map fst (Dense_map.bindings m));
+      let c = Dense_map.copy (fun v -> { id = v.id }) m in
+      check Alcotest.(list int) (label ^ ": copy's bindings") sorted
+        (List.map fst (Dense_map.bindings c));
+      List.iter
+        (fun k ->
+          check Alcotest.bool (Printf.sprintf "%s: copy's miss on %d" label k) true
+            (Dense_map.find c k == cell_dummy))
+        removed_keys;
+      List.iter
+        (fun k ->
+          check Alcotest.bool (Printf.sprintf "%s: copy maps %d to a fresh value" label k)
+            true
+            (Dense_map.find c k != Dense_map.find m k && Dense_map.find c k != cell_dummy))
+        kept_keys;
+      Dense_map.clear m;
+      misses_hit_dummy "cleared" contract_keys;
+      check Alcotest.int (label ^ ": cleared size") 0 (Dense_map.size m);
+      check Alcotest.(list int) (label ^ ": cleared iter") [] (ids m);
+      check Alcotest.int (label ^ ": cleared bindings") 0 (List.length (Dense_map.bindings m));
+      check Alcotest.(list int) (label ^ ": the copy outlives the clear") sorted (ids c))
+    dense_maps
+
+(* A removed value is not kept alive by its old slot. *)
+let dense_map_remove_releases () =
+  List.iter
+    (fun (label, create) ->
+      let m = create () in
+      let weak = Weak.create (List.length contract_keys) in
+      List.iteri
+        (fun i k ->
+          let v = { id = k } in
+          Weak.set weak i (Some v);
+          Dense_map.replace m k v)
+        contract_keys;
+      List.iter (Dense_map.remove m) contract_keys;
+      Gc.full_major ();
+      List.iteri
+        (fun i k ->
+          check Alcotest.bool (Printf.sprintf "%s: removed value of %d collected" label k)
+            false (Weak.check weak i))
+        contract_keys;
+      ignore (Sys.opaque_identity m))
+    dense_maps
+
+(* Words allocated by [f ()], direct major allocations included. *)
+let allocated f =
+  let words = Zeus_experiments.Perf.allocated_words in
+  let before = words () in
+  f ();
+  words () -. before
+
+(* [reserve n] sizes the slot array once: filling [\[0, n)] then allocates
+   no array, where filling an unreserved map grows one by doubling.  A
+   reservation past [max_dense] stops there. *)
+let dense_map_reserve () =
+  let n = 50_000 in
+  let cells = Array.init n (fun id -> { id }) in
+  let fill m = Array.iter (fun c -> Dense_map.replace m c.id c) cells in
+  let grown = Dense_map.create ~dummy:cell_dummy in
+  let growth = allocated (fun () -> fill grown) in
+  if growth < float_of_int n then
+    Alcotest.failf "control: filling an unreserved map allocated only %.0f words" growth;
+  let m = Dense_map.create ~dummy:cell_dummy in
+  let reserve = allocated (fun () -> Dense_map.reserve m n) in
+  if reserve > float_of_int (n + 64) then
+    Alcotest.failf "reserve %d allocated %.0f words" n reserve;
+  let after = allocated (fun () -> fill m) in
+  if after > 64.0 then Alcotest.failf "filling a reserved map allocated %.0f words" after;
+  check Alcotest.int "all bound" n (Dense_map.size m);
+  let capped = Dense_map.create ~dummy:cell_dummy in
+  let words = allocated (fun () -> Dense_map.reserve capped (2 * Dense_map.max_dense)) in
+  if words > float_of_int (Dense_map.max_dense + 64) then
+    Alcotest.failf "reserve past max_dense allocated %.0f words" words;
+  let sparse = Dense_map.create_sparse ~dummy:cell_dummy in
+  let words = allocated (fun () -> Dense_map.reserve sparse n) in
+  if words > 64.0 then Alcotest.failf "reserve on a sparse map allocated %.0f words" words
 
 (* ---------- transactions (local layer) ---------- *)
 
@@ -460,6 +591,9 @@ let suite =
       (dense_map_qcheck "dense map: Table agrees with a Hashtbl" table_impl);
     QCheck_alcotest.to_alcotest
       (dense_map_qcheck "dense map: Directory agrees with a Hashtbl" directory_impl);
+    tc "dense map: a miss returns the dummy, walks skip it" dense_map_dummy_contract;
+    tc "dense map: a removed value is released" dense_map_remove_releases;
+    tc "dense map: reserve sizes the slot array once" dense_map_reserve;
     tc "txn: commit publishes atomically" txn_commit_publishes;
     tc "txn: private copies give opacity" txn_private_copies_isolated;
     tc "txn: lock conflicts abort" txn_lock_conflict;

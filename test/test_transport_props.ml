@@ -199,9 +199,7 @@ let commit_streams_terminate ((loss, dup, permute), txns, seed) =
   List.for_all
     (fun key ->
       let v n =
-        Option.map
-          (fun o -> Value.to_int o.Zeus_store.Obj.data)
-          (Zeus_store.Table.find (Node.table (Cluster.node c n)) key)
+        Option.map (fun o -> Value.to_int o.Zeus_store.Obj.data) (Helpers.obj_at c n key)
       in
       let v0 = v 0 in
       (v0 <> None && v 1 = v0 && v 2 = v0)

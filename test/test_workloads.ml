@@ -206,7 +206,7 @@ module Obj = Zeus_store.Obj
 
 (* The owner's copy of [key] on [node], if it has one. *)
 let owned c node key =
-  match Table.find (Node.table (Cluster.node c node)) key with
+  match Helpers.obj_at c node key with
   | Some o when Obj.is_owner o -> Some o
   | Some _ | None -> None
 
