@@ -33,14 +33,17 @@ bench-quick:
 	dune exec bin/zeus_cli.exe -- run --quick all
 
 # Quick transport ablation (batched vs unbatched) + sanity-check that the
-# machine-readable BENCH_transport.json came out well-formed.
+# machine-readable BENCH_transport.json came out well-formed, and that on
+# every workload batching cut fabric messages/txn by at least 30%.
 bench-smoke: build
 	rm -f BENCH_transport.json
 	dune exec bin/zeus_cli.exe -- run --quick transport
 	@test -s BENCH_transport.json || { echo "bench-smoke: BENCH_transport.json missing or empty" >&2; exit 1; }
-	@for key in smallbank handover unbatched batched messages_per_txn bytes_per_txn events_per_txn committed mean_occupancy; do \
+	@for key in smallbank handover unbatched batched messages_per_txn bytes_per_txn events_per_txn committed mean_occupancy messages_cut_ok; do \
 	  grep -q "\"$$key\"" BENCH_transport.json || { echo "bench-smoke: key \"$$key\" missing from BENCH_transport.json" >&2; exit 1; }; \
 	done
+	@if grep -q '"messages_cut_ok": false' BENCH_transport.json; then \
+	  echo "bench-smoke: batching cut fabric messages/txn by less than 30%" >&2; exit 1; fi
 	@echo "bench-smoke: BENCH_transport.json OK"
 
 # Quick fault-injection run (Smallbank under follower / owner / directory

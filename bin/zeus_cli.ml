@@ -4,7 +4,6 @@
      zeus_cli run fig8 [--quick]   # regenerate one table/figure
      zeus_cli run faults detection # several; each BENCH_*.json they own
      zeus_cli run all [--quick]    # the whole evaluation
-     zeus_cli micro                # bechamel microbenchmarks
      zeus_cli chaos --seed 7 --faults 4 --quick
                                    # Smallbank under a random fault schedule
      zeus_cli trace --workload smallbank --quick --out trace.json
@@ -78,14 +77,6 @@ let run_cmd =
           BENCH_*.json to the current directory.  Independent sweep points \
           run on up to four cores; the output does not depend on the core count.")
     Term.(ret (const run $ quick $ ids))
-
-(* ---- micro ---- *)
-
-let micro_cmd =
-  Cmd.v
-    (Cmd.info "micro"
-       ~doc:"Bechamel microbenchmarks of the simulator and protocol code paths.")
-    Term.(const Micro.run $ const ())
 
 (* ---- chaos ---- *)
 
@@ -441,4 +432,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "zeus_cli" ~doc)
-          [ list_cmd; run_cmd; micro_cmd; chaos_cmd; model_cmd; trace_cmd ]))
+          [ list_cmd; run_cmd; chaos_cmd; model_cmd; trace_cmd ]))

@@ -32,8 +32,8 @@ type t = {
       (** reliable-messaging layer; [transport.batching] (on by default)
           coalesces same-destination protocol messages within
           [Zeus_net.Transport.flush_window_us] into multi-payload frames with
-          cumulative acks — set [Zeus_net.Transport.unbatched] for the
-          historical one-frame-per-message behaviour (the transport
+          cumulative acks — set [Zeus_net.Transport.unbatched] for one
+          payload and one standalone ack per frame (the transport
           ablation; model checking does not use the transport) *)
   ownership : Zeus_ownership.Agent.config;
   commit_clear_marks : Zeus_commit.Core.clear_marks;

@@ -48,7 +48,7 @@ type t = {
           relaxes it (out-of-window payloads deliver immediately) and the
           protocols stay live — model-checked by [zeus_cli model]'s
           reordering scenarios.  Set [Zeus_net.Transport.unbatched] for
-          the historical one-frame-per-message behaviour (the transport
+          one payload and one standalone ack per frame (the transport
           ablation; model checking does not use the transport). *)
   ownership : Zeus_ownership.Agent.config;
       (** ownership-protocol timeouts: request timeout, arb-replay delay *)

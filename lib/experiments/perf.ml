@@ -45,7 +45,6 @@ type run_stats = {
   committed : int;
   sim_us : float;  (** virtual time simulated in the measured window *)
   minor_words : float;  (** GC words allocated during the run ([Gc.minor_words]) *)
-  major_words : float;
   words_per_event : float;
   promoted_words : float;  (** words promoted by the minor GC during the run *)
   promoted_per_event : float;
@@ -126,7 +125,6 @@ let smallbank_run ~duration_us =
   let g1 = Gc.quick_stat () in
   let wall_s = Float.max (t1 -. t0) 1e-9 in
   let events = Engine.events_dispatched eng in
-  let major = g1.Gc.major_words -. g0.Gc.major_words in
   let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
   let per_event x = if events = 0 then 0.0 else x /. float_of_int events in
   {
@@ -136,7 +134,6 @@ let smallbank_run ~duration_us =
     committed = r.W.Driver.committed;
     sim_us = Engine.now eng;
     minor_words = minor;
-    major_words = major;
     words_per_event = per_event minor;
     promoted_words = promoted;
     promoted_per_event = per_event promoted;
@@ -313,7 +310,7 @@ let to_json r =
             ("events_per_sec", J.num s.events_per_sec); ("events", J.int s.events);
             ("wall_s", J.num s.wall_s); ("committed", J.int s.committed);
             ("sim_us", J.num s.sim_us); ("minor_words", J.num s.minor_words);
-            ("major_words", J.num s.major_words); ("words_per_event", J.num s.words_per_event);
+            ("words_per_event", J.num s.words_per_event);
             ("promoted_words", J.num s.promoted_words);
             ("promoted_per_event", J.num s.promoted_per_event);
           ] );
@@ -357,8 +354,7 @@ let run ~quick =
         | _ -> "no baseline recorded" );
       ("committed txns", string_of_int r.smallbank.committed);
       ( "GC minor words/event",
-        f "%.1f (%.2e minor, %.2e major)" r.smallbank.words_per_event
-          r.smallbank.minor_words r.smallbank.major_words );
+        f "%.1f (%.2e minor)" r.smallbank.words_per_event r.smallbank.minor_words );
       ( "vs checked-in baseline",
         match r.baseline_words_per_event with
         | Some b -> f "%.1f words/event -> %s" b (if r.words_ok then "ok" else "ABOVE +5%")

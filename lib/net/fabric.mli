@@ -22,8 +22,7 @@ type config = {
       (** probability a message {e overtakes} the latest in-flight message
           on its directed link (lands uniformly inside the in-flight
           horizon) — true per-link delivery permutation, visible to the
-          application through [Transport.unordered] or the legacy
-          unbatched transport *)
+          application through [Transport.unordered] *)
 }
 
 val default_config : config

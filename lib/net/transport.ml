@@ -36,10 +36,11 @@ let rto_after ~src ~dst ~retries =
   let capped = Float.min raw rto_max_us in
   capped *. (1.0 +. (0.1 *. backoff_jitter ~src ~dst ~retries))
 
-(* Wire framing.  A [Batch] replaces N [Data]+[Ack] pairs: its size is the
-   sum of its payloads plus one header, and it piggybacks the cumulative
-   ack of the reverse-direction flow.  [inc] is the sender incarnation of
-   the flow: it is bumped whenever a flow is reset (endpoint crash, or the
+(* Wire framing.  A [Batch] carries consecutive payloads of one flow: its
+   size is the sum of its payloads plus one header, and it piggybacks the
+   cumulative ack of the reverse-direction flow.  [Ack_cum] is the
+   standalone cumulative ack.  [inc] is the sender incarnation of the
+   flow: it is bumped whenever a flow is reset (endpoint crash, or the
    sender giving up on an undeliverable window), so frames and acks of a
    previous incarnation can never be confused with the fresh stream that
    restarts at sequence 0. *)
@@ -47,8 +48,6 @@ let batch_header_bytes = 24
 let ack_bytes = 16
 
 type Msg.payload +=
-  | Data of { seq : int; inc : int; inner : Msg.payload; size : int }
-  | Ack of { seq : int; inc : int }
   | Batch of {
       inc : int;
       first_seq : int;
@@ -58,14 +57,6 @@ type Msg.payload +=
     }
   | Ack_cum of { upto : int; inc : int }
   | Ring_hole  (** filler for empty send-ring slots; never hits the wire *)
-
-(* Legacy (unbatched) per-message in-flight record. *)
-type pending = {
-  p_payload : Msg.payload;
-  p_size : int;
-  mutable p_retries : int;
-  mutable p_timer : Engine.event_id option;
-}
 
 (* One directed flow src->dst.  The record holds both the sender-side state
    (living at [src]) and the receiver-side state (living at [dst]); in the
@@ -78,7 +69,7 @@ type flow = {
   mutable next_seq : int;
   mutable acked_upto : int;  (* cumulative: all seqs <= this are acked *)
   mutable flushed_upto : int;  (* all seqs <= this have hit the fabric once *)
-  (* Batched: the unacked window lives in a power-of-two ring indexed by
+  (* The unacked window lives in a power-of-two ring indexed by
      [seq land (cap - 1)] — O(1) store per send, nothing to delete on ack
      (advancing [acked_upto] abandons the slots), and frame assembly reads
      the stored payloads and sizes instead of re-packing a hashtable.
@@ -87,7 +78,6 @@ type flow = {
   mutable ring : Msg.payload array;
   mutable ring_size : int array;
   mutable ring_enq : float array;
-  inflight : (int, pending) Hashtbl.t;  (* legacy: per-message records *)
   mutable queued : bool;  (* on the source node's dirty list *)
   mutable rto_ev : Engine.event_id option;
   mutable rto_progress_at : float;  (* last time the window advanced *)
@@ -96,11 +86,10 @@ type flow = {
   mutable rx_inc : int;  (* sender incarnation currently accepted *)
   mutable watermark : int;  (* all seqs <= this delivered (cumulative) *)
   ooo : (int, Msg.payload) Hashtbl.t;
-      (* batched: out-of-order payloads held for in-order delivery *)
+      (* ordered: out-of-order payloads held for in-order delivery *)
   seen_ahead : (int, unit) Hashtbl.t;
-      (* legacy: seqs delivered above the watermark (bounded by the
-         in-flight span instead of the old ever-growing [seen] table) *)
-  mutable rx_acked_upto : int;  (* highest watermark ever acked back *)
+      (* unordered: seqs delivered above the watermark (bounded by the
+         in-flight span) *)
   mutable ack_owed : bool;
   mutable dack_ev : Engine.event_id option;
 }
@@ -147,7 +136,6 @@ let fresh_flow ~src ~dst =
     ring = Array.make 16 Ring_hole;
     ring_size = Array.make 16 0;
     ring_enq = Array.make 16 0.0;
-    inflight = Hashtbl.create 16;
     queued = false;
     rto_ev = None;
     rto_progress_at = 0.0;
@@ -156,7 +144,6 @@ let fresh_flow ~src ~dst =
     watermark = -1;
     ooo = Hashtbl.create 16;
     seen_ahead = Hashtbl.create 16;
-    rx_acked_upto = -1;
     ack_owed = false;
     dack_ev = None;
   }
@@ -186,7 +173,7 @@ let set_handler t node fn = t.handlers.(node) <- Some fn
 let deliver t ~dst ~src inner =
   match t.handlers.(dst) with Some fn -> fn ~src inner | None -> ()
 
-(* Unacked seqs currently held by the batched sender. *)
+(* Unacked seqs currently held by the sender. *)
 let tx_window fl = fl.next_seq - 1 - fl.acked_upto
 
 (* Grow the ring to hold the current window.  Entries keep their slot
@@ -208,18 +195,10 @@ let ring_grow fl =
     fl.ring_enq <- nenq
   end
 
-(* Introspection for the property tests: bounded-state invariants.  The
-   ring window only exists in batched mode — the legacy path tracks
-   in-flight messages individually and never advances [acked_upto]. *)
+(* Introspection for the property tests: bounded-state invariants. *)
 let tx_backlog t =
   Array.fold_left
-    (fun acc row ->
-      Array.fold_left
-        (fun acc fl ->
-          acc
-          + (if t.config.batching then tx_window fl else 0)
-          + Hashtbl.length fl.inflight)
-        acc row)
+    (fun acc row -> Array.fold_left (fun acc fl -> acc + tx_window fl) acc row)
     0 t.flows
 
 let rx_backlog t =
@@ -255,13 +234,6 @@ let cancel_dack t fl =
     fl.dack_ev <- None
   | None -> ()
 
-let cancel_pending_timer t p =
-  match p.p_timer with
-  | Some ev ->
-    Engine.cancel (engine t) ev;
-    p.p_timer <- None
-  | None -> ()
-
 (* ---------- flow resets (crash, recover, sender give-up) ----------------- *)
 
 (* Drop the sender side of a flow and start a fresh incarnation: the next
@@ -270,8 +242,6 @@ let cancel_pending_timer t p =
    of the old one. *)
 let reset_tx t fl =
   cancel_rto t fl;
-  Hashtbl.iter (fun _ p -> cancel_pending_timer t p) fl.inflight;
-  Hashtbl.reset fl.inflight;
   Array.fill fl.ring 0 (Array.length fl.ring) Ring_hole;
   fl.tx_inc <- fl.tx_inc + 1;
   fl.next_seq <- 0;
@@ -284,7 +254,6 @@ let clear_rx_window t fl =
   Hashtbl.reset fl.ooo;
   Hashtbl.reset fl.seen_ahead;
   fl.watermark <- -1;
-  fl.rx_acked_upto <- -1;
   fl.ack_owed <- false
 
 (* Receiver-side reset at a crash: also bump the accepted incarnation so
@@ -301,16 +270,18 @@ let adopt_rx t fl inc =
   clear_rx_window t fl;
   fl.rx_inc <- inc
 
-(* ---------- batched sender ------------------------------------------------ *)
+(* ---------- sender -------------------------------------------------------- *)
 
-(* Pack seqs [lo..hi] of [fl] into frames of at most [max_batch] payloads.
-   Each frame piggybacks the freshest cumulative ack of the reverse flow,
-   which discharges any owed standalone ack. *)
+(* Pack seqs [lo..hi] of [fl] into frames of at most [max_batch] payloads,
+   or of one payload each when unbatched (tested inside [go], which a
+   captured frame cap would grow by a word per call).  Each frame
+   piggybacks the freshest cumulative ack of the reverse flow, which
+   discharges any owed standalone ack. *)
 let send_window ?(retx = false) t fl ~lo ~hi =
   let rev = t.flows.(fl.f_dst).(fl.f_src) in
   let rec go lo =
     if lo <= hi then begin
-      let n = min max_batch (hi - lo + 1) in
+      let n = min (if t.config.batching then max_batch else 1) (hi - lo + 1) in
       let mask = Array.length fl.ring - 1 in
       (* Assemble the frame straight from the ring, back to front: one
          cons per payload, no intermediate list, no lookups. *)
@@ -328,7 +299,6 @@ let send_window ?(retx = false) t fl ~lo ~hi =
         Metrics.Counter.incr t.c_acks_piggybacked;
         cancel_dack t rev
       end;
-      if ack > rev.rx_acked_upto then rev.rx_acked_upto <- ack;
       Metrics.Counter.incr t.c_frames;
       Metrics.Counter.incr ~by:n t.c_payloads;
       Metrics.Histogram.observe t.h_occupancy (float_of_int n);
@@ -427,7 +397,11 @@ let schedule_node_flush t node ~after =
            t.node_flush_ev.(node) <- None;
            flush_node t node))
 
-let send_batched t fl ~size payload =
+(* Batched, a payload waits on its node's dirty list for the flush window
+   or the doorbell; unbatched, its flow is flushed at once, so it leaves
+   alone in its frame. *)
+let send t ~src ~dst ?(size = 64) payload =
+  let fl = t.flows.(src).(dst) in
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
   ring_grow fl;
@@ -435,11 +409,11 @@ let send_batched t fl ~size payload =
   fl.ring.(i) <- payload;
   fl.ring_size.(i) <- size;
   fl.ring_enq.(i) <- Engine.now (engine t);
-  if not fl.queued then begin
+  if not t.config.batching then flush_flow t fl
+  else if not fl.queued then begin
     fl.queued <- true;
-    t.dirty.(fl.f_src) := fl :: !(t.dirty.(fl.f_src));
-    if t.node_flush_ev.(fl.f_src) = None then
-      schedule_node_flush t fl.f_src ~after:flush_window_us
+    t.dirty.(src) := fl :: !(t.dirty.(src));
+    if t.node_flush_ev.(src) = None then schedule_node_flush t src ~after:flush_window_us
   end
 
 (* Doorbell: flush [node]'s unflushed frames at the end of the current
@@ -447,10 +421,9 @@ let send_batched t fl ~size payload =
    this timestamp (e.g. all sends of one protocol-handler activation) still
    coalesces, but no latency is added. *)
 let flush t node =
-  if t.config.batching then
-    match t.node_flush_ev.(node) with
-    | Some _ -> schedule_node_flush t node ~after:0.0
-    | None -> ()
+  match t.node_flush_ev.(node) with
+  | Some _ -> schedule_node_flush t node ~after:0.0
+  | None -> ()
 
 let apply_cum_ack t fl ~upto ~inc =
   if inc = fl.tx_inc && upto > fl.acked_upto then begin
@@ -463,7 +436,7 @@ let apply_cum_ack t fl ~upto ~inc =
     if tx_window fl = 0 then cancel_rto t fl
   end
 
-(* ---------- batched receiver ---------------------------------------------- *)
+(* ---------- receiver ------------------------------------------------------ *)
 
 let rec drain_ooo t fl =
   match Hashtbl.find_opt fl.ooo (fl.watermark + 1) with
@@ -474,6 +447,11 @@ let rec drain_ooo t fl =
     drain_ooo t fl
   | None -> ()
 
+let send_ack t fl =
+  Metrics.Counter.incr t.c_acks_standalone;
+  Fabric.send t.fabric ~src:fl.f_dst ~dst:fl.f_src ~size:ack_bytes
+    (Ack_cum { upto = fl.watermark; inc = fl.rx_inc })
+
 let schedule_dack t fl =
   if fl.dack_ev = None then
     fl.dack_ev <-
@@ -482,10 +460,7 @@ let schedule_dack t fl =
              fl.dack_ev <- None;
              if fl.ack_owed && Fabric.is_alive t.fabric fl.f_dst then begin
                fl.ack_owed <- false;
-               if fl.watermark > fl.rx_acked_upto then fl.rx_acked_upto <- fl.watermark;
-               Metrics.Counter.incr t.c_acks_standalone;
-               Fabric.send t.fabric ~src:fl.f_dst ~dst:fl.f_src ~size:ack_bytes
-                 (Ack_cum { upto = fl.watermark; inc = fl.rx_inc })
+               send_ack t fl
              end))
 
 (* A frame's payloads, [seq] the first one's, walked in a loop: no closure
@@ -517,10 +492,10 @@ let rec receive_items t fl seq = function
     end
     else begin
       (* Unordered mode: deliver ahead of the watermark immediately and
-         remember the seq for dedup (bounded by the in-flight span, as in
-         the legacy path); the cumulative ack still only covers the
-         contiguous prefix, so go-back-N refills the gap and the
-         [seen_ahead] check above swallows the resulting overlap. *)
+         remember the seq for dedup (bounded by the in-flight span); the
+         cumulative ack still only covers the contiguous prefix, so
+         go-back-N refills the gap and the [seen_ahead] check above
+         swallows the resulting overlap. *)
       Hashtbl.replace fl.seen_ahead seq ();
       deliver t ~dst:fl.f_dst ~src:fl.f_src payload
     end;
@@ -531,88 +506,20 @@ let handle_batch t fl ~inc ~first_seq ~items =
     if inc > fl.rx_inc then adopt_rx t fl inc;
     receive_items t fl first_seq items;
     (* Any data frame earns an ack: fresh data to advance the cumulative
-       ack, and a fully-duplicate frame means our previous ack was lost. *)
-    fl.ack_owed <- true;
-    schedule_dack t fl
-  end
-
-(* ---------- legacy (unbatched) path --------------------------------------- *)
-(* Byte-for-byte the pre-batching behaviour: one Data frame per message,
-   one 16-byte Ack per Data frame received, one retransmit timer per
-   in-flight message — except that receive-side dedup now uses the
-   watermark + [seen_ahead] set (bounded by the in-flight span) instead of
-   an ever-growing table, and flow resets use incarnations. *)
-
-let rec arm_retransmit t fl seq p =
-  p.p_timer <-
-    Some
-      (Engine.schedule (engine t)
-         ~after:(flow_rto fl ~retries:p.p_retries)
-         (fun () ->
-           p.p_timer <- None;
-           if Hashtbl.mem fl.inflight seq then begin
-             if
-               p.p_retries < max_retries
-               && Fabric.is_alive t.fabric fl.f_src
-               && Fabric.is_alive t.fabric fl.f_dst
-             then begin
-               p.p_retries <- p.p_retries + 1;
-               Metrics.Counter.incr t.c_retransmissions;
-               Metrics.Counter.incr t.c_backoff;
-               Fabric.send t.fabric ~src:fl.f_src ~dst:fl.f_dst ~size:p.p_size
-                 (Data { seq; inc = fl.tx_inc; inner = p.p_payload; size = p.p_size });
-               arm_retransmit t fl seq p
-             end
-             else Hashtbl.remove fl.inflight seq
-           end))
-
-let send_legacy t fl ~size payload =
-  let seq = fl.next_seq in
-  fl.next_seq <- seq + 1;
-  let p = { p_payload = payload; p_size = size; p_retries = 0; p_timer = None } in
-  Hashtbl.replace fl.inflight seq p;
-  Metrics.Counter.incr t.c_frames;
-  Metrics.Counter.incr t.c_payloads;
-  Metrics.Histogram.observe t.h_occupancy 1.0;
-  Fabric.send t.fabric ~src:fl.f_src ~dst:fl.f_dst ~size
-    (Data { seq; inc = fl.tx_inc; inner = payload; size });
-  arm_retransmit t fl seq p
-
-let handle_data_legacy t fl ~seq ~inc ~inner =
-  if inc >= fl.rx_inc then begin
-    if inc > fl.rx_inc then adopt_rx t fl inc;
-    Metrics.Counter.incr t.c_acks_standalone;
-    Fabric.send t.fabric ~src:fl.f_dst ~dst:fl.f_src ~size:ack_bytes
-      (Ack { seq; inc });
-    let dup = seq <= fl.watermark || Hashtbl.mem fl.seen_ahead seq in
-    if not dup then begin
-      if seq = fl.watermark + 1 then begin
-        fl.watermark <- seq;
-        while Hashtbl.mem fl.seen_ahead (fl.watermark + 1) do
-          Hashtbl.remove fl.seen_ahead (fl.watermark + 1);
-          fl.watermark <- fl.watermark + 1
-        done
-      end
-      else Hashtbl.replace fl.seen_ahead seq ();
-      deliver t ~dst:fl.f_dst ~src:fl.f_src inner
+       ack, and a fully-duplicate frame means our previous ack was lost.
+       Batched, the ack waits for reverse data to ride on; unbatched, it
+       leaves at once. *)
+    if t.config.batching then begin
+      fl.ack_owed <- true;
+      schedule_dack t fl
     end
+    else send_ack t fl
   end
-
-let handle_ack_legacy t fl ~seq ~inc =
-  if inc = fl.tx_inc then
-    match Hashtbl.find_opt fl.inflight seq with
-    | Some p ->
-      cancel_pending_timer t p;
-      Hashtbl.remove fl.inflight seq
-    | None -> ()
 
 (* ---------- dispatch ------------------------------------------------------ *)
 
 let handle t ~dst ~src payload =
   match payload with
-  | Data { seq; inc; inner; size = _ } ->
-    handle_data_legacy t t.flows.(src).(dst) ~seq ~inc ~inner
-  | Ack { seq; inc } -> handle_ack_legacy t t.flows.(dst).(src) ~seq ~inc
   | Batch { inc; first_seq; items; ack; ack_inc } ->
     (* The piggybacked ack covers OUR data on the reverse flow dst->src. *)
     apply_cum_ack t t.flows.(dst).(src) ~upto:ack ~inc:ack_inc;
@@ -647,11 +554,6 @@ let create ?(config = default_config) ?telemetry fabric =
   done;
   t
 
-let send t ~src ~dst ?(size = 64) payload =
-  let fl = t.flows.(src).(dst) in
-  if t.config.batching then send_batched t fl ~size payload
-  else send_legacy t fl ~size payload
-
 let send_unreliable t ~src ~dst ?(size = 64) payload =
   Fabric.send t.fabric ~src ~dst ~size payload
 
@@ -661,14 +563,14 @@ let send_unreliable t ~src ~dst ?(size = 64) payload =
    reset with an incarnation bump — so when the node rejoins as a fresh
    incarnation restarting at seq 0, nothing is swallowed as a duplicate
    and no straggler of the old incarnation is accepted. *)
-let drop_pending_flush t node =
+let drop_queued_flush t node =
   cancel_node_flush t node;
   List.iter (fun fl -> fl.queued <- false) !(t.dirty.(node));
   t.dirty.(node) := []
 
 let crash t node =
   Fabric.crash t.fabric node;
-  drop_pending_flush t node;
+  drop_queued_flush t node;
   let n = Fabric.nodes t.fabric in
   for peer = 0 to n - 1 do
     reset_tx t t.flows.(node).(peer);
@@ -679,7 +581,7 @@ let crash t node =
 
 let recover t node =
   Fabric.recover t.fabric node;
-  drop_pending_flush t node;
+  drop_queued_flush t node;
   let n = Fabric.nodes t.fabric in
   for peer = 0 to n - 1 do
     (* Anything enqueued while dead belongs to the dead incarnation. *)

@@ -20,12 +20,12 @@
     a single RTO timer per peer flow.  Delivery is order-preserving per
     flow.
 
-    {b Legacy} ([batching = false]): the pre-batching behaviour — one
-    [Data] frame per message, one 16-byte [Ack] per frame received, one
-    retransmit timer per in-flight message, and delivery that is {e not}
-    order-preserving.  Message counts on the fabric are identical to the
-    historical transport; only the receive-side dedup bookkeeping changed
-    from an unbounded table to a watermark plus bounded set.
+    {b Unbatched} ([batching = false]): the same machinery — send ring,
+    go-back-N RTO per flow, watermark dedup, incarnations — with one
+    payload per frame.  Each send flushes its flow at once, so the payload
+    leaves alone in a [Batch] frame, and the receiver answers every frame
+    at once with a standalone 16-byte cumulative ack, so nothing is left
+    to piggyback.  Delivery is in order unless {!unordered} is set too.
 
     Flows carry incarnation numbers: any reset (endpoint crash, sender
     give-up) bumps the incarnation, so a rejoined node restarting at
@@ -47,9 +47,9 @@ type config = {
 val default_config : config
 
 val unbatched : config -> config
-(** [unbatched c] is [c] with [batching = false] — the historical
-    one-frame-per-message transport, for ablations.  The legacy path was
-    never order-preserving, so [ordered] has no effect on it. *)
+(** [unbatched c] is [c] with [batching = false] — one payload per frame
+    and one standalone ack per frame, for the transport ablation.  [ordered]
+    keeps its meaning. *)
 
 val unordered : config -> config
 (** [unordered c] is [c] with [ordered = false] — reliable exactly-once
@@ -85,8 +85,8 @@ val max_batch : int
 
 val max_ooo : int
 (** Receive-side out-of-order window; payloads beyond it are dropped and
-    recovered by retransmission, keeping state bounded.  Only read in
-    ordered mode. *)
+    recovered by retransmission, keeping state bounded.  Only read when
+    [ordered]. *)
 
 type t
 
@@ -104,15 +104,16 @@ val set_handler : t -> Msg.node_id -> (src:Msg.node_id -> Msg.payload -> unit) -
 
 val send : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
 (** Reliable send: retransmits until acknowledged or {!max_retries} is
-    exhausted.  In batched mode the payload is queued on the per-peer flow
-    and leaves with the next flush. *)
+    exhausted.  Batched, the payload is queued on the per-peer flow and
+    leaves with the next flush; unbatched, it leaves at once in a frame of
+    its own. *)
 
 val flush : t -> Msg.node_id -> unit
 (** Doorbell: flush [node]'s pending outgoing frames at the end of the
     current simulator instant instead of waiting out the flush window.
     All sends enqueued at the current timestamp still coalesce; no latency
-    is added.  Protocol agents ring this after a fan-out burst.  No-op in
-    legacy mode. *)
+    is added.  Protocol agents ring this after a fan-out burst.  No-op when
+    unbatched, where nothing waits. *)
 
 val send_unreliable : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
 (** Plain fabric send, bypassing retransmission (used for traffic where the
@@ -146,7 +147,7 @@ type stats = {
   payloads : int;  (** protocol payloads carried by those frames *)
   retransmitted : int;
   piggybacked_acks : int;  (** cumulative acks carried by reverse data *)
-  standalone_acks : int;  (** dedicated ack frames (incl. legacy per-message) *)
+  standalone_acks : int;  (** dedicated ack frames (one per frame unbatched) *)
   mean_occupancy : float;  (** mean payloads per data frame *)
   max_occupancy : float;
 }
@@ -154,8 +155,9 @@ type stats = {
 val stats : t -> stats
 
 val tx_backlog : t -> int
-(** Total unacknowledged sender-side payloads across all flows (0 once the
-    network is quiescent — bounded-state invariant for property tests). *)
+(** Total unacknowledged sender-side payloads across all flows, in either
+    mode (0 once the network is quiescent — bounded-state invariant for
+    property tests). *)
 
 val rx_backlog : t -> int
 (** Total receive-side out-of-order/dedup entries across all flows. *)

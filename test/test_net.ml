@@ -397,16 +397,25 @@ let transport_coalesces_same_instant () =
     (Fabric.messages_sent (Transport.fabric t))
 
 let transport_unbatched_message_counts () =
-  (* Legacy mode: pre-PR wire behaviour — one Data + one Ack per message. *)
+  (* Unbatched: the pre-batching wire counts — one frame and one standalone
+     ack per message, nothing piggybacked — and still in order. *)
   let e, t =
     transport_setup ~config:(Transport.unbatched Transport.default_config) ()
   in
-  let _ = tcollect t 1 in
+  let log = tcollect t 1 in
   for i = 1 to 5 do
     Transport.send t ~src:0 ~dst:1 (Ping i)
   done;
   Engine.run e;
-  check Alcotest.int "5 Data + 5 Ack" 10 (Fabric.messages_sent (Transport.fabric t))
+  check Alcotest.int "5 frames + 5 acks" 10 (Fabric.messages_sent (Transport.fabric t));
+  let st = Transport.stats t in
+  check Alcotest.int "five frames" 5 st.Transport.frames;
+  check Alcotest.int "five payloads" 5 st.Transport.payloads;
+  check Alcotest.int "five standalone acks" 5 st.Transport.standalone_acks;
+  check Alcotest.int "no piggybacked acks" 0 st.Transport.piggybacked_acks;
+  check Alcotest.(list (pair int int)) "in order"
+    (List.init 5 (fun i -> (0, i + 1)))
+    (List.rev !log)
 
 let transport_batched_in_order_under_reorder () =
   let e, t =

@@ -301,6 +301,7 @@ let json_gate_literals () =
                [ ("events_per_sec", Jsonv.num 622970.5); ("words_per_event", Jsonv.num 118.5) ]
            );
            ("regression_ok", Jsonv.Bool false);
+           ("handover", Jsonv.Obj [ ("messages_cut_ok", Jsonv.Bool false) ]);
            ("sweep", Jsonv.Obj [ ("identical", Jsonv.Bool false) ]);
          ])
   in
@@ -320,6 +321,7 @@ let json_gate_literals () =
       {|"recovered": false|};
       {|"identical": false|};
       {|"regression_ok": false|};
+      {|"messages_cut_ok": false|};
       {|"smallbank": {"events_per_sec": 622970.5,|};
     ];
   check Alcotest.int "words_per_event on one line" 1

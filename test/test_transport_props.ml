@@ -2,7 +2,8 @@
    random loss/duplication/straggler-delay/permutation rates and a random
    send schedule over a 3-node fabric.  Every transport mode must deliver
    every payload exactly once per flow with bounded state; the ordered
-   batched mode must additionally deliver in order, and on the unordered
+   modes, batched and unbatched, must additionally deliver in order, and on
+   the unordered
    mode the commit protocol's sequence-aware clear marks must still drain
    every committed transaction's VAL/INV stream. *)
 
@@ -102,8 +103,8 @@ let exactly_once ?permute ?unordered ~batched c =
       else true)
     (flows sent delivered)
 
-let in_order_batched c =
-  let _, _, sent, delivered = run_case ~batched:true c in
+let in_order ~batched c =
+  let _, _, sent, delivered = run_case ~batched c in
   List.for_all
     (fun key ->
       let s = got sent key and d = got delivered key in
@@ -216,7 +217,10 @@ let suite =
          case (exactly_once ~batched:false));
     qtest
       (QCheck.Test.make ~name:"transport: in-order delivery per flow (batched)"
-         ~count:30 case in_order_batched);
+         ~count:30 case (in_order ~batched:true));
+    qtest
+      (QCheck.Test.make ~name:"transport: in-order delivery per flow (unbatched)"
+         ~count:30 case (in_order ~batched:false));
     qtest
       (QCheck.Test.make ~name:"transport: quiescent and bounded state (batched)"
          ~count:30 case (bounded_state ~batched:true));
@@ -233,6 +237,11 @@ let suite =
          ~name:"transport: quiescent and bounded state (unordered + permuting)"
          ~count:30 case
          (bounded_state ~permute:0.4 ~unordered:true ~batched:true));
+    qtest
+      (QCheck.Test.make
+         ~name:"transport: quiescent and bounded state (unbatched, unordered + permuting)"
+         ~count:30 case
+         (bounded_state ~permute:0.4 ~unordered:true ~batched:false));
     qtest
       (QCheck.Test.make
          ~name:"commit: streams terminate on lossy/dup/unordered fabric" ~count:25
