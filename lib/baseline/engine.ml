@@ -93,7 +93,7 @@ let group_by_primary t keys =
     [] keys
   |> List.map (fun (p, l) -> (p, !l))
 
-let send t ~src ~dst ?size payload = Transport.send t.transport ~src ~dst ?size payload
+let send t ~src ~dst ~size payload = Transport.send t.transport ~src ~dst ~size payload
 
 (* ---------- primary-side handlers ----------------------------------------- *)
 

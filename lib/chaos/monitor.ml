@@ -42,8 +42,10 @@ type t = {
   mutable visit : Obj.t -> unit;  (* [visit_obj t], allocated once *)
   mutable check : int -> key_state -> unit;  (* [check_key t], allocated once *)
   mutable stopped : bool;
-  mutable sample_ev : Engine.event_id option;
-  mutable window_ev : Engine.event_id option;
+  mutable sample_ev : Engine.event_id;  (* [Engine.no_event] when unarmed *)
+  mutable window_ev : Engine.event_id;
+  mutable sample_fn : unit -> unit;  (* [on_sample t], allocated once *)
+  mutable window_fn : unit -> unit;  (* [on_window t], allocated once *)
   c_samples : Metrics.Counter.h;
   c_violations : Metrics.Counter.h;
 }
@@ -167,30 +169,26 @@ let reset_suspects t = Itbl.iter (fun _ r -> r.suspect <- 0) t.keys
 
 (* ---------- sampling loops ------------------------------------------------- *)
 
-let rec arm_sample t =
-  t.sample_ev <-
-    Some
-      (Engine.schedule (engine t) ~after:sample_us (fun () ->
-           t.sample_ev <- None;
-           if not t.stopped then begin
-             if steady t then sample_invariants t
-             else reset_suspects t;
-             arm_sample t
-           end))
+let arm_sample t = t.sample_ev <- Engine.schedule (engine t) ~after:sample_us t.sample_fn
+let arm_window t = t.window_ev <- Engine.schedule (engine t) ~after:window_us t.window_fn
 
-let rec arm_window t =
-  t.window_ev <-
-    Some
-      (Engine.schedule (engine t) ~after:window_us (fun () ->
-           t.window_ev <- None;
-           if not t.stopped then begin
-             let cur = observed_committed t in
-             (* A rejoined node's counters reset with it; clamp so the
-                timeline never goes negative. *)
-             t.bins <- max 0 (cur - t.last_committed) :: t.bins;
-             t.last_committed <- cur;
-             arm_window t
-           end))
+let on_sample t =
+  t.sample_ev <- Engine.no_event;
+  if not t.stopped then begin
+    if steady t then sample_invariants t else reset_suspects t;
+    arm_sample t
+  end
+
+let on_window t =
+  t.window_ev <- Engine.no_event;
+  if not t.stopped then begin
+    let cur = observed_committed t in
+    (* A rejoined node's counters reset with it; clamp so the timeline
+       never goes negative. *)
+    t.bins <- max 0 (cur - t.last_committed) :: t.bins;
+    t.last_committed <- cur;
+    arm_window t
+  end
 
 let attach ?observed cluster =
   let observed =
@@ -212,14 +210,18 @@ let attach ?observed cluster =
       visit = ignore;
       check = (fun _ _ -> ());
       stopped = false;
-      sample_ev = None;
-      window_ev = None;
+      sample_ev = Engine.no_event;
+      window_ev = Engine.no_event;
+      sample_fn = ignore;
+      window_fn = ignore;
       c_samples = Metrics.Counter.v m "chaos.monitor.samples";
       c_violations = Metrics.Counter.v m "chaos.monitor.violations";
     }
   in
   t.visit <- visit_obj t;
   t.check <- check_key t;
+  t.sample_fn <- (fun () -> on_sample t);
+  t.window_fn <- (fun () -> on_window t);
   t.last_committed <- observed_committed t;
   arm_sample t;
   arm_window t;
@@ -230,10 +232,11 @@ let note_fault t = t.last_fault_at <- Engine.now (engine t)
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    (match t.sample_ev with Some ev -> Engine.cancel (engine t) ev | None -> ());
-    (match t.window_ev with Some ev -> Engine.cancel (engine t) ev | None -> ());
-    t.sample_ev <- None;
-    t.window_ev <- None
+    (* Cancelling [no_event] is a no-op. *)
+    Engine.cancel (engine t) t.sample_ev;
+    Engine.cancel (engine t) t.window_ev;
+    t.sample_ev <- Engine.no_event;
+    t.window_ev <- Engine.no_event
   end
 
 let samples t = Metrics.Counter.get t.c_samples

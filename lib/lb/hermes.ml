@@ -54,7 +54,7 @@ let entry t key =
     Hashtbl.replace t.entries key e;
     e
 
-let send t ~dst ?size payload = Transport.send t.transport ~src:t.node ~dst ?size payload
+let send t ~dst ~size payload = Transport.send t.transport ~src:t.node ~dst ~size payload
 let others t = List.filter (fun r -> r <> t.node) t.replicas
 
 let read t key =

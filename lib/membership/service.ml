@@ -45,7 +45,8 @@ type t = {
   detectors : Detector.t array;
   suspected_by : bool array array;  (* suspected_by.(suspect).(reporter) *)
   evicting : bool array;            (* lease clock running for this suspect *)
-  tick_events : Engine.event_id option array;
+  tick_events : Engine.event_id array;  (* [Engine.no_event] when unarmed *)
+  tick_fns : (unit -> unit) array;  (* [tick t n], built once per node *)
   mutable suspended : bool;
   mutable fence_hook : (int -> unit) option;
   counters : counters;
@@ -196,11 +197,11 @@ let retract t ~reporter ~suspect =
 
 (* ---------- heartbeat / suspicion tick (Detected mode) -------------------- *)
 
-let rec arm_tick t n ~after =
-  t.tick_events.(n) <- Some (Engine.schedule (engine t) ~after (fun () -> tick t n))
+let arm_tick t n ~after =
+  t.tick_events.(n) <- Engine.schedule (engine t) ~after t.tick_fns.(n)
 
-and tick t n =
-  t.tick_events.(n) <- None;
+let tick t n =
+  t.tick_events.(n) <- Engine.no_event;
   if not t.suspended then begin
     let d = t.detection in
     if Fabric.is_alive (fabric t) n then begin
@@ -276,8 +277,8 @@ let suspend t =
     t.suspended <- true;
     Array.iteri
       (fun i ev ->
-        Option.iter (Engine.cancel (engine t)) ev;
-        t.tick_events.(i) <- None)
+        Engine.cancel (engine t) ev;
+        t.tick_events.(i) <- Engine.no_event)
       t.tick_events
   end
 
@@ -329,7 +330,8 @@ let create ?(mode = Oracle) ?(detection = Detector.default_config) ?telemetry tr
       suspected_by =
         (if detected then Array.init nodes (fun _ -> Array.make nodes false) else [||]);
       evicting = (if detected then Array.make nodes false else [||]);
-      tick_events = (if detected then Array.make nodes None else [||]);
+      tick_events = (if detected then Array.make nodes Engine.no_event else [||]);
+      tick_fns = (if detected then Array.make nodes ignore else [||]);
       suspended = false;
       fence_hook = None;
       counters =
@@ -347,6 +349,7 @@ let create ?(mode = Oracle) ?(detection = Detector.default_config) ?telemetry tr
   in
   if detected then begin
     for n = 0 to nodes - 1 do
+      t.tick_fns.(n) <- (fun () -> tick t n);
       (* Standalone default: consume heartbeats and feed the detector.
          Zeus_core.Node replaces this handler with the full protocol
          dispatch chain, which calls [observe] first. *)

@@ -1,4 +1,5 @@
 module Engine = Zeus_sim.Engine
+module Fifo = Zeus_sim.Fifo
 module Rng = Zeus_sim.Rng
 
 type config = {
@@ -26,6 +27,20 @@ let default_config =
 
 type perturb = { p_loss : float; p_dup : float; p_delay_us : float }
 
+(* A message in flight.  The fabric pools these records, each with its
+   [fire] closure built once, so a send allocates nothing to be scheduled
+   and delivered; a duplicate takes a record of its own. *)
+type Msg.payload += No_flight
+
+type flight = {
+  mutable src : Msg.node_id;
+  mutable dst : Msg.node_id;
+  mutable payload : Msg.payload;
+  fire : unit -> unit;
+}
+
+let no_flight = { src = -1; dst = -1; payload = No_flight; fire = ignore }
+
 type t = {
   engine : Engine.t;
   nodes : int;
@@ -43,9 +58,12 @@ type t = {
          far — the permutation target: an overtaking message lands before
          it.  Maintained unconditionally (no rng cost) so a nemesis can
          arm scrambling mid-run against a warm horizon. *)
+  spare : flight Fifo.t;  (* in-flight records free for reuse *)
+  mutable flights : int;  (* in-flight records made so far *)
   mutable messages_sent : int;
   mutable bytes_sent : int;
   mutable messages_dropped : int;
+  mutable messages_duplicated : int;
 }
 
 let validate_config c =
@@ -85,9 +103,12 @@ let create engine ~nodes config =
     scramble = 0.0;
     slow = Array.make nodes 1.0;
     last_arrival = Array.make (nodes * nodes) neg_infinity;
+    spare = Fifo.create ~dummy:no_flight;
+    flights = 0;
     messages_sent = 0;
     bytes_sent = 0;
     messages_dropped = 0;
+    messages_duplicated = 0;
   }
 
 let engine t = t.engine
@@ -127,11 +148,14 @@ let slow_factor t node = t.slow.(node)
 let messages_sent t = t.messages_sent
 let bytes_sent t = t.bytes_sent
 let messages_dropped t = t.messages_dropped
+let messages_duplicated t = t.messages_duplicated
+let flight_records t = t.flights
 
 let reset_counters t =
   t.messages_sent <- 0;
   t.bytes_sent <- 0;
-  t.messages_dropped <- 0
+  t.messages_dropped <- 0;
+  t.messages_duplicated <- 0
 
 let deliver t ~src ~dst payload =
   (* Checked at arrival time: a node that crashed in flight drops the
@@ -143,7 +167,14 @@ let deliver t ~src ~dst payload =
   end
   else t.messages_dropped <- t.messages_dropped + 1
 
-let latency t ~src ~dst ~size =
+(* [Rng.float] and [Rng.chance] on the fabric's stream, written out (see
+   [Rng.bits53]) so that neither the bound nor the draw is boxed to cross
+   into [Rng]: that was 2 words per argument and per result, several
+   times per message. *)
+let[@inline] draw t bound = bound *. (float_of_int (Rng.bits53 t.rng) /. 9007199254740992.0)
+let[@inline] chance t p = draw t 1.0 < p
+
+let[@inline] latency t ~src ~dst ~size =
   let c = t.config in
   let serialize =
     (* bytes -> µs at [bandwidth] Gbps: size * 8 bits / (gbps * 1000 bits/µs) *)
@@ -155,44 +186,64 @@ let latency t ~src ~dst ~size =
   let spike = match t.perturb with Some p -> p.p_delay_us | None -> 0.0 in
   ((c.base_latency_us +. serialize) *. gray)
   +. spike
-  +. Rng.float t.rng c.jitter_us
+  +. draw t c.jitter_us
 
 (* Effective fault probabilities: static config plus the active spike.  The
    rng draw count is independent of whether a spike is active, so arming a
    chaos schedule never perturbs the random sequence of an otherwise
    identical run before the first fault fires. *)
-let eff_loss t = match t.perturb with
+let[@inline] eff_loss t = match t.perturb with
   | Some p -> Float.min 1.0 (t.config.loss_prob +. p.p_loss)
   | None -> t.config.loss_prob
 
-let eff_dup t = match t.perturb with
+let[@inline] eff_dup t = match t.perturb with
   | Some p -> Float.min 1.0 (t.config.dup_prob +. p.p_dup)
   | None -> t.config.dup_prob
 
-let eff_permute t = Float.min 1.0 (t.config.permute_prob +. t.scramble)
+let[@inline] eff_permute t = Float.min 1.0 (t.config.permute_prob +. t.scramble)
 
 (* Record the latest scheduled arrival on a directed link; returns the
    absolute arrival time.  Pure float bookkeeping — no rng draw, so
    tracking while permutation is disabled never perturbs a run. *)
-let note_arrival t ~src ~dst ~now ~after =
+let[@inline] note_arrival t ~src ~dst ~now ~after =
   let i = (src * t.nodes) + dst in
   let abs = now +. after in
   if abs > t.last_arrival.(i) then t.last_arrival.(i) <- abs
 
-let send t ~src ~dst ?(size = 64) payload =
+(* The record is read and back in the pool before [deliver] runs, so a
+   send made from inside the handler may take this very record. *)
+let fire t fl =
+  let src = fl.src and dst = fl.dst and payload = fl.payload in
+  fl.payload <- No_flight;
+  Fifo.push t.spare fl;
+  deliver t ~src ~dst payload
+
+let new_flight t =
+  t.flights <- t.flights + 1;
+  let rec fl = { src = -1; dst = -1; payload = No_flight; fire = (fun () -> fire t fl) } in
+  fl
+
+let launch t ~src ~dst ~after payload =
+  let fl = if Fifo.is_empty t.spare then new_flight t else Fifo.pop t.spare in
+  fl.src <- src;
+  fl.dst <- dst;
+  fl.payload <- payload;
+  ignore (Engine.schedule t.engine ~after fl.fire)
+
+let send t ~src ~dst ~size payload =
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <- t.bytes_sent + size;
   if not t.alive.(src) then t.messages_dropped <- t.messages_dropped + 1
   else if src = dst then
-    ignore (Engine.schedule t.engine ~after:0.05 (fun () -> deliver t ~src ~dst payload))
+    launch t ~src ~dst ~after:0.05 payload
   else begin
     let c = t.config in
-    if Rng.chance t.rng (eff_loss t) then t.messages_dropped <- t.messages_dropped + 1
+    if chance t (eff_loss t) then t.messages_dropped <- t.messages_dropped + 1
     else begin
       let now = Engine.now t.engine in
       let base = latency t ~src ~dst ~size in
       let extra =
-        if Rng.chance t.rng c.delay_prob then Rng.float t.rng c.delay_extra_us
+        if chance t c.delay_prob then draw t c.delay_extra_us
         else 0.0
       in
       let arrival = base +. extra in
@@ -204,20 +255,19 @@ let send t ~src ~dst ?(size = 64) payload =
          a disabled knob costs no rng draw. *)
       let arrival =
         let p = eff_permute t in
-        if p > 0.0 && Rng.chance t.rng p then begin
+        if p > 0.0 && chance t p then begin
           let horizon = t.last_arrival.((src * t.nodes) + dst) -. now in
-          if horizon > 1e-9 then Rng.float t.rng horizon else arrival
+          if horizon > 1e-9 then draw t horizon else arrival
         end
         else arrival
       in
       note_arrival t ~src ~dst ~now ~after:arrival;
-      ignore (Engine.schedule t.engine ~after:arrival (fun () -> deliver t ~src ~dst payload));
-      if Rng.chance t.rng (eff_dup t) then begin
-        let dup_arrival = latency t ~src ~dst ~size +. Rng.float t.rng c.delay_extra_us in
+      launch t ~src ~dst ~after:arrival payload;
+      if chance t (eff_dup t) then begin
+        let dup_arrival = latency t ~src ~dst ~size +. draw t c.delay_extra_us in
         note_arrival t ~src ~dst ~now ~after:dup_arrival;
-        ignore
-          (Engine.schedule t.engine ~after:dup_arrival (fun () ->
-               deliver t ~src ~dst payload))
+        t.messages_duplicated <- t.messages_duplicated + 1;
+        launch t ~src ~dst ~after:dup_arrival payload
       end
     end
   end

@@ -43,10 +43,15 @@ val config : t -> config
 val set_handler : t -> Msg.node_id -> (src:Msg.node_id -> Msg.payload -> unit) -> unit
 (** Install the receive handler for a node.  Replaces any previous one. *)
 
-val send : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
-(** Fire-and-forget.  [size] in bytes (default 64, a small protocol
-    message).  Self-sends are delivered with negligible latency and no
-    fault injection. *)
+val send : t -> src:Msg.node_id -> dst:Msg.node_id -> size:int -> Msg.payload -> unit
+(** Fire-and-forget.  [size] in bytes (64 for a small protocol message);
+    required, since an optional argument would box a [Some] per message.
+    Self-sends are delivered with negligible latency and no fault
+    injection.  A message in flight occupies a pooled record, each with
+    its delivery closure built once, so a send allocates nothing to be
+    scheduled and delivered beyond the engine's boxed arrival delay; the
+    record returns to the pool before the handler runs, so the handler may
+    send again. *)
 
 val crash : t -> Msg.node_id -> unit
 (** Crash-stop: all traffic to and from the node is silently dropped, and
@@ -106,4 +111,15 @@ val slow_factor : t -> Msg.node_id -> float
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val messages_dropped : t -> int
+
+val messages_duplicated : t -> int
+(** Extra copies scheduled by duplication.  Once the fabric drains, each
+    message sent and each copy has reached its destination's handler or
+    is counted in {!messages_dropped} (a destination without a handler
+    swallows it). *)
+
 val reset_counters : t -> unit
+
+val flight_records : t -> int
+(** In-flight records the pool has made: the peak number of messages in
+    flight at once, never more. *)

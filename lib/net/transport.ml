@@ -78,8 +78,9 @@ type flow = {
   mutable ring : Msg.payload array;
   mutable ring_size : int array;
   mutable ring_enq : float array;
-  mutable queued : bool;  (* on the source node's dirty list *)
-  mutable rto_ev : Engine.event_id option;
+  mutable queued : bool;  (* on the source node's dirty stack *)
+  mutable rto_ev : Engine.event_id;  (* [Engine.no_event] when unarmed *)
+  mutable rto_fn : unit -> unit;  (* [on_rto t] of this flow, built once *)
   mutable rto_progress_at : float;  (* last time the window advanced *)
   mutable tx_retries : int;
   (* ---- receiver side (at dst) ---- *)
@@ -91,7 +92,8 @@ type flow = {
       (* unordered: seqs delivered above the watermark (bounded by the
          in-flight span) *)
   mutable ack_owed : bool;
-  mutable dack_ev : Engine.event_id option;
+  mutable dack_ev : Engine.event_id;  (* [Engine.no_event] when unarmed *)
+  mutable dack_fn : unit -> unit;  (* [on_dack t] of this flow, built once *)
 }
 
 type t = {
@@ -100,9 +102,13 @@ type t = {
   handlers : (src:Msg.node_id -> Msg.payload -> unit) option array;
   flows : flow array array;  (* flows.(src).(dst) *)
   (* One flush event per NODE, serving every dirty flow it sources: a
-     protocol burst to K peers costs one engine event, not K. *)
-  dirty : flow list ref array;
-  node_flush_ev : Engine.event_id option array;
+     protocol burst to K peers costs one engine event, not K.  Each node's
+     dirty flows sit on a stack of [nodes] cells (a flow is queued at most
+     once), walked newest first. *)
+  dirty : flow array array;
+  dirty_top : int array;
+  node_flush_ev : Engine.event_id array;  (* [Engine.no_event] when unarmed *)
+  node_flush_fn : (unit -> unit) array;  (* built once per node *)
   (* Typed metric handles (registered once in [create]; a typo here is a
      compile error, and the hot path touches a resolved ref directly). *)
   c_retransmissions : Metrics.Counter.h;
@@ -137,7 +143,8 @@ let fresh_flow ~src ~dst =
     ring_size = Array.make 16 0;
     ring_enq = Array.make 16 0.0;
     queued = false;
-    rto_ev = None;
+    rto_ev = Engine.no_event;
+    rto_fn = ignore;
     rto_progress_at = 0.0;
     tx_retries = 0;
     rx_inc = 0;
@@ -145,8 +152,12 @@ let fresh_flow ~src ~dst =
     ooo = Hashtbl.create 16;
     seen_ahead = Hashtbl.create 16;
     ack_owed = false;
-    dack_ev = None;
+    dack_ev = Engine.no_event;
+    dack_fn = ignore;
   }
+
+(* Fills the dirty stacks' free cells. *)
+let no_flow = fresh_flow ~src:(-1) ~dst:(-1)
 
 let fabric t = t.fabric
 let engine t = Fabric.engine t.fabric
@@ -210,29 +221,28 @@ let rx_backlog t =
     0 t.flows
 
 (* ---------- timer plumbing ------------------------------------------------ *)
-(* Every timer field is nulled as the first action of its callback, so a
-   later [Engine.cancel] can never double-cancel an already-fired event. *)
+(* A timer field holds [Engine.no_event] when unarmed, and every callback
+   resets its field first, so a later [cancel_*] never cancels an event
+   that already fired.  The callbacks are built once, in [create]. *)
 
 let cancel_node_flush t node =
-  match t.node_flush_ev.(node) with
-  | Some ev ->
+  let ev = t.node_flush_ev.(node) in
+  if ev <> Engine.no_event then begin
     Engine.cancel (engine t) ev;
-    t.node_flush_ev.(node) <- None
-  | None -> ()
+    t.node_flush_ev.(node) <- Engine.no_event
+  end
 
 let cancel_rto t fl =
-  match fl.rto_ev with
-  | Some ev ->
-    Engine.cancel (engine t) ev;
-    fl.rto_ev <- None
-  | None -> ()
+  if fl.rto_ev <> Engine.no_event then begin
+    Engine.cancel (engine t) fl.rto_ev;
+    fl.rto_ev <- Engine.no_event
+  end
 
 let cancel_dack t fl =
-  match fl.dack_ev with
-  | Some ev ->
-    Engine.cancel (engine t) ev;
-    fl.dack_ev <- None
-  | None -> ()
+  if fl.dack_ev <> Engine.no_event then begin
+    Engine.cancel (engine t) fl.dack_ev;
+    fl.dack_ev <- Engine.no_event
+  end
 
 (* ---------- flow resets (crash, recover, sender give-up) ----------------- *)
 
@@ -273,74 +283,71 @@ let adopt_rx t fl inc =
 (* ---------- sender -------------------------------------------------------- *)
 
 (* Pack seqs [lo..hi] of [fl] into frames of at most [max_batch] payloads,
-   or of one payload each when unbatched (tested inside [go], which a
-   captured frame cap would grow by a word per call).  Each frame
-   piggybacks the freshest cumulative ack of the reverse flow, which
-   discharges any owed standalone ack. *)
-let send_window ?(retx = false) t fl ~lo ~hi =
-  let rev = t.flows.(fl.f_dst).(fl.f_src) in
-  let rec go lo =
-    if lo <= hi then begin
-      let n = min (if t.config.batching then max_batch else 1) (hi - lo + 1) in
-      let mask = Array.length fl.ring - 1 in
-      (* Assemble the frame straight from the ring, back to front: one
-         cons per payload, no intermediate list, no lookups. *)
-      let items = ref [] in
-      let size = ref batch_header_bytes in
-      for s = lo + n - 1 downto lo do
-        size := !size + fl.ring_size.(s land mask);
-        items := fl.ring.(s land mask) :: !items
+   or of one payload each when unbatched, one frame per call, from [lo]
+   up; top-level, so a call builds no closure.  Each frame piggybacks the
+   freshest cumulative ack of the reverse flow, which discharges any owed
+   standalone ack. *)
+let rec send_window ~retx t fl ~lo ~hi =
+  if lo <= hi then begin
+    let rev = t.flows.(fl.f_dst).(fl.f_src) in
+    let n = min (if t.config.batching then max_batch else 1) (hi - lo + 1) in
+    let mask = Array.length fl.ring - 1 in
+    (* Assemble the frame straight from the ring, back to front: one
+       cons per payload, no intermediate list, no lookups. *)
+    let items = ref [] in
+    let size = ref batch_header_bytes in
+    for s = lo + n - 1 downto lo do
+      size := !size + fl.ring_size.(s land mask);
+      items := fl.ring.(s land mask) :: !items
+    done;
+    let items = !items in
+    let size = !size in
+    let ack = rev.watermark in
+    if rev.ack_owed then begin
+      rev.ack_owed <- false;
+      Metrics.Counter.incr t.c_acks_piggybacked;
+      cancel_dack t rev
+    end;
+    Metrics.Counter.incr t.c_frames;
+    (* [Counter.h] is an [int ref]: adding to it directly boxes no [?by]. *)
+    t.c_payloads := !(t.c_payloads) + n;
+    Metrics.Histogram.observe t.h_occupancy (float_of_int n);
+    if Trace.enabled t.trace then begin
+      (* Batch residency: oldest enqueue on this flow to frame send.
+         pid = sending node, tid = destination (one track per flow). *)
+      let stop = Engine.now (engine t) in
+      let start = ref stop in
+      for s = lo to lo + n - 1 do
+        let enq = fl.ring_enq.(s land mask) in
+        if enq < !start then start := enq
       done;
-      let items = !items in
-      let size = !size in
-      let ack = rev.watermark in
-      if rev.ack_owed then begin
-        rev.ack_owed <- false;
-        Metrics.Counter.incr t.c_acks_piggybacked;
-        cancel_dack t rev
-      end;
-      Metrics.Counter.incr t.c_frames;
-      Metrics.Counter.incr ~by:n t.c_payloads;
-      Metrics.Histogram.observe t.h_occupancy (float_of_int n);
-      if Trace.enabled t.trace then begin
-        (* Batch residency: oldest enqueue on this flow to frame send.
-           pid = sending node, tid = destination (one track per flow). *)
-        let stop = Engine.now (engine t) in
-        let start = ref stop in
-        for s = lo to lo + n - 1 do
-          let enq = fl.ring_enq.(s land mask) in
-          if enq < !start then start := enq
-        done;
-        let start = !start in
-        Trace.complete t.trace ~cat:"transport" ~pid:fl.f_src ~tid:fl.f_dst
-          ~start ~stop
-          ~args:
-            [
-              ("dst", string_of_int fl.f_dst);
-              ("payloads", string_of_int n);
-              ("bytes", string_of_int size);
-              ("first_seq", string_of_int lo);
-              ("retx", if retx then "true" else "false");
-            ]
-          "batch"
-      end;
-      Fabric.send t.fabric ~src:fl.f_src ~dst:fl.f_dst ~size
-        (Batch { inc = fl.tx_inc; first_seq = lo; items; ack; ack_inc = rev.rx_inc });
-      go (lo + n)
-    end
-  in
-  go lo
+      let start = !start in
+      Trace.complete t.trace ~cat:"transport" ~pid:fl.f_src ~tid:fl.f_dst
+        ~start ~stop
+        ~args:
+          [
+            ("dst", string_of_int fl.f_dst);
+            ("payloads", string_of_int n);
+            ("bytes", string_of_int size);
+            ("first_seq", string_of_int lo);
+            ("retx", if retx then "true" else "false");
+          ]
+        "batch"
+    end;
+    Fabric.send t.fabric ~src:fl.f_src ~dst:fl.f_dst ~size
+      (Batch { inc = fl.tx_inc; first_seq = lo; items; ack; ack_inc = rev.rx_inc });
+    send_window ~retx t fl ~lo:(lo + n) ~hi
+  end
 
-let rec on_rto t fl =
-  fl.rto_ev <- None;
+let on_rto t fl =
+  fl.rto_ev <- Engine.no_event;
   if tx_window fl > 0 then begin
     let now = Engine.now (engine t) in
     let deadline = fl.rto_progress_at +. flow_rto fl ~retries:fl.tx_retries in
     if deadline > now +. 1e-9 then
       (* The window advanced since this timer was armed: push the timer out
          to the oldest-unacked deadline instead of retransmitting. *)
-      fl.rto_ev <-
-        Some (Engine.schedule (engine t) ~after:(deadline -. now) (fun () -> on_rto t fl))
+      fl.rto_ev <- Engine.schedule (engine t) ~after:(deadline -. now) fl.rto_fn
     else if
       not (Fabric.is_alive t.fabric fl.f_src && Fabric.is_alive t.fabric fl.f_dst)
     then
@@ -352,55 +359,52 @@ let rec on_rto t fl =
          not-yet-flushed tail included — it is leaving now anyway). *)
       fl.tx_retries <- fl.tx_retries + 1;
       let lo = fl.acked_upto + 1 and hi = fl.next_seq - 1 in
-      Metrics.Counter.incr ~by:(hi - lo + 1) t.c_retransmissions;
+      t.c_retransmissions := !(t.c_retransmissions) + (hi - lo + 1);
       Metrics.Counter.incr t.c_backoff;
       send_window ~retx:true t fl ~lo ~hi;
       fl.flushed_upto <- hi;
       fl.rto_progress_at <- now;
       fl.rto_ev <-
-        Some
-          (Engine.schedule (engine t)
-             ~after:(flow_rto fl ~retries:fl.tx_retries)
-             (fun () -> on_rto t fl))
+        Engine.schedule (engine t) ~after:(flow_rto fl ~retries:fl.tx_retries) fl.rto_fn
     end
   end
 
 let flush_flow t fl =
   let lo = fl.flushed_upto + 1 and hi = fl.next_seq - 1 in
   if lo <= hi then begin
-    send_window t fl ~lo ~hi;
+    send_window ~retx:false t fl ~lo ~hi;
     fl.flushed_upto <- hi;
-    if fl.rto_ev = None then begin
+    if fl.rto_ev = Engine.no_event then begin
       fl.rto_progress_at <- Engine.now (engine t);
       fl.rto_ev <-
-        Some
-          (Engine.schedule (engine t)
-             ~after:(flow_rto fl ~retries:fl.tx_retries)
-             (fun () -> on_rto t fl))
+        Engine.schedule (engine t) ~after:(flow_rto fl ~retries:fl.tx_retries) fl.rto_fn
     end
   end
 
+(* Newest first: the flush order fixes the frames' order on the fabric,
+   and with it every run's event sequence. *)
 let flush_node t node =
-  let flows = !(t.dirty.(node)) in
-  t.dirty.(node) := [];
-  List.iter
-    (fun fl ->
-      fl.queued <- false;
-      flush_flow t fl)
-    flows
+  let stack = t.dirty.(node) in
+  while t.dirty_top.(node) > 0 do
+    let i = t.dirty_top.(node) - 1 in
+    t.dirty_top.(node) <- i;
+    let fl = stack.(i) in
+    fl.queued <- false;
+    flush_flow t fl
+  done
+
+let on_node_flush t node =
+  t.node_flush_ev.(node) <- Engine.no_event;
+  flush_node t node
 
 let schedule_node_flush t node ~after =
   cancel_node_flush t node;
-  t.node_flush_ev.(node) <-
-    Some
-      (Engine.schedule (engine t) ~after (fun () ->
-           t.node_flush_ev.(node) <- None;
-           flush_node t node))
+  t.node_flush_ev.(node) <- Engine.schedule (engine t) ~after t.node_flush_fn.(node)
 
-(* Batched, a payload waits on its node's dirty list for the flush window
+(* Batched, a payload waits on its node's dirty stack for the flush window
    or the doorbell; unbatched, its flow is flushed at once, so it leaves
    alone in its frame. *)
-let send t ~src ~dst ?(size = 64) payload =
+let send t ~src ~dst ~size payload =
   let fl = t.flows.(src).(dst) in
   let seq = fl.next_seq in
   fl.next_seq <- seq + 1;
@@ -412,8 +416,11 @@ let send t ~src ~dst ?(size = 64) payload =
   if not t.config.batching then flush_flow t fl
   else if not fl.queued then begin
     fl.queued <- true;
-    t.dirty.(src) := fl :: !(t.dirty.(src));
-    if t.node_flush_ev.(src) = None then schedule_node_flush t src ~after:flush_window_us
+    let top = t.dirty_top.(src) in
+    t.dirty.(src).(top) <- fl;
+    t.dirty_top.(src) <- top + 1;
+    if t.node_flush_ev.(src) = Engine.no_event then
+      schedule_node_flush t src ~after:flush_window_us
   end
 
 (* Doorbell: flush [node]'s unflushed frames at the end of the current
@@ -421,9 +428,7 @@ let send t ~src ~dst ?(size = 64) payload =
    this timestamp (e.g. all sends of one protocol-handler activation) still
    coalesces, but no latency is added. *)
 let flush t node =
-  match t.node_flush_ev.(node) with
-  | Some _ -> schedule_node_flush t node ~after:0.0
-  | None -> ()
+  if t.node_flush_ev.(node) <> Engine.no_event then schedule_node_flush t node ~after:0.0
 
 let apply_cum_ack t fl ~upto ~inc =
   if inc = fl.tx_inc && upto > fl.acked_upto then begin
@@ -452,16 +457,16 @@ let send_ack t fl =
   Fabric.send t.fabric ~src:fl.f_dst ~dst:fl.f_src ~size:ack_bytes
     (Ack_cum { upto = fl.watermark; inc = fl.rx_inc })
 
+let on_dack t fl =
+  fl.dack_ev <- Engine.no_event;
+  if fl.ack_owed && Fabric.is_alive t.fabric fl.f_dst then begin
+    fl.ack_owed <- false;
+    send_ack t fl
+  end
+
 let schedule_dack t fl =
-  if fl.dack_ev = None then
-    fl.dack_ev <-
-      Some
-        (Engine.schedule (engine t) ~after:delayed_ack_us (fun () ->
-             fl.dack_ev <- None;
-             if fl.ack_owed && Fabric.is_alive t.fabric fl.f_dst then begin
-               fl.ack_owed <- false;
-               send_ack t fl
-             end))
+  if fl.dack_ev = Engine.no_event then
+    fl.dack_ev <- Engine.schedule (engine t) ~after:delayed_ack_us fl.dack_fn
 
 (* A frame's payloads, [seq] the first one's, walked in a loop: no closure
    per frame. *)
@@ -537,8 +542,10 @@ let create ?(config = default_config) ?telemetry fabric =
       config;
       handlers = Array.make n None;
       flows = Array.init n (fun src -> Array.init n (fun dst -> fresh_flow ~src ~dst));
-      dirty = Array.init n (fun _ -> ref []);
-      node_flush_ev = Array.make n None;
+      dirty = Array.init n (fun _ -> Array.make n no_flow);
+      dirty_top = Array.make n 0;
+      node_flush_ev = Array.make n Engine.no_event;
+      node_flush_fn = Array.make n ignore;
       c_retransmissions = Metrics.Counter.v m "transport.retransmissions";
       c_backoff = Metrics.Counter.v m "transport.backoff";
       c_frames = Metrics.Counter.v m "transport.frames";
@@ -550,11 +557,17 @@ let create ?(config = default_config) ?telemetry fabric =
     }
   in
   for node = 0 to n - 1 do
+    t.node_flush_fn.(node) <- (fun () -> on_node_flush t node);
+    Array.iter
+      (fun fl ->
+        fl.rto_fn <- (fun () -> on_rto t fl);
+        fl.dack_fn <- (fun () -> on_dack t fl))
+      t.flows.(node);
     Fabric.set_handler fabric node (fun ~src payload -> handle t ~dst:node ~src payload)
   done;
   t
 
-let send_unreliable t ~src ~dst ?(size = 64) payload =
+let send_unreliable t ~src ~dst ~size payload =
   Fabric.send t.fabric ~src ~dst ~size payload
 
 (* Crash cleanup is symmetric: the crashed node's own send windows AND
@@ -565,8 +578,10 @@ let send_unreliable t ~src ~dst ?(size = 64) payload =
    and no straggler of the old incarnation is accepted. *)
 let drop_queued_flush t node =
   cancel_node_flush t node;
-  List.iter (fun fl -> fl.queued <- false) !(t.dirty.(node));
-  t.dirty.(node) := []
+  for i = 0 to t.dirty_top.(node) - 1 do
+    t.dirty.(node).(i).queued <- false
+  done;
+  t.dirty_top.(node) <- 0
 
 let crash t node =
   Fabric.crash t.fabric node;

@@ -30,7 +30,13 @@
     Flows carry incarnation numbers: any reset (endpoint crash, sender
     give-up) bumps the incarnation, so a rejoined node restarting at
     sequence 0 is never swallowed as a duplicate and stragglers from the
-    old incarnation are ignored. *)
+    old incarnation are ignored.
+
+    The timers — each flow's RTO and delayed ack, each node's flush — are
+    plain event ids that hold [Engine.no_event] when unarmed, and their
+    callbacks are built once, in {!create}; a node's dirty flows wait on a
+    fixed stack.  Queueing, flushing and acking therefore allocate nothing
+    beyond the frames themselves and the engine's boxed computed delays. *)
 
 type config = {
   batching : bool;  (** coalesce frames + cumulative acks (default on) *)
@@ -102,11 +108,12 @@ val fabric : t -> Fabric.t
 val set_handler : t -> Msg.node_id -> (src:Msg.node_id -> Msg.payload -> unit) -> unit
 (** Application-level receive handler for a node. *)
 
-val send : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
-(** Reliable send: retransmits until acknowledged or {!max_retries} is
-    exhausted.  Batched, the payload is queued on the per-peer flow and
-    leaves with the next flush; unbatched, it leaves at once in a frame of
-    its own. *)
+val send : t -> src:Msg.node_id -> dst:Msg.node_id -> size:int -> Msg.payload -> unit
+(** Reliable send of a payload of [size] bytes (required: an optional
+    argument would box a [Some] per payload): retransmits until
+    acknowledged or {!max_retries} is exhausted.  Batched, the payload is
+    queued on the per-peer flow and leaves with the next flush; unbatched,
+    it leaves at once in a frame of its own. *)
 
 val flush : t -> Msg.node_id -> unit
 (** Doorbell: flush [node]'s pending outgoing frames at the end of the
@@ -115,7 +122,7 @@ val flush : t -> Msg.node_id -> unit
     is added.  Protocol agents ring this after a fan-out burst.  No-op when
     unbatched, where nothing waits. *)
 
-val send_unreliable : t -> src:Msg.node_id -> dst:Msg.node_id -> ?size:int -> Msg.payload -> unit
+val send_unreliable : t -> src:Msg.node_id -> dst:Msg.node_id -> size:int -> Msg.payload -> unit
 (** Plain fabric send, bypassing retransmission (used for traffic where the
     protocol layer has its own replay, and in tests). *)
 

@@ -7,8 +7,7 @@
    keeps:
 
    - an {e event slab}: parallel arrays [e_fn]/[e_gen] indexed by slot,
-     recycled through a free-slot stack, so steady-state scheduling
-     allocates nothing beyond the caller's closure;
+     recycled through a free-slot stack;
    - a {e heap} of parallel arrays [h_time]/[h_seq]/[h_id] with the
      [(time, seq)] comparison inlined (no closure, no boxing);
    - {e generation-tagged ids}: an [event_id] packs (slot, generation);
@@ -18,7 +17,16 @@
    - {e eager compaction}: cancelled entries are counted and, once they
      outnumber half the heap (past a 64-entry floor), filtered out in one
      pass followed by a Floyd build-heap, so timer churn cannot inflate
-     the heap's depth. *)
+     the heap's depth.
+
+   Steady-state scheduling allocates nothing: the event time stays
+   unboxed from [schedule]/[schedule_at] down to the heap's float array,
+   because [push] and the heap helpers under it are inlined (keep them in
+   this module: the dev profile compiles with [-opaque], so nothing is
+   inlined across modules).  A caller that computes its delay still boxes
+   that float (2 words) to pass it, and a dispatch boxes the new clock
+   (2 words) only when the event's time differs from the current one.
+   The caller's closure is the caller's: prebuild it to schedule for free. *)
 
 let slot_bits = 26
 let slot_mask = (1 lsl slot_bits) - 1
@@ -117,7 +125,7 @@ let id_live t id = t.e_gen.(id land slot_mask) = id lsr slot_bits
 
 (* Hole-style sift: carry the inserted element in locals, shift entries
    into the hole, write the element once at its final position. *)
-let sift_up t i0 time seq id =
+let[@inline] sift_up t i0 time seq id =
   let i = ref i0 and moving = ref true in
   while !moving && !i > 0 do
     let p = (!i - 1) / 2 in
@@ -134,7 +142,7 @@ let sift_up t i0 time seq id =
   t.h_seq.(!i) <- seq;
   t.h_id.(!i) <- id
 
-let sift_down t i0 time seq id =
+let[@inline] sift_down t i0 time seq id =
   let n = t.h_size in
   let i = ref i0 and moving = ref true in
   while !moving do
@@ -164,7 +172,7 @@ let sift_down t i0 time seq id =
   t.h_seq.(!i) <- seq;
   t.h_id.(!i) <- id
 
-let heap_push t time seq id =
+let[@inline] heap_push t time seq id =
   let cap = Array.length t.h_time in
   if t.h_size = cap then begin
     let ncap = 2 * cap in
@@ -209,8 +217,7 @@ let compact t =
 
 (* ---- scheduling ---- *)
 
-let schedule_at t ~time fn =
-  let time = if time < t.clock then t.clock else time in
+let[@inline] push t time fn =
   let slot = alloc_slot t in
   t.e_fn.(slot) <- fn;
   let id = (t.e_gen.(slot) lsl slot_bits) lor slot in
@@ -220,9 +227,12 @@ let schedule_at t ~time fn =
   heap_push t time seq id;
   id
 
+let schedule_at t ~time fn =
+  let now = t.clock in
+  push t (if time < now then now else time) fn
+
 let schedule t ~after fn =
-  let after = if after < 0.0 then 0.0 else after in
-  schedule_at t ~time:(t.clock +. after) fn
+  push t (t.clock +. if after < 0.0 then 0.0 else after) fn
 
 let cancel t id =
   let slot = id land slot_mask in
@@ -258,7 +268,9 @@ let run ?until ?max_events t =
           retire_slot t slot;
           remove_min t;
           t.live <- t.live - 1;
-          t.clock <- time;
+          (* Storing the clock boxes it: skip the store when the time has
+             not moved, as for every event after the first at an instant. *)
+          if time <> t.clock then t.clock <- time;
           t.dispatched <- t.dispatched + 1;
           decr budget;
           fn ()

@@ -12,7 +12,9 @@ type event_id
 (** Handle for cancelling a scheduled event. *)
 
 val no_event : event_id
-(** An id {!schedule} never returns: a sentinel for "no event". *)
+(** An id {!schedule} never returns: a sentinel for "no event", so a
+    timer field can be a plain [event_id] instead of an option that
+    allocates a [Some] per arming.  Cancelling it is a no-op. *)
 
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine with clock at 0.  Default seed is 42. *)
@@ -28,13 +30,18 @@ val fork_rng : t -> Rng.t
 
 val schedule : t -> after:float -> (unit -> unit) -> event_id
 (** [schedule t ~after f] runs [f] at [now t +. max after 0.]. Events with
-    equal times fire in scheduling order. *)
+    equal times fire in scheduling order.  Scheduling and dispatch
+    allocate nothing of their own in steady state, bar the box of a new
+    clock value when a dispatch moves the clock; a caller that passes a
+    computed [after] boxes it (2 words), and a closure built per call is
+    the caller's cost — prebuild it. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** Absolute-time variant; times in the past fire "now". *)
 
 val cancel : t -> event_id -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+(** Cancelling an already-fired or cancelled event, or {!no_event}, is a
+    no-op. *)
 
 val pending : t -> int
 (** Number of scheduled (non-cancelled) events. *)

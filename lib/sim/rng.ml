@@ -32,9 +32,8 @@ let int t bound =
   let raw = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   raw mod bound
 
-let float t bound =
-  let bits = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  bound *. (bits /. 9007199254740992.0 (* 2^53 *))
+let bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+let float t bound = bound *. (float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 let chance t p = float t 1.0 < p

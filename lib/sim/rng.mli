@@ -23,6 +23,14 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** The draw behind {!float}, in [\[0, 2{^53})]: [float t bound] is
+    [bound *. (float_of_int (bits53 t) /. 0x1p53)] of the same draw.  A
+    hot caller in another module writes that out to keep its floats
+    unboxed: there, a float passed to or returned from {!float} or
+    {!chance} is boxed, since the dev profile's [-opaque] inlines nothing
+    across modules. *)
+
 val bool : t -> bool
 
 val chance : t -> float -> bool

@@ -10,12 +10,16 @@
    fails here before it shows up as a benchmark regression.  A second
    ownership row meters the same Acquire through the agents of a
    simulated cluster, a Smallbank row meters whole local transactions the
-   same way (10 % above their measured figures), and the slot window both
+   same way (3 % above their measured figures), and the slot window both
    cores use is unit-tested alongside.
 
-   The last two tests pin the simulator's long-lived structures against
+   Two rows meter the plumbing under the cores: the engine's scheduling
+   and dispatch, and a steady batched transport stream over the fabric.
+
+   The last tests pin the simulator's long-lived structures against
    promotion cascades (DESIGN.md §12): a wait queue must not drag served
-   jobs into the major heap, and a chaos-monitor sample must not allocate. *)
+   jobs into the major heap, and a chaos-monitor sample must not allocate
+   beyond its ticks. *)
 
 module OwnC = Zeus_ownership.Core
 module OwnM = Zeus_ownership.Messages
@@ -136,13 +140,16 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 1529.9 words per granted request; 1685.9 when the agents walked an
-   effect list per core input; 1917.9 with a closure and a job
-   record per received message, a local closure building each core
-   input's effect list and a tuple per payload in the transport's send
-   ring; 2473.9 with the agent's timers and continuations
-   in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 1683.0
+(* 743.9 words per granted request (3 % of headroom); 1527.9 when the
+   engine boxed every event time, the fabric built a closure per message
+   and boxed the floats of its random draws, and the transport an
+   [option] per timer arming, a closure per timer and per flush, a dirty
+   list cell per flushed flow and a [Some] per size; 1685.9 when the agents walked an effect list per core input;
+   1917.9 with a closure and a job record per received message, a local
+   closure building each core input's effect list and a tuple per
+   payload in the transport's send ring; 2473.9 with the agent's timers
+   and continuations in [Hashtbl]s and the core's tables boxed. *)
+let ownership_agent_bound = 766.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -174,13 +181,15 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  616.6 words per committed transaction; 673.6 when the
+   fails here.  554.2 words per committed transaction (3 % of headroom);
+   616.6 when the engine, fabric and transport boxed and built closures
+   per event and message; 673.6 when the
    agents walked an effect list per core input; 1,040.9 when the
    spec built a closure per key and decoded every field to bump a counter,
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 678.0
+let smallbank_bound = 571.0
 
 let smallbank_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -441,6 +450,110 @@ let core_window_aliasing () =
   Alcotest.(check int) "original follower untouched" 16 (ComC.stored_invs cores.(1));
   Alcotest.(check string) "original follower fingerprint" fbefore (ComC.fingerprint cores.(1))
 
+(* ---------- engine: scheduling and dispatch ----------------------------- *)
+
+(* A prebuilt closure scheduled at a constant delay costs the engine no
+   words: the event time stays unboxed down to the heap.  A dispatch that
+   moves the clock boxes the new time (2 words); one at the current
+   instant allocates nothing.  The engine boxed the time 2 words per
+   [schedule] (4 with a computed delay) and 4 per dispatch when the heap
+   helpers were calls of their own. *)
+let events = 1_000
+
+let engine_budget () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let fn () = incr fired in
+  let schedule_all () =
+    for _ = 1 to events do
+      ignore (Engine.schedule e ~after:1.0 fn)
+    done
+  in
+  (* The first batch grows the slab and the heap. *)
+  schedule_all ();
+  Engine.run e;
+  let w0 = Gc.minor_words () in
+  schedule_all ();
+  let w1 = Gc.minor_words () in
+  Engine.run e;
+  let w2 = Gc.minor_words () in
+  (* Each at its own time: every dispatch moves the clock. *)
+  for i = 1 to events do
+    ignore (Engine.schedule_at e ~time:(Engine.now e +. float_of_int i) fn)
+  done;
+  let w3 = Gc.minor_words () in
+  Engine.run e;
+  let w4 = Gc.minor_words () in
+  Alcotest.(check int) "every event fired" (3 * events) !fired;
+  let per w = w /. float_of_int events in
+  (* [Gc.minor_words] itself may box its result: allow a few words per
+     measurement, not one per event. *)
+  if w1 -. w0 > 4.0 then
+    Alcotest.failf "engine: %.2f minor words per schedule (budget 0)" (per (w1 -. w0));
+  if w2 -. w1 > 4.0 +. 2.0 then
+    Alcotest.failf "engine: %.2f minor words per same-instant dispatch (budget 0)"
+      (per (w2 -. w1));
+  if per (w4 -. w3) > 2.01 then
+    Alcotest.failf "engine: %.2f minor words per dispatch (budget 2, the clock box)"
+      (per (w4 -. w3))
+
+(* ---------- transport: a steady batched stream --------------------------- *)
+
+module Fabric = Zeus_net.Fabric
+module Transport = Zeus_net.Transport
+
+type Zeus_net.Msg.payload += Tick
+
+(* Node 0 sends [fan] payloads to each of nodes 1 and 2 every 5 µs and
+   rings the doorbell; nothing flows back but the delayed acks.  The
+   words per payload cover the whole send path under the cores: the send
+   ring, the flush event, frame assembly, the fabric's delivery, the
+   receive window and the delayed ack, with the engine under each.  What
+   is left is the wire itself: each frame, its payload list and the
+   standalone ack, plus the floats boxed to cross into the engine (a
+   computed delay, a new clock).  10.2 words per payload (3 % of
+   headroom); 32.1 with an [option] per timer arming, a closure per
+   timer, per flush and per fabric delivery, a dirty list cell per
+   flushed flow, a boxed [Some] per size, boxed random draws and the
+   engine's boxed times. *)
+let fan = 4
+let stream_ticks = 2_000
+let stream_bound = 10.5
+
+let transport_stream_budget () =
+  let e = Engine.create () in
+  let f = Fabric.create e ~nodes Fabric.default_config in
+  let t = Transport.create f in
+  let received = ref 0 in
+  for n = 0 to nodes - 1 do
+    Transport.set_handler t n (fun ~src:_ _ -> incr received)
+  done;
+  let ticks = ref 0 in
+  let rec tick () =
+    incr ticks;
+    if !ticks <= stream_ticks then begin
+      for _ = 1 to fan do
+        Transport.send t ~src:0 ~dst:1 ~size:64 Tick;
+        Transport.send t ~src:0 ~dst:2 ~size:64 Tick
+      done;
+      Transport.flush t 0;
+      ignore (Engine.schedule e ~after:5.0 tick_fn)
+    end
+  and tick_fn () = tick () in
+  (* A tenth of the stream warms the windows, rings and pools up. *)
+  ignore (Engine.schedule e ~after:0.0 tick_fn);
+  Engine.run ~until:(5.0 *. float_of_int (stream_ticks / 10)) e;
+  let r0 = !received and w0 = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. w0 and payloads = !received - r0 in
+  Alcotest.(check int) "every payload delivered" (2 * fan * stream_ticks) !received;
+  Alcotest.(check int) "nothing unacked" 0 (Transport.tx_backlog t);
+  Alcotest.(check int) "no retransmission" 0 (Transport.stats t).Transport.retransmitted;
+  let per_payload = words /. float_of_int payloads in
+  if per_payload > stream_bound then
+    Alcotest.failf "transport stream: %.1f minor words per payload (budget %.1f)" per_payload
+      stream_bound
+
 (* ---------- resource wait queue: served jobs die young ------------------ *)
 
 let queued = 16
@@ -487,8 +600,9 @@ let resource_queue_promotion () =
 (* ---------- chaos monitor: a steady sample allocates nothing ------------- *)
 
 (* An idle, populated 3-node cluster: the only events are the monitor's
-   own sampling and goodput-window ticks.  The budget covers rescheduling
-   those ticks, not the per-key scan. *)
+   own sampling and goodput-window ticks.  The budget covers the ticks,
+   not the per-key scan: 17.6 words per sample, 33.4 when each arming
+   built its closure and boxed its event id in a [Some]. *)
 let monitor_sample_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
   Cluster.populate_n c ~n:600 ~owner_of:(fun k -> k mod nodes) (fun k -> Value.of_int k);
@@ -504,8 +618,8 @@ let monitor_sample_budget () =
   Alcotest.(check int) "one sample per period" 100 samples;
   Alcotest.(check (list string)) "no violations" [] (Monitor.violations mon);
   let per_sample = words /. float_of_int samples in
-  if per_sample > 48.0 then
-    Alcotest.failf "%.1f minor words per monitor sample (budget 48)" per_sample
+  if per_sample > 20.0 then
+    Alcotest.failf "%.1f minor words per monitor sample (budget 20)" per_sample
 
 (* ---------- populate: per-key memory ------------------------------------ *)
 
@@ -614,6 +728,8 @@ let suite =
     tc "commit core: pipelined round, ACKs newest first" commit_pipelined_budget;
     tc "commit core: slot window" slot_window;
     tc "commit core: window aliasing and copy independence" core_window_aliasing;
+    tc "engine: schedule and dispatch allocation budget" engine_budget;
+    tc "transport: steady batched stream allocation budget" transport_stream_budget;
     tc "resource: queued jobs alone are promoted" resource_queue_promotion;
     tc "chaos monitor: steady sample allocation budget" monitor_sample_budget;
     tc "populate: live words per TATP-shaped key" populate_live_words;

@@ -25,7 +25,7 @@ let collect f node =
 let fabric_delivers () =
   let e, f = setup () in
   let log = collect f 1 in
-  Fabric.send f ~src:0 ~dst:1 (Ping 7);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 7);
   Engine.run e;
   check Alcotest.(list (pair int int)) "delivered" [ (0, 7) ] !log;
   check Alcotest.bool "latency > base" true (Engine.now e >= 4.0)
@@ -42,7 +42,7 @@ let fabric_loss () =
   let e, f = setup ~config:{ Fabric.default_config with Fabric.loss_prob = 1.0 } () in
   let log = collect f 1 in
   for _ = 1 to 20 do
-    Fabric.send f ~src:0 ~dst:1 (Ping 1)
+    Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1)
   done;
   Engine.run e;
   check Alcotest.(list (pair int int)) "all lost" [] !log;
@@ -51,7 +51,7 @@ let fabric_loss () =
 let fabric_duplication () =
   let e, f = setup ~config:{ Fabric.default_config with Fabric.dup_prob = 1.0 } () in
   let log = collect f 1 in
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run e;
   check Alcotest.int "two copies" 2 (List.length !log)
 
@@ -59,13 +59,13 @@ let fabric_partition () =
   let e, f = setup () in
   let log1 = collect f 1 and log2 = collect f 2 in
   Fabric.partition f 0 1;
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
-  Fabric.send f ~src:0 ~dst:2 (Ping 2);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
+  Fabric.send f ~src:0 ~dst:2 ~size:64 (Ping 2);
   Engine.run e;
   check Alcotest.int "partitioned" 0 (List.length !log1);
   check Alcotest.int "other path open" 1 (List.length !log2);
   Fabric.heal f 0 1;
-  Fabric.send f ~src:0 ~dst:1 (Ping 3);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 3);
   Engine.run e;
   check Alcotest.int "healed" 1 (List.length !log1)
 
@@ -73,12 +73,12 @@ let fabric_crash () =
   let e, f = setup () in
   let log = collect f 1 in
   Fabric.crash f 1;
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run e;
   check Alcotest.int "dead node" 0 (List.length !log);
   Fabric.crash f 0;
   Fabric.recover f 1;
-  Fabric.send f ~src:0 ~dst:1 (Ping 2);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 2);
   Engine.run e;
   check Alcotest.int "dead sender" 0 (List.length !log)
 
@@ -86,7 +86,7 @@ let fabric_in_flight_to_crashed () =
   (* a message in flight to a node that crashes before arrival is dropped *)
   let e, f = setup () in
   let log = collect f 1 in
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
   ignore (Engine.schedule e ~after:0.5 (fun () -> Fabric.crash f 1));
   Engine.run e;
   check Alcotest.int "dropped mid-flight" 0 (List.length !log)
@@ -94,7 +94,7 @@ let fabric_in_flight_to_crashed () =
 let fabric_self_send () =
   let e, f = setup () in
   let log = collect f 0 in
-  Fabric.send f ~src:0 ~dst:0 (Ping 9);
+  Fabric.send f ~src:0 ~dst:0 ~size:64 (Ping 9);
   Engine.run e;
   check Alcotest.(list (pair int int)) "self" [ (0, 9) ] !log;
   check Alcotest.bool "fast" true (Engine.now e < 1.0)
@@ -114,13 +114,13 @@ let fabric_oneway_partition () =
   let e, f = setup () in
   let log0 = collect f 0 and log1 = collect f 1 in
   Fabric.partition_oneway f ~src:0 ~dst:1;
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
-  Fabric.send f ~src:1 ~dst:0 (Ping 2);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
+  Fabric.send f ~src:1 ~dst:0 ~size:64 (Ping 2);
   Engine.run e;
   check Alcotest.int "src->dst dropped" 0 (List.length !log1);
   check Alcotest.(list (pair int int)) "reverse direction open" [ (1, 2) ] !log0;
   Fabric.heal_oneway f ~src:0 ~dst:1;
-  Fabric.send f ~src:0 ~dst:1 (Ping 3);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 3);
   Engine.run e;
   check Alcotest.(list (pair int int)) "healed" [ (0, 3) ] !log1
 
@@ -130,8 +130,8 @@ let fabric_heal_all_clears_both_kinds () =
   Fabric.partition f 0 1;
   Fabric.partition_oneway f ~src:0 ~dst:2;
   Fabric.heal_all f;
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
-  Fabric.send f ~src:0 ~dst:2 (Ping 2);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
+  Fabric.send f ~src:0 ~dst:2 ~size:64 (Ping 2);
   Engine.run e;
   check Alcotest.int "symmetric healed" 1 (List.length !log1);
   check Alcotest.int "one-way healed" 1 (List.length !log2)
@@ -141,12 +141,12 @@ let fabric_perturb_spike () =
   let log = collect f 1 in
   Fabric.set_perturb f (Some { Fabric.p_loss = 1.0; p_dup = 0.0; p_delay_us = 0.0 });
   for _ = 1 to 10 do
-    Fabric.send f ~src:0 ~dst:1 (Ping 1)
+    Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1)
   done;
   Engine.run e;
   check Alcotest.int "spike loses everything" 0 (List.length !log);
   Fabric.set_perturb f None;
-  Fabric.send f ~src:0 ~dst:1 (Ping 2);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 2);
   Engine.run e;
   check Alcotest.(list (pair int int)) "spike over" [ (0, 2) ] !log
 
@@ -154,7 +154,7 @@ let fabric_perturb_delay_and_dup () =
   let e, f = setup () in
   let log = collect f 1 in
   Fabric.set_perturb f (Some { Fabric.p_loss = 0.0; p_dup = 1.0; p_delay_us = 50.0 });
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run e;
   check Alcotest.int "duplicated" 2 (List.length !log);
   check Alcotest.bool "spike delay applied" true (Engine.now e >= 50.0)
@@ -163,13 +163,13 @@ let fabric_slow_node () =
   (* measure a baseline delivery, then the same with a 10x gray sender *)
   let e, f = setup () in
   let _ = collect f 1 in
-  Fabric.send f ~src:0 ~dst:1 (Ping 1);
+  Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run e;
   let baseline = Engine.now e in
   let e2, f2 = setup () in
   let _ = collect f2 1 in
   Fabric.set_slow f2 0 10.0;
-  Fabric.send f2 ~src:0 ~dst:1 (Ping 1);
+  Fabric.send f2 ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run e2;
   if Engine.now e2 < 5.0 *. baseline then
     Alcotest.failf "gray node not slowed: %.2f vs baseline %.2f" (Engine.now e2) baseline;
@@ -178,7 +178,7 @@ let fabric_slow_node () =
 
 let send_burst f n =
   for i = 0 to n - 1 do
-    Fabric.send f ~src:0 ~dst:1 (Ping i)
+    Fabric.send f ~src:0 ~dst:1 ~size:64 (Ping i)
   done
 
 let fabric_permute_swaps_order () =
@@ -243,6 +243,93 @@ let fabric_rejects_invalid_config () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ---------- fabric: the in-flight pool ---------- *)
+
+let chaotic =
+  {
+    Fabric.default_config with
+    Fabric.loss_prob = 0.2;
+    dup_prob = 0.3;
+    delay_prob = 0.3;
+    permute_prob = 0.3;
+  }
+
+(* Every message sent or duplicated ends up delivered or dropped, whatever
+   the faults: no pooled record is lost or fired twice. *)
+let fabric_conservation_under_faults () =
+  let e, f = setup ~config:chaotic () in
+  let delivered = ref 0 in
+  for n = 0 to 2 do
+    Fabric.set_handler f n (fun ~src:_ _ -> incr delivered)
+  done;
+  for i = 0 to 599 do
+    Fabric.send f ~src:(i mod 3) ~dst:((i + 1 + (i / 3 mod 2)) mod 3) ~size:64 (Ping i)
+  done;
+  Engine.run e;
+  check Alcotest.bool "some duplicated" true (Fabric.messages_duplicated f > 0);
+  check Alcotest.bool "some dropped" true (Fabric.messages_dropped f > 0);
+  check Alcotest.int "delivered + dropped = sent + duplicated"
+    (Fabric.messages_sent f + Fabric.messages_duplicated f)
+    (!delivered + Fabric.messages_dropped f)
+
+(* A handler that sends from inside its delivery may be handed the very
+   record that carried the message it is handling: a ping-pong chain with
+   duplicates, where each received payload must be intact and come from
+   its true sender. *)
+let fabric_handler_sends_during_delivery () =
+  let e, f = setup ~config:{ Fabric.default_config with Fabric.dup_prob = 0.5 } () in
+  let seen = ref [] in
+  for n = 0 to 1 do
+    Fabric.set_handler f n (fun ~src payload ->
+        match payload with
+        | Ping i ->
+          if src <> 1 - n then Alcotest.failf "node %d got Ping %d from %d" n i src;
+          if i mod 2 <> n then Alcotest.failf "node %d got Ping %d" n i;
+          (* answer the first copy only, or duplicates multiply *)
+          if i < 40 && not (List.mem i !seen) then
+            Fabric.send f ~src:n ~dst:src ~size:64 (Ping (i + 1));
+          seen := i :: !seen
+        | _ -> Alcotest.fail "foreign payload")
+  done;
+  Fabric.send f ~src:1 ~dst:0 ~size:64 (Ping 0);
+  Engine.run e;
+  check Alcotest.(list int) "every step of the chain arrived" (List.init 41 Fun.id)
+    (List.sort_uniq compare !seen);
+  check Alcotest.int "every copy delivered"
+    (Fabric.messages_sent f + Fabric.messages_duplicated f)
+    (List.length !seen)
+
+(* Records are made only when the pool is empty, so the pool never holds
+   more of them than the peak number of messages in flight at once; each
+   event pending here is one message in flight. *)
+let fabric_pool_bounded_by_peak () =
+  let e, f = setup ~config:chaotic () in
+  let peak = ref 0 in
+  let note () = peak := max !peak (Engine.pending e) in
+  for n = 0 to 2 do
+    Fabric.set_handler f n (fun ~src payload ->
+        match payload with
+        | Ping i when i > 0 -> Fabric.send f ~src:n ~dst:src ~size:64 (Ping (i - 1))
+        | _ -> ())
+  done;
+  for i = 0 to 29 do
+    Fabric.send f ~src:(i mod 3) ~dst:((i + 1) mod 3) ~size:64 (Ping 5);
+    note ()
+  done;
+  while Engine.pending e > 0 do
+    Engine.run ~max_events:1 e;
+    note ()
+  done;
+  let made = Fabric.flight_records f in
+  if made > !peak || made = 0 then
+    Alcotest.failf "%d in-flight records made, peak in flight %d" made !peak;
+  (* a second burst of the same size is served from the pool *)
+  for i = 0 to 9 do
+    Fabric.send f ~src:(i mod 3) ~dst:((i + 2) mod 3) ~size:64 (Ping 0)
+  done;
+  Engine.run e;
+  check Alcotest.int "no record made for a smaller burst" made (Fabric.flight_records f)
+
 (* ---------- transport ---------- *)
 
 let transport_setup ?(fabric_config = Fabric.default_config) ?config () =
@@ -259,7 +346,7 @@ let tcollect t node =
 let transport_delivers () =
   let e, t = transport_setup () in
   let log = tcollect t 1 in
-  Transport.send t ~src:0 ~dst:1 (Ping 3);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 3);
   Engine.run e;
   check Alcotest.(list (pair int int)) "delivered" [ (0, 3) ] !log
 
@@ -271,7 +358,7 @@ let transport_survives_loss () =
   in
   let log = tcollect t 1 in
   for i = 1 to 50 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   Engine.run e;
   check Alcotest.int "all delivered despite 40% loss" 50 (List.length !log);
@@ -288,7 +375,7 @@ let transport_dedup_duplication config () =
   in
   let log = tcollect t 1 in
   for i = 1 to 10 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   Engine.run e;
   check Alcotest.int "deduplicated" 10 (List.length !log)
@@ -297,7 +384,7 @@ let transport_gives_up_on_dead_peer () =
   let e, t = transport_setup () in
   let _ = tcollect t 1 in
   Transport.crash t 1;
-  Transport.send t ~src:0 ~dst:1 (Ping 1);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 1);
   (* must terminate: retransmissions stop once the peer is known dead *)
   Engine.run ~max_events:100_000 e;
   check Alcotest.bool "terminates" true (Engine.pending e = 0)
@@ -309,7 +396,7 @@ let transport_crash_clears_timers () =
       ()
   in
   let _ = tcollect t 1 in
-  Transport.send t ~src:0 ~dst:1 (Ping 1);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run ~until:50.0 e;
   Transport.crash t 0;
   Engine.run ~max_events:10_000 e;
@@ -346,7 +433,7 @@ let transport_backoff_collapses_probe_rate () =
   let e, t = transport_setup () in
   let _ = tcollect t 1 in
   Fabric.partition (Transport.fabric t) 0 1;
-  Transport.send t ~src:0 ~dst:1 (Ping 1);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 1);
   Engine.run ~until:horizon e;
   let backed = Transport.retransmissions t in
   let fixed = min (int_of_float (horizon /. Transport.rto_us)) Transport.max_retries in
@@ -359,7 +446,7 @@ let transport_backoff_resets_on_progress () =
   let e, t = transport_setup () in
   let log = tcollect t 1 in
   Fabric.partition (Transport.fabric t) 0 1;
-  Transport.send t ~src:0 ~dst:1 (Ping 1);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 1);
   ignore
     (Engine.schedule e ~after:600.0 (fun () -> Fabric.heal (Transport.fabric t) 0 1));
   Engine.run e;
@@ -369,7 +456,7 @@ let transport_backoff_resets_on_progress () =
      outage retransmits promptly rather than starting at the cap *)
   Fabric.partition (Transport.fabric t) 0 1;
   let before = Transport.retransmissions t in
-  Transport.send t ~src:0 ~dst:1 (Ping 2);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 2);
   Engine.run ~until:(Engine.now e +. 200.0) e;
   check Alcotest.bool "prompt first retransmission" true
     (Transport.retransmissions t > before);
@@ -386,7 +473,7 @@ let transport_coalesces_same_instant () =
   let e, t = transport_setup () in
   let log = tcollect t 1 in
   for i = 1 to 3 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   Engine.run e;
   check Alcotest.(list (pair int int)) "in order" [ (0, 1); (0, 2); (0, 3) ] (List.rev !log);
@@ -404,7 +491,7 @@ let transport_unbatched_message_counts () =
   in
   let log = tcollect t 1 in
   for i = 1 to 5 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   Engine.run e;
   check Alcotest.int "5 frames + 5 acks" 10 (Fabric.messages_sent (Transport.fabric t));
@@ -429,7 +516,7 @@ let transport_batched_in_order_under_reorder () =
     ignore
       (Engine.schedule e
          ~after:(3.0 *. float_of_int i)
-         (fun () -> Transport.send t ~src:0 ~dst:1 (Ping i)))
+         (fun () -> Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)))
   done;
   Engine.run e;
   check Alcotest.(list int) "in-order exactly-once"
@@ -442,9 +529,9 @@ let transport_doorbell_flushes_early () =
      waits for it. *)
   let e, t = transport_setup () in
   let log = tcollect t 1 in
-  Transport.send t ~src:0 ~dst:1 (Ping 1);
-  Transport.send t ~src:0 ~dst:1 (Ping 2);
-  Transport.send t ~src:2 ~dst:1 (Ping 3);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 1);
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 2);
+  Transport.send t ~src:2 ~dst:1 ~size:64 (Ping 3);
   Transport.flush t 0;
   Engine.run ~until:0.0 e;
   check Alcotest.int "only the rung batch left at the send instant" 1
@@ -463,7 +550,7 @@ let transport_crash_symmetric_cleanup () =
   in
   let _ = tcollect t 1 in
   for i = 1 to 10 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   ignore (Engine.schedule e ~after:10.0 (fun () -> Transport.crash t 1));
   Engine.run ~max_events:100_000 e;
@@ -478,7 +565,7 @@ let rejoin_seq0_not_swallowed config () =
   let e, t = transport_setup ~config () in
   let log = tcollect t 1 in
   for i = 1 to 5 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   Engine.run e;
   check Alcotest.int "first incarnation delivered" 5 (List.length !log);
@@ -486,13 +573,43 @@ let rejoin_seq0_not_swallowed config () =
   Engine.run e;
   Transport.recover t 0;
   for i = 6 to 10 do
-    Transport.send t ~src:0 ~dst:1 (Ping i)
+    Transport.send t ~src:0 ~dst:1 ~size:64 (Ping i)
   done;
   Engine.run e;
   let sorted = List.sort compare (List.map snd !log) in
   check Alcotest.(list int) "rejoined incarnation delivered too"
     (List.init 10 (fun i -> i + 1))
     sorted
+
+(* Cancelled timers never fire.  Node 0 sends one payload and rings the
+   doorbell, which cancels its 2 µs flush event; node 1 answers from its
+   handler and rings its own, so its reply piggybacks the ack it owed and
+   cancels its delayed ack; node 0's delayed ack then acks the reply.  The
+   two acks cancel both flows' RTOs.  Exactly six events fire: two
+   flushes, two frame deliveries, node 0's delayed ack and its delivery. *)
+let transport_cancelled_timers_never_fire () =
+  let e, t =
+    transport_setup ~fabric_config:{ Fabric.default_config with Fabric.jitter_us = 0.0 } ()
+  in
+  let log0 = tcollect t 0 in
+  Transport.set_handler t 1 (fun ~src payload ->
+      match payload with
+      | Ping i ->
+        Transport.send t ~src:1 ~dst:src ~size:64 (Ping (i + 1));
+        Transport.flush t 1
+      | _ -> ());
+  Transport.send t ~src:0 ~dst:1 ~size:64 (Ping 1);
+  Transport.flush t 0;
+  Engine.run e;
+  check Alcotest.(list (pair int int)) "reply delivered" [ (1, 2) ] !log0;
+  check Alcotest.int "events dispatched" 6 (Engine.events_dispatched e);
+  check Alcotest.int "nothing pending" 0 (Engine.pending e);
+  let s = Transport.stats t in
+  check Alcotest.int "frames" 2 s.Transport.frames;
+  check Alcotest.int "piggybacked acks" 1 s.Transport.piggybacked_acks;
+  check Alcotest.int "standalone acks" 1 s.Transport.standalone_acks;
+  check Alcotest.int "no retransmission" 0 s.Transport.retransmitted;
+  check Alcotest.int "nothing unacked" 0 (Transport.tx_backlog t)
 
 let suite =
   [
@@ -513,6 +630,10 @@ let suite =
     tc "fabric: permutation swaps delivery order" fabric_permute_swaps_order;
     tc "fabric: scramble knob arms and disarms at runtime" fabric_scramble_knob;
     tc "fabric: invalid configs rejected at construction" fabric_rejects_invalid_config;
+    tc "fabric: delivered + dropped = sent + duplicated under faults"
+      fabric_conservation_under_faults;
+    tc "fabric: a handler that sends during delivery" fabric_handler_sends_during_delivery;
+    tc "fabric: in-flight records bounded by the peak in flight" fabric_pool_bounded_by_peak;
     tc "transport: delivers" transport_delivers;
     tc "transport: exactly-once under 40% loss" transport_survives_loss;
     tc "transport: dedup under duplication"
@@ -537,4 +658,6 @@ let suite =
       (rejoin_seq0_not_swallowed Transport.default_config);
     tc "transport: rejoined seq 0 not swallowed (unbatched)"
       (rejoin_seq0_not_swallowed (Transport.unbatched Transport.default_config));
+    tc "transport: cancelled flush, RTO and delayed-ack timers never fire"
+      transport_cancelled_timers_never_fire;
   ]

@@ -26,6 +26,16 @@ let rng_bounds () =
     if f < 0.0 || f >= 3.0 then Alcotest.failf "float out of bounds: %f" f
   done
 
+let rng_bits53_is_float () =
+  let a = Rng.create 13L and b = Rng.create 13L in
+  for _ = 1 to 10_000 do
+    let bits = Rng.bits53 b in
+    if bits < 0 || bits >= 1 lsl 53 then Alcotest.failf "bits53 out of range: %d" bits;
+    let f = Rng.float a 7.5 in
+    if f <> 7.5 *. (float_of_int bits /. 0x1p53) then
+      Alcotest.failf "float %h is not bits53 %d scaled" f bits
+  done
+
 let rng_split_independent () =
   let r = Rng.create 9L in
   let s = Rng.split r in
@@ -386,6 +396,7 @@ let suite =
   [
     tc "rng: deterministic per seed" rng_deterministic;
     tc "rng: int/float bounds" rng_bounds;
+    tc "rng: bits53 is the draw behind float" rng_bits53_is_float;
     tc "rng: split independence" rng_split_independent;
     tc "rng: chance extremes" rng_chance_extremes;
     tc "rng: exponential mean" rng_exponential_mean;

@@ -77,7 +77,7 @@ let run_case ?(permute = 0.0) ?(unordered = false) ~batched
       ignore
         (Engine.schedule e ~after:at (fun () ->
              log sent (src, dst) i;
-             Transport.send t ~src ~dst (Msg i))))
+             Transport.send t ~src ~dst ~size:64 (Msg i))))
     sends;
   Engine.run ~max_events:5_000_000 e;
   (e, t, sent, delivered)
