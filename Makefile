@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-quick bench-smoke chaos-smoke detect-smoke trace-smoke perf-smoke model-smoke perf-baseline clean
+.PHONY: all build test check bench-identity bench bench-quick bench-smoke chaos-smoke detect-smoke trace-smoke perf-smoke model-smoke perf-baseline clean
 
 all: build
 
@@ -25,6 +25,22 @@ check: test
 	dune exec bin/zeus_cli.exe -- run --quick fig8 fig9 > sweep.all-cores.txt
 	@cmp sweep.one-core.txt sweep.all-cores.txt || { echo "check: fig8/fig9 output depends on the number of cores" >&2; exit 1; }
 	rm -f sweep.one-core.txt sweep.all-cores.txt
+
+# Behaviour pin: rerun the four quick experiments whose BENCH files hold
+# no wall-clock field (transport, faults, detection, predictive) and cmp
+# each file against its checked-in copy under bench/identity/.  Any
+# change to a digest, a count or a virtual-time figure fails here.  A
+# change that means to move behaviour regenerates the copies (run this
+# target, then cp BENCH_transport.json BENCH_faults.json
+# BENCH_detection.json BENCH_locality.json bench/identity/) and says why
+# in CHANGES.md.
+bench-identity: build
+	rm -f BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_locality.json
+	dune exec bin/zeus_cli.exe -- run --quick transport faults detection predictive
+	@for f in BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_locality.json; do \
+	  cmp bench/identity/$$f $$f || { echo "bench-identity: $$f differs from bench/identity/$$f" >&2; exit 1; }; \
+	done
+	@echo "bench-identity: quick BENCH files identical to bench/identity/"
 
 bench:
 	dune exec bin/zeus_cli.exe -- run all

@@ -23,10 +23,13 @@
     [max_retries].  [k Committed] fires at {e local} commit — replication is
     pipelined and never blocks the thread (§5.2).
 
-    As on real worker threads, at most one transaction may be in flight per
-    [thread] at a time: issue the next one from the previous one's
+    As on real worker threads, at most one transaction should be in flight
+    per [thread] at a time: issue the next one from the previous one's
     continuation (the closed-loop drivers in {!Zeus_workload.Driver} do
-    exactly this). *)
+    exactly this).  Each thread's transactions run in one reused slot, so
+    the steady-state transaction allocates nothing here; a second
+    transaction issued on a thread whose slot is busy still runs, in a
+    slot of its own. *)
 
 open Zeus_store
 
@@ -73,6 +76,13 @@ val set_app_handler : t -> (src:Types.node_id -> Zeus_net.Msg.payload -> unit) -
 (** {1 Transactions} *)
 
 type ctx
+(** One attempt's handle.  A [ctx] and the [commit] thunk handed with it
+    are valid only during the attempt they were handed to: [Node] reuses
+    both, for the thread's later attempts and transactions, once the
+    attempt fails or the transaction finishes.  Keep neither past that
+    point, and issue one operation at a time, each from the previous
+    one's continuation: an operation waiting for ownership parks in the
+    slot. *)
 
 val run_write :
   t ->

@@ -9,9 +9,9 @@
    rebuilding constant lists or hashing its way to a slot on every input
    fails here before it shows up as a benchmark regression.  A second
    ownership row meters the same Acquire through the agents of a
-   simulated cluster, a Smallbank row meters whole local transactions the
-   same way (3 % above their measured figures), and the slot window both
-   cores use is unit-tested alongside.
+   simulated cluster, a Smallbank row and a read-only row meter whole
+   local transactions the same way (3 % above their measured figures),
+   and the slot window both cores use is unit-tested alongside.
 
    Two rows meter the plumbing under the cores: the engine's scheduling
    and dispatch, and a steady batched transport stream over the fabric.
@@ -181,22 +181,21 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  554.2 words per committed transaction (3 % of headroom);
-   616.6 when the engine, fabric and transport boxed and built closures
-   per event and message; 673.6 when the
-   agents walked an effect list per core input; 1,040.9 when the
+   fails here.  499.4 words per committed transaction (3 % of headroom);
+   554.2 when [Node] built a run, a context, a times record and its phase
+   closures per transaction and attempt; 616.6 when the engine, fabric
+   and transport boxed and built closures per event and message; 673.6
+   when the agents walked an effect list per core input; 1,040.9 when the
    spec built a closure per key and decoded every field to bump a counter,
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 571.0
+let smallbank_bound = 514.0
 
-let smallbank_budget () =
-  let c = Helpers.default_cluster ~record_history:false () in
-  let w = Smallbank.create ~accounts_per_node:1_000 ~nodes (Zeus_sim.Rng.create 5L) in
-  Smallbank.populate w c;
+(* Drive [issue] on every app thread of [c] and bound the minor words per
+   committed transaction. *)
+let txn_path_budget ~what ~bound c ~issue =
   let committed () = Cluster.total_committed c + Cluster.total_ro_committed c in
-  let issue = Spec.issue (Smallbank.gen w) in
   (* A first run warms the pools, windows and tables up. *)
   ignore (Driver.run c ~warmup_us:0.0 ~duration_us:500.0 ~issue ());
   let c0 = committed () and before = Gc.minor_words () in
@@ -205,9 +204,35 @@ let smallbank_budget () =
   Alcotest.(check int) "no aborts" 0 r.Driver.aborted;
   Alcotest.(check bool) "thousands committed" true (txns >= 2_000);
   let per_txn = words /. float_of_int txns in
-  if per_txn > smallbank_bound then
-    Alcotest.failf "Smallbank: %.1f minor words per committed transaction (budget %.0f)" per_txn
-      smallbank_bound
+  if per_txn > bound then
+    Alcotest.failf "%s: %.1f minor words per committed transaction (budget %.0f)" what per_txn
+      bound
+
+let smallbank_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let w = Smallbank.create ~accounts_per_node:1_000 ~nodes (Zeus_sim.Rng.create 5L) in
+  Smallbank.populate w c;
+  txn_path_budget ~what:"Smallbank" ~bound:smallbank_bound c ~issue:(Spec.issue (Smallbank.gen w))
+
+(* Read-only transactions of two local keys each ([Spec.read_txn]) through
+   the same cluster and driver: the words cover [Node]'s slot, dispatch
+   and local commit, [Txn]'s snapshot reads and the spec walk, with no
+   replication and no message.  178.4 words per committed transaction
+   (3 % of headroom); 216.4 when [Node] built a run, a context and a
+   times record and scheduled three closures per transaction. *)
+let read_only_bound = 184.0
+
+let read_only_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let keys = 3_000 in
+  Cluster.populate_n c ~n:keys ~owner_of:(fun i -> i mod nodes) (fun _ -> Value.of_int 0);
+  (* One spec per key pair, built up front: issuing one allocates
+     nothing of its own. *)
+  let specs = Array.init keys (fun i -> Spec.read_txn [ i; (i + 1) mod keys ]) in
+  let next = ref 0 in
+  txn_path_budget ~what:"read-only" ~bound:read_only_bound c ~issue:(fun node ~thread k ->
+      next := (!next + 1) mod keys;
+      Spec.run_on_zeus node ~thread specs.(!next) k)
 
 (* ---------- commit: one INV/ACK/VAL round ------------------------------- *)
 
@@ -724,6 +749,7 @@ let suite =
     tc "ownership core: remote Acquire allocation budget" ownership_acquire_budget;
     tc "ownership agent: remote Acquire allocation budget" ownership_agent_budget;
     tc "transaction path: Smallbank allocation budget" smallbank_budget;
+    tc "transaction path: read-only allocation budget" read_only_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;
     tc "commit core: pipelined round, ACKs newest first" commit_pipelined_budget;
     tc "commit core: slot window" slot_window;

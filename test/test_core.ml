@@ -167,6 +167,169 @@ let dead_node_rejects_txns () =
   | Some (Txn.Aborted Txn.Node_dead) -> ()
   | _ -> Alcotest.fail "dead node accepted a transaction"
 
+(* ---------- slot reuse ---------- *)
+
+(* [Node] runs each thread's transactions in one reused slot (the [ctx] a
+   body receives) and hands it back before the caller's continuation
+   runs; a transaction issued while the thread's slot is busy gets a
+   fresh one.  These cases drive each way a slot comes back: commit,
+   abort after the retry budget, a dead node, and a commit waiting for a
+   pipeline slot. *)
+
+(* Run a write of [value] to [keys] on [thread]; [seen] receives the
+   body's ctx on every attempt. *)
+let write_on node ~thread ~keys ~value ~seen k =
+  Node.run_write node ~thread
+    ~body:(fun ctx commit ->
+      seen ctx;
+      let rec go = function
+        | [] -> commit ()
+        | key :: rest -> Node.write ctx key value (fun () -> go rest)
+      in
+      go keys)
+    k
+
+let same_thread_in_flight () =
+  let c = Helpers.default_cluster () in
+  List.iter (fun key -> Cluster.populate c ~key ~owner:0 (Value.of_int 0)) [ 1; 2; 3 ];
+  let n0 = Cluster.node c 0 in
+  let ctxs = Array.make 3 None and outcomes = Array.make 3 None in
+  let issue i key =
+    write_on n0 ~thread:0 ~keys:[ key ] ~value:(Value.of_int (10 + i))
+      ~seen:(fun ctx -> ctxs.(i) <- Some ctx)
+      (fun o -> outcomes.(i) <- Some o)
+  in
+  (* Two transactions in flight on thread 0 at once: the second cannot
+     take the thread's busy slot. *)
+  issue 0 1;
+  issue 1 2;
+  Helpers.drain c;
+  Array.iteri
+    (fun i o -> if i < 2 then check Alcotest.bool "committed" true (o = Some Txn.Committed))
+    outcomes;
+  check Alcotest.bool "distinct slots" true (Option.get ctxs.(0) != Option.get ctxs.(1));
+  check Alcotest.int "committed" 2 (Node.committed n0);
+  check Alcotest.int "retries" 0 (Node.retries n0);
+  (* The thread goes on in the slot handed back last. *)
+  issue 2 3;
+  Helpers.drain c;
+  check Alcotest.bool "third committed" true (outcomes.(2) = Some Txn.Committed);
+  check Alcotest.bool "slot reused" true (Option.get ctxs.(2) == Option.get ctxs.(1));
+  check Alcotest.int "committed" 3 (Node.committed n0);
+  check Alcotest.int "retries" 0 (Node.retries n0);
+  List.iteri
+    (fun i key -> check Alcotest.(option int) "value" (Some (10 + i)) (Helpers.read_value c 0 key))
+    [ 1; 2; 3 ];
+  Helpers.expect_invariants c
+
+let refused_acquire_returns_slot () =
+  let c = Helpers.default_cluster () in
+  Cluster.populate c ~key:1 ~owner:0 (Value.of_int 0);
+  let n0 = Cluster.node c 0 in
+  let first = ref None and attempts = ref 0 and outcome = ref None in
+  (* No directory entry for key 777: every Acquire is refused. *)
+  write_on n0 ~thread:0 ~keys:[ 777 ] ~value:(Value.of_int 1)
+    ~seen:(fun ctx ->
+      incr attempts;
+      first := Some ctx)
+    (fun o -> outcome := Some o);
+  Helpers.drain c ~max_us:1_000_000.0;
+  (match !outcome with
+  | Some (Txn.Aborted (Txn.Ownership_refused 777)) -> ()
+  | Some o ->
+    Alcotest.failf "expected Ownership_refused 777, got %s"
+      (match o with
+      | Txn.Committed -> "Committed"
+      | Txn.Aborted r -> Format.asprintf "%a" Txn.pp_abort r)
+  | None -> Alcotest.fail "hung");
+  check Alcotest.int "one attempt per retry" (Config.max_retries + 1) !attempts;
+  check Alcotest.int "retries" (Config.max_retries + 1) (Node.retries n0);
+  check Alcotest.int "aborted" 1 (Node.aborted n0);
+  let next = ref None and outcome = ref None in
+  write_on n0 ~thread:0 ~keys:[ 1 ] ~value:(Value.of_int 2)
+    ~seen:(fun ctx -> next := Some ctx)
+    (fun o -> outcome := Some o);
+  Helpers.drain c;
+  check Alcotest.bool "next committed" true (!outcome = Some Txn.Committed);
+  check Alcotest.bool "slot reused" true (Option.get !next == Option.get !first);
+  check Alcotest.(option int) "written" (Some 2) (Helpers.read_value c 0 1)
+
+let dead_node_returns_slot () =
+  let c = Helpers.default_cluster () in
+  Cluster.populate c ~key:1 ~owner:0 (Value.of_int 0);
+  let n2 = Cluster.node c 2 in
+  let write value =
+    let outcome = ref None in
+    write_on n2 ~thread:0 ~keys:[ 1 ] ~value:(Value.of_int value) ~seen:ignore (fun o ->
+        outcome := Some o);
+    Helpers.drain c;
+    !outcome
+  in
+  Cluster.kill c 2;
+  Helpers.drain c;
+  check Alcotest.bool "dead node aborts" true (write 1 = Some (Txn.Aborted Txn.Node_dead));
+  check Alcotest.bool "again" true (write 2 = Some (Txn.Aborted Txn.Node_dead));
+  Cluster.rejoin c 2;
+  Helpers.drain c;
+  check Alcotest.bool "committed after rejoin" true (write 3 = Some Txn.Committed);
+  check Alcotest.(option int) "written" (Some 3) (Helpers.read_value c 0 1);
+  Helpers.expect_invariants c
+
+(* With one reliable commit in flight per thread, each commit after the
+   first waits for its predecessor's to turn durable: every [on_durable]
+   must fire once, in order, for its own transaction's updates (the
+   [replicate] span's writes count and parent).  Each transaction starts
+   from its predecessor's continuation, so the whole chain runs in the
+   thread's one slot. *)
+let pipelined_durables_in_order () =
+  let config =
+    { Config.default with Config.nodes = 3; record_history = true; pipeline_depth = 1 }
+  in
+  let c = Cluster.create ~config ~tracing:true () in
+  List.iter (fun key -> Cluster.populate c ~key ~owner:0 (Value.of_int 0)) [ 1; 2; 3; 4 ];
+  let n0 = Cluster.node c 0 in
+  let txns = 4 in
+  let committed = ref 0 and seen = ref [] in
+  let rec chain i =
+    if i <= txns then
+      write_on n0 ~thread:0 ~keys:(List.init i (fun j -> j + 1)) ~value:(Value.of_int i)
+        ~seen:(fun ctx -> seen := ctx :: !seen)
+        (fun o ->
+          Helpers.expect_committed "pipelined write" o;
+          incr committed;
+          chain (i + 1))
+  in
+  chain 1;
+  Helpers.drain c;
+  check Alcotest.int "all committed" txns !committed;
+  check Alcotest.int "one attempt each" txns (List.length !seen);
+  check Alcotest.bool "one slot" true (List.for_all (fun ctx -> ctx == List.hd !seen) !seen);
+  let module Trace = Zeus_telemetry.Trace in
+  let spans = Trace.spans (Zeus_telemetry.Hub.trace (Cluster.telemetry c)) in
+  let roots =
+    List.filter (fun (s : Trace.span) -> s.Trace.name = "txn" && s.Trace.pid = 0) spans
+  in
+  let replicates = List.filter (fun (s : Trace.span) -> s.Trace.name = "replicate") spans in
+  check Alcotest.int "one root per transaction" txns (List.length roots);
+  check Alcotest.int "one replicate span per transaction" txns (List.length replicates);
+  List.iteri
+    (fun i (root : Trace.span) ->
+      let own = List.filter (fun (s : Trace.span) -> s.Trace.parent = root.Trace.id) replicates in
+      match own with
+      | [ r ] ->
+        check Alcotest.(list (pair string string)) "own updates"
+          [ ("writes", string_of_int (i + 1)) ]
+          r.Trace.args;
+        check Alcotest.bool "root closed at durable" true (root.Trace.stop = r.Trace.stop)
+      | _ -> Alcotest.failf "transaction %d: %d replicate spans" (i + 1) (List.length own))
+    roots;
+  let stops = List.map (fun (s : Trace.span) -> s.Trace.stop) replicates in
+  check Alcotest.bool "durable in commit order" true (List.sort compare stops = stops);
+  List.iter
+    (fun key -> check Alcotest.(option int) "final value" (Some txns) (Helpers.read_value c 1 key))
+    [ 1; 2; 3; 4 ];
+  Helpers.expect_invariants c
+
 (* ---------- history checker ---------- *)
 
 let history_accepts_valid () =
@@ -300,6 +463,10 @@ let suite =
     tc "cross-node transfers conserve money" cross_node_transfer;
     tc "counters" txn_counters;
     tc "dead node rejects transactions" dead_node_rejects_txns;
+    tc "slots: two in flight on one thread" same_thread_in_flight;
+    tc "slots: refused Acquire aborts, slot reused" refused_acquire_returns_slot;
+    tc "slots: dead node aborts, commits after rejoin" dead_node_returns_slot;
+    tc "slots: pipelined durables fire once, in order" pipelined_durables_in_order;
     tc "history: accepts a valid history" history_accepts_valid;
     tc "history: rejects version gaps" history_rejects_gap;
     tc "history: rejects lost updates" history_rejects_lost_update;
