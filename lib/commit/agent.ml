@@ -34,6 +34,7 @@ type t = {
   mutable io_tap : (Core.input -> Core.eff list -> unit) option;
   mutable env_view : View.t;  (* the view [env_cache] was sampled from *)
   mutable env_cache : Core.env;
+  replicas_of : Types.key -> Replicas.t;  (* the table's lookup, built once *)
 }
 
 let node t = t.node
@@ -186,40 +187,55 @@ let rec exec_range t out i stop =
     exec_range t out (i + 1) stop
   end
 
-(* The core leaves an input's effects in its buffer; they run in place and
-   are then truncated away.  A [Durable] continuation may commit again on
-   this agent mid-walk: that nested feed's effects go above [stop] and are
-   gone before the walk resumes (the stack discipline of {!Outbox}). *)
+(* The core leaves an input's effects in its buffer above [mark]; they run
+   in place and are then truncated away.  A [Durable] continuation may
+   commit again on this agent mid-walk: that nested feed's effects go
+   above [stop] and are gone before the walk resumes (the stack discipline
+   of {!Outbox}). *)
+let run_effects t mark =
+  let out = Core.effects t.core in
+  exec_range t out mark (Outbox.length out);
+  Outbox.truncate out mark
+
+(* An input as a record, for view changes and resets and for every input
+   while a tap is set. *)
 let feed t input =
   let out = Core.effects t.core in
   let mark = Outbox.length out in
   Core.step t.core input;
-  let stop = Outbox.length out in
   (match t.io_tap with Some f -> f input (Outbox.to_list out ~from:mark) | None -> ());
-  exec_range t out mark stop;
-  Outbox.truncate out mark
+  run_effects t mark
 
 (* ---------- public API ---------------------------------------------------- *)
 
-let rec replica_sets table = function
-  | [] -> []
-  | (u : Txn.update) :: rest ->
-    (* [Obj.dummy] and a reader hold [Replicas.none], whose [all] is []. *)
-    let all = Replicas.all (Table.find table u.key).Obj.o_replicas in
-    all :: replica_sets table rest
-
+(* Commits and deliveries, the per-message inputs, call the core's entry
+   points directly with the cached env; only a tap makes them build an
+   input, with the replica set of each update sampled into a list. *)
 let commit ~parent t ~thread ~updates ~on_durable =
-  let replica_sets = replica_sets t.table updates in
   let has_durable = on_durable != no_durable in
   if has_durable then
     Window.set (durables_of t thread) (Core.peek_slot t.core ~thread) on_durable;
   t.span_parent <- parent;
-  feed t (Core.Api_commit { thread; updates; replica_sets; has_durable; env = env t });
+  let env = env t in
+  (match t.io_tap with
+  | None ->
+    let mark = Outbox.length (Core.effects t.core) in
+    Core.api_commit t.core ~env ~thread ~updates ~replicas_of:t.replicas_of ~has_durable;
+    run_effects t mark
+  | Some _ ->
+    let replica_sets = List.map (fun (u : Txn.update) -> t.replicas_of u.key) updates in
+    feed t (Core.Api_commit { thread; updates; replica_sets; has_durable; env }));
   t.span_parent <- Tspan.null_span
 
 let handle t ~src payload =
   if Core.handles_payload payload then begin
-    feed t (Core.Deliver { src; payload; env = env t });
+    let env = env t in
+    (match t.io_tap with
+    | None ->
+      let mark = Outbox.length (Core.effects t.core) in
+      Core.deliver t.core ~env ~src payload;
+      run_effects t mark
+    | Some _ -> feed t (Core.Deliver { src; payload; env }));
     true
   end
   else false
@@ -259,6 +275,8 @@ let create ?telemetry ?clear_marks ~node ~table ~membership ~callbacks transport
       io_tap = None;
       env_view = View.initial ~nodes:0;
       env_cache = { Core.epoch = 0; live = [||]; trace_on = false };
+      (* [Obj.dummy] and a reader hold [Replicas.none]. *)
+      replicas_of = (fun key -> (Table.find table key).Obj.o_replicas);
     }
   in
   Service.subscribe membership node (fun v -> on_view_change t v);

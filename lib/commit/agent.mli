@@ -102,11 +102,12 @@ val apply_store : Table.t -> on_freed:(Types.key -> unit) -> Core.eff -> unit
 val set_io_tap : t -> (Core.input -> Core.eff list -> unit) -> unit
 (** Observe every (input, effects) pair fed through the sans-I/O core, in
     order.  Inputs embed their sampled [env] (and, for [Api_commit], the
-    pre-sampled replica sets), so a recorded sequence replayed into a
+    replica set of each update), so a recorded sequence replayed into a
     fresh {!Core.state} reproduces the same states and effect lists
     deterministically.  The tap gets each input's effects as a list copied
-    from the core's buffer before they run; an untapped agent builds
-    none. *)
+    from the core's buffer before they run.  An untapped agent builds
+    neither: it feeds messages and commits through the core's entry
+    points, and only a tap makes it build an input record. *)
 
 val core_fingerprint : t -> string
 (** {!Core.fingerprint} of the live core (replay-equivalence checks). *)

@@ -3,8 +3,8 @@
    Same architecture as {!Zeus_ownership.Core}: [step st input] mutates
    the pipeline/follower state in place and leaves the ordered effects
    its runtime must execute in the state's {!Outbox}.  Store access is
-   inverted two ways: reads arrive pre-sampled in the input (the
-   per-update replica sets of an {!Api_commit}), writes leave as the
+   inverted two ways: reads arrive with the input (the per-update replica
+   sets of an {!Api_commit}), writes leave as the
    three coarse store transforms the old agent performed inline
    ({!Validate_local}, {!Apply_writes}, {!Validate_stored}) —
    {!Agent.apply_store} runs them against a real {!Zeus_store.Table}, in
@@ -48,9 +48,9 @@ type input =
   | Api_commit of {
       thread : int;
       updates : Txn.update list;
-      replica_sets : Types.node_id list list;
-          (** per update, in order: [Replicas.all] of the object's
-              owner-held [o_replicas] ([[]] when absent) *)
+      replica_sets : Replicas.t list;
+          (** per update, in order: the object's owner-held [o_replicas]
+              ([Replicas.none] when absent) *)
       has_durable : bool;
       env : env;
     }
@@ -128,7 +128,7 @@ type state = {
   mutable prev_live : bool array;
   mutable recovering_epoch : int option;
   mutable token_seq : int;
-  mutable env : env;  (* of the input being handled *)
+  mutable env : env;  (* of the input being handled; [no_env] between inputs *)
   out : eff Outbox.t;  (* effects emitted, not yet executed by the interpreter *)
 }
 
@@ -312,23 +312,37 @@ let rec add_extra_vals (prev : slot_state) = function
     add_extra_vals prev rest
 
 (* The followers of a commit, most recently met first: every replica of
-   every update, bar this node, once. *)
-let rec add_followers self acc = function
-  | [] -> acc
-  | n :: rest ->
-    add_followers self (if n = self || mem_node n acc then acc else n :: acc) rest
+   every update, bar this node, once.  Each replica set is walked owner
+   first, then readers — [Replicas.all]'s order — without building that
+   list. *)
+let add_follower self acc n = if n = self || mem_node n acc then acc else n :: acc
 
-let rec collect_followers self acc = function
+let rec add_readers self acc = function
   | [] -> acc
-  | all :: rest -> collect_followers self (add_followers self acc all) rest
+  | n :: rest -> add_readers self (add_follower self acc n) rest
 
-let api_commit st ~thread ~updates ~replica_sets ~has_durable =
+let add_replicas self acc (r : Replicas.t) =
+  let acc = match r.Replicas.owner with Some o -> add_follower self acc o | None -> acc in
+  add_readers self acc r.Replicas.readers
+
+(* From the store, through the interpreter's lookup ... *)
+let rec collect_followers self acc ~replicas_of = function
+  | [] -> acc
+  | (u : Txn.update) :: rest ->
+    collect_followers self (add_replicas self acc (replicas_of u.key)) ~replicas_of rest
+
+(* ... or from an input's sampled sets. *)
+let rec collect_sampled self acc = function
+  | [] -> acc
+  | r :: rest -> collect_sampled self (add_replicas self acc r) rest
+
+let commit st ~thread ~updates ~followers ~has_durable =
   emit st (Telemetry (Count C_started));
   let pipe = get_pipe st thread in
   let slot = pipe.next_slot in
   pipe.next_slot <- slot + 1;
   let tx = { pipe = pipe.p_id; slot } in
-  match live_only st.env.live (collect_followers st.self [] replica_sets) with
+  match live_only st.env.live followers with
   | [] -> validate_local st ~tx ~writes:updates ~has_durable
   | followers ->
     let span =
@@ -692,7 +706,7 @@ let reset st =
 
 (* ---------- dispatch ------------------------------------------------------ *)
 
-let deliver st ~src payload =
+let deliver_payload st ~src payload =
   match payload with
   | R_inv { tx; epoch = e; followers; writes; prev_val; replay } ->
     (* Fence stale epochs only; accept future epochs from live peers (they
@@ -719,17 +733,37 @@ let deliver st ~src payload =
       then handle_val st ~tx ~upto)
   | _ -> ()
 
+(* ---------- the entry points --------------------------------------------- *)
+
+(* The agent calls [deliver] and [api_commit], the per-message paths,
+   directly, with its cached [env] and its table's replica lookup: nothing
+   is built per input.  [step] dispatches each [input] to the same
+   functions.  An input's [env] is held in the state only while it is
+   stepped. *)
+
+let deliver st ~env ~src payload =
+  st.env <- env;
+  deliver_payload st ~src payload;
+  st.env <- no_env
+
+let api_commit st ~env ~thread ~updates ~replicas_of ~has_durable =
+  st.env <- env;
+  commit st ~thread ~updates ~has_durable
+    ~followers:(collect_followers st.self [] ~replicas_of updates);
+  st.env <- no_env
+
 let step st input =
   match input with
-  | Deliver { src; payload; env } ->
-    st.env <- env;
-    deliver st ~src payload
+  | Deliver { src; payload; env } -> deliver st ~env ~src payload
   | Api_commit { thread; updates; replica_sets; has_durable; env } ->
     st.env <- env;
-    api_commit st ~thread ~updates ~replica_sets ~has_durable
+    commit st ~thread ~updates ~has_durable
+      ~followers:(collect_sampled st.self [] replica_sets);
+    st.env <- no_env
   | View_change { view_epoch; live; env } ->
     st.env <- env;
-    view_change st ~view_epoch ~vlive:live
+    view_change st ~view_epoch ~vlive:live;
+    st.env <- no_env
   | Reset -> reset st
 
 let handle st input =

@@ -3,21 +3,30 @@
     A pure state machine mirroring {!Zeus_ownership.Core}: {!step}
     consumes one {!input} and leaves the ordered {!eff}s its runtime must
     execute in the state's effect buffer ({!effects}).  Store access is
-    inverted in both directions: reads arrive pre-sampled inside the input
-    (the [replica_sets] of an {!Api_commit}), writes leave as three coarse
+    inverted in both directions: reads arrive with the input (the replica
+    set of each update an {!Api_commit} writes), writes leave as three coarse
     store transforms ({!Validate_local}, {!Apply_writes},
     {!Validate_stored}) whose per-update loops {!Agent.apply_store} runs
     against a real {!Zeus_store.Table}, in the simulator and under the
     checker.
 
-    Contract for interpreters: sample {!env} before calling [step] and
+    {b Entry points.}  An interpreter feeds messages and commits through
+    {!deliver} and {!api_commit} directly, and view changes and resets
+    through {!step}.  The {!input} variants exist for the model checker,
+    the tests, input-log replay and io taps: [step] dispatches each to the
+    same code, so there is one implementation either way, and an untapped
+    interpreter builds no input record and no replica-set list.
+
+    Contract for interpreters: sample {!env} before feeding an input and
     execute the effects it appended, in order, immediately, then truncate
     them away — the stack discipline of {!Zeus_store.Outbox}, since a
     {!Durable} continuation may feed the same core again before the walk
-    ends.  {!handle} is the list adapter ([step], then take the whole
-    buffer) for the model checker, the tests and replay; it expects an
-    empty buffer.  Unlike the ownership core there are no timers and no
-    per-key facts — commit state is entirely protocol-side.
+    ends.  Between inputs an interpreter may reuse one {!env} record while
+    its node's view stays the same; the core keeps no [env] past the step.
+    {!handle} is the list adapter ([step], then take the whole buffer) for
+    the model checker, the tests and replay; it expects an empty buffer.
+    Unlike the ownership core there are no timers and no per-key facts —
+    commit state is entirely protocol-side.
 
     {b State representation.}  A steady-state input touches only
     monomorphic, int-indexed state.  Coordinator pipelines sit in an array
@@ -70,9 +79,9 @@ type input =
   | Api_commit of {
       thread : int;
       updates : Txn.update list;
-      replica_sets : Types.node_id list list;
-          (** per update, in order: [Replicas.all] of the object's
-              owner-held [o_replicas]; [[]] when the object or its
+      replica_sets : Replicas.t list;
+          (** per update, in order: the object's owner-held
+              [o_replicas]; {!Replicas.none} when the object or its
               replica set is absent *)
       has_durable : bool;
       env : env;
@@ -103,6 +112,24 @@ val create : ?clear_marks:clear_marks -> self:Types.node_id -> nodes:int -> unit
 val step : state -> input -> unit
 (** Process one input, appending its effects to {!effects} in execution
     order; the state is mutated in place. *)
+
+val deliver : state -> env:env -> src:Types.node_id -> Zeus_net.Msg.payload -> unit
+(** [step] of a [Deliver] with these fields. *)
+
+val api_commit :
+  state ->
+  env:env ->
+  thread:int ->
+  updates:Txn.update list ->
+  replicas_of:(Types.key -> Replicas.t) ->
+  has_durable:bool ->
+  unit
+(** [step] of an [Api_commit] whose [replica_sets] are [replicas_of] of
+    each update's key: the owner-held [o_replicas] of the object, or
+    {!Replicas.none}.  The core calls it once per update, in order, during
+    this call only, and walks each set owner first, then readers —
+    {!Replicas.all}'s order — so the followers, and the R-INVs sent to
+    them, come out as [step] would make them. *)
 
 val effects : state -> eff Outbox.t
 (** The state's effect buffer: what {!step} appended and the interpreter

@@ -130,6 +130,11 @@ let total_aborted t = Array.fold_left (fun acc n -> acc + Node.aborted n) 0 t.no
 let total_ro_committed t =
   Array.fold_left (fun acc n -> acc + Node.ro_committed n) 0 t.nodes
 
+let digest t =
+  Printf.sprintf "c%d/r%d/a%d/e%d/t%h/m%d/b%d" (total_committed t) (total_ro_committed t)
+    (total_aborted t) (Engine.events_dispatched t.engine) (Engine.now t.engine)
+    (Fabric.messages_sent t.fabric) (Fabric.bytes_sent t.fabric)
+
 (* ---------- invariants (§8) ---------------------------------------------- *)
 
 let live_nodes t =

@@ -64,6 +64,14 @@ val total_committed : t -> int
 val total_aborted : t -> int
 val total_ro_committed : t -> int
 
+val digest : t -> string
+(** One line that pins a run's behaviour:
+    ["c<committed>/r<read-only committed>/a<aborted>/e<events>/t<clock>/m<messages>/b<bytes>"],
+    with the engine's events dispatched, its clock as an exact hex float,
+    and the fabric's messages and bytes sent.  Two runs of the same
+    configuration, seed and load give the same line; a change that moves
+    any of them moves it. *)
+
 val check_invariants : t -> (unit, string) result
 (** The paper's model-checked invariants (§8), evaluated on the current
     state (call at a quiescent point):

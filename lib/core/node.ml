@@ -30,15 +30,14 @@ let no_delivery = { src = -1; payload = No_payload; serve = ignore }
 (* A locally committed write transaction in reliable commit: what its
    datastore-worker job and its [on_durable] read.  Pooled like
    [delivery], both closures built once per record; the record is free
-   again once [on_durable] has read it.  Its two times sit in a record of
-   floats alone, stored flat. *)
-type stamps = { mutable s_start : float; mutable s_lc_done : float }
-
+   again once [on_durable] has read it.  Its two times are the slot's,
+   boxes and all (see [ctx]). *)
 type flight = {
   mutable f_thread : int;
   mutable f_root : Tspan.span;
   mutable f_updates : Txn.update list;
-  stamps : stamps;
+  mutable f_start : float;
+  mutable f_lc_done : float;
   submit : unit -> unit;
   on_durable : unit -> unit;
 }
@@ -48,7 +47,8 @@ let no_flight =
     f_thread = -1;
     f_root = Tspan.null_span;
     f_updates = [];
-    stamps = { s_start = nan; s_lc_done = nan };
+    f_start = nan;
+    f_lc_done = nan;
     submit = ignore;
     on_durable = ignore;
   }
@@ -104,24 +104,9 @@ type t = {
    transaction issued while the thread's slot is busy gets a fresh slot,
    and the thread keeps whichever slot finishes last. *)
 
-(* The transaction's and the attempt's times (sim µs): its compute time,
-   its start, and the phase bounds that cut the committing attempt into
-   ownership / execute / local-commit / replicate.  A record of floats
-   alone is stored flat, so setting a time boxes nothing. *)
-and times = {
-  mutable exec_us : float;
-  mutable txn_start : float;
-  mutable body_start : float;
-  mutable own_first : float;  (* nan: no ownership request this attempt *)
-  mutable own_last : float;
-  mutable commit_entry : float;
-  mutable lc_done : float;
-}
-
 and ctx = {
   node : t;
   thread : int;
-  times : times;
   txn : Txn.t;  (* reinitialized per attempt *)
   mutable busy : bool;  (* a transaction runs in the slot *)
   (* the transaction *)
@@ -131,6 +116,20 @@ and ctx = {
   mutable root : Tspan.span;  (* root "txn" span, shared by all attempts *)
   mutable attempt : int;  (* attempts before the current one *)
   mutable updates : Txn.update list;  (* committed, waiting for a pipeline slot *)
+  (* The transaction's and the attempt's times (sim µs): its compute time,
+     its start, and the phase bounds that cut the committing attempt into
+     ownership / execute / local-commit / replicate.  Each is the engine's
+     clock, the caller's [exec_us] or [nan], stored as the box it came in:
+     a float field of this mixed record holds a pointer, so setting a
+     time boxes nothing, and a histogram is handed two boxes that already
+     exist ([Histogram.observe_span]) instead of a fresh difference. *)
+  mutable exec_us : float;
+  mutable txn_start : float;
+  mutable body_start : float;
+  mutable own_first : float;  (* nan: no ownership request this attempt *)
+  mutable own_last : float;
+  mutable commit_entry : float;
+  mutable lc_done : float;
   (* the attempt *)
   mutable gen : int;  (* attempts started in this slot *)
   mutable running : bool;
@@ -315,10 +314,10 @@ let rec update_bytes acc = function
    freed pipeline slot may start a waiting commit that takes it. *)
 let durable t f =
   let durable = Engine.now t.engine in
-  let lc_done = f.stamps.s_lc_done in
+  let lc_done = f.f_lc_done in
   let thread = f.f_thread and root = f.f_root and updates = f.f_updates in
-  Metrics.Histogram.observe t.h_repl (durable -. lc_done);
-  Metrics.Histogram.observe t.h_e2e (durable -. f.stamps.s_start);
+  Metrics.Histogram.observe_span t.h_repl ~start:lc_done ~stop:durable;
+  Metrics.Histogram.observe_span t.h_e2e ~start:f.f_start ~stop:durable;
   f.f_updates <- [];
   Fifo.push t.flights f;
   if not (Tspan.is_null root) then
@@ -343,7 +342,8 @@ let new_flight t =
       f_thread = -1;
       f_root = Tspan.null_span;
       f_updates = [];
-      stamps = { s_start = nan; s_lc_done = nan };
+      f_start = nan;
+      f_lc_done = nan;
       submit = (fun () -> submit t f);
       on_durable = (fun () -> durable t f);
     }
@@ -364,8 +364,8 @@ let replicate ctx updates =
   f.f_thread <- ctx.thread;
   if f.f_root != ctx.root then f.f_root <- ctx.root;
   f.f_updates <- updates;
-  f.stamps.s_start <- ctx.times.txn_start;
-  f.stamps.s_lc_done <- ctx.times.lc_done;
+  f.f_start <- ctx.txn_start;
+  f.f_lc_done <- ctx.lc_done;
   (* Broadcasting the R-INVs consumes datastore-worker CPU at the
      coordinator; the app thread does NOT wait (§5.2). *)
   Resource.submit t.ds ~service:send_cost f.submit
@@ -381,15 +381,14 @@ let backoff t attempt =
    grant (or dispatch) to commit entry; the three phases are sequential and
    nested inside the root txn span. *)
 let finish_phases ctx =
-  let t = ctx.node and tm = ctx.times in
-  let ce = tm.commit_entry and lc_done = tm.lc_done in
-  let own_start, own_end =
-    if Float.is_nan tm.own_first then (tm.body_start, tm.body_start)
-    else (tm.own_first, tm.own_last)
-  in
-  Metrics.Histogram.observe t.h_own (own_end -. own_start);
-  Metrics.Histogram.observe t.h_exec (ce -. own_end);
-  Metrics.Histogram.observe t.h_lc (lc_done -. ce);
+  let t = ctx.node in
+  let ce = ctx.commit_entry and lc_done = ctx.lc_done in
+  let no_own = Float.is_nan ctx.own_first in
+  let own_start = if no_own then ctx.body_start else ctx.own_first in
+  let own_end = if no_own then ctx.body_start else ctx.own_last in
+  Metrics.Histogram.observe_span t.h_own ~start:own_start ~stop:own_end;
+  Metrics.Histogram.observe_span t.h_exec ~start:own_end ~stop:ce;
+  Metrics.Histogram.observe_span t.h_lc ~start:ce ~stop:lc_done;
   if not (Tspan.is_null ctx.root) then begin
     let ph name start stop args =
       Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:ctx.thread ~parent:ctx.root ~args
@@ -421,23 +420,22 @@ let start_attempt ctx =
     if ctx.reads != [] then ctx.reads <- [];
     ctx.used_ownership <- false;
     ctx.own_count <- 0;
-    let tm = ctx.times in
-    tm.body_start <- nan;
-    tm.own_first <- nan;
-    tm.own_last <- nan;
-    tm.commit_entry <- nan;
+    ctx.body_start <- nan;
+    ctx.own_first <- nan;
+    ctx.own_last <- nan;
+    ctx.commit_entry <- nan;
     ignore
-      (Engine.schedule t.engine ~after:(tm.exec_us +. Config.txn_dispatch_us) ctx.on_dispatch)
+      (Engine.schedule t.engine ~after:(ctx.exec_us +. Config.txn_dispatch_us) ctx.on_dispatch)
   end
 
 let dispatch ctx =
-  ctx.times.body_start <- Engine.now ctx.node.engine;
+  ctx.body_start <- Engine.now ctx.node.engine;
   ctx.body ctx ctx.on_commit
 
 let commit_entry ctx =
   if ctx.running then begin
     let t = ctx.node in
-    ctx.times.commit_entry <- Engine.now t.engine;
+    ctx.commit_entry <- Engine.now t.engine;
     ignore (Engine.schedule t.engine ~after:Config.local_commit_us ctx.on_local_commit)
   end
 
@@ -479,7 +477,7 @@ let local_commit ctx =
   | Ok [] ->
     ctx.running <- false;
     let lc_done = Engine.now t.engine in
-    ctx.times.lc_done <- lc_done;
+    ctx.lc_done <- lc_done;
     if ctx.read_only then begin
       t.n_ro_committed <- t.n_ro_committed + 1;
       match t.history with
@@ -492,7 +490,7 @@ let local_commit ctx =
       if ctx.used_ownership then t.n_txn_with_ownership <- t.n_txn_with_ownership + 1
     end;
     finish_phases ctx;
-    Metrics.Histogram.observe t.h_e2e (lc_done -. ctx.times.txn_start);
+    Metrics.Histogram.observe_span t.h_e2e ~start:ctx.txn_start ~stop:lc_done;
     (* Nothing written: durable at local commit. *)
     if not (Tspan.is_null ctx.root) then
       Tspan.complete t.tspans ~cat:"txn" ~pid:t.id ~tid:ctx.thread ~parent:ctx.root
@@ -505,7 +503,7 @@ let local_commit ctx =
     t.n_committed <- t.n_committed + 1;
     if ctx.used_ownership then t.n_txn_with_ownership <- t.n_txn_with_ownership + 1;
     prepare_created t updates;
-    ctx.times.lc_done <- Engine.now t.engine;
+    ctx.lc_done <- Engine.now t.engine;
     finish_phases ctx;
     (match t.history with
     | Some h ->
@@ -548,7 +546,7 @@ let acquire ctx op key =
   let t = ctx.node in
   ctx.used_ownership <- true;
   let acq_start = Engine.now t.engine in
-  if Float.is_nan ctx.times.own_first then ctx.times.own_first <- acq_start;
+  if Float.is_nan ctx.own_first then ctx.own_first <- acq_start;
   ctx.op <- op;
   ctx.op_key <- key;
   ctx.acq_gen <- ctx.gen;
@@ -594,7 +592,7 @@ let unblock ctx result =
   if ctx.acq_gen = ctx.gen then begin
     ctx.acq_gen <- -1;
     let t = ctx.node and key = ctx.op_key in
-    ctx.times.own_last <- Engine.now t.engine;
+    ctx.own_last <- Engine.now t.engine;
     ctx.own_count <- ctx.own_count + 1;
     if ctx.running then
       match result with
@@ -661,16 +659,6 @@ let new_slot t thread =
     {
       node = t;
       thread;
-      times =
-        {
-          exec_us = 0.0;
-          txn_start = nan;
-          body_start = nan;
-          own_first = nan;
-          own_last = nan;
-          commit_entry = nan;
-          lc_done = nan;
-        };
       txn = Txn.create_write t.table ~thread;
       busy = false;
       read_only = false;
@@ -679,6 +667,13 @@ let new_slot t thread =
       root = Tspan.null_span;
       attempt = 0;
       updates = [];
+      exec_us = 0.0;
+      txn_start = nan;
+      body_start = nan;
+      own_first = nan;
+      own_last = nan;
+      commit_entry = nan;
+      lc_done = nan;
       gen = 0;
       running = false;
       reads = [];
@@ -797,9 +792,8 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
     if slot.busy then new_slot t thread else slot
   in
   ctx.busy <- true;
-  let tm = ctx.times in
-  tm.exec_us <- exec_us;
-  tm.txn_start <- Engine.now t.engine;
+  ctx.exec_us <- exec_us;
+  ctx.txn_start <- Engine.now t.engine;
   ctx.read_only <- read_only;
   ctx.body <- body;
   ctx.k <- k;

@@ -262,8 +262,7 @@ module Ownership = struct
 
   let env w i =
     {
-      OC.now = 0.0;
-      epoch = w.epoch;
+      OC.epoch = w.epoch;
       live = Array.init nnodes (view_live w);
       self_alive = fab_live w i;
       trace_on = false;
@@ -335,7 +334,7 @@ module Ownership = struct
            { src = msg.m_src; payload = msg.payload;
              facts =
                OA.facts (Nodes.core w.nodes i) (Nodes.table w.nodes i) ~busy msg.payload;
-             env = env w i })
+             env = env w i; now = 0.0 })
 
   let issue w r =
     w.to_issue <- List.filter (fun x -> x <> r) w.to_issue;
@@ -347,7 +346,7 @@ module Ownership = struct
            { key = key0; kind = OM.Acquire;
              facts =
                { OC.no_facts with OC.f_exists = Table.mem (Nodes.table w.nodes r) key0 };
-             env = env w r })
+             env = env w r; now = 0.0 })
     end
 
   let crash w v =
@@ -842,7 +841,12 @@ module Commit = struct
           { Txn.key = k; version = obj.Obj.t_version; data = Value.empty; freed = false })
         (objs_of txn)
     in
-    let replica_sets = List.map (fun (u : Txn.update) -> replicas_of u.Txn.key) updates in
+    let replica_sets =
+      List.map
+        (fun (u : Txn.update) ->
+          Replicas.v ~owner:coord ~readers:(List.tl (replicas_of u.Txn.key)))
+        updates
+    in
     feed w coord
       (CC.Api_commit
          { thread = 0; updates; replica_sets; has_durable = false; env = env w coord })

@@ -66,6 +66,9 @@ type t = {
   h_arb_us : Metrics.Histogram.h;
   mutable observer : observer option;
   mutable io_tap : (Core.input -> Core.eff list -> unit) option;
+  facts : Core.facts;  (* overwritten by every input that samples facts *)
+  mutable env_view : View.t;  (* the view [env_cache] was sampled from *)
+  mutable env_cache : Core.env;
 }
 
 let node t = t.node
@@ -84,14 +87,23 @@ let metrics t = t.metrics
 
 (* ---------- runtime sampling --------------------------------------------- *)
 
+(* Views are immutable and [trace_on] is fixed at creation, so the sampled
+   env stays exact while the node's view is the same record and its
+   liveness the same. *)
 let env t =
-  {
-    Core.now = Engine.now t.engine;
-    epoch = Service.epoch_at t.membership t.node;
-    live = (Service.node_view t.membership t.node).View.live;
-    self_alive = Zeus_net.Fabric.is_alive (Transport.fabric t.transport) t.node;
-    trace_on = Tspan.enabled t.tspans;
-  }
+  let v = Service.node_view t.membership t.node in
+  let alive = Zeus_net.Fabric.is_alive (Transport.fabric t.transport) t.node in
+  if v != t.env_view || alive <> t.env_cache.Core.self_alive then begin
+    t.env_view <- v;
+    t.env_cache <-
+      {
+        Core.epoch = v.View.epoch;
+        live = v.View.live;
+        self_alive = alive;
+        trace_on = Tspan.enabled t.tspans;
+      }
+  end;
+  t.env_cache
 
 (* ---------- the store ---------------------------------------------------- *)
 
@@ -106,37 +118,48 @@ let snapshot table key =
 
 let is_busy busy obj = match busy with Some b -> b | None -> Obj.busy obj
 
-let facts core table ?busy payload =
+let clear_facts (f : Core.facts) =
+  f.Core.f_exists <- false;
+  f.Core.f_o_ts <- Ots.zero;
+  f.Core.f_is_owner <- false;
+  f.Core.f_busy <- false;
+  f.Core.f_snapshot <- None
+
+(* Every field of [f] the core may read for the payload; the others keep
+   [no_facts]'s values. *)
+let sample_facts (f : Core.facts) core table ?busy payload =
+  clear_facts f;
   match payload with
   | O_req { key; _ } ->
     let obj = Table.find table key in
-    { Core.no_facts with Core.f_busy = obj != Obj.dummy && is_busy busy obj }
+    f.Core.f_busy <- obj != Obj.dummy && is_busy busy obj
   | O_inv { key; _ } ->
     let obj = Table.find table key in
-    if obj == Obj.dummy then Core.no_facts
-    else
-      {
-        Core.f_exists = true;
-        f_o_ts = obj.Obj.o_ts;
-        f_is_owner = Obj.is_owner obj;
-        f_busy = is_busy busy obj;
-        f_snapshot = None;
-      }
+    if obj != Obj.dummy then begin
+      f.Core.f_exists <- true;
+      f.Core.f_o_ts <- obj.Obj.o_ts;
+      f.Core.f_is_owner <- Obj.is_owner obj;
+      f.Core.f_busy <- is_busy busy obj
+    end
   | O_ack { req_id; key; _ } ->
-    {
-      Core.no_facts with
-      Core.f_exists = Table.mem table key;
-      f_snapshot =
-        (* only a replay driver's completion can consult the snapshot *)
-        (if req_id.origin <> Table.node table && Core.has_replay core key then
-           snapshot table key
-         else None);
-    }
+    f.Core.f_exists <- Table.mem table key;
+    (* only a replay driver's completion can consult the snapshot *)
+    if req_id.origin <> Table.node table && Core.has_replay core key then
+      f.Core.f_snapshot <- snapshot table key
   | O_resp { key; _ } ->
     let obj = Table.find table key in
-    if obj == Obj.dummy then Core.no_facts
-    else { Core.no_facts with Core.f_exists = true; f_o_ts = obj.Obj.o_ts }
-  | _ -> Core.no_facts
+    if obj != Obj.dummy then begin
+      f.Core.f_exists <- true;
+      f.Core.f_o_ts <- obj.Obj.o_ts
+    end
+  | _ -> ()
+
+let copy_facts (f : Core.facts) = { f with Core.f_exists = f.Core.f_exists }
+
+let facts core table ?busy payload =
+  let f = copy_facts Core.no_facts in
+  sample_facts f core table ?busy payload;
+  f
 
 (* The core reads a replay timer's snapshot only while the arbitration it
    was armed for is still pending. *)
@@ -328,36 +351,53 @@ and exec_range t out i stop =
    are gone before the walk resumes (the stack discipline of {!Outbox}).
    Seeding a key emits nothing, and populating a store seeds every key, so
    an empty slice skips the walk. *)
-and feed t input =
+and run_effects t mark =
   let out = Core.effects t.core in
-  let mark = Outbox.length out in
-  Core.step ~dir:t.dir_nodes_of t.core input;
   let stop = Outbox.length out in
-  (match t.io_tap with Some tap -> tap input (Outbox.to_list out ~from:mark) | None -> ());
   if stop > mark then begin
     exec_range t out mark stop;
     Outbox.truncate out mark
   end
 
+(* An input as a record, for the rare inputs and for every input while a
+   tap is set. *)
+and feed t input =
+  let out = Core.effects t.core in
+  let mark = Outbox.length out in
+  Core.step ~dir:t.dir_nodes_of t.core input;
+  (match t.io_tap with Some tap -> tap input (Outbox.to_list out ~from:mark) | None -> ());
+  run_effects t mark
+
 (* ---------- public API ---------------------------------------------------- *)
 
+(* Requests and deliveries, the per-message inputs, call the core's entry
+   points directly with the cached env and the agent's own facts record;
+   only a tap makes them build an input, from a copy of the facts. *)
 let request ?(parent = Tspan.null_span) t ~key ~kind ~k =
   let seq = Core.next_seq t.core in
   Window.set t.unblocks seq k;
   t.span_parent <- parent;
-  feed t
-    (Core.Api_request
-       {
-         key;
-         kind;
-         facts = { Core.no_facts with Core.f_exists = Table.mem t.table key };
-         env = env t;
-       });
+  let env = env t and now = Engine.now t.engine and f = t.facts in
+  clear_facts f;
+  f.Core.f_exists <- Table.mem t.table key;
+  (match t.io_tap with
+  | None ->
+    let mark = Outbox.length (Core.effects t.core) in
+    Core.api_request ~dir:t.dir_nodes_of t.core ~env ~now ~facts:f ~key ~kind;
+    run_effects t mark
+  | Some _ -> feed t (Core.Api_request { key; kind; facts = copy_facts f; env; now }));
   t.span_parent <- Tspan.null_span
 
 let handle t ~src payload =
   if Core.handles_payload payload then begin
-    feed t (Core.Deliver { src; payload; facts = facts t.core t.table payload; env = env t });
+    let env = env t and now = Engine.now t.engine and f = t.facts in
+    sample_facts f t.core t.table payload;
+    (match t.io_tap with
+    | None ->
+      let mark = Outbox.length (Core.effects t.core) in
+      Core.deliver ~dir:t.dir_nodes_of t.core ~env ~now ~facts:f payload;
+      run_effects t mark
+    | Some _ -> feed t (Core.Deliver { src; payload; facts = copy_facts f; env; now }));
     true
   end
   else false
@@ -408,6 +448,9 @@ let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~mem
       h_arb_us = Metrics.Histogram.v metrics "ownership.arbitration_us";
       observer = None;
       io_tap = None;
+      facts = copy_facts Core.no_facts;
+      env_view = View.initial ~nodes:0;
+      env_cache = { Core.epoch = 0; live = [||]; self_alive = true; trace_on = false };
     }
   in
   Service.subscribe membership node (fun v -> on_view_change t v);

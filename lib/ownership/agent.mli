@@ -156,11 +156,14 @@ val metrics : t -> Zeus_telemetry.Metrics.t
 
 val set_io_tap : t -> (Core.input -> Core.eff list -> unit) -> unit
 (** Observe every (input, effects) pair fed through the sans-I/O core, in
-    order.  Inputs embed their sampled [env]/[facts], so a recorded
-    sequence replayed into a fresh {!Core.state} reproduces the same
-    states and effect lists deterministically.  The tap gets each input's
-    effects as a list copied from the core's buffer before they run; an
-    untapped agent builds none. *)
+    order.  Inputs embed their sampled [env], [facts] and clock, so a
+    recorded sequence replayed into a fresh {!Core.state} reproduces the
+    same states and effect lists deterministically.  The tap gets each
+    input's effects as a list copied from the core's buffer before they
+    run.  An untapped agent builds neither: it feeds deliveries and
+    requests through the core's entry points with its own facts record,
+    and only a tap makes it build an input, around a fresh copy of the
+    facts. *)
 
 val core_fingerprint : t -> string
 (** {!Core.fingerprint} of the live core (replay-equivalence checks). *)

@@ -27,9 +27,10 @@ type config = {
 
 let default_config = { request_timeout_us = 500.0; replay_after_us = 300.0 }
 
-(* Runtime facts sampled once per input, before [step] runs. *)
+(* Runtime facts that change only with the node's view or liveness: an
+   interpreter samples them once and reuses the record until either moves.
+   Virtual time comes with each input that reads it, on its own. *)
 type env = {
-  now : float;  (** virtual time (only compared/subtracted, never advanced) *)
   epoch : int;  (** this node's membership epoch *)
   live : bool array;  (** this node's membership view *)
   self_alive : bool;  (** fabric-level liveness of this node *)
@@ -37,13 +38,15 @@ type env = {
 }
 
 (* Store facts about the key an input concerns.  [no_facts] is correct for
-   inputs that never consult the store (VAL, NACK, recovery-done, ...). *)
+   inputs that never consult the store (VAL, NACK, recovery-done, ...).
+   The fields are mutable so an interpreter can sample every input into
+   one record of its own; the core reads them during the step only. *)
 type facts = {
-  f_exists : bool;  (** [Table.mem table key] *)
-  f_o_ts : Ots.t;  (** the local replica's applied [o_ts] ([Ots.zero] if none) *)
-  f_is_owner : bool;
-  f_busy : bool;  (** [Obj.busy] of the local replica *)
-  f_snapshot : data_snapshot option;
+  mutable f_exists : bool;  (** [Table.mem table key] *)
+  mutable f_o_ts : Ots.t;  (** the local replica's applied [o_ts] ([Ots.zero] if none) *)
+  mutable f_is_owner : bool;
+  mutable f_busy : bool;  (** [Obj.busy] of the local replica *)
+  mutable f_snapshot : data_snapshot option;
       (** copy of the local replica's value, for replay bookkeeping only *)
 }
 
@@ -119,8 +122,9 @@ type eff =
 type input =
   | Deliver of
       { src : Types.node_id; payload : Zeus_net.Msg.payload; facts : facts;
-        env : env }
-  | Api_request of { key : Types.key; kind : kind; facts : facts; env : env }
+        env : env; now : float }
+  | Api_request of
+      { key : Types.key; kind : kind; facts : facts; env : env; now : float }
   | Api_register of { key : Types.key; replicas : Replicas.t; env : env }
   | Api_forget of { key : Types.key; env : env }
   | Api_seed of { key : Types.key; replicas : Replicas.t }
@@ -184,6 +188,9 @@ type state = {
   replay_after : float;
       (** the timer delays, boxed once here rather than on every [Set_timer] *)
   mutable env : env;  (** of the input being handled *)
+  mutable now : float;
+      (** virtual time of the input being handled (only compared and
+          subtracted, never advanced) *)
   mutable dir : Types.key -> Types.node_id list;
       (** of the input being handled; [no_dir] between inputs *)
   out : eff Outbox.t;  (** effects emitted, not yet executed by the interpreter *)
@@ -224,8 +231,7 @@ let no_outstanding =
     o_span = -1;
   }
 
-let no_env =
-  { now = 0.0; epoch = 0; live = [||]; self_alive = true; trace_on = false }
+let no_env = { epoch = 0; live = [||]; self_alive = true; trace_on = false }
 
 let no_dir (_ : Types.key) : Types.node_id list = []
 
@@ -248,6 +254,7 @@ let create ?(config = default_config) ~self ~nodes () =
     cleanup_after = 4.0 *. config.request_timeout_us;
     replay_after = config.replay_after_us;
     env = no_env;
+    now = 0.0;
     dir = no_dir;
     out = Outbox.create ~dummy:Flush;
   }
@@ -561,13 +568,13 @@ let check_complete st o ~f_exists =
        requester_apply_and_val st ~key:o.o_key ~kind:o.o_kind ~o_ts:o.p_o_ts
          ~replicas:o.p_replicas ~arbiters:o.p_arbiters ~data:o.data;
        emit st (Telemetry (Count C_won));
-       emit st (Telemetry (Arb_latency (st.env.now -. o.started)));
+       emit st (Telemetry (Arb_latency (st.now -. o.started)));
        finish_outstanding st o (Ok ())
      end);
     if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
   end
 
-let api_request st ~key ~kind ~facts =
+let request st ~key ~kind ~facts =
   emit st (Telemetry (Count C_started));
   let seq = st.req_seq in
   st.req_seq <- seq + 1;
@@ -598,7 +605,7 @@ let api_request st ~key ~kind ~facts =
         o_req_id = req_id;
         o_key = key;
         o_kind = kind;
-        started = st.env.now;
+        started = st.now;
         acks = 0;
         has_proto = false;
         p_o_ts = Ots.zero;
@@ -744,7 +751,7 @@ let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
                 arbiters;
                 data_from;
                 driving = true;
-                born = st.env.now;
+                born = st.now;
               };
             send_each st ~size:128 ~only_live:false
               (O_inv
@@ -822,7 +829,7 @@ let handle_inv st ~req_id ~key ~o_ts ~base_ts ~new_replicas ~kind ~requester
             arbiters;
             data_from;
             driving = false;
-            born = st.env.now;
+            born = st.now;
           };
         send_ack st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from
       end
@@ -877,7 +884,7 @@ let handle_resp st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
     if o != no_outstanding then begin
       Window.remove st.outstanding req_id.seq;
       emit st (Telemetry (Count C_won));
-      emit st (Telemetry (Arb_latency (st.env.now -. o.started)));
+      emit st (Telemetry (Arb_latency (st.now -. o.started)));
       requester_apply_and_val st ~key ~kind:o.o_kind ~o_ts ~replicas:new_replicas
         ~arbiters ~data;
       finish_outstanding st o (Ok ());
@@ -916,7 +923,7 @@ let rec seed_or_send st key payload ~size ~here = function
 let seed_directory st key replicas =
   if is_dir_for st key then Directory.register st.directory key replicas
 
-let deliver st ~facts payload =
+let deliver_payload st ~facts payload =
   let e = st.env.epoch in
   (match payload with
   | O_req { req_id; key; kind; requester; requester_has_data; epoch } ->
@@ -1074,35 +1081,59 @@ let reset st =
 
 (* ---------- the entry points --------------------------------------------- *)
 
-let step ~dir st input =
+(* The agent calls [deliver] and [api_request], the per-message paths,
+   directly, with its cached [env] and its own [facts] record: nothing is
+   built per input.  [step] dispatches each [input] to the same functions.
+   An input's runtime is held in the state only while it is stepped. *)
+let enter st ~dir ~env =
   st.dir <- dir;
-  (match input with
-  | Deliver { payload; facts; env; _ } ->
-    st.env <- env;
-    deliver st ~facts payload
-  | Api_request { key; kind; facts; env } ->
-    st.env <- env;
-    api_request st ~key ~kind ~facts
+  st.env <- env
+
+let leave st =
+  st.dir <- no_dir;
+  st.env <- no_env
+
+let deliver ~dir st ~env ~now ~facts payload =
+  enter st ~dir ~env;
+  st.now <- now;
+  deliver_payload st ~facts payload;
+  leave st
+
+let api_request ~dir st ~env ~now ~facts ~key ~kind =
+  enter st ~dir ~env;
+  st.now <- now;
+  request st ~key ~kind ~facts;
+  leave st
+
+let step ~dir st input =
+  match input with
+  | Deliver { payload; facts; env; now; _ } -> deliver ~dir st ~env ~now ~facts payload
+  | Api_request { key; kind; facts; env; now } -> api_request ~dir st ~env ~now ~facts ~key ~kind
   | Api_register { key; replicas; env } ->
-    st.env <- env;
-    api_register st ~key ~replicas
+    enter st ~dir ~env;
+    api_register st ~key ~replicas;
+    leave st
   | Api_forget { key; env } ->
-    st.env <- env;
-    api_forget st ~key
+    enter st ~dir ~env;
+    api_forget st ~key;
+    leave st
   | Api_seed { key; replicas } ->
-    st.env <- no_env;
-    seed_directory st key replicas
+    enter st ~dir ~env:no_env;
+    seed_directory st key replicas;
+    leave st
   | Api_recovery_done { epoch; env } ->
-    st.env <- env;
-    api_recovery_done st ~epoch
+    enter st ~dir ~env;
+    api_recovery_done st ~epoch;
+    leave st
   | Timer_fire { kind; facts; env; _ } ->
-    st.env <- env;
-    timer_fire st ~facts kind
+    enter st ~dir ~env;
+    timer_fire st ~facts kind;
+    leave st
   | View_change { view_epoch; live; env } ->
-    st.env <- env;
-    view_change st ~view_epoch ~vlive:live
-  | Reset -> reset st);
-  st.dir <- no_dir
+    enter st ~dir ~env;
+    view_change st ~view_epoch ~vlive:live;
+    leave st
+  | Reset -> reset st
 
 let handle ~dir st input =
   step ~dir st input;

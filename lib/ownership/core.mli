@@ -9,10 +9,23 @@
     interpreter ({!Agent}), by bounded model checking over real states
     ({!Zeus_model.Core_harness}) and by input-log replay.
 
+    {b Entry points.}  An interpreter feeds the per-message paths through
+    {!deliver} and {!api_request} directly, and every other input through
+    {!step}.  The {!input} variants exist for the model checker, the
+    tests, input-log replay and io taps: [step] dispatches each to the
+    same entry points, so there is one implementation either way, and an
+    untapped interpreter builds no input record at all.
+
     Contract for interpreters:
 
-    - sample {!env} and {!facts} {e before} calling [step] (they are the
-      core's only window onto time, membership and the store);
+    - sample {!env}, {!facts} and the clock {e before} feeding an input
+      (they are the core's only window onto time, membership and the
+      store);
+    - between inputs an interpreter may reuse one {!env} record while its
+      node's view and liveness stay the same, and one {!facts} record of
+      its own, overwritten per input: the core keeps neither record past
+      the step, only immutable values read from them ([f_o_ts],
+      [f_snapshot], [live]);
     - execute the effects [step] appended {e in order, immediately}, then
       truncate them away — handlers never advance time, so in-order
       execution reproduces the pre-split agent's I/O sequence exactly;
@@ -36,9 +49,10 @@ type config = {
 
 val default_config : config
 
-(** Runtime environment sampled once per input. *)
+(** Runtime environment: it changes only with the node's view or liveness,
+    so an interpreter may sample it once per view.  Virtual time is passed
+    with the inputs that read it ([now]). *)
 type env = {
-  now : float;
   epoch : int;
   live : bool array;
   self_alive : bool;
@@ -46,16 +60,19 @@ type env = {
 }
 
 (** Store facts about the key an input concerns; [no_facts] for inputs
-    that never consult the store. *)
+    that never consult the store.  Mutable so an interpreter can sample
+    every input into one record of its own. *)
 type facts = {
-  f_exists : bool;
-  f_o_ts : Ots.t;
-  f_is_owner : bool;
-  f_busy : bool;
-  f_snapshot : Messages.data_snapshot option;
+  mutable f_exists : bool;
+  mutable f_o_ts : Ots.t;
+  mutable f_is_owner : bool;
+  mutable f_busy : bool;
+  mutable f_snapshot : Messages.data_snapshot option;
 }
 
 val no_facts : facts
+(** Shared: never write it; copy it ([{ no_facts with ... }]) for a
+    record of one's own. *)
 
 type timer_kind =
   | T_timeout of { seq : int; key : Types.key; span : int }
@@ -114,9 +131,9 @@ type eff =
 type input =
   | Deliver of
       { src : Types.node_id; payload : Zeus_net.Msg.payload; facts : facts;
-        env : env }
+        env : env; now : float }
   | Api_request of
-      { key : Types.key; kind : Messages.kind; facts : facts; env : env }
+      { key : Types.key; kind : Messages.kind; facts : facts; env : env; now : float }
   | Api_register of { key : Types.key; replicas : Replicas.t; env : env }
   | Api_forget of { key : Types.key; env : env }
   | Api_seed of { key : Types.key; replicas : Replicas.t }
@@ -133,7 +150,29 @@ val step : dir:(Types.key -> Types.node_id list) -> state -> input -> unit
 (** Process one input, appending its effects to {!effects} in execution
     order; the state is mutated in place.  [dir] is the (static)
     directory-placement function, passed per call; the state holds it only
-    while the input is stepped. *)
+    while the input is stepped.  [Deliver] and [Api_request] go to
+    {!deliver} and {!api_request}. *)
+
+val deliver :
+  dir:(Types.key -> Types.node_id list) ->
+  state ->
+  env:env ->
+  now:float ->
+  facts:facts ->
+  Zeus_net.Msg.payload ->
+  unit
+(** [step] of a [Deliver] with these fields (its [src] is not read). *)
+
+val api_request :
+  dir:(Types.key -> Types.node_id list) ->
+  state ->
+  env:env ->
+  now:float ->
+  facts:facts ->
+  key:Types.key ->
+  kind:Messages.kind ->
+  unit
+(** [step] of an [Api_request] with these fields. *)
 
 val effects : state -> eff Outbox.t
 (** The state's effect buffer: what {!step} appended and the interpreter

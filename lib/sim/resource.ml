@@ -1,12 +1,15 @@
 (* A job in service lives in its server's slots ([service], [conts]) and
    completes through that server's closure, built once at [create]: a job
-   that finds a server idle allocates nothing here.  Only a job that has to
-   wait keeps a record, in the FIFO. *)
+   that finds a server idle allocates nothing here.  A job that has to
+   wait takes the next cell of a ring of reusable cells, so it allocates
+   nothing either.  A cell keeps the caller's boxed service time as is: a
+   flat float ring would box it again at dequeue, to hand it to the
+   engine. *)
 
-type job = { service : float; k : unit -> unit }
+type cell = { mutable c_service : float; mutable c_k : unit -> unit }
 
 let no_k () = ()
-let no_job = { service = 0.0; k = no_k }
+let new_cell () = { c_service = 0.0; c_k = no_k }
 
 (* A record of floats alone is stored flat: accumulating boxes nothing. *)
 type clock = { mutable busy_time : float }
@@ -17,7 +20,9 @@ type t = {
   mutable busy : int;
   clock : clock;
   mutable completed : int;
-  waiting : job Fifo.t;
+  mutable waiting : cell array;  (* FIFO ring, length a power of two *)
+  mutable w_head : int;
+  mutable w_len : int;
   service : float array;  (* by server: the service time of its job *)
   conts : (unit -> unit) array;  (* by server: its job's continuation *)
   idle : int array;  (* the idle servers: the first [servers - busy] *)
@@ -26,7 +31,7 @@ type t = {
 
 let servers t = t.servers
 let busy t = t.busy
-let queue_length t = Fifo.length t.waiting
+let queue_length t = t.w_len
 let busy_time t = t.clock.busy_time
 let completed t = t.completed
 
@@ -48,9 +53,16 @@ let complete t s () =
   t.completed <- t.completed + 1;
   k ();
   (* The completion may have enqueued more work; drain if idle capacity. *)
-  if t.busy < t.servers && not (Fifo.is_empty t.waiting) then begin
-    let job = Fifo.pop t.waiting in
-    start t ~service:job.service job.k
+  if t.busy < t.servers && t.w_len > 0 then begin
+    let c = t.waiting.(t.w_head) in
+    let service = c.c_service and k = c.c_k in
+    (* A served job must not stay reachable from its cell: a young value
+       an old cell still held would be promoted. *)
+    c.c_service <- 0.0;
+    c.c_k <- no_k;
+    t.w_head <- (t.w_head + 1) land (Array.length t.waiting - 1);
+    t.w_len <- t.w_len - 1;
+    start t ~service k
   end
 
 let create engine ~servers =
@@ -62,7 +74,9 @@ let create engine ~servers =
       busy = 0;
       clock = { busy_time = 0.0 };
       completed = 0;
-      waiting = Fifo.create ~dummy:no_job;
+      waiting = Array.init 16 (fun _ -> new_cell ());
+      w_head = 0;
+      w_len = 0;
       service = Array.make servers 0.0;
       conts = Array.make servers no_k;
       idle = Array.init servers (fun s -> s);
@@ -72,5 +86,21 @@ let create engine ~servers =
   t.completions <- Array.init servers (fun s -> complete t s);
   t
 
+(* Double the ring, unrolling it so the head lands at slot 0. *)
+let grow t =
+  let cap = Array.length t.waiting in
+  let old = t.waiting in
+  t.waiting <-
+    Array.init (2 * cap) (fun i ->
+        if i < cap then old.((t.w_head + i) land (cap - 1)) else new_cell ());
+  t.w_head <- 0
+
 let submit t ~service k =
-  if t.busy < t.servers then start t ~service k else Fifo.push t.waiting { service; k }
+  if t.busy < t.servers then start t ~service k
+  else begin
+    if t.w_len = Array.length t.waiting then grow t;
+    let c = t.waiting.((t.w_head + t.w_len) land (Array.length t.waiting - 1)) in
+    c.c_service <- service;
+    c.c_k <- k;
+    t.w_len <- t.w_len + 1
+  end

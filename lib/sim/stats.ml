@@ -35,11 +35,14 @@ module Summary = struct
 
   let create () = { count = 0.0; sum = 0.0; min = infinity; max = neg_infinity }
 
-  let add t v =
+  (* Inlined into [add_span], so the difference stays unboxed. *)
+  let[@inline] add t v =
     t.count <- t.count +. 1.0;
     t.sum <- t.sum +. v;
     if v < t.min then t.min <- v;
     if v > t.max then t.max <- v
+
+  let add_span t ~start ~stop = add t (stop -. start)
 
   let count t = int_of_float t.count
   let mean t = if t.count = 0.0 then nan else t.sum /. t.count
@@ -62,7 +65,8 @@ module Samples = struct
   let create ?(cap = 100_000) rng =
     { cap; rng; seen = 0; sum = [| 0.0 |]; data = [||]; size = 0 }
 
-  let add t v =
+  (* Inlined into [add_span], as [Summary.add] is. *)
+  let[@inline] add t v =
     t.seen <- t.seen + 1;
     t.sum.(0) <- t.sum.(0) +. v;
     if t.size < t.cap then begin
@@ -81,6 +85,7 @@ module Samples = struct
       if j < t.cap then t.data.(j) <- v
     end
 
+  let add_span t ~start ~stop = add t (stop -. start)
   let count t = t.seen
   let mean t = if t.seen = 0 then nan else t.sum.(0) /. float_of_int t.seen
 

@@ -7,6 +7,10 @@ module Summary : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  val add_span : t -> start:float -> stop:float -> unit
+  (** [add t (stop -. start)], with the difference never boxed. *)
+
   val count : t -> int
   val mean : t -> float
   val min : t -> float
@@ -21,6 +25,10 @@ module Samples : sig
 
   val create : ?cap:int -> Rng.t -> t
   val add : t -> float -> unit
+
+  val add_span : t -> start:float -> stop:float -> unit
+  (** [add t (stop -. start)], with the difference never boxed. *)
+
   val count : t -> int
   val mean : t -> float
 

@@ -53,6 +53,12 @@ module Histogram = struct
       Stats.Samples.add h.samples x
     end
 
+  let observe_span h ~start ~stop =
+    if not (Float.is_nan (stop -. start)) then begin
+      Stats.Summary.add_span h.summary ~start ~stop;
+      Stats.Samples.add_span h.samples ~start ~stop
+    end
+
   let name h = h.h_name
   let count h = Stats.Summary.count h.summary
   let sum h = Stats.Summary.total h.summary

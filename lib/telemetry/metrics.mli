@@ -43,6 +43,11 @@ module Histogram : sig
   val observe : h -> float -> unit
   (** NaN observations are dropped. *)
 
+  val observe_span : h -> start:float -> stop:float -> unit
+  (** [observe h (stop -. start)], bit for bit, without boxing the
+      difference: with floats already boxed (a clock reading, a stored
+      time), a call from another module allocates nothing. *)
+
   val name : h -> string
   val count : h -> int
   val sum : h -> float

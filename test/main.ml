@@ -27,4 +27,5 @@ let () =
       ("transport-props", Test_transport_props.suite);
       ("chaos", Test_chaos.suite);
       ("alloc", Test_alloc.suite);
+      ("digests", Test_digests.suite);
     ]

@@ -67,7 +67,7 @@ let check_budget name ~inputs ~words ~bound =
 (* ---------- ownership: remote Acquire ----------------------------------- *)
 
 let own_env =
-  { OwnC.now = 0.0; epoch = 0; live = Array.make nodes true; self_alive = true;
+  { OwnC.epoch = 0; live = Array.make nodes true; self_alive = true;
     trace_on = false }
 
 (* Key [k] starts owned by node 0 with node 1 as reader; node 2 (a
@@ -116,11 +116,11 @@ let ownership_acquire_budget () =
   for key = 0 to total - 1 do
     let measure = key >= warmup in
     run ~measure
-      (OwnC.Api_request { key; kind = OwnM.Acquire; facts = OwnC.no_facts; env = own_env })
+      (OwnC.Api_request { key; kind = OwnM.Acquire; facts = OwnC.no_facts; env = own_env; now = 0.0 })
       2;
     while not (Queue.is_empty net) do
       let src, dst, payload = Queue.pop net in
-      run ~measure (OwnC.Deliver { src; payload; facts = OwnC.no_facts; env = own_env }) dst
+      run ~measure (OwnC.Deliver { src; payload; facts = OwnC.no_facts; env = own_env; now = 0.0 }) dst
     done
   done;
   Alcotest.(check int) "inputs per Acquire" 9 (!inputs / rounds);
@@ -140,7 +140,10 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 743.9 words per granted request (3 % of headroom); 1527.9 when the
+(* 584.9 words per granted request (3 % of headroom); 743.9 when the
+   agents built an input record, an env and a facts record per core input
+   and a replica-set list per commit, the datastore queue a record per
+   waiting job, and [Node] boxed each phase time it observed; 1527.9 when the
    engine boxed every event time, the fabric built a closure per message
    and boxed the floats of its random draws, and the transport an
    [option] per timer arming, a closure per timer and per flush, a dirty
@@ -149,7 +152,7 @@ let agent_keys = warmup + rounds
    closure building each core input's effect list and a tuple per
    payload in the transport's send ring; 2473.9 with the agent's timers
    and continuations in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 766.0
+let ownership_agent_bound = 603.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -170,6 +173,160 @@ let ownership_agent_budget () =
     Alcotest.failf "ownership agent path: %.1f minor words per granted request (budget %.0f)"
       per_request ownership_agent_bound
 
+(* ---------- the agents: core inputs without records --------------------- *)
+
+module ComA = Zeus_commit.Agent
+module Table = Zeus_store.Table
+module Obj = Zeus_store.Obj
+module Types = Zeus_store.Types
+module Ots = Zeus_store.Ots
+module Tspan = Zeus_telemetry.Trace
+
+(* With its tap off, an agent hands a delivery to its core's entry point
+   with its cached env and its own facts record, building nothing.  Node 1
+   of a 3-node cluster receives an O-REQ, an O-INV and an O-ACK for each
+   of 100 keys it holds a copy of, all from an epoch its core fences, so
+   the core itself emits only its doorbell: what is left is the agent's
+   own path — the env, the fact sampling of each kind, the entry call and
+   the effect walk.  0.01 words per delivery (the clock reads' own boxes);
+   17.0 when the agent built an input, an env and a facts record for
+   each. *)
+let agent_delivery_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let keys = 100 and epoch = 1_000 in
+  Cluster.populate_n c ~n:keys ~owner_of:(fun _ -> 0) (fun k -> Value.of_int k);
+  let agent = Node.ownership_agent (Cluster.node c 1) in
+  let replicas = Replicas.v ~owner:2 ~readers:[ 0; 1 ] in
+  let o_ts = Ots.next Ots.zero ~node:0 in
+  let payloads =
+    Array.concat
+      (List.init keys (fun key ->
+           let req_id = { OwnM.origin = 2; seq = key } in
+           [|
+             OwnM.O_req
+               { req_id; key; kind = OwnM.Acquire; requester = 2; requester_has_data = false;
+                 epoch };
+             OwnM.O_inv
+               { req_id; key; o_ts; base_ts = Ots.zero; new_replicas = replicas;
+                 kind = OwnM.Acquire; requester = 2; arbiters = [ 0; 1 ]; data_from = Some 0;
+                 recovery = false; driver = 0; epoch };
+             OwnM.O_ack
+               { req_id; key; o_ts; new_replicas = replicas; arbiters = [ 0; 1 ]; sender = 0;
+                 data = None; epoch };
+           |]))
+  in
+  let deliver_all () =
+    Array.iter
+      (fun p -> if not (OwnA.handle agent ~src:0 p) then Alcotest.fail "payload refused")
+      payloads
+  in
+  (* The first pass samples the env. *)
+  deliver_all ();
+  let passes = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to passes do
+    deliver_all ()
+  done;
+  let words = Gc.minor_words () -. before in
+  let per_delivery = words /. float_of_int (passes * Array.length payloads) in
+  if per_delivery > 0.1 then
+    Alcotest.failf "ownership agent: %.2f minor words per fenced delivery (budget 0)"
+      per_delivery
+
+(* An [Api_commit] of one update and its R-INV/R-ACK/R-VAL round through
+   the agents of a fault-free 3-node cluster: node 0 commits keys it owns,
+   replicated on nodes 1 and 2, one at a time, each run to quiescence.  The
+   words cover the commit agents and cores of all three nodes, [Node]'s
+   receive path and datastore workers, the transport, fabric and engine.
+   309.8 words per round (3 % of headroom); 345.8 when the agents built
+   an input record and an env per core input and a replica-set list per
+   commit, and the datastore queue a record per waiting job. *)
+let commit_agent_bound = 320.0
+
+let commit_agent_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  Cluster.populate_n c ~n:agent_keys ~owner_of:(fun _ -> 0) (fun k -> Value.of_int k);
+  let node = Cluster.node c 0 in
+  let agent = Node.commit_agent node and table = Node.table node in
+  let durable = ref 0 and words = ref 0.0 in
+  let on_durable () = incr durable in
+  for key = 0 to agent_keys - 1 do
+    (* As a local commit leaves the object: a new version, guarded until
+       it is durable. *)
+    let obj = Table.get table key in
+    obj.Obj.t_version <- obj.Obj.t_version + 1;
+    obj.Obj.t_state <- Types.T_write;
+    obj.Obj.pending_rc <- obj.Obj.pending_rc + 1;
+    let updates =
+      [ { Txn.key; version = obj.Obj.t_version; data = Value.of_int (key + 1); freed = false } ]
+    in
+    let before = Gc.minor_words () in
+    ComA.commit ~parent:Tspan.null_span agent ~thread:0 ~updates ~on_durable;
+    Helpers.drain c;
+    if key >= warmup then words := !words +. (Gc.minor_words () -. before)
+  done;
+  Alcotest.(check int) "every commit durable" agent_keys !durable;
+  Alcotest.(check int) "nothing in flight" 0 (ComA.inflight agent);
+  let per_round = !words /. float_of_int rounds in
+  if per_round > commit_agent_bound then
+    Alcotest.failf "commit agent path: %.1f minor words per commit round (budget %.0f)"
+      per_round commit_agent_bound
+
+(* A tap gets each input as a fresh record around a copy of the facts the
+   core was stepped with: the agent's own facts record, overwritten by
+   every later input, never escapes into the log.  Node 2 acquires keys
+   node 0 owns with every ownership agent tapped; each logged delivery's
+   facts and env, rendered when it was logged, still read the same after
+   the run, and no two logged deliveries are one record. *)
+let facts_text (f : OwnC.facts) =
+  Printf.sprintf "%b %d.%d %b %b %s" f.OwnC.f_exists f.OwnC.f_o_ts.Ots.version
+    f.OwnC.f_o_ts.Ots.node f.OwnC.f_is_owner f.OwnC.f_busy
+    (match f.OwnC.f_snapshot with
+    | Some d -> Printf.sprintf "v%d:%s" d.OwnM.t_version (Bytes.to_string d.OwnM.value)
+    | None -> "-")
+
+let env_text (e : OwnC.env) =
+  Printf.sprintf "%d %s %b %b" e.OwnC.epoch
+    (String.concat "" (Array.to_list (Array.map (fun l -> if l then "1" else "0") e.OwnC.live)))
+    e.OwnC.self_alive e.OwnC.trace_on
+
+let tapped_inputs_stay_intact () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let keys = 20 in
+  Cluster.populate_n c ~n:keys ~owner_of:(fun _ -> 0) (fun k -> Value.of_int k);
+  let log = ref [] in
+  for n = 0 to nodes - 1 do
+    OwnA.set_io_tap (Node.ownership_agent (Cluster.node c n)) (fun input _ ->
+        match input with
+        | OwnC.Deliver { facts; env; _ } ->
+          log := (input, facts_text facts, env_text env) :: !log
+        | _ -> ())
+  done;
+  let agent = Node.ownership_agent (Cluster.node c 2) in
+  for key = 0 to keys - 1 do
+    OwnA.request agent ~key ~kind:OwnM.Acquire ~k:(function
+      | Ok () -> ()
+      | Error _ -> Alcotest.failf "Acquire of key %d refused" key);
+    Helpers.drain c
+  done;
+  let log = List.rev !log in
+  Alcotest.(check bool) "deliveries logged" true (List.length log >= 2 * keys);
+  let rec distinct = function
+    | (a, _, _) :: ((b, _, _) :: _ as rest) ->
+      if a == b then Alcotest.fail "two logged deliveries are one record";
+      distinct rest
+    | [ _ ] | [] -> ()
+  in
+  distinct log;
+  List.iteri
+    (fun i (input, facts, env) ->
+      match input with
+      | OwnC.Deliver { facts = f; env = e; _ } ->
+        Alcotest.(check string) (Printf.sprintf "delivery %d: facts" i) facts (facts_text f);
+        Alcotest.(check string) (Printf.sprintf "delivery %d: env" i) env (env_text e)
+      | _ -> ())
+    log
+
 (* ---------- the transaction path, end to end ---------------------------- *)
 
 module Smallbank = Zeus_workload.Smallbank
@@ -181,8 +338,11 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  499.4 words per committed transaction (3 % of headroom);
-   554.2 when [Node] built a run, a context, a times record and its phase
+   fails here.  439.3 words per committed transaction (3 % of headroom);
+   499.4 when the agents built an input record and an env per core input
+   and a replica-set list per commit, the datastore queue a record per
+   waiting job, and [Node] boxed each phase time it observed; 554.2 when
+   [Node] built a run, a context, a times record and its phase
    closures per transaction and attempt; 616.6 when the engine, fabric
    and transport boxed and built closures per event and message; 673.6
    when the agents walked an effect list per core input; 1,040.9 when the
@@ -190,7 +350,7 @@ module Driver = Zeus_workload.Driver
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 514.0
+let smallbank_bound = 453.0
 
 (* Drive [issue] on every app thread of [c] and bound the minor words per
    committed transaction. *)
@@ -217,10 +377,11 @@ let smallbank_budget () =
 (* Read-only transactions of two local keys each ([Spec.read_txn]) through
    the same cluster and driver: the words cover [Node]'s slot, dispatch
    and local commit, [Txn]'s snapshot reads and the spec walk, with no
-   replication and no message.  178.4 words per committed transaction
-   (3 % of headroom); 216.4 when [Node] built a run, a context and a
-   times record and scheduled three closures per transaction. *)
-let read_only_bound = 184.0
+   replication and no message.  170.4 words per committed transaction
+   (3 % of headroom); 178.4 when [Node] boxed each phase time it
+   observed; 216.4 when [Node] built a run, a context and a times record
+   and scheduled three closures per transaction. *)
+let read_only_bound = 176.0
 
 let read_only_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -242,6 +403,9 @@ let read_only_budget () =
    list per input. *)
 
 let com_env = { ComC.epoch = 0; live = Array.make nodes true; trace_on = false }
+
+(* Node 0 owns, every other node reads. *)
+let everyone = Replicas.v ~owner:0 ~readers:[ 1; 2 ]
 
 let commit_round_budget () =
   let cores = Array.init nodes (fun self -> ComC.create ~self ~nodes ()) in
@@ -268,7 +432,7 @@ let commit_round_budget () =
     let updates = [ { Txn.key; version = 1; data = Value.of_int key; freed = false } ] in
     run ~measure
       (ComC.Api_commit
-         { thread = 0; updates; replica_sets = [ [ 0; 1; 2 ] ]; has_durable = false;
+         { thread = 0; updates; replica_sets = [ everyone ]; has_durable = false;
            env = com_env })
       0;
     while not (Queue.is_empty net) do
@@ -335,7 +499,7 @@ let commit_pipelined_budget () =
              in
              run ~measure 0
                (ComC.Api_commit
-                  { thread = 0; updates; replica_sets = [ [ 0; 1; 2 ] ]; has_durable = false;
+                  { thread = 0; updates; replica_sets = [ everyone ]; has_durable = false;
                     env = com_env })))
     in
     let acks = deliver ~measure invs in
@@ -427,7 +591,7 @@ let core_window_aliasing () =
     snd
       (ComC.handle cores.(0)
          (ComC.Api_commit
-            { thread = 0; updates; replica_sets = [ [ 0; 1; 2 ] ]; has_durable = false;
+            { thread = 0; updates; replica_sets = [ everyone ]; has_durable = false;
               env = com_env }))
   in
   let deliver dst src payload =
@@ -648,7 +812,6 @@ let monitor_sample_budget () =
 
 (* ---------- populate: per-key memory ------------------------------------ *)
 
-module Table = Zeus_store.Table
 module Tatp = Zeus_workload.Tatp
 
 (* A TATP-shaped store (three rows per subscriber, 48-byte values, three
@@ -748,6 +911,10 @@ let suite =
   [
     tc "ownership core: remote Acquire allocation budget" ownership_acquire_budget;
     tc "ownership agent: remote Acquire allocation budget" ownership_agent_budget;
+    tc "ownership agent: fenced deliveries allocate nothing, taps off" agent_delivery_budget;
+    tc "commit agent: Api_commit round allocation budget, taps off" commit_agent_budget;
+    tc "io taps: logged inputs keep the facts and env they were stepped with"
+      tapped_inputs_stay_intact;
     tc "transaction path: Smallbank allocation budget" smallbank_budget;
     tc "transaction path: read-only allocation budget" read_only_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;

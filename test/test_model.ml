@@ -87,8 +87,7 @@ let nack_reduction_is_sound () =
     (List.map dropped [ finished; live; stale ]);
   let env =
     {
-      OC.now = 0.0;
-      epoch = O.epoch w;
+      OC.epoch = O.epoch w;
       live = Array.init 4 (fun i -> i <> 2);
       self_alive = true;
       trace_on = false;
@@ -98,7 +97,7 @@ let nack_reduction_is_sound () =
     snd
       (OC.handle ~dir:(fun _ -> [ 0; 1; 2 ]) core
          (OC.Deliver
-            { src = m.H.m_src; payload = m.H.payload; facts = OC.no_facts; env }))
+            { src = m.H.m_src; payload = m.H.payload; facts = OC.no_facts; env; now = 0.0 }))
   in
   let no_op name core m =
     let fp = OC.fingerprint core in

@@ -292,7 +292,7 @@ let view_change_arms_in_key_order () =
         })
     keys;
   let live = [| true; true; false |] in
-  let env = { C.now = 0.0; epoch = 1; live; self_alive = true; trace_on = false } in
+  let env = { C.epoch = 1; live; self_alive = true; trace_on = false } in
   let _, effs = C.handle ~dir st (C.View_change { view_epoch = 1; live; env }) in
   let armed =
     List.filter_map
@@ -315,12 +315,12 @@ let view_change_fails_requests_in_seq_order () =
   let config = { Config.default with Config.nodes = 3 } in
   let dir key = Config.dir_nodes_for config ~key in
   let st = C.create ~self:2 ~nodes:3 () in
-  let env = { C.now = 0.0; epoch = 0; live = [| true; true; true |]; self_alive = true;
+  let env = { C.epoch = 0; live = [| true; true; true |]; self_alive = true;
               trace_on = false } in
   let timers = Hashtbl.create 64 in
   for key = 0 to 39 do
     let _, effs =
-      C.handle ~dir st (C.Api_request { key; kind = M.Acquire; facts = C.no_facts; env })
+      C.handle ~dir st (C.Api_request { key; kind = M.Acquire; facts = C.no_facts; env; now = 0.0 })
     in
     List.iter
       (function
@@ -335,7 +335,7 @@ let view_change_fails_requests_in_seq_order () =
         M.O_nack { req_id = { M.origin = 2; seq }; key = seq; o_ts = None; reason = M.Busy;
                    epoch = 0 }
       in
-      ignore (C.handle ~dir st (C.Deliver { src = 0; payload; facts = C.no_facts; env })))
+      ignore (C.handle ~dir st (C.Deliver { src = 0; payload; facts = C.no_facts; env; now = 0.0 })))
     nacked;
   let live = [| true; false; true |] in
   let _, effs =
@@ -383,7 +383,7 @@ let replay_timer_snapshot_only_while_pending () =
   Zeus_store.Table.install table
     (Zeus_store.Obj.create ~key ~role:Types.Reader ~version:3 (Value.of_int 9));
   ignore (C.handle ~dir st (C.Api_seed { key; replicas }));
-  let env = { C.now = 0.0; epoch = 0; live = [| true; true; true |]; self_alive = true;
+  let env = { C.epoch = 0; live = [| true; true; true |]; self_alive = true;
               trace_on = false } in
   let o_ts = Ots.next Ots.zero ~node:0 in
   let inv =
@@ -393,7 +393,7 @@ let replay_timer_snapshot_only_while_pending () =
         arbiters = [ 0; 1 ]; data_from = Some 0; recovery = false; driver = 0; epoch = 0 }
   in
   let _, effs =
-    C.handle ~dir st (C.Deliver { src = 0; payload = inv; facts = A.facts st table inv; env })
+    C.handle ~dir st (C.Deliver { src = 0; payload = inv; facts = A.facts st table inv; env; now = 0.0 })
   in
   let kind =
     match
@@ -410,7 +410,7 @@ let replay_timer_snapshot_only_while_pending () =
     check Alcotest.int "snapshot value" 9 (Value.to_int value)
   | None -> Alcotest.fail "no snapshot while the arbitration is pending");
   let value = M.O_val { key; o_ts; epoch = 0 } in
-  ignore (C.handle ~dir st (C.Deliver { src = 0; payload = value; facts = C.no_facts; env }));
+  ignore (C.handle ~dir st (C.Deliver { src = 0; payload = value; facts = C.no_facts; env; now = 0.0 }));
   check Alcotest.bool "pending applied" true (C.pending_ts st key = None);
   check Alcotest.bool "no snapshot after the VAL" true
     ((A.timer_facts st table kind).C.f_snapshot = None)
@@ -430,7 +430,7 @@ let side_maps_follow_entries () =
   let key = 1_000_000 in
   let dir _ = [ 0; 2 ] in
   let st = C.create ~self:1 ~nodes:3 () in
-  let env = { C.now = 0.0; epoch = 0; live = [| true; true; true |]; self_alive = true;
+  let env = { C.epoch = 0; live = [| true; true; true |]; self_alive = true;
               trace_on = false } in
   let words () = Stdlib.Obj.reachable_words (Stdlib.Obj.repr st) in
   let before = words () in
@@ -441,7 +441,7 @@ let side_maps_follow_entries () =
         kind = M.Acquire; requester = 0; arbiters = [ 0; 1 ]; data_from = None;
         recovery = false; driver = 0; epoch = 0 }
   in
-  let _, effs = C.handle ~dir st (C.Deliver { src = 0; payload = inv; facts = C.no_facts; env }) in
+  let _, effs = C.handle ~dir st (C.Deliver { src = 0; payload = inv; facts = C.no_facts; env; now = 0.0 }) in
   let token, kind =
     match
       List.find_map

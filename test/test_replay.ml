@@ -136,7 +136,12 @@ let run_schedule schedule =
             { Txn.key = k; version = vers.(k); data = Value.empty; freed = false })
           objs
       in
-      let replica_sets = List.map (fun (u : Txn.update) -> replicas_of u.Txn.key) updates in
+      let replica_sets =
+        List.map
+          (fun (u : Txn.update) ->
+            Zeus_store.Replicas.v ~owner:0 ~readers:(List.tl (replicas_of u.Txn.key)))
+          updates
+      in
       feed 0
         (ComC.Api_commit { thread = 0; updates; replica_sets; has_durable = false; env });
       if drain_now then drain ())
