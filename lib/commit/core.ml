@@ -24,20 +24,26 @@ type telemetry =
   | Span_finish of int
       (** replication span closed; the token is dead afterwards *)
 
+(* Every effect a steady-state input emits is a record with mutable
+   fields, so its cell can be reused (see the emitters below). *)
 type eff =
-  | Send of { dst : Types.node_id; size : int; payload : Zeus_net.Msg.payload }
+  | Send of {
+      mutable dst : Types.node_id;
+      mutable size : int;
+      mutable payload : Zeus_net.Msg.payload;
+    }
   | Flush
-  | Validate_local of { writes : Txn.update list }
+  | Validate_local of { mutable writes : Txn.update list }
       (** coordinator durable: per update, [pending_rc - 1]; on version
           match, freed objects are removed (firing the runtime's
           [on_freed]) and unchanged ones revalidate *)
-  | Apply_writes of { install : bool; writes : Txn.update list }
+  | Apply_writes of { mutable install : bool; mutable writes : Txn.update list }
       (** follower applies an R-INV version-monotonically; [install] for
           unknown objects only outside replay *)
-  | Validate_stored of { writes : Txn.update list }
+  | Validate_stored of { mutable writes : Txn.update list }
       (** follower R-VAL: version-equal objects revalidate or complete
           their free *)
-  | Durable of { tx : tx_id }
+  | Durable of { mutable tx : tx_id }
       (** the [on_durable] continuation registered for this slot fires *)
   | Drained of { epoch : int }
       (** all dead coordinators' stored R-INVs drained ([recovery_drained]) *)
@@ -149,6 +155,33 @@ let no_inv = { i_tx = no_tx; i_followers = []; i_writes = [] }
 let no_buffered = { b_tx = no_tx; b_followers = []; b_writes = []; b_src = -1 }
 let no_env = { epoch = 0; live = [||]; trace_on = false }
 
+(* The effect buffer reuses the cells of the kinds below (see
+   {!Outbox.create}). *)
+let k_send = 0
+let k_validate_local = 1
+let k_apply_writes = 2
+let k_validate_stored = 3
+let k_durable = 4
+let cell_kinds = 5
+
+let cell_kind = function
+  | Send _ -> k_send
+  | Validate_local _ -> k_validate_local
+  | Apply_writes _ -> k_apply_writes
+  | Validate_stored _ -> k_validate_stored
+  | Durable _ -> k_durable
+  | Flush | Drained _ | Telemetry _ -> -1
+
+let copy_eff = function
+  | Send c -> Send { c with dst = c.dst }
+  | Validate_local c -> Validate_local { writes = c.writes }
+  | Apply_writes c -> Apply_writes { c with install = c.install }
+  | Validate_stored c -> Validate_stored { writes = c.writes }
+  | Durable c -> Durable { tx = c.tx }
+  | (Flush | Drained _ | Telemetry _) as e -> e
+
+let new_outbox () = Outbox.create ~dummy:Flush ~copy:copy_eff ~kinds:cell_kinds ~kind:cell_kind
+
 let create ?(clear_marks = Sequenced) ~self ~nodes () =
   {
     self;
@@ -160,7 +193,7 @@ let create ?(clear_marks = Sequenced) ~self ~nodes () =
     recovering_epoch = None;
     token_seq = 0;
     env = no_env;
-    out = Outbox.create ~dummy:Flush;
+    out = new_outbox ();
   }
 
 let fold_follower_pipes f st acc =
@@ -189,10 +222,53 @@ let handles_payload = function R_inv _ | R_ack _ | R_val _ -> true | _ -> false
 let writes_size writes =
   List.fold_left (fun acc (u : Txn.update) -> acc + Value.size u.data + 16) 64 writes
 
-(* Effects go to the state's {!Outbox} and stay there for the
-   interpreter to walk. *)
+(* ---------- emitters ------------------------------------------------------ *)
+
+(* Effects go to the state's {!Outbox} and stay there for the interpreter
+   to walk.  Each effect a steady-state input emits has an emitter of its
+   own, which takes a released cell of its kind out of the buffer's pool
+   and overwrites it, building a new one only when the pool is empty; the
+   rare effects (constants, drains, spans) go through [emit]. *)
 let emit st e = Outbox.emit st.out e
 let effects st = st.out
+
+let send st ~dst ~size payload =
+  match Outbox.reuse st.out k_send with
+  | Send c as e ->
+    c.dst <- dst;
+    c.size <- size;
+    c.payload <- payload;
+    emit st e
+  | _ -> emit st (Send { dst; size; payload })
+
+let validate_local_eff st writes =
+  match Outbox.reuse st.out k_validate_local with
+  | Validate_local c as e ->
+    c.writes <- writes;
+    emit st e
+  | _ -> emit st (Validate_local { writes })
+
+let apply_writes st ~install writes =
+  match Outbox.reuse st.out k_apply_writes with
+  | Apply_writes c as e ->
+    c.install <- install;
+    c.writes <- writes;
+    emit st e
+  | _ -> emit st (Apply_writes { install; writes })
+
+let validate_stored_eff st writes =
+  match Outbox.reuse st.out k_validate_stored with
+  | Validate_stored c as e ->
+    c.writes <- writes;
+    emit st e
+  | _ -> emit st (Validate_stored { writes })
+
+let durable st tx =
+  match Outbox.reuse st.out k_durable with
+  | Durable c as e ->
+    c.tx <- tx;
+    emit st e
+  | _ -> emit st (Durable { tx })
 
 let live st n = st.env.live.(n)
 
@@ -251,9 +327,9 @@ let advance_done pipe =
     (if Window.length pipe.slots = 0 then pipe.next_slot else Window.low pipe.slots) - 1
 
 let validate_local st ~tx ~writes ~has_durable =
-  emit st (Validate_local { writes });
+  validate_local_eff st writes;
   emit st (Telemetry (Count C_durable));
-  if has_durable then emit st (Durable { tx })
+  if has_durable then durable st tx
 
 (* The clear mark a VAL carries is per recipient: the highest slot [f] need
    not wait for.  Starting from the contiguous [done_upto] watermark, every
@@ -282,7 +358,7 @@ let rec send_vals st pipe (s : slot_state) ~epoch = function
   | f :: rest ->
     if live st f then begin
       let upto = upto_for pipe f ~slot:s.s_tx.slot in
-      emit st (Send { dst = f; size = 32; payload = R_val { tx = s.s_tx; upto; epoch } })
+      send st ~dst:f ~size:32 (R_val { tx = s.s_tx; upto; epoch })
     end;
     send_vals st pipe s ~epoch rest
 
@@ -298,7 +374,7 @@ let finish_slot st pipe (s : slot_state) =
 let rec send_all st ~size payload = function
   | [] -> ()
   | f :: rest ->
-    emit st (Send { dst = f; size; payload });
+    send st ~dst:f ~size payload;
     send_all st ~size payload rest
 
 (* A follower of this slot that is not one of the still-open previous
@@ -460,7 +536,7 @@ let check_drained st =
 let validate_stored st fp slot =
   let si = Window.find fp.stored slot in
   if si != no_inv then begin
-    emit st (Validate_stored { writes = si.i_writes });
+    validate_stored_eff st si.i_writes;
     Window.remove fp.stored slot;
     check_drained st
   end
@@ -497,17 +573,17 @@ let rec drain_buffered st fp =
     if !progressed then drain_buffered st fp
 
 and apply_slot st fp ~tx ~followers ~writes ~src ~install =
-  emit st (Apply_writes { install; writes });
+  apply_writes st ~install writes;
   Window.set fp.stored tx.slot { i_tx = tx; i_followers = followers; i_writes = writes };
   (match st.mode with
   | Legacy -> if tx.slot > fp.cleared_upto then fp.cleared_upto <- tx.slot
   | Sequenced -> mark_handled fp tx.slot);
-  emit st (Send { dst = src; size = 32; payload = R_ack { tx; sender = st.self } })
+  send st ~dst:src ~size:32 (R_ack { tx; sender = st.self })
 
 let handle_inv st ~src ~tx ~followers ~writes ~prev_val ~replay =
   let fp = get_follower_pipe st tx.pipe in
   if Window.mem fp.stored tx.slot || cleared fp tx.slot then
-    emit st (Send { dst = src; size = 32; payload = R_ack { tx; sender = st.self } })
+    send st ~dst:src ~size:32 (R_ack { tx; sender = st.self })
   else begin
     (if prev_val && tx.slot - 1 > fp.cleared_upto then
        match st.mode with
@@ -792,7 +868,7 @@ let copy st =
     follower_pipes = Array.map (Array.map (Option.map copy_follower_pipe)) st.follower_pipes;
     replaying = Tx_map.map copy_slot st.replaying;
     prev_live = Array.copy st.prev_live;
-    out = Outbox.create ~dummy:Flush;
+    out = new_outbox ();
   }
 
 let pp_writes ppf writes =

@@ -28,6 +28,16 @@
     Unlike the ownership core there are no timers and no per-key facts —
     commit state is entirely protocol-side.
 
+    {b Effect cells.}  An effect is valid only until the interpreter
+    truncates it away: the core reuses its cells ({!Zeus_store.Outbox}).
+    The effects a steady-state input emits ({!Send}, {!Validate_local},
+    {!Apply_writes}, {!Validate_stored}, {!Durable}) are records with
+    mutable fields, each with an emitter in the core that takes a released
+    cell of its kind out of the buffer's pool and overwrites it, so an
+    input allocates only the messages it sends and the protocol state it
+    keeps.  The list views of the buffer ({!handle}, io taps) hand out
+    copies.
+
     {b State representation.}  A steady-state input touches only
     monomorphic, int-indexed state.  Coordinator pipelines sit in an array
     by thread, follower pipes in an array by coordinator node, then
@@ -53,21 +63,28 @@ type telemetry =
       { token : int; thread : int; slot : int; followers : int; writes : int }
   | Span_finish of int
 
+(** The fields of the effects a steady-state input emits are mutable so
+    the core can reuse their cells (see {b Effect cells} above): only the
+    core writes them. *)
 type eff =
-  | Send of { dst : Types.node_id; size : int; payload : Zeus_net.Msg.payload }
+  | Send of {
+      mutable dst : Types.node_id;
+      mutable size : int;
+      mutable payload : Zeus_net.Msg.payload;
+    }
   | Flush
-  | Validate_local of { writes : Txn.update list }
+  | Validate_local of { mutable writes : Txn.update list }
       (** coordinator durable: per update, release the [pending_rc]
           pipelining guard; on version match, freed objects are removed
           (firing the runtime's [on_freed]) and unchanged ones
           revalidate *)
-  | Apply_writes of { install : bool; writes : Txn.update list }
+  | Apply_writes of { mutable install : bool; mutable writes : Txn.update list }
       (** follower applies an R-INV version-monotonically; [install]
           unknown objects only outside replay *)
-  | Validate_stored of { writes : Txn.update list }
+  | Validate_stored of { mutable writes : Txn.update list }
       (** follower R-VAL: version-equal objects revalidate or complete
           their free *)
-  | Durable of { tx : Messages.tx_id }
+  | Durable of { mutable tx : Messages.tx_id }
       (** the [on_durable] continuation registered for this slot fires *)
   | Drained of { epoch : int }
       (** every dead coordinator's stored R-INVs are drained

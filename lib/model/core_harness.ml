@@ -303,7 +303,7 @@ module Ownership = struct
     | OC.Set_timer _ -> ()
         (* request timeouts and their cleanup never fire in the untimed
            model, exactly as in the specs *)
-    | OC.Cancel_timer token ->
+    | OC.Cancel_timer { token } ->
       w.timers <- List.filter (fun (n, tok, _) -> not (n = i && tok = token)) w.timers
     | OC.Unblock { seq; _ } ->
       w.waiting <- List.filter (fun (n, s) -> not (n = i && s = seq)) w.waiting

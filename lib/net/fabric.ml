@@ -48,8 +48,11 @@ type t = {
   rng : Rng.t;
   handlers : (src:Msg.node_id -> Msg.payload -> unit) option array;
   alive : bool array;
-  partitions : (int * int, unit) Hashtbl.t;
-  oneway : (int * int, unit) Hashtbl.t;  (* directed src->dst drops *)
+  partitioned : bool array;
+      (* by directed link [src * nodes + dst]; a symmetric partition sets
+         both directions, so a delivery tests one cell of each array and
+         builds no key *)
+  oneway : bool array;  (* directed src->dst drops, by link as above *)
   mutable perturb : perturb option;
   mutable scramble : float;  (* runtime add-on to [permute_prob] (nemesis) *)
   slow : float array;  (* per-node latency multiplier ("gray" degradation) *)
@@ -97,8 +100,8 @@ let create engine ~nodes config =
     rng = Engine.fork_rng engine;
     handlers = Array.make nodes None;
     alive = Array.make nodes true;
-    partitions = Hashtbl.create 8;
-    oneway = Hashtbl.create 8;
+    partitioned = Array.make (nodes * nodes) false;
+    oneway = Array.make (nodes * nodes) false;
     perturb = None;
     scramble = 0.0;
     slow = Array.make nodes 1.0;
@@ -120,19 +123,24 @@ let is_alive t node = t.alive.(node)
 let crash t node = t.alive.(node) <- false
 let recover t node = t.alive.(node) <- true
 
-let pair a b = if a < b then (a, b) else (b, a)
-let partition t a b = Hashtbl.replace t.partitions (pair a b) ()
-let heal t a b = Hashtbl.remove t.partitions (pair a b)
+let link t ~src ~dst = (src * t.nodes) + dst
 
-let partition_oneway t ~src ~dst = Hashtbl.replace t.oneway (src, dst) ()
-let heal_oneway t ~src ~dst = Hashtbl.remove t.oneway (src, dst)
+let set_partition t a b cut =
+  t.partitioned.(link t ~src:a ~dst:b) <- cut;
+  t.partitioned.(link t ~src:b ~dst:a) <- cut
+
+let partition t a b = set_partition t a b true
+let heal t a b = set_partition t a b false
+let partition_oneway t ~src ~dst = t.oneway.(link t ~src ~dst) <- true
+let heal_oneway t ~src ~dst = t.oneway.(link t ~src ~dst) <- false
 
 let heal_all t =
-  Hashtbl.reset t.partitions;
-  Hashtbl.reset t.oneway
+  Array.fill t.partitioned 0 (Array.length t.partitioned) false;
+  Array.fill t.oneway 0 (Array.length t.oneway) false
 
-let partitioned t a b = Hashtbl.mem t.partitions (pair a b)
-let blocked t ~src ~dst = partitioned t src dst || Hashtbl.mem t.oneway (src, dst)
+let blocked t ~src ~dst =
+  let i = link t ~src ~dst in
+  t.partitioned.(i) || t.oneway.(i)
 
 let set_perturb t p = t.perturb <- p
 

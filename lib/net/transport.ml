@@ -83,6 +83,9 @@ type flow = {
   mutable rto_fn : unit -> unit;  (* [on_rto t] of this flow, built once *)
   mutable rto_progress_at : float;  (* last time the window advanced *)
   mutable tx_retries : int;
+  rto_first : float;
+      (* [rto_after] at no retries, boxed once here rather than on every
+         arming of a timer that has not backed off *)
   (* ---- receiver side (at dst) ---- *)
   mutable rx_inc : int;  (* sender incarnation currently accepted *)
   mutable watermark : int;  (* all seqs <= this delivered (cumulative) *)
@@ -147,6 +150,7 @@ let fresh_flow ~src ~dst =
     rto_fn = ignore;
     rto_progress_at = 0.0;
     tx_retries = 0;
+    rto_first = rto_after ~src ~dst ~retries:0;
     rx_inc = 0;
     watermark = -1;
     ooo = Hashtbl.create 16;
@@ -164,7 +168,8 @@ let engine t = Fabric.engine t.fabric
 let retransmissions t = Metrics.Counter.get t.c_retransmissions
 let backoffs t = Metrics.Counter.get t.c_backoff
 
-let flow_rto fl ~retries = rto_after ~src:fl.f_src ~dst:fl.f_dst ~retries
+let flow_rto fl ~retries =
+  if retries = 0 then fl.rto_first else rto_after ~src:fl.f_src ~dst:fl.f_dst ~retries
 
 let stats t =
   {
@@ -311,7 +316,7 @@ let rec send_window ~retx t fl ~lo ~hi =
     Metrics.Counter.incr t.c_frames;
     (* [Counter.h] is an [int ref]: adding to it directly boxes no [?by]. *)
     t.c_payloads := !(t.c_payloads) + n;
-    Metrics.Histogram.observe t.h_occupancy (float_of_int n);
+    Metrics.Histogram.observe_int t.h_occupancy n;
     if Trace.enabled t.trace then begin
       (* Batch residency: oldest enqueue on this flow to frame send.
          pid = sending node, tid = destination (one track per flow). *)

@@ -15,6 +15,7 @@
    zombie-timeout path reproduces that — see [Core.T_timeout]. *)
 
 module Engine = Zeus_sim.Engine
+module Fifo = Zeus_sim.Fifo
 module Stats = Zeus_sim.Stats
 module Metrics = Zeus_telemetry.Metrics
 module Tspan = Zeus_telemetry.Trace
@@ -41,6 +42,25 @@ let default_config = Core.default_config
 (* The absent continuation of [unblocks], compared with [==]. *)
 let no_unblock : (unit, nack_reason) result -> unit = fun _ -> ()
 
+(* An armed timer.  The agent pools these records by the kind of timer
+   they arm, each with its [fire] closure built once and a timer kind of
+   its own that every arming refills in place, so arming and firing a
+   timer allocate nothing.  A record is back in its pool only once its
+   timer has fired or been cancelled. *)
+type timer = {
+  mutable token : int;
+  kind : Core.timer_kind;
+  mutable ev : Engine.event_id;
+  fire : unit -> unit;
+}
+
+let no_timer =
+  { token = -1; kind = Core.T_cleanup { seq = -1; span = -1 }; ev = Engine.no_event;
+    fire = ignore }
+
+(* The pool a timer kind's records go to. *)
+let timer_pool = function Core.T_timeout _ -> 0 | Core.T_cleanup _ -> 1 | Core.T_replay _ -> 2
+
 type t = {
   core : Core.state;
   node : Types.node_id;
@@ -50,7 +70,8 @@ type t = {
   transport : Transport.t;
   engine : Engine.t;
   unblocks : ((unit, nack_reason) result -> unit) Window.t;  (* by request seq *)
-  timers : Engine.event_id Window.t;  (* by timer token *)
+  timers : timer Window.t;  (* armed, by timer token *)
+  spare_timers : timer Fifo.t array;  (* free for reuse, by [timer_pool] *)
   spans : (int, Tspan.span) Hashtbl.t;
   mutable span_parent : Tspan.span;
       (* parent for the span the in-flight [Api_request] starts *)
@@ -163,13 +184,19 @@ let facts core table ?busy payload =
 
 (* The core reads a replay timer's snapshot only while the arbitration it
    was armed for is still pending. *)
-let timer_facts core table = function
+let sample_timer_facts (f : Core.facts) core table kind =
+  clear_facts f;
+  match kind with
   | Core.T_replay { key; o_ts } -> (
     match Core.pending_ts core key with
-    | Some ts when Ots.equal ts o_ts ->
-      { Core.no_facts with Core.f_snapshot = snapshot table key }
-    | Some _ | None -> Core.no_facts)
-  | Core.T_timeout _ | Core.T_cleanup _ -> Core.no_facts
+    | Some ts when Ots.equal ts o_ts -> f.Core.f_snapshot <- snapshot table key
+    | Some _ | None -> ())
+  | Core.T_timeout _ | Core.T_cleanup _ -> ()
+
+let timer_facts core table kind =
+  let f = copy_facts Core.no_facts in
+  sample_timer_facts f core table kind;
+  f
 
 (* A request validated at this node: demote, trim or update the local
    replica. *)
@@ -235,7 +262,7 @@ let apply_store table (e : Core.eff) =
   | Core.Set_o_state { key; o_state } ->
     let obj = Table.find table key in
     if obj != Obj.dummy then obj.Obj.o_state <- o_state
-  | Core.Restore_request_state key ->
+  | Core.Restore_request_state { key } ->
     let obj = Table.find table key in
     if obj != Obj.dummy && obj.Obj.o_state = Types.O_request then
       obj.Obj.o_state <- Types.O_valid
@@ -261,9 +288,9 @@ let counter_handle t = function
 
 let exec_telemetry t = function
   | Core.Count c -> Metrics.Counter.incr (counter_handle t c)
-  | Core.Arb_latency dt ->
-    Stats.Samples.add t.latency dt;
-    Metrics.Histogram.observe t.h_arb_us dt
+  | Core.Arb_latency { start; stop } ->
+    Stats.Samples.add_span t.latency ~start ~stop;
+    Metrics.Histogram.observe_span t.h_arb_us ~start ~stop
   | Core.Span_start { token; key; kind; driver } ->
     let span =
       Tspan.start_span t.tspans ~cat:"ownership" ~pid:t.node ~parent:t.span_parent
@@ -294,6 +321,22 @@ let exec_telemetry t = function
     | None -> ())
   | Core.Span_forget token -> Hashtbl.remove t.spans token
 
+(* [dst] takes the fields of [src], a kind of the same timer. *)
+let refill_kind (dst : Core.timer_kind) (src : Core.timer_kind) =
+  match dst, src with
+  | Core.T_timeout d, Core.T_timeout s ->
+    d.seq <- s.seq;
+    d.key <- s.key;
+    d.span <- s.span
+  | Core.T_cleanup d, Core.T_cleanup s ->
+    d.seq <- s.seq;
+    d.span <- s.span
+  | Core.T_replay d, Core.T_replay s ->
+    d.key <- s.key;
+    d.o_ts <- s.o_ts
+  | (Core.T_timeout _ | Core.T_cleanup _ | Core.T_replay _), _ ->
+    invalid_arg "Ownership.Agent.refill_kind"
+
 let rec exec_eff t (e : Core.eff) =
   match e with
   | Core.Send { dst; size; payload } ->
@@ -307,18 +350,18 @@ let rec exec_eff t (e : Core.eff) =
          { req_id; key; o_ts; new_replicas; arbiters; sender = t.node; data; epoch })
   | Core.Flush -> Transport.flush t.transport t.node
   | Core.Set_timer { token; after; kind } ->
-    let ev =
-      Engine.schedule t.engine ~after (fun () ->
-          Window.remove t.timers token;
-          feed t
-            (Core.Timer_fire
-               { token; kind; facts = timer_facts t.core t.table kind; env = env t }))
-    in
-    Window.set t.timers token ev
-  | Core.Cancel_timer token ->
-    if Window.mem t.timers token then begin
-      Engine.cancel t.engine (Window.find t.timers token);
-      Window.remove t.timers token
+    let pool = t.spare_timers.(timer_pool kind) in
+    let r = if Fifo.is_empty pool then new_timer t kind else Fifo.pop pool in
+    r.token <- token;
+    refill_kind r.kind kind;
+    r.ev <- Engine.schedule t.engine ~after r.fire;
+    Window.set t.timers token r
+  | Core.Cancel_timer { token } ->
+    let r = Window.find t.timers token in
+    if r != no_timer then begin
+      Engine.cancel t.engine r.ev;
+      Window.remove t.timers token;
+      Fifo.push t.spare_timers.(timer_pool r.kind) r
     end
   | Core.Apply_arbiter _ | Core.Apply_requester _ | Core.Set_o_state _
   | Core.Restore_request_state _ | Core.Drop_dead_replicas _ ->
@@ -338,6 +381,31 @@ let rec exec_eff t (e : Core.eff) =
       k result
     end
   | Core.Telemetry tele -> exec_telemetry t tele
+
+(* A new record for the pool of [kind]'s timers. *)
+and new_timer t kind =
+  let rec r =
+    { token = -1; kind = Core.copy_timer_kind kind; ev = Engine.no_event;
+      fire = (fun () -> fire_timer t r) }
+  in
+  r
+
+(* The record goes back to its pool only after the input it feeds has run
+   its effects: a timer armed meanwhile takes another record. *)
+and fire_timer t r =
+  Window.remove t.timers r.token;
+  let env = env t and f = t.facts in
+  sample_timer_facts f t.core t.table r.kind;
+  (match t.io_tap with
+  | None ->
+    let mark = Outbox.length (Core.effects t.core) in
+    Core.timer_fire ~dir:t.dir_nodes_of t.core ~env ~facts:f r.kind;
+    run_effects t mark
+  | Some _ ->
+    feed t
+      (Core.Timer_fire
+         { token = r.token; kind = Core.copy_timer_kind r.kind; facts = copy_facts f; env }));
+  Fifo.push t.spare_timers.(timer_pool r.kind) r
 
 and exec_range t out i stop =
   if i < stop then begin
@@ -433,7 +501,8 @@ let create ?(config = default_config) ?telemetry ~node ~dir_nodes_of ~table ~mem
       transport;
       engine;
       unblocks = Window.create ~dummy:no_unblock;
-      timers = Window.create ~dummy:Engine.no_event;
+      timers = Window.create ~dummy:no_timer;
+      spare_timers = Array.init 3 (fun _ -> Fifo.create ~dummy:no_timer);
       spans = Hashtbl.create 64;
       span_parent = Tspan.null_span;
       latency = Stats.Samples.create (Engine.fork_rng engine);

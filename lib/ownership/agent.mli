@@ -160,10 +160,10 @@ val set_io_tap : t -> (Core.input -> Core.eff list -> unit) -> unit
     recorded sequence replayed into a fresh {!Core.state} reproduces the
     same states and effect lists deterministically.  The tap gets each
     input's effects as a list copied from the core's buffer before they
-    run.  An untapped agent builds neither: it feeds deliveries and
-    requests through the core's entry points with its own facts record,
-    and only a tap makes it build an input, around a fresh copy of the
-    facts. *)
+    run.  An untapped agent builds neither: it feeds deliveries, requests
+    and timer fires through the core's entry points with its own facts
+    record, and only a tap makes it build an input, around a fresh copy of
+    the facts (and of a fired timer's kind). *)
 
 val core_fingerprint : t -> string
 (** {!Core.fingerprint} of the live core (replay-equivalence checks). *)

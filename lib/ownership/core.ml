@@ -57,11 +57,12 @@ let no_facts =
 (* Timers carry everything their fire handler needs: after a
    fresh-incarnation [Reset] the outstanding record is gone, but — exactly
    like the closures they replace — stale timers still fire and must
-   unblock the pre-crash caller. *)
+   unblock the pre-crash caller.  The fields are mutable so the effect
+   that arms a timer can be a reused cell (see the emitters below). *)
 type timer_kind =
-  | T_timeout of { seq : int; key : Types.key; span : int }
-  | T_cleanup of { seq : int; span : int }
-  | T_replay of { key : Types.key; o_ts : Ots.t }
+  | T_timeout of { mutable seq : int; mutable key : Types.key; mutable span : int }
+  | T_cleanup of { mutable seq : int; mutable span : int }
+  | T_replay of { mutable key : Types.key; mutable o_ts : Ots.t }
 
 type counter = C_started | C_won | C_nacked | C_timeout | C_replays | C_driven
 
@@ -69,22 +70,29 @@ type outcome = Granted | Denied of nack_reason | Timeout
 
 type telemetry =
   | Count of counter
-  | Arb_latency of float  (** winning round-trip, µs (samples + histogram) *)
+  | Arb_latency of { mutable start : float; mutable stop : float }
+      (** winning round-trip, [stop -. start] µs (samples + histogram) *)
   | Span_start of
       { token : int; key : Types.key; kind : kind; driver : Types.node_id }
   | Span_finish of { token : int; outcome : outcome }
   | Span_forget of int  (** span token will never be referenced again *)
 
+(* Every effect a steady-state input emits is a record with mutable
+   fields, so its cell can be reused (see the emitters below). *)
 type eff =
-  | Send of { dst : Types.node_id; size : int; payload : Zeus_net.Msg.payload }
+  | Send of {
+      mutable dst : Types.node_id;
+      mutable size : int;
+      mutable payload : Zeus_net.Msg.payload;
+    }
   | Send_ack_local_data of {
-      dst : Types.node_id;
-      req_id : request_id;
-      key : Types.key;
-      o_ts : Ots.t;
-      new_replicas : Replicas.t;
-      arbiters : Types.node_id list;
-      epoch : int;
+      mutable dst : Types.node_id;
+      mutable req_id : request_id;
+      mutable key : Types.key;
+      mutable o_ts : Ots.t;
+      mutable new_replicas : Replicas.t;
+      mutable arbiters : Types.node_id list;
+      mutable epoch : int;
     }
       (** an O_ack whose [data] is this node's *current* snapshot of [key]:
           the interpreter copies the value at effect-execution time, after
@@ -92,30 +100,30 @@ type eff =
           agent snapshotting at the send call site, and keeps the hot path
           free of speculative copies) *)
   | Flush  (** transport doorbell *)
-  | Set_timer of { token : int; after : float; kind : timer_kind }
-  | Cancel_timer of int
+  | Set_timer of { mutable token : int; after : float; kind : timer_kind }
+  | Cancel_timer of { mutable token : int }
   | Apply_arbiter of {
-      key : Types.key;
-      kind : kind;
-      o_ts : Ots.t;
-      replicas : Replicas.t;
+      mutable key : Types.key;
+      mutable kind : kind;
+      mutable o_ts : Ots.t;
+      mutable replicas : Replicas.t;
     }
   | Apply_requester of {
-      key : Types.key;
-      kind : kind;
-      o_ts : Ots.t;
-      replicas : Replicas.t;
-      data : data_snapshot option;
+      mutable key : Types.key;
+      mutable kind : kind;
+      mutable o_ts : Ots.t;
+      mutable replicas : Replicas.t;
+      mutable data : data_snapshot option;
     }
-  | Set_o_state of { key : Types.key; o_state : Types.o_state }
-  | Restore_request_state of Types.key
+  | Set_o_state of { mutable key : Types.key; mutable o_state : Types.o_state }
+  | Restore_request_state of { mutable key : Types.key }
       (** local replica back to [O_valid] iff still [O_request] *)
   | Drop_dead_replicas of { live : bool array }
       (** owner-held [o_replicas] in the store shed dead nodes *)
   | Notify_request of
-      { key : Types.key; kind : kind; requester : Types.node_id }
-  | Notify_owner_change of { key : Types.key; owner : Types.node_id }
-  | Unblock of { seq : int; result : (unit, nack_reason) result }
+      { mutable key : Types.key; mutable kind : kind; mutable requester : Types.node_id }
+  | Notify_owner_change of { mutable key : Types.key; mutable owner : Types.node_id }
+  | Unblock of { mutable seq : int; mutable result : (unit, nack_reason) result }
       (** resume the caller registered for request [seq] *)
   | Telemetry of telemetry
 
@@ -235,6 +243,67 @@ let no_env = { epoch = 0; live = [||]; self_alive = true; trace_on = false }
 
 let no_dir (_ : Types.key) : Types.node_id list = []
 
+(* The effect buffer reuses the cells of the kinds below (see
+   {!Outbox.create}).  A timer's cell is pooled by the kind of timer it
+   arms, so a reused cell's [kind] is refilled in place and its [after],
+   fixed per kind, stays. *)
+let k_send = 0
+let k_ack_local_data = 1
+let k_timeout = 2
+let k_cleanup = 3
+let k_replay = 4
+let k_cancel = 5
+let k_apply_arbiter = 6
+let k_apply_requester = 7
+let k_o_state = 8
+let k_restore = 9
+let k_notify_request = 10
+let k_notify_owner = 11
+let k_unblock = 12
+let k_arb_latency = 13
+let cell_kinds = 14
+
+let cell_kind = function
+  | Send _ -> k_send
+  | Send_ack_local_data _ -> k_ack_local_data
+  | Set_timer { kind = T_timeout _; _ } -> k_timeout
+  | Set_timer { kind = T_cleanup _; _ } -> k_cleanup
+  | Set_timer { kind = T_replay _; _ } -> k_replay
+  | Cancel_timer _ -> k_cancel
+  | Apply_arbiter _ -> k_apply_arbiter
+  | Apply_requester _ -> k_apply_requester
+  | Set_o_state _ -> k_o_state
+  | Restore_request_state _ -> k_restore
+  | Notify_request _ -> k_notify_request
+  | Notify_owner_change _ -> k_notify_owner
+  | Unblock _ -> k_unblock
+  | Telemetry (Arb_latency _) -> k_arb_latency
+  | Flush | Drop_dead_replicas _
+  | Telemetry (Count _ | Span_start _ | Span_finish _ | Span_forget _) ->
+    -1
+
+let copy_timer_kind = function
+  | T_timeout k -> T_timeout { k with seq = k.seq }
+  | T_cleanup k -> T_cleanup { k with seq = k.seq }
+  | T_replay k -> T_replay { k with key = k.key }
+
+let copy_eff = function
+  | Send c -> Send { c with dst = c.dst }
+  | Send_ack_local_data c -> Send_ack_local_data { c with dst = c.dst }
+  | Set_timer c -> Set_timer { c with kind = copy_timer_kind c.kind }
+  | Cancel_timer c -> Cancel_timer { token = c.token }
+  | Apply_arbiter c -> Apply_arbiter { c with key = c.key }
+  | Apply_requester c -> Apply_requester { c with key = c.key }
+  | Set_o_state c -> Set_o_state { c with key = c.key }
+  | Restore_request_state c -> Restore_request_state { key = c.key }
+  | Notify_request c -> Notify_request { c with key = c.key }
+  | Notify_owner_change c -> Notify_owner_change { c with key = c.key }
+  | Unblock c -> Unblock { c with seq = c.seq }
+  | Telemetry (Arb_latency c) -> Telemetry (Arb_latency { c with start = c.start })
+  | (Flush | Drop_dead_replicas _ | Telemetry _) as e -> e
+
+let new_outbox () = Outbox.create ~dummy:Flush ~copy:copy_eff ~kinds:cell_kinds ~kind:cell_kind
+
 let create ?(config = default_config) ~self ~nodes () =
   if nodes >= Sys.int_size then invalid_arg "Ownership.Core.create: ack bitmasks hold 62 nodes";
   {
@@ -256,7 +325,7 @@ let create ?(config = default_config) ~self ~nodes () =
     env = no_env;
     now = 0.0;
     dir = no_dir;
-    out = Outbox.create ~dummy:Flush;
+    out = new_outbox ();
   }
 
 let directory st = st.directory
@@ -278,10 +347,141 @@ let handles_payload = function
     true
   | _ -> false
 
-(* Effects go to the state's {!Outbox} and stay there for the
-   interpreter to walk. *)
+(* ---------- emitters ------------------------------------------------------ *)
+
+(* Effects go to the state's {!Outbox} and stay there for the interpreter
+   to walk.  Each effect a steady-state input emits has an emitter of its
+   own, which takes a released cell of its kind out of the buffer's pool
+   and overwrites it, building a new one only when the pool is empty; the
+   rare effects (constants, view changes, spans) go through [emit]. *)
 let emit st e = Outbox.emit st.out e
 let effects st = st.out
+
+let send st ~dst ~size payload =
+  match Outbox.reuse st.out k_send with
+  | Send c as e ->
+    c.dst <- dst;
+    c.size <- size;
+    c.payload <- payload;
+    emit st e
+  | _ -> emit st (Send { dst; size; payload })
+
+let send_ack_local_data st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~epoch =
+  match Outbox.reuse st.out k_ack_local_data with
+  | Send_ack_local_data c as e ->
+    c.dst <- dst;
+    c.req_id <- req_id;
+    c.key <- key;
+    c.o_ts <- o_ts;
+    c.new_replicas <- new_replicas;
+    c.arbiters <- arbiters;
+    c.epoch <- epoch;
+    emit st e
+  | _ -> emit st (Send_ack_local_data { dst; req_id; key; o_ts; new_replicas; arbiters; epoch })
+
+let set_timeout_timer st ~token ~seq ~key ~span =
+  match Outbox.reuse st.out k_timeout with
+  | Set_timer ({ kind = T_timeout k; _ } as c) as e ->
+    c.token <- token;
+    k.seq <- seq;
+    k.key <- key;
+    k.span <- span;
+    emit st e
+  | _ -> emit st (Set_timer { token; after = st.timeout_after; kind = T_timeout { seq; key; span } })
+
+let set_cleanup_timer st ~token ~seq ~span =
+  match Outbox.reuse st.out k_cleanup with
+  | Set_timer ({ kind = T_cleanup k; _ } as c) as e ->
+    c.token <- token;
+    k.seq <- seq;
+    k.span <- span;
+    emit st e
+  | _ -> emit st (Set_timer { token; after = st.cleanup_after; kind = T_cleanup { seq; span } })
+
+let set_replay_timer st ~token ~key ~o_ts =
+  match Outbox.reuse st.out k_replay with
+  | Set_timer ({ kind = T_replay k; _ } as c) as e ->
+    c.token <- token;
+    k.key <- key;
+    k.o_ts <- o_ts;
+    emit st e
+  | _ -> emit st (Set_timer { token; after = st.replay_after; kind = T_replay { key; o_ts } })
+
+let cancel_timer st token =
+  match Outbox.reuse st.out k_cancel with
+  | Cancel_timer c as e ->
+    c.token <- token;
+    emit st e
+  | _ -> emit st (Cancel_timer { token })
+
+let apply_arbiter st ~key ~kind ~o_ts ~replicas =
+  match Outbox.reuse st.out k_apply_arbiter with
+  | Apply_arbiter c as e ->
+    c.key <- key;
+    c.kind <- kind;
+    c.o_ts <- o_ts;
+    c.replicas <- replicas;
+    emit st e
+  | _ -> emit st (Apply_arbiter { key; kind; o_ts; replicas })
+
+let apply_requester st ~key ~kind ~o_ts ~replicas ~data =
+  match Outbox.reuse st.out k_apply_requester with
+  | Apply_requester c as e ->
+    c.key <- key;
+    c.kind <- kind;
+    c.o_ts <- o_ts;
+    c.replicas <- replicas;
+    c.data <- data;
+    emit st e
+  | _ -> emit st (Apply_requester { key; kind; o_ts; replicas; data })
+
+let set_o_state st key o_state =
+  match Outbox.reuse st.out k_o_state with
+  | Set_o_state c as e ->
+    c.key <- key;
+    c.o_state <- o_state;
+    emit st e
+  | _ -> emit st (Set_o_state { key; o_state })
+
+let restore_request_state st key =
+  match Outbox.reuse st.out k_restore with
+  | Restore_request_state c as e ->
+    c.key <- key;
+    emit st e
+  | _ -> emit st (Restore_request_state { key })
+
+let notify_request st ~key ~kind ~requester =
+  match Outbox.reuse st.out k_notify_request with
+  | Notify_request c as e ->
+    c.key <- key;
+    c.kind <- kind;
+    c.requester <- requester;
+    emit st e
+  | _ -> emit st (Notify_request { key; kind; requester })
+
+let notify_owner_change st ~key ~owner =
+  match Outbox.reuse st.out k_notify_owner with
+  | Notify_owner_change c as e ->
+    c.key <- key;
+    c.owner <- owner;
+    emit st e
+  | _ -> emit st (Notify_owner_change { key; owner })
+
+let unblock st ~seq result =
+  match Outbox.reuse st.out k_unblock with
+  | Unblock c as e ->
+    c.seq <- seq;
+    c.result <- result;
+    emit st e
+  | _ -> emit st (Unblock { seq; result })
+
+let arb_latency st ~start =
+  match Outbox.reuse st.out k_arb_latency with
+  | Telemetry (Arb_latency c) as e ->
+    c.start <- start;
+    c.stop <- st.now;
+    emit st e
+  | _ -> emit st (Telemetry (Arb_latency { start; stop = st.now }))
 
 let live st n = st.env.live.(n)
 let bit (n : Types.node_id) = 1 lsl n
@@ -403,21 +603,19 @@ let apply_pending_here st key (p : Directory.pending) =
     Dense_map.remove st.side_pending key
   end;
   Dense_map.remove st.replays key;
-  emit st (Set_o_state { key; o_state = Types.O_valid });
+  set_o_state st key Types.O_valid;
   (match p.Directory.kind with
-  | Acquire -> emit st (Notify_owner_change { key; owner = p.Directory.requester })
+  | Acquire -> notify_owner_change st ~key ~owner:p.Directory.requester
   | Add_reader | Remove_reader _ -> ());
   if p.Directory.requester <> st.self then
-    emit st
-      (Apply_arbiter { key; kind = p.Directory.kind; o_ts = p.Directory.o_ts; replicas })
+    apply_arbiter st ~key ~kind:p.Directory.kind ~o_ts:p.Directory.o_ts ~replicas
 
 (* One [payload] to each node of the list other than this one (and, with
    [only_live], each live one). *)
 let rec send_each st ~size ~only_live payload = function
   | [] -> ()
   | a :: rest ->
-    if a <> st.self && ((not only_live) || live st a) then
-      emit st (Send { dst = a; size; payload });
+    if a <> st.self && ((not only_live) || live st a) then send st ~dst:a ~size payload;
     send_each st ~size ~only_live payload rest
 
 let send_vals st ~key ~o_ts ~only_live arbiters =
@@ -441,23 +639,17 @@ let replay_check_complete st ~snap r =
   if live_acked st r.r_acks p.Directory.arbiters then begin
     (match r.r_data with None -> r.r_data <- snap | Some _ -> ());
     if live st p.Directory.requester then
-      emit st
-        (Send
+      send st ~dst:p.Directory.requester
+        ~size:(64 + match r.r_data with Some d -> Value.size d.value | None -> 0)
+        (O_resp
            {
-             dst = p.Directory.requester;
-             size =
-               (64 + match r.r_data with Some d -> Value.size d.value | None -> 0);
-             payload =
-               O_resp
-                 {
-                   req_id = p.Directory.req_id;
-                   key = r.r_key;
-                   o_ts = p.Directory.o_ts;
-                   new_replicas = p.Directory.new_replicas;
-                   arbiters = p.Directory.arbiters;
-                   data = r.r_data;
-                   epoch = st.env.epoch;
-                 };
+             req_id = p.Directory.req_id;
+             key = r.r_key;
+             o_ts = p.Directory.o_ts;
+             new_replicas = p.Directory.new_replicas;
+             arbiters = p.Directory.arbiters;
+             data = r.r_data;
+             epoch = st.env.epoch;
            })
     else finish_replay_driverside st r
   end
@@ -504,20 +696,19 @@ let start_replay st ~snap key (p : Directory.pending) =
   end
 
 let arm_replay_check st key o_ts =
-  let tok = fresh_token st in
-  emit st (Set_timer { token = tok; after = st.replay_after; kind = T_replay { key; o_ts } })
+  set_replay_timer st ~token:(fresh_token st) ~key ~o_ts
 
 let set_pending st key (p : Directory.pending) =
   let e = dir_entry st key in
   if e != Directory.dummy then Directory.set_pending e p
   else Dense_map.replace st.side_pending key p;
-  emit st (Set_o_state { key; o_state = Types.O_invalid });
+  set_o_state st key Types.O_invalid;
   arm_replay_check st key p.Directory.o_ts
 
 (* ---------- requester ---------------------------------------------------- *)
 
 let finish_outstanding st o result =
-  if o.timer >= 0 then emit st (Cancel_timer o.timer);
+  if o.timer >= 0 then cancel_timer st o.timer;
   o.timer <- -1;
   if o.o_span >= 0 then
     emit st
@@ -529,8 +720,8 @@ let finish_outstanding st o result =
             }));
   if o.live_req then begin
     o.live_req <- false;
-    if Result.is_error result then emit st (Restore_request_state o.o_key);
-    emit st (Unblock { seq = o.o_req_id.seq; result })
+    if Result.is_error result then restore_request_state st o.o_key;
+    unblock st ~seq:o.o_req_id.seq result
   end
 
 let missing_data ~kind ~data ~f_exists =
@@ -540,7 +731,7 @@ let missing_data ~kind ~data ~f_exists =
 
 let requester_apply_and_val st ~key ~kind ~o_ts ~replicas ~arbiters ~data =
   let replicas = drop_dead st replicas in
-  emit st (Apply_requester { key; kind; o_ts; replicas; data });
+  apply_requester st ~key ~kind ~o_ts ~replicas ~data;
   let e = dir_entry st key in
   if e != Directory.dummy then begin
     e.Directory.o_ts <- o_ts;
@@ -550,7 +741,7 @@ let requester_apply_and_val st ~key ~kind ~o_ts ~replicas ~arbiters ~data =
   else Dense_map.remove st.side_pending key;
   Dense_map.remove st.replays key;
   (match kind with
-  | Acquire -> emit st (Notify_owner_change { key; owner = st.self })
+  | Acquire -> notify_owner_change st ~key ~owner:st.self
   | Add_reader | Remove_reader _ -> ());
   send_vals st ~key ~o_ts ~only_live:false arbiters
 
@@ -568,7 +759,7 @@ let check_complete st o ~f_exists =
        requester_apply_and_val st ~key:o.o_key ~kind:o.o_kind ~o_ts:o.p_o_ts
          ~replicas:o.p_replicas ~arbiters:o.p_arbiters ~data:o.data;
        emit st (Telemetry (Count C_won));
-       emit st (Telemetry (Arb_latency (st.now -. o.started)));
+       arb_latency st ~start:o.started;
        finish_outstanding st o (Ok ())
      end);
     if o.o_span >= 0 then emit st (Telemetry (Span_forget o.o_span))
@@ -581,7 +772,7 @@ let request st ~key ~kind ~facts =
   let req_id = { origin = st.self; seq } in
   let dirs = st.dir key in
   let live_dirs = count_live st.env.live ~skip:(-1) dirs in
-  if live_dirs = 0 then emit st (Unblock { seq; result = Error Unavailable })
+  if live_dirs = 0 then unblock st ~seq (Error Unavailable)
   else begin
     let driver =
       let self_live_dir = count_live st.env.live ~skip:st.self dirs < live_dirs in
@@ -616,24 +807,17 @@ let request st ~key ~kind ~facts =
         timer = tok;
         o_span = span;
       };
-    emit st (Set_o_state { key; o_state = Types.O_request });
-    emit st
-      (Set_timer { token = tok; after = st.timeout_after; kind = T_timeout { seq; key; span } });
-    emit st
-      (Send
+    set_o_state st key Types.O_request;
+    set_timeout_timer st ~token:tok ~seq ~key ~span;
+    send st ~dst:driver ~size:64
+      (O_req
          {
-           dst = driver;
-           size = 64;
-           payload =
-             O_req
-               {
-                 req_id;
-                 key;
-                 kind;
-                 requester = st.self;
-                 requester_has_data = facts.f_exists;
-                 epoch = st.env.epoch;
-               };
+           req_id;
+           key;
+           kind;
+           requester = st.self;
+           requester_has_data = facts.f_exists;
+           epoch = st.env.epoch;
          });
     emit st Flush
   end
@@ -641,13 +825,7 @@ let request st ~key ~kind ~facts =
 (* ---------- driver (a directory node serving REQ) ------------------------ *)
 
 let nack st ~dst ~req_id ~key reason =
-  emit st
-    (Send
-       {
-         dst;
-         size = 48;
-         payload = O_nack { req_id; key; o_ts = None; reason; epoch = st.env.epoch };
-       })
+  send st ~dst ~size:48 (O_nack { req_id; key; o_ts = None; reason; epoch = st.env.epoch })
 
 let compute_replicas replicas kind ~requester =
   match kind with
@@ -660,27 +838,19 @@ let gate_active st = st.gate_epoch >= 0 && st.gate_count > 0
 (* An arbiter's ACK; the designated data source's carries its copy. *)
 let send_ack st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data_from =
   if is_self st data_from then
-    emit st
-      (Send_ack_local_data
-         { dst; req_id; key; o_ts; new_replicas; arbiters; epoch = st.env.epoch })
+    send_ack_local_data st ~dst ~req_id ~key ~o_ts ~new_replicas ~arbiters ~epoch:st.env.epoch
   else
-    emit st
-      (Send
+    send st ~dst ~size:64
+      (O_ack
          {
-           dst;
-           size = 64;
-           payload =
-             O_ack
-               {
-                 req_id;
-                 key;
-                 o_ts;
-                 new_replicas;
-                 arbiters;
-                 sender = st.self;
-                 data = None;
-                 epoch = st.env.epoch;
-               };
+           req_id;
+           key;
+           o_ts;
+           new_replicas;
+           arbiters;
+           sender = st.self;
+           data = None;
+           epoch = st.env.epoch;
          })
 
 let rec first_live st = function
@@ -690,7 +860,7 @@ let rec first_live st = function
 let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
   if is_dir_for st key then begin
     emit st (Telemetry (Count C_driven));
-    emit st (Notify_request { key; kind; requester });
+    notify_request st ~key ~kind ~requester;
     let entry = Directory.find st.directory key in
     if entry == Directory.dummy then nack st ~dst:requester ~req_id ~key Unknown_key
     else
@@ -703,23 +873,17 @@ let handle_req st ~req_id ~key ~kind ~requester ~requester_has_data ~facts =
         (match kind with Acquire -> true | Add_reader | Remove_reader _ -> false)
         && match owner with Some o -> o = requester | None -> false
       then
-        emit st
-          (Send
+        send st ~dst:requester ~size:64
+          (O_ack
              {
-               dst = requester;
-               size = 64;
-               payload =
-                 O_ack
-                   {
-                     req_id;
-                     key;
-                     o_ts = entry.Directory.o_ts;
-                     new_replicas = replicas;
-                     arbiters = [ st.self ];
-                     sender = st.self;
-                     data = None;
-                     epoch = st.env.epoch;
-                   };
+               req_id;
+               key;
+               o_ts = entry.Directory.o_ts;
+               new_replicas = replicas;
+               arbiters = [ st.self ];
+               sender = st.self;
+               data = None;
+               epoch = st.env.epoch;
              })
       else begin
         let need_data =
@@ -884,7 +1048,7 @@ let handle_resp st ~req_id ~key ~o_ts ~new_replicas ~arbiters ~data ~facts =
     if o != no_outstanding then begin
       Window.remove st.outstanding req_id.seq;
       emit st (Telemetry (Count C_won));
-      emit st (Telemetry (Arb_latency (st.now -. o.started)));
+      arb_latency st ~start:o.started;
       requester_apply_and_val st ~key ~kind:o.o_kind ~o_ts ~replicas:new_replicas
         ~arbiters ~data;
       finish_outstanding st o (Ok ());
@@ -917,7 +1081,7 @@ let rec seed_or_send st key payload ~size ~here = function
   | [] -> ()
   | dn :: rest ->
     if dn = st.self then here st key
-    else if live st dn then emit st (Send { dst = dn; size; payload });
+    else if live st dn then send st ~dst:dn ~size payload;
     seed_or_send st key payload ~size ~here rest
 
 let seed_directory st key replicas =
@@ -961,7 +1125,7 @@ let deliver_payload st ~facts payload =
 
 (* ---------- timers ------------------------------------------------------- *)
 
-let timer_fire st ~facts kind =
+let fire st ~facts kind =
   match kind with
   | T_replay { key; o_ts } ->
     if st.env.self_alive then begin
@@ -984,10 +1148,7 @@ let timer_fire st ~facts kind =
         finish_outstanding st o (Error Busy);
         (* Keep the record a while longer: a late win is still applied (the
            app's retry then finds it owns the object). *)
-        let tok = fresh_token st in
-        emit st
-          (Set_timer
-             { token = tok; after = st.cleanup_after; kind = T_cleanup { seq; span = o.o_span } })
+        set_cleanup_timer st ~token:(fresh_token st) ~seq ~span:o.o_span
       end
     end
     else begin
@@ -999,11 +1160,9 @@ let timer_fire st ~facts kind =
         emit st (Telemetry (Span_finish { token = span; outcome = Timeout }));
         emit st (Telemetry (Span_finish { token = span; outcome = Denied Busy }))
       end;
-      emit st (Restore_request_state key);
-      emit st (Unblock { seq; result = Error Busy });
-      let tok = fresh_token st in
-      emit st
-        (Set_timer { token = tok; after = st.cleanup_after; kind = T_cleanup { seq; span } })
+      restore_request_state st key;
+      unblock st ~seq (Error Busy);
+      set_cleanup_timer st ~token:(fresh_token st) ~seq ~span
     end
   | T_cleanup { seq; span } ->
     let o = Window.find st.outstanding seq in
@@ -1031,9 +1190,7 @@ let api_recovery_done st ~epoch:ep =
     if live.(dn) then
       if dn = st.self then handle_recovery_done st ~sender:st.self ~msg_epoch:ep
       else
-        emit st
-          (Send
-             { dst = dn; size = 32; payload = O_recovery_done { node = st.self; epoch = ep } })
+        send st ~dst:dn ~size:32 (O_recovery_done { node = st.self; epoch = ep })
   done;
   emit st Flush
 
@@ -1081,9 +1238,9 @@ let reset st =
 
 (* ---------- the entry points --------------------------------------------- *)
 
-(* The agent calls [deliver] and [api_request], the per-message paths,
-   directly, with its cached [env] and its own [facts] record: nothing is
-   built per input.  [step] dispatches each [input] to the same functions.
+(* The agent calls [deliver], [api_request] and [timer_fire], the
+   per-message and per-timer paths, directly, with its cached [env] and
+   its own [facts] record: nothing is built per input.  [step] dispatches each [input] to the same functions.
    An input's runtime is held in the state only while it is stepped. *)
 let enter st ~dir ~env =
   st.dir <- dir;
@@ -1103,6 +1260,11 @@ let api_request ~dir st ~env ~now ~facts ~key ~kind =
   enter st ~dir ~env;
   st.now <- now;
   request st ~key ~kind ~facts;
+  leave st
+
+let timer_fire ~dir st ~env ~facts kind =
+  enter st ~dir ~env;
+  fire st ~facts kind;
   leave st
 
 let step ~dir st input =
@@ -1125,10 +1287,7 @@ let step ~dir st input =
     enter st ~dir ~env;
     api_recovery_done st ~epoch;
     leave st
-  | Timer_fire { kind; facts; env; _ } ->
-    enter st ~dir ~env;
-    timer_fire st ~facts kind;
-    leave st
+  | Timer_fire { kind; facts; env; _ } -> timer_fire ~dir st ~env ~facts kind
   | View_change { view_epoch; live; env } ->
     enter st ~dir ~env;
     view_change st ~view_epoch ~vlive:live;
@@ -1160,7 +1319,7 @@ let copy st =
     replays = Dense_map.copy copy_replay st.replays;
     gate_waiting = Array.copy st.gate_waiting;
     prev_live = Array.copy st.prev_live;
-    out = Outbox.create ~dummy:Flush;
+    out = new_outbox ();
   }
 
 (* The fingerprint is canonical: tables are dumped in ascending key order

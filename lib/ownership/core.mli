@@ -9,9 +9,9 @@
     interpreter ({!Agent}), by bounded model checking over real states
     ({!Zeus_model.Core_harness}) and by input-log replay.
 
-    {b Entry points.}  An interpreter feeds the per-message paths through
-    {!deliver} and {!api_request} directly, and every other input through
-    {!step}.  The {!input} variants exist for the model checker, the
+    {b Entry points.}  An interpreter feeds the per-message and per-timer
+    paths through {!deliver}, {!api_request} and {!timer_fire} directly,
+    and every other input through {!step}.  The {!input} variants exist for the model checker, the
     tests, input-log replay and io taps: [step] dispatches each to the
     same entry points, so there is one implementation either way, and an
     untapped interpreter builds no input record at all.
@@ -38,7 +38,19 @@
       stale timers deliberately survive and time out pre-crash callers.
 
     {!handle} is the list adapter ([step], then take the whole buffer) for
-    the model checker, the tests and replay. *)
+    the model checker, the tests and replay.
+
+    {b Effect cells.}  An effect is valid only until the interpreter
+    truncates it away: the core reuses its cells ({!Zeus_store.Outbox}).
+    Every effect a steady-state input emits is a record with mutable
+    fields, and each has an emitter in the core that takes a released cell
+    of its kind out of the buffer's pool and overwrites it; a timer's cell
+    is pooled by the kind of timer it arms, so its [kind] is refilled in
+    place too.  So an input allocates only the messages it sends and the
+    protocol state it keeps.  Whatever keeps an effect, or its timer
+    kind, past the walk copies it: the list views of the buffer
+    ({!handle}, io taps) hand out copies, and the agent's armed timers
+    hold a kind of their own ({!copy_timer_kind}). *)
 
 open Zeus_store
 
@@ -74,58 +86,66 @@ val no_facts : facts
 (** Shared: never write it; copy it ([{ no_facts with ... }]) for a
     record of one's own. *)
 
+(** The fields of a timer kind and of the effects a steady-state input
+    emits are mutable so the core can reuse their cells (see {b Effect
+    cells} above): only the core writes them. *)
 type timer_kind =
-  | T_timeout of { seq : int; key : Types.key; span : int }
-  | T_cleanup of { seq : int; span : int }
-  | T_replay of { key : Types.key; o_ts : Ots.t }
+  | T_timeout of { mutable seq : int; mutable key : Types.key; mutable span : int }
+  | T_cleanup of { mutable seq : int; mutable span : int }
+  | T_replay of { mutable key : Types.key; mutable o_ts : Ots.t }
 
 type counter = C_started | C_won | C_nacked | C_timeout | C_replays | C_driven
 type outcome = Granted | Denied of Messages.nack_reason | Timeout
 
 type telemetry =
   | Count of counter
-  | Arb_latency of float
+  | Arb_latency of { mutable start : float; mutable stop : float }
+      (** the winning round-trip, [stop -. start] µs *)
   | Span_start of
       { token : int; key : Types.key; kind : Messages.kind; driver : Types.node_id }
   | Span_finish of { token : int; outcome : outcome }
   | Span_forget of int
 
 type eff =
-  | Send of { dst : Types.node_id; size : int; payload : Zeus_net.Msg.payload }
+  | Send of {
+      mutable dst : Types.node_id;
+      mutable size : int;
+      mutable payload : Zeus_net.Msg.payload;
+    }
   | Send_ack_local_data of {
-      dst : Types.node_id;
-      req_id : Messages.request_id;
-      key : Types.key;
-      o_ts : Ots.t;
-      new_replicas : Replicas.t;
-      arbiters : Types.node_id list;
-      epoch : int;
+      mutable dst : Types.node_id;
+      mutable req_id : Messages.request_id;
+      mutable key : Types.key;
+      mutable o_ts : Ots.t;
+      mutable new_replicas : Replicas.t;
+      mutable arbiters : Types.node_id list;
+      mutable epoch : int;
     }
       (** O_ack carrying this node's current snapshot of [key], taken by
           the interpreter at effect-execution time *)
   | Flush
-  | Set_timer of { token : int; after : float; kind : timer_kind }
-  | Cancel_timer of int
+  | Set_timer of { mutable token : int; after : float; kind : timer_kind }
+  | Cancel_timer of { mutable token : int }
   | Apply_arbiter of {
-      key : Types.key;
-      kind : Messages.kind;
-      o_ts : Ots.t;
-      replicas : Replicas.t;
+      mutable key : Types.key;
+      mutable kind : Messages.kind;
+      mutable o_ts : Ots.t;
+      mutable replicas : Replicas.t;
     }
   | Apply_requester of {
-      key : Types.key;
-      kind : Messages.kind;
-      o_ts : Ots.t;
-      replicas : Replicas.t;
-      data : Messages.data_snapshot option;
+      mutable key : Types.key;
+      mutable kind : Messages.kind;
+      mutable o_ts : Ots.t;
+      mutable replicas : Replicas.t;
+      mutable data : Messages.data_snapshot option;
     }
-  | Set_o_state of { key : Types.key; o_state : Types.o_state }
-  | Restore_request_state of Types.key
+  | Set_o_state of { mutable key : Types.key; mutable o_state : Types.o_state }
+  | Restore_request_state of { mutable key : Types.key }
   | Drop_dead_replicas of { live : bool array }
   | Notify_request of
-      { key : Types.key; kind : Messages.kind; requester : Types.node_id }
-  | Notify_owner_change of { key : Types.key; owner : Types.node_id }
-  | Unblock of { seq : int; result : (unit, Messages.nack_reason) result }
+      { mutable key : Types.key; mutable kind : Messages.kind; mutable requester : Types.node_id }
+  | Notify_owner_change of { mutable key : Types.key; mutable owner : Types.node_id }
+  | Unblock of { mutable seq : int; mutable result : (unit, Messages.nack_reason) result }
   | Telemetry of telemetry
 
 type input =
@@ -174,9 +194,16 @@ val api_request :
   unit
 (** [step] of an [Api_request] with these fields. *)
 
+val timer_fire :
+  dir:(Types.key -> Types.node_id list) -> state -> env:env -> facts:facts -> timer_kind -> unit
+(** [step] of a [Timer_fire] with these fields (its [token] is not read). *)
+
 val effects : state -> eff Outbox.t
 (** The state's effect buffer: what {!step} appended and the interpreter
     has not yet truncated. *)
+
+val copy_timer_kind : timer_kind -> timer_kind
+(** A fresh timer kind equal to the argument. *)
 
 val handle :
   dir:(Types.key -> Types.node_id list) -> state -> input -> state * eff list

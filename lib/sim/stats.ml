@@ -35,7 +35,7 @@ module Summary = struct
 
   let create () = { count = 0.0; sum = 0.0; min = infinity; max = neg_infinity }
 
-  (* Inlined into [add_span], so the difference stays unboxed. *)
+  (* Inlined into [add_span] and [add_int], so the value stays unboxed. *)
   let[@inline] add t v =
     t.count <- t.count +. 1.0;
     t.sum <- t.sum +. v;
@@ -43,6 +43,7 @@ module Summary = struct
     if v > t.max then t.max <- v
 
   let add_span t ~start ~stop = add t (stop -. start)
+  let add_int t n = add t (float_of_int n)
 
   let count t = int_of_float t.count
   let mean t = if t.count = 0.0 then nan else t.sum /. t.count
@@ -65,7 +66,7 @@ module Samples = struct
   let create ?(cap = 100_000) rng =
     { cap; rng; seen = 0; sum = [| 0.0 |]; data = [||]; size = 0 }
 
-  (* Inlined into [add_span], as [Summary.add] is. *)
+  (* Inlined into [add_span] and [add_int], as [Summary.add] is. *)
   let[@inline] add t v =
     t.seen <- t.seen + 1;
     t.sum.(0) <- t.sum.(0) +. v;
@@ -86,6 +87,7 @@ module Samples = struct
     end
 
   let add_span t ~start ~stop = add t (stop -. start)
+  let add_int t n = add t (float_of_int n)
   let count t = t.seen
   let mean t = if t.seen = 0 then nan else t.sum.(0) /. float_of_int t.seen
 

@@ -11,6 +11,9 @@ module Summary : sig
   val add_span : t -> start:float -> stop:float -> unit
   (** [add t (stop -. start)], with the difference never boxed. *)
 
+  val add_int : t -> int -> unit
+  (** [add t (float_of_int n)], with the float never boxed. *)
+
   val count : t -> int
   val mean : t -> float
   val min : t -> float
@@ -28,6 +31,9 @@ module Samples : sig
 
   val add_span : t -> start:float -> stop:float -> unit
   (** [add t (stop -. start)], with the difference never boxed. *)
+
+  val add_int : t -> int -> unit
+  (** [add t (float_of_int n)], with the float never boxed. *)
 
   val count : t -> int
   val mean : t -> float

@@ -15,19 +15,42 @@
     slice above [stop] and pops it before the walk resumes, so the outer
     slice stays intact.
 
-    {!take} and {!to_list} copy effects into a list, for list users: the
-    [handle] adapters of the cores, io taps and replay.  Truncating and
-    taking clear the cells they release, so no effect stays reachable from
-    the long-lived state. *)
+    {b Cell reuse.}  The effects are mutable cells, and the buffer reuses
+    them: truncating puts each released cell into the pool of its kind,
+    and an emitter takes a cell of the kind it needs back with {!reuse},
+    overwrites its fields and emits it again, so a steady stream of
+    effects allocates nothing.  Pools are by kind, not by position in the
+    buffer, because successive inputs emit different sequences of kinds.
+    A released cell is therefore overwritten by a later emission of its
+    kind: an effect read with {!get} is valid only until its slice is
+    truncated, and nothing may keep it past that.  The list views
+    ({!to_list}, {!take}) hand out a copy of every effect, made by the
+    buffer's [copy], so a list outlives the cells it was read from.
+
+    {b Retention.}  Each pool holds at most the largest number of its
+    kind's cells ever emitted at once, and a pooled cell keeps what its
+    fields last held until it is reused.  A cell of no pooled kind (a
+    constant, an immutable effect) is not kept: truncating and taking
+    reset the buffer's cells to the dummy, so no such effect stays
+    reachable from the long-lived state. *)
 
 type 'a t
 
-val create : dummy:'a -> 'a t
-(** An empty buffer.  [dummy] fills the cells no effect occupies: pass a
-    constant. *)
+val create : dummy:'a -> copy:('a -> 'a) -> kinds:int -> kind:('a -> int) -> 'a t
+(** An empty buffer.  [kind e] is the pool [e] goes to once released, in
+    [[0, kinds)], or a negative number for an effect that is never reused.
+    Only an emitter of kind [k] may take and overwrite a cell of pool [k].
+    [copy e] is a fresh effect equal to [e] that shares no mutable cell
+    with it, for the list views.  [dummy] fills the cells no effect
+    occupies: pass a constant of no pooled kind. *)
 
 val emit : 'a t -> 'a -> unit
 (** Append an effect, growing the buffer when it is full. *)
+
+val reuse : 'a t -> int -> 'a
+(** [reuse b k] takes a released cell of kind [k] out of its pool, for
+    the caller to overwrite and {!emit}; the dummy when the pool is
+    empty. *)
 
 val length : 'a t -> int
 (** The number of effects held. *)
@@ -37,13 +60,15 @@ val get : 'a t -> int -> 'a
     @raise Invalid_argument unless [0 <= i < length b]. *)
 
 val truncate : 'a t -> int -> unit
-(** [truncate b n] drops every effect from index [n] on, resetting their
-    cells to the dummy.
+(** [truncate b n] drops every effect from index [n] on: their cells go
+    back to their pools and the buffer's cells are reset to the dummy.
     @raise Invalid_argument unless [0 <= n <= length b]. *)
 
 val to_list : 'a t -> from:int -> 'a list
-(** The effects from index [from] on, in emission order, left in the
-    buffer.  @raise Invalid_argument unless [0 <= from <= length b]. *)
+(** Copies of the effects from index [from] on, in emission order; the
+    effects stay in the buffer.
+    @raise Invalid_argument unless [0 <= from <= length b]. *)
 
 val take : 'a t -> 'a list
-(** Every effect held, in emission order; the buffer is left empty. *)
+(** Copies of every effect held, in emission order; the buffer is left
+    empty. *)

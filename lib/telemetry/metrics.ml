@@ -59,6 +59,11 @@ module Histogram = struct
       Stats.Samples.add_span h.samples ~start ~stop
     end
 
+  (* An int is never NaN. *)
+  let observe_int h n =
+    Stats.Summary.add_int h.summary n;
+    Stats.Samples.add_int h.samples n
+
   let name h = h.h_name
   let count h = Stats.Summary.count h.summary
   let sum h = Stats.Summary.total h.summary

@@ -48,6 +48,10 @@ module Histogram : sig
       difference: with floats already boxed (a clock reading, a stored
       time), a call from another module allocates nothing. *)
 
+  val observe_int : h -> int -> unit
+  (** [observe h (float_of_int n)], bit for bit, without boxing the
+      float. *)
+
   val name : h -> string
   val count : h -> int
   val sum : h -> float

@@ -4,17 +4,18 @@
    hand-built states, walking each input's effects in place as the agents
    do — a remote Acquire (REQ -> INV -> ACK -> VAL across three ownership
    cores), a reliable-commit INV/ACK/VAL round and a pipelined one — and
-   bounds the minor words allocated per input, about 10 % above the
-   measured figures: a core that starts formatting debug strings,
+   bounds the minor words allocated per input, 3 % above the measured
+   figures: a core that starts formatting debug strings,
    rebuilding constant lists or hashing its way to a slot on every input
    fails here before it shows up as a benchmark regression.  A second
    ownership row meters the same Acquire through the agents of a
-   simulated cluster, a Smallbank row and a read-only row meter whole
-   local transactions the same way (3 % above their measured figures),
+   simulated cluster, a third the agents' own calls in it, a Smallbank
+   row and a read-only row meter whole local transactions the same way,
    and the slot window both cores use is unit-tested alongside.
 
-   Two rows meter the plumbing under the cores: the engine's scheduling
-   and dispatch, and a steady batched transport stream over the fabric.
+   Four rows meter the plumbing under the cores: the engine's scheduling
+   and dispatch, a steady batched transport stream over the fabric, a
+   fabric delivery and a failure detector's arrival.
 
    The last tests pin the simulator's long-lived structures against
    promotion cascades (DESIGN.md §12): a wait queue must not drag served
@@ -42,22 +43,22 @@ let rounds = 200
 module Outbox = Zeus_store.Outbox
 
 (* One input as the agents interpret it: [step ()] appends its effects to
-   the core's buffer [out], the walk reads them there in place, and [out]
-   is truncated back to its mark; the minor words of all three are added
-   to [acc] when [measure].  The walk copies each effect into [seen],
-   whose cells the warm-up has grown, so it allocates nothing itself; the
-   effects come back as a list, built after the metering, for the script
-   to act on. *)
-let metered ~measure ~acc ~seen out step =
+   the core's buffer [out], the walk reads them there in place, and the
+   minor words of both are added to [acc] when [measure].  Past the
+   metered window the effects are listed (the list views copy each cell,
+   so the script may keep them while the core reuses the cells) and [out]
+   is truncated back to its mark, as the agents truncate it. *)
+let metered ~measure ~acc out step =
   let before = Gc.minor_words () in
   let mark = Outbox.length out in
   step ();
   for i = mark to Outbox.length out - 1 do
-    Outbox.emit seen (Outbox.get out i)
+    ignore (Sys.opaque_identity (Outbox.get out i))
   done;
-  Outbox.truncate out mark;
   if measure then acc := !acc +. (Gc.minor_words () -. before);
-  Outbox.take seen
+  let effs = Outbox.to_list out ~from:mark in
+  Outbox.truncate out mark;
+  effs
 
 let check_budget name ~inputs ~words ~bound =
   let per_input = words /. float_of_int inputs in
@@ -73,7 +74,8 @@ let own_env =
 (* Key [k] starts owned by node 0 with node 1 as reader; node 2 (a
    non-replica, so the driver designates node 0 to ship the data) acquires
    it.  With three directory replicas node 2 drives its own request.
-   28.1 words per input; 44.4 when [handle] copied the effects into a
+   14.4 words per input (3 % of headroom); 28.1 when each effect was a
+   fresh record; 44.4 when [handle] copied the effects into a
    list and boxed a result pair per input; 89.2 when the core also kept
    its requests, replays and gate in hashtables, its acks in lists, and
    built a context, a closure and a reversed list per input. *)
@@ -90,11 +92,10 @@ let ownership_acquire_budget () =
   done;
   let acc = ref 0.0 and inputs = ref 0 and granted = ref 0 in
   let net = Queue.create () in
-  let seen = Outbox.create ~dummy:OwnC.Flush in
   let run ~measure input dst =
     let core = cores.(dst) in
     let effs =
-      metered ~measure ~acc ~seen (OwnC.effects core) (fun () -> OwnC.step ~dir core input)
+      metered ~measure ~acc (OwnC.effects core) (fun () -> OwnC.step ~dir core input)
     in
     if measure then incr inputs;
     List.iter
@@ -125,7 +126,7 @@ let ownership_acquire_budget () =
   done;
   Alcotest.(check int) "inputs per Acquire" 9 (!inputs / rounds);
   Alcotest.(check int) "every Acquire completed" total !granted;
-  check_budget "ownership Acquire" ~inputs:!inputs ~words:!acc ~bound:30.9
+  check_budget "ownership Acquire" ~inputs:!inputs ~words:!acc ~bound:14.8
 
 (* ---------- ownership: the agent path ----------------------------------- *)
 
@@ -140,7 +141,10 @@ module OwnA = Zeus_ownership.Agent
    again fails here, not only the core. *)
 let agent_keys = warmup + rounds
 
-(* 584.9 words per granted request (3 % of headroom); 743.9 when the
+(* 312.9 words per granted request (3 % of headroom); 584.9 when each
+   core effect was a fresh record, each ownership timer a fresh closure
+   and input, each fabric delivery built two key tuples, and each frame
+   and retransmission timer boxed a float; 743.9 when the
    agents built an input record, an env and a facts record per core input
    and a replica-set list per commit, the datastore queue a record per
    waiting job, and [Node] boxed each phase time it observed; 1527.9 when the
@@ -152,7 +156,7 @@ let agent_keys = warmup + rounds
    closure building each core input's effect list and a tuple per
    payload in the transport's send ring; 2473.9 with the agent's timers
    and continuations in [Hashtbl]s and the core's tables boxed. *)
-let ownership_agent_bound = 603.0
+let ownership_agent_bound = 322.0
 
 let ownership_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -172,6 +176,48 @@ let ownership_agent_budget () =
   if per_request > ownership_agent_bound then
     Alcotest.failf "ownership agent path: %.1f minor words per granted request (budget %.0f)"
       per_request ownership_agent_bound
+
+(* The same remote Acquire with the transport's handlers handing each
+   payload straight to the ownership agent: only the agents' own calls are
+   metered — node 2's request, then the delivery of each REQ, INV, ACK and
+   VAL to an unfenced core, each with its fact sampling, the core's effects
+   and their execution (sends into the transport's ring, doorbells, timers
+   and unblocks).  The frames, the fabric and the engine run between those
+   calls, unmetered, and so does the replay timer each arbitration arms,
+   which fires later.  What is left is the protocol's messages, the ACK's
+   copy of the data and the data installed at the requester.  143.9
+   words per round (3 % of headroom); 290.9 when each core effect was a
+   fresh record and each timer a closure. *)
+let agent_round_bound = 148.0
+
+let agent_round_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  Cluster.populate_n c ~n:agent_keys ~owner_of:(fun _ -> 0) (fun k -> Value.of_int k);
+  let agents = Array.init nodes (fun n -> Node.ownership_agent (Cluster.node c n)) in
+  let measure = ref false and words = ref 0.0 in
+  Array.iteri
+    (fun n agent ->
+      Zeus_net.Transport.set_handler (Cluster.transport c) n (fun ~src payload ->
+          let before = Gc.minor_words () in
+          let ours = OwnA.handle agent ~src payload in
+          if !measure then words := !words +. (Gc.minor_words () -. before);
+          if not ours then Alcotest.fail "a payload the ownership agent refused"))
+    agents;
+  let granted = ref 0 and refused = ref 0 in
+  let k = function Ok () -> incr granted | Error _ -> incr refused in
+  for key = 0 to agent_keys - 1 do
+    measure := key >= warmup;
+    let before = Gc.minor_words () in
+    OwnA.request agents.(2) ~key ~kind:OwnM.Acquire ~k;
+    if !measure then words := !words +. (Gc.minor_words () -. before);
+    Helpers.drain c
+  done;
+  Alcotest.(check int) "no Acquire refused" 0 !refused;
+  Alcotest.(check int) "every Acquire granted" agent_keys !granted;
+  let per_round = !words /. float_of_int rounds in
+  if per_round > agent_round_bound then
+    Alcotest.failf "ownership agents: %.1f minor words per unfenced round (budget %.0f)"
+      per_round agent_round_bound
 
 (* ---------- the agents: core inputs without records --------------------- *)
 
@@ -238,10 +284,13 @@ let agent_delivery_budget () =
    replicated on nodes 1 and 2, one at a time, each run to quiescence.  The
    words cover the commit agents and cores of all three nodes, [Node]'s
    receive path and datastore workers, the transport, fabric and engine.
-   309.8 words per round (3 % of headroom); 345.8 when the agents built
+   187.8 words per round (3 % of headroom); 309.8 when each core effect
+   was a fresh record, each fabric delivery built two key tuples, and
+   each frame and retransmission timer boxed a float; 345.8 when the
+   agents built
    an input record and an env per core input and a replica-set list per
    commit, and the datastore queue a record per waiting job. *)
-let commit_agent_bound = 320.0
+let commit_agent_bound = 193.0
 
 let commit_agent_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -327,6 +376,87 @@ let tapped_inputs_stay_intact () =
       | _ -> ())
     log
 
+(* The effects a tap gets are copies: the core reuses its effect cells
+   from one input to the next, and a logged effect must not change with
+   them.  Node 2 acquires keys node 0 owns with every ownership agent
+   tapped; each logged effect, rendered when it was logged, still reads the
+   same after the run, and no two logged effects of the kinds the core
+   reuses are one record. *)
+let timer_text = function
+  | OwnC.T_timeout { seq; key; span } -> Printf.sprintf "timeout %d %d %d" seq key span
+  | OwnC.T_cleanup { seq; span } -> Printf.sprintf "cleanup %d %d" seq span
+  | OwnC.T_replay { key; o_ts } -> Format.asprintf "replay %d %a" key Ots.pp o_ts
+
+let payload_text p =
+  Stdlib.Obj.Extension_constructor.name (Stdlib.Obj.Extension_constructor.of_val p)
+
+let eff_text = function
+  | OwnC.Send { dst; size; payload } -> Printf.sprintf "send %d %d %s" dst size (payload_text payload)
+  | OwnC.Send_ack_local_data { dst; req_id; key; o_ts; new_replicas; arbiters; epoch } ->
+    Format.asprintf "ack-data %d %d.%d %d %a %a %s %d" dst req_id.OwnM.origin req_id.OwnM.seq key
+      Ots.pp o_ts Replicas.pp new_replicas
+      (String.concat ";" (List.map string_of_int arbiters))
+      epoch
+  | OwnC.Flush -> "flush"
+  | OwnC.Set_timer { token; after; kind } -> Printf.sprintf "timer %d %g %s" token after (timer_text kind)
+  | OwnC.Cancel_timer { token } -> Printf.sprintf "cancel %d" token
+  | OwnC.Apply_arbiter { key; kind; o_ts; replicas } ->
+    Format.asprintf "arbiter %d %a %a %a" key OwnM.pp_kind kind Ots.pp o_ts Replicas.pp replicas
+  | OwnC.Apply_requester { key; kind; o_ts; replicas; data } ->
+    Format.asprintf "requester %d %a %a %a %b" key OwnM.pp_kind kind Ots.pp o_ts Replicas.pp
+      replicas (Option.is_some data)
+  | OwnC.Set_o_state { key; o_state } -> Format.asprintf "o-state %d %a" key Types.pp_o_state o_state
+  | OwnC.Restore_request_state { key } -> Printf.sprintf "restore %d" key
+  | OwnC.Drop_dead_replicas _ -> "drop-dead"
+  | OwnC.Notify_request { key; kind; requester } ->
+    Format.asprintf "notify-request %d %a %d" key OwnM.pp_kind kind requester
+  | OwnC.Notify_owner_change { key; owner } -> Printf.sprintf "notify-owner %d %d" key owner
+  | OwnC.Unblock { seq; result } -> Printf.sprintf "unblock %d %b" seq (Result.is_ok result)
+  | OwnC.Telemetry (OwnC.Arb_latency { start; stop }) -> Printf.sprintf "latency %h %h" start stop
+  | OwnC.Telemetry _ -> "telemetry"
+
+(* The kinds whose cells the core reuses: everything but constants and the
+   rare immutable effects. *)
+let reused = function
+  | OwnC.Flush | OwnC.Drop_dead_replicas _ -> false
+  | OwnC.Telemetry (OwnC.Arb_latency _) -> true
+  | OwnC.Telemetry _ -> false
+  | _ -> true
+
+let tapped_effects_stay_intact () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let keys = 20 in
+  Cluster.populate_n c ~n:keys ~owner_of:(fun _ -> 0) (fun k -> Value.of_int k);
+  let log = ref [] in
+  for n = 0 to nodes - 1 do
+    OwnA.set_io_tap (Node.ownership_agent (Cluster.node c n)) (fun _ effs ->
+        List.iter (fun e -> log := (e, eff_text e) :: !log) effs)
+  done;
+  let agent = Node.ownership_agent (Cluster.node c 2) in
+  for key = 0 to keys - 1 do
+    OwnA.request agent ~key ~kind:OwnM.Acquire ~k:(function
+      | Ok () -> ()
+      | Error _ -> Alcotest.failf "Acquire of key %d refused" key);
+    Helpers.drain c
+  done;
+  let log = List.rev !log in
+  let count p = List.length (List.filter (fun (e, _) -> p e) log) in
+  Alcotest.(check int) "every grant logged" keys
+    (count (function OwnC.Apply_requester _ -> true | _ -> false));
+  Alcotest.(check bool) "timers logged" true
+    (count (function OwnC.Set_timer _ -> true | _ -> false) >= 2 * keys);
+  List.iteri
+    (fun i (e, text) -> Alcotest.(check string) (Printf.sprintf "effect %d" i) text (eff_text e))
+    log;
+  let rec distinct = function
+    | [] -> ()
+    | e :: rest ->
+      if List.exists (fun e' -> e' == e) rest then
+        Alcotest.failf "one record logged twice: %s" (eff_text e);
+      distinct rest
+  in
+  distinct (List.filter reused (List.map fst log))
+
 (* ---------- the transaction path, end to end ---------------------------- *)
 
 module Smallbank = Zeus_workload.Smallbank
@@ -338,8 +468,10 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  439.3 words per committed transaction (3 % of headroom);
-   499.4 when the agents built an input record and an env per core input
+   fails here.  405.0 words per committed transaction (3 % of headroom);
+   439.3 when each core effect was a fresh record, each fabric delivery
+   built two key tuples, and each frame and retransmission timer boxed a
+   float; 499.4 when the agents built an input record and an env per core input
    and a replica-set list per commit, the datastore queue a record per
    waiting job, and [Node] boxed each phase time it observed; 554.2 when
    [Node] built a run, a context, a times record and its phase
@@ -350,7 +482,7 @@ module Driver = Zeus_workload.Driver
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 453.0
+let smallbank_bound = 417.0
 
 (* Drive [issue] on every app thread of [c] and bound the minor words per
    committed transaction. *)
@@ -378,10 +510,11 @@ let smallbank_budget () =
    the same cluster and driver: the words cover [Node]'s slot, dispatch
    and local commit, [Txn]'s snapshot reads and the spec walk, with no
    replication and no message.  170.4 words per committed transaction
-   (3 % of headroom); 178.4 when [Node] boxed each phase time it
+   (3 % of headroom; 176 was the bound until the core effects, which
+   these transactions never reach, became reused cells); 178.4 when [Node] boxed each phase time it
    observed; 216.4 when [Node] built a run, a context and a times record
    and scheduled three closures per transaction. *)
-let read_only_bound = 176.0
+let read_only_bound = 175.5
 
 let read_only_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -397,7 +530,8 @@ let read_only_budget () =
 
 (* ---------- commit: one INV/ACK/VAL round ------------------------------- *)
 
-(* 12.4 words per input; 21.0 when [handle] copied the effects into a
+(* 7.3 words per input (3 % of headroom); 12.4 when each effect was a
+   fresh record; 21.0 when [handle] copied the effects into a
    list and boxed a result pair per input; 55.0 when the core also kept
    its slots in hashtables and built a context, a closure and a reversed
    list per input. *)
@@ -412,11 +546,10 @@ let commit_round_budget () =
   let acc = ref 0.0 and inputs = ref 0 in
   let net = Queue.create () in
   let durable = ref 0 in
-  let seen = Outbox.create ~dummy:ComC.Flush in
   let run ~measure input dst =
     let core = cores.(dst) in
     let effs =
-      metered ~measure ~acc ~seen (ComC.effects core) (fun () -> ComC.step core input)
+      metered ~measure ~acc (ComC.effects core) (fun () -> ComC.step core input)
     in
     if measure then incr inputs;
     List.iter
@@ -444,7 +577,7 @@ let commit_round_budget () =
   Alcotest.(check int) "every commit durable" total !durable;
   Alcotest.(check int) "nothing left stored" 0
     (Array.fold_left (fun a c -> a + ComC.stored_invs c) 0 cores);
-  check_budget "commit round" ~inputs:!inputs ~words:!acc ~bound:13.7
+  check_budget "commit round" ~inputs:!inputs ~words:!acc ~bound:7.5
 
 (* ---------- commit: a pipelined round ----------------------------------- *)
 
@@ -454,18 +587,18 @@ let commit_round_budget () =
    R-VALs then carry the whole round as their clear mark.  The first round
    opens 3 slots, so the next one starts mid-ring and the coordinator's
    and followers' windows (8 cells to start) grow while live and wrapped.
-   Every round ends with nothing in flight, stored or buffered.  12.9
-   words per input; 21.4 through [handle]'s effect list and result pair. *)
+   Every round ends with nothing in flight, stored or buffered.  7.7
+   words per input (3 % of headroom); 12.9 when each effect was a fresh
+   record; 21.4 through [handle]'s effect list and result pair. *)
 let pipelined = 16
 
 let commit_pipelined_budget () =
   let cores = Array.init nodes (fun self -> ComC.create ~self ~nodes ()) in
   let acc = ref 0.0 and inputs = ref 0 and durable = ref 0 in
-  let seen = Outbox.create ~dummy:ComC.Flush in
   let run ~measure dst input =
     let core = cores.(dst) in
     let effs =
-      metered ~measure ~acc ~seen (ComC.effects core) (fun () -> ComC.step core input)
+      metered ~measure ~acc (ComC.effects core) (fun () -> ComC.step core input)
     in
     if measure then incr inputs;
     List.filter_map
@@ -531,7 +664,7 @@ let commit_pipelined_budget () =
       Alcotest.(check int) "nothing stored" 0 (ComC.stored_invs c);
       Alcotest.(check int) "nothing buffered" 0 (ComC.buffered_invs c))
     cores;
-  check_budget "pipelined commit round" ~inputs:!inputs ~words:!acc ~bound:14.1
+  check_budget "pipelined commit round" ~inputs:!inputs ~words:!acc ~bound:7.9
 
 (* ---------- commit: the slot window ------------------------------------- *)
 
@@ -700,14 +833,19 @@ type Zeus_net.Msg.payload += Tick
    receive window and the delayed ack, with the engine under each.  What
    is left is the wire itself: each frame, its payload list and the
    standalone ack, plus the floats boxed to cross into the engine (a
-   computed delay, a new clock).  10.2 words per payload (3 % of
-   headroom); 32.1 with an [option] per timer arming, a closure per
+   computed delay, a new clock).  7.4 words per payload (3 % of
+   headroom): frames and payload lists 4.5, clock boxes 1.3, the
+   fabric's boxed delays 0.75, standalone acks 0.4, the RTO's pushed-out
+   deadlines 0.06, and about 0.4 not attributed.  10.2 when each delivery
+   built two partition-key tuples (2.25), each frame boxed its occupancy
+   for the histogram (0.5) and each RTO fire recomputed and boxed its
+   un-backed-off delay (0.13); 32.1 with an [option] per timer arming, a closure per
    timer, per flush and per fabric delivery, a dirty list cell per
    flushed flow, a boxed [Some] per size, boxed random draws and the
    engine's boxed times. *)
 let fan = 4
 let stream_ticks = 2_000
-let stream_bound = 10.5
+let stream_bound = 7.6
 
 let transport_stream_budget () =
   let e = Engine.create () in
@@ -742,6 +880,88 @@ let transport_stream_budget () =
   if per_payload > stream_bound then
     Alcotest.failf "transport stream: %.1f minor words per payload (budget %.1f)" per_payload
       stream_bound
+
+(* ---------- fabric: a delivery ------------------------------------------ *)
+
+(* Node 0 sends [fabric_msgs] prebuilt payloads to node 1 at one instant
+   over a jitter-free fabric, so they all land at one later instant: the
+   dispatch moves the clock once, and each delivery costs the fabric what
+   its partition checks allocate — nothing.  They built a key tuple for
+   each table and hashed it, 6 words per delivery.  Partitions and one-way
+   blocks must still drop messages, and heal. *)
+let fabric_msgs = 1_000
+
+let fabric_delivery_budget () =
+  let e = Engine.create () in
+  let f = Fabric.create e ~nodes { Fabric.default_config with Fabric.jitter_us = 0.0 } in
+  let received = Array.make nodes 0 in
+  for n = 0 to nodes - 1 do
+    Fabric.set_handler f n (fun ~src:_ _ -> received.(n) <- received.(n) + 1)
+  done;
+  let send_all ~src ~dst =
+    for _ = 1 to fabric_msgs do
+      Fabric.send f ~src ~dst ~size:64 Tick
+    done
+  in
+  (* The first batch grows the flight pool and the engine's heap. *)
+  send_all ~src:0 ~dst:1;
+  Engine.run e;
+  send_all ~src:0 ~dst:1;
+  let before = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every message delivered" (2 * fabric_msgs) received.(1);
+  (* The clock box of the one dispatch that moves the clock. *)
+  if words > 4.0 then
+    Alcotest.failf "fabric: %.2f minor words per delivery (budget 0)"
+      (words /. float_of_int fabric_msgs);
+  let delivered ~src ~dst =
+    let r0 = received.(dst) in
+    Fabric.send f ~src ~dst ~size:64 Tick;
+    Engine.run e;
+    received.(dst) > r0
+  in
+  Fabric.partition f 0 1;
+  Alcotest.(check (list bool)) "a partition drops both ways, not elsewhere" [ false; false; true ]
+    [ delivered ~src:0 ~dst:1; delivered ~src:1 ~dst:0; delivered ~src:0 ~dst:2 ];
+  Fabric.heal f 1 0;
+  Alcotest.(check (list bool)) "healed" [ true; true ]
+    [ delivered ~src:0 ~dst:1; delivered ~src:1 ~dst:0 ];
+  Fabric.partition_oneway f ~src:2 ~dst:0;
+  Alcotest.(check (list bool)) "a one-way block drops one way" [ false; true ]
+    [ delivered ~src:2 ~dst:0; delivered ~src:0 ~dst:2 ];
+  Fabric.heal_oneway f ~src:2 ~dst:0;
+  Alcotest.(check bool) "one-way block healed" true (delivered ~src:2 ~dst:0);
+  Fabric.partition f 1 2;
+  Fabric.partition_oneway f ~src:0 ~dst:1;
+  Fabric.heal_all f;
+  Alcotest.(check (list bool)) "everything healed" [ true; true; true ]
+    [ delivered ~src:1 ~dst:2; delivered ~src:2 ~dst:1; delivered ~src:0 ~dst:1 ]
+
+(* ---------- detector: an arrival ---------------------------------------- *)
+
+module Detector = Zeus_membership.Detector
+
+(* Arrivals from one peer every 10 µs, give or take: the detector's
+   estimate of the inter-arrival time and its deviation are stored as raw
+   floats.  They boxed two floats per arrival when the estimate shared a
+   record with the sample count. *)
+let detector_arrival_budget () =
+  let d = Detector.create Detector.default_config ~node:0 ~nodes ~now:0.0 in
+  let arrivals = 1_000 in
+  (* Clock readings, boxed up front as the engine's are. *)
+  let times = List.init (2 * arrivals) (fun i -> (10.0 *. float_of_int i) +. float_of_int (i mod 3)) in
+  let first, rest = List.partition (fun t -> t < 10.0 *. float_of_int arrivals) times in
+  let note now = Detector.note_arrival d ~src:1 ~now in
+  List.iter note first;
+  let before = Gc.minor_words () in
+  List.iter note rest;
+  let words = Gc.minor_words () -. before in
+  if words > 4.0 then
+    Alcotest.failf "detector: %.2f minor words per arrival (budget 0)"
+      (words /. float_of_int arrivals);
+  Alcotest.(check bool) "the timeout follows the arrivals" true
+    (Detector.timeout_us d ~peer:1 = Detector.default_config.Detector.min_timeout_us)
 
 (* ---------- resource wait queue: served jobs die young ------------------ *)
 
@@ -912,9 +1132,11 @@ let suite =
     tc "ownership core: remote Acquire allocation budget" ownership_acquire_budget;
     tc "ownership agent: remote Acquire allocation budget" ownership_agent_budget;
     tc "ownership agent: fenced deliveries allocate nothing, taps off" agent_delivery_budget;
+    tc "ownership agents: unfenced round allocation budget" agent_round_budget;
     tc "commit agent: Api_commit round allocation budget, taps off" commit_agent_budget;
     tc "io taps: logged inputs keep the facts and env they were stepped with"
       tapped_inputs_stay_intact;
+    tc "io taps: logged effects are copies that keep their fields" tapped_effects_stay_intact;
     tc "transaction path: Smallbank allocation budget" smallbank_budget;
     tc "transaction path: read-only allocation budget" read_only_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;
@@ -923,6 +1145,8 @@ let suite =
     tc "commit core: window aliasing and copy independence" core_window_aliasing;
     tc "engine: schedule and dispatch allocation budget" engine_budget;
     tc "transport: steady batched stream allocation budget" transport_stream_budget;
+    tc "fabric: a delivery allocates nothing; partitions drop and heal" fabric_delivery_budget;
+    tc "detector: an arrival allocates nothing" detector_arrival_budget;
     tc "resource: queued jobs alone are promoted" resource_queue_promotion;
     tc "chaos monitor: steady sample allocation budget" monitor_sample_budget;
     tc "populate: live words per TATP-shaped key" populate_live_words;

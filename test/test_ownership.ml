@@ -355,7 +355,7 @@ let view_change_fails_requests_in_seq_order () =
   List.iter
     (fun seq ->
       let tok = Hashtbl.find timers seq in
-      let cancel = position (function C.Cancel_timer t -> t = tok | _ -> false)
+      let cancel = position (function C.Cancel_timer { token } -> token = tok | _ -> false)
       and unblock = position (function C.Unblock { seq = s; _ } -> s = seq | _ -> false) in
       if not (cancel >= 0 && cancel < unblock) then
         Alcotest.failf "request %d: timeout cancelled at %d, caller unblocked at %d" seq cancel

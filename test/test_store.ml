@@ -522,8 +522,11 @@ let names prefix n = List.init n (Printf.sprintf "%s%d" prefix)
 (* The nested input's 20 effects outgrow the 16-cell buffer while the
    outer walk is at its fourth effect: the outer slice must survive the
    growth and the nested truncation, and the walk must resume after it. *)
+(* Buffers of immutable values: no kind is pooled, and listing shares. *)
+let value_outbox ~dummy = Outbox.create ~dummy ~copy:Fun.id ~kinds:0 ~kind:(fun _ -> -1)
+
 let outbox_nested_walk () =
-  let b = Outbox.create ~dummy:"" in
+  let b = value_outbox ~dummy:"" in
   let seen = ref [] in
   let rec exec e =
     seen := e :: !seen;
@@ -541,10 +544,10 @@ let outbox_nested_walk () =
   Alcotest.check_raises "no cell readable past the length" (Invalid_argument "Outbox.get")
     (fun () -> ignore (Outbox.get b 0))
 
-(* Truncated and taken cells hold the dummy: the effects they held are
-   collected while the buffer itself stays live. *)
+(* Truncated and taken cells of no pooled kind hold the dummy: the
+   effects they held are collected while the buffer itself stays live. *)
 let outbox_releases_cells () =
-  let b = Outbox.create ~dummy:Bytes.empty in
+  let b = value_outbox ~dummy:Bytes.empty in
   let kept = Bytes.make 8 'k' in
   Outbox.emit b kept;
   let w = Weak.create 3 in
@@ -571,6 +574,45 @@ let outbox_releases_cells () =
   check Alcotest.bool "taken effect collected" false (Weak.check w 0);
   Outbox.emit b kept;
   check Alcotest.int "the buffer is reused" 1 (Outbox.length b)
+
+(* Cells of two pooled kinds: a truncated cell comes back to an emitter
+   of its own kind only, last released first; the list views hand out
+   copies, which keep their fields while the cells are overwritten. *)
+type pooled = { kind : int; mutable v : int }
+
+let no_cell = { kind = -1; v = 0 }
+
+let outbox_reuses_cells () =
+  let b = Outbox.create ~dummy:no_cell ~copy:(fun c -> { c with v = c.v }) ~kinds:2 ~kind:(fun c -> c.kind) in
+  let emit kind v =
+    let c = Outbox.reuse b kind in
+    let c = if c == no_cell then { kind; v } else c in
+    c.v <- v;
+    Outbox.emit b c
+  in
+  emit 0 1;
+  emit 1 2;
+  emit 0 3;
+  let first = [ Outbox.get b 0; Outbox.get b 1; Outbox.get b 2 ] in
+  let listed = Outbox.to_list b ~from:0 in
+  List.iter2
+    (fun c l -> check Alcotest.bool "a listed effect is a copy" false (c == l))
+    first listed;
+  Outbox.truncate b 0;
+  let cell i = List.nth first i in
+  emit 0 10;
+  emit 1 20;
+  emit 0 30;
+  emit 0 40;
+  let held = List.init 4 (Outbox.get b) in
+  check Alcotest.bool "kind 0: last released first" true
+    (List.nth held 0 == cell 2 && List.nth held 2 == cell 0);
+  check Alcotest.bool "kind 1: its own cell" true (List.nth held 1 == cell 1);
+  check Alcotest.bool "a new cell once the pool is empty" false (List.memq (List.nth held 3) first);
+  check Alcotest.(list int) "the cells were overwritten" [ 10; 20; 30; 40 ]
+    (List.map (fun c -> c.v) held);
+  check Alcotest.(list int) "the listed copies were not" [ 1; 2; 3 ]
+    (List.map (fun c -> c.v) listed)
 
 let suite =
   [
@@ -606,4 +648,5 @@ let suite =
     tc "txn: one version bump per txn" txn_multi_write_single_version_bump;
     tc "outbox: a nested input's slice leaves the outer one intact" outbox_nested_walk;
     tc "outbox: truncated and taken cells hold the dummy" outbox_releases_cells;
+    tc "outbox: released cells are reused by kind, list views copy" outbox_reuses_cells;
   ]
