@@ -1,4 +1,4 @@
-.PHONY: all build test check bench-identity bench bench-quick bench-smoke chaos-smoke detect-smoke trace-smoke perf-smoke model-smoke perf-baseline clean
+.PHONY: all build test check bench-identity bench-digests bench bench-quick bench-smoke chaos-smoke detect-smoke trace-smoke perf-smoke model-smoke perf-baseline clean
 
 all: build
 
@@ -41,6 +41,28 @@ bench-identity: build
 	  cmp bench/identity/$$f $$f || { echo "bench-identity: $$f differs from bench/identity/$$f" >&2; exit 1; }; \
 	done
 	@echo "bench-identity: quick BENCH files identical to bench/identity/"
+
+# Behaviour pin of the repo benchmark: one child run of each workload at
+# seeds 42 and 7 (no invariant scan), and each run's simulation digest and
+# virtual-time metrics (vt_mtps, vt_mean_us, vt_tail99_us) compared with
+# bench/identity/zeus_bench_digests.txt; a mismatch prints the old and new
+# lines.  A change that means to move behaviour copies the new file
+# (bench-digests.txt) there and says why in CHANGES.md.
+BENCH_DIGEST_WORKLOADS = smallbank-local smallbank-remote tatp-read smallbank-crash
+BENCH_DIGEST_SEEDS = 42 7
+
+bench-digests: build
+	@rm -f bench-digests.txt bench-digests.log
+	@for seed in $(BENCH_DIGEST_SEEDS); do for w in $(BENCH_DIGEST_WORKLOADS); do \
+	  dune exec benchmark/zeus_bench.exe -- --child $$w --seed $$seed --no-check > bench-digests.log \
+	    || { cat bench-digests.log >&2; echo "bench-digests: $$w at seed $$seed failed" >&2; exit 1; }; \
+	  tail -n 1 bench-digests.log | sed -n \
+	    's/.*"digest": "\([^"]*\)".*"vt_mtps": \([^,}]*\).*"vt_mean_us": \([^,}]*\).*"vt_tail99_us": \([^,}]*\).*/'"$$w $$seed"' digest=\1 vt_mtps=\2 vt_mean_us=\3 vt_tail99_us=\4/p' \
+	    >> bench-digests.txt; \
+	done; done
+	@rm -f bench-digests.log
+	@diff bench/identity/zeus_bench_digests.txt bench-digests.txt || { echo "bench-digests: digests or vt_* metrics differ from bench/identity/zeus_bench_digests.txt" >&2; exit 1; }
+	@echo "bench-digests: zeus_bench digests and vt_* metrics identical to bench/identity/zeus_bench_digests.txt"
 
 bench:
 	dune exec bin/zeus_cli.exe -- run all
@@ -178,4 +200,4 @@ perf-baseline: build
 
 clean:
 	dune clean
-	rm -f BENCH_locality.json BENCH_locality.first.json BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_perf.json trace.json model-smoke.log sweep.one-core.txt sweep.all-cores.txt
+	rm -f bench-digests.txt bench-digests.log BENCH_locality.json BENCH_locality.first.json BENCH_transport.json BENCH_faults.json BENCH_detection.json BENCH_perf.json trace.json model-smoke.log sweep.one-core.txt sweep.all-cores.txt

@@ -47,7 +47,7 @@ let () =
     if i < 40 then begin
       let key = List.nth keys (i mod List.length keys) in
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx key (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
               commit ()))
         (fun o ->
@@ -87,7 +87,7 @@ let () =
   List.iter
     (fun key ->
       Node.run_write (Cluster.node cluster 1) ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx key (fun v -> Value.of_int (Value.to_int v + 100)) (fun _ ->
               commit ()))
         (fun o -> if o = Zeus_store.Txn.Committed then incr ok);

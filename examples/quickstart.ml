@@ -29,7 +29,7 @@ let transfer node ~thread ~amount k =
 
 let balance_sum node ~thread k =
   Node.run_read node ~thread
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.read ctx alice (fun a ->
           Node.read ctx bob (fun b ->
               let sum = Value.to_int a + Value.to_int b in

@@ -51,12 +51,12 @@ let run ?(config = default_config) ~with_zeus () =
       let node = Cluster.node cluster node_id in
       if Hashtbl.mem known session then
         Node.run_read node ~thread:0
-          ~body:(fun ctx commit -> Node.read ctx session (fun _ -> commit ()))
+          ~exec_us:0.0 ~body:(fun ctx commit -> Node.read ctx session (fun _ -> commit ()))
           (fun _ -> finish ())
       else begin
         Hashtbl.replace known session ();
         Node.run_write node ~thread:0
-          ~body:(fun ctx commit ->
+          ~exec_us:0.0 ~body:(fun ctx commit ->
             Node.insert ctx session (Value.of_int (session mod 2));
             commit ())
           (fun _ -> finish ())

@@ -53,6 +53,9 @@ let no_flight =
     on_durable = ignore;
   }
 
+type front = ..
+type front += No_front
+
 type t = {
   id : Types.node_id;
   config : Config.t;
@@ -77,6 +80,7 @@ type t = {
       (* per app thread: the slot its transactions run in; set right after
          create *)
   mutable app_handler : (src:Types.node_id -> Zeus_net.Msg.payload -> unit) option;
+  mutable front : front;
   (* Phase telemetry: histograms live on the cluster hub's registry
      (Histogram.v is idempotent by name, so all nodes feed the same five);
      spans go to the hub's trace sink. *)
@@ -124,6 +128,10 @@ and ctx = {
      time boxes nothing, and a histogram is handed two boxes that already
      exist ([Histogram.observe_span]) instead of a fresh difference. *)
   mutable exec_us : float;
+  mutable dispatch_us : float;
+      (* [exec_us +. Config.txn_dispatch_us], the delay before the body
+         runs: summed when [exec_us] changes, so the transactions of a
+         thread that share a compute time share its box *)
   mutable txn_start : float;
   mutable body_start : float;
   mutable own_first : float;  (* nan: no ownership request this attempt *)
@@ -179,6 +187,8 @@ let txns_with_ownership t = t.n_txn_with_ownership
 let ownership_latency t = Own.Agent.latency_samples (ownership_agent t)
 let is_alive t = Fabric.is_alive (Transport.fabric t.transport) t.id
 let set_app_handler t fn = t.app_handler <- Some fn
+let front t = t.front
+let set_front t f = t.front <- f
 
 (* ------ CPU cost of one received protocol message ------------------------ *)
 
@@ -425,7 +435,7 @@ let start_attempt ctx =
     ctx.own_last <- nan;
     ctx.commit_entry <- nan;
     ignore
-      (Engine.schedule t.engine ~after:(ctx.exec_us +. Config.txn_dispatch_us) ctx.on_dispatch)
+      (Engine.schedule t.engine ~after:ctx.dispatch_us ctx.on_dispatch)
   end
 
 let dispatch ctx =
@@ -668,6 +678,7 @@ let new_slot t thread =
       attempt = 0;
       updates = [];
       exec_us = 0.0;
+      dispatch_us = 0.0 +. Config.txn_dispatch_us;
       txn_start = nan;
       body_start = nan;
       own_first = nan;
@@ -724,6 +735,7 @@ let create ?telemetry ~config ~id ~transport ~membership ~history () =
       flights = Fifo.create ~dummy:no_flight;
       slots = [||];
       app_handler = None;
+      front = No_front;
       tspans = Hub.trace hub;
       h_own = Metrics.Histogram.v hm "txn.ownership_us";
       h_exec = Metrics.Histogram.v hm "txn.execute_us";
@@ -786,13 +798,18 @@ let reset t =
   Array.fill t.outstanding_rc 0 (Array.length t.outstanding_rc) 0;
   Array.iter Fifo.clear t.waiters
 
-let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
+let slot t ~thread = t.slots.(thread)
+
+let run_txn ~read_only t ~thread ~exec_us ~body k =
   let ctx =
     let slot = t.slots.(thread) in
     if slot.busy then new_slot t thread else slot
   in
   ctx.busy <- true;
-  ctx.exec_us <- exec_us;
+  if exec_us <> ctx.exec_us then begin
+    ctx.exec_us <- exec_us;
+    ctx.dispatch_us <- exec_us +. Config.txn_dispatch_us
+  end;
   ctx.txn_start <- Engine.now t.engine;
   ctx.read_only <- read_only;
   ctx.body <- body;
@@ -806,5 +823,5 @@ let run_txn ~read_only t ~thread ?(exec_us = 0.0) ~body k =
         "txn";
   start_attempt ctx
 
-let run_write t ~thread ?exec_us ~body k = run_txn ~read_only:false t ~thread ?exec_us ~body k
-let run_read t ~thread ?exec_us ~body k = run_txn ~read_only:true t ~thread ?exec_us ~body k
+let run_write t ~thread ~exec_us ~body k = run_txn ~read_only:false t ~thread ~exec_us ~body k
+let run_read t ~thread ~exec_us ~body k = run_txn ~read_only:true t ~thread ~exec_us ~body k

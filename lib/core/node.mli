@@ -7,7 +7,7 @@
     thunk:
 
     {[
-      Node.run_write node ~thread:0
+      Node.run_write node ~thread:0 ~exec_us:1.0
         ~body:(fun ctx commit ->
           Node.read ctx account_a (fun a ->
             Node.read ctx account_b (fun b ->
@@ -73,6 +73,16 @@ val set_app_handler : t -> (src:Types.node_id -> Zeus_net.Msg.payload -> unit) -
 (** Receive application-level messages (after protocol dispatch), already
     charged to the datastore worker pool. *)
 
+type front = ..
+type front += No_front
+
+val front : t -> front
+val set_front : t -> front -> unit
+(** The node's transaction front-end state ([No_front] until set), such
+    as {!Zeus_workload.Spec}'s pool of cursors: kept on the node, it is
+    never shared with a cluster run on another domain and goes away with
+    the node. *)
+
 (** {1 Transactions} *)
 
 type ctx
@@ -87,7 +97,7 @@ type ctx
 val run_write :
   t ->
   thread:int ->
-  ?exec_us:float ->
+  exec_us:float ->
   body:(ctx -> (unit -> unit) -> unit) ->
   (Txn.outcome -> unit) ->
   unit
@@ -96,11 +106,16 @@ val run_write :
 val run_read :
   t ->
   thread:int ->
-  ?exec_us:float ->
+  exec_us:float ->
   body:(ctx -> (unit -> unit) -> unit) ->
   (Txn.outcome -> unit) ->
   unit
 (** Read-only transaction: local on any replica, no replication (§5.3). *)
+
+val slot : t -> thread:int -> ctx
+(** The slot [thread]'s transactions run in while it is free: a value a
+    front end can start a pooled record's [ctx] field at.  Operate only
+    on the [ctx] a body is handed. *)
 
 val read : ctx -> Types.key -> (Value.t -> unit) -> unit
 val write : ctx -> Types.key -> Value.t -> (unit -> unit) -> unit

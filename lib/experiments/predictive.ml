@@ -126,7 +126,7 @@ let run_trajectory ~quick ~predictive =
       let node = Cluster.node c at_node in
       let t0 = Engine.now eng in
       Node.run_write node ~thread:(u / nodes)
-        ~body:(fun ctx commit -> incr_body ctx u commit)
+        ~exec_us:0.0 ~body:(fun ctx commit -> incr_body ctx u commit)
         (fun outcome ->
           let now = Engine.now eng in
           (match outcome with
@@ -242,7 +242,7 @@ let run_skew ~quick ~predictive =
     let target = match Hashtbl.find_opt pin_route key with Some t -> t | None -> origin in
     let t0 = Engine.now eng in
     Node.run_write (Cluster.node c target) ~thread:((2 * h) + side)
-      ~body:(fun ctx commit -> incr_body ctx key commit)
+      ~exec_us:0.0 ~body:(fun ctx commit -> incr_body ctx key commit)
       (fun outcome ->
         let now = Engine.now eng in
         (match outcome with
@@ -314,7 +314,9 @@ let run_uniform ~quick ~predictive =
   let issue node ~thread k =
     let id = Node.id node in
     let key = (id * ppn) + Rng.int rngs.(id).(thread) ppn in
-    Node.run_write node ~thread ~body:(fun ctx commit -> incr_body ctx key commit) k
+    Node.run_write node ~thread ~exec_us:0.0
+      ~body:(fun ctx commit -> incr_body ctx key commit)
+      k
   in
   let own0 = ref 0 and own1 = ref 0 in
   ignore (Engine.schedule eng ~after:warmup (fun () -> own0 := Exp.txns_with_ownership c));

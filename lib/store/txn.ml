@@ -21,12 +21,16 @@ type t = {
   mutable thread : int;
   mutable read_only : bool;
   (* write txn state *)
-  mutable locked : Types.key list;       (* locks taken, newest first *)
+  mutable locked : Types.key array;  (* locks taken, oldest first in [0, n_locked) *)
+  mutable n_locked : int;
   copies : (Types.key, Value.t) Hashtbl.t;  (* private copies (open_write) *)
   mutable creates : (Types.key * Value.t) list;
   mutable frees : Types.key list;
-  (* read-only txn state: (key, version) snapshots *)
-  mutable snapshots : (Types.key * int) list;
+  (* read-only txn state: (key, version) snapshots, oldest first in
+     [0, n_snaps) *)
+  mutable snap_keys : Types.key array;
+  mutable snap_versions : int array;
+  mutable n_snaps : int;
   mutable finished : bool;
   mutable publish_copy : Types.key -> Value.t -> update list -> update list;
       (* [publish_copy] of this transaction, built once at [create] *)
@@ -53,11 +57,14 @@ let create ~read_only table ~thread =
       table;
       thread;
       read_only;
-      locked = [];
+      locked = Array.make 4 0;
+      n_locked = 0;
       copies = Hashtbl.create 8;
       creates = [];
       frees = [];
-      snapshots = [];
+      snap_keys = Array.make 4 0;
+      snap_versions = Array.make 4 0;
+      n_snaps = 0;
       finished = false;
       publish_copy = (fun _ _ updates -> updates);
     }
@@ -73,29 +80,35 @@ let create_read table ~thread = create ~read_only:true table ~thread
    attempt allocates nothing.  [Hashtbl.clear] (not [reset]) is the point:
    reset would shrink the bucket array back to its initial size. *)
 let reinit t ~read_only ~thread =
-  assert (t.finished || (t.locked = [] && t.snapshots = []));
+  assert (t.finished || (t.n_locked = 0 && t.n_snaps = 0));
   t.thread <- thread;
   t.read_only <- read_only;
-  t.locked <- [];
+  t.n_locked <- 0;
   Hashtbl.clear t.copies;
   t.creates <- [];
   t.frees <- [];
-  t.snapshots <- [];
+  t.n_snaps <- 0;
   t.finished <- false
 
 let is_read_only t = t.read_only
 let thread t = t.thread
 
-let rec unlock_all table thread = function
-  | [] -> ()
-  | key :: rest ->
-    let obj = Table.find table key in
-    if obj != Obj.dummy then Obj.unlock obj ~thread;
-    unlock_all table thread rest
+(* Room for one more key at [n] in [a], the array doubled when full. *)
+let grow a n =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * n) 0 in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
+(* Newest lock first. *)
 let release_locks t =
-  unlock_all t.table t.thread t.locked;
-  t.locked <- []
+  for i = t.n_locked - 1 downto 0 do
+    let obj = Table.find t.table t.locked.(i) in
+    if obj != Obj.dummy then Obj.unlock obj ~thread:t.thread
+  done;
+  t.n_locked <- 0
 
 let abort t =
   if not t.finished then begin
@@ -112,14 +125,18 @@ let take_lock t obj =
   (* Already-locked check is O(1) on the object itself: local locks are
      strictly per-thread and released at commit/abort, so [lock_thread =
      this thread] can only mean this very transaction took it (and already
-     pushed the key onto [locked] for release). *)
+     recorded the key in [locked] for release). *)
   if obj.Obj.lock_thread = t.thread then Ok ()
   else if Obj.can_lock obj ~thread:t.thread then begin
     Obj.lock obj ~thread:t.thread;
-    t.locked <- obj.Obj.key :: t.locked;
+    t.locked <- grow t.locked t.n_locked;
+    t.locked.(t.n_locked) <- obj.Obj.key;
+    t.n_locked <- t.n_locked + 1;
     Ok ()
   end
   else Error (Lock_conflict obj.Obj.key)
+
+let rec took_lock t key i = i >= 0 && (t.locked.(i) = key || took_lock t key (i - 1))
 
 let created_value t key =
   List.assoc_opt key t.creates
@@ -135,7 +152,12 @@ let open_read t key =
       (* A reader must not return a value with a pending reliable commit. *)
       if obj.Obj.t_state <> Types.T_valid then fail t (Invalidated key)
       else begin
-        t.snapshots <- (key, obj.Obj.t_version) :: t.snapshots;
+        let n = t.n_snaps in
+        t.snap_keys <- grow t.snap_keys n;
+        t.snap_versions <- grow t.snap_versions n;
+        t.snap_keys.(n) <- key;
+        t.snap_versions.(n) <- obj.Obj.t_version;
+        t.n_snaps <- n + 1;
         Ok obj.Obj.data
       end
     end
@@ -175,7 +197,7 @@ let put t key data =
   if List.mem_assoc key t.creates then
     t.creates <- (key, data) :: List.remove_assoc key t.creates
   else begin
-    assert (List.mem key t.locked);
+    assert (took_lock t key (t.n_locked - 1));
     Hashtbl.replace t.copies key data
   end
 
@@ -205,21 +227,24 @@ let free_obj t key =
 let written t key =
   Hashtbl.mem t.copies key || List.mem_assoc key t.creates || List.mem key t.frees
 
-let commit_read_only t =
-  (* Single validation pass that remembers WHICH snapshot failed: the
-     abort reason names the actual invalidated key, not whatever happened
-     to sit at the head of the snapshot list. *)
-  let rec validate = function
-    | [] ->
-      t.finished <- true;
-      Ok []
-    | (key, version) :: rest ->
-      let obj = Table.find t.table key in
-      if obj != Obj.dummy && obj.Obj.t_state = Types.T_valid && obj.Obj.t_version = version
-      then validate rest
-      else fail t (Invalidated key)
-  in
-  validate t.snapshots
+(* Single validation pass over the snapshots from [i] down, newest first,
+   that remembers WHICH snapshot failed: the abort reason names the
+   newest invalidated key. *)
+let rec validate t i =
+  if i < 0 then begin
+    t.finished <- true;
+    Ok []
+  end
+  else begin
+    let key = t.snap_keys.(i) in
+    let obj = Table.find t.table key in
+    if obj != Obj.dummy && obj.Obj.t_state = Types.T_valid
+       && obj.Obj.t_version = t.snap_versions.(i)
+    then validate t (i - 1)
+    else fail t (Invalidated key)
+  end
+
+let commit_read_only t = validate t (t.n_snaps - 1)
 
 (* Freed objects: bump version, mark freed; removed once replicated. *)
 let rec publish_frees t updates = function

@@ -64,7 +64,7 @@ let neighbor t home = if t.nodes = 1 then home else (home + 1) mod t.nodes
 let exec = 1.5 (* parsing + 3GPP message handling per transaction, µs *)
 
 let gen t ~home ~thread ~threads =
-  let p = Rng.float t.rng 1.0 in
+  let p = float_of_int (Rng.bits53 t.rng) /. 0x1p53 in
   if p < t.handover_frac then begin
     let remote = Rng.chance t.rng t.remote_handover_frac in
     if remote then begin

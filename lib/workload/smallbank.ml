@@ -45,7 +45,7 @@ let account_for_read t home =
 let exec = 0.8
 
 let gen t ~home =
-  let p = Rng.float t.rng 1.0 in
+  let p = float_of_int (Rng.bits53 t.rng) /. 0x1p53 in
   if p < 0.15 then begin
     (* Balance: read-only, both objects of one account. *)
     let a = account_for_read t home in

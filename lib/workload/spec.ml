@@ -29,19 +29,35 @@ let bump payload old =
   end
   else Value.padded [ counter + 1 ] ~size:payload
 
-(* One cursor per attempt walks the spec's keys: reads first, then
-   read-modify-writes, then commit.  Its continuation [next] is built once,
-   so an operation allocates no closure of its own. *)
+(* A cursor runs one transaction: it walks the spec's keys, reads first,
+   then read-modify-writes, then commits, and every attempt's body starts
+   the walk again from the first key.  Its closures are built once, with
+   the cursor, and each node keeps a pool of free cursors, so issuing a
+   spec allocates nothing here.  [finish] puts the cursor back in its pool
+   before it calls the caller's continuation, which may issue the thread's
+   next transaction in it at once.  [Node] calls an attempt's
+   continuations only while that attempt runs, so a cursor moves only for
+   the attempt that holds it. *)
 type cursor = {
-  ctx : Node.ctx;
-  commit : unit -> unit;
-  bump : Value.t -> Value.t;
+  pool : pool;
+  mutable spec : t;
+  mutable k : Zeus_store.Txn.outcome -> unit;
+  mutable ctx : Node.ctx;
+  mutable commit : unit -> unit;
   mutable reads : int list;
   mutable writes : int list;
-  mutable next : Value.t -> unit;
+  body : Node.ctx -> (unit -> unit) -> unit;
+  next : Value.t -> unit;
+  bump : Value.t -> Value.t;
+  finish : Zeus_store.Txn.outcome -> unit;
 }
 
-let step c (_ : Value.t) =
+(* Free cursors, a stack in an array that grows by doubling. *)
+and pool = { mutable free : cursor array; mutable n_free : int }
+
+type Node.front += Cursors of pool
+
+let step c =
   match c.reads with
   | key :: rest ->
     c.reads <- rest;
@@ -53,14 +69,64 @@ let step c (_ : Value.t) =
       Node.read_write c.ctx key c.bump c.next
     | [] -> c.commit ())
 
-let run_on_zeus node ~thread spec k =
-  let bump = bump spec.payload in
-  let body ctx commit =
-    let c = { ctx; commit; bump; reads = spec.reads; writes = spec.writes; next = ignore } in
-    c.next <- step c;
-    step c Value.empty
+let start c ctx commit =
+  c.ctx <- ctx;
+  c.commit <- commit;
+  c.reads <- c.spec.reads;
+  c.writes <- c.spec.writes;
+  step c
+
+let release c outcome =
+  let p = c.pool and k = c.k in
+  if p.n_free = Array.length p.free then begin
+    let grown = Array.make ((2 * p.n_free) + 1) c in
+    Array.blit p.free 0 grown 0 p.n_free;
+    p.free <- grown
+  end;
+  p.free.(p.n_free) <- c;
+  p.n_free <- p.n_free + 1;
+  k outcome
+
+let new_cursor pool ctx spec =
+  let rec c =
+    {
+      pool;
+      spec;
+      k = ignore;
+      ctx;
+      commit = ignore;
+      reads = [];
+      writes = [];
+      body = (fun ctx commit -> start c ctx commit);
+      next = (fun (_ : Value.t) -> step c);
+      bump = (fun old -> bump c.spec.payload old);
+      finish = (fun outcome -> release c outcome);
+    }
   in
-  if spec.read_only then Node.run_read node ~thread ~exec_us:spec.exec_us ~body k
-  else Node.run_write node ~thread ~exec_us:spec.exec_us ~body k
+  c
+
+let pool_of node =
+  match Node.front node with
+  | Cursors p -> p
+  | _ ->
+    let p = { free = [||]; n_free = 0 } in
+    Node.set_front node (Cursors p);
+    p
+
+let cursor node ~thread spec =
+  let p = pool_of node in
+  if p.n_free = 0 then new_cursor p (Node.slot node ~thread) spec
+  else begin
+    p.n_free <- p.n_free - 1;
+    let c = p.free.(p.n_free) in
+    c.spec <- spec;
+    c
+  end
+
+let run_on_zeus node ~thread spec k =
+  let c = cursor node ~thread spec in
+  c.k <- k;
+  if spec.read_only then Node.run_read node ~thread ~exec_us:spec.exec_us ~body:c.body c.finish
+  else Node.run_write node ~thread ~exec_us:spec.exec_us ~body:c.body c.finish
 
 let issue gen node ~thread k = run_on_zeus node ~thread (gen ~home:(Node.id node)) k

@@ -43,7 +43,7 @@ let sub_for_write t home =
 let sub_for_read t home = if t.local_reads then local_sub t home else sub_for_write t home
 
 let gen t ~home =
-  let p = Rng.float t.rng 1.0 in
+  let p = float_of_int (Rng.bits53 t.rng) /. 0x1p53 in
   if p < 0.35 then
     (* GET_SUBSCRIBER_DATA *)
     Spec.read_txn [ sub_key t (sub_for_read t home) ]

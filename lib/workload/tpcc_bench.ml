@@ -285,7 +285,7 @@ let stock_level t node ~thread k =
     k
 
 let issue t node ~thread k =
-  let p = Rng.float t.rng 1.0 in
+  let p = float_of_int (Rng.bits53 t.rng) /. 0x1p53 in
   if p < 0.45 then new_order t node ~thread k
   else if p < 0.88 then payment t node ~thread k
   else if p < 0.92 then order_status t node ~thread k
@@ -297,7 +297,7 @@ let issue t node ~thread k =
 let gen_spec t ~home =
   let w = local_warehouse t home in
   let d = Rng.int t.rng districts_per_wh in
-  let p = Rng.float t.rng 1.0 in
+  let p = float_of_int (Rng.bits53 t.rng) /. 0x1p53 in
   if p < 0.45 then begin
     let lines = pick_lines t w in
     t.n_new_orders <- t.n_new_orders + 1;

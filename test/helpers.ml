@@ -33,7 +33,7 @@ let write_txn cluster node_id ~keys ~value =
   let node = Cluster.node cluster node_id in
   let result = ref None in
   Node.run_write node ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       let rec go = function
         | [] -> commit ()
         | key :: rest -> Node.write ctx key value (fun () -> go rest)
@@ -49,7 +49,7 @@ let read_raw cluster node_id key =
   let node = Cluster.node cluster node_id in
   let result = ref None in
   Node.run_read node ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.read ctx key (fun v ->
           result := Some v;
           commit ()))

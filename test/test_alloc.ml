@@ -468,7 +468,10 @@ module Driver = Zeus_workload.Driver
    — the spec walk, [Node]'s operations and commit, [Txn], the datastore
    worker pool, both agents and cores, the transport, fabric and engine.
    A layer that starts allocating per operation or per message again
-   fails here.  405.0 words per committed transaction (3 % of headroom);
+   fails here.  349.7 words per committed transaction (3 % of headroom);
+   405.0 when the spec built a cursor and its closures per transaction,
+   [Txn] a tuple or a cons per snapshot and lock, the generator boxed its
+   mix draw and the driver built two continuations per transaction;
    439.3 when each core effect was a fresh record, each fabric delivery
    built two key tuples, and each frame and retransmission timer boxed a
    float; 499.4 when the agents built an input record and an env per core input
@@ -482,7 +485,7 @@ module Driver = Zeus_workload.Driver
    [Node] built its guards, continuations and attempt closures per
    operation, the worker pool a closure and a job record per message, and
    the transport a tuple per payload. *)
-let smallbank_bound = 417.0
+let smallbank_bound = 360.2
 
 (* Drive [issue] on every app thread of [c] and bound the minor words per
    committed transaction. *)
@@ -509,12 +512,17 @@ let smallbank_budget () =
 (* Read-only transactions of two local keys each ([Spec.read_txn]) through
    the same cluster and driver: the words cover [Node]'s slot, dispatch
    and local commit, [Txn]'s snapshot reads and the spec walk, with no
-   replication and no message.  170.4 words per committed transaction
-   (3 % of headroom; 176 was the bound until the core effects, which
-   these transactions never reach, became reused cells); 178.4 when [Node] boxed each phase time it
-   observed; 216.4 when [Node] built a run, a context and a times record
-   and scheduled three closures per transaction. *)
-let read_only_bound = 175.5
+   replication and no message.  110.4 words per committed transaction
+   (3 % of headroom), about 100 of them the driver's two latency
+   percentiles, whose sort boxes two floats per comparison: the row
+   below meters the same path without the driver.  170.4 when the spec
+   built a cursor and its closures per transaction and [Txn] a tuple and
+   a cons per snapshot (176 was the bound until the core effects, which
+   these transactions never reach, became reused cells); 178.4 when
+   [Node] boxed each phase time it observed; 216.4 when [Node] built a
+   run, a context and a times record and scheduled three closures per
+   transaction. *)
+let read_only_bound = 113.7
 
 let read_only_budget () =
   let c = Helpers.default_cluster ~record_history:false () in
@@ -527,6 +535,62 @@ let read_only_budget () =
   txn_path_budget ~what:"read-only" ~bound:read_only_bound c ~issue:(fun node ~thread k ->
       next := (!next + 1) mod keys;
       Spec.run_on_zeus node ~thread specs.(!next) k)
+
+(* Prebuilt specs through [Spec], [Node] and [Txn] alone: every app
+   thread issues its node's local specs back to back, alternating a
+   read-only transaction of two keys and a write of one, from
+   continuations built once, so neither the driver nor its latency
+   histogram is metered.  The words cover the spec's cursor, [Node]'s
+   slot, [Txn]'s snapshots, locks and private copies, and the writes'
+   reliable commit.  70.7 words per committed transaction (3 % of
+   headroom): 5.3 per read-only transaction and 129.3 per write alone;
+   105.5 (48.3 and 159.7) when the spec built a cursor and its closures
+   per transaction, [Txn] a tuple or a cons per snapshot and lock, and
+   [Node] summed and boxed every attempt's dispatch delay. *)
+let spec_path_bound = 72.8
+
+let spec_path_budget () =
+  let c = Helpers.default_cluster ~record_history:false () in
+  let keys = 3_000 in
+  Cluster.populate_n c ~n:keys ~owner_of:(fun i -> i mod nodes) (fun _ ->
+      Value.padded [ 0 ] ~size:64);
+  let eng = Cluster.engine c in
+  let threads = (Cluster.config c).Config.app_threads in
+  let stop = ref 0.0 in
+  (* Node [n]'s specs touch only the keys it owns. *)
+  let per_node = keys / nodes in
+  for n = 0 to nodes - 1 do
+    let node = Cluster.node c n in
+    let key i = n + (nodes * (i mod per_node)) in
+    let specs =
+      Array.init per_node (fun i ->
+          if i land 1 = 0 then Spec.read_txn [ key i; key (i + 1) ] else Spec.write_txn [ key i ])
+    in
+    for thread = 0 to threads - 1 do
+      let next = ref thread in
+      let rec loop () =
+        if Engine.now eng < !stop then begin
+          next := (!next + 1) mod per_node;
+          Spec.run_on_zeus node ~thread specs.(!next) on_done
+        end
+      and on_done (_ : Txn.outcome) = loop () in
+      ignore (Engine.schedule eng ~after:(0.01 *. float_of_int thread) loop)
+    done
+  done;
+  let committed () = Cluster.total_committed c + Cluster.total_ro_committed c in
+  (* A first stretch warms the pools, windows and tables up. *)
+  stop := 500.0;
+  Engine.run ~until:!stop eng;
+  let c0 = committed () and before = Gc.minor_words () in
+  stop := 5_500.0;
+  Engine.run ~until:!stop eng;
+  let words = Gc.minor_words () -. before and txns = committed () - c0 in
+  Alcotest.(check int) "no aborts" 0 (Cluster.total_aborted c);
+  Alcotest.(check bool) "thousands committed" true (txns >= 2_000);
+  let per_txn = words /. float_of_int txns in
+  if per_txn > spec_path_bound then
+    Alcotest.failf "prebuilt specs: %.1f minor words per committed transaction (budget %.1f)"
+      per_txn spec_path_bound
 
 (* ---------- commit: one INV/ACK/VAL round ------------------------------- *)
 
@@ -1117,7 +1181,7 @@ let home_replica_sets () =
       let key = 1000 in
       let result = ref None in
       Node.run_write (Cluster.node c 0) ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.insert ctx key (Value.of_int 0);
           commit ())
         (fun o -> result := Some o);
@@ -1139,6 +1203,7 @@ let suite =
     tc "io taps: logged effects are copies that keep their fields" tapped_effects_stay_intact;
     tc "transaction path: Smallbank allocation budget" smallbank_budget;
     tc "transaction path: read-only allocation budget" read_only_budget;
+    tc "transaction path: prebuilt specs through Spec, Node and Txn" spec_path_budget;
     tc "commit core: INV/ACK/VAL allocation budget" commit_round_budget;
     tc "commit core: pipelined round, ACKs newest first" commit_pipelined_budget;
     tc "commit core: slot window" slot_window;

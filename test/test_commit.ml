@@ -56,7 +56,7 @@ let pipelining_does_not_block () =
   let rec chain i =
     if i < 8 then
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
               commit ()))
         (fun outcome ->
@@ -88,7 +88,7 @@ let followers_apply_in_pipeline_order () =
   let rec chain i =
     if i < 20 then
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
               commit ()))
         (fun _ ->
@@ -124,7 +124,7 @@ let partial_stream_follower () =
     if i < 10 then begin
       let key = if i mod 2 = 0 then 1 else 2 in
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx key (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
               commit ()))
         (fun _ -> chain (i + 1))
@@ -155,7 +155,7 @@ let coordinator_dies_followers_replay () =
   let n0 = Cluster.node c 0 in
   (* commit locally, then kill the coordinator before R-VALs settle *)
   Node.run_write n0 ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.read_write ctx 1 (fun _ -> Value.of_int 99) (fun _ -> commit ()))
     (fun _ -> ());
   ignore (Engine.schedule (Cluster.engine c) ~after:6.0 (fun () -> Cluster.kill c 0));
@@ -185,7 +185,7 @@ let pipeline_crash_replay_burst () =
     if i < 30 then begin
       let key = 1 + (i mod 2) in
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx key (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
               commit ()))
         (fun _ -> chain (i + 1))
@@ -213,7 +213,7 @@ let follower_dies_mid_commit () =
   Cluster.populate c ~key:1 ~owner:0 (Value.of_int 1);
   let n0 = Cluster.node c 0 in
   Node.run_write n0 ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.read_write ctx 1 (fun _ -> Value.of_int 77) (fun _ -> commit ()))
     (fun _ -> ());
   ignore (Engine.schedule (Cluster.engine c) ~after:5.0 (fun () -> Cluster.kill c 2));
@@ -226,7 +226,7 @@ let created_objects_replicate () =
   let c = Helpers.default_cluster () in
   let n0 = Cluster.node c 0 in
   Node.run_write n0 ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.insert ctx 42 (Value.of_int 4242);
       commit ())
     (fun o -> Helpers.expect_committed "insert" o);
@@ -241,7 +241,7 @@ let freed_objects_disappear_everywhere () =
   Cluster.populate c ~key:1 ~owner:0 (Value.of_int 5);
   let n0 = Cluster.node c 0 in
   Node.run_write n0 ~thread:0
-    ~body:(fun ctx commit -> Node.delete ctx 1 (fun () -> commit ()))
+    ~exec_us:0.0 ~body:(fun ctx commit -> Node.delete ctx 1 (fun () -> commit ()))
     (fun o -> Helpers.expect_committed "delete" o);
   Helpers.drain c;
   List.iter

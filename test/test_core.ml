@@ -50,7 +50,7 @@ let local_conflict_retries () =
     let rec chain i =
       if i < 10 then
         Node.run_write n0 ~thread
-          ~body:(fun ctx commit ->
+          ~exec_us:0.0 ~body:(fun ctx commit ->
             Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
                 commit ()))
           (fun o ->
@@ -94,7 +94,7 @@ let abort_after_max_retries () =
   let c = Helpers.default_cluster () in
   let outcome = ref None in
   Node.run_write (Cluster.node c 0) ~thread:0
-    ~body:(fun ctx commit -> Node.write ctx 777 (Value.of_int 1) (fun () -> commit ()))
+    ~exec_us:0.0 ~body:(fun ctx commit -> Node.write ctx 777 (Value.of_int 1) (fun () -> commit ()))
     (fun o -> outcome := Some o);
   Helpers.drain c ~max_us:1_000_000.0;
   match !outcome with
@@ -106,7 +106,7 @@ let insert_then_use () =
   let c = Helpers.default_cluster () in
   let n0 = Cluster.node c 0 in
   Node.run_write n0 ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.insert ctx 5 (Value.of_int 50);
       commit ())
     (fun o -> Helpers.expect_committed "insert" o);
@@ -126,7 +126,7 @@ let cross_node_transfer () =
   let transfer node amount =
     let done_ = ref false in
     Node.run_write (Cluster.node c node) ~thread:0
-      ~body:(fun ctx commit ->
+      ~exec_us:0.0 ~body:(fun ctx commit ->
         Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v - amount)) (fun _ ->
             Node.read_write ctx 2
               (fun v -> Value.of_int (Value.to_int v + amount))
@@ -160,7 +160,7 @@ let dead_node_rejects_txns () =
   Helpers.drain c;
   let outcome = ref None in
   Node.run_write (Cluster.node c 0) ~thread:0
-    ~body:(fun ctx commit -> Node.write ctx 1 (Value.of_int 1) (fun () -> commit ()))
+    ~exec_us:0.0 ~body:(fun ctx commit -> Node.write ctx 1 (Value.of_int 1) (fun () -> commit ()))
     (fun o -> outcome := Some o);
   Helpers.drain c;
   match !outcome with
@@ -180,7 +180,7 @@ let dead_node_rejects_txns () =
    body's ctx on every attempt. *)
 let write_on node ~thread ~keys ~value ~seen k =
   Node.run_write node ~thread
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       seen ctx;
       let rec go = function
         | [] -> commit ()
@@ -426,7 +426,7 @@ let shared_initial_value () =
   (* A committed write that mutates its open_write buffer in place. *)
   let result = ref None in
   Node.run_write (Cluster.node c 0) ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.read_write ctx key
         (fun v ->
           Bytes.fill v 0 (Bytes.length v) 'y';

@@ -81,7 +81,7 @@ let mixed_load_with_crash () =
     let rec chain i =
       if i < 25 && Node.is_alive node then
         Node.run_write node ~thread:0
-          ~body:(fun ctx commit ->
+          ~exec_us:0.0 ~body:(fun ctx commit ->
             Node.read_write ctx (Zeus_sim.Rng.int rng 30)
               (fun v -> Value.of_int (Value.to_int v + 1))
               (fun _ -> commit ()))
@@ -110,7 +110,7 @@ let directory_load_spreads () =
       let rec chain i =
         if i < 40 then
           Node.run_write node ~thread:0
-            ~body:(fun ctx commit ->
+            ~exec_us:0.0 ~body:(fun ctx commit ->
               Node.read_write ctx (((home + 1) * 33 + i * 7) mod 200)
                 (fun v -> Value.of_int (Value.to_int v + 1))
                 (fun _ -> commit ()))

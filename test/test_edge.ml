@@ -25,7 +25,7 @@ let simulation_deterministic () =
       let rec chain i =
         if i < 15 then
           Node.run_write node ~thread:0
-            ~body:(fun ctx commit ->
+            ~exec_us:0.0 ~body:(fun ctx commit ->
               Node.read_write ctx (i mod 10)
                 (fun v -> Value.of_int (Value.to_int v + 1))
                 (fun _ -> commit ()))
@@ -102,7 +102,7 @@ let opacity_under_conflicts () =
   let rec xfer i =
     if i < 30 then
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v - 1)) (fun _ ->
               Node.read_write ctx 2 (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
                   commit ())))
@@ -114,7 +114,7 @@ let opacity_under_conflicts () =
   let rec audit i =
     if i < 30 then
       Node.run_write n0 ~thread:1
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read ctx 1 (fun a ->
               Node.read ctx 2 (fun b ->
                   if Value.to_int a + Value.to_int b <> 200 then incr torn;
@@ -130,7 +130,7 @@ let freed_key_unknown () =
   let c = Helpers.default_cluster () in
   Cluster.populate c ~key:1 ~owner:0 (Value.of_int 5);
   Node.run_write (Cluster.node c 0) ~thread:0
-    ~body:(fun ctx commit -> Node.delete ctx 1 (fun () -> commit ()))
+    ~exec_us:0.0 ~body:(fun ctx commit -> Node.delete ctx 1 (fun () -> commit ()))
     (fun o -> Helpers.expect_committed "delete" o);
   Helpers.drain c;
   let r = ref None in

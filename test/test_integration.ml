@@ -133,7 +133,7 @@ let reads_never_see_torn_transfers () =
     if i < 60 then begin
       let amount = 1 + Zeus_sim.Rng.int rng 10 in
       Node.run_write n0 ~thread:0
-        ~body:(fun ctx commit ->
+        ~exec_us:0.0 ~body:(fun ctx commit ->
           Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v - amount)) (fun _ ->
               Node.read_write ctx 2
                 (fun v -> Value.of_int (Value.to_int v + amount))
@@ -151,7 +151,7 @@ let reads_never_see_torn_transfers () =
       let rec read_loop i =
         if i < 80 then
           Node.run_read node ~thread:0
-            ~body:(fun ctx commit ->
+            ~exec_us:0.0 ~body:(fun ctx commit ->
               Node.read ctx 1 (fun a ->
                   Node.read ctx 2 (fun b ->
                       commit ();

@@ -162,7 +162,7 @@ let busy_owner_nacks () =
   let n0 = Cluster.node c 0 in
   let blocked = ref false in
   Node.run_write n0 ~thread:0
-    ~body:(fun ctx commit ->
+    ~exec_us:0.0 ~body:(fun ctx commit ->
       Node.write ctx 1 (Value.of_int 50) (fun () ->
           (* stall the transaction long enough for the request to arrive *)
           ignore

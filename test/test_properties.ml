@@ -150,14 +150,14 @@ let schedule_ops c ops crash =
             match op with
             | Write (_, k) ->
               Node.run_write node ~thread:0
-                ~body:(fun ctx commit ->
+                ~exec_us:0.0 ~body:(fun ctx commit ->
                   Node.read_write ctx k
                     (fun v -> Value.of_int (Value.to_int v + 1))
                     (fun _ -> commit ()))
                 (fun _ -> next ())
             | Read (_, k) ->
               Node.run_read node ~thread:1
-                ~body:(fun ctx commit -> Node.read ctx k (fun _ -> commit ()))
+                ~exec_us:0.0 ~body:(fun ctx commit -> Node.read ctx k (fun _ -> commit ()))
                 (fun _ -> next ())
             | Migrate (_, k) -> Node.acquire_ownership node k (fun _ -> next ())
           end
@@ -265,7 +265,7 @@ let prop_no_lost_updates =
                  ~after:(Zeus_sim.Rng.float rng 10.0)
                  (fun () ->
                    Node.run_write (Cluster.node c node) ~thread:0
-                     ~body:(fun ctx commit ->
+                     ~exec_us:0.0 ~body:(fun ctx commit ->
                        Node.read_write ctx 1
                          (fun v -> Value.of_int (Value.to_int v + 1))
                          (fun _ -> commit ()))

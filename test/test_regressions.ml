@@ -54,14 +54,14 @@ let run_schedule ~seed ~loss ~crash ~nops =
         let next () = ignore (Engine.schedule engine ~after:2.0 (fun () -> chain (i + 1))) in
         if roll < 5 then
           Node.run_write node ~thread:0
-            ~body:(fun ctx commit ->
+            ~exec_us:0.0 ~body:(fun ctx commit ->
               Node.read_write ctx k
                 (fun v -> Value.of_int (Value.to_int v + 1))
                 (fun _ -> commit ()))
             (fun _ -> next ())
         else if roll < 8 then
           Node.run_read node ~thread:1
-            ~body:(fun ctx commit -> Node.read ctx k (fun _ -> commit ()))
+            ~exec_us:0.0 ~body:(fun ctx commit -> Node.read ctx k (fun _ -> commit ()))
             (fun _ -> next ())
         else Node.acquire_ownership node k (fun _ -> next ())
       end

@@ -60,7 +60,7 @@ let run_scenario ~nodes ~crash ~crash_at ~pert ~seed =
   ignore
     (Engine.schedule engine ~after:2.0 (fun () ->
          Node.run_write (Cluster.node c 0) ~thread:0
-           ~body:(fun ctx commit ->
+           ~exec_us:0.0 ~body:(fun ctx commit ->
              Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
                  commit ()))
            (fun _ -> ())));
@@ -83,7 +83,7 @@ let run_scenario ~nodes ~crash ~crash_at ~pert ~seed =
   | Some i ->
     let ok = ref false in
     Node.run_write (Cluster.node c i) ~thread:1
-      ~body:(fun ctx commit ->
+      ~exec_us:0.0 ~body:(fun ctx commit ->
         Node.read_write ctx 1 (fun v -> Value.of_int (Value.to_int v + 1)) (fun _ ->
             commit ()))
       (fun o -> ok := o = Zeus_store.Txn.Committed);

@@ -477,6 +477,31 @@ let txn_ro_aborts_on_invalid_state () =
   | Error (Txn.Invalidated 2) -> ()
   | _ -> Alcotest.fail "reader must not return an invalidated object"
 
+(* Snapshots are validated newest first, so a failed validation names the
+   newest invalidated key; six snapshots outgrow the transaction's first
+   snapshot arrays. *)
+let txn_ro_names_newest_invalid () =
+  let t = Table.create ~node:0 in
+  let keys = [ 1; 2; 3; 4; 5; 6 ] in
+  List.iter
+    (fun k -> Table.install t (Obj.create ~key:k ~role:Types.Owner ~version:1 (Value.of_int k)))
+    keys;
+  let ro = Txn.create_read t ~thread:5 in
+  let read_all () =
+    List.iter
+      (fun k -> match Txn.open_read ro k with Ok _ -> () | Error _ -> Alcotest.fail "ro read")
+      keys
+  in
+  read_all ();
+  List.iter (fun k -> (Table.get t k).Obj.t_version <- 2) [ 2; 5 ];
+  (match Txn.local_commit ro with
+  | Error (Txn.Invalidated 5) -> ()
+  | Error r -> Alcotest.failf "expected invalidated(#5), got %a" Txn.pp_abort r
+  | Ok _ -> Alcotest.fail "stale snapshots validated");
+  Txn.reinit ro ~read_only:true ~thread:5;
+  read_all ();
+  match Txn.local_commit ro with Ok [] -> () | _ -> Alcotest.fail "fresh snapshots rejected"
+
 let txn_not_replica () =
   let t = fresh_table () in
   let ro = Txn.create_read t ~thread:0 in
@@ -644,6 +669,7 @@ let suite =
     tc "txn: read-only snapshot validates" txn_ro_snapshot_validates;
     tc "txn: read-only aborts on version change" txn_ro_aborts_on_version_change;
     tc "txn: read-only refuses invalidated object" txn_ro_aborts_on_invalid_state;
+    tc "txn: read-only validation names the newest invalid key" txn_ro_names_newest_invalid;
     tc "txn: non-replica read fails" txn_not_replica;
     tc "txn: one version bump per txn" txn_multi_write_single_version_bump;
     tc "outbox: a nested input's slice leaves the outer one intact" outbox_nested_walk;

@@ -178,7 +178,7 @@ let commit_streams_terminate ((loss, dup, permute), txns, seed) =
       if i < txns then begin
         let key = 1 + (i mod 2) in
         Node.run_write n0 ~thread
-          ~body:(fun ctx commit ->
+          ~exec_us:0.0 ~body:(fun ctx commit ->
             Node.read_write ctx key
               (fun v -> Value.of_int (Value.to_int v + 1))
               (fun _ -> commit ()))

@@ -345,6 +345,90 @@ let driver_aborts_surface () =
   Alcotest.(check int) "first attempts always abort" 0 r.W.Driver.committed;
   Alcotest.(check bool) "aborts surface" true (r.W.Driver.aborted > 0)
 
+(* ---------- spec cursors ---------- *)
+
+(* [Spec.run_on_zeus] runs each transaction in a pooled cursor.  These
+   cases pin what the pool must not break: transactions in flight at once
+   on one thread each walk their own spec, a retry walks its keys again
+   from the first, and ownership that arrives after its attempt gave up
+   moves no cursor.  A bumped key's counter counts the specs that wrote
+   it. *)
+
+module Txn = Zeus_store.Txn
+module Value = Zeus_store.Value
+
+let cursor_cluster ~owner_of keys =
+  let c = Helpers.default_cluster () in
+  List.iter
+    (fun key -> Cluster.populate c ~key ~owner:(owner_of key) (Value.padded [ 0 ] ~size:64))
+    keys;
+  c
+
+let run_spec c node spec =
+  let outcome = ref None in
+  W.Spec.run_on_zeus (Cluster.node c node) ~thread:0 spec (fun o -> outcome := Some o);
+  outcome
+
+let expect_counters c keys expected =
+  List.iter2
+    (fun key n -> check Alcotest.(option int) (Printf.sprintf "key %d" key) (Some n)
+        (Helpers.read_value c 0 key))
+    keys expected
+
+let cursors_in_flight_on_one_thread () =
+  let c = cursor_cluster ~owner_of:(fun _ -> 0) [ 1; 2; 3; 4; 5 ] in
+  (* Both are issued before either runs: the second finds the thread's
+     slot busy. *)
+  let a = run_spec c 0 (W.Spec.write_txn ~reads:[ 5 ] [ 1; 2 ]) in
+  let b = run_spec c 0 (W.Spec.write_txn [ 3; 4 ]) in
+  Helpers.drain c;
+  List.iter (fun o -> check Alcotest.bool "committed" true (!o = Some Txn.Committed)) [ a; b ];
+  expect_counters c [ 1; 2; 3; 4; 5 ] [ 1; 1; 1; 1; 0 ];
+  (* The freed cursors serve the next transactions. *)
+  let d = run_spec c 0 (W.Spec.write_txn [ 2; 5 ]) in
+  Helpers.drain c;
+  check Alcotest.bool "committed" true (!d = Some Txn.Committed);
+  expect_counters c [ 1; 2; 3; 4; 5 ] [ 1; 2; 1; 1; 1 ];
+  Helpers.expect_invariants c
+
+let retry_rewalks_from_first_key () =
+  let keys = [ 1; 2; 3; 4; 5; 6 ] in
+  let c = cursor_cluster ~owner_of:(fun _ -> 0) keys in
+  let n0 = Cluster.node c 0 and eng = Cluster.engine c in
+  (* Thread 1 writes key 6 at once and holds its lock for 50 µs; the
+     spec's first attempt bumps keys 1-5 in private copies, then fails on
+     key 6 and retries after back-off. *)
+  let blocker = ref None in
+  Node.run_write n0 ~thread:1 ~exec_us:0.0
+    ~body:(fun ctx commit ->
+      Node.write ctx 6 (Value.padded [ 100 ] ~size:64) (fun () ->
+          ignore (Zeus_sim.Engine.schedule eng ~after:50.0 commit)))
+    (fun o -> blocker := Some o);
+  let spec = run_spec c 0 (W.Spec.write_txn keys) in
+  Helpers.drain c;
+  check Alcotest.bool "blocker committed" true (!blocker = Some Txn.Committed);
+  check Alcotest.bool "spec committed" true (!spec = Some Txn.Committed);
+  check Alcotest.bool "spec retried" true (Node.retries n0 >= 1);
+  expect_counters c keys [ 1; 1; 1; 1; 1; 101 ];
+  Helpers.expect_invariants c
+
+let late_grant_moves_no_cursor () =
+  (* Key 10 is homed at node 1, whose links run 200x slow: node 0's
+     Acquire times out, its attempt retries, and the first arbitration
+     completes while later attempts run. *)
+  let c = cursor_cluster ~owner_of:(fun key -> if key = 10 then 1 else 0) [ 1; 2; 10 ] in
+  let fab = Cluster.fabric c and eng = Cluster.engine c in
+  Zeus_net.Fabric.set_slow fab 1 200.0;
+  ignore (Zeus_sim.Engine.schedule eng ~after:3_000.0 (fun () -> Zeus_net.Fabric.set_slow fab 1 1.0));
+  let spec = run_spec c 0 (W.Spec.write_txn ~reads:[ 2 ] [ 1; 10 ]) in
+  Helpers.drain c ~max_us:1_000_000.0;
+  let own = Node.ownership_agent (Cluster.node c 0) in
+  check Alcotest.bool "committed" true (!spec = Some Txn.Committed);
+  check Alcotest.bool "a request timed out" true
+    (Zeus_ownership.Agent.requests_timed_out own >= 1);
+  expect_counters c [ 1; 2; 10 ] [ 1; 0; 1 ];
+  Helpers.expect_invariants c
+
 let suite =
   [
     tc "smallbank: keys in range" smallbank_keys_in_range;
@@ -368,5 +452,8 @@ let suite =
     tc "venmo: valid pairs" venmo_pairs_valid;
     tc "tpcc: analytical fractions" tpcc_analytics;
     tc "driver: measurement window math" driver_counts_in_window;
+    tc "spec cursors: two in flight on one thread" cursors_in_flight_on_one_thread;
+    tc "spec cursors: a retry walks its keys from the first" retry_rewalks_from_first_key;
+    tc "spec cursors: a late grant moves no cursor" late_grant_moves_no_cursor;
     tc "driver: aborts surface" driver_aborts_surface;
   ]
